@@ -286,8 +286,8 @@ def cmd_simulate(args, policy: NumericPolicy) -> tuple[int, RunReport]:
 
 def cmd_reproduce(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     report = RunReport(command="reproduce")
-    report.inputs = {"which": args.which, "seed": args.seed, "jobs": args.jobs}
-    results = reproduce.run(args.which, policy, seed=args.seed, jobs=args.jobs)
+    report.inputs = {"which": args.which, "seed": args.seed}
+    results = reproduce.run(args.which, policy, seed=args.seed)
     all_passed = True
     for suite in results:
         print(f"== {suite.suite} ==")
@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dominance and dissipativity certification for linear and Lur'e systems",
     )
     parser.add_argument("--seed", type=int, default=42, help="seed for all randomized probes")
-    parser.add_argument("--jobs", type=int, default=1, help="parallel workers for independent sub-checks")
     parser.add_argument("--report", help="write the RunReport JSON to this path")
     sub = parser.add_subparsers(dest="verb", required=True)
 

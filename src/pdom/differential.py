@@ -246,6 +246,18 @@ class LureSystem:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "channels", channels)
+        # fused field: H (n, k) and G (k, n) keep the channels whose sigmas are
+        # equal by value (same to_dict; dataclass == raises on tables) in one
+        # contiguous block, so rhs calls each distinct sigma once
+        groups: dict[str, list[Channel]] = {}
+        for ch in channels:
+            groups.setdefault(repr(ch.sigma.to_dict()), []).append(ch)
+        ordered = [ch for members in groups.values() for ch in members]
+        ends = np.cumsum([len(members) for members in groups.values()], dtype=int)
+        blocks = tuple((m[0].sigma, slice(e - len(m), e)) for m, e in zip(groups.values(), ends))
+        object.__setattr__(self, "_H", np.array([ch.h for ch in ordered]).reshape(-1, n).T)
+        object.__setattr__(self, "_G", np.array([ch.g for ch in ordered]).reshape(-1, n))
+        object.__setattr__(self, "_sigma_blocks", blocks)
 
     @property
     def n(self) -> int:
@@ -264,11 +276,17 @@ class LureSystem:
         return True  # y = C x by definition
 
     def rhs(self, X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized vector field on rows of X (shape (..., n))."""
+        """Vectorized vector field on rows of X (shape (..., n)): one product for
+        all channel arguments, one sigma call per distinct nonlinearity and one
+        product summing the channel terms (where g vectors overlap, that sum
+        may round differently from a channel-by-channel one)."""
         X = np.asarray(X, dtype=float)
         out = X @ self.A.T
-        for ch in self.channels:
-            out = out + np.asarray(ch.sigma(X @ ch.h))[..., None] * ch.g
+        if self.channels:
+            Z = X @ self._H
+            for sigma, cols in self._sigma_blocks:
+                Z[..., cols] = sigma(Z[..., cols])
+            out = out + Z @ self._G
         if U is not None:
             out = out + np.asarray(U, dtype=float) @ self.B.T
         return out

@@ -9,7 +9,6 @@ what the arithmetic says.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -175,7 +174,7 @@ _SINGLE_T_END = 100.0
 _SINGLE_DT = 1e-3
 
 
-def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42, jobs: int = 1) -> SuiteResult:
+def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteResult:
     """Nonlinear oscillator study: vertex certificates and trajectory behavior."""
     result = SuiteResult("example-3")
     lam = 1.0
@@ -247,23 +246,9 @@ def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42, jobs: int =
     rng = np.random.default_rng(seed)
     X0 = rng.uniform(-3.0, 3.0, size=(10, 4))
 
-    def run_loop_batch():
-        return integrate_batch(loop, X0, t_end=_LOOP_T_END, dt=_LOOP_DT, record_every=2)
-
-    def run_origin():
-        return integrate(loop, np.zeros(4), t_end=_SINGLE_T_END, dt=_LOOP_DT)
-
-    def run_single():
-        return integrate(nl, [1.0, 1.0], t_end=_SINGLE_T_END, dt=_SINGLE_DT, record_every=10)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batch_f = pool.submit(run_loop_batch)
-            origin_f = pool.submit(run_origin)
-            single_f = pool.submit(run_single)
-            batch, origin_traj, single_traj = batch_f.result(), origin_f.result(), single_f.result()
-    else:
-        batch, origin_traj, single_traj = run_loop_batch(), run_origin(), run_single()
+    batch = integrate_batch(loop, X0, t_end=_LOOP_T_END, dt=_LOOP_DT, record_every=2)
+    origin_traj = integrate(loop, np.zeros(4), t_end=_SINGLE_T_END, dt=_LOOP_DT)
+    single_traj = integrate(nl, [1.0, 1.0], t_end=_SINGLE_T_END, dt=_SINGLE_DT, record_every=10)
 
     verdicts = [classify_asymptotics(t, policy) for t in batch]
     kinds = [v.kind for v in verdicts]
@@ -318,7 +303,7 @@ def _feasible_slope_endpoints(sys, P, lam: float) -> np.ndarray:
 _SUITES = {"1": example1, "2": example2, "3": example3}
 
 
-def run(which: str, policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42, jobs: int = 1) -> list[SuiteResult]:
+def run(which: str, policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> list[SuiteResult]:
     """Run one suite ("1", "2", "3") or "all"."""
     if which == "all":
         ids = ["1", "2", "3"]
@@ -326,10 +311,4 @@ def run(which: str, policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42, jobs
         ids = [which]
     else:
         raise ValueError(f"unknown reproduction id {which!r}; choose 1, 2, 3 or all")
-    results = []
-    for suite_id in ids:
-        if suite_id == "3":
-            results.append(example3(policy, seed, jobs))
-        else:
-            results.append(_SUITES[suite_id](policy, seed))
-    return results
+    return [_SUITES[suite_id](policy, seed) for suite_id in ids]

@@ -65,31 +65,25 @@ class Trajectory:
 
 
 def _rhs_factory(sys, input_policy):
-    """Batched vector field f(t, X) for LTI or Lur'e dynamics."""
-    if isinstance(sys, LureSystem):
-        drift = sys.rhs
-        B = sys.B
-    elif isinstance(sys, LtiSystem):
-        drift = lambda X: X @ sys.A.T
-        B = sys.B
+    """Batched vector field f(t, X) for LTI or Lur'e dynamics, and u(t) or None."""
+    if isinstance(sys, (LureSystem, LtiSystem)):
+        A, B = sys.A, sys.B
     else:
-        A = np.asarray(sys, dtype=float)
-        drift = lambda X: X @ A.T
-        B = None
+        A, B = np.asarray(sys, dtype=float), None
+    drift = sys.rhs if isinstance(sys, LureSystem) else lambda X: X @ A.T
 
     if input_policy is None:
         return lambda t, X: drift(X), None
+    if B is None:
+        raise DimensionError("inputs supplied for a bare state matrix")
     if callable(input_policy):
-        if B is None:
-            raise DimensionError("inputs supplied for a bare state matrix")
         u_of_t = lambda t: np.asarray(input_policy(t), dtype=float).ravel()
         return lambda t, X: drift(X) + u_of_t(t) @ B.T, u_of_t
     const = np.asarray(input_policy, dtype=float).ravel()
-    if B is None:
-        raise DimensionError("inputs supplied for a bare state matrix")
     if const.shape[0] != B.shape[1]:
         raise DimensionError("constant input dimension does not match B")
-    return lambda t, X: drift(X) + const @ B.T, lambda t: const
+    bias = const @ B.T
+    return lambda t, X: drift(X) + bias, lambda t: const
 
 
 def integrate_batch(
@@ -102,8 +96,13 @@ def integrate_batch(
 ) -> list[Trajectory]:
     """RK4 over a batch of initial conditions (rows of X0), one grid for all.
 
-    A row whose norm exceeds 1e9 is flagged as truncated and its record is
-    cut at that step; the rest of the batch keeps integrating unaffected.
+    A row whose norm exceeds 1e9, or is not finite, is flagged as truncated
+    and its record is cut at that step; the rest of the batch keeps
+    integrating unaffected, and the loop stops once every row is cut.
+
+    Each step costs four field evaluations. For a Lur'e system each is three
+    small matrix products (state, channel arguments, channel outputs) plus
+    one sigma call per distinct nonlinearity, whatever the channel count.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -122,20 +121,21 @@ def integrate_batch(
     inputs = [u_of_t(0.0)] if u_of_t is not None else None
     cut_length = np.full(batch, -1, dtype=int)  # record count at divergence, -1 if none
     t = 0.0
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(invalid="ignore", over="ignore"):
         for step in range(steps):
             k1 = f(t, X)
-            k2 = f(t + 0.5 * dt, X + 0.5 * dt * k1)
-            k3 = f(t + 0.5 * dt, X + 0.5 * dt * k2)
+            k2 = f(t + half, X + half * k1)
+            k3 = f(t + half, X + half * k2)
             k4 = f(t + dt, X + dt * k3)
-            X = X + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
             norms = np.sqrt(np.einsum("ij,ij->i", X, X))
-            bad = (
-                ~np.isfinite(X).all(axis=1) | ~np.isfinite(norms) | (norms > _DIVERGENCE_NORM)
-            ) & (cut_length < 0)
-            if np.any(bad):
-                # park diverged rows at the origin; their record is cut here anyway
+            # the comparison is false for NaN and inf, so non-finite rows count as diverged
+            bad = ~(norms <= _DIVERGENCE_NORM)
+            if bad.any():
+                # park newly diverged rows at the origin; their record is cut here anyway
+                bad &= cut_length < 0
                 X[bad] = 0.0
                 cut_length[bad] = len(history)
                 if np.all(cut_length >= 0):

@@ -238,11 +238,6 @@ class TestReproduce:
         assert "ALL PASS" in out
         assert out.count("PASS") >= 10
 
-    def test_parallel_jobs_suite_three(self, capsys):
-        assert cli.main(["--jobs", "2", "reproduce", "3"]) == 0
-        out = capsys.readouterr().out
-        assert "ALL PASS" in out and "WARN" in out
-
     def test_report_determinism(self, tmp_path, capsys):
         # identical inputs and seed produce identical canonical reports
         reports = []

@@ -91,6 +91,100 @@ class TestLureSystem:
         assert np.allclose(back.rhs(x), sys.rhs(x))
 
 
+def _zigzag():
+    return tabulated([-2.0, -1.0, 0.0, 1.0, 2.0], [1.0, 0.5, 0.0, -2.0, -2.5])
+
+
+def _mixed_channel_system(rng):
+    """Five states, seven channels: four distinct sigmas, three of them shared by
+    value (the zigzag tables are separate objects), overlapping g vectors."""
+    n = 5
+    g_shared = rng.standard_normal(n)
+    specs = [
+        (g_shared, cubic_saturated(), -3.0, 1.0),
+        (rng.standard_normal(n), scaled(2.0, cubic_saturated()), -6.0, 2.0),
+        (rng.standard_normal(n), _zigzag(), -2.0, -0.5),
+        (g_shared, cubic_saturated(), -3.0, 1.0),
+        (g_shared + rng.standard_normal(n), _zigzag(), -2.0, -0.5),
+        (rng.standard_normal(n), scaled(2.0, cubic_saturated()), -6.0, 2.0),
+        (g_shared, scaled(0.5, cubic_saturated()), -1.5, 0.5),
+    ]
+    channels = tuple(
+        Channel(g=g, h=rng.standard_normal(n), sigma=sigma, alpha=lo, beta=hi) for g, sigma, lo, hi in specs
+    )
+    return LureSystem(
+        A=rng.standard_normal((n, n)),
+        channels=channels,
+        B=rng.standard_normal((n, 2)),
+        C=rng.standard_normal((1, n)),
+    )
+
+
+def _per_channel_rhs(sys, X, U=None):
+    """A x + sum_i g_i sigma_i(h_i^T x) + B u, one channel at a time.
+
+    Also returns the elementwise size of the summed terms, with each channel
+    argument's rounding carried through the slope bound, as the scale of a
+    relative error bound.
+    """
+    out = X @ sys.A.T
+    scale = np.abs(X) @ np.abs(sys.A.T)
+    for ch in sys.channels:
+        term = np.asarray(ch.sigma(X @ ch.h))[..., None] * ch.g
+        out = out + term
+        slope = max(abs(ch.alpha), abs(ch.beta))
+        scale = scale + (np.abs(term) + slope * (np.abs(X) @ np.abs(ch.h))[..., None] * np.abs(ch.g))
+    if U is not None:
+        out = out + U @ sys.B.T
+        scale = scale + np.abs(U) @ np.abs(sys.B.T)
+    return out, scale
+
+
+class TestFusedField:
+    @pytest.mark.parametrize("shape", [(), (7,)])
+    @pytest.mark.parametrize("with_input", [False, True])
+    def test_matches_per_channel_sum(self, rng, shape, with_input):
+        sys = _mixed_channel_system(rng)
+        # spread the channel arguments over every branch of the three sigmas
+        X = 3.0 * rng.standard_normal(shape + (sys.n,))
+        U = rng.standard_normal(shape + (sys.m,)) if with_input else None
+        got = sys.rhs(X, U)
+        ref, scale = _per_channel_rhs(sys, X, U)
+        assert got.shape == ref.shape == shape + (sys.n,)
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    def test_one_call_per_distinct_sigma(self, rng, monkeypatch):
+        sys = _mixed_channel_system(rng)
+        kinds = []
+        original = type(sys.channels[0].sigma).__call__
+
+        def counting(self, s):
+            kinds.append(self.kind)
+            return original(self, s)
+
+        monkeypatch.setattr(type(sys.channels[0].sigma), "__call__", counting)
+        sys.rhs(rng.standard_normal((4, sys.n)))
+        # cubic, tabulated, two scaled cubics and each scaled wrapper's own base
+        assert sorted(kinds) == ["cubic_saturated"] * 3 + ["scaled"] * 2 + ["tabulated"]
+
+    def test_channel_free(self, rng):
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 2))
+        sys = LureSystem(A=A, channels=(), B=B, C=np.eye(3))
+        X, U = rng.standard_normal((6, 3)), rng.standard_normal((6, 2))
+        assert np.array_equal(sys.rhs(X), X @ A.T)
+        assert np.array_equal(sys.rhs(X, U), X @ A.T + U @ B.T)
+        assert np.array_equal(sys.rhs(X[0]), X[0] @ A.T)
+
+    def test_round_trip_keeps_model_and_field(self, rng):
+        sys = _mixed_channel_system(rng)
+        data = sys.to_dict()
+        back = LureSystem.from_dict(data)
+        assert back.to_dict() == data
+        assert set(data) == {"name", "A", "B", "C", "channels"}
+        X = rng.standard_normal((5, sys.n))
+        assert np.array_equal(back.rhs(X), sys.rhs(X))
+
+
 class TestJacobian:
     def test_at_origin(self):
         sys = registry.nonlinear_msd("velocity", "cubic")

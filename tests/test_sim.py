@@ -66,6 +66,53 @@ class TestIntegrate:
         assert trajs[0].truncated and not trajs[1].truncated
         assert trajs[1].final_state[1] == pytest.approx(np.exp(-60.0), abs=1e-12)
 
+    def test_non_finite_start_rows_cut_at_first_record(self):
+        loop = registry.nonlinear_loop()
+        x0 = np.array(
+            [
+                [1.0, 0.5, -1.0, 0.2],
+                [np.nan, 0.0, 0.0, 0.0],
+                [-2.0, 1.0, 0.5, 0.0],
+                [0.0, np.inf, 0.0, 0.0],
+                [0.0, 0.0, -np.inf, 0.0],
+            ]
+        )
+        trajs = integrate_batch(loop, x0, t_end=20.0, dt=1e-2, record_every=2)
+        for i in (1, 3, 4):
+            assert trajs[i].truncated and trajs[i].states.shape[0] == 1
+            assert classify_asymptotics(trajs[i]).kind == "divergent"
+        for i in (0, 2):
+            alone = integrate(loop, x0[i], t_end=20.0, dt=1e-2, record_every=2)
+            assert not trajs[i].truncated and trajs[i].states.shape == alone.states.shape
+            assert np.allclose(trajs[i].states, alone.states, rtol=1e-12, atol=1e-12)
+
+    def test_rediverging_row_keeps_first_cut(self):
+        # x1' = x1 + u grows again from the origin where its row is parked,
+        # while x1 = -1 is an equilibrium for the second row
+        sys = LtiSystem(A=np.diag([1.0, -1.0]), B=[[1.0], [0.0]], C=np.eye(2), D=np.zeros((2, 1)))
+        x0 = np.array([[1.0, 0.0], [-1.0, 1.0]])
+        trajs = integrate_batch(sys, x0, t_end=60.0, dt=1e-2, input_policy=[1.0])
+        first = integrate(sys, x0[0], t_end=60.0, dt=1e-2, input_policy=[1.0])
+        # (x1 + 1) e^t passes 1e9 near t = 20, and again about 20 later from the origin
+        assert first.truncated and 1900 < first.states.shape[0] < 2200
+        assert trajs[0].truncated and trajs[0].states.shape[0] == first.states.shape[0]
+        assert np.allclose(trajs[0].states, first.states, rtol=1e-12, atol=1e-12)
+        assert not trajs[1].truncated and trajs[1].states.shape[0] == 6001
+        assert np.all(np.isfinite(trajs[1].states))
+
+    def test_stops_once_every_row_is_cut(self):
+        sys = LtiSystem(A=[[1.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])
+        times = []
+
+        def u(t):
+            times.append(t)
+            return [0.0]
+
+        trajs = integrate_batch(sys, [[1.0], [-2.0]], t_end=100.0, dt=1e-2, input_policy=u)
+        assert all(tr.truncated for tr in trajs)
+        # both rows pass 1e9 before t = 21; no field evaluation comes after that
+        assert max(times) < 21.0
+
     def test_rk4_order(self, msd_c4):
         ref = expm(msd_c4.A, 1.0) @ np.array([1.0, 1.0])
         errors = []
