@@ -14,7 +14,6 @@ from .differential import (
     Nonlinearity,
     check_diff_dissipativity,
     check_diff_dominance,
-    diff_feedback_compose,
     jacobian,
     vertex_family,
 )

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import registry, reproduce
-from .differential import LureSystem, check_diff_dominance
+from .differential import LureSystem, check_diff_dissipativity, check_diff_dominance
 from .dissipativity import DissipativityCertificate, SupplyRate, verify_dissipativity
 from .errors import (
     CouplingError,
@@ -32,10 +32,11 @@ from .errors import (
     NumericalError,
     PdomError,
     RateMismatchError,
+    SplitMismatchError,
     UnsupportedConfigurationError,
 )
 from .interconnect import FeedbackLoop, closed_loop_certificate, coupling_condition
-from .lti import DominanceCertificate, LtiSystem, check_dominance, construct_certificate, eigen_split_test
+from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test
 from .policy import NumericPolicy
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
 
@@ -95,10 +96,7 @@ def _load_system(spec: str):
     if spec in registry.builtin_names():
         return registry.builtin_system(spec), {"builtin": spec}
     data = _load_json(spec)
-    source = {"path": spec, "sha256": _digest(spec)}
-    if "channels" in data:
-        return LureSystem.from_dict(data), source
-    return LtiSystem.from_dict(data), source
+    return LureSystem.from_dict(data), {"path": spec, "sha256": _digest(spec)}
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -112,7 +110,7 @@ def cmd_analyze(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     report = RunReport(command="analyze")
     system, source = _load_system(args.system)
     report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "seed": args.seed}
-    if isinstance(system, LureSystem):
+    if system.channels:
         raise UnsupportedConfigurationError(
             "analyze handles linear systems; use the vertex checks for Lur'e models"
         )
@@ -146,12 +144,10 @@ def cmd_verify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     elif "supply" in cert_data:
         supply_data = cert_data["supply"]
 
-    if isinstance(system, LureSystem):
+    if system.channels:
         P = np.asarray(cert_data["P"], dtype=float)
         rate = float(cert_data["lambda"])
         if supply_data is not None:
-            from .differential import check_diff_dissipativity
-
             supply = SupplyRate.from_dict(supply_data, r=system.r, m=system.m)
             verdict = check_diff_dissipativity(
                 system, P, rate, supply, float(cert_data.get("epsilon", 0.0)), policy
@@ -184,7 +180,7 @@ def cmd_certify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
         "passivity": args.passivity,
         "seed": args.seed,
     }
-    if isinstance(system, LureSystem):
+    if system.channels:
         raise UnsupportedConfigurationError("certify handles linear systems")
     if args.passivity:
         from .dissipativity import find_passivity_storage
@@ -230,7 +226,7 @@ def cmd_interconnect(args, policy: NumericPolicy) -> tuple[int, RunReport]:
                     supply=supply,
                 )
             )
-        elif isinstance(system, LtiSystem) and not np.any(supply.Q):
+        elif not system.channels and not supply.Q.any():
             from .dissipativity import find_passivity_storage
 
             split = eigen_split_test(system, loop.rate, 0, policy)
@@ -368,6 +364,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL_FAILURE
     except NonHyperbolicError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_CRITERION_FAILED
+    except SplitMismatchError as exc:
+        print(f"split mismatch: {exc}", file=sys.stderr)
         return EXIT_CRITERION_FAILED
     except (CouplingError, RateMismatchError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,11 +12,11 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError
-from .lti import LtiSystem, ModalSplit
+from .lti import ModalSplit
+from .model import state_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -130,7 +130,7 @@ def positivity_probe(
     For each sampled boundary vector x and each t, requires
     ``(e^{At} x)^T P (e^{At} x) < -probe_margin * |e^{At} x|^2``.
     """
-    A = sys.A if isinstance(sys, LtiSystem) else mc.as_matrix(sys)
+    A = state_matrix(sys)
     X = boundary_samples(cone, samples, rng)
     worst = -np.inf
     for t in times:
@@ -227,6 +227,8 @@ def _one_sided_margin(A, P, lam, lower: bool, policy: NumericPolicy) -> float:
         raise NumericalError("inequality residual leaks outside the measure's range")
     M1 = basis.T @ Delta @ basis
     M2 = basis.T @ P @ basis
+    import scipy.linalg as sla  # deferred, as in matrixcore
+
     values = sla.eigh(0.5 * (M1 + M1.T), 0.5 * (M2 + M2.T), eigvals_only=True)
     return float(values[0])
 

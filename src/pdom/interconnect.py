@@ -9,19 +9,22 @@ storages certify dominance of the loop with degree p1 + p2.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import matrixcore as mc
-from .dissipativity import DissipativityCertificate, SupplyRate, verify_dissipativity
+from .differential import vertex_verdicts
+from .dissipativity import DissipativityCertificate, SupplyRate
 from .errors import (
     CouplingError,
     DimensionError,
     RateMismatchError,
     UnsupportedConfigurationError,
 )
-from .lti import DominanceCertificate, LtiSystem, check_dominance
+from .lti import DominanceCertificate
+from .model import Channel, LureSystem
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -43,8 +46,12 @@ def _check_channels(sys1, sys2) -> None:
         )
 
 
-def feedback_compose(sys1: LtiSystem, sys2: LtiSystem) -> LtiSystem:
-    """Closed loop of two strictly proper systems, state (x1, x2), input (v1, v2)."""
+def feedback_compose(sys1: LureSystem, sys2: LureSystem) -> LureSystem:
+    """Closed loop of two strictly proper systems, state (x1, x2), input (v1, v2).
+
+    Channels are lifted to the stacked state by zero-padding their g and h
+    vectors, so a loop of Lur'e systems is a Lur'e system.
+    """
     if not (sys1.is_strictly_proper and sys2.is_strictly_proper):
         raise UnsupportedConfigurationError("feedback composition requires D1 = D2 = 0")
     _check_channels(sys1, sys2)
@@ -67,12 +74,17 @@ def feedback_compose(sys1: LtiSystem, sys2: LtiSystem) -> LtiSystem:
             [np.zeros((sys2.r, n1)), sys2.C],
         ]
     )
-    D = np.zeros((sys1.r + sys2.r, sys1.m + sys2.m))
+
+    def lift(ch: Channel, before: int, after: int) -> Channel:
+        pad = lambda v: np.concatenate([np.zeros(before), v, np.zeros(after)])
+        return Channel(g=pad(ch.g), h=pad(ch.h), sigma=ch.sigma, alpha=ch.alpha, beta=ch.beta)
+
+    channels = tuple(lift(ch, 0, n2) for ch in sys1.channels) + tuple(lift(ch, n1, 0) for ch in sys2.channels)
     name = f"feedback({sys1.name or 'sys1'}, {sys2.name or 'sys2'})"
-    return LtiSystem(A=A, B=B, C=C, D=D, name=name)
+    return LureSystem(A=A, B=B, C=C, channels=channels, name=name)
 
 
-def static_feedback(sys: LtiSystem, k: float) -> LtiSystem:
+def static_feedback(sys: LureSystem, k: float) -> LureSystem:
     """Static output feedback u = -k y + v, kept as a dedicated path.
 
     Modeling the gain as a second system would need an empty state; closing
@@ -82,13 +94,7 @@ def static_feedback(sys: LtiSystem, k: float) -> LtiSystem:
         raise UnsupportedConfigurationError("static feedback requires D = 0")
     if sys.r != sys.m:
         raise DimensionError("static output feedback needs a square channel")
-    return LtiSystem(
-        A=sys.A - k * sys.B @ sys.C,
-        B=sys.B,
-        C=sys.C,
-        D=sys.D,
-        name=f"{sys.name or 'sys'}<-gain({k:g})",
-    )
+    return dataclasses.replace(sys, A=sys.A - k * sys.B @ sys.C, name=f"{sys.name or 'sys'}<-gain({k:g})")
 
 
 def compose_supply(s1: SupplyRate, s2: SupplyRate) -> SupplyRate:
@@ -143,62 +149,46 @@ def closed_loop_certificate(
 ) -> DominanceCertificate:
     """Block-diagonal dominance certificate for the loop, verified before return.
 
-    Requires a uniform rate and a passing coupling condition; the storage
-    blockdiag(P1, P2) has inertia (p1+p2, 0, n1+n2-p1-p2) by construction.
-    For Lur'e subsystems the verification runs over the composed vertex
-    family instead of a single matrix.
+    Requires a uniform rate, a passing coupling condition and both open-loop
+    certificates verified with their claimed p; the storage
+    blockdiag(P1, P2) then claims p1 + p2, and the loop's vertex family (one
+    vertex when no subsystem has channels) must pass the dominance LMI.
     """
     if abs(c1.rate - c2.rate) > 1e-12:
         raise RateMismatchError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
     coupling = coupling_condition(c1.supply, c2.supply, policy)
     if not coupling.passed:
         raise CouplingError(f"coupling condition fails (lmax = {coupling.lmax:.3e})")
+    for sys, cert in ((sys1, c1), (sys2, c2)):
+        _, verdicts = vertex_verdicts(sys, cert.P, cert.rate, cert.p, cert.supply, cert.epsilon, policy)
+        if not all(v.passed for v in verdicts):
+            raise CouplingError("an open-loop certificate failed verification")
 
+    loop = feedback_compose(sys1, sys2)
     n1, n2 = c1.P.shape[0], c2.P.shape[0]
     P = np.zeros((n1 + n2, n1 + n2))
     P[:n1, :n1] = c1.P
     P[n1:, n1:] = c2.P
     p = c1.p + c2.p
-    rate = c1.rate
-
-    from .differential import LureSystem, check_diff_dominance, diff_feedback_compose
-
-    if isinstance(sys1, LureSystem) or isinstance(sys2, LureSystem):
-        loop = diff_feedback_compose(sys1, sys2)
-        verdict = check_diff_dominance(loop, P, rate, policy)
-        if not verdict.passed:
-            raise CouplingError("composed vertex family fails the closed-loop dominance LMI")
-        epsilon = max(0.0, -verdict.worst_lmax) / 2.0
-        return DominanceCertificate(P=P, rate=rate, epsilon=epsilon, p=p)
-
-    open_1 = verify_dissipativity(sys1, c1, policy)
-    open_2 = verify_dissipativity(sys2, c2, policy)
-    if not (open_1.passed and open_2.passed):
-        raise CouplingError("an open-loop certificate failed verification")
-    closed = feedback_compose(sys1, sys2)
-    cert = DominanceCertificate(P=P, rate=rate, epsilon=0.0, p=p)
-    verdict = check_dominance(closed, cert, policy)
-    if not verdict.passed:
-        raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")
-    epsilon = max(0.0, -verdict.lmax_residual) / 2.0
-    return DominanceCertificate(P=P, rate=rate, epsilon=epsilon, p=p)
+    _, verdicts = vertex_verdicts(loop, P, c1.rate, p, policy=policy)
+    failed = [v.status for v in verdicts if not v.passed]
+    if failed:
+        raise CouplingError(f"closed-loop dominance check failed: {failed[0]}")
+    epsilon = max(0.0, -max(v.lmax_residual for v in verdicts)) / 2.0
+    return DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=p)
 
 
 @dataclass(frozen=True)
 class FeedbackLoop:
     """Loop description: two subsystems, their supplies and the shared rate."""
 
-    sys1: object
-    sys2: object
+    sys1: LureSystem
+    sys2: LureSystem
     supply1: SupplyRate
     supply2: SupplyRate
     rate: float
 
-    def closed(self):
-        from .differential import LureSystem, diff_feedback_compose
-
-        if isinstance(self.sys1, LureSystem) or isinstance(self.sys2, LureSystem):
-            return diff_feedback_compose(self.sys1, self.sys2)
+    def closed(self) -> LureSystem:
         return feedback_compose(self.sys1, self.sys2)
 
     def to_dict(self) -> dict:
@@ -212,15 +202,8 @@ class FeedbackLoop:
 
     @staticmethod
     def from_dict(data: dict) -> "FeedbackLoop":
-        from .differential import LureSystem
-
-        def load_system(entry: dict):
-            if "channels" in entry:
-                return LureSystem.from_dict(entry)
-            return LtiSystem.from_dict(entry)
-
-        sys1 = load_system(data["sys1"])
-        sys2 = load_system(data["sys2"])
+        sys1 = LureSystem.from_dict(data["sys1"])
+        sys2 = LureSystem.from_dict(data["sys2"])
         supply1 = SupplyRate.from_dict(data["supply1"], r=sys1.r, m=sys1.m)
         supply2 = SupplyRate.from_dict(data["supply2"], r=sys2.r, m=sys2.m)
         return FeedbackLoop(

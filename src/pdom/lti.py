@@ -1,10 +1,11 @@
-"""LTI system model and the core dominance machinery.
+"""Dominance machinery and the verification kernel shared by every verifier.
 
 A system is p-dominant with rate ``lam >= 0`` when some symmetric storage P
 with inertia (p, 0, n-p) makes ``A^T P + P A + 2 lam P`` negative definite.
 This module verifies candidate certificates, runs the equivalent
 eigenvalue-splitting test, constructs certificates from an ordered Schur
 split, and produces the modal splitting with explicit decay constants.
+``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
+from .model import LureSystem as LtiSystem, state_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -29,67 +31,6 @@ __all__ = [
     "construct_certificate",
     "modal_split",
 ]
-
-
-@dataclass(frozen=True)
-class LtiSystem:
-    """State-space data (A, B, C, D) with dimensions (n, m, r)."""
-
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    D: np.ndarray
-    name: str = ""
-
-    def __post_init__(self):
-        A = mc.as_matrix(self.A)
-        n = A.shape[0]
-        if A.shape[1] != n:
-            raise DimensionError(f"A must be square, got {A.shape}")
-        B = mc.as_matrix(self.B)
-        if B.shape[0] != n:
-            raise DimensionError(f"B must have {n} rows, got {B.shape}")
-        C = mc.as_matrix(self.C)
-        if C.shape[1] != n:
-            raise DimensionError(f"C must have {n} columns, got {C.shape}")
-        D = mc.as_matrix(self.D, shape=(C.shape[0], B.shape[1]))
-        for attr, value in (("A", A), ("B", B), ("C", C), ("D", D)):
-            object.__setattr__(self, attr, value)
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def r(self) -> int:
-        return self.C.shape[0]
-
-    @property
-    def is_strictly_proper(self) -> bool:
-        return not np.any(self.D)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "A": self.A.tolist(),
-            "B": self.B.tolist(),
-            "C": self.C.tolist(),
-            "D": self.D.tolist(),
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "LtiSystem":
-        return LtiSystem(
-            A=np.asarray(data["A"], dtype=float),
-            B=np.asarray(data["B"], dtype=float),
-            C=np.asarray(data["C"], dtype=float),
-            D=np.asarray(data["D"], dtype=float),
-            name=data.get("name", ""),
-        )
 
 
 @dataclass(frozen=True)
@@ -195,12 +136,6 @@ class ModalSplit:
     a_matrix: np.ndarray = field(repr=False, default=None)
 
 
-def _system_matrix(sys) -> np.ndarray:
-    if isinstance(sys, LtiSystem):
-        return sys.A
-    return mc.as_matrix(sys)
-
-
 def residual(A, P, lam: float) -> np.ndarray:
     """Dominance LMI residual ``A^T P + P A + 2 lam P`` (symmetric)."""
     A = mc.as_matrix(A)
@@ -211,33 +146,49 @@ def residual(A, P, lam: float) -> np.ndarray:
     return 0.5 * (R + R.T)
 
 
+def _verify_blocks(blocks, P, p: int, epsilon: float, policy: NumericPolicy) -> list[DominanceVerdict]:
+    """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
+
+    Each symmetric block passes when ``lmax(block) <= -epsilon + lmi_tol``
+    and P has inertia (p, 0, n - p), which is computed once for all blocks.
+    Inertia mismatches are reported distinctly from residual violations, and
+    a residual failure carries the violating eigenpair.
+    """
+    inertia = mc.inertia_of(P, policy=policy)
+    inertia_ok = inertia.matches(p, P.shape[0])
+    verdicts = []
+    for block in blocks:
+        eigenvalues, eigenvectors = mc.sym_eigen(block, policy)
+        lmax = float(eigenvalues[-1])
+        if not inertia_ok:
+            verdicts.append(DominanceVerdict(False, "inertia_mismatch", lmax, inertia))
+        elif lmax > -epsilon + policy.lmi_tol:
+            verdicts.append(
+                DominanceVerdict(
+                    False,
+                    "residual_violation",
+                    lmax,
+                    inertia,
+                    witness_eigenvalue=lmax,
+                    witness_vector=eigenvectors[:, -1],
+                )
+            )
+        else:
+            verdicts.append(DominanceVerdict(True, "pass", lmax, inertia))
+    return verdicts
+
+
 def check_dominance(sys, cert: DominanceCertificate, policy: NumericPolicy = DEFAULT_POLICY) -> DominanceVerdict:
     """Verify a dominance certificate: residual definiteness plus inertia.
 
     Passes when ``lmax(residual) <= -epsilon + lmi_tol`` and P has inertia
-    (p, 0, n - p). Inertia mismatches are reported distinctly from residual
-    violations, and a residual failure carries the violating eigenpair.
+    (p, 0, n - p). ``sys`` is a model or a bare state matrix; only A enters,
+    so the channels of a Lur'e model are left to the vertex checks.
     """
-    A = _system_matrix(sys)
-    n = A.shape[0]
-    if cert.P.shape[0] != n:
+    A = state_matrix(sys)
+    if cert.P.shape[0] != A.shape[0]:
         raise DimensionError("certificate dimension does not match the system")
-    inertia = mc.inertia_of(cert.P, policy=policy)
-    R = residual(A, cert.P, cert.rate)
-    eigenvalues, eigenvectors = mc.sym_eigen(R, policy)
-    lmax = float(eigenvalues[-1])
-    if not inertia.matches(cert.p, n):
-        return DominanceVerdict(False, "inertia_mismatch", lmax, inertia)
-    if lmax > -cert.epsilon + policy.lmi_tol:
-        return DominanceVerdict(
-            False,
-            "residual_violation",
-            lmax,
-            inertia,
-            witness_eigenvalue=lmax,
-            witness_vector=eigenvectors[:, -1],
-        )
-    return DominanceVerdict(True, "pass", lmax, inertia)
+    return _verify_blocks([residual(A, cert.P, cert.rate)], cert.P, cert.p, cert.epsilon, policy)[0]
 
 
 def eigen_split_test(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> SplitVerdict:
@@ -248,7 +199,7 @@ def eigen_split_test(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_PO
     """
     if lam < 0:
         raise ValueError("rate must be nonnegative")
-    A = _system_matrix(sys)
+    A = state_matrix(sys)
     shifted = np.linalg.eigvals(A).real + lam
     margin = float(np.min(np.abs(shifted))) if shifted.size else np.inf
     unstable = int(np.sum(shifted > policy.split_tol))
@@ -278,7 +229,7 @@ def construct_certificate(sys, lam: float, p: int, policy: NumericPolicy = DEFAU
     per-block Lyapunov equations with identity right-hand sides. The result
     always carries a strictly positive margin.
     """
-    A = _system_matrix(sys)
+    A = state_matrix(sys)
     n = A.shape[0]
     W, T1, T2 = _ordered_split(A, lam, p, policy)
     blocks = []
@@ -322,7 +273,7 @@ def modal_split(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY)
     each block's eigenvector matrix, which makes the two displayed bounds
     checkable on sampled trajectories.
     """
-    A = _system_matrix(sys)
+    A = state_matrix(sys)
     n = A.shape[0]
     W, T1, T2 = _ordered_split(A, lam, p, policy)
     Winv = np.linalg.solve(W, np.eye(n))

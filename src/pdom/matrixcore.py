@@ -4,7 +4,9 @@ Symmetric eigendecompositions, ordered real Schur splits, Lyapunov/Sylvester
 solves and the matrix exponential, all with explicit residual checks against
 the shared :class:`~pdom.policy.NumericPolicy`. Matrices are plain
 ``numpy.ndarray`` values in double precision; systems of interest are small
-(n up to a few tens), so everything is dense.
+(n up to a few tens), so everything is dense. ``scipy.linalg`` is imported
+inside the functions that call it, since importing it would otherwise be
+most of the package's import time.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import DimensionError, NonHyperbolicError, NumericalError
 from .policy import DEFAULT_POLICY, NumericPolicy
@@ -147,9 +148,11 @@ def schur_split(A, shift: float, policy: NumericPolicy = DEFAULT_POLICY) -> tupl
             f"eigenvalue {worst:.6g} lies within {policy.split_tol:.1e} of the "
             f"shifted axis Re = {-shift:.6g}"
         )
+    import scipy.linalg as sla
+
     try:
         T, Q, sdim = sla.schur(mat, output="real", sort=lambda re, im: re > -shift)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
     ordered = _block_eigenvalues(T)
     form = SchurForm(Q=Q, T=T, eigenvalues=ordered)
@@ -188,9 +191,11 @@ def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, 
     T1 = form.T[:k, :k]
     T2 = form.T[k:, k:]
     T12 = form.T[:k, k:]
+    import scipy.linalg as sla
+
     try:
         Y = sla.solve_sylvester(T1, -T2, -T12)
-    except (sla.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"block decoupling Sylvester solve failed: {exc}") from exc
     V = np.eye(n)
     V[:k, k:] = Y
@@ -212,9 +217,11 @@ def lyapunov_solve(M, Q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     scale = max(1.0, np.max(np.abs(spectrum)))
     if np.min(np.abs(sums)) <= 1e-12 * scale:
         raise NumericalError("singular Lyapunov operator: M and -M^T share an eigenvalue")
+    import scipy.linalg as sla
+
     try:
         X = sla.solve_continuous_lyapunov(mat.T, -rhs)
-    except (sla.LinAlgError, ValueError) as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericalError(f"Lyapunov solve failed: {exc}") from exc
     X = 0.5 * (X + X.T)
     residual = np.linalg.norm(mat.T @ X + X @ mat + rhs, "fro")
@@ -239,6 +246,8 @@ def expm(A, t: float = 1.0, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarra
         raise NumericalError("expm requires finite t")
     if np.linalg.norm(mat * t, 1) > _EXP_RANGE_LIMIT:
         raise NumericalError("exp(A t) out of double-precision range")
+    import scipy.linalg as sla
+
     result = sla.expm(mat * t)
     if not np.all(np.isfinite(result)):
         raise NumericalError("exp(A t) overflowed")

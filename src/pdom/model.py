@@ -1,0 +1,323 @@
+"""The one system model: linear dynamics plus scalar sector-bounded channels.
+
+Dynamics are ``xdot = A x + sum_i g_i sigma_i(h_i^T x) + B u``,
+``y = C x + D u``. A linear (LTI) system is the case with no channels, so
+``LtiSystem`` and ``LureSystem`` name the same class. Models, channels and
+nonlinearities compare equal when their ``to_dict()`` values are equal.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+import numpy as np
+
+from . import matrixcore as mc
+from .errors import DimensionError
+
+__all__ = [
+    "Nonlinearity",
+    "cubic_saturated",
+    "scaled",
+    "tabulated",
+    "Channel",
+    "LureSystem",
+    "state_matrix",
+]
+
+_SLOPE_SAMPLES = 10_000
+_SLOPE_SLACK = 1e-9
+_KINDS = ("cubic_saturated", "scaled", "tabulated")
+
+
+def _frozen(value):
+    """Hashable image of a ``to_dict()`` value; equal values give equal images."""
+    if isinstance(value, dict):
+        return tuple(sorted((key, _frozen(item)) for key, item in value.items()))
+    if isinstance(value, list):
+        return tuple(_frozen(item) for item in value)
+    return value
+
+
+class _ValueEquality:
+    """``==`` by ``to_dict()`` value; the generated one compares numpy fields and raises."""
+
+    def __eq__(self, other):
+        # False, not NotImplemented: a numpy operand would answer elementwise
+        return type(other) is type(self) and self.to_dict() == other.to_dict()
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
+class Nonlinearity(_ValueEquality):
+    """Scalar piecewise-C1 nonlinearity with a closed-form derivative.
+
+    ``kind`` is one of "cubic_saturated", "scaled" or "tabulated"; at kink
+    points the derivative is taken from the left. ``kinks`` lists those
+    points so callers can flag them.
+    """
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+
+    def __hash__(self):
+        return hash(_frozen(self.to_dict()))
+
+    def __call__(self, s):
+        s = np.asarray(s, dtype=float)
+        if self.kind == "cubic_saturated":
+            return s - (1.0 / 3.0) * np.minimum(s * s, 4.0) * s
+        if self.kind == "scaled":
+            return self.params["factor"] * self.params["base"](s)
+        return self._table_value(s)
+
+    def derivative(self, s):
+        s = np.asarray(s, dtype=float)
+        if self.kind == "cubic_saturated":
+            # left derivative at the kinks: -3 at s = 2, -1/3 at s = -2
+            inner = np.abs(s) < 2.0
+            at_pos_kink = s == 2.0
+            out = np.where(inner | at_pos_kink, 1.0 - s * s, -1.0 / 3.0)
+            return out if out.shape else float(out)
+        if self.kind == "scaled":
+            return self.params["factor"] * self.params["base"].derivative(s)
+        return self._table_slope(s)
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        if self.kind == "cubic_saturated":
+            return (-2.0, 2.0)
+        if self.kind == "scaled":
+            return self.params["base"].kinks
+        return tuple(self.params["knots"][1:-1])
+
+    def _table_value(self, s):
+        knots = self.params["knots"]
+        values = self.params["values"]
+        # linear extrapolation with the end slopes outside the table
+        slopes = np.diff(values) / np.diff(knots)
+        inner = np.interp(s, knots, values)
+        lo = values[0] + slopes[0] * (s - knots[0])
+        hi = values[-1] + slopes[-1] * (s - knots[-1])
+        return np.where(s < knots[0], lo, np.where(s > knots[-1], hi, inner))
+
+    def _table_slope(self, s):
+        knots = self.params["knots"]
+        values = self.params["values"]
+        slopes = np.diff(values) / np.diff(knots)
+        # left derivative: the segment ending at s decides at interior knots
+        idx = np.clip(np.searchsorted(knots, s, side="left") - 1, 0, len(slopes) - 1)
+        return slopes[idx]
+
+    def slope_range(self, span: tuple[float, float]) -> tuple[float, float]:
+        grid = np.linspace(span[0], span[1], _SLOPE_SAMPLES)
+        grid = np.unique(np.concatenate([grid, np.asarray(self.kinks, dtype=float)]))
+        slopes = np.asarray(self.derivative(grid), dtype=float)
+        return float(np.min(slopes)), float(np.max(slopes))
+
+    def to_dict(self) -> dict:
+        if self.kind == "cubic_saturated":
+            return {"kind": self.kind}
+        if self.kind == "scaled":
+            return {
+                "kind": self.kind,
+                "factor": self.params["factor"],
+                "base": self.params["base"].to_dict(),
+            }
+        return {
+            "kind": self.kind,
+            "knots": np.asarray(self.params["knots"]).tolist(),
+            "values": np.asarray(self.params["values"]).tolist(),
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "Nonlinearity":
+        kind = data["kind"]
+        if kind == "cubic_saturated":
+            return cubic_saturated()
+        if kind == "scaled":
+            return scaled(float(data["factor"]), Nonlinearity.from_dict(data["base"]))
+        if kind == "tabulated":
+            return tabulated(data["knots"], data["values"])
+        raise ValueError(f"unknown nonlinearity kind {kind!r}")
+
+
+def cubic_saturated() -> Nonlinearity:
+    """sigma(s) = s - (1/3) min(s^2, 4) s, slopes in [-3, 1]."""
+    return Nonlinearity(kind="cubic_saturated")
+
+
+def scaled(factor: float, base: Nonlinearity) -> Nonlinearity:
+    if factor == 0:
+        raise ValueError("scaling factor must be nonzero")
+    return Nonlinearity(kind="scaled", params={"factor": factor, "base": base})
+
+
+def tabulated(knots, values) -> Nonlinearity:
+    knots = np.asarray(knots, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
+        raise DimensionError("a tabulated nonlinearity needs matching 1-d knots and values")
+    if np.any(np.diff(knots) <= 0):
+        raise ValueError("table knots must be strictly increasing")
+    return Nonlinearity(kind="tabulated", params={"knots": knots, "values": values})
+
+
+@dataclass(frozen=True, eq=False)
+class Channel(_ValueEquality):
+    """One scalar feedback channel g sigma(h^T x) with slope bounds [alpha, beta]."""
+
+    g: np.ndarray
+    h: np.ndarray
+    sigma: Nonlinearity
+    alpha: float
+    beta: float
+
+    def __post_init__(self):
+        g = np.asarray(self.g, dtype=float).ravel()
+        h = np.asarray(self.h, dtype=float).ravel()
+        if g.shape != h.shape:
+            raise DimensionError("channel vectors g and h must share the state dimension")
+        if self.alpha > self.beta:
+            raise ValueError("slope bounds must satisfy alpha <= beta")
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "h", h)
+
+    def to_dict(self) -> dict:
+        return {
+            "g": self.g.tolist(),
+            "h": self.h.tolist(),
+            "sigma": self.sigma.to_dict(),
+            "alpha": self.alpha,
+            "beta": self.beta,
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "Channel":
+        return Channel(
+            g=np.asarray(data["g"], dtype=float),
+            h=np.asarray(data["h"], dtype=float),
+            sigma=Nonlinearity.from_dict(data["sigma"]),
+            alpha=float(data["alpha"]),
+            beta=float(data["beta"]),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class LureSystem(_ValueEquality):
+    """State-space data (A, B, C, D) with dimensions (n, m, r) plus channels.
+
+    ``D = 0`` stands for the zero (r, m) matrix. Channel slope bounds are
+    validated at construction by dense sampling of each channel's
+    derivative over ``validation_span``.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    D: np.ndarray = 0
+    channels: tuple[Channel, ...] = ()
+    name: str = ""
+    validation_span: tuple[float, float] = (-10.0, 10.0)
+
+    def __post_init__(self):
+        A = mc.as_matrix(self.A)
+        n = A.shape[0]
+        if A.shape[1] != n:
+            raise DimensionError(f"A must be square, got {A.shape}")
+        B = mc.as_matrix(self.B)
+        if B.shape[0] != n:
+            raise DimensionError(f"B must have {n} rows, got {B.shape}")
+        C = mc.as_matrix(self.C)
+        if C.shape[1] != n:
+            raise DimensionError(f"C must have {n} columns, got {C.shape}")
+        shape = (C.shape[0], B.shape[1])
+        D = np.zeros(shape) if np.ndim(self.D) == 0 and self.D == 0 else mc.as_matrix(self.D, shape=shape)
+        channels = tuple(self.channels)
+        for ch in channels:
+            if ch.g.shape[0] != n:
+                raise DimensionError("channel vectors must match the state dimension")
+            lo, hi = ch.sigma.slope_range(self.validation_span)
+            if lo < ch.alpha - _SLOPE_SLACK or hi > ch.beta + _SLOPE_SLACK:
+                raise ValueError(
+                    f"channel slope range [{lo:.6g}, {hi:.6g}] escapes the declared "
+                    f"bounds [{ch.alpha:.6g}, {ch.beta:.6g}]"
+                )
+        for attr, value in (("A", A), ("B", B), ("C", C), ("D", D), ("channels", channels)):
+            object.__setattr__(self, attr, value)
+        # fused field: H (n, k) and G (k, n) keep the channels whose sigmas are
+        # equal in one contiguous block, so rhs calls each distinct sigma once
+        groups: dict[Nonlinearity, list[Channel]] = {}
+        for ch in channels:
+            groups.setdefault(ch.sigma, []).append(ch)
+        ordered, blocks = [], []
+        for sigma, members in groups.items():
+            blocks.append((sigma, slice(len(ordered), len(ordered) + len(members))))
+            ordered += members
+        object.__setattr__(self, "_H", np.array([ch.h for ch in ordered]).reshape(-1, n).T)
+        object.__setattr__(self, "_G", np.array([ch.g for ch in ordered]).reshape(-1, n))
+        object.__setattr__(self, "_sigma_blocks", tuple(blocks))
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
+
+    @property
+    def r(self) -> int:
+        return self.C.shape[0]
+
+    @property
+    def is_strictly_proper(self) -> bool:
+        return not self.D.any()
+
+    def rhs(self, X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized vector field on rows of X (shape (..., n)): one product for
+        all channel arguments, one sigma call per distinct nonlinearity and one
+        product summing the channel terms (where g vectors overlap, that sum
+        may round differently from a channel-by-channel one)."""
+        X = np.asarray(X, dtype=float)
+        out = X @ self.A.T
+        if self.channels:
+            Z = X @ self._H
+            for sigma, cols in self._sigma_blocks:
+                Z[..., cols] = sigma(Z[..., cols])
+            out = out + Z @ self._G
+        if U is not None:
+            out = out + np.asarray(U, dtype=float) @ self.B.T
+        return out
+
+    def to_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "A": self.A.tolist(),
+            "B": self.B.tolist(),
+            "C": self.C.tolist(),
+            "D": self.D.tolist(),
+            "channels": [ch.to_dict() for ch in self.channels],
+        }
+
+    @staticmethod
+    def from_dict(data: dict) -> "LureSystem":
+        """Decode a system; "D" (default zero) and "channels" (default none) are optional."""
+        return LureSystem(
+            A=np.asarray(data["A"], dtype=float),
+            B=np.asarray(data["B"], dtype=float),
+            C=np.asarray(data["C"], dtype=float),
+            D=np.asarray(data.get("D", 0.0), dtype=float),
+            channels=tuple(Channel.from_dict(ch) for ch in data.get("channels", ())),
+            name=data.get("name", ""),
+        )
+
+
+def state_matrix(sys) -> np.ndarray:
+    """The state matrix A of a model (validated when the model was built), or a bare state matrix."""
+    return sys.A if hasattr(sys, "A") else mc.as_matrix(sys)

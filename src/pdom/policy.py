@@ -22,9 +22,7 @@ class NumericPolicy:
     ztol_rel: float = 1e-8       # zero-eigenvalue band, relative to ||S||_2
     split_tol: float = 1e-7      # hyperbolicity margin around the shifted axis
     recon_tol: float = 1e-9      # decomposition reconstruction residual
-    exp_tol: float = 1e-8        # matrix exponential acceptance vs ODE oracle
     lmi_tol: float = 1e-6        # definiteness slack for LMI residuals
-    proj_tol: float = 1e-9       # projector idempotence / commutation slack
     probe_margin: float = 1e-8   # quantified "interior" margin for cone probes
     gain_tol: float = 1e-4       # bisection width for minimum-gain searches
     eq_tol: float = 1e-10        # linear equality residual allowed in solutions

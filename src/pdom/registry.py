@@ -9,17 +9,12 @@ quoted with; verifiers treat them as candidates like any other input.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from .differential import (
-    Channel,
-    LureSystem,
-    Nonlinearity,
-    cubic_saturated,
-    diff_feedback_compose,
-    tabulated,
-)
-from .lti import LtiSystem
+from .interconnect import feedback_compose
+from .model import Channel, LureSystem, Nonlinearity, cubic_saturated, tabulated
 
 __all__ = [
     "msd",
@@ -49,13 +44,12 @@ DIFF_STORAGE_MIXED = np.array([[-2.0, 1.0], [1.0, 2.0]])  # y = x1 + 2 x2, rate 
 MONOTONE_STORAGE = np.array([[1.0, 0.5], [0.5, 1.0]])     # monotone spring claim, rate 0
 
 
-def msd(c: float, name: str | None = None) -> LtiSystem:
+def msd(c: float, name: str | None = None) -> LureSystem:
     """Mass-spring-damper with damping c, force input, velocity output."""
-    return LtiSystem(
+    return LureSystem(
         A=np.array([[0.0, 1.0], [-1.0, -c]]),
         B=np.array([[0.0], [1.0]]),
         C=np.array([[0.0, 1.0]]),
-        D=np.zeros((1, 1)),
         name=name or f"msd-c{c:g}",
     )
 
@@ -116,8 +110,7 @@ def nonlinear_loop() -> LureSystem:
     """Negative feedback of two mixed-output nonlinear oscillators (4 states)."""
     sys1 = nonlinear_msd(output="mixed", spring="cubic", name="nl-msd-1")
     sys2 = nonlinear_msd(output="mixed", spring="cubic", name="nl-msd-2")
-    loop = diff_feedback_compose(sys1, sys2)
-    return LureSystem(A=loop.A, channels=loop.channels, B=loop.B, C=loop.C, name="nl-loop")
+    return dataclasses.replace(feedback_compose(sys1, sys2), name="nl-loop")
 
 
 _BUILTINS = {

@@ -18,6 +18,7 @@ from .cones import QuadraticCone, positivity_probe
 from .differential import check_diff_dominance, check_diff_dissipativity
 from .dissipativity import (
     DissipativityCertificate,
+    dissipation_blocks,
     find_passivity_storage,
     min_gain_bisection,
     small_gain_pair,
@@ -286,16 +287,11 @@ def _feasible_slope_endpoints(sys, P, lam: float) -> np.ndarray:
     The determinant is an exact quadratic in the channel slope, so three
     integer samples pin it down.
     """
-    from .dissipativity import dissipativity_block
-    from .lti import LtiSystem
-
     samples = np.array([-1.0, 0.0, 1.0])
-    dets = []
-    for s in samples:
-        A_s = sys.A + s * np.outer(sys.channels[0].g, sys.channels[0].h)
-        vertex = LtiSystem(A=A_s, B=sys.B, C=sys.C, D=np.zeros((sys.r, sys.m)))
-        block = dissipativity_block(vertex, P, lam, supply_passivity(sys.r))
-        dets.append(np.linalg.det(block[: sys.n, : sys.n]))
+    ch = sys.channels[0]
+    matrices = [sys.A + s * np.outer(ch.g, ch.h) for s in samples]
+    blocks = dissipation_blocks(matrices, sys, P, lam, supply_passivity(sys.r))
+    dets = [np.linalg.det(block[: sys.n, : sys.n]) for block in blocks]
     coeffs = np.polyfit(samples, dets, 2)
     return np.sort(np.roots(coeffs).real)
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .differential import LureSystem
 from .errors import DimensionError, PropertyViolationError
-from .lti import LtiSystem, ModalSplit
+from .lti import ModalSplit
+from .model import state_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -65,17 +65,15 @@ class Trajectory:
 
 
 def _rhs_factory(sys, input_policy):
-    """Batched vector field f(t, X) for LTI or Lur'e dynamics, and u(t) or None."""
-    if isinstance(sys, (LureSystem, LtiSystem)):
-        A, B = sys.A, sys.B
-    else:
-        A, B = np.asarray(sys, dtype=float), None
-    drift = sys.rhs if isinstance(sys, LureSystem) else lambda X: X @ A.T
+    """Batched vector field f(t, X) of a model or a bare state matrix, and u(t) or None."""
+    A = state_matrix(sys)
+    B = getattr(sys, "B", np.zeros((A.shape[0], 0)))
+    drift = getattr(sys, "rhs", lambda X: X @ A.T)
 
     if input_policy is None:
         return lambda t, X: drift(X), None
-    if B is None:
-        raise DimensionError("inputs supplied for a bare state matrix")
+    if B.shape[1] == 0:
+        raise DimensionError("inputs supplied for a system without inputs")
     if callable(input_policy):
         u_of_t = lambda t: np.asarray(input_policy(t), dtype=float).ravel()
         return lambda t, X: drift(X) + u_of_t(t) @ B.T, u_of_t

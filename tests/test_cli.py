@@ -105,6 +105,11 @@ class TestCertify:
         P = np.asarray(data["P"])
         assert np.max(np.abs(P @ registry.msd(8.0).B - registry.msd(8.0).C.T)) <= 1e-10
 
+    def test_split_mismatch_is_a_failed_check(self, capsys):
+        # msd-c4 has one unstable eigenvalue at this rate, so the requested 2-split fails
+        assert cli.main(["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"]) == 1
+        assert "split mismatch" in capsys.readouterr().err
+
 
 class TestInterconnect:
     def _loop_file(self, tmp_path, gamma2=None):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,16 +10,16 @@ from pdom.differential import (
     check_diff_dissipativity,
     check_diff_dominance,
     cubic_saturated,
-    diff_feedback_compose,
     jacobian,
     scaled,
     tabulated,
     vertex_family,
 )
-from pdom.dissipativity import supply_passivity
+from pdom.dissipativity import DissipativityCertificate, supply_gain, supply_passivity, verify_dissipativity
 from pdom.errors import DimensionError
 from pdom.interconnect import feedback_compose
 from pdom.lti import check_dominance, DominanceCertificate
+from pdom.matrixcore import inertia_of
 
 
 class TestNonlinearities:
@@ -83,7 +85,7 @@ class TestLureSystem:
     def test_round_trip(self):
         sys = registry.nonlinear_msd("mixed", "cubic")
         data = sys.to_dict()
-        assert set(data) == {"name", "A", "B", "C", "channels"}
+        assert set(data) == {"name", "A", "B", "C", "D", "channels"}
         back = LureSystem.from_dict(data)
         assert np.allclose(back.A, sys.A)
         assert back.channels[0].alpha == sys.channels[0].alpha
@@ -180,7 +182,6 @@ class TestFusedField:
         data = sys.to_dict()
         back = LureSystem.from_dict(data)
         assert back.to_dict() == data
-        assert set(data) == {"name", "A", "B", "C", "channels"}
         X = rng.standard_normal((5, sys.n))
         assert np.array_equal(back.rhs(X), sys.rhs(X))
 
@@ -309,7 +310,7 @@ class TestDiffDissipativity:
 class TestComposition:
     def test_channel_free_matches_linear_compose(self, msd_c8):
         lure = LureSystem(A=msd_c8.A, channels=(), B=msd_c8.B, C=msd_c8.C)
-        composed = diff_feedback_compose(lure, lure)
+        composed = feedback_compose(lure, lure)
         linear = feedback_compose(msd_c8, msd_c8)
         assert np.allclose(composed.A, linear.A)
         assert np.allclose(composed.B, linear.B)
@@ -336,4 +337,80 @@ class TestComposition:
         sys1 = registry.nonlinear_msd("mixed", "cubic")
         bad = LureSystem(A=-np.eye(2), channels=(), B=np.ones((2, 2)), C=np.ones((1, 2)))
         with pytest.raises(DimensionError):
-            diff_feedback_compose(sys1, bad)
+            feedback_compose(sys1, bad)
+
+
+def _same_verdict(a, b):
+    # bitwise lmax: both checks must run the one kernel on the same block
+    return (a.passed, a.status, a.lmax_residual.hex()) == (b.passed, b.status, b.lmax_residual.hex())
+
+
+def _linear_storages():
+    """(P, rate) pairs on msd-c8: passing, residual-failing, and inertia wrong for the split."""
+    lam = registry.KNOWN_RATE
+    return [
+        (registry.KNOWN_STORAGE[8], lam),
+        (registry.PASSIVITY_STORAGE_C8, lam),
+        (registry.KNOWN_STORAGE[8], 0.0),
+        (registry.KNOWN_STORAGE[8], 3.0),
+        (np.eye(2), lam),
+        (-np.eye(2), lam),
+        (np.diag([1.0, 2.0]), 0.0),
+    ]
+
+
+class TestOneKernel:
+    """The vertex checks and the single-matrix checks share one acceptance rule."""
+
+    @pytest.mark.parametrize("P, lam", _linear_storages())
+    def test_channel_free_dominance_matches_single_matrix(self, msd_c8, P, lam):
+        p = inertia_of(P).negative
+        diff = check_diff_dominance(msd_c8, P, lam)
+        single = check_dominance(msd_c8, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
+        assert len(diff.vertices) == 1 and diff.p == p
+        assert _same_verdict(diff.vertices[0].verdict, single)
+        assert diff.passed == single.passed and diff.worst_lmax == single.lmax_residual
+
+    @pytest.mark.parametrize("P, lam", _linear_storages())
+    @pytest.mark.parametrize("supply", [supply_passivity(1), supply_gain(0.5, 1, 1), supply_gain(5.0, 1, 1)])
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
+    def test_channel_free_dissipativity_matches_single_matrix(self, msd_c8, P, lam, supply, epsilon):
+        p = inertia_of(P).negative
+        diff = check_diff_dissipativity(msd_c8, P, lam, supply, epsilon)
+        cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
+        single = verify_dissipativity(msd_c8, cert)
+        assert len(diff.vertices) == 1 and diff.p == p
+        assert _same_verdict(diff.vertices[0].verdict, single)
+
+    def test_outcomes_covered(self, msd_c8):
+        # the battery above holds passes, residual failures and split-inconsistent storages
+        outcomes = set()
+        for P, lam in _linear_storages():
+            diff = check_diff_dominance(msd_c8, P, lam)
+            outcomes.add((diff.passed, all(v.split_ok for v in diff.vertices)))
+        assert {(True, True), (False, True), (False, False)} <= outcomes
+
+    @pytest.mark.parametrize(
+        "name, P, lam",
+        [
+            ("nl-msd", registry.DIFF_STORAGE_VELOCITY, 1.0),
+            ("nl-msd-monotone", registry.MONOTONE_STORAGE, 0.0),
+            ("nl-msd-mixed", registry.DIFF_STORAGE_MIXED, 1.0),
+            ("nl-loop", np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED), 1.0),
+        ],
+    )
+    def test_each_vertex_is_the_single_matrix_check(self, name, P, lam):
+        sys = registry.builtin_system(name)
+        p = inertia_of(P).negative
+        family = vertex_family(sys)
+        verdict = check_diff_dominance(sys, P, lam)
+        for J, v in zip(family.matrices, verdict.vertices):
+            single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
+            assert _same_verdict(v.verdict, single)
+        supplies = (supply_passivity(sys.r), supply_gain(2.0, sys.r, sys.m))
+        for supply, epsilon in itertools.product(supplies, (0.0, 1e-3)):
+            verdict = check_diff_dissipativity(sys, P, lam, supply, epsilon)
+            for J, v in zip(family.matrices, verdict.vertices):
+                vertex = LureSystem(A=J, B=sys.B, C=sys.C)
+                cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
+                assert _same_verdict(v.verdict, verify_dissipativity(vertex, cert))

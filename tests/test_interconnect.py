@@ -182,6 +182,19 @@ class TestClosedLoopCertificate:
         loop = registry.nonlinear_loop()
         assert check_diff_dominance(loop, closed_cert.P, 1.0).passed
 
+    @pytest.mark.parametrize("claims", [(0, 0), (2, 2), (1, 0)])
+    def test_lure_pair_claim_contradicting_inertia_rejected(self, claims):
+        # the storage has inertia (1, 0, 1); a claim of any other p must not compose
+        sys = registry.nonlinear_msd("mixed", "cubic")
+        c1, c2 = (
+            DissipativityCertificate(
+                P=registry.DIFF_STORAGE_MIXED, rate=1.0, epsilon=0.0, p=p, supply=supply_passivity(1)
+            )
+            for p in claims
+        )
+        with pytest.raises(CouplingError):
+            closed_loop_certificate(sys, c1, sys, c2)
+
     def test_additivity_on_random_passive_pairs(self, rng):
         # planted passivity certificates compose into verified loop certificates
         built = 0

@@ -226,7 +226,7 @@ class TestSerialization:
         back = LtiSystem.from_dict(data)
         assert np.allclose(back.A, msd_c4.A)
         assert back.name == msd_c4.name
-        assert set(data) == {"name", "A", "B", "C", "D"}
+        assert set(data) == {"name", "A", "B", "C", "D", "channels"}
 
     def test_certificate_round_trip(self):
         cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.1, p=1)

@@ -1,0 +1,93 @@
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import pdom
+from pdom import registry
+from pdom.differential import Channel, LureSystem, cubic_saturated, scaled, tabulated
+from pdom.lti import LtiSystem
+
+SYSTEM_KEYS = {"name", "A", "B", "C", "D", "channels"}
+KNOTS, VALUES = [-1.0, 0.0, 2.0], [0.5, 0.0, -1.0]
+
+
+def _with_feedthrough():
+    return LureSystem(A=-np.eye(2), B=[[1.0], [0.0]], C=[[0.0, 1.0]], D=[[0.5]], name="direct")
+
+
+class TestOneModel:
+    def test_lti_is_the_lure_class(self):
+        assert pdom.LtiSystem is pdom.LureSystem is LtiSystem
+        assert "__post_init__" in vars(pdom.differential.LureSystem)
+
+    @pytest.mark.parametrize("name", registry.builtin_names())
+    def test_key_set_and_round_trip(self, name):
+        sys = registry.builtin_system(name)
+        data = sys.to_dict()
+        assert set(data) == SYSTEM_KEYS
+        assert LureSystem.from_dict(data) == sys
+
+    def test_feedthrough_round_trip(self):
+        sys = _with_feedthrough()
+        assert not sys.is_strictly_proper
+        assert LureSystem.from_dict(sys.to_dict()) == sys
+
+    def test_old_formats_load(self):
+        # linear files carry "D" and no "channels"; Lur'e files the reverse
+        lti = registry.msd(8.0).to_dict()
+        del lti["channels"]
+        assert LtiSystem.from_dict(lti) == registry.msd(8.0)
+        lure = registry.nonlinear_msd("mixed", "cubic").to_dict()
+        del lure["D"]
+        assert LureSystem.from_dict(lure) == registry.nonlinear_msd("mixed", "cubic")
+
+    def test_default_feedthrough_is_zero(self):
+        sys = LtiSystem(A=-np.eye(3), B=np.ones((3, 2)), C=np.ones((1, 3)))
+        assert sys.D.shape == (1, 2) and sys.is_strictly_proper and sys.channels == ()
+
+
+class TestValueEquality:
+    def test_models(self):
+        assert registry.msd(8.0) == registry.msd(8.0)
+        assert registry.msd(8.0) != registry.msd(4.0)
+        assert registry.nonlinear_loop() == registry.nonlinear_loop()
+        assert registry.nonlinear_msd("velocity", "cubic") != registry.nonlinear_msd("velocity", "monotone")
+        assert registry.msd(8.0) != registry.msd(8.0).A
+        assert registry.msd(8.0) != "msd-c8"
+
+    def test_channels(self):
+        a, b = registry.nonlinear_loop().channels
+        assert a == registry.nonlinear_loop().channels[0]
+        assert a != b
+        assert a != None  # noqa: E711
+
+    def test_nonlinearities(self):
+        assert tabulated(KNOTS, VALUES) == tabulated(np.array(KNOTS), np.array(VALUES))
+        assert tabulated(KNOTS, VALUES) != tabulated(KNOTS, [0.5, 0.0, -2.0])
+        assert scaled(2.0, cubic_saturated()) == scaled(2.0, cubic_saturated())
+        assert scaled(2.0, cubic_saturated()) != scaled(3.0, cubic_saturated())
+        assert cubic_saturated() != tabulated(KNOTS, VALUES)
+
+    def test_nonlinearity_hash(self):
+        assert hash(cubic_saturated()) == hash(cubic_saturated())
+        assert hash(tabulated(KNOTS, VALUES)) == hash(tabulated(KNOTS, VALUES))
+        assert len({tabulated(KNOTS, VALUES), tabulated(KNOTS, VALUES), cubic_saturated()}) == 2
+
+    def test_fused_field_groups_equal_sigmas(self):
+        channels = tuple(
+            Channel(g=g, h=h, sigma=tabulated(KNOTS, VALUES), alpha=-0.75, beta=-0.5)
+            for g, h in (([1.0, 0.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, 0.0]))
+        )
+        sys = LureSystem(A=-np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=channels)
+        assert len(sys._sigma_blocks) == 1
+
+
+def test_import_defers_scipy_linalg():
+    src = os.path.dirname(os.path.dirname(pdom.__file__))
+    code = "import sys, pdom; print('scipy.linalg' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
