@@ -16,7 +16,8 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DominanceVerdict, LtiSystem, _verify_blocks, construct_certificate, residual
+from .lti import DominanceVerdict, LtiSystem, _verify_blocks, residual
+from .model import _ValueEquality
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -33,8 +34,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SupplyRate:
+@dataclass(frozen=True, eq=False)
+class SupplyRate(_ValueEquality):
     """Quadratic form on (y, u): Q on outputs, R on inputs, L cross term."""
 
     Q: np.ndarray
@@ -98,8 +99,8 @@ class SupplyRate:
         )
 
 
-@dataclass(frozen=True)
-class DissipativityCertificate:
+@dataclass(frozen=True, eq=False)
+class DissipativityCertificate(_ValueEquality):
     """Storage, rate and supply claiming p-dissipativity of a system."""
 
     P: np.ndarray
@@ -288,11 +289,7 @@ def find_passivity_storage(
         inertia_target=(p, 0, sys.n - p),
         epsilon=eps_search,
     )
-    try:
-        seed = construct_certificate(sys, lam, p, policy).P
-    except Exception:
-        seed = _schur_aligned_seed(sys.A, lam, p)
-    P = lmi.solve(problem, seed, policy)
+    P = lmi.solve(problem, policy)
     cert = DissipativityCertificate(
         P=P, rate=lam, epsilon=eps_search / 2.0, p=p, supply=supply_passivity(sys.r)
     )
@@ -309,15 +306,3 @@ def find_passivity_storage(
             )
         )
     return cert
-
-
-def _schur_aligned_seed(A: np.ndarray, lam: float, p: int) -> np.ndarray:
-    """blockdiag(-I_p, I_{n-p}) expressed in the ordered Schur basis."""
-    n = A.shape[0]
-    try:
-        form, _ = mc.schur_split(A, lam)
-        Q = form.Q
-    except Exception:
-        Q = np.eye(n)
-    core = np.diag(np.concatenate([-np.ones(p), np.ones(n - p)]))
-    return Q @ core @ Q.T

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .lti import DominanceCertificate
-from .model import Channel, LureSystem
+from .model import Channel, LureSystem, _ValueEquality
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -178,8 +178,8 @@ def closed_loop_certificate(
     return DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=p)
 
 
-@dataclass(frozen=True)
-class FeedbackLoop:
+@dataclass(frozen=True, eq=False)
+class FeedbackLoop(_ValueEquality):
     """Loop description: two subsystems, their supplies and the shared rate."""
 
     sys1: LureSystem

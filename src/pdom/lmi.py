@@ -1,13 +1,16 @@
 """Small-scale LMI feasibility engine for storage search.
 
-Feasibility problems are affine in a symmetric unknown P: a set of residual
-blocks that must satisfy ``lmax <= -epsilon``, optional linear equalities
+Feasibility problems are affine in a symmetric unknown P: residual blocks F_j
+that must satisfy ``lmax(F_j(P)) <= -epsilon``, optional linear equalities
 (such as P B = C^T) and an inertia target. Equalities are eliminated exactly
-by parameterizing P over the constraint null space; the spectral constraints
-are handled by alternating projections between the affine range of the
-residual map and the per-block eigenvalue caps, with Dykstra corrections on
-the non-affine side. Adequate for the desk-scale dimensions this package
-targets; no external solver involved.
+by parameterizing ``P = P_part + smat(N c)`` over their null space. A primal
+log-det barrier method (Boyd, El Ghaoui, Feron & Balakrishnan, 1994, ch. 2;
+Vandenberghe & Boyd, SIAM Review, 1996) then takes Newton steps from c = 0 on
+``min t s.t. F_j(c) + epsilon I <= t I`` inside the ball ``|c| <= R``, with
+``R = 10 max(1, |P_part|_F)`` so that P stays bounded. It stops at the first
+iterate that meets every block with margin epsilon, or when the Lagrange dual
+bound (``t - m/mu`` at a central point, m the summed block dimensions plus
+one) is positive, which proves that no storage in the ball meets the margin.
 
 Success is verifier-gated: callers re-check every solution with the relevant
 module verifier, so the engine can never leak an unverified certificate.
@@ -29,12 +32,15 @@ __all__ = [
     "LmiProblem",
     "LmiReport",
     "solve",
-    "project_spectral",
     "svec",
     "smat",
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_RADIUS = 10.0  # search ball radius in units of max(1, |P_part|_F)
+_MU_GROWTH = 100.0  # barrier weight factor at each centred point
+_CENTRED = 0.5  # Newton decrement below which an iterate counts as central
+_MAX_STEPS = 500  # guard against numerical stalls; the gap stop comes first
 
 
 def svec(S: np.ndarray) -> np.ndarray:
@@ -47,27 +53,14 @@ def svec(S: np.ndarray) -> np.ndarray:
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`svec`."""
-    S = np.zeros((n, n))
+    """Inverse of :func:`svec`; a stack of vectors (last axis) gives a stack of matrices."""
     idx = np.triu_indices(n)
-    vals = v.copy()
-    vals[idx[0] != idx[1]] /= _SQRT2
-    S[idx] = vals
-    S.T[idx] = vals
+    vals = np.array(v, dtype=float)
+    vals[..., idx[0] != idx[1]] /= _SQRT2
+    S = np.zeros(vals.shape[:-1] + (n, n))
+    S[..., idx[0], idx[1]] = vals
+    S[..., idx[1], idx[0]] = vals
     return S
-
-
-def _sym_basis(n: int) -> list[np.ndarray]:
-    basis = []
-    for i in range(n):
-        for j in range(i, n):
-            E = np.zeros((n, n))
-            if i == j:
-                E[i, i] = 1.0
-            else:
-                E[i, j] = E[j, i] = 1.0 / _SQRT2
-            basis.append(E)
-    return basis
 
 
 @dataclass(frozen=True)
@@ -97,7 +90,11 @@ class LmiProblem:
 
 @dataclass(frozen=True)
 class LmiReport:
-    """Outcome summary; on failure this is a budget report, not an infeasibility proof."""
+    """Outcome of a search that returned no storage; ``iterations`` counts Newton steps.
+
+    ``gap_bound`` is a lower bound on ``max_j lmax(F_j) + epsilon`` over the
+    search ball; only when it is positive does the report prove infeasibility.
+    """
 
     feasible: bool
     iterations: int
@@ -105,24 +102,19 @@ class LmiReport:
     equality_residual: float
     inertia: tuple[int, int, int] | None = None
     message: str = ""
+    gap_bound: float | None = None
 
     def __str__(self) -> str:
         state = "feasible" if self.feasible else "not found"
+        bound = "" if self.gap_bound is None else f", gap bound {self.gap_bound:.3e}"
         return (
             f"LMI search {state} after {self.iterations} iterations "
             f"(violation {self.violation:.3e}, equality residual "
-            f"{self.equality_residual:.3e}{', ' + self.message if self.message else ''})"
+            f"{self.equality_residual:.3e}{bound}{', ' + self.message if self.message else ''})"
         )
 
 
-def project_spectral(S, cap: float) -> np.ndarray:
-    """Nearest (Frobenius) symmetric matrix with all eigenvalues at most ``cap``."""
-    eigenvalues, eigenvectors = mc.sym_eigen(S)
-    clipped = np.minimum(eigenvalues, cap)
-    return (eigenvectors * clipped) @ eigenvectors.T
-
-
-def solve(problem: LmiProblem, seed, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
     """Find P satisfying every block with margin epsilon, or raise with a report.
 
     On success the returned P meets every residual block with
@@ -130,12 +122,11 @@ def solve(problem: LmiProblem, seed, policy: NumericPolicy = DEFAULT_POLICY) -> 
     and matches the inertia target exactly.
     """
     n = problem.dim
-    basis = _sym_basis(n)
-    dsym = len(basis)
-    seed = mc.as_symmetric(seed) if seed is not None else np.zeros((n, n))
+    dsym = n * (n + 1) // 2
 
     # eliminate equality constraints: P = P_part + smat(N c)
     if problem.equalities:
+        basis = smat(np.eye(dsym), n)
         rows = []
         rhs = []
         for eq in problem.equalities:
@@ -169,69 +160,78 @@ def solve(problem: LmiProblem, seed, policy: NumericPolicy = DEFAULT_POLICY) -> 
         # fully determined by equalities; only the block check remains
         return _finalize(problem, P_part, 0, eq_residual, policy)
 
-    # affine residual maps in the reduced coordinates: r_j(c) = b_j + M_j c
-    base_blocks = [np.asarray(blk(P_part), dtype=float) for blk in problem.blocks]
-    block_dims = [blk.shape[0] for blk in base_blocks]
-    M_parts = []
-    for blk, base in zip(problem.blocks, base_blocks):
-        cols = []
-        for k in range(d):
-            direction = smat(N[:, k], n)
-            cols.append(svec(np.asarray(blk(P_part + direction), dtype=float) - base))
-        M_parts.append(np.column_stack(cols) if cols else np.zeros((svec(base).size, 0)))
-    M = np.vstack(M_parts)
-    b = np.concatenate([svec(base) for base in base_blocks])
-    pinv_M = np.linalg.pinv(M)
-    slices = []
-    offset = 0
-    for dim_k in block_dims:
-        size = dim_k * (dim_k + 1) // 2
-        slices.append(slice(offset, offset + size))
-        offset += size
+    # S_j(x) = (t - epsilon) I - F_j(c) is affine in x = (c, t): for each block
+    # its value at x = 0 and its d + 1 generators, the last one for t
+    directions = P_part + smat(N.T, n)
+    slacks = []
+    for blk in problem.blocks:
+        base = np.asarray(blk(P_part), dtype=float)
+        F = np.array([np.asarray(blk(D), dtype=float) for D in directions]) - base
+        k = base.shape[0]
+        gens = np.concatenate([-0.5 * (F + F.transpose(0, 2, 1)), np.eye(k)[None]])
+        slacks.append((-problem.epsilon * np.eye(k) - 0.5 * (base + base.T), gens))
+    radius = _RADIUS * max(1.0, float(np.linalg.norm(P_part)))
+    block_dims = sum(S0.shape[0] for S0, _ in slacks)
 
-    def to_affine(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        c = pinv_M @ (z - b)
-        return c, b + M @ c
-
-    def violation(c: np.ndarray) -> float:
-        worst = -np.inf
-        for sl, dim_k in zip(slices, block_dims):
-            R = smat((b + M @ c)[sl], dim_k)
-            lmax = float(mc.sym_eigen(R, policy)[0][-1])
-            worst = max(worst, lmax + problem.epsilon)
-        return worst
-
-    c0 = N.T @ svec(seed - P_part)
-    x = b + M @ c0
-    corrections = np.zeros_like(x)
-    best = np.inf
-    best_c = c0
-    stall = 0
-    iterations = 0
-    cap = -problem.epsilon
-
-    for iterations in range(1, policy.lmi_max_iterations + 1):
-        c, x = to_affine(x)
-        viol = violation(c)
-        if viol < best - policy.lmi_stagnation_delta:
-            best, best_c, stall = viol, c, 0
-        else:
-            stall += 1
-        if viol <= policy.lmi_tol:
-            best_c = c
+    # start at c = 0 with unit slack on the worst block and a gap estimate of 1
+    x = np.zeros(d + 1)
+    x[-1] = 1.0 - min(float(mc.sym_eigen(S0, policy)[0][0]) for S0, _ in slacks)
+    mu = float(block_dims + 1)
+    bound = None
+    for iterations in range(1, _MAX_STEPS + 1):
+        c, t = x[:-1], x[-1]
+        spectra = [mc.sym_eigen(S0 + np.tensordot(x, gens, 1), policy) for S0, gens in slacks]
+        lowest = min(s[0] for s, _ in spectra)
+        # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack that is not
+        # positive has lost definiteness to rounding
+        if t - lowest < 0 or lowest <= 0:
             break
-        if stall >= policy.lmi_stagnation_window:
-            break
-        shifted = x + corrections
-        projected = np.empty_like(x)
-        for sl, dim_k in zip(slices, block_dims):
-            projected[sl] = svec(project_spectral(smat(shifted[sl], dim_k), cap))
-        corrections = shifted - projected
-        x = projected
+        grad = np.zeros(d + 1)
+        hess = np.zeros((d + 1, d + 1))
+        scaled = []
+        for (s, U), (_, gens) in zip(spectra, slacks):
+            # congruence by S^{-1/2}: gradient -tr, Hessian the Gram matrix
+            L = U / np.sqrt(s)
+            scaled.append(np.matmul(L.T, np.matmul(gens, L)))
+            flat = scaled[-1].reshape(d + 1, -1)
+            grad -= flat[:, :: s.size + 1].sum(axis=1)
+            hess += flat @ flat.T
+        rho = radius * radius - c @ c
+        grad[:-1] += 2.0 * c / rho
+        hess[:-1, :-1] += (2.0 / rho) * np.eye(d) + (4.0 / rho**2) * np.outer(c, c)
+        grad[-1] += mu
+        step = np.linalg.solve(hess, -grad)
+        decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+        if decrement < _CENTRED:
+            if (block_dims + 1) / mu < policy.lmi_tol:
+                break  # the gap is inside the acceptance slack: _finalize decides
+            grad[-1] += (_MU_GROWTH - 1.0) * mu
+            mu *= _MU_GROWTH
+            step = np.linalg.solve(hess, -grad)
+            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+        # along the step each slack moves as S^{1/2} (I + a D_j) S^{1/2}
+        sigma = np.concatenate([np.linalg.eigvalsh(np.tensordot(step, G, 1)) for G in scaled])
+        dc = step[:-1]
+        if sigma.max() <= 1.0:
+            # Z_j = S_j^{-1/2} (I - D_j) S_j^{-1/2} / mu is dual feasible, and
+            # z_k = sum_j <Z_j, dF_j/dc_k> follows from the Newton equations
+            z = -(2.0 * (c + dc) + (4.0 / rho) * c * (c @ dc)) / (rho * mu)
+            bound = t - c @ z - (block_dims - sigma.sum()) / mu - radius * float(np.linalg.norm(z))
+            if bound > 0:
+                break
+        # backtrack on mu t - sum log det S_j - log(R^2 - |c|^2) along the step
+        a = 1.0
+        for _ in range(60):
+            ball = 1.0 - (2.0 * a * (c @ dc) + a * a * (dc @ dc)) / rho
+            if ball > 0 and np.all(a * sigma > -1.0):
+                if mu * a * step[-1] - np.log1p(a * sigma).sum() - np.log(ball) <= -0.25 * a * decrement**2:
+                    break
+            a *= 0.5
+        x = x + a * step
 
-    P = P_part + smat(N @ best_c, n)
+    P = P_part + smat(N @ x[:-1], n)
     P = 0.5 * (P + P.T)
-    return _finalize(problem, P, iterations, eq_residual, policy)
+    return _finalize(problem, P, iterations, eq_residual, policy, bound)
 
 
 def _finalize(
@@ -240,6 +240,7 @@ def _finalize(
     iterations: int,
     eq_residual: float,
     policy: NumericPolicy,
+    bound: float | None = None,
 ) -> np.ndarray:
     worst = -np.inf
     for blk in problem.blocks:
@@ -267,7 +268,9 @@ def _finalize(
                 violation=worst,
                 equality_residual=actual_eq,
                 inertia=inertia,
-                message="iteration budget or stagnation limit reached",
+                message="no storage in the search ball meets the margin"
+                if bound is not None and bound > 0 else "barrier search ended without a storage",
+                gap_bound=bound,
             )
         )
     return P

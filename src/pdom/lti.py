@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
-from .model import LureSystem as LtiSystem, state_matrix
+from .model import LureSystem as LtiSystem, _ValueEquality, state_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -33,8 +33,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DominanceCertificate:
+@dataclass(frozen=True, eq=False)
+class DominanceCertificate(_ValueEquality):
     """Storage matrix P plus rate and margin witnessing p-dominance."""
 
     P: np.ndarray

@@ -28,9 +28,6 @@ class NumericPolicy:
     eq_tol: float = 1e-10        # linear equality residual allowed in solutions
     fp_tol_scale: float = 1e-6   # fixed-point tail displacement, times (1+|x|)
     cycle_tol: float = 1e-2      # relative period jitter allowed for cycles
-    lmi_max_iterations: int = 5000
-    lmi_stagnation_window: int = 100
-    lmi_stagnation_delta: float = 1e-12
 
     def __post_init__(self):
         for field in dataclasses.fields(self):

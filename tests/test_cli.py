@@ -229,9 +229,13 @@ class TestNumericPolicyOverride:
         monkeypatch.setenv("PDOM_NUMERIC_POLICY", str(policy_path))
         assert cli.main(["verify", str(sys_path), str(cert_path)]) == 0
 
-    def test_invalid_policy_file(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "field", ["no_such_tolerance", "lmi_max_iterations", "lmi_stagnation_window", "lmi_stagnation_delta"]
+    )
+    def test_invalid_policy_file(self, tmp_path, monkeypatch, field):
+        # unknown names, and the retired LMI iteration fields, are input errors
         policy_path = tmp_path / "policy.json"
-        policy_path.write_text(json.dumps({"no_such_tolerance": 1.0}))
+        policy_path.write_text(json.dumps({field: 1.0}))
         monkeypatch.setenv("PDOM_NUMERIC_POLICY", str(policy_path))
         assert cli.main(["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]) == 2
 

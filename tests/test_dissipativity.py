@@ -178,6 +178,24 @@ class TestStorageSearch:
             assert verify_dissipativity(sys, cert).passed
             assert np.max(np.abs(cert.P @ sys.B - sys.C.T)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [4, 6, 10, 16, 24])
+    def test_planted_battery(self, n):
+        # every problem has an exact storage of inertia (p, 0, n - p) with
+        # P B = C^T and residual -2 margin I; each must be found and rechecked
+        rng = np.random.default_rng(n)
+        lam = 0.5
+        for p in (0, 1, 2):
+            for m in (1, 2):
+                for margin in (1e-1, 1e-2, 1e-3):
+                    sys = _planted_passive(rng, n, p, m, margin, lam)
+                    P = find_passivity_storage(sys, lam, p).P
+                    scale = np.linalg.norm(P, 2) * np.linalg.norm(sys.B, 2) + np.linalg.norm(sys.C)
+                    assert np.linalg.norm(P @ sys.B - sys.C.T) <= 1e-8 * scale
+                    eigenvalues = np.linalg.eigvalsh(P)
+                    assert (np.sum(eigenvalues < 0), np.sum(eigenvalues > 0)) == (p, n - p)
+                    shifted = sys.A + lam * np.eye(n)
+                    assert np.linalg.eigvalsh(shifted.T @ P + P @ shifted)[-1] < 0
+
     def test_unsatisfiable_equality(self):
         sys = LtiSystem(A=-np.eye(2), B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]), D=np.zeros((1, 1)))
         with pytest.raises(LmiInfeasibleError):
@@ -187,6 +205,22 @@ class TestStorageSearch:
         sys = LtiSystem(A=-np.eye(2), B=np.ones((2, 1)), C=np.eye(2), D=np.zeros((2, 1)))
         with pytest.raises(DimensionError):
             find_passivity_storage(sys, 0.0, 0)
+
+
+def _planted_passive(rng, n, p, m, margin, lam):
+    """System with a storage P of inertia (p, 0, n - p), unit norm and P B = C^T,
+    and (A + lam I)^T P + P (A + lam I) = -2 margin I."""
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    magnitudes = np.exp(rng.uniform(-0.5, 0.5, n))
+    signs = np.r_[-np.ones(p), np.ones(n - p)]
+    P = U @ np.diag(signs * magnitudes / magnitudes.max()) @ U.T
+    P = 0.5 * (P + P.T)
+    K = rng.standard_normal((n, n))
+    K = (K - K.T) / np.linalg.norm(K - K.T, 2)
+    A = np.linalg.solve(P, K - margin * np.eye(n)) - lam * np.eye(n)
+    B = rng.standard_normal((n, m))
+    B /= np.linalg.norm(B, 2)
+    return LtiSystem(A=A, B=B, C=(P @ B).T, D=np.zeros((m, m)))
 
 
 class TestPointwiseEquivalence:

@@ -7,11 +7,27 @@ import pytest
 
 import pdom
 from pdom import registry
+from pdom.dissipativity import DissipativityCertificate, supply_gain, supply_passivity
+from pdom.interconnect import FeedbackLoop
+from pdom.lti import DominanceCertificate
 from pdom.differential import Channel, LureSystem, cubic_saturated, scaled, tabulated
 from pdom.lti import LtiSystem
 
 SYSTEM_KEYS = {"name", "A", "B", "C", "D", "channels"}
 KNOTS, VALUES = [-1.0, 0.0, 2.0], [0.5, 0.0, -1.0]
+
+
+def _dominance(eps):
+    return DominanceCertificate(P=registry.PASSIVITY_STORAGE_C8, rate=registry.KNOWN_RATE, epsilon=eps, p=1)
+
+
+def _dissipativity(supply):
+    return DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, rate=registry.KNOWN_RATE, epsilon=0.0, p=1,
+                                    supply=supply)
+
+
+def _loop(rate):
+    return FeedbackLoop(registry.msd(8.0), registry.msd(8.0), supply_passivity(1), supply_passivity(1), rate)
 
 
 def _with_feedthrough():
@@ -70,6 +86,23 @@ class TestValueEquality:
         assert scaled(2.0, cubic_saturated()) == scaled(2.0, cubic_saturated())
         assert scaled(2.0, cubic_saturated()) != scaled(3.0, cubic_saturated())
         assert cubic_saturated() != tabulated(KNOTS, VALUES)
+
+    @pytest.mark.parametrize(
+        "build, same, other",
+        [
+            (supply_passivity, 2, 3),
+            (lambda g: supply_gain(g, 1, 1), 0.5, 0.6),
+            (_dominance, 1e-3, 2e-3),
+            (_dissipativity, supply_passivity(1), supply_gain(0.5, 1, 1)),
+            (_loop, 1.0, 2.0),
+        ],
+        ids=["passivity", "gain", "dominance", "dissipativity", "loop"],
+    )
+    def test_certificates_and_supplies(self, build, same, other):
+        a, b, c = build(same), build(same), build(other)
+        assert a is not b and a == b and not a != b
+        assert a != c and a.to_dict() != c.to_dict()
+        assert a != a.to_dict() and a != np.zeros(2) and a != None  # noqa: E711
 
     def test_nonlinearity_hash(self):
         assert hash(cubic_saturated()) == hash(cubic_saturated())
