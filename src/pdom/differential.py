@@ -6,7 +6,8 @@ The model (:class:`LureSystem`, its channels and nonlinearities) lives in
 finite family obtained by pinning each slope to its bounds, so a uniform
 storage that passes the dominance (or dissipation) LMI on every vertex
 certifies the differential property over the whole state space. Only
-constant storages are handled.
+constant storages are handled. The 2^k vertices of a k-channel model are
+held as one ``(2^k, n, n)`` array and checked with one stacked eigensolve.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from . import matrixcore as mc
 from .dissipativity import SupplyRate, dissipation_blocks
 from .errors import DimensionError
-from .lti import DominanceVerdict, _verify_blocks, eigen_split_test, residual
+from .lti import DominanceVerdict, _split_counts, _verify_blocks, residual
 from .model import Channel, LureSystem, Nonlinearity, cubic_saturated, scaled, tabulated
 from .policy import DEFAULT_POLICY, NumericPolicy
 
@@ -33,6 +34,7 @@ __all__ = [
     "VertexFamily",
     "VertexVerdict",
     "DifferentialVerdict",
+    "hull_points",
     "jacobian",
     "vertex_family",
     "check_diff_dominance",
@@ -43,20 +45,28 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VertexFamily:
-    """Slope-corner matrices whose convex hull contains every state Jacobian."""
+    """Slope-corner matrices whose convex hull contains every state Jacobian.
 
-    matrices: tuple[np.ndarray, ...]
+    ``matrices`` is a ``(2^k, n, n)`` array whose ``i``-th matrix has the slopes
+    ``corners[i]``, in ``itertools.product`` order over the channels.
+    """
+
+    matrices: np.ndarray
     corners: tuple[tuple[float, ...], ...]
 
     def __len__(self) -> int:
         return len(self.matrices)
 
 
-def _hull_point(sys: LureSystem, slopes) -> np.ndarray:
-    """A + sum_i slope_i g_i h_i^T."""
-    J = sys.A.copy()
-    for slope, ch in zip(slopes, sys.channels):
-        J += slope * np.outer(ch.g, ch.h)
+def hull_points(sys: LureSystem, slopes) -> np.ndarray:
+    """``A + sum_i s_i g_i h_i^T`` for each row s of the ``(N, k)`` slopes, as an ``(N, n, n)`` stack.
+
+    The channel terms are added one channel at a time, in channel order.
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    J = np.repeat(sys.A[None], slopes.shape[0], axis=0)
+    for i, ch in enumerate(sys.channels):
+        J += slopes[:, i, None, None] * np.outer(ch.g, ch.h)
     return J
 
 
@@ -70,7 +80,7 @@ def jacobian(sys: LureSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != sys.n:
         raise DimensionError("state dimension mismatch")
-    return _hull_point(sys, [float(ch.sigma.derivative(float(ch.h @ x))) for ch in sys.channels])
+    return hull_points(sys, [[float(ch.sigma.derivative(float(ch.h @ x))) for ch in sys.channels]])[0]
 
 
 def vertex_family(sys: LureSystem) -> VertexFamily:
@@ -78,9 +88,9 @@ def vertex_family(sys: LureSystem) -> VertexFamily:
     for ch in sys.channels:
         if not (np.isfinite(ch.alpha) and np.isfinite(ch.beta)):
             raise ValueError("vertex relaxation needs finite slope bounds")
-    ranges = [(ch.alpha, ch.beta) for ch in sys.channels]
-    corners = tuple(tuple(float(s) for s in corner) for corner in itertools.product(*ranges))
-    return VertexFamily(matrices=tuple(_hull_point(sys, corner) for corner in corners), corners=corners)
+    ranges = [(float(ch.alpha), float(ch.beta)) for ch in sys.channels]
+    corners = tuple(itertools.product(*ranges))
+    return VertexFamily(matrices=hull_points(sys, corners), corners=corners)
 
 
 @dataclass(frozen=True)
@@ -146,8 +156,7 @@ def vertex_verdicts(
     """
     family = vertex_family(sys)
     if supply is None:
-        blocks = [residual(J, P, lam) for J in family.matrices]
-        return family, _verify_blocks(blocks, P, p, epsilon, policy)
+        return family, _verify_blocks(residual(family.matrices, P, lam), P, p, epsilon, policy)
     blocks = dissipation_blocks(family.matrices, sys, P, lam, supply, epsilon)
     return family, _verify_blocks(blocks, P, p, 0.0, policy)
 
@@ -156,15 +165,13 @@ def _differential_verdict(sys, P, lam, supply, epsilon, policy) -> DifferentialV
     P = mc.as_symmetric(P, policy)
     p = _claimed_p(P, policy)
     family, verdicts = vertex_verdicts(sys, P, lam, p, supply, epsilon, policy)
-    results = tuple(
-        VertexVerdict(corner=corner, verdict=verdict, split_ok=eigen_split_test(J, lam, p, policy).passed)
-        for J, corner, verdict in zip(family.matrices, family.corners, verdicts)
-    )
+    _, unstable, conclusive = _split_counts(family.matrices, lam, policy)
+    split_ok = (conclusive & (unstable == p)).tolist()
     return DifferentialVerdict(
         passed=all(v.passed for v in verdicts),
         p=p,
         rate=lam,
-        vertices=results,
+        vertices=tuple(map(VertexVerdict, family.corners, verdicts, split_ok)),
         worst_lmax=max(v.lmax_residual for v in verdicts),
     )
 

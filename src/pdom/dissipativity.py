@@ -176,7 +176,7 @@ def dissipativity_block(
     Off-diagonal: P B - C^T L - C^T Q D.
     Bottom-right: -D^T Q D - L^T D - D^T L - R.
     """
-    return dissipation_blocks([sys.A], sys, P, lam, supply, epsilon)[0]
+    return dissipation_blocks(sys.A[None], sys, P, lam, supply, epsilon)[0]
 
 
 def dissipation_blocks(
@@ -186,11 +186,12 @@ def dissipation_blocks(
     lam: float,
     supply: SupplyRate,
     epsilon: float = 0.0,
-) -> list[np.ndarray]:
-    """:func:`dissipativity_block` with each of ``matrices`` in place of A.
+) -> np.ndarray:
+    """:func:`dissipativity_block` with each matrix of a ``(k, n, n)`` stack in place of A.
 
-    The parts that do not involve A are formed once, in the same operation
-    order as the single block, so every block is bitwise the same.
+    Returns the ``(k, n+m, n+m)`` stack of blocks. The parts that do not
+    involve A are formed once, in the same operation order as the single
+    block, so every block is bitwise the same.
     """
     P = mc.as_symmetric(P)
     if P.shape[0] != sys.n:
@@ -199,16 +200,14 @@ def dissipation_blocks(
         raise DimensionError("supply channel dimensions do not match the system")
     B, C, D = sys.B, sys.C, sys.D
     Q, L, R = supply.Q, supply.L, supply.R
-    output_supply = C.T @ Q @ C
-    margin = epsilon * np.eye(sys.n)
+    n = sys.n
     off_diag = P @ B - C.T @ L - C.T @ Q @ D
-    bottom_right = -(D.T @ Q @ D) - L.T @ D - D.T @ L - R
-    blocks = []
-    for A in matrices:
-        top_left = residual(A, P, lam) - output_supply + margin
-        block = np.block([[top_left, off_diag], [off_diag.T, bottom_right]])
-        blocks.append(0.5 * (block + block.T))
-    return blocks
+    blocks = np.empty((len(matrices), n + sys.m, n + sys.m))
+    blocks[:, :n, :n] = residual(matrices, P, lam) - C.T @ Q @ C + epsilon * np.eye(n)
+    blocks[:, :n, n:] = off_diag
+    blocks[:, n:, :n] = off_diag.T
+    blocks[:, n:, n:] = -(D.T @ Q @ D) - L.T @ D - D.T @ L - R
+    return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
 
 def verify_dissipativity(
@@ -222,7 +221,7 @@ def verify_dissipativity(
     the vertex checks.
     """
     block = dissipativity_block(sys, cert.P, cert.rate, cert.supply, cert.epsilon)
-    return _verify_blocks([block], cert.P, cert.p, 0.0, policy)[0]
+    return _verify_blocks(block[None], cert.P, cert.p, 0.0, policy)[0]
 
 
 def min_gain_bisection(

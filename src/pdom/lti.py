@@ -137,42 +137,38 @@ class ModalSplit:
 
 
 def residual(A, P, lam: float) -> np.ndarray:
-    """Dominance LMI residual ``A^T P + P A + 2 lam P`` (symmetric)."""
-    A = mc.as_matrix(A)
+    """Dominance LMI residual ``A^T P + P A + 2 lam P`` (symmetric).
+
+    A ``(k, n, n)`` stack A gives the stack of residuals; its entries are
+    checked with the blocks (:func:`pdom.matrixcore.sym_eigen`).
+    """
+    A = np.asarray(A, dtype=float) if np.ndim(A) == 3 else mc.as_matrix(A)
     P = mc.as_symmetric(P)
-    if A.shape != P.shape:
+    if A.shape[-2:] != P.shape:
         raise DimensionError("A and P must share dimensions")
-    R = A.T @ P + P @ A + 2.0 * lam * P
-    return 0.5 * (R + R.T)
+    R = A.swapaxes(-1, -2) @ P + P @ A + 2.0 * lam * P
+    return 0.5 * (R + R.swapaxes(-1, -2))
 
 
 def _verify_blocks(blocks, P, p: int, epsilon: float, policy: NumericPolicy) -> list[DominanceVerdict]:
     """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
 
-    Each symmetric block passes when ``lmax(block) <= -epsilon + lmi_tol``
-    and P has inertia (p, 0, n - p), which is computed once for all blocks.
-    Inertia mismatches are reported distinctly from residual violations, and
-    a residual failure carries the violating eigenpair.
+    ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call. Each block
+    passes when ``lmax(block) <= -epsilon + lmi_tol`` and P has inertia
+    (p, 0, n - p), which is computed once for all blocks. Inertia mismatches
+    are reported distinctly from residual violations, and a residual failure
+    carries the violating eigenpair.
     """
     inertia = mc.inertia_of(P, policy=policy)
     inertia_ok = inertia.matches(p, P.shape[0])
+    eigenvalues, eigenvectors = mc.sym_eigen(blocks, policy)
     verdicts = []
-    for block in blocks:
-        eigenvalues, eigenvectors = mc.sym_eigen(block, policy)
-        lmax = float(eigenvalues[-1])
+    for i, lmax in enumerate(eigenvalues[:, -1].tolist()):
         if not inertia_ok:
             verdicts.append(DominanceVerdict(False, "inertia_mismatch", lmax, inertia))
         elif lmax > -epsilon + policy.lmi_tol:
-            verdicts.append(
-                DominanceVerdict(
-                    False,
-                    "residual_violation",
-                    lmax,
-                    inertia,
-                    witness_eigenvalue=lmax,
-                    witness_vector=eigenvectors[:, -1],
-                )
-            )
+            witness = {"witness_eigenvalue": lmax, "witness_vector": eigenvectors[i, :, -1]}
+            verdicts.append(DominanceVerdict(False, "residual_violation", lmax, inertia, **witness))
         else:
             verdicts.append(DominanceVerdict(True, "pass", lmax, inertia))
     return verdicts
@@ -188,7 +184,22 @@ def check_dominance(sys, cert: DominanceCertificate, policy: NumericPolicy = DEF
     A = state_matrix(sys)
     if cert.P.shape[0] != A.shape[0]:
         raise DimensionError("certificate dimension does not match the system")
-    return _verify_blocks([residual(A, cert.P, cert.rate)], cert.P, cert.p, cert.epsilon, policy)[0]
+    return _verify_blocks(residual(A[None], cert.P, cert.rate), cert.P, cert.p, cert.epsilon, policy)[0]
+
+
+def _split_counts(matrices, lam: float, policy: NumericPolicy):
+    """The split rule on each matrix A of a ``(k, n, n)`` stack, from one eigensolve.
+
+    Returns per matrix the distance of ``A + lam I``'s spectrum from the imaginary axis, its
+    unstable count, and whether every eigenvalue clears ``split_tol`` (inconclusive if not).
+    """
+    if lam < 0:
+        raise ValueError("rate must be nonnegative")
+    shifted = np.linalg.eigvals(matrices).real + lam
+    margin = np.min(np.abs(shifted), axis=-1, initial=np.inf)
+    unstable = np.sum(shifted > policy.split_tol, axis=-1)
+    conclusive = unstable + np.sum(shifted < -policy.split_tol, axis=-1) == shifted.shape[-1]
+    return margin, unstable, conclusive
 
 
 def eigen_split_test(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> SplitVerdict:
@@ -197,16 +208,8 @@ def eigen_split_test(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_PO
     Returns "inconclusive" (distinct from "fail") when any shifted eigenvalue
     sits within ``split_tol`` of the imaginary axis.
     """
-    if lam < 0:
-        raise ValueError("rate must be nonnegative")
-    A = state_matrix(sys)
-    shifted = np.linalg.eigvals(A).real + lam
-    margin = float(np.min(np.abs(shifted))) if shifted.size else np.inf
-    unstable = int(np.sum(shifted > policy.split_tol))
-    stable = int(np.sum(shifted < -policy.split_tol))
-    if unstable + stable != shifted.size:
-        return SplitVerdict("inconclusive", margin, unstable, p)
-    status = "pass" if unstable == p else "fail"
+    margin, unstable, conclusive = (v.item() for v in _split_counts(state_matrix(sys)[None], lam, policy))
+    status = ("pass" if unstable == p else "fail") if conclusive else "inconclusive"
     return SplitVerdict(status, margin, unstable, p)
 
 

@@ -37,7 +37,7 @@ def as_matrix(value, shape: tuple[int, int] | None = None) -> np.ndarray:
     mat = np.atleast_2d(np.asarray(value, dtype=float))
     if mat.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {mat.ndim}")
-    if not np.all(np.isfinite(mat)):
+    if not np.isfinite(mat).all():
         raise NumericalError("matrix contains non-finite entries")
     if shape is not None and mat.shape != shape:
         raise DimensionError(f"expected shape {shape}, got {mat.shape}")
@@ -45,18 +45,25 @@ def as_matrix(value, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 
 def as_symmetric(value, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
-    """Validate near-symmetry and return the symmetrized matrix.
+    """Validate near-symmetry and return the symmetrized matrix (each one of a ``(..., n, n)`` stack).
 
-    The asymmetry allowance is ``sym_tol * max(1, ||S||_F)``; anything worse
-    is a hard error rather than something to silently average away.
+    Each matrix must be finite, within an asymmetry allowance of
+    ``sym_tol * max(1, ||S||_F)``; anything worse is a hard error rather than
+    something to silently average away.
     """
-    mat = as_matrix(value)
-    if mat.shape[0] != mat.shape[1]:
+    mat = np.asarray(value, dtype=float)
+    if mat.ndim < 2:
+        mat = np.atleast_2d(mat)
+    if not np.isfinite(mat).all():
+        raise NumericalError("matrix contains non-finite entries")
+    if mat.shape[-2] != mat.shape[-1]:
         raise DimensionError(f"symmetric matrix must be square, got {mat.shape}")
-    skew = np.max(np.abs(mat - mat.T)) if mat.size else 0.0
-    if skew > policy.sym_tol * max(1.0, np.linalg.norm(mat, "fro")):
-        raise DimensionError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
-    return 0.5 * (mat + mat.T)
+    flipped = mat.swapaxes(-1, -2)
+    skew = np.abs(mat - flipped).max(axis=(-2, -1), initial=0.0)
+    allowance = policy.sym_tol * np.maximum(1.0, np.sqrt((mat * mat).sum(axis=(-2, -1))))
+    if (skew > allowance).any():
+        raise DimensionError(f"matrix is not symmetric (max asymmetry {np.max(skew):.3e})")
+    return 0.5 * (mat + flipped)
 
 
 @dataclass(frozen=True)
@@ -102,7 +109,10 @@ class SchurForm:
 
 
 def sym_eigen(S, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix."""
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
+
+    A ``(..., n, n)`` stack is checked matrix by matrix and solved in one call.
+    """
     mat = as_symmetric(S, policy)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
@@ -118,12 +128,12 @@ def inertia_of(S, ztol: float | None = None, policy: NumericPolicy = DEFAULT_POL
     """
     eigenvalues, _ = sym_eigen(S, policy)
     if ztol is None:
-        scale = np.max(np.abs(eigenvalues)) if eigenvalues.size else 0.0
+        scale = abs(eigenvalues).max(initial=0.0)
         ztol = policy.ztol_rel * max(1.0, scale)
     if ztol < 0:
         raise ValueError("ztol must be nonnegative")
-    negative = int(np.sum(eigenvalues < -ztol))
-    positive = int(np.sum(eigenvalues > ztol))
+    negative = int((eigenvalues < -ztol).sum())
+    positive = int((eigenvalues > ztol).sum())
     zero = eigenvalues.size - negative - positive
     return Inertia(negative, zero, positive)
 

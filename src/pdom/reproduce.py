@@ -15,7 +15,7 @@ import numpy as np
 
 from . import registry
 from .cones import QuadraticCone, positivity_probe
-from .differential import check_diff_dominance, check_diff_dissipativity
+from .differential import check_diff_dominance, check_diff_dissipativity, hull_points
 from .dissipativity import (
     DissipativityCertificate,
     dissipation_blocks,
@@ -288,10 +288,8 @@ def _feasible_slope_endpoints(sys, P, lam: float) -> np.ndarray:
     integer samples pin it down.
     """
     samples = np.array([-1.0, 0.0, 1.0])
-    ch = sys.channels[0]
-    matrices = [sys.A + s * np.outer(ch.g, ch.h) for s in samples]
-    blocks = dissipation_blocks(matrices, sys, P, lam, supply_passivity(sys.r))
-    dets = [np.linalg.det(block[: sys.n, : sys.n]) for block in blocks]
+    blocks = dissipation_blocks(hull_points(sys, samples[:, None]), sys, P, lam, supply_passivity(sys.r))
+    dets = np.linalg.det(blocks[:, : sys.n, : sys.n])
     coeffs = np.polyfit(samples, dets, 2)
     return np.sort(np.roots(coeffs).real)
 

@@ -95,8 +95,8 @@ def integrate_batch(
     """RK4 over a batch of initial conditions (rows of X0), one grid for all.
 
     A row whose norm exceeds 1e9, or is not finite, is flagged as truncated
-    and its record is cut at that step; the rest of the batch keeps
-    integrating unaffected, and the loop stops once every row is cut.
+    and its record is cut at that step; from then on the field is evaluated
+    on the remaining rows only, and the loop stops once every row is cut.
 
     Each step costs four field evaluations. For a Lur'e system each is three
     small matrix products (state, channel arguments, channel outputs) plus
@@ -118,6 +118,7 @@ def integrate_batch(
     history = [X0.copy()]
     inputs = [u_of_t(0.0)] if u_of_t is not None else None
     cut_length = np.full(batch, -1, dtype=int)  # record count at divergence, -1 if none
+    rows = np.arange(batch)  # the batch rows that X still integrates
     t = 0.0
     half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(invalid="ignore", over="ignore"):
@@ -132,14 +133,17 @@ def integrate_batch(
             # the comparison is false for NaN and inf, so non-finite rows count as diverged
             bad = ~(norms <= _DIVERGENCE_NORM)
             if bad.any():
-                # park newly diverged rows at the origin; their record is cut here anyway
-                bad &= cut_length < 0
-                X[bad] = 0.0
-                cut_length[bad] = len(history)
-                if np.all(cut_length >= 0):
+                # cut the records of the diverged rows here and stop integrating them
+                cut_length[rows[bad]] = len(history)
+                X, rows = X[~bad], rows[~bad]
+                if not rows.size:
                     break
             if (step + 1) % record_every == 0:
-                history.append(X.copy())
+                if rows.size == batch:
+                    history.append(X.copy())
+                else:  # the entries of cut rows lie past their records' ends
+                    history.append(np.zeros_like(X0))
+                    history[-1][rows] = X
                 if inputs is not None:
                     inputs.append(u_of_t(t))
     stacked = np.stack(history, axis=0)  # (N, batch, n)

@@ -18,7 +18,7 @@ from pdom.differential import (
 from pdom.dissipativity import DissipativityCertificate, supply_gain, supply_passivity, verify_dissipativity
 from pdom.errors import DimensionError
 from pdom.interconnect import feedback_compose
-from pdom.lti import check_dominance, DominanceCertificate
+from pdom.lti import check_dominance, DominanceCertificate, eigen_split_test, residual
 from pdom.matrixcore import inertia_of
 
 
@@ -236,6 +236,88 @@ class TestVertexFamily:
             C=np.zeros((1, 2)),
         )
         assert len(vertex_family(sys)) == 4
+
+
+def _hull_point_by_channel(sys, slopes):
+    """A + sum_i s_i g_i h_i^T accumulated channel by channel, one matrix at a time."""
+    J = sys.A.copy()
+    for slope, ch in zip(slopes, sys.channels):
+        J += slope * np.outer(ch.g, ch.h)
+    return J
+
+
+class TestStackedFamily:
+    """The vertex family is one (2^k, n, n) stack, checked with stacked solves."""
+
+    def test_matrices_are_the_hull_points_in_product_order(self, rng):
+        sys = _mixed_channel_system(rng)
+        family = vertex_family(sys)
+        k = len(sys.channels)
+        assert family.matrices.shape == (2**k, sys.n, sys.n)
+        assert family.corners == tuple(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
+        for J, corner in zip(family.matrices, family.corners):
+            assert J.tobytes() == _hull_point_by_channel(sys, corner).tobytes()
+
+    def test_jacobian_is_the_hull_point_of_its_slopes(self, rng):
+        sys = _mixed_channel_system(rng)
+        x = 3.0 * rng.standard_normal(sys.n)
+        slopes = [ch.sigma.derivative(ch.h @ x) for ch in sys.channels]
+        assert jacobian(sys, x).tobytes() == _hull_point_by_channel(sys, slopes).tobytes()
+
+    def test_witnesses_match_single_checks(self, rng):
+        # a storage failing on most vertices, so the witnesses of many stack rows are compared
+        sys = _mixed_channel_system(rng)
+        M = rng.standard_normal((sys.n, sys.n))
+        P = M + M.T
+        p = inertia_of(P).negative
+        lam = 0.5
+        family = vertex_family(sys)
+        verdict = check_diff_dominance(sys, P, lam)
+        failing = [i for i, v in enumerate(verdict.vertices) if v.verdict.status == "residual_violation"]
+        assert len(failing) > len(family) // 2
+        cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)
+        for i in failing:
+            got, single = verdict.vertices[i].verdict, check_dominance(family.matrices[i], cert)
+            assert got.witness_eigenvalue.hex() == single.witness_eigenvalue.hex()
+            assert got.witness_vector.tobytes() == single.witness_vector.tobytes()
+            v = got.witness_vector
+            assert v @ residual(family.matrices[i], P, lam) @ v == pytest.approx(got.witness_eigenvalue, rel=1e-9)
+        supply = supply_gain(0.5, sys.r, sys.m)
+        verdict = check_diff_dissipativity(sys, P, lam, supply)
+        cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
+        for J, v in zip(family.matrices, verdict.vertices):
+            single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert)
+            assert v.verdict.status == single.status
+            if single.status == "residual_violation":
+                assert v.verdict.witness_eigenvalue.hex() == single.witness_eigenvalue.hex()
+                assert v.verdict.witness_vector.tobytes() == single.witness_vector.tobytes()
+
+    @pytest.mark.parametrize(
+        "name, P, lam",
+        [
+            ("nl-msd", registry.DIFF_STORAGE_VELOCITY, 1.0),
+            ("nl-msd-monotone", registry.MONOTONE_STORAGE, 0.0),
+            ("nl-msd-mixed", registry.DIFF_STORAGE_MIXED, 1.0),
+            ("nl-loop", np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED), 1.0),
+        ],
+    )
+    def test_split_ok_is_the_split_test(self, name, P, lam):
+        sys = registry.builtin_system(name)
+        p = inertia_of(P).negative
+        verdict = check_diff_dominance(sys, P, lam)
+        for J, v in zip(vertex_family(sys).matrices, verdict.vertices):
+            assert v.split_ok is eigen_split_test(J, lam, p).passed
+
+    def test_vertex_on_the_shifted_axis_is_not_split_ok(self):
+        # slopes in [-1, 1] on the first state: the corner s = 1 has eigenvalue 0 = -lam
+        sigma = tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0])
+        channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0)
+        sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
+        verdict = check_diff_dominance(sys, np.eye(2), 0.0)
+        family = vertex_family(sys)
+        splits = [eigen_split_test(J, 0.0, 0) for J in family.matrices]
+        assert [s.status for s in splits] == ["pass", "inconclusive"]
+        assert [v.split_ok for v in verdict.vertices] == [True, False]
 
 
 class TestDiffDominance:

@@ -3,10 +3,12 @@ import pytest
 
 from conftest import random_hyperbolic
 from pdom import registry
-from pdom.errors import DimensionError, NonHyperbolicError, SplitMismatchError
+from pdom import matrixcore as mc
+from pdom.errors import DimensionError, NonHyperbolicError, NumericalError, SplitMismatchError
 from pdom.lti import (
     DominanceCertificate,
     LtiSystem,
+    _verify_blocks,
     check_dominance,
     construct_certificate,
     eigen_split_test,
@@ -14,6 +16,7 @@ from pdom.lti import (
     residual,
 )
 from pdom.matrixcore import expm, inertia_of
+from pdom.policy import DEFAULT_POLICY
 
 RATE = registry.KNOWN_RATE
 
@@ -63,6 +66,48 @@ class TestCheckDominance:
     def test_inertia_mismatch_distinct(self, msd_c4):
         cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=0)
         assert check_dominance(msd_c4, cert).status == "inertia_mismatch"
+
+
+def _symmetric_stack(rng):
+    """Three symmetric 4x4 blocks; the last is large, so an allowance taken
+    over the whole stack would hide a small block's asymmetry."""
+    S = rng.standard_normal((3, 4, 4))
+    S = S + S.swapaxes(1, 2)
+    S[2] *= 1e6
+    return S
+
+
+class TestStackedKernel:
+    """A (k, d, d) stack is eigensolved in one call, with every matrix checked as a single one is."""
+
+    def test_solves_match_single_matrices(self, rng):
+        S = _symmetric_stack(rng)
+        w, V = mc.sym_eigen(S)
+        for block, wi, Vi in zip(S, w, V):
+            w1, V1 = mc.sym_eigen(block)
+            assert w1.tobytes() == wi.tobytes() and V1.tobytes() == Vi.tobytes()
+
+    def test_asymmetric_block_rejected(self, rng):
+        S = _symmetric_stack(rng)
+        # beyond sym_tol * max(1, ||S_0||_F), about 1e-8, but within the last block's allowance
+        S[0, 0, 1] += 1e-6
+        with pytest.raises(DimensionError):
+            mc.sym_eigen(S[0])
+        with pytest.raises(DimensionError):
+            mc.sym_eigen(S)
+        with pytest.raises(DimensionError):
+            _verify_blocks(S, -np.eye(4), 4, 0.0, DEFAULT_POLICY)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_block_rejected(self, rng, bad):
+        S = _symmetric_stack(rng)
+        S[1, 2, 2] = bad
+        with pytest.raises(NumericalError):
+            mc.sym_eigen(S[1])
+        with pytest.raises(NumericalError):
+            mc.sym_eigen(S)
+        with pytest.raises(NumericalError):
+            _verify_blocks(S, -np.eye(4), 4, 0.0, DEFAULT_POLICY)
 
 
 class TestEigenSplit:

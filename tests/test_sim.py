@@ -86,8 +86,29 @@ class TestIntegrate:
             assert not trajs[i].truncated and trajs[i].states.shape == alone.states.shape
             assert np.allclose(trajs[i].states, alone.states, rtol=1e-12, atol=1e-12)
 
+    def test_cut_rows_leave_the_field(self, monkeypatch):
+        # x1' = x1 carries the first row past 1e9 near t = 16; the second stays bounded
+        sys = LtiSystem(A=np.array([[1.0, 0.0], [0.0, -1.0]]), B=np.zeros((2, 1)), C=np.eye(2))
+        x0 = np.array([[1e2, 0.0], [1e-3, 1.0]])
+        alone = integrate(sys, x0[1], t_end=20.0, dt=1e-2)
+        rows_seen = []
+        field = LtiSystem.rhs
+
+        def counting(self, X, U=None):
+            rows_seen.append(X.shape[0])
+            return field(self, X, U)
+
+        monkeypatch.setattr(LtiSystem, "rhs", counting)
+        trajs = integrate_batch(sys, x0, t_end=20.0, dt=1e-2)
+        cut = trajs[0].states.shape[0]
+        assert trajs[0].truncated and 1500 < cut < 1700
+        # four evaluations per step on both rows up to the cut step, then one row
+        assert rows_seen == [2] * (4 * cut) + [1] * (4 * (2000 - cut))
+        assert not trajs[1].truncated and trajs[1].states.shape == alone.states.shape
+        assert np.allclose(trajs[1].states, alone.states, rtol=1e-12, atol=1e-12)
+
     def test_rediverging_row_keeps_first_cut(self):
-        # x1' = x1 + u grows again from the origin where its row is parked,
+        # x1' = x1 + u would grow again from any point a cut row were left at,
         # while x1 = -1 is an equilibrium for the second row
         sys = LtiSystem(A=np.diag([1.0, -1.0]), B=[[1.0], [0.0]], C=np.eye(2), D=np.zeros((2, 1)))
         x0 = np.array([[1.0, 0.0], [-1.0, 1.0]])
