@@ -8,7 +8,6 @@ quantifies the contraction of the transient/dominant alignment ratio.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,6 @@ __all__ = [
     "positivity_probe",
     "projective_measure_from_split",
     "ratio_trace",
-    "write_ratio_csv",
 ]
 
 
@@ -275,12 +273,3 @@ def ratio_trace(measure: ProjectiveMeasure, trajectory, policy: NumericPolicy = 
         envelope_ok=envelope_ok,
         truncated=truncated,
     )
-
-
-def write_ratio_csv(trace: RatioTrace, path: str) -> None:
-    """Export the ratio series as CSV columns (t, U, S, S/U)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "U", "S", "S/U"])
-        for row in zip(trace.times, trace.u_values, trace.s_values, trace.ratio):
-            writer.writerow([f"{v:.17g}" for v in row])

@@ -21,7 +21,7 @@ from . import matrixcore as mc
 from .dissipativity import SupplyRate, dissipation_blocks
 from .errors import DimensionError
 from .lti import DominanceVerdict, _split_counts, _verify_blocks, residual
-from .model import Channel, LureSystem, Nonlinearity, cubic_saturated, scaled, tabulated
+from .model import Channel, LureSystem, Nonlinearity, _ValueEquality, cubic_saturated, scaled, tabulated
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class VertexFamily:
+@dataclass(frozen=True, eq=False)
+class VertexFamily(_ValueEquality):
     """Slope-corner matrices whose convex hull contains every state Jacobian.
 
     ``matrices`` is a ``(2^k, n, n)`` array whose ``i``-th matrix has the slopes
@@ -56,6 +56,9 @@ class VertexFamily:
 
     def __len__(self) -> int:
         return len(self.matrices)
+
+    def to_dict(self) -> dict:
+        return {"matrices": self.matrices.tolist(), "corners": [list(c) for c in self.corners]}
 
 
 def hull_points(sys: LureSystem, slopes) -> np.ndarray:
@@ -100,8 +103,8 @@ class VertexVerdict:
     split_ok: bool  # does this vertex have exactly p unstable eigenvalues at the rate
 
 
-@dataclass(frozen=True)
-class DifferentialVerdict:
+@dataclass(frozen=True, eq=False)
+class DifferentialVerdict(_ValueEquality):
     """Uniform vertex check outcome, with per-vertex witnesses."""
 
     passed: bool

@@ -69,9 +69,9 @@ class DominanceCertificate(_ValueEquality):
         )
 
 
-@dataclass(frozen=True)
-class DominanceVerdict:
-    """Outcome of a certificate check, with the violation witness on failure."""
+@dataclass(frozen=True, eq=False)
+class DominanceVerdict(_ValueEquality):
+    """Outcome of a certificate check, with the violation witness on failure (not compared by ``==``)."""
 
     passed: bool
     status: str  # "pass" | "inertia_mismatch" | "residual_violation"

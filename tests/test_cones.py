@@ -9,7 +9,6 @@ from pdom.cones import (
     positivity_probe,
     projective_measure_from_split,
     ratio_trace,
-    write_ratio_csv,
 )
 from pdom.errors import DimensionError
 from pdom.lti import modal_split
@@ -162,14 +161,3 @@ class TestRatioTrace:
         traj = integrate(msd_c4, x0, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError):
             ratio_trace(measure, traj)
-
-    def test_csv_export(self, msd_c4, tmp_path):
-        split = modal_split(msd_c4, RATE, 1)
-        measure = projective_measure_from_split(split)
-        traj = integrate(msd_c4, [1.0, 1.0], t_end=1.0, dt=1e-2)
-        trace = ratio_trace(measure, traj)
-        path = tmp_path / "ratio.csv"
-        write_ratio_csv(trace, str(path))
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,U,S,S/U"
-        assert len(lines) == len(trace.times) + 1

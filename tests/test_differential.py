@@ -238,6 +238,27 @@ class TestVertexFamily:
         assert len(vertex_family(sys)) == 4
 
 
+class TestResultEquality:
+    """Families and verdicts compare by value, and == never raises on their array fields."""
+
+    def test_equal_values_compare_equal(self):
+        sys = registry.nonlinear_msd("velocity", "monotone")
+        assert vertex_family(sys) == vertex_family(sys)
+        first = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
+        second = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
+        # the failing vertex carries a witness vector
+        assert first.vertices[1].verdict.witness_vector is not None
+        assert first == second and first.vertices[1].verdict == second.vertices[1].verdict
+
+    def test_different_values_compare_unequal(self):
+        monotone = registry.nonlinear_msd("velocity", "monotone")
+        cubic = registry.nonlinear_msd("velocity", "cubic")
+        assert vertex_family(monotone) != vertex_family(cubic)
+        at_zero = check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.0)
+        assert at_zero != check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.5)
+        assert at_zero.vertices[0].verdict != at_zero.vertices[1].verdict
+        assert at_zero != at_zero.to_dict()
+
 def _hull_point_by_channel(sys, slopes):
     """A + sum_i s_i g_i h_i^T accumulated channel by channel, one matrix at a time."""
     J = sys.A.copy()

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from pdom import registry
+from pdom import registry, sim
 from pdom.differential import check_diff_dominance
 from pdom.errors import PropertyViolationError
 from pdom.lti import LtiSystem, construct_certificate, modal_split
 from pdom.matrixcore import expm
+from pdom.model import Channel, LureSystem, cubic_saturated, scaled, tabulated
 from pdom.sim import (
     Trajectory,
     classify_asymptotics,
@@ -87,25 +88,44 @@ class TestIntegrate:
             assert np.allclose(trajs[i].states, alone.states, rtol=1e-12, atol=1e-12)
 
     def test_cut_rows_leave_the_field(self, monkeypatch):
-        # x1' = x1 carries the first row past 1e9 near t = 16; the second stays bounded
-        sys = LtiSystem(A=np.array([[1.0, 0.0], [0.0, -1.0]]), B=np.zeros((2, 1)), C=np.eye(2))
-        x0 = np.array([[1e2, 0.0], [1e-3, 1.0]])
-        alone = integrate(sys, x0[1], t_end=20.0, dt=1e-2)
-        rows_seen = []
-        field = LtiSystem.rhs
+        # x1' = x1 carries the first row past 1e9 near t = 16; the others stay bounded,
+        # with x2' = -x2 + sigma(x2) through a table that the field looks up at every evaluation
+        table = tabulated([-1e3, 0.0, 1e3], [-5e2, 0.0, 5e2])
+        channel = Channel(g=[0.0, 1.0], h=[0.0, 1.0], sigma=table, alpha=0.5, beta=0.5)
+        sys = LureSystem(A=np.diag([1.0, -1.0]), B=np.zeros((2, 1)), C=np.eye(2), channels=(channel,))
+        rows_seen, lookups = [], []
+        field, bisect = LureSystem.rhs, sim.bisect_right
 
-        def counting(self, X, U=None):
+        def counting_rhs(self, X, U=None):
             rows_seen.append(X.shape[0])
             return field(self, X, U)
 
-        monkeypatch.setattr(LtiSystem, "rhs", counting)
-        trajs = integrate_batch(sys, x0, t_end=20.0, dt=1e-2)
-        cut = trajs[0].states.shape[0]
-        assert trajs[0].truncated and 1500 < cut < 1700
-        # four evaluations per step on both rows up to the cut step, then one row
-        assert rows_seen == [2] * (4 * cut) + [1] * (4 * (2000 - cut))
-        assert not trajs[1].truncated and trajs[1].states.shape == alone.states.shape
-        assert np.allclose(trajs[1].states, alone.states, rtol=1e-12, atol=1e-12)
+        def counting_bisect(knots, s):
+            lookups.append(s)
+            return bisect(knots, s)
+
+        monkeypatch.setattr(LureSystem, "rhs", counting_rhs)
+        # the generated row step binds bisect_right when it is built, on the model's first run
+        monkeypatch.setattr(sim, "bisect_right", counting_bisect)
+        alone = integrate(sys, [1e-3, 1.0], t_end=20.0, dt=1e-2)
+        wide = sim._ROWS_WORK // sys.n**2 + 1
+        for rows in (2, wide):
+            rows_seen.clear()
+            lookups.clear()
+            x0 = np.array([[1e2, 0.0]] + [[1e-3, 1.0]] * (rows - 1))
+            trajs = integrate_batch(sys, x0, t_end=20.0, dt=1e-2)
+            cut = trajs[0].states.shape[0]
+            assert trajs[0].truncated and 1500 < cut < 1700
+            if rows == 2:
+                # row by row: four evaluations per step, the cut row's ending at its cut step
+                assert rows_seen == [] and len(lookups) == 4 * cut + 4 * 2000
+            else:
+                # the numpy loop: every row up to the cut step, then the live rows only
+                assert lookups == []
+                assert rows_seen == [rows] * (4 * cut) + [rows - 1] * (4 * (2000 - cut))
+            for traj in trajs[1:]:
+                assert not traj.truncated and traj.states.shape == alone.states.shape
+                assert np.allclose(traj.states, alone.states, rtol=1e-12, atol=1e-12)
 
     def test_rediverging_row_keeps_first_cut(self):
         # x1' = x1 + u would grow again from any point a cut row were left at,
@@ -148,6 +168,68 @@ class TestIntegrate:
             integrate(msd_c4, [1.0, 1.0], t_end=1.0, dt=0.0)
         with pytest.raises(ValueError):
             integrate(msd_c4, [1.0, 1.0], t_end=0.0, dt=1.0)
+
+
+def _channel_msd(sigma, alpha, beta):
+    """x1' = x2, x2' = -x1 - x2 + sigma(x1) + u."""
+    channel = Channel(g=[0.0, 1.0], h=[1.0, 0.0], sigma=sigma, alpha=alpha, beta=beta)
+    return LureSystem(A=[[0.0, 1.0], [-1.0, -1.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]], channels=(channel,))
+
+
+# tabulated: the starts put x1 below the table, inside it, on a knot and above it,
+# where the first field evaluation reads sigma
+_TABLE = tabulated([-1.0, 0.0, 0.5, 1.0], [-0.5, 0.0, 0.1, 0.4])
+_EVALUATOR_MODELS = {
+    "cubic": (_channel_msd(cubic_saturated(), -3.0, 1.0), [[1.0, 1.0], [2.5, -1.0]]),
+    "scaled": (_channel_msd(scaled(0.5, cubic_saturated()), -1.5, 0.5), [[1.0, 1.0], [-2.5, 0.0]]),
+    "tabulated": (_channel_msd(_TABLE, 0.2, 0.6), [[-3.0, 0.0], [0.2, 0.1], [0.5, 0.0], [3.0, -1.0]]),
+    "loop": (registry.nonlinear_loop(), [[1.0, 0.5, -1.0, 0.2], [-2.0, 1.0, 0.5, 0.0]]),
+}
+_NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _same_rows(model, x0, t_end, dt, every, input_policy):
+    """Both evaluators on the same rows: equal cut flags, record lengths and input records, and
+    states to 1e-12 relative (bitwise, NaN-aware, for n <= 2). Returns the ``(states, truncated)`` runs."""
+    steps = int(round(t_end / dt))
+    rows, rows_inputs = sim._rk4_rows(model, np.asarray(x0, dtype=float), steps, dt, every, input_policy)
+    batch, batch_inputs = sim._rk4_batch(model, np.asarray(x0, dtype=float), steps, dt, every, input_policy)
+    for (a, a_cut), (b, b_cut) in zip(rows, batch, strict=True):
+        assert a_cut == b_cut and a.shape == b.shape
+        if model.n <= 2:
+            np.testing.assert_array_equal(a, b)
+        else:
+            scale = np.abs(b[np.isfinite(b)]).max(initial=1.0)
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
+        if batch_inputs is not None:
+            np.testing.assert_array_equal(rows_inputs[: len(a)], batch_inputs[: len(b)])
+    assert (rows_inputs is None) == (batch_inputs is None)
+    return rows
+
+
+class TestEvaluators:
+    @pytest.mark.parametrize("every", [1, 5])
+    @pytest.mark.parametrize("with_input", [False, True])
+    @pytest.mark.parametrize("kind", sorted(_EVALUATOR_MODELS))
+    def test_rows_match_the_numpy_loop(self, kind, with_input, every):
+        model, starts = _EVALUATOR_MODELS[kind]
+        starts = starts + [[v] + [0.0] * (model.n - 1) for v in _NON_FINITE]
+        u = [0.3] * model.m if with_input else None
+        trajs = _same_rows(model, starts, t_end=10.0, dt=1e-2, every=every, input_policy=u)
+        assert [cut for _, cut in trajs] == [False] * (len(starts) - 3) + [True] * 3
+        assert all(states.shape[0] == 1 for states, _ in trajs[-3:])
+
+    def test_diverging_lti_row(self):
+        sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.zeros((2, 1)), C=np.eye(2))
+        (_, first_cut), (_, second_cut) = _same_rows(sys, [[1e2, 0.0], [1e-3, 1.0]], 20.0, 1e-2, 5, None)
+        assert first_cut and not second_cut
+
+    def test_bare_state_matrix(self):
+        A = np.array([[0.0, 1.0, 0.0], [-2.0, -0.5, 1.0], [0.3, 0.0, -1.0]])
+        x0 = [[1.0, 0.0, -1.0], [0.5, 2.0, 0.1]]
+        runs = _same_rows(LureSystem(A=A, B=np.zeros((3, 0)), C=np.zeros((0, 3))), x0, 10.0, 1e-2, 1, None)
+        for (states, _), traj in zip(runs, integrate_batch(A, x0, t_end=10.0, dt=1e-2)):
+            np.testing.assert_array_equal(states, traj.states)
 
 
 class TestClassify:
