@@ -3,7 +3,6 @@
 from .cones import (
     ProjectiveMeasure,
     QuadraticCone,
-    classify,
     positivity_probe,
     projective_measure_from_split,
     ratio_trace,
@@ -22,7 +21,7 @@ from .dissipativity import (
     SupplyRate,
     dissipativity_block,
     find_passivity_storage,
-    min_gain_bisection,
+    min_gain,
     small_gain_pair,
     supply_gain,
     supply_passivity,
@@ -65,7 +64,6 @@ from .sim import (
     classify_asymptotics,
     integrate,
     integrate_batch,
-    modal_decay_check,
     multistability_probe,
 )
 

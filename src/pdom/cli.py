@@ -24,7 +24,7 @@ import numpy as np
 
 from . import registry, reproduce
 from .differential import LureSystem, check_diff_dissipativity, check_diff_dominance
-from .dissipativity import DissipativityCertificate, SupplyRate, verify_dissipativity
+from .dissipativity import DissipativityCertificate, verify_dissipativity
 from .errors import (
     CouplingError,
     LmiInfeasibleError,
@@ -144,29 +144,21 @@ def cmd_verify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     elif "supply" in cert_data:
         supply_data = cert_data["supply"]
 
-    if system.channels:
-        P = np.asarray(cert_data["P"], dtype=float)
-        rate = float(cert_data["lambda"])
-        if supply_data is not None:
-            supply = SupplyRate.from_dict(supply_data, r=system.r, m=system.m)
-            verdict = check_diff_dissipativity(
-                system, P, rate, supply, float(cert_data.get("epsilon", 0.0)), policy
-            )
-        else:
-            verdict = check_diff_dominance(system, P, rate, policy)
-        report.verdicts.append({"check": "vertex_family", **verdict.to_dict()})
-        return (EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED), report
-
-    if supply_data is not None:
-        cert = DissipativityCertificate.from_dict(
-            {**cert_data, "supply": supply_data}, r=system.r, m=system.m
-        )
-        verdict = verify_dissipativity(system, cert, policy)
-        report.verdicts.append({"check": "dissipativity", **verdict.to_dict()})
-    else:
+    # a Lur'e certificate is held to its claimed p and margin at every vertex
+    if supply_data is None:
         cert = DominanceCertificate.from_dict(cert_data)
-        verdict = check_dominance(system, cert, policy)
-        report.verdicts.append({"check": "dominance", **verdict.to_dict()})
+        if system.channels:
+            verdict = check_diff_dominance(system, cert.P, cert.rate, policy, p=cert.p, epsilon=cert.epsilon)
+        else:
+            verdict = check_dominance(system, cert, policy)
+    else:
+        cert = DissipativityCertificate.from_dict({**cert_data, "supply": supply_data}, r=system.r, m=system.m)
+        if system.channels:
+            verdict = check_diff_dissipativity(system, cert.P, cert.rate, cert.supply, cert.epsilon, policy, p=cert.p)
+        else:
+            verdict = verify_dissipativity(system, cert, policy)
+    check = "vertex_family" if system.channels else "dominance" if supply_data is None else "dissipativity"
+    report.verdicts.append({"check": check, **verdict.to_dict()})
     return (EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED), report
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "ProjectiveMeasure",
     "ConeProbeVerdict",
     "RatioTrace",
-    "classify",
     "boundary_samples",
     "positivity_probe",
     "projective_measure_from_split",
@@ -45,7 +44,7 @@ class QuadraticCone:
         if not 0 < self.p < n:
             raise DimensionError("a quadratic cone needs 0 < p < n")
         inertia = mc.inertia_of(P)
-        if not inertia.matches(self.p, n):
+        if not inertia.matches(self.p):
             raise DimensionError(
                 f"storage inertia {inertia.as_tuple()} does not match (p,0,n-p) for p={self.p}"
             )
@@ -53,23 +52,6 @@ class QuadraticCone:
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float).ravel()
         return float(x @ self.P @ x)
-
-
-def classify(cone: QuadraticCone, x, policy: NumericPolicy = DEFAULT_POLICY) -> str:
-    """Place a vector relative to the cone: interior, boundary, exterior or apex."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != cone.P.shape[0]:
-        raise DimensionError("vector dimension does not match the cone")
-    norm_sq = float(x @ x)
-    if norm_sq == 0.0:
-        return "apex"
-    value = cone.value(x)
-    band = policy.ztol_rel * max(1.0, float(np.linalg.norm(cone.P, 2))) * norm_sq
-    if value < -band:
-        return "interior"
-    if value > band:
-        return "exterior"
-    return "boundary"
 
 
 def boundary_samples(cone: QuadraticCone, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -128,12 +110,15 @@ def positivity_probe(
     For each sampled boundary vector x and each t, requires
     ``(e^{At} x)^T P (e^{At} x) < -probe_margin * |e^{At} x|^2``.
     """
+    times = tuple(float(t) for t in times)
+    if not times or samples < 1:
+        raise ValueError("a positivity probe needs at least one time and one sample")
+    if min(times) <= 0:
+        raise ValueError("probe times must be positive")
     A = state_matrix(sys)
     X = boundary_samples(cone, samples, rng)
     worst = -np.inf
     for t in times:
-        if t <= 0:
-            raise ValueError("probe times must be positive")
         flow = mc.expm(A, t, policy)
         Y = X @ flow.T
         values = np.einsum("ij,jk,ik->i", Y, cone.P, Y)
@@ -142,7 +127,7 @@ def positivity_probe(
     return ConeProbeVerdict(
         passed=worst < -policy.probe_margin,
         samples=samples,
-        times=tuple(float(t) for t in times),
+        times=times,
         worst_value=worst,
     )
 

@@ -135,18 +135,11 @@ class DifferentialVerdict(_ValueEquality):
         }
 
 
-def _claimed_p(P, policy: NumericPolicy) -> int:
-    inertia = mc.inertia_of(P, policy=policy)
-    if inertia.zero != 0:
-        raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
-    return inertia.negative
-
-
 def vertex_verdicts(
     sys: LureSystem,
     P,
     lam: float,
-    p: int,
+    p: int | None = None,
     supply: SupplyRate | None = None,
     epsilon: float = 0.0,
     policy: NumericPolicy = DEFAULT_POLICY,
@@ -156,18 +149,26 @@ def vertex_verdicts(
     Without a supply each vertex gets the dominance residual and must clear
     the margin ``epsilon``; with one it gets the dissipation block, which
     carries ``epsilon`` itself. A channel-free model has the one vertex A.
+    When ``p`` is omitted it is read from P's inertia, and a storage with an
+    eigenvalue in the zero band is refused as an ill-posed claim.
     """
+    P = mc.as_symmetric(P, policy)
+    inertia = mc.inertia_of(P, policy=policy)
+    if p is None:
+        if inertia.zero != 0:
+            raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
+        p = inertia.negative
     family = vertex_family(sys)
     if supply is None:
-        return family, _verify_blocks(residual(family.matrices, P, lam), P, p, epsilon, policy)
+        return family, _verify_blocks(residual(family.matrices, P, lam), inertia, p, epsilon, policy)
     blocks = dissipation_blocks(family.matrices, sys, P, lam, supply, epsilon)
-    return family, _verify_blocks(blocks, P, p, 0.0, policy)
+    return family, _verify_blocks(blocks, inertia, p, 0.0, policy)
 
 
-def _differential_verdict(sys, P, lam, supply, epsilon, policy) -> DifferentialVerdict:
-    P = mc.as_symmetric(P, policy)
-    p = _claimed_p(P, policy)
+def _differential_verdict(sys, P, lam, p, supply, epsilon, policy) -> DifferentialVerdict:
     family, verdicts = vertex_verdicts(sys, P, lam, p, supply, epsilon, policy)
+    if p is None:
+        p = verdicts[0].inertia.negative
     _, unstable, conclusive = _split_counts(family.matrices, lam, policy)
     split_ok = (conclusive & (unstable == p)).tolist()
     return DifferentialVerdict(
@@ -184,15 +185,19 @@ def check_diff_dominance(
     P,
     lam: float,
     policy: NumericPolicy = DEFAULT_POLICY,
+    *,
+    p: int | None = None,
+    epsilon: float = 0.0,
 ) -> DifferentialVerdict:
     """Differential p-dominance via the vertex relaxation.
 
     Passes when every vertex matrix satisfies the dominance LMI with the
-    shared (P, lam). Each vertex also reports whether it has exactly p
-    unstable eigenvalues at this rate, which is what forces the storage
-    inertia to (p, 0, n-p).
+    shared (P, lam) and margin ``epsilon``, and P has inertia (p, 0, n-p);
+    an omitted p is read from P. Each vertex also reports whether it has
+    exactly p unstable eigenvalues at this rate, which is what forces the
+    storage inertia to (p, 0, n-p).
     """
-    return _differential_verdict(sys, P, lam, None, 0.0, policy)
+    return _differential_verdict(sys, P, lam, p, None, epsilon, policy)
 
 
 def check_diff_dissipativity(
@@ -202,10 +207,13 @@ def check_diff_dissipativity(
     supply: SupplyRate,
     epsilon: float = 0.0,
     policy: NumericPolicy = DEFAULT_POLICY,
+    *,
+    p: int | None = None,
 ) -> DifferentialVerdict:
     """Differential p-dissipativity via per-vertex composite blocks.
 
     Builds the (n+m) block of the open-system test with each vertex matrix
-    substituted for A and requires all of them to be negative semidefinite.
+    substituted for A and requires all of them to be negative semidefinite,
+    with P of inertia (p, 0, n-p); an omitted p is read from P.
     """
-    return _differential_verdict(sys, P, lam, supply, epsilon, policy)
+    return _differential_verdict(sys, P, lam, p, supply, epsilon, policy)

@@ -4,8 +4,8 @@ A system is p-dissipative with rate ``lam`` for the supply
 ``s(y, u) = y^T Q y + 2 y^T L u + u^T R u`` when the composite block matrix
 of :func:`dissipativity_block` is negative semidefinite for some storage P
 with inertia (p, 0, n-p). Named supplies cover passivity and finite-gain
-bounds; :func:`min_gain_bisection` locates the feasibility boundary of the
-gain supply for a fixed storage.
+bounds; :func:`min_gain` gives the least gain bound a fixed storage
+certifies, in closed form.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "dissipativity_block",
     "dissipation_blocks",
     "verify_dissipativity",
-    "min_gain_bisection",
+    "min_gain",
     "find_passivity_storage",
 ]
 
@@ -221,44 +221,30 @@ def verify_dissipativity(
     the vertex checks.
     """
     block = dissipativity_block(sys, cert.P, cert.rate, cert.supply, cert.epsilon)
-    return _verify_blocks(block[None], cert.P, cert.p, 0.0, policy)[0]
+    return _verify_blocks(block[None], mc.inertia_of(cert.P, policy=policy), cert.p, 0.0, policy)[0]
 
 
-def min_gain_bisection(
-    sys: LtiSystem,
-    P,
-    lam: float,
-    bracket: tuple[float, float],
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> float:
-    """Smallest feasible gain bound for the FIXED storage (P, lam), by bisection.
+def min_gain(sys: LtiSystem, P, lam: float, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+    """Least gain bound gamma that the FIXED storage (P, lam) certifies, in closed form.
 
-    Requires the gain supply to fail at the lower bracket and pass at the
-    upper one; the result is within ``gain_tol`` of the feasibility boundary.
+    With ``M = A^T P + P A + 2 lam P + C^T C`` and ``W = P B + C^T D``, the
+    gain supply's block is ``[[M, W], [W^T, D^T D - gamma^2 I]]``. When
+    ``M < 0`` it is ``<= 0`` exactly when gamma^2 is at least the top
+    eigenvalue of the Schur complement ``D^T D + W^T (-M)^{-1} W``. Raises
+    ``ValueError`` when M is not negative definite (no gain works) or when
+    P has an eigenvalue in the zero band (the verifiers refuse it).
     """
-    P = mc.as_symmetric(P)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not 0 <= lo < hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    p = mc.inertia_of(P, policy=policy).negative
-
-    def feasible(gamma: float) -> bool:
-        cert = DissipativityCertificate(
-            P=P, rate=lam, epsilon=0.0, p=p, supply=supply_gain(gamma, sys.r, sys.m)
-        )
-        return verify_dissipativity(sys, cert, policy).passed
-
-    if feasible(lo):
-        raise ValueError(f"bracket lower end gamma={lo} is already feasible")
-    if not feasible(hi):
-        raise ValueError(f"bracket upper end gamma={hi} is not feasible")
-    while hi - lo > policy.gain_tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    P = mc.as_symmetric(P, policy)
+    if mc.inertia_of(P, policy=policy).zero:
+        raise ValueError("storage has eigenvalues inside the zero band")
+    M = residual(sys.A, P, lam) + sys.C.T @ sys.C
+    W = P @ sys.B + sys.C.T @ sys.D
+    mu, V = mc.sym_eigen(M, policy)
+    if mu[-1] >= 0:
+        raise ValueError(f"A^T P + P A + 2 lam P + C^T C is not negative definite (lmax = {mu[-1]:.3e})")
+    Z = (V.T @ W) / np.sqrt(-mu)[:, None]  # Z^T Z = W^T (-M)^{-1} W
+    schur, _ = mc.sym_eigen(sys.D.T @ sys.D + Z.T @ Z, policy)
+    return float(np.sqrt(max(schur[-1], 0.0)))
 
 
 def find_passivity_storage(
@@ -296,7 +282,6 @@ def find_passivity_storage(
     if not verdict.passed:
         raise LmiInfeasibleError(
             lmi.LmiReport(
-                feasible=False,
                 iterations=0,
                 violation=verdict.lmax_residual,
                 equality_residual=float(np.linalg.norm(P @ sys.B - sys.C.T)),

@@ -188,9 +188,6 @@ class FeedbackLoop(_ValueEquality):
     supply2: SupplyRate
     rate: float
 
-    def closed(self) -> LureSystem:
-        return feedback_compose(self.sys1, self.sys2)
-
     def to_dict(self) -> dict:
         return {
             "sys1": self.sys1.to_dict(),

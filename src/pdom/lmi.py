@@ -96,7 +96,6 @@ class LmiReport:
     search ball; only when it is positive does the report prove infeasibility.
     """
 
-    feasible: bool
     iterations: int
     violation: float
     equality_residual: float
@@ -105,10 +104,9 @@ class LmiReport:
     gap_bound: float | None = None
 
     def __str__(self) -> str:
-        state = "feasible" if self.feasible else "not found"
         bound = "" if self.gap_bound is None else f", gap bound {self.gap_bound:.3e}"
         return (
-            f"LMI search {state} after {self.iterations} iterations "
+            f"LMI search not found after {self.iterations} iterations "
             f"(violation {self.violation:.3e}, equality residual "
             f"{self.equality_residual:.3e}{bound}{', ' + self.message if self.message else ''})"
         )
@@ -139,7 +137,6 @@ def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
         if eq_residual > policy.eq_tol * max(1.0, float(np.linalg.norm(g, np.inf))):
             raise LmiInfeasibleError(
                 LmiReport(
-                    feasible=False,
                     iterations=0,
                     violation=np.inf,
                     equality_residual=eq_residual,
@@ -252,7 +249,6 @@ def _finalize(
     if feasible and problem.inertia_target is not None and inertia != tuple(problem.inertia_target):
         raise LmiInfeasibleError(
             LmiReport(
-                feasible=False,
                 iterations=iterations,
                 violation=worst,
                 equality_residual=actual_eq,
@@ -263,7 +259,6 @@ def _finalize(
     if not feasible:
         raise LmiInfeasibleError(
             LmiReport(
-                feasible=False,
                 iterations=iterations,
                 violation=worst,
                 equality_residual=actual_eq,

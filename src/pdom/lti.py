@@ -150,17 +150,17 @@ def residual(A, P, lam: float) -> np.ndarray:
     return 0.5 * (R + R.swapaxes(-1, -2))
 
 
-def _verify_blocks(blocks, P, p: int, epsilon: float, policy: NumericPolicy) -> list[DominanceVerdict]:
+def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float, policy: NumericPolicy) -> list[DominanceVerdict]:
     """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
 
-    ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call. Each block
-    passes when ``lmax(block) <= -epsilon + lmi_tol`` and P has inertia
-    (p, 0, n - p), which is computed once for all blocks. Inertia mismatches
-    are reported distinctly from residual violations, and a residual failure
-    carries the violating eigenpair.
+    ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call, and
+    ``inertia`` is the storage's, eigensolved once by the caller. Each block
+    passes when ``lmax(block) <= -epsilon + lmi_tol`` and the storage has
+    inertia (p, 0, n - p). Inertia mismatches are reported distinctly from
+    residual violations, and a residual failure carries the violating
+    eigenpair.
     """
-    inertia = mc.inertia_of(P, policy=policy)
-    inertia_ok = inertia.matches(p, P.shape[0])
+    inertia_ok = inertia.matches(p)
     eigenvalues, eigenvectors = mc.sym_eigen(blocks, policy)
     verdicts = []
     for i, lmax in enumerate(eigenvalues[:, -1].tolist()):
@@ -184,7 +184,8 @@ def check_dominance(sys, cert: DominanceCertificate, policy: NumericPolicy = DEF
     A = state_matrix(sys)
     if cert.P.shape[0] != A.shape[0]:
         raise DimensionError("certificate dimension does not match the system")
-    return _verify_blocks(residual(A[None], cert.P, cert.rate), cert.P, cert.p, cert.epsilon, policy)[0]
+    blocks = residual(A[None], cert.P, cert.rate)
+    return _verify_blocks(blocks, mc.inertia_of(cert.P, policy=policy), cert.p, cert.epsilon, policy)[0]
 
 
 def _split_counts(matrices, lam: float, policy: NumericPolicy):

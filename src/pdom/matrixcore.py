@@ -74,29 +74,23 @@ class Inertia:
     zero: int
     positive: int
 
-    @property
-    def dim(self) -> int:
-        return self.negative + self.zero + self.positive
-
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.negative, self.zero, self.positive)
 
-    def matches(self, p: int, n: int) -> bool:
-        """True when the counts are exactly (p, 0, n - p)."""
-        return self.as_tuple() == (p, 0, n - p)
+    def matches(self, p: int) -> bool:
+        """True when the counts are exactly (p, 0, n - p), n being the dimension."""
+        return self.negative == p and self.zero == 0
 
 
 @dataclass(frozen=True)
 class SchurForm:
     """Real Schur factorization A = Q T Q^T with a prescribed eigenvalue order.
 
-    ``eigenvalues`` lists the (complex) eigenvalues in diagonal-block order,
-    so the leading ``unstable_dim`` entries are the ones the split promoted.
+    The leading diagonal blocks of T hold the eigenvalues the split promoted.
     """
 
     Q: np.ndarray
     T: np.ndarray
-    eigenvalues: np.ndarray
 
     def validate(self, A: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> None:
         n = self.Q.shape[0]
@@ -121,17 +115,12 @@ def sym_eigen(S, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np
     return eigenvalues, eigenvectors
 
 
-def inertia_of(S, ztol: float | None = None, policy: NumericPolicy = DEFAULT_POLICY) -> Inertia:
-    """Count eigenvalues below, inside and above the zero band ``[-ztol, ztol]``.
-
-    When ``ztol`` is omitted it defaults to ``ztol_rel * ||S||_2``.
+def inertia_of(S, policy: NumericPolicy = DEFAULT_POLICY) -> Inertia:
+    """Count eigenvalues below, inside and above the zero band ``[-ztol, ztol]``,
+    where ``ztol = ztol_rel * max(1, ||S||_2)``.
     """
     eigenvalues, _ = sym_eigen(S, policy)
-    if ztol is None:
-        scale = abs(eigenvalues).max(initial=0.0)
-        ztol = policy.ztol_rel * max(1.0, scale)
-    if ztol < 0:
-        raise ValueError("ztol must be nonnegative")
+    ztol = policy.ztol_rel * max(1.0, abs(eigenvalues).max(initial=0.0))
     negative = int((eigenvalues < -ztol).sum())
     positive = int((eigenvalues > ztol).sum())
     zero = eigenvalues.size - negative - positive
@@ -164,26 +153,9 @@ def schur_split(A, shift: float, policy: NumericPolicy = DEFAULT_POLICY) -> tupl
         T, Q, sdim = sla.schur(mat, output="real", sort=lambda re, im: re > -shift)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    ordered = _block_eigenvalues(T)
-    form = SchurForm(Q=Q, T=T, eigenvalues=ordered)
+    form = SchurForm(Q=Q, T=T)
     form.validate(mat, policy)
     return form, int(sdim)
-
-
-def _block_eigenvalues(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a quasi-triangular matrix in diagonal-block order."""
-    n = T.shape[0]
-    values = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(T[i + 1, i]) > 0.0:
-            block = T[i : i + 2, i : i + 2]
-            values.extend(np.linalg.eigvals(block))
-            i += 2
-        else:
-            values.append(complex(T[i, i]))
-            i += 1
-    return np.array(values)
 
 
 def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -24,23 +26,23 @@ class NumericPolicy:
     recon_tol: float = 1e-9      # decomposition reconstruction residual
     lmi_tol: float = 1e-6        # definiteness slack for LMI residuals
     probe_margin: float = 1e-8   # quantified "interior" margin for cone probes
-    gain_tol: float = 1e-4       # bisection width for minimum-gain searches
     eq_tol: float = 1e-10        # linear equality residual allowed in solutions
     fp_tol_scale: float = 1e-6   # fixed-point tail displacement, times (1+|x|)
     cycle_tol: float = 1e-2      # relative period jitter allowed for cycles
 
     def __post_init__(self):
         for field in dataclasses.fields(self):
-            if getattr(self, field.name) <= 0:
-                raise ValueError(f"policy field {field.name} must be positive")
-
-    def with_overrides(self, **kwargs) -> "NumericPolicy":
-        return dataclasses.replace(self, **kwargs)
+            value = getattr(self, field.name)
+            real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+            if not (real and math.isfinite(value) and value > 0):
+                raise ValueError(f"policy field {field.name} must be a finite positive number, got {value!r}")
 
     @staticmethod
     def from_json(path: str) -> "NumericPolicy":
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("a policy file must hold a JSON object")
         known = {f.name for f in dataclasses.fields(NumericPolicy)}
         unknown = set(data) - known
         if unknown:

@@ -2,8 +2,8 @@
 
 Classical fourth-order Runge-Kutta over a uniform grid, batched across
 initial conditions, plus classifiers that turn raw trajectories into
-asymptotic verdicts (fixed point, limit cycle, divergence) and checks that
-validate the modal decay bounds and multistability predictions on samples.
+asymptotic verdicts (fixed point, limit cycle, divergence) and a probe that
+checks multistability predictions on a grid of initial conditions.
 """
 
 from __future__ import annotations
@@ -16,19 +16,16 @@ from math import sqrt
 import numpy as np
 
 from .errors import DimensionError, PropertyViolationError
-from .lti import ModalSplit
 from .model import LureSystem, state_matrix
 from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
     "Trajectory",
     "AsymptoticVerdict",
-    "DecayVerdict",
     "MultistabilityReport",
     "integrate",
     "integrate_batch",
     "classify_asymptotics",
-    "modal_decay_check",
     "multistability_probe",
     "write_trajectory_csv",
 ]
@@ -342,59 +339,6 @@ def classify_asymptotics(traj: Trajectory, policy: NumericPolicy = DEFAULT_POLIC
     return AsymptoticVerdict(
         kind="undecided",
         diagnostics={"tail_displacement": displacement, "jitter": jitter, "ptp_drift": ptp_drift},
-    )
-
-
-@dataclass(frozen=True)
-class DecayVerdict:
-    """Do the two modal decay bounds hold at every sample of a trajectory?"""
-
-    passed: bool
-    worst_lower_slack: float  # min over samples of |x_dom| - floor  (>= 0 to pass)
-    worst_upper_slack: float  # min over samples of ceiling - |x_tran|
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "worst_lower_slack": self.worst_lower_slack,
-            "worst_upper_slack": self.worst_upper_slack,
-        }
-
-
-def modal_decay_check(
-    traj: Trajectory,
-    split: ModalSplit,
-    policy: NumericPolicy = DEFAULT_POLICY,
-    rel_tol: float = 1e-6,
-) -> DecayVerdict:
-    """Check the dominant growth floor and transient decay ceiling on samples.
-
-    Bounds are checked with a relative slack covering integrator error.
-    """
-    states = traj.states
-    times = traj.times - traj.t0
-    x_dom = states @ split.projector_dominant.T
-    x_tran = states @ split.projector_transient.T
-    dom_norm = np.linalg.norm(x_dom, axis=1)
-    tran_norm = np.linalg.norm(x_tran, axis=1)
-
-    lower_ok = True
-    lower_slack = np.inf
-    if split.p > 0 and dom_norm[0] > 0:
-        floor = split.growth_floor * np.exp(-split.rate_dominant * times) * dom_norm[0]
-        slack = dom_norm - floor * (1.0 - rel_tol)
-        lower_slack = float(np.min(slack))
-        lower_ok = lower_slack >= -rel_tol * max(1.0, dom_norm[0])
-    upper_ok = True
-    upper_slack = np.inf
-    if split.p < states.shape[1] and tran_norm[0] > 0:
-        ceiling = split.decay_ceiling * np.exp(-split.rate_transient * times) * tran_norm[0]
-        slack = ceiling * (1.0 + rel_tol) - tran_norm
-        upper_slack = float(np.min(slack))
-        upper_ok = upper_slack >= -rel_tol * max(1.0, tran_norm[0])
-    return DecayVerdict(
-        passed=bool(lower_ok and upper_ok),
-        worst_lower_slack=lower_slack,
-        worst_upper_slack=upper_slack,
     )
 
 

@@ -12,7 +12,7 @@ import pytest
 from conftest import random_hyperbolic
 from pdom import registry, reproduce
 from pdom.cones import QuadraticCone, positivity_probe, projective_measure_from_split, ratio_trace
-from pdom.dissipativity import dissipativity_block, min_gain_bisection, supply_gain
+from pdom.dissipativity import dissipativity_block, min_gain, supply_gain
 from pdom.errors import NonHyperbolicError, SplitMismatchError
 from pdom.interconnect import compose_supply, feedback_compose
 from pdom.lti import (
@@ -202,8 +202,7 @@ class TestCriterion6Properties:
             C = rng.standard_normal((r, n))
             C *= np.sqrt(0.5 * cert.epsilon) / max(1.0, np.linalg.norm(C, 2))
             sys = LtiSystem(A=A, B=B, C=C, D=np.zeros((r, m)))
-            gamma_hi = float(np.sqrt(np.linalg.norm(cert.P @ B, 2) ** 2 / cert.epsilon) + 1.0)
-            gamma_star = min_gain_bisection(sys, cert.P, lam, (0.0, gamma_hi))
+            gamma_star = min_gain(sys, cert.P, lam)
             gamma = gamma_star * 1.2 + 0.05 if checked % 2 == 0 else gamma_star * 0.5
             supply = supply_gain(gamma, r, m)
             block = dissipativity_block(sys, cert.P, lam, supply)
@@ -253,10 +252,8 @@ class TestCriterion6Properties:
             C2 *= np.sqrt(0.5 * c2.epsilon) / max(1.0, np.linalg.norm(C2, 2))
             sys1 = LtiSystem(A=A1, B=B1, C=C1, D=np.zeros((r1, r2)))
             sys2 = LtiSystem(A=A2, B=B2, C=C2, D=np.zeros((r2, r1)))
-            hi1 = float(np.sqrt(np.linalg.norm(c1.P @ B1, 2) ** 2 / c1.epsilon) + 1.0)
-            hi2 = float(np.sqrt(np.linalg.norm(c2.P @ B2, 2) ** 2 / c2.epsilon) + 1.0)
-            s1 = supply_gain(min_gain_bisection(sys1, c1.P, lam, (0.0, hi1)) + 0.05, r1, r2)
-            s2 = supply_gain(min_gain_bisection(sys2, c2.P, lam, (0.0, hi2)) + 0.05, r2, r1)
+            s1 = supply_gain(min_gain(sys1, c1.P, lam) + 0.05, r1, r2)
+            s2 = supply_gain(min_gain(sys2, c2.P, lam) + 0.05, r2, r1)
             loop = feedback_compose(sys1, sys2)
             supply = compose_supply(s1, s2)
             P = np.zeros((n1 + n2, n1 + n2))

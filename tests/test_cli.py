@@ -81,6 +81,24 @@ class TestVerify:
         )
         assert cli.main(["verify", str(sys_path), str(cert_path)]) == 0
 
+    @pytest.mark.parametrize(
+        "claim",
+        [{"p": 0}, {"p": 1, "epsilon": 100.0}],
+        ids=["wrong_p", "unmet_epsilon"],
+    )
+    def test_lure_certificate_held_to_its_claim(self, tmp_path, capsys, claim):
+        # diag(-1, 1) is a rate-1 storage of inertia (1, 0, 1) with a vertex margin far below 100
+        sys_path = tmp_path / "lure.json"
+        sys_path.write_text(json.dumps(registry.nonlinear_msd("velocity", "cubic").to_dict()))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"P": registry.DIFF_STORAGE_VELOCITY.tolist(), "lambda": 1.0, **claim}))
+        report_path = tmp_path / "report.json"
+        assert cli.main(["--report", str(report_path), "verify", str(sys_path), str(cert_path)]) == 1
+        verdict = json.loads(report_path.read_text())["verdicts"][0]
+        assert verdict["check"] == "vertex_family"
+        assert verdict["passed"] is False
+        assert verdict["p"] == claim["p"]
+
 
 class TestCertify:
     def test_writes_certificate(self, tmp_path, msd4_file):
@@ -230,12 +248,39 @@ class TestNumericPolicyOverride:
         assert cli.main(["verify", str(sys_path), str(cert_path)]) == 0
 
     @pytest.mark.parametrize(
-        "field", ["no_such_tolerance", "lmi_max_iterations", "lmi_stagnation_window", "lmi_stagnation_delta"]
+        "entry",
+        [
+            {"no_such_tolerance": 1.0},
+            {"lmi_max_iterations": 1.0},
+            {"lmi_stagnation_window": 1.0},
+            {"lmi_stagnation_delta": 1.0},
+            {"gain_tol": 1e-4},
+            {"lmi_tol": float("nan")},
+            {"lmi_tol": float("inf")},
+            {"lmi_tol": "abc"},
+            {"lmi_tol": None},
+            {"lmi_tol": True},
+            {"lmi_tol": -1.0},
+        ],
+        ids=[
+            "no_such_tolerance",
+            "lmi_max_iterations",
+            "lmi_stagnation_window",
+            "lmi_stagnation_delta",
+            "gain_tol",
+            "lmi_tol-nan",
+            "lmi_tol-inf",
+            "lmi_tol-string",
+            "lmi_tol-null",
+            "lmi_tol-bool",
+            "lmi_tol-negative",
+        ],
     )
-    def test_invalid_policy_file(self, tmp_path, monkeypatch, field):
-        # unknown names, and the retired LMI iteration fields, are input errors
+    def test_invalid_policy_file(self, tmp_path, monkeypatch, entry):
+        # unknown names, the retired LMI iteration and bisection fields, and any value
+        # that is not a finite positive number are input errors
         policy_path = tmp_path / "policy.json"
-        policy_path.write_text(json.dumps({field: 1.0}))
+        policy_path.write_text(json.dumps(entry))
         monkeypatch.setenv("PDOM_NUMERIC_POLICY", str(policy_path))
         assert cli.main(["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]) == 2
 

@@ -5,7 +5,6 @@ from pdom import registry
 from pdom.cones import (
     QuadraticCone,
     boundary_samples,
-    classify,
     positivity_probe,
     projective_measure_from_split,
     ratio_trace,
@@ -22,24 +21,7 @@ def cone_c4():
     return QuadraticCone(P=registry.KNOWN_STORAGE[4], p=1)
 
 
-class TestClassify:
-    def test_interior(self):
-        cone = QuadraticCone(P=np.diag([-1.0, 1.0]), p=1)
-        assert classify(cone, [1.0, 0.0]) == "interior"
-
-    def test_boundary(self):
-        cone = QuadraticCone(P=np.diag([-1.0, 1.0]), p=1)
-        assert classify(cone, [1.0, 1.0]) == "boundary"
-
-    def test_exterior_on_velocity_axis(self):
-        cone = QuadraticCone(P=registry.KNOWN_STORAGE[8], p=1)
-        x = np.array([0.0, 1.0])
-        assert x @ cone.P @ x == pytest.approx(1.9193)
-        assert classify(cone, x) == "exterior"
-
-    def test_apex(self, cone_c4):
-        assert classify(cone_c4, [0.0, 0.0]) == "apex"
-
+class TestCone:
     def test_rejects_definite_storage(self):
         with pytest.raises(DimensionError):
             QuadraticCone(P=np.eye(2), p=1)
@@ -51,6 +33,12 @@ class TestPositivityProbe:
         values = np.einsum("ij,jk,ik->i", X, cone_c4.P, X)
         assert np.max(np.abs(values)) < 1e-12
         assert np.allclose(np.linalg.norm(X, axis=1), 1.0)
+
+    @pytest.mark.parametrize("times, samples", [((), 10), ((0.5,), 0)], ids=["no_times", "no_samples"])
+    def test_empty_probe_rejected(self, msd_c4, cone_c4, rng, times, samples):
+        # no probe, no evidence: an empty probe must not report a pass
+        with pytest.raises(ValueError, match="at least one"):
+            positivity_probe(msd_c4, cone_c4, times, samples, rng)
 
     def test_dominant_system_passes(self, msd_c4, cone_c4, rng):
         verdict = positivity_probe(msd_c4, cone_c4, (0.1, 1.0), 100, rng)

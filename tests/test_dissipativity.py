@@ -8,7 +8,7 @@ from pdom.dissipativity import (
     SupplyRate,
     dissipativity_block,
     find_passivity_storage,
-    min_gain_bisection,
+    min_gain,
     supply_gain,
     supply_passivity,
     verify_dissipativity,
@@ -147,18 +147,51 @@ class TestVerify:
 
 class TestMinGain:
     def test_msd_boundary(self, msd_c8):
-        gamma = min_gain_bisection(msd_c8, registry.PASSIVITY_STORAGE_C8, RATE, (0.0, 1.0))
+        gamma = min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, RATE)
         assert gamma == pytest.approx(0.3031, abs=5e-4)
 
+    def test_msd_boundary_is_sharp(self, msd_c8):
+        P = registry.PASSIVITY_STORAGE_C8
+        gamma = min_gain(msd_c8, P, RATE)
+
+        def passes(g):
+            cert = DissipativityCertificate(P=P, rate=RATE, epsilon=0.0, p=1, supply=supply_gain(g, 1, 1))
+            return verify_dissipativity(msd_c8, cert).passed
+
+        assert passes(gamma)
+        assert not passes(0.999 * gamma)
+
     def test_scaling_output_shrinks_gain(self, msd_c8):
-        gamma_full = min_gain_bisection(msd_c8, registry.PASSIVITY_STORAGE_C8, RATE, (0.0, 1.0))
+        gamma_full = min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, RATE)
         half = LtiSystem(A=msd_c8.A, B=msd_c8.B, C=0.5 * msd_c8.C, D=msd_c8.D)
-        gamma_half = min_gain_bisection(half, registry.PASSIVITY_STORAGE_C8, RATE, (0.0, 1.0))
+        gamma_half = min_gain(half, registry.PASSIVITY_STORAGE_C8, RATE)
         assert gamma_half < gamma_full
 
-    def test_invalid_bracket(self, msd_c8):
-        with pytest.raises(ValueError):
-            min_gain_bisection(msd_c8, registry.PASSIVITY_STORAGE_C8, RATE, (0.0, 0.1))
+    def test_random_boundaries_are_sharp(self, rng):
+        # half of the systems have a feedthrough D, which enters both W and the Schur complement
+        for trial in range(40):
+            n, m, r = int(rng.integers(2, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
+            lam = float(rng.uniform(0.1, 1.0))
+            A, p = random_hyperbolic(rng, n, lam)
+            cert = construct_certificate(A, lam, p)
+            C = rng.standard_normal((r, n))
+            C *= np.sqrt(0.5 * cert.epsilon) / max(1.0, np.linalg.norm(C, 2))
+            D = rng.standard_normal((r, m)) if trial % 2 else np.zeros((r, m))
+            sys = LtiSystem(A=A, B=rng.standard_normal((n, m)), C=C, D=D)
+            gamma = min_gain(sys, cert.P, lam)
+            for g, expected in ((gamma, True), (0.999 * gamma, False)):
+                gain_cert = DissipativityCertificate(P=cert.P, rate=lam, epsilon=0.0, p=p, supply=supply_gain(g, r, m))
+                assert verify_dissipativity(sys, gain_cert).passed == expected
+
+    def test_indefinite_top_block_rejected(self, msd_c8):
+        # rate 0: A^T P + P A + C^T C = [[0, -2], [-2, -15]] for P = diag(-1, 1) is indefinite,
+        # so no gain works
+        with pytest.raises(ValueError, match="not negative definite"):
+            min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, 0.0)
+
+    def test_zero_band_storage_rejected(self, msd_c8):
+        with pytest.raises(ValueError, match="zero band"):
+            min_gain(msd_c8, np.diag([-1.0, 1e-12]), RATE)
 
 
 class TestStorageSearch:
@@ -240,8 +273,7 @@ class TestPointwiseEquivalence:
             C = rng.standard_normal((r, n))
             C *= np.sqrt(0.5 * cert.epsilon) / max(1.0, np.linalg.norm(C, 2))
             sys = LtiSystem(A=A, B=B, C=C, D=np.zeros((r, m)))
-            gamma_hi = float(np.sqrt(np.linalg.norm(cert.P @ B, 2) ** 2 / cert.epsilon) + 1.0)
-            gamma_star = min_gain_bisection(sys, cert.P, lam, (0.0, gamma_hi))
+            gamma_star = min_gain(sys, cert.P, lam)
             gamma = gamma_star * 1.2 + 0.05 if checked % 2 == 0 else gamma_star * 0.5
             supply = supply_gain(gamma, r, m)
             block = dissipativity_block(sys, cert.P, lam, supply)

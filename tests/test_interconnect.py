@@ -256,4 +256,4 @@ class TestLoopSerialization:
         back = FeedbackLoop.from_dict(data)
         assert np.allclose(back.sys1.A, msd_c8.A)
         assert back.rate == RATE
-        assert np.allclose(back.closed().A, feedback_compose(msd_c8, msd_c8).A)
+        assert np.allclose(feedback_compose(back.sys1, back.sys2).A, feedback_compose(msd_c8, msd_c8).A)

@@ -96,7 +96,7 @@ class TestStackedKernel:
         with pytest.raises(DimensionError):
             mc.sym_eigen(S)
         with pytest.raises(DimensionError):
-            _verify_blocks(S, -np.eye(4), 4, 0.0, DEFAULT_POLICY)
+            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0, DEFAULT_POLICY)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, rng, bad):
@@ -107,7 +107,7 @@ class TestStackedKernel:
         with pytest.raises(NumericalError):
             mc.sym_eigen(S)
         with pytest.raises(NumericalError):
-            _verify_blocks(S, -np.eye(4), 4, 0.0, DEFAULT_POLICY)
+            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0, DEFAULT_POLICY)
 
 
 class TestEigenSplit:

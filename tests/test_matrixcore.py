@@ -35,7 +35,7 @@ class TestSymEigen:
 
 class TestInertia:
     def test_identity(self):
-        assert mc.inertia_of(np.eye(3), ztol=1e-9).as_tuple() == (0, 0, 3)
+        assert mc.inertia_of(np.eye(3)).as_tuple() == (0, 0, 3)
 
     def test_diag_indefinite(self):
         assert mc.inertia_of(np.diag([-1.0, 1.0])).as_tuple() == (1, 0, 1)
@@ -49,7 +49,7 @@ class TestInertia:
 
     def test_zero_band_counts(self):
         S = np.diag([-1.0, 1e-12, 1.0])
-        assert mc.inertia_of(S, ztol=1e-9).as_tuple() == (1, 1, 1)
+        assert mc.inertia_of(S).as_tuple() == (1, 1, 1)
 
     def test_congruence_invariance(self, rng):
         # Sylvester's law of inertia under well-conditioned congruences
@@ -68,10 +68,10 @@ class TestSchurSplit:
     def test_msd_shifted_split(self, msd_c4):
         form, unstable = mc.schur_split(msd_c4.A, 1.2679)
         assert unstable == 1
-        eigs = np.sort(form.eigenvalues.real)
+        eigs = np.sort(np.linalg.eigvals(form.T).real)
         assert eigs == pytest.approx([-3.7321, -0.2679], abs=1e-4)
         # promoted block leads
-        assert form.eigenvalues[0].real > -1.2679
+        assert np.linalg.eigvals(form.T[:1, :1])[0].real > -1.2679
 
     def test_trivial_stable(self):
         _, unstable = mc.schur_split(np.diag([-1.0, -2.0]), 0.0)

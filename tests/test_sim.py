@@ -12,7 +12,6 @@ from pdom.sim import (
     classify_asymptotics,
     integrate,
     integrate_batch,
-    modal_decay_check,
     multistability_probe,
     write_trajectory_csv,
 )
@@ -267,17 +266,6 @@ class TestClassify:
 
 
 class TestModalDecay:
-    def test_diagonal_exact(self):
-        A = np.diag([-0.2679, -3.7321])
-        split = modal_split(A, 1.2679, 1)
-        traj = integrate(A, [1.0, 1.0], t_end=10.0, dt=1e-3, record_every=10)
-        assert modal_decay_check(traj, split).passed
-
-    def test_msd_random_starts(self, msd_c4, rng):
-        split = modal_split(msd_c4, registry.KNOWN_RATE, 1)
-        trajs = integrate_batch(msd_c4, rng.standard_normal((20, 2)), t_end=10.0, dt=1e-3, record_every=10)
-        assert all(modal_decay_check(t, split).passed for t in trajs)
-
     def test_transient_start_keeps_dominant_zero(self, msd_c4):
         split = modal_split(msd_c4, registry.KNOWN_RATE, 1)
         x0 = split.projector_transient @ np.array([1.0, 1.0])
