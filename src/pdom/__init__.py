@@ -58,7 +58,6 @@ from .lti import (
     residual,
 )
 from .matrixcore import Inertia, inertia_of, sym_eigen
-from .policy import DEFAULT_POLICY, NumericPolicy
 from .sim import (
     Trajectory,
     classify_asymptotics,

@@ -3,9 +3,9 @@ reproduce.
 
 Systems, certificates and supplies travel as JSON; trajectories as CSV.
 Every command emits a RunReport (JSON with --report) that is byte-identical
-across runs for identical inputs and seed, wall time excluded. Tolerances
-come from the default numeric policy unless PDOM_NUMERIC_POLICY names a JSON
-override file.
+across runs for identical inputs and seed, wall time excluded, and is
+written on every exit path; a run ended by an error records it under
+``error``.
 
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive),
 2 input error, 3 numerical failure.
@@ -14,6 +14,7 @@ Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -37,7 +38,6 @@ from .errors import (
 )
 from .interconnect import FeedbackLoop, closed_loop_certificate, coupling_condition
 from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test
-from .policy import NumericPolicy
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
 
 EXIT_OK = 0
@@ -56,6 +56,7 @@ class RunReport:
     certificates: list = field(default_factory=list)
     metrics: dict = field(default_factory=dict)
     warnings: list = field(default_factory=list)
+    error: dict | None = None
     wall_time_s: float = 0.0
 
     def to_dict(self, include_volatile: bool = True) -> dict:
@@ -67,6 +68,8 @@ class RunReport:
             "metrics": self.metrics,
             "warnings": self.warnings,
         }
+        if self.error is not None:
+            data["error"] = self.error
         if include_volatile:
             data["wall_time_s"] = self.wall_time_s
         return data
@@ -106,30 +109,28 @@ def _parse_vector(text: str) -> np.ndarray:
         raise PdomError(f"cannot parse vector {text!r}; expected comma-separated numbers")
 
 
-def cmd_analyze(args, policy: NumericPolicy) -> tuple[int, RunReport]:
-    report = RunReport(command="analyze")
+def cmd_analyze(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "seed": args.seed}
     if system.channels:
         raise UnsupportedConfigurationError(
             "analyze handles linear systems; use the vertex checks for Lur'e models"
         )
-    split = eigen_split_test(system, args.rate, args.p, policy)
+    split = eigen_split_test(system, args.rate, args.p)
     report.verdicts.append({"check": "eigen_split", **split.to_dict()})
     if split.status == "inconclusive":
         report.warnings.append("split inconclusive: an eigenvalue sits on the shifted axis")
-        return EXIT_CRITERION_FAILED, report
+        return EXIT_CRITERION_FAILED
     if split.status == "fail":
-        return EXIT_CRITERION_FAILED, report
-    cert = construct_certificate(system, args.rate, args.p, policy)
-    verdict = check_dominance(system, cert, policy)
+        return EXIT_CRITERION_FAILED
+    cert = construct_certificate(system, args.rate, args.p)
+    verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
     report.verdicts.append({"check": "dominance", **verdict.to_dict()})
-    return (EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED), report
+    return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
-def cmd_verify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
-    report = RunReport(command="verify")
+def cmd_verify(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     cert_data = _load_json(args.certificate)
     report.inputs = {
@@ -148,22 +149,21 @@ def cmd_verify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     if supply_data is None:
         cert = DominanceCertificate.from_dict(cert_data)
         if system.channels:
-            verdict = check_diff_dominance(system, cert.P, cert.rate, policy, p=cert.p, epsilon=cert.epsilon)
+            verdict = check_diff_dominance(system, cert.P, cert.rate, p=cert.p, epsilon=cert.epsilon)
         else:
-            verdict = check_dominance(system, cert, policy)
+            verdict = check_dominance(system, cert)
     else:
         cert = DissipativityCertificate.from_dict({**cert_data, "supply": supply_data}, r=system.r, m=system.m)
         if system.channels:
-            verdict = check_diff_dissipativity(system, cert.P, cert.rate, cert.supply, cert.epsilon, policy, p=cert.p)
+            verdict = check_diff_dissipativity(system, cert.P, cert.rate, cert.supply, cert.epsilon, p=cert.p)
         else:
-            verdict = verify_dissipativity(system, cert, policy)
+            verdict = verify_dissipativity(system, cert)
     check = "vertex_family" if system.channels else "dominance" if supply_data is None else "dissipativity"
     report.verdicts.append({"check": check, **verdict.to_dict()})
-    return (EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED), report
+    return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
-def cmd_certify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
-    report = RunReport(command="certify")
+def cmd_certify(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     report.inputs = {
         "system": source,
@@ -177,29 +177,28 @@ def cmd_certify(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     if args.passivity:
         from .dissipativity import find_passivity_storage
 
-        cert = find_passivity_storage(system, args.rate, args.p, policy)
-        verdict = verify_dissipativity(system, cert, policy)
+        cert = find_passivity_storage(system, args.rate, args.p)
+        verdict = verify_dissipativity(system, cert)
     else:
-        cert = construct_certificate(system, args.rate, args.p, policy)
-        verdict = check_dominance(system, cert, policy)
+        cert = construct_certificate(system, args.rate, args.p)
+        verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
     report.verdicts.append({"check": "certificate", **verdict.to_dict()})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
         report.metrics["certificate_file"] = args.out
-    return (EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED), report
+    return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
-def cmd_interconnect(args, policy: NumericPolicy) -> tuple[int, RunReport]:
-    report = RunReport(command="interconnect")
+def cmd_interconnect(args, report: RunReport) -> int:
     data = _load_json(args.loop)
     report.inputs = {"loop": {"path": args.loop, "sha256": _digest(args.loop)}, "seed": args.seed}
     loop = FeedbackLoop.from_dict(data)
-    coupling = coupling_condition(loop.supply1, loop.supply2, policy)
+    coupling = coupling_condition(loop.supply1, loop.supply2)
     report.verdicts.append({"check": "coupling", **coupling.to_dict()})
     if not coupling.passed:
-        return EXIT_CRITERION_FAILED, report
+        return EXIT_CRITERION_FAILED
 
     certs = []
     for key, system, supply in (
@@ -207,41 +206,28 @@ def cmd_interconnect(args, policy: NumericPolicy) -> tuple[int, RunReport]:
         ("cert2", loop.sys2, loop.supply2),
     ):
         if key in data:
-            entry = dict(data[key])
-            entry.setdefault("lambda", loop.rate)
-            certs.append(
-                DissipativityCertificate(
-                    P=np.asarray(entry["P"], dtype=float),
-                    rate=float(entry["lambda"]),
-                    epsilon=float(entry.get("epsilon", 0.0)),
-                    p=int(entry["p"]),
-                    supply=supply,
-                )
-            )
+            # the loop's rate is the default and its supply always wins
+            entry = {"lambda": loop.rate, **data[key], "supply": supply.to_dict()}
+            certs.append(DissipativityCertificate.from_dict(entry))
         elif not system.channels and not supply.Q.any():
             from .dissipativity import find_passivity_storage
 
-            split = eigen_split_test(system, loop.rate, 0, policy)
-            cert = find_passivity_storage(system, loop.rate, split.unstable_count, policy)
-            certs.append(
-                DissipativityCertificate(
-                    P=cert.P, rate=cert.rate, epsilon=cert.epsilon, p=cert.p, supply=supply
-                )
-            )
+            split = eigen_split_test(system, loop.rate, 0)
+            cert = find_passivity_storage(system, loop.rate, split.unstable_count)
+            certs.append(dataclasses.replace(cert, supply=supply))
         else:
             raise PdomError(
                 f"loop file must provide {key} (a storage) for this subsystem"
             )
-    cert = closed_loop_certificate(loop.sys1, certs[0], loop.sys2, certs[1], policy)
+    cert = closed_loop_certificate(loop.sys1, certs[0], loop.sys2, certs[1])
     report.certificates.append(cert.to_dict())
     report.verdicts.append(
         {"check": "closed_loop", "passed": True, "p": cert.p, "lambda": cert.rate}
     )
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def cmd_simulate(args, policy: NumericPolicy) -> tuple[int, RunReport]:
-    report = RunReport(command="simulate")
+def cmd_simulate(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     if args.dt <= 0:
         raise PdomError("--dt must be positive")
@@ -262,20 +248,19 @@ def cmd_simulate(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     traj = integrate(
         system, x0, t_end=args.t_end, dt=args.dt, input_policy=input_policy, record_every=args.record_every
     )
-    verdict = classify_asymptotics(traj, policy)
+    verdict = classify_asymptotics(traj)
     report.verdicts.append({"check": "asymptotics", **verdict.to_dict()})
     report.metrics["samples"] = int(traj.states.shape[0])
     if args.out:
         write_trajectory_csv(traj, args.out)
         report.metrics["trajectory_file"] = args.out
     # divergence is a legitimate verdict, not a failure of the run
-    return EXIT_OK, report
+    return EXIT_OK
 
 
-def cmd_reproduce(args, policy: NumericPolicy) -> tuple[int, RunReport]:
-    report = RunReport(command="reproduce")
+def cmd_reproduce(args, report: RunReport) -> int:
     report.inputs = {"which": args.which, "seed": args.seed}
-    results = reproduce.run(args.which, policy, seed=args.seed)
+    results = reproduce.run(args.which, seed=args.seed)
     all_passed = True
     for suite in results:
         print(f"== {suite.suite} ==")
@@ -287,7 +272,7 @@ def cmd_reproduce(args, policy: NumericPolicy) -> tuple[int, RunReport]:
     summary = "ALL PASS" if all_passed else "FAILURES PRESENT"
     print(summary + (f" ({sum(len(s.warnings) for s in results)} warnings)" if any(s.warnings for s in results) else ""))
     report.metrics["summary"] = summary
-    return (EXIT_OK if all_passed else EXIT_CRITERION_FAILED), report
+    return EXIT_OK if all_passed else EXIT_CRITERION_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,36 +324,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# exception classes in the order they are matched, with exit code and stderr label
+_FAILURES = (
+    ((NumericalError, LmiInfeasibleError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
+    (NonHyperbolicError, EXIT_CRITERION_FAILED, "inconclusive"),
+    (SplitMismatchError, EXIT_CRITERION_FAILED, "split mismatch"),
+    ((CouplingError, RateMismatchError), EXIT_INPUT_ERROR, "error"),
+    ((PdomError, ValueError, KeyError), EXIT_INPUT_ERROR, "input error"),
+)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        policy = NumericPolicy.from_env()
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: bad numeric policy override: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
+    report = RunReport(command=args.verb)
     start = time.perf_counter()
     try:
-        code, report = args.func(args, policy)
-    except (NumericalError, LmiInfeasibleError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL_FAILURE
-    except NonHyperbolicError as exc:
-        print(f"inconclusive: {exc}", file=sys.stderr)
-        return EXIT_CRITERION_FAILED
-    except SplitMismatchError as exc:
-        print(f"split mismatch: {exc}", file=sys.stderr)
-        return EXIT_CRITERION_FAILED
-    except (CouplingError, RateMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        code = args.func(args, report)
     except (PdomError, ValueError, KeyError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        for kinds, code, label in _FAILURES:
+            if isinstance(exc, kinds):
+                break
+        print(f"{label}: {exc}", file=sys.stderr)
+        report.error = {"class": type(exc).__name__, "message": str(exc), "exit_code": code}
     report.wall_time_s = time.perf_counter() - start
 
-    if args.verb != "reproduce":
+    if args.verb != "reproduce" and report.error is None:
         for verdict in report.verdicts:
             label = verdict.get("check", "check")
             if "kind" in verdict:
@@ -385,7 +366,6 @@ def main(argv=None) -> int:
             fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2))
             fh.write("\n")
     return code
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -16,7 +16,7 @@ from . import matrixcore as mc
 from .errors import DimensionError, NumericalError
 from .lti import ModalSplit
 from .model import state_matrix
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import LMI_TOL, PROBE_MARGIN, ZTOL_REL
 
 __all__ = [
     "QuadraticCone",
@@ -103,12 +103,11 @@ def positivity_probe(
     times,
     samples: int,
     rng: np.random.Generator,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> ConeProbeVerdict:
     """Statistical strict-positivity check: boundary vectors must flow interior.
 
     For each sampled boundary vector x and each t, requires
-    ``(e^{At} x)^T P (e^{At} x) < -probe_margin * |e^{At} x|^2``.
+    ``(e^{At} x)^T P (e^{At} x) < -PROBE_MARGIN * |e^{At} x|^2``.
     """
     times = tuple(float(t) for t in times)
     if not times or samples < 1:
@@ -119,13 +118,13 @@ def positivity_probe(
     X = boundary_samples(cone, samples, rng)
     worst = -np.inf
     for t in times:
-        flow = mc.expm(A, t, policy)
+        flow = mc.expm(A, t)
         Y = X @ flow.T
         values = np.einsum("ij,jk,ik->i", Y, cone.P, Y)
         norms = np.einsum("ij,ij->i", Y, Y)
         worst = max(worst, float(np.max(values / norms)))
     return ConeProbeVerdict(
-        passed=worst < -policy.probe_margin,
+        passed=worst < -PROBE_MARGIN,
         samples=samples,
         times=times,
         worst_value=worst,
@@ -150,7 +149,7 @@ class ProjectiveMeasure:
     rate: float
 
 
-def projective_measure_from_split(split: ModalSplit, policy: NumericPolicy = DEFAULT_POLICY) -> ProjectiveMeasure:
+def projective_measure_from_split(split: ModalSplit) -> ProjectiveMeasure:
     """Build the projective measure pair from the modal projectors and certify it.
 
     The candidates are the Gram matrices of the two spectral projectors. The
@@ -169,8 +168,8 @@ def projective_measure_from_split(split: ModalSplit, policy: NumericPolicy = DEF
     P_u = 0.5 * (P_u + P_u.T)
     P_s = 0.5 * (P_s + P_s.T)
 
-    eps_u = _one_sided_margin(A, P_u, split.shift, lower=True, policy=policy)
-    eps_s = _one_sided_margin(A, P_s, split.shift, lower=False, policy=policy)
+    eps_u = _one_sided_margin(A, P_u, split.shift, lower=True)
+    eps_s = _one_sided_margin(A, P_s, split.shift, lower=False)
     if eps_u <= 0:
         raise NumericalError(
             f"dominant-side inequality failed (margin {eps_u:.3e}); "
@@ -182,14 +181,14 @@ def projective_measure_from_split(split: ModalSplit, policy: NumericPolicy = DEF
             "projector-based measure is not valid for this system"
         )
     eps_hat = min(eps_u, eps_s)
-    rank_u = mc.inertia_of(P_u, policy=policy).positive
-    rank_s = mc.inertia_of(P_s, policy=policy).positive
+    rank_u = mc.inertia_of(P_u).positive
+    rank_s = mc.inertia_of(P_s).positive
     if rank_u != split.p or rank_s != n - split.p:
         raise NumericalError("projective measure ranks do not match the split")
     return ProjectiveMeasure(P_u=P_u, P_s=P_s, rank_u=rank_u, rank_s=rank_s, eps_hat=eps_hat, rate=split.shift)
 
 
-def _one_sided_margin(A, P, lam, lower: bool, policy: NumericPolicy) -> float:
+def _one_sided_margin(A, P, lam, lower: bool) -> float:
     """Largest eps with Delta >= eps*P (lower) or -Delta >= eps*P (upper) on range(P).
 
     Delta = A^T P + P A + 2 lam P shares its range with P by construction,
@@ -200,13 +199,13 @@ def _one_sided_margin(A, P, lam, lower: bool, policy: NumericPolicy) -> float:
     Delta = 0.5 * (Delta + Delta.T)
     if not lower:
         Delta = -Delta
-    eigenvalues, eigenvectors = mc.sym_eigen(P, policy)
+    eigenvalues, eigenvectors = mc.sym_eigen(P)
     scale = max(1.0, float(np.max(np.abs(eigenvalues))))
-    mask = eigenvalues > policy.ztol_rel * scale
+    mask = eigenvalues > ZTOL_REL * scale
     basis = eigenvectors[:, mask]
     # residual of Delta outside range(P) must vanish for the restriction to decide
     off_range = Delta - basis @ (basis.T @ Delta @ basis) @ basis.T
-    if np.linalg.norm(off_range, "fro") > 1e3 * policy.lmi_tol * max(1.0, np.linalg.norm(Delta, "fro")):
+    if np.linalg.norm(off_range, "fro") > 1e3 * LMI_TOL * max(1.0, np.linalg.norm(Delta, "fro")):
         raise NumericalError("inequality residual leaks outside the measure's range")
     M1 = basis.T @ Delta @ basis
     M2 = basis.T @ P @ basis
@@ -228,7 +227,7 @@ class RatioTrace:
     truncated: bool
 
 
-def ratio_trace(measure: ProjectiveMeasure, trajectory, policy: NumericPolicy = DEFAULT_POLICY) -> RatioTrace:
+def ratio_trace(measure: ProjectiveMeasure, trajectory) -> RatioTrace:
     """Evaluate the alignment ratio along a trajectory and check its envelope.
 
     Truncates (with a flag) if U(x(t)) falls below the zero band; requires
@@ -238,7 +237,7 @@ def ratio_trace(measure: ProjectiveMeasure, trajectory, policy: NumericPolicy = 
     times = trajectory.times
     U = np.einsum("ij,jk,ik->i", states, measure.P_u, states)
     S = np.einsum("ij,jk,ik->i", states, measure.P_s, states)
-    floor = policy.ztol_rel * max(1.0, float(np.linalg.norm(measure.P_u, 2)))
+    floor = ZTOL_REL * max(1.0, float(np.linalg.norm(measure.P_u, 2)))
     scaled_floor = floor * np.maximum(1.0, np.einsum("ij,ij->i", states, states))
     if U[0] <= scaled_floor[0]:
         raise ValueError("trajectory starts with no dominant component (U(x(0)) ~ 0)")

@@ -22,7 +22,6 @@ from .dissipativity import SupplyRate, dissipation_blocks
 from .errors import DimensionError
 from .lti import DominanceVerdict, _split_counts, _verify_blocks, residual
 from .model import Channel, LureSystem, Nonlinearity, _ValueEquality, cubic_saturated, scaled, tabulated
-from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
     "Nonlinearity",
@@ -142,7 +141,6 @@ def vertex_verdicts(
     p: int | None = None,
     supply: SupplyRate | None = None,
     epsilon: float = 0.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> tuple[VertexFamily, list[DominanceVerdict]]:
     """Kernel verdicts of the storage P, claiming p, on every vertex of sys.
 
@@ -152,24 +150,24 @@ def vertex_verdicts(
     When ``p`` is omitted it is read from P's inertia, and a storage with an
     eigenvalue in the zero band is refused as an ill-posed claim.
     """
-    P = mc.as_symmetric(P, policy)
-    inertia = mc.inertia_of(P, policy=policy)
+    P = mc.as_symmetric(P)
+    inertia = mc.inertia_of(P)
     if p is None:
         if inertia.zero != 0:
             raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
         p = inertia.negative
     family = vertex_family(sys)
     if supply is None:
-        return family, _verify_blocks(residual(family.matrices, P, lam), inertia, p, epsilon, policy)
+        return family, _verify_blocks(residual(family.matrices, P, lam), inertia, p, epsilon)
     blocks = dissipation_blocks(family.matrices, sys, P, lam, supply, epsilon)
-    return family, _verify_blocks(blocks, inertia, p, 0.0, policy)
+    return family, _verify_blocks(blocks, inertia, p, 0.0)
 
 
-def _differential_verdict(sys, P, lam, p, supply, epsilon, policy) -> DifferentialVerdict:
-    family, verdicts = vertex_verdicts(sys, P, lam, p, supply, epsilon, policy)
+def _differential_verdict(sys, P, lam, p, supply, epsilon) -> DifferentialVerdict:
+    family, verdicts = vertex_verdicts(sys, P, lam, p, supply, epsilon)
     if p is None:
         p = verdicts[0].inertia.negative
-    _, unstable, conclusive = _split_counts(family.matrices, lam, policy)
+    _, unstable, conclusive = _split_counts(family.matrices, lam)
     split_ok = (conclusive & (unstable == p)).tolist()
     return DifferentialVerdict(
         passed=all(v.passed for v in verdicts),
@@ -184,7 +182,6 @@ def check_diff_dominance(
     sys: LureSystem,
     P,
     lam: float,
-    policy: NumericPolicy = DEFAULT_POLICY,
     *,
     p: int | None = None,
     epsilon: float = 0.0,
@@ -197,7 +194,7 @@ def check_diff_dominance(
     exactly p unstable eigenvalues at this rate, which is what forces the
     storage inertia to (p, 0, n-p).
     """
-    return _differential_verdict(sys, P, lam, p, None, epsilon, policy)
+    return _differential_verdict(sys, P, lam, p, None, epsilon)
 
 
 def check_diff_dissipativity(
@@ -206,7 +203,6 @@ def check_diff_dissipativity(
     lam: float,
     supply: SupplyRate,
     epsilon: float = 0.0,
-    policy: NumericPolicy = DEFAULT_POLICY,
     *,
     p: int | None = None,
 ) -> DifferentialVerdict:
@@ -216,4 +212,4 @@ def check_diff_dissipativity(
     substituted for A and requires all of them to be negative semidefinite,
     with P of inertia (p, 0, n-p); an omitted p is read from P.
     """
-    return _differential_verdict(sys, P, lam, p, supply, epsilon, policy)
+    return _differential_verdict(sys, P, lam, p, supply, epsilon)

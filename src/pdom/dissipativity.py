@@ -18,7 +18,6 @@ from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
 from .lti import DominanceVerdict, LtiSystem, _verify_blocks, residual
 from .model import _ValueEquality
-from .policy import DEFAULT_POLICY, NumericPolicy
 
 __all__ = [
     "SupplyRate",
@@ -113,6 +112,8 @@ class DissipativityCertificate(_ValueEquality):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
         if self.rate < 0 or self.epsilon < 0:
             raise ValueError("rate and epsilon must be nonnegative")
+        if not 0 <= self.p <= self.P.shape[0]:
+            raise ValueError("claimed dominant dimension out of range")
 
     def to_dict(self) -> dict:
         return {
@@ -210,21 +211,17 @@ def dissipation_blocks(
     return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
 
-def verify_dissipativity(
-    sys: LtiSystem,
-    cert: DissipativityCertificate,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> DominanceVerdict:
+def verify_dissipativity(sys: LtiSystem, cert: DissipativityCertificate) -> DominanceVerdict:
     """Check a dissipativity certificate: block definiteness plus storage inertia.
 
     Only A enters the block, so the channels of a Lur'e model are left to
     the vertex checks.
     """
     block = dissipativity_block(sys, cert.P, cert.rate, cert.supply, cert.epsilon)
-    return _verify_blocks(block[None], mc.inertia_of(cert.P, policy=policy), cert.p, 0.0, policy)[0]
+    return _verify_blocks(block[None], mc.inertia_of(cert.P), cert.p, 0.0)[0]
 
 
-def min_gain(sys: LtiSystem, P, lam: float, policy: NumericPolicy = DEFAULT_POLICY) -> float:
+def min_gain(sys: LtiSystem, P, lam: float) -> float:
     """Least gain bound gamma that the FIXED storage (P, lam) certifies, in closed form.
 
     With ``M = A^T P + P A + 2 lam P + C^T C`` and ``W = P B + C^T D``, the
@@ -234,25 +231,20 @@ def min_gain(sys: LtiSystem, P, lam: float, policy: NumericPolicy = DEFAULT_POLI
     ``ValueError`` when M is not negative definite (no gain works) or when
     P has an eigenvalue in the zero band (the verifiers refuse it).
     """
-    P = mc.as_symmetric(P, policy)
-    if mc.inertia_of(P, policy=policy).zero:
+    P = mc.as_symmetric(P)
+    if mc.inertia_of(P).zero:
         raise ValueError("storage has eigenvalues inside the zero band")
     M = residual(sys.A, P, lam) + sys.C.T @ sys.C
     W = P @ sys.B + sys.C.T @ sys.D
-    mu, V = mc.sym_eigen(M, policy)
+    mu, V = mc.sym_eigen(M)
     if mu[-1] >= 0:
         raise ValueError(f"A^T P + P A + 2 lam P + C^T C is not negative definite (lmax = {mu[-1]:.3e})")
     Z = (V.T @ W) / np.sqrt(-mu)[:, None]  # Z^T Z = W^T (-M)^{-1} W
-    schur, _ = mc.sym_eigen(sys.D.T @ sys.D + Z.T @ Z, policy)
+    schur, _ = mc.sym_eigen(sys.D.T @ sys.D + Z.T @ Z)
     return float(np.sqrt(max(schur[-1], 0.0)))
 
 
-def find_passivity_storage(
-    sys: LtiSystem,
-    lam: float,
-    p: int,
-    policy: NumericPolicy = DEFAULT_POLICY,
-) -> DissipativityCertificate:
+def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityCertificate:
     """Search for a storage with P B = C^T making the system p-passive at rate lam.
 
     The equality is enforced exactly by the feasibility engine's
@@ -274,11 +266,11 @@ def find_passivity_storage(
         inertia_target=(p, 0, sys.n - p),
         epsilon=eps_search,
     )
-    P = lmi.solve(problem, policy)
+    P = lmi.solve(problem)
     cert = DissipativityCertificate(
         P=P, rate=lam, epsilon=eps_search / 2.0, p=p, supply=supply_passivity(sys.r)
     )
-    verdict = verify_dissipativity(sys, cert, policy)
+    verdict = verify_dissipativity(sys, cert)
     if not verdict.passed:
         raise LmiInfeasibleError(
             lmi.LmiReport(

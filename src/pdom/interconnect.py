@@ -25,7 +25,7 @@ from .errors import (
 )
 from .lti import DominanceCertificate
 from .model import Channel, LureSystem, _ValueEquality
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import LMI_TOL
 
 __all__ = [
     "FeedbackLoop",
@@ -132,12 +132,12 @@ class CouplingVerdict:
         return {"passed": self.passed, "lmax": self.lmax}
 
 
-def coupling_condition(s1: SupplyRate, s2: SupplyRate, policy: NumericPolicy = DEFAULT_POLICY) -> CouplingVerdict:
+def coupling_condition(s1: SupplyRate, s2: SupplyRate) -> CouplingVerdict:
     """Dominance-coupling test: the pure-output part of the composed supply is <= 0."""
     coupled = compose_supply(s1, s2)
-    eigenvalues, _ = mc.sym_eigen(coupled.Q, policy)
+    eigenvalues, _ = mc.sym_eigen(coupled.Q)
     lmax = float(eigenvalues[-1])
-    return CouplingVerdict(passed=lmax <= policy.lmi_tol, lmax=lmax, matrix=coupled.Q)
+    return CouplingVerdict(passed=lmax <= LMI_TOL, lmax=lmax, matrix=coupled.Q)
 
 
 def closed_loop_certificate(
@@ -145,7 +145,6 @@ def closed_loop_certificate(
     c1: DissipativityCertificate,
     sys2,
     c2: DissipativityCertificate,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> DominanceCertificate:
     """Block-diagonal dominance certificate for the loop, verified before return.
 
@@ -156,11 +155,11 @@ def closed_loop_certificate(
     """
     if abs(c1.rate - c2.rate) > 1e-12:
         raise RateMismatchError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
-    coupling = coupling_condition(c1.supply, c2.supply, policy)
+    coupling = coupling_condition(c1.supply, c2.supply)
     if not coupling.passed:
         raise CouplingError(f"coupling condition fails (lmax = {coupling.lmax:.3e})")
     for sys, cert in ((sys1, c1), (sys2, c2)):
-        _, verdicts = vertex_verdicts(sys, cert.P, cert.rate, cert.p, cert.supply, cert.epsilon, policy)
+        _, verdicts = vertex_verdicts(sys, cert.P, cert.rate, cert.p, cert.supply, cert.epsilon)
         if not all(v.passed for v in verdicts):
             raise CouplingError("an open-loop certificate failed verification")
 
@@ -170,7 +169,7 @@ def closed_loop_certificate(
     P[:n1, :n1] = c1.P
     P[n1:, n1:] = c2.P
     p = c1.p + c2.p
-    _, verdicts = vertex_verdicts(loop, P, c1.rate, p, policy=policy)
+    _, verdicts = vertex_verdicts(loop, P, c1.rate, p)
     failed = [v.status for v in verdicts if not v.passed]
     if failed:
         raise CouplingError(f"closed-loop dominance check failed: {failed[0]}")

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import LmiInfeasibleError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import EQ_TOL, LMI_TOL
 
 __all__ = [
     "LinearEquality",
@@ -112,11 +112,11 @@ class LmiReport:
         )
 
 
-def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def solve(problem: LmiProblem) -> np.ndarray:
     """Find P satisfying every block with margin epsilon, or raise with a report.
 
     On success the returned P meets every residual block with
-    ``lmax <= -epsilon + lmi_tol``, satisfies all equalities to ``eq_tol``
+    ``lmax <= -epsilon + LMI_TOL``, satisfies all equalities to ``EQ_TOL``
     and matches the inertia target exactly.
     """
     n = problem.dim
@@ -134,7 +134,7 @@ def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
         g = np.concatenate(rhs)
         part, *_ = np.linalg.lstsq(G, g, rcond=None)
         eq_residual = float(np.linalg.norm(G @ part - g, np.inf))
-        if eq_residual > policy.eq_tol * max(1.0, float(np.linalg.norm(g, np.inf))):
+        if eq_residual > EQ_TOL * max(1.0, float(np.linalg.norm(g, np.inf))):
             raise LmiInfeasibleError(
                 LmiReport(
                     iterations=0,
@@ -155,7 +155,7 @@ def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
     d = N.shape[1]
     if d == 0 and problem.equalities:
         # fully determined by equalities; only the block check remains
-        return _finalize(problem, P_part, 0, eq_residual, policy)
+        return _finalize(problem, P_part, 0, eq_residual)
 
     # S_j(x) = (t - epsilon) I - F_j(c) is affine in x = (c, t): for each block
     # its value at x = 0 and its d + 1 generators, the last one for t
@@ -172,12 +172,12 @@ def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
 
     # start at c = 0 with unit slack on the worst block and a gap estimate of 1
     x = np.zeros(d + 1)
-    x[-1] = 1.0 - min(float(mc.sym_eigen(S0, policy)[0][0]) for S0, _ in slacks)
+    x[-1] = 1.0 - min(float(mc.sym_eigen(S0)[0][0]) for S0, _ in slacks)
     mu = float(block_dims + 1)
     bound = None
     for iterations in range(1, _MAX_STEPS + 1):
         c, t = x[:-1], x[-1]
-        spectra = [mc.sym_eigen(S0 + np.tensordot(x, gens, 1), policy) for S0, gens in slacks]
+        spectra = [mc.sym_eigen(S0 + np.tensordot(x, gens, 1)) for S0, gens in slacks]
         lowest = min(s[0] for s, _ in spectra)
         # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack that is not
         # positive has lost definiteness to rounding
@@ -200,7 +200,7 @@ def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
         step = np.linalg.solve(hess, -grad)
         decrement = float(np.sqrt(max(-grad @ step, 0.0)))
         if decrement < _CENTRED:
-            if (block_dims + 1) / mu < policy.lmi_tol:
+            if (block_dims + 1) / mu < LMI_TOL:
                 break  # the gap is inside the acceptance slack: _finalize decides
             grad[-1] += (_MU_GROWTH - 1.0) * mu
             mu *= _MU_GROWTH
@@ -228,7 +228,7 @@ def solve(problem: LmiProblem, policy: NumericPolicy = DEFAULT_POLICY) -> np.nda
 
     P = P_part + smat(N @ x[:-1], n)
     P = 0.5 * (P + P.T)
-    return _finalize(problem, P, iterations, eq_residual, policy, bound)
+    return _finalize(problem, P, iterations, eq_residual, bound)
 
 
 def _finalize(
@@ -236,16 +236,15 @@ def _finalize(
     P: np.ndarray,
     iterations: int,
     eq_residual: float,
-    policy: NumericPolicy,
     bound: float | None = None,
 ) -> np.ndarray:
     worst = -np.inf
     for blk in problem.blocks:
         R = np.asarray(blk(P), dtype=float)
-        worst = max(worst, float(mc.sym_eigen(R, policy)[0][-1]) + problem.epsilon)
+        worst = max(worst, float(mc.sym_eigen(R)[0][-1]) + problem.epsilon)
     actual_eq = _equality_residual(problem, P)
-    inertia = mc.inertia_of(P, policy=policy).as_tuple()
-    feasible = worst <= policy.lmi_tol and actual_eq <= policy.eq_tol
+    inertia = mc.inertia_of(P).as_tuple()
+    feasible = worst <= LMI_TOL and actual_eq <= EQ_TOL
     if feasible and problem.inertia_target is not None and inertia != tuple(problem.inertia_target):
         raise LmiInfeasibleError(
             LmiReport(

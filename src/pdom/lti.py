@@ -17,7 +17,7 @@ import numpy as np
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
 from .model import LureSystem as LtiSystem, _ValueEquality, state_matrix
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import LMI_TOL, SPLIT_TOL
 
 __all__ = [
     "LtiSystem",
@@ -150,23 +150,23 @@ def residual(A, P, lam: float) -> np.ndarray:
     return 0.5 * (R + R.swapaxes(-1, -2))
 
 
-def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float, policy: NumericPolicy) -> list[DominanceVerdict]:
+def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[DominanceVerdict]:
     """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
 
     ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call, and
     ``inertia`` is the storage's, eigensolved once by the caller. Each block
-    passes when ``lmax(block) <= -epsilon + lmi_tol`` and the storage has
+    passes when ``lmax(block) <= -epsilon + LMI_TOL`` and the storage has
     inertia (p, 0, n - p). Inertia mismatches are reported distinctly from
     residual violations, and a residual failure carries the violating
     eigenpair.
     """
     inertia_ok = inertia.matches(p)
-    eigenvalues, eigenvectors = mc.sym_eigen(blocks, policy)
+    eigenvalues, eigenvectors = mc.sym_eigen(blocks)
     verdicts = []
     for i, lmax in enumerate(eigenvalues[:, -1].tolist()):
         if not inertia_ok:
             verdicts.append(DominanceVerdict(False, "inertia_mismatch", lmax, inertia))
-        elif lmax > -epsilon + policy.lmi_tol:
+        elif lmax > -epsilon + LMI_TOL:
             witness = {"witness_eigenvalue": lmax, "witness_vector": eigenvectors[i, :, -1]}
             verdicts.append(DominanceVerdict(False, "residual_violation", lmax, inertia, **witness))
         else:
@@ -174,10 +174,10 @@ def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float, policy: 
     return verdicts
 
 
-def check_dominance(sys, cert: DominanceCertificate, policy: NumericPolicy = DEFAULT_POLICY) -> DominanceVerdict:
+def check_dominance(sys, cert: DominanceCertificate) -> DominanceVerdict:
     """Verify a dominance certificate: residual definiteness plus inertia.
 
-    Passes when ``lmax(residual) <= -epsilon + lmi_tol`` and P has inertia
+    Passes when ``lmax(residual) <= -epsilon + LMI_TOL`` and P has inertia
     (p, 0, n - p). ``sys`` is a model or a bare state matrix; only A enters,
     so the channels of a Lur'e model are left to the vertex checks.
     """
@@ -185,38 +185,38 @@ def check_dominance(sys, cert: DominanceCertificate, policy: NumericPolicy = DEF
     if cert.P.shape[0] != A.shape[0]:
         raise DimensionError("certificate dimension does not match the system")
     blocks = residual(A[None], cert.P, cert.rate)
-    return _verify_blocks(blocks, mc.inertia_of(cert.P, policy=policy), cert.p, cert.epsilon, policy)[0]
+    return _verify_blocks(blocks, mc.inertia_of(cert.P), cert.p, cert.epsilon)[0]
 
 
-def _split_counts(matrices, lam: float, policy: NumericPolicy):
+def _split_counts(matrices, lam: float):
     """The split rule on each matrix A of a ``(k, n, n)`` stack, from one eigensolve.
 
     Returns per matrix the distance of ``A + lam I``'s spectrum from the imaginary axis, its
-    unstable count, and whether every eigenvalue clears ``split_tol`` (inconclusive if not).
+    unstable count, and whether every eigenvalue clears ``SPLIT_TOL`` (inconclusive if not).
     """
     if lam < 0:
         raise ValueError("rate must be nonnegative")
     shifted = np.linalg.eigvals(matrices).real + lam
     margin = np.min(np.abs(shifted), axis=-1, initial=np.inf)
-    unstable = np.sum(shifted > policy.split_tol, axis=-1)
-    conclusive = unstable + np.sum(shifted < -policy.split_tol, axis=-1) == shifted.shape[-1]
+    unstable = np.sum(shifted > SPLIT_TOL, axis=-1)
+    conclusive = unstable + np.sum(shifted < -SPLIT_TOL, axis=-1) == shifted.shape[-1]
     return margin, unstable, conclusive
 
 
-def eigen_split_test(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> SplitVerdict:
+def eigen_split_test(sys, lam: float, p: int) -> SplitVerdict:
     """Spectral test: does ``A + lam I`` have exactly p strictly unstable eigenvalues?
 
     Returns "inconclusive" (distinct from "fail") when any shifted eigenvalue
-    sits within ``split_tol`` of the imaginary axis.
+    sits within ``SPLIT_TOL`` of the imaginary axis.
     """
-    margin, unstable, conclusive = (v.item() for v in _split_counts(state_matrix(sys)[None], lam, policy))
+    margin, unstable, conclusive = (v.item() for v in _split_counts(state_matrix(sys)[None], lam))
     status = ("pass" if unstable == p else "fail") if conclusive else "inconclusive"
     return SplitVerdict(status, margin, unstable, p)
 
 
-def _ordered_split(A: np.ndarray, lam: float, p: int, policy: NumericPolicy):
+def _ordered_split(A: np.ndarray, lam: float, p: int):
     """Schur split at the requested rate, as (W, T1, T2) block-diagonal data."""
-    form, unstable_dim = mc.schur_split(A, lam, policy)
+    form, unstable_dim = mc.schur_split(A, lam)
     if unstable_dim != p:
         raise SplitMismatchError(
             f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}"
@@ -225,7 +225,7 @@ def _ordered_split(A: np.ndarray, lam: float, p: int, policy: NumericPolicy):
     return W, T1, T2
 
 
-def construct_certificate(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> DominanceCertificate:
+def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     """Build a dominance certificate from the ordered Schur split.
 
     The storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}`` where W decouples
@@ -235,26 +235,26 @@ def construct_certificate(sys, lam: float, p: int, policy: NumericPolicy = DEFAU
     """
     A = state_matrix(sys)
     n = A.shape[0]
-    W, T1, T2 = _ordered_split(A, lam, p, policy)
+    W, T1, T2 = _ordered_split(A, lam, p)
     blocks = []
     if p > 0:
         # (T1 + lam I) is anti-Hurwitz: sign-flipped Lyapunov right-hand side
-        Xu = mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p), policy)
+        Xu = mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p))
         blocks.append(-Xu)
     if p < n:
-        Xs = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p), policy)
+        Xs = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))
         blocks.append(Xs)
     core = _block_diag(blocks, n)
     Winv = np.linalg.solve(W, np.eye(n))
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     R = residual(A, P, lam)
-    eigenvalues, _ = mc.sym_eigen(R, policy)
+    eigenvalues, _ = mc.sym_eigen(R)
     epsilon = -float(eigenvalues[-1]) / 2.0
     if epsilon <= 0:
         raise NumericalError("constructed storage lost its definiteness margin")
     cert = DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p)
-    verdict = check_dominance(A, cert, policy)
+    verdict = check_dominance(A, cert)
     if not verdict.passed:
         raise NumericalError(f"constructed certificate failed verification: {verdict.status}")
     return cert
@@ -270,7 +270,7 @@ def _block_diag(blocks: list[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def modal_split(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY) -> ModalSplit:
+def modal_split(sys, lam: float, p: int) -> ModalSplit:
     """Spectral projectors and decay constants for the dominant/transient split.
 
     The constants come from the conditioning of the decoupling basis and of
@@ -279,7 +279,7 @@ def modal_split(sys, lam: float, p: int, policy: NumericPolicy = DEFAULT_POLICY)
     """
     A = state_matrix(sys)
     n = A.shape[0]
-    W, T1, T2 = _ordered_split(A, lam, p, policy)
+    W, T1, T2 = _ordered_split(A, lam, p)
     Winv = np.linalg.solve(W, np.eye(n))
     E = np.zeros((n, n))
     E[:p, :p] = np.eye(p)

@@ -2,7 +2,7 @@
 
 Symmetric eigendecompositions, ordered real Schur splits, Lyapunov/Sylvester
 solves and the matrix exponential, all with explicit residual checks against
-the shared :class:`~pdom.policy.NumericPolicy`. Matrices are plain
+the fixed tolerances of :mod:`pdom.policy`. Matrices are plain
 ``numpy.ndarray`` values in double precision; systems of interest are small
 (n up to a few tens), so everything is dense. ``scipy.linalg`` is imported
 inside the functions that call it, since importing it would otherwise be
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonHyperbolicError, NumericalError
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import RECON_TOL, SPLIT_TOL, SYM_TOL, ZTOL_REL
 
 __all__ = [
     "Inertia",
@@ -44,11 +44,11 @@ def as_matrix(value, shape: tuple[int, int] | None = None) -> np.ndarray:
     return mat
 
 
-def as_symmetric(value, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def as_symmetric(value) -> np.ndarray:
     """Validate near-symmetry and return the symmetrized matrix (each one of a ``(..., n, n)`` stack).
 
     Each matrix must be finite, within an asymmetry allowance of
-    ``sym_tol * max(1, ||S||_F)``; anything worse is a hard error rather than
+    ``SYM_TOL * max(1, ||S||_F)``; anything worse is a hard error rather than
     something to silently average away.
     """
     mat = np.asarray(value, dtype=float)
@@ -60,7 +60,7 @@ def as_symmetric(value, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
         raise DimensionError(f"symmetric matrix must be square, got {mat.shape}")
     flipped = mat.swapaxes(-1, -2)
     skew = np.abs(mat - flipped).max(axis=(-2, -1), initial=0.0)
-    allowance = policy.sym_tol * np.maximum(1.0, np.sqrt((mat * mat).sum(axis=(-2, -1))))
+    allowance = SYM_TOL * np.maximum(1.0, np.sqrt((mat * mat).sum(axis=(-2, -1))))
     if (skew > allowance).any():
         raise DimensionError(f"matrix is not symmetric (max asymmetry {np.max(skew):.3e})")
     return 0.5 * (mat + flipped)
@@ -92,22 +92,22 @@ class SchurForm:
     Q: np.ndarray
     T: np.ndarray
 
-    def validate(self, A: np.ndarray, policy: NumericPolicy = DEFAULT_POLICY) -> None:
+    def validate(self, A: np.ndarray) -> None:
         n = self.Q.shape[0]
         orth = np.linalg.norm(self.Q.T @ self.Q - np.eye(n), "fro")
-        if orth > 1e3 * policy.recon_tol:
+        if orth > 1e3 * RECON_TOL:
             raise NumericalError(f"Schur basis lost orthogonality ({orth:.3e})")
         recon = np.linalg.norm(self.Q @ self.T @ self.Q.T - A, "fro")
-        if recon > policy.recon_tol * max(1.0, np.linalg.norm(A, "fro")) * 1e3:
+        if recon > RECON_TOL * max(1.0, np.linalg.norm(A, "fro")) * 1e3:
             raise NumericalError(f"Schur reconstruction residual too large ({recon:.3e})")
 
 
-def sym_eigen(S, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
+def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
     A ``(..., n, n)`` stack is checked matrix by matrix and solved in one call.
     """
-    mat = as_symmetric(S, policy)
+    mat = as_symmetric(S)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -115,24 +115,24 @@ def sym_eigen(S, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[np.ndarray, np
     return eigenvalues, eigenvectors
 
 
-def inertia_of(S, policy: NumericPolicy = DEFAULT_POLICY) -> Inertia:
+def inertia_of(S) -> Inertia:
     """Count eigenvalues below, inside and above the zero band ``[-ztol, ztol]``,
-    where ``ztol = ztol_rel * max(1, ||S||_2)``.
+    where ``ztol = ZTOL_REL * max(1, ||S||_2)``.
     """
-    eigenvalues, _ = sym_eigen(S, policy)
-    ztol = policy.ztol_rel * max(1.0, abs(eigenvalues).max(initial=0.0))
+    eigenvalues, _ = sym_eigen(S)
+    ztol = ZTOL_REL * max(1.0, abs(eigenvalues).max(initial=0.0))
     negative = int((eigenvalues < -ztol).sum())
     positive = int((eigenvalues > ztol).sum())
     zero = eigenvalues.size - negative - positive
     return Inertia(negative, zero, positive)
 
 
-def schur_split(A, shift: float, policy: NumericPolicy = DEFAULT_POLICY) -> tuple[SchurForm, int]:
+def schur_split(A, shift: float) -> tuple[SchurForm, int]:
     """Ordered real Schur form splitting the spectrum of ``A + shift*I`` at the axis.
 
     Eigenvalues of ``A + shift*I`` with positive real part lead the diagonal;
     the second return value is their count. A shifted eigenvalue within
-    ``split_tol`` of the imaginary axis makes the split non-hyperbolic and
+    ``SPLIT_TOL`` of the imaginary axis makes the split non-hyperbolic and
     raises :class:`NonHyperbolicError` (the dominance test is inconclusive
     at this rate, not failed).
     """
@@ -141,10 +141,10 @@ def schur_split(A, shift: float, policy: NumericPolicy = DEFAULT_POLICY) -> tupl
         raise DimensionError("schur_split requires a square matrix")
     spectrum = np.linalg.eigvals(mat)
     distance = np.abs(spectrum.real + shift)
-    if np.any(distance <= policy.split_tol):
+    if np.any(distance <= SPLIT_TOL):
         worst = spectrum[np.argmin(distance)]
         raise NonHyperbolicError(
-            f"eigenvalue {worst:.6g} lies within {policy.split_tol:.1e} of the "
+            f"eigenvalue {worst:.6g} lies within {SPLIT_TOL:.1e} of the "
             f"shifted axis Re = {-shift:.6g}"
         )
     import scipy.linalg as sla
@@ -154,7 +154,7 @@ def schur_split(A, shift: float, policy: NumericPolicy = DEFAULT_POLICY) -> tupl
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
     form = SchurForm(Q=Q, T=T)
-    form.validate(mat, policy)
+    form.validate(mat)
     return form, int(sdim)
 
 
@@ -184,14 +184,14 @@ def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, 
     return form.Q @ V, T1.copy(), T2.copy()
 
 
-def lyapunov_solve(M, Q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def lyapunov_solve(M, Q) -> np.ndarray:
     """Solve the continuous Lyapunov equation M^T X + X M = -Q.
 
     ``M`` and ``-M^T`` must share no eigenvalue; otherwise the Sylvester
     operator is singular and the solve is rejected.
     """
     mat = as_matrix(M)
-    rhs = as_symmetric(Q, policy)
+    rhs = as_symmetric(Q)
     if mat.shape[0] != mat.shape[1] or mat.shape != rhs.shape:
         raise DimensionError("lyapunov_solve needs square M and Q of equal size")
     spectrum = np.linalg.eigvals(mat)
@@ -207,10 +207,10 @@ def lyapunov_solve(M, Q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
         raise NumericalError(f"Lyapunov solve failed: {exc}") from exc
     X = 0.5 * (X + X.T)
     residual = np.linalg.norm(mat.T @ X + X @ mat + rhs, "fro")
-    bound = policy.recon_tol * (
+    bound = RECON_TOL * (
         np.linalg.norm(mat, "fro") * np.linalg.norm(X, "fro") + np.linalg.norm(rhs, "fro")
     )
-    if residual > max(bound, policy.recon_tol):
+    if residual > max(bound, RECON_TOL):
         raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}")
     return X
 
@@ -219,7 +219,7 @@ def lyapunov_solve(M, Q, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
 _EXP_RANGE_LIMIT = 700.0
 
 
-def expm(A, t: float = 1.0, policy: NumericPolicy = DEFAULT_POLICY) -> np.ndarray:
+def expm(A, t: float = 1.0) -> np.ndarray:
     """Matrix exponential exp(A t) via scaling-and-squaring."""
     mat = as_matrix(A)
     if mat.shape[0] != mat.shape[1]:

@@ -27,6 +27,7 @@ __all__ = [
 
 _SLOPE_SAMPLES = 10_000
 _SLOPE_SLACK = 1e-9
+_VALIDATION_SPAN = (-10.0, 10.0)  # channel arguments sampled to validate slope bounds
 _KINDS = ("cubic_saturated", "scaled", "tabulated")
 
 
@@ -214,7 +215,7 @@ class LureSystem(_ValueEquality):
 
     ``D = 0`` stands for the zero (r, m) matrix. Channel slope bounds are
     validated at construction by dense sampling of each channel's
-    derivative over ``validation_span``.
+    derivative over ``_VALIDATION_SPAN``.
     """
 
     A: np.ndarray
@@ -223,7 +224,6 @@ class LureSystem(_ValueEquality):
     D: np.ndarray = 0
     channels: tuple[Channel, ...] = ()
     name: str = ""
-    validation_span: tuple[float, float] = (-10.0, 10.0)
 
     def __post_init__(self):
         A = mc.as_matrix(self.A)
@@ -242,7 +242,7 @@ class LureSystem(_ValueEquality):
         for ch in channels:
             if ch.g.shape[0] != n:
                 raise DimensionError("channel vectors must match the state dimension")
-            lo, hi = ch.sigma.slope_range(self.validation_span)
+            lo, hi = ch.sigma.slope_range(_VALIDATION_SPAN)
             if lo < ch.alpha - _SLOPE_SLACK or hi > ch.beta + _SLOPE_SLACK:
                 raise ValueError(
                     f"channel slope range [{lo:.6g}, {hi:.6g}] escapes the declared "

@@ -28,7 +28,7 @@ from .dissipativity import (
 from .interconnect import coupling_condition, static_feedback
 from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test
 from .matrixcore import inertia_of
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import EQ_TOL
 from .sim import classify_asymptotics, integrate, integrate_batch
 
 __all__ = ["CheckLine", "SuiteResult", "example1", "example2", "example3", "run"]
@@ -75,7 +75,7 @@ class SuiteResult:
         }
 
 
-def example1(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteResult:
+def example1(seed: int = 42) -> SuiteResult:
     """Linear oscillator study: spectra, known storages, cones (dampings 4 and 8)."""
     result = SuiteResult("example-1")
     expected_eigs = {4.0: (-0.2679, -3.7321), 8.0: (-0.1270, -7.8730)}
@@ -89,24 +89,24 @@ def example1(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
             bool(np.all(np.abs(eigs - ref) < 1e-3)),
         )
         P = registry.KNOWN_STORAGE[int(c)]
-        inertia = inertia_of(P, policy=policy)
+        inertia = inertia_of(P)
         result.check(f"{tag}: known storage has inertia (1,0,1)", inertia.matches(1))
         cert = DominanceCertificate(P=P, rate=registry.KNOWN_RATE, epsilon=0.0, p=1)
-        verdict = check_dominance(sys, cert, policy)
+        verdict = check_dominance(sys, cert)
         result.check(
             f"{tag}: known storage passes the dominance LMI at rate {registry.KNOWN_RATE}",
             verdict.passed and verdict.lmax_residual <= 1e-6,
             f"lmax={verdict.lmax_residual:.3e}",
         )
-        own = construct_certificate(sys, registry.KNOWN_RATE, 1, policy)
-        own_verdict = check_dominance(sys, own, policy)
+        own = construct_certificate(sys, registry.KNOWN_RATE, 1)
+        own_verdict = check_dominance(sys, own)
         result.check(
             f"{tag}: constructed certificate passes with positive margin",
             own_verdict.passed and own.epsilon > 0,
             f"epsilon={own.epsilon:.3e}",
         )
         rng = np.random.default_rng(seed)
-        probe = positivity_probe(sys, QuadraticCone(P=P, p=1), (0.1, 1.0), 100, rng, policy)
+        probe = positivity_probe(sys, QuadraticCone(P=P, p=1), (0.1, 1.0), 100, rng)
         result.check(
             f"{tag}: cone boundary flows strictly interior (100 samples)",
             probe.passed,
@@ -115,7 +115,7 @@ def example1(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
     return result
 
 
-def example2(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteResult:
+def example2(seed: int = 42) -> SuiteResult:
     """Open oscillator study: passivity storage, gain bound, feedback sweeps."""
     result = SuiteResult("example-2")
     sys = registry.msd(8.0)
@@ -125,27 +125,27 @@ def example2(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
     eq = float(np.max(np.abs(P @ sys.B - sys.C.T)))
     result.check("storage diag(-1,1) satisfies P B = C^T exactly", eq == 0.0)
     cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=1)
-    verdict = check_dominance(sys, cert, policy)
+    verdict = check_dominance(sys, cert)
     result.check(
         "storage passes the dominance LMI at the shared rate",
         verdict.passed and verdict.lmax_residual <= 1e-6,
         f"lmax={verdict.lmax_residual:.3e}",
     )
     pass_cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=1, supply=supply_passivity(1))
-    result.check("passivity certificate verifies", verify_dissipativity(sys, pass_cert, policy).passed)
-    found = find_passivity_storage(sys, lam, 1, policy)
+    result.check("passivity certificate verifies", verify_dissipativity(sys, pass_cert).passed)
+    found = find_passivity_storage(sys, lam, 1)
     found_eq = float(np.max(np.abs(found.P @ sys.B - sys.C.T)))
     result.check(
         "storage search recovers a passivity certificate",
-        verify_dissipativity(sys, found, policy).passed and found_eq <= policy.eq_tol,
+        verify_dissipativity(sys, found).passed and found_eq <= EQ_TOL,
         f"equality residual {found_eq:.1e}",
     )
     for k in (0.0, 1.0, 10.0, 100.0):
         closed = static_feedback(sys, k)
-        split = eigen_split_test(closed, lam, 1, policy)
+        split = eigen_split_test(closed, lam, 1)
         result.check(f"negative feedback k={k:g} keeps 1-dominance", split.passed)
 
-    gamma = min_gain(sys, P, lam, policy)
+    gamma = min_gain(sys, P, lam)
     result.check(
         "minimum feasible gain bound in [0.300, 0.307]",
         0.300 <= gamma <= 0.307,
@@ -153,13 +153,13 @@ def example2(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
     )
     for k in (3.2, -3.2):
         closed = static_feedback(sys, k)
-        split = eigen_split_test(closed, lam, 1, policy)
+        split = eigen_split_test(closed, lam, 1)
         result.check(f"feedback k={k:g} keeps 1-dominance", split.passed)
     delta = 0.05
     s1, s2 = small_gain_pair(gamma, 1.0 / gamma - delta)
-    below = coupling_condition(s1, s2, policy)
+    below = coupling_condition(s1, s2)
     s1, s2 = small_gain_pair(gamma, 1.0 / gamma + delta)
-    above = coupling_condition(s1, s2, policy)
+    above = coupling_condition(s1, s2)
     result.check(
         "coupling passes below the small-gain boundary and fails above it",
         below.passed and not above.passed,
@@ -175,14 +175,14 @@ _SINGLE_T_END = 100.0
 _SINGLE_DT = 1e-3
 
 
-def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteResult:
+def example3(seed: int = 42) -> SuiteResult:
     """Nonlinear oscillator study: vertex certificates and trajectory behavior."""
     result = SuiteResult("example-3")
     lam = 1.0
 
     # (a) uniform vertex dominance for the non-monotone spring
     nl = registry.nonlinear_msd("velocity", "cubic")
-    verdict = check_diff_dominance(nl, registry.DIFF_STORAGE_VELOCITY, lam, policy)
+    verdict = check_diff_dominance(nl, registry.DIFF_STORAGE_VELOCITY, lam)
     result.check(
         "cubic spring: storage diag(-1,1) is a uniform vertex certificate at rate 1",
         verdict.passed and all(v.split_ok for v in verdict.vertices),
@@ -199,9 +199,7 @@ def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
 
     # (b) differential passivity for the mixed output
     nlm = registry.nonlinear_msd("mixed", "cubic")
-    pass_verdict = check_diff_dissipativity(
-        nlm, registry.DIFF_STORAGE_MIXED, lam, supply_passivity(1), 0.0, policy
-    )
+    pass_verdict = check_diff_dissipativity(nlm, registry.DIFF_STORAGE_MIXED, lam, supply_passivity(1))
     eq = float(np.max(np.abs(registry.DIFF_STORAGE_MIXED @ nlm.B - nlm.C.T)))
     result.check(
         "mixed output: storage [[-2,1],[1,2]] gives differential passivity, P B = C^T",
@@ -217,7 +215,7 @@ def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
 
     # (c) monotone-spring claim: known discrepancy at the shallow end
     mono = registry.nonlinear_msd("velocity", "monotone")
-    mono_verdict = check_diff_dominance(mono, registry.MONOTONE_STORAGE, 0.0, policy)
+    mono_verdict = check_diff_dominance(mono, registry.MONOTONE_STORAGE, 0.0)
     per_corner = {v.corner[0]: v.verdict.passed for v in mono_verdict.vertices}
     expected_split = per_corner.get(-2.0, False) and not per_corner.get(-0.5, True)
     result.check(
@@ -237,8 +235,8 @@ def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
     P4 = np.zeros((4, 4))
     P4[:2, :2] = registry.DIFF_STORAGE_MIXED
     P4[2:, 2:] = registry.DIFF_STORAGE_MIXED
-    result.check("loop: block-diagonal storage has inertia (2,0,2)", inertia_of(P4, policy=policy).matches(2))
-    loop_verdict = check_diff_dominance(loop, P4, lam, policy)
+    result.check("loop: block-diagonal storage has inertia (2,0,2)", inertia_of(P4).matches(2))
+    loop_verdict = check_diff_dominance(loop, P4, lam)
     result.check(
         f"loop: all {len(loop_verdict.vertices)} composed vertices pass the rate-1 LMI",
         loop_verdict.passed and len(loop_verdict.vertices) == 4,
@@ -251,7 +249,7 @@ def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
     origin_traj = integrate(loop, np.zeros(4), t_end=_SINGLE_T_END, dt=_LOOP_DT)
     single_traj = integrate(nl, [1.0, 1.0], t_end=_SINGLE_T_END, dt=_SINGLE_DT, record_every=10)
 
-    verdicts = [classify_asymptotics(t, policy) for t in batch]
+    verdicts = [classify_asymptotics(t) for t in batch]
     kinds = [v.kind for v in verdicts]
     periods = [v.period for v in verdicts if v.kind == "limit_cycle"]
     spread = (max(periods) - min(periods)) / float(np.mean(periods)) if periods else math.inf
@@ -265,12 +263,12 @@ def example3(policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> SuiteRes
         bool(periods) and spread < 0.01,
         f"period={np.mean(periods):.3f}, spread={100 * spread:.3g}%" if periods else "no cycles",
     )
-    origin_verdict = classify_asymptotics(origin_traj, policy)
+    origin_verdict = classify_asymptotics(origin_traj)
     result.check(
         "loop: the origin equilibrium stays put (excluded case of the dichotomy)",
         origin_verdict.kind == "fixed_point",
     )
-    single_verdict = classify_asymptotics(single_traj, policy)
+    single_verdict = classify_asymptotics(single_traj)
     result.check(
         "single oscillator from (1,1): unforced trajectory settles to a fixed point",
         single_verdict.kind == "fixed_point",
@@ -297,7 +295,7 @@ def _feasible_slope_endpoints(sys, P, lam: float) -> np.ndarray:
 _SUITES = {"1": example1, "2": example2, "3": example3}
 
 
-def run(which: str, policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> list[SuiteResult]:
+def run(which: str, seed: int = 42) -> list[SuiteResult]:
     """Run one suite ("1", "2", "3") or "all"."""
     if which == "all":
         ids = ["1", "2", "3"]
@@ -305,4 +303,4 @@ def run(which: str, policy: NumericPolicy = DEFAULT_POLICY, seed: int = 42) -> l
         ids = [which]
     else:
         raise ValueError(f"unknown reproduction id {which!r}; choose 1, 2, 3 or all")
-    return [_SUITES[suite_id](policy, seed) for suite_id in ids]
+    return [_SUITES[suite_id](seed) for suite_id in ids]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, PropertyViolationError
 from .model import LureSystem, state_matrix
-from .policy import DEFAULT_POLICY, NumericPolicy
+from .policy import CYCLE_TOL, FP_TOL_SCALE
 
 __all__ = [
     "Trajectory",
@@ -271,13 +271,13 @@ def _upward_crossings(times: np.ndarray, signal: np.ndarray) -> np.ndarray:
     return times[idx] + frac * (times[idx + 1] - times[idx])
 
 
-def classify_asymptotics(traj: Trajectory, policy: NumericPolicy = DEFAULT_POLICY) -> AsymptoticVerdict:
+def classify_asymptotics(traj: Trajectory) -> AsymptoticVerdict:
     """Decide fixed point vs limit cycle vs divergence from the trajectory tail.
 
-    Fixed point: tail displacement below ``fp_tol_scale * (1 + |x_tail|)``
+    Fixed point: tail displacement below ``FP_TOL_SCALE * (1 + |x_tail|)``
     over the last 20% of samples. Limit cycle: the tail oscillates, the last
     five zero-crossing periods of the liveliest coordinate agree to
-    ``cycle_tol`` relative jitter, and the per-coordinate peak-to-peak
+    ``CYCLE_TOL`` relative jitter, and the per-coordinate peak-to-peak
     pattern repeats over the last two estimated periods. Anything else is
     undecided.
 
@@ -294,7 +294,7 @@ def classify_asymptotics(traj: Trajectory, policy: NumericPolicy = DEFAULT_POLIC
     tail = states[-window:]
     center = tail.mean(axis=0)
     tail_norm = float(np.linalg.norm(center))
-    fp_tol = policy.fp_tol_scale * (1.0 + tail_norm)
+    fp_tol = FP_TOL_SCALE * (1.0 + tail_norm)
     displacement = float(np.max(np.linalg.norm(tail - center, axis=1)))
     if displacement < fp_tol:
         return AsymptoticVerdict(
@@ -329,7 +329,7 @@ def classify_asymptotics(traj: Trajectory, policy: NumericPolicy = DEFAULT_POLIC
     ptp_prev = np.ptp(prev, axis=0)
     scale = np.maximum(np.max(ptp_last), 1e-12)
     ptp_drift = float(np.max(np.abs(ptp_last - ptp_prev)) / scale)
-    if jitter < policy.cycle_tol and ptp_drift < 5 * policy.cycle_tol:
+    if jitter < CYCLE_TOL and ptp_drift < 5 * CYCLE_TOL:
         return AsymptoticVerdict(
             kind="limit_cycle",
             period=mean_period,
@@ -360,7 +360,6 @@ def multistability_probe(
     grid: np.ndarray,
     t_end: float = 100.0,
     dt: float = 1e-3,
-    policy: NumericPolicy = DEFAULT_POLICY,
 ) -> MultistabilityReport:
     """Integrate a grid of initial conditions; every bounded run must settle.
 
@@ -370,7 +369,7 @@ def multistability_probe(
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     trajectories = integrate_batch(sys, grid, t_end, dt)
-    verdicts = tuple(classify_asymptotics(t, policy) for t in trajectories)
+    verdicts = tuple(classify_asymptotics(t) for t in trajectories)
     violations = [v for v in verdicts if v.kind not in ("fixed_point", "divergent")]
     if violations:
         raise PropertyViolationError(
@@ -381,7 +380,7 @@ def multistability_probe(
     divergent = sum(1 for v in verdicts if v.kind == "divergent")
     clusters: list[np.ndarray] = []
     for point in points:
-        radius = 10.0 * policy.fp_tol_scale * (1.0 + float(np.linalg.norm(point)))
+        radius = 10.0 * FP_TOL_SCALE * (1.0 + float(np.linalg.norm(point)))
         if not any(np.linalg.norm(point - c) <= radius for c in clusters):
             clusters.append(point)
     equilibria = np.array(clusters) if clusters else np.empty((0, grid.shape[1]))

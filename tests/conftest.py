@@ -2,12 +2,6 @@ import numpy as np
 import pytest
 
 from pdom import registry
-from pdom.policy import NumericPolicy
-
-
-@pytest.fixture(scope="session")
-def policy():
-    return NumericPolicy()
 
 
 @pytest.fixture

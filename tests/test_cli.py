@@ -99,6 +99,17 @@ class TestVerify:
         assert verdict["passed"] is False
         assert verdict["p"] == claim["p"]
 
+    @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
+    @pytest.mark.parametrize("system", ["nl-msd", "msd-c8"])
+    def test_claimed_p_out_of_range_is_input_error(self, tmp_path, capsys, system, supply):
+        cert = {"P": registry.DIFF_STORAGE_VELOCITY.tolist(), "lambda": 1.0, "p": 5}
+        if supply is not None:
+            cert["supply"] = supply
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        assert cli.main(["verify", system, str(cert_path)]) == 2
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestCertify:
     def test_writes_certificate(self, tmp_path, msd4_file):
@@ -195,6 +206,16 @@ class TestInterconnect:
         path.write_text(json.dumps(data))
         assert cli.main(["interconnect", str(path)]) == 0
 
+    def test_loop_certificate_p_out_of_range(self, tmp_path, capsys):
+        path = self._loop_file(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["cert1"]["p"] = 9
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert cli.main(["interconnect", path]) == 2
+        assert "out of range" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_fixed_point_run(self, tmp_path, capsys):
@@ -225,8 +246,8 @@ class TestSimulate:
 
 
 class TestNumericPolicyOverride:
-    def test_env_override_changes_outcome(self, tmp_path, monkeypatch):
-        # a sloppy lmi_tol turns the failing small-gain check into a pass
+    def test_env_override_is_ignored(self, tmp_path, monkeypatch):
+        # tolerances are fixed: a file asking for a sloppy lmi_tol cannot turn the failing small-gain check into a pass
         sys_path = tmp_path / "msd8.json"
         sys_path.write_text(json.dumps(registry.msd(8.0).to_dict()))
         cert_path = tmp_path / "cert8.json"
@@ -245,44 +266,39 @@ class TestNumericPolicyOverride:
         policy_path = tmp_path / "policy.json"
         policy_path.write_text(json.dumps({"lmi_tol": 10.0}))
         monkeypatch.setenv("PDOM_NUMERIC_POLICY", str(policy_path))
-        assert cli.main(["verify", str(sys_path), str(cert_path)]) == 0
+        assert cli.main(["verify", str(sys_path), str(cert_path)]) == 1
 
+
+class TestRunReport:
+    # one run per exit code; a report is written on every path and names the error that ended the run
     @pytest.mark.parametrize(
-        "entry",
+        "argv, code, error",
         [
-            {"no_such_tolerance": 1.0},
-            {"lmi_max_iterations": 1.0},
-            {"lmi_stagnation_window": 1.0},
-            {"lmi_stagnation_delta": 1.0},
-            {"gain_tol": 1e-4},
-            {"lmi_tol": float("nan")},
-            {"lmi_tol": float("inf")},
-            {"lmi_tol": "abc"},
-            {"lmi_tol": None},
-            {"lmi_tol": True},
-            {"lmi_tol": -1.0},
+            (["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"], 0, None),
+            (["simulate", "nl-msd", "--x0", "1,1", "--t", "10"], 0, None),
+            (["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"], 1, "SplitMismatchError"),
+            (["verify", "nosuch.json", "nosuch2.json"], 2, "PdomError"),
+            (["certify", "msd-c8", "--lambda", "1.2679", "--p", "0", "--passivity"], 3, "LmiInfeasibleError"),
         ],
-        ids=[
-            "no_such_tolerance",
-            "lmi_max_iterations",
-            "lmi_stagnation_window",
-            "lmi_stagnation_delta",
-            "gain_tol",
-            "lmi_tol-nan",
-            "lmi_tol-inf",
-            "lmi_tol-string",
-            "lmi_tol-null",
-            "lmi_tol-bool",
-            "lmi_tol-negative",
-        ],
+        ids=["exit0-analyze", "exit0-simulate", "exit1", "exit2", "exit3"],
     )
-    def test_invalid_policy_file(self, tmp_path, monkeypatch, entry):
-        # unknown names, the retired LMI iteration and bisection fields, and any value
-        # that is not a finite positive number are input errors
-        policy_path = tmp_path / "policy.json"
-        policy_path.write_text(json.dumps(entry))
-        monkeypatch.setenv("PDOM_NUMERIC_POLICY", str(policy_path))
-        assert cli.main(["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]) == 2
+    def test_report_on_every_exit(self, tmp_path, monkeypatch, capsys, argv, code, error):
+        monkeypatch.chdir(tmp_path)
+        canonical = []
+        for name in ("a.json", "b.json"):
+            assert cli.main(["--report", name, *argv]) == code
+            data = json.loads((tmp_path / name).read_text())
+            assert data["command"] == argv[0]
+            if error is None:
+                assert "error" not in data
+            else:
+                assert data["error"]["class"] == error
+                assert data["error"]["exit_code"] == code
+                assert data["error"]["message"]
+            data.pop("wall_time_s")
+            canonical.append(json.dumps(data, sort_keys=True, indent=2))
+        capsys.readouterr()
+        assert canonical[0] == canonical[1]
 
 
 class TestReproduce:

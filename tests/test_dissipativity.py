@@ -115,6 +115,13 @@ class TestVerify:
         )
         assert not verify_dissipativity(msd_c8, cert).passed
 
+    @pytest.mark.parametrize("p", [-1, 3])
+    def test_claimed_p_out_of_range_rejected(self, p):
+        with pytest.raises(ValueError, match="out of range"):
+            DissipativityCertificate(
+                P=registry.PASSIVITY_STORAGE_C8, rate=RATE, epsilon=0.0, p=p, supply=supply_passivity(1)
+            )
+
     def test_large_gain_eventually_passes(self, rng):
         A, p = random_hyperbolic(rng, 3, 0.8)
         sys = LtiSystem(A=A, B=rng.standard_normal((3, 1)), C=0.01 * rng.standard_normal((1, 3)), D=np.zeros((1, 1)))

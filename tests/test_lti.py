@@ -16,7 +16,6 @@ from pdom.lti import (
     residual,
 )
 from pdom.matrixcore import expm, inertia_of
-from pdom.policy import DEFAULT_POLICY
 
 RATE = registry.KNOWN_RATE
 
@@ -89,14 +88,14 @@ class TestStackedKernel:
 
     def test_asymmetric_block_rejected(self, rng):
         S = _symmetric_stack(rng)
-        # beyond sym_tol * max(1, ||S_0||_F), about 1e-8, but within the last block's allowance
+        # beyond SYM_TOL * max(1, ||S_0||_F), about 1e-8, but within the last block's allowance
         S[0, 0, 1] += 1e-6
         with pytest.raises(DimensionError):
             mc.sym_eigen(S[0])
         with pytest.raises(DimensionError):
             mc.sym_eigen(S)
         with pytest.raises(DimensionError):
-            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0, DEFAULT_POLICY)
+            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, rng, bad):
@@ -107,7 +106,7 @@ class TestStackedKernel:
         with pytest.raises(NumericalError):
             mc.sym_eigen(S)
         with pytest.raises(NumericalError):
-            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0, DEFAULT_POLICY)
+            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0)
 
 
 class TestEigenSplit:
