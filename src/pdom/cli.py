@@ -38,6 +38,7 @@ from .errors import (
 )
 from .interconnect import FeedbackLoop, closed_loop_certificate, coupling_condition
 from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test
+from .model import _json_object
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
 
 EXIT_OK = 0
@@ -207,7 +208,7 @@ def cmd_interconnect(args, report: RunReport) -> int:
     ):
         if key in data:
             # the loop's rate is the default and its supply always wins
-            entry = {"lambda": loop.rate, **data[key], "supply": supply.to_dict()}
+            entry = {"lambda": loop.rate, **_json_object(data[key], key), "supply": supply.to_dict()}
             certs.append(DissipativityCertificate.from_dict(entry))
         elif not system.channels and not supply.Q.any():
             from .dissipativity import find_passivity_storage
@@ -330,7 +331,8 @@ _FAILURES = (
     (NonHyperbolicError, EXIT_CRITERION_FAILED, "inconclusive"),
     (SplitMismatchError, EXIT_CRITERION_FAILED, "split mismatch"),
     ((CouplingError, RateMismatchError), EXIT_INPUT_ERROR, "error"),
-    ((PdomError, ValueError, KeyError), EXIT_INPUT_ERROR, "input error"),
+    # OSError: an input or output path that cannot be read or written
+    ((PdomError, ValueError, KeyError, OSError), EXIT_INPUT_ERROR, "input error"),
 )
 
 
@@ -341,7 +343,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args, report)
-    except (PdomError, ValueError, KeyError) as exc:
+    except (PdomError, ValueError, KeyError, OSError) as exc:
         for kinds, code, label in _FAILURES:
             if isinstance(exc, kinds):
                 break
@@ -362,9 +364,12 @@ def main(argv=None) -> int:
         for warning in report.warnings:
             print(f"warning: {warning}")
     if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2))
-            fh.write("\n")
+        try:
+            with open(args.report, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n")
+        except OSError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
     return code
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import numpy as np
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
 from .lti import DominanceVerdict, LtiSystem, _verify_blocks, residual
-from .model import _ValueEquality
+from .model import _json_object, _ValueEquality
 
 __all__ = [
     "SupplyRate",
@@ -82,6 +82,7 @@ class SupplyRate(_ValueEquality):
         Shorthands: {"kind": "passivity"} and {"kind": "gain", "gamma": g};
         both need the channel dimensions (r, m) from context.
         """
+        data = _json_object(data, "a supply")
         if "kind" in data:
             kind = data["kind"]
             if r is None or m is None:
@@ -126,6 +127,7 @@ class DissipativityCertificate(_ValueEquality):
 
     @staticmethod
     def from_dict(data: dict, r: int | None = None, m: int | None = None) -> "DissipativityCertificate":
+        data = _json_object(data, "a certificate")
         return DissipativityCertificate(
             P=np.asarray(data["P"], dtype=float),
             rate=float(data["lambda"]),

@@ -24,7 +24,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .lti import DominanceCertificate
-from .model import Channel, LureSystem, _ValueEquality
+from .model import Channel, LureSystem, _json_object, _ValueEquality
 from .policy import LMI_TOL
 
 __all__ = [
@@ -198,6 +198,7 @@ class FeedbackLoop(_ValueEquality):
 
     @staticmethod
     def from_dict(data: dict) -> "FeedbackLoop":
+        data = _json_object(data, "a loop")
         sys1 = LureSystem.from_dict(data["sys1"])
         sys2 = LureSystem.from_dict(data["sys2"])
         supply1 = SupplyRate.from_dict(data["supply1"], r=sys1.r, m=sys1.m)

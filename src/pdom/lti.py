@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
-from .model import LureSystem as LtiSystem, _ValueEquality, state_matrix
+from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, state_matrix
 from .policy import LMI_TOL, SPLIT_TOL
 
 __all__ = [
@@ -61,6 +61,7 @@ class DominanceCertificate(_ValueEquality):
 
     @staticmethod
     def from_dict(data: dict) -> "DominanceCertificate":
+        data = _json_object(data, "a certificate")
         return DominanceCertificate(
             P=np.asarray(data["P"], dtype=float),
             rate=float(data["lambda"]),

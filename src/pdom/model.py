@@ -50,6 +50,13 @@ class _ValueEquality:
     __hash__ = None
 
 
+def _json_object(data, what: str) -> dict:
+    """``data`` if it is a JSON object; a ValueError naming ``what`` for any other decoded shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    return data
+
+
 @dataclass(frozen=True, eq=False)
 class Nonlinearity(_ValueEquality):
     """Scalar piecewise-C1 nonlinearity with a closed-form derivative.
@@ -138,6 +145,7 @@ class Nonlinearity(_ValueEquality):
 
     @staticmethod
     def from_dict(data: dict) -> "Nonlinearity":
+        data = _json_object(data, "a nonlinearity")
         kind = data["kind"]
         if kind == "cubic_saturated":
             return cubic_saturated()
@@ -200,6 +208,7 @@ class Channel(_ValueEquality):
 
     @staticmethod
     def from_dict(data: dict) -> "Channel":
+        data = _json_object(data, "a channel")
         return Channel(
             g=np.asarray(data["g"], dtype=float),
             h=np.asarray(data["h"], dtype=float),
@@ -308,6 +317,7 @@ class LureSystem(_ValueEquality):
     @staticmethod
     def from_dict(data: dict) -> "LureSystem":
         """Decode a system; "D" (default zero) and "channels" (default none) are optional."""
+        data = _json_object(data, "a system")
         return LureSystem(
             A=np.asarray(data["A"], dtype=float),
             B=np.asarray(data["B"], dtype=float),

@@ -9,6 +9,7 @@ checks multistability predictions on a grid of initial conditions.
 from __future__ import annotations
 
 import csv
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import sqrt
@@ -31,8 +32,9 @@ __all__ = [
 ]
 
 _DIVERGENCE_NORM = 1e9
-# rows * n^2 at the lowest crossover measured between the generated step and the numpy loop
-_ROWS_WORK = 100
+# bounds on rows * row cost for the generated step, without and with channels; see _takes_row_step
+_ROW_COST = 120
+_ROW_COST_CHANNELS = 280
 
 
 @dataclass(frozen=True)
@@ -94,12 +96,10 @@ def integrate_batch(
     A row whose norm exceeds 1e9, or is not finite, is flagged as truncated
     and its record is cut at that step; the row is not evaluated after it.
 
-    A batch with rows * n^2 <= ``_ROWS_WORK`` and no callable input runs row by
-    row through the model's generated float step, 1.5-3 us per row-step for
-    n <= 4; any other batch runs the numpy loop, 35-80 us per step for up to
-    some 30 rows. The generated step sums products left to right, while a
-    one-row numpy product may pair them: for n > 2 a row's last bits can
-    depend on the shape of its batch.
+    A batch that :func:`_takes_row_step` accepts, with no callable input, runs row by row through the
+    model's generated float step (1-4 us per row-step for n <= 4); any other batch runs the numpy loop
+    (20-90 us per step for up to some 30 rows). The generated step sums products left to right, while a
+    one-row numpy product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -114,10 +114,19 @@ def integrate_batch(
     if not isinstance(sys, LureSystem):  # a bare state matrix
         A = state_matrix(sys)
         sys = LureSystem(A=A, B=np.zeros((A.shape[0], 0)), C=np.zeros((0, A.shape[0])))
-    small = X0.shape[0] * sys.n**2 <= _ROWS_WORK and not callable(input_policy)
+    small = _takes_row_step(sys, X0.shape[0]) and not callable(input_policy)
     runs, inputs = (_rk4_rows if small else _rk4_batch)(sys, X0, steps, dt, record_every, input_policy)
     return [Trajectory(0.0, dt * record_every, states, None if inputs is None else inputs[: len(states)], cut)
             for states, cut in runs]
+
+
+def _takes_row_step(sys: LureSystem, rows: int) -> bool:
+    """Whether ``rows`` rows take the generated step. Its row cost is the terms the field sums (the
+    non-zeros of ``A``, ``H`` and ``G``) plus one per state for the stage updates, while the numpy loop's
+    cost is mostly a fixed dispatch, about 2.5x higher with channels; each bound sits below every
+    crossover measured."""
+    cost = np.count_nonzero(sys.A) + np.count_nonzero(sys._H) + np.count_nonzero(sys._G) + sys.n
+    return rows * cost <= (_ROW_COST_CHANNELS if sys.channels else _ROW_COST)
 
 
 def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
@@ -169,15 +178,15 @@ def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
     step = vars(sys).get("_row_step") or vars(sys).setdefault("_row_step", _generate_row_step(sys))
     u = tuple(drive(0.0).tolist()) if drive else (0.0,) * sys.n
     runs = [step(x, steps // record_every, record_every, dt, u) for x in X0.tolist()]
-    runs = [(np.array(record).reshape(-1, sys.n), truncated) for record, truncated in runs]
     return runs, None if u_of_t is None else np.repeat(u_of_t(0.0)[None], steps // record_every + 1, axis=0)
 
 
 def _generate_row_step(sys: LureSystem):
-    """Straight-line float code for ``step(x, records, every, dt, u) -> (flat record, truncated)``:
-    the numpy loop's stages, divergence test and records on one row, with ``u = B u`` of a constant
-    input (or zero) added to the field. Sums run left to right and skip zero coefficients."""
-    n, namespace = sys.n, {"sqrt": sqrt, "bisect_right": bisect_right}
+    """Straight-line float code for ``step(x, records, every, dt, u) -> (states, truncated)``: the numpy
+    loop's stages, divergence test and records on one row, with ``u = B u`` of a constant input (or zero)
+    added; sums run left to right and skip zero coefficients, and the record grows in an ``array('d')``."""
+    n, namespace = sys.n, {"sqrt": sqrt, "bisect_right": bisect_right, "array": array}
+    namespace["states"] = lambda out: np.array(out).reshape(-1, n)
     x, y, u, *k = ([f"{v}{i}" for i in range(n)] for v in ("x", "y", "u", "k1_", "k2_", "k3_", "k4_"))
     body = _field_lines(sys, x, k[0], namespace)
     for s, scale in enumerate(("half", "half", "dt")):
@@ -185,12 +194,12 @@ def _generate_row_step(sys: LureSystem):
         body += _field_lines(sys, y, k[s + 1], namespace)
     body += [f"{xi} = {xi} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for xi, a, b, c, d in zip(x, *k)]
     squares = " + ".join(f"{xi} * {xi}" for xi in x)
-    body += [f"if not sqrt({squares}) <= {_DIVERGENCE_NORM!r}:  # true for NaN and inf", "    return out, True"]
+    body += [f"if not sqrt({squares}) <= {_DIVERGENCE_NORM!r}:  # true for NaN and inf", "    return states(out), True"]
     xs, us = "".join(f"{v}, " for v in x), "".join(f"{v}, " for v in u)
     code = [f"def step(x, records, every, dt, u):\n    {xs}= x\n    {us}= u",
-            f"    half, sixth = 0.5 * dt, dt / 6.0\n    out = [{xs}]",
+            f"    half, sixth = 0.5 * dt, dt / 6.0\n    out = array('d', ({xs}))",
             "    for _ in range(records):\n        for _ in range(every):",
-            *("            " + line for line in body), f"        out += ({xs})\n    return out, False"]
+            *("            " + line for line in body), f"        out.fromlist([{xs}])\n    return states(out), False"]
     exec("\n".join(code), namespace)
     return namespace["step"]
 

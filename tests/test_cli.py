@@ -279,14 +279,24 @@ class TestRunReport:
             (["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"], 1, "SplitMismatchError"),
             (["verify", "nosuch.json", "nosuch2.json"], 2, "PdomError"),
             (["certify", "msd-c8", "--lambda", "1.2679", "--p", "0", "--passivity"], 3, "LmiInfeasibleError"),
+            (["certify", "msd-c4", "--lambda", "1.2679", "--p", "1", "--out", "no_such_dir/x.json"], 2,
+             "FileNotFoundError"),
+            (["interconnect", "list_cert1.json"], 2, "ValueError"),
         ],
-        ids=["exit0-analyze", "exit0-simulate", "exit1", "exit2", "exit3"],
+        ids=["exit0-analyze", "exit0-simulate", "exit1", "exit2", "exit3", "exit2-unwritable-out", "exit2-list-cert1"],
     )
     def test_report_on_every_exit(self, tmp_path, monkeypatch, capsys, argv, code, error):
         monkeypatch.chdir(tmp_path)
+        # a loop file whose cert1 is a JSON list, not an object
+        sys8 = registry.msd(8.0).to_dict()
+        loop = {"sys1": sys8, "sys2": sys8, "supply1": {"kind": "passivity"}, "supply2": {"kind": "passivity"},
+                "lambda": registry.KNOWN_RATE, "cert1": [1.0, 2.0]}
+        (tmp_path / "list_cert1.json").write_text(json.dumps(loop))
         canonical = []
         for name in ("a.json", "b.json"):
             assert cli.main(["--report", name, *argv]) == code
+            if code == 2:
+                assert capsys.readouterr().err.startswith("input error: ")
             data = json.loads((tmp_path / name).read_text())
             assert data["command"] == argv[0]
             if error is None:
@@ -299,6 +309,11 @@ class TestRunReport:
             canonical.append(json.dumps(data, sort_keys=True, indent=2))
         capsys.readouterr()
         assert canonical[0] == canonical[1]
+
+    def test_unwritable_report_is_an_input_error(self, tmp_path, capsys):
+        argv = ["--report", str(tmp_path / "no_such_dir" / "r.json"), "analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]
+        assert cli.main(argv) == 2
+        assert "input error: " in capsys.readouterr().err
 
 
 class TestReproduce:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -107,7 +109,7 @@ class TestIntegrate:
         # the generated row step binds bisect_right when it is built, on the model's first run
         monkeypatch.setattr(sim, "bisect_right", counting_bisect)
         alone = integrate(sys, [1e-3, 1.0], t_end=20.0, dt=1e-2)
-        wide = sim._ROWS_WORK // sys.n**2 + 1
+        wide = next(rows for rows in itertools.count(2) if not sim._takes_row_step(sys, rows))
         for rows in (2, wide):
             rows_seen.clear()
             lookups.clear()
@@ -222,6 +224,39 @@ class TestEvaluators:
         sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.zeros((2, 1)), C=np.eye(2))
         (_, first_cut), (_, second_cut) = _same_rows(sys, [[1e2, 0.0], [1e-3, 1.0]], 20.0, 1e-2, 5, None)
         assert first_cut and not second_cut
+
+    @pytest.mark.parametrize("rows, dt, every", [(10, 1e-2, 2), (16, 2.5e-2, 5)])
+    def test_nl_loop_batches_match_bitwise(self, rows, dt, every):
+        # the benchmark's nl-loop batch shapes: a batched numpy product sums in sequence, as the
+        # generated step does, so the two agree to the bit
+        loop = registry.nonlinear_loop()
+        x0 = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 4))
+        steps = int(round(50.0 / dt))
+        by_rows, _ = sim._rk4_rows(loop, x0, steps, dt, every, None)
+        batch, _ = sim._rk4_batch(loop, x0, steps, dt, every, None)
+        for (a, a_cut), (b, b_cut) in zip(by_rows, batch, strict=True):
+            assert a_cut == b_cut
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "name, rows, generated",
+        [("nl-msd", 1, True), ("msd-c8", 1, True), ("nl-loop", 10, True), ("nl-loop", 16, True),
+         ("nl-loop", 256, False), ("dense-8", 4, False), ("msd-c8", 33, False)],
+    )
+    def test_rule_picks_the_evaluator(self, monkeypatch, name, rows, generated):
+        # msd-c8 has 3 non-zeros in A; its 33 rows would pass on the non-zeros alone, past its crossover
+        if name == "dense-8":
+            A = np.random.default_rng(8).normal(size=(8, 8)) - 4.0 * np.eye(8)
+            model = LureSystem(A=A, B=np.zeros((8, 0)), C=np.zeros((0, 8)))
+        else:
+            model = registry.builtin_system(name)
+        assert sim._takes_row_step(model, rows) == generated
+        calls, field = [], LureSystem.rhs
+        monkeypatch.setattr(LureSystem, "rhs", lambda self, X, U=None: calls.append(1) or field(self, X, U))
+        trajs = integrate_batch(model, np.ones((rows, model.n)), t_end=0.1, dt=1e-2)
+        assert len(trajs) == rows and all(t.states.shape == (11, model.n) for t in trajs)
+        # the generated step never calls the numpy field; the numpy loop calls it four times a step
+        assert len(calls) == (0 if generated else 40)
 
     def test_bare_state_matrix(self):
         A = np.array([[0.0, 1.0, 0.0], [-2.0, -0.5, 1.0], [0.3, 0.0, -1.0]])
