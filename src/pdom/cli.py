@@ -5,7 +5,8 @@ Systems, certificates and supplies travel as JSON; trajectories as CSV.
 Every command emits a RunReport (JSON with --report) that is byte-identical
 across runs for identical inputs and seed, wall time excluded, and is
 written on every exit path; a run ended by an error records it under
-``error``.
+``error``, with the search report under ``error.lmi`` when a storage search
+failed. A usage error (exit 2) writes the report too; ``--help`` writes none.
 
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive),
 2 input error, 3 numerical failure.
@@ -51,7 +52,7 @@ EXIT_NUMERICAL_FAILURE = 3
 class RunReport:
     """Serializable record of one command run; deterministic given inputs + seed."""
 
-    command: str
+    command: str | None  # None when a usage error came before the verb
     inputs: dict = field(default_factory=dict)
     verdicts: list = field(default_factory=list)
     certificates: list = field(default_factory=list)
@@ -276,8 +277,19 @@ def cmd_reproduce(args, report: RunReport) -> int:
     return EXIT_OK if all_passed else EXIT_CRITERION_FAILED
 
 
+class UsageError(Exception):
+    """A command line that argparse refuses; raised so that ``main`` still writes the report."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pdom",
         description="Dominance and dissipativity certification for linear and Lur'e systems",
     )
@@ -337,18 +349,26 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    report = RunReport(command=args.verb)
+    # parsed into a namespace of our own, so that a usage error still leaves
+    # --report and the verb (set before its subparser runs) readable
+    args = argparse.Namespace()
+    report = RunReport(command=None)
     start = time.perf_counter()
     try:
+        build_parser().parse_args(argv, namespace=args)
         code = args.func(args, report)
+    except UsageError as exc:
+        code = EXIT_INPUT_ERROR
+        report.error = {"class": type(exc).__name__, "message": str(exc), "exit_code": code}
     except (PdomError, ValueError, KeyError, OSError) as exc:
         for kinds, code, label in _FAILURES:
             if isinstance(exc, kinds):
                 break
         print(f"{label}: {exc}", file=sys.stderr)
         report.error = {"class": type(exc).__name__, "message": str(exc), "exit_code": code}
+        if isinstance(exc, LmiInfeasibleError):
+            report.error["lmi"] = exc.report.to_dict()
+    report.command = args.verb
     report.wall_time_s = time.perf_counter() - start
 
     if args.verb != "reproduce" and report.error is None:

@@ -12,6 +12,12 @@ iterate that meets every block with margin epsilon, or when the Lagrange dual
 bound (``t - m/mu`` at a central point, m the summed block dimensions plus
 one) is positive, which proves that no storage in the ball meets the margin.
 
+Blocks and equality maps take a ``(..., n, n)`` stack of P and return the
+stack of their values. The engine calls each block once on ``P_part`` and
+once on the stack of all null-space directions ``P_part + smat(N^T)``, and
+each equality map once on the stacked basis of symmetric matrices, so the
+number of calls does not grow with n.
+
 Success is verifier-gated: callers re-check every solution with the relevant
 module verifier, so the engine can never leak an unverified certificate.
 """
@@ -65,7 +71,7 @@ def smat(v: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LinearEquality:
-    """Linear constraint map(P) = rhs, with map linear in P."""
+    """Linear constraint map(P) = rhs, with map linear in P and applied to each P of a stack."""
 
     map: Callable[[np.ndarray], np.ndarray]
     rhs: np.ndarray
@@ -73,7 +79,14 @@ class LinearEquality:
 
 @dataclass(frozen=True)
 class LmiProblem:
-    """Feasibility data: residual blocks, equalities, inertia target, margin."""
+    """Feasibility data: residual blocks, equalities, inertia target, margin.
+
+    Each block maps a ``(..., n, n)`` stack of symmetric P to the stack of its
+    ``(..., k, k)`` values, and each equality map likewise maps a stack of P to
+    a stack of values; ``solve`` evaluates them on stacks, so a block written
+    for one matrix (``P.T``, ``P[0]``) is not enough. ``epsilon`` must be
+    finite and positive.
+    """
 
     dim: int
     blocks: list[Callable[[np.ndarray], np.ndarray]]
@@ -84,8 +97,8 @@ class LmiProblem:
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("an LMI problem needs at least one residual block")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive for termination detection")
+        if not 0 < self.epsilon < np.inf:  # also refuses nan
+            raise ValueError("epsilon must be finite and positive for termination detection")
 
 
 @dataclass(frozen=True)
@@ -102,6 +115,17 @@ class LmiReport:
     inertia: tuple[int, int, int] | None = None
     message: str = ""
     gap_bound: float | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "iterations": self.iterations,
+            # inf when no iterate was evaluated; strict JSON has no infinity
+            "violation": self.violation if np.isfinite(self.violation) else None,
+            "equality_residual": self.equality_residual,
+            "inertia": self.inertia,
+            "gap_bound": self.gap_bound,
+            "message": self.message,
+        }
 
     def __str__(self) -> str:
         bound = "" if self.gap_bound is None else f", gap bound {self.gap_bound:.3e}"
@@ -129,7 +153,7 @@ def solve(problem: LmiProblem) -> np.ndarray:
         rhs = []
         for eq in problem.equalities:
             rhs.append(np.asarray(eq.rhs, dtype=float).ravel())
-            rows.append(np.column_stack([np.asarray(eq.map(E), dtype=float).ravel() for E in basis]))
+            rows.append(np.asarray(eq.map(basis), dtype=float).reshape(dsym, -1).T)
         G = np.vstack(rows)
         g = np.concatenate(rhs)
         part, *_ = np.linalg.lstsq(G, g, rcond=None)
@@ -163,7 +187,7 @@ def solve(problem: LmiProblem) -> np.ndarray:
     slacks = []
     for blk in problem.blocks:
         base = np.asarray(blk(P_part), dtype=float)
-        F = np.array([np.asarray(blk(D), dtype=float) for D in directions]) - base
+        F = np.asarray(blk(directions), dtype=float) - base
         k = base.shape[0]
         gens = np.concatenate([-0.5 * (F + F.transpose(0, 2, 1)), np.eye(k)[None]])
         slacks.append((-problem.epsilon * np.eye(k) - 0.5 * (base + base.T), gens))

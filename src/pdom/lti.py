@@ -141,11 +141,13 @@ def residual(A, P, lam: float) -> np.ndarray:
     """Dominance LMI residual ``A^T P + P A + 2 lam P`` (symmetric).
 
     A ``(k, n, n)`` stack A gives the stack of residuals; its entries are
-    checked with the blocks (:func:`pdom.matrixcore.sym_eigen`).
+    checked with the blocks (:func:`pdom.matrixcore.sym_eigen`). P may be a
+    ``(..., n, n)`` stack that broadcasts against A; each of its matrices
+    passes :func:`pdom.matrixcore.as_symmetric`'s finite and symmetry checks.
     """
     A = np.asarray(A, dtype=float) if np.ndim(A) == 3 else mc.as_matrix(A)
     P = mc.as_symmetric(P)
-    if A.shape[-2:] != P.shape:
+    if A.shape[-2:] != P.shape[-2:]:
         raise DimensionError("A and P must share dimensions")
     R = A.swapaxes(-1, -2) @ P + P @ A + 2.0 * lam * P
     return 0.5 * (R + R.swapaxes(-1, -2))

@@ -305,10 +305,49 @@ class TestRunReport:
                 assert data["error"]["class"] == error
                 assert data["error"]["exit_code"] == code
                 assert data["error"]["message"]
+            if error == "LmiInfeasibleError":
+                # the search report travels as fields, not only inside the message
+                lmi = data["error"]["lmi"]
+                assert sorted(lmi) == ["equality_residual", "gap_bound", "inertia", "iterations", "message",
+                                       "violation"]
+                assert lmi["inertia"] == [1, 0, 1] and lmi["iterations"] > 0
+                assert lmi["violation"] < 0 and lmi["equality_residual"] <= 1e-9
+                assert lmi["gap_bound"] is None and "target (0, 0, 2)" in lmi["message"]
             data.pop("wall_time_s")
             canonical.append(json.dumps(data, sort_keys=True, indent=2))
         capsys.readouterr()
         assert canonical[0] == canonical[1]
+
+    @pytest.mark.parametrize(
+        "argv, command, message",
+        [
+            (["analyze", "msd-c4", "--p", "1"], "analyze", "--lambda"),
+            (["certify", "msd-c4", "--lambda", "x", "--p", "1"], "certify", "invalid float value"),
+            ([], None, "verb"),
+            (["frob"], None, "invalid choice"),
+        ],
+        ids=["missing-option", "bad-value", "no-verb", "unknown-verb"],
+    )
+    def test_usage_error_writes_report(self, tmp_path, monkeypatch, capsys, argv, command, message):
+        monkeypatch.chdir(tmp_path)
+        canonical = []
+        for name in ("a.json", "b.json"):
+            assert cli.main(["--report", name, *argv]) == 2
+            assert capsys.readouterr().err.startswith("usage: pdom")
+            data = json.loads((tmp_path / name).read_text())
+            assert data["command"] == command
+            assert data["error"]["class"] == "UsageError" and data["error"]["exit_code"] == 2
+            assert message in data["error"]["message"]
+            data.pop("wall_time_s")
+            canonical.append(json.dumps(data, sort_keys=True, indent=2))
+        assert canonical[0] == canonical[1]
+
+    def test_help_writes_no_report(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["--report", str(tmp_path / "r.json"), "analyze", "--help"])
+        assert excinfo.value.code == 0
+        assert "usage: pdom analyze" in capsys.readouterr().out
+        assert not (tmp_path / "r.json").exists()
 
     def test_unwritable_report_is_an_input_error(self, tmp_path, capsys):
         argv = ["--report", str(tmp_path / "no_such_dir" / "r.json"), "analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]

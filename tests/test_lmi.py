@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,76 @@ class TestSolve:
         P = lmi.solve(problem)
         for A in vertices:
             assert np.linalg.eigvalsh(residual(A, P, 1.0))[-1] <= -1e-4 + 1e-6
+
+
+def _planted_passivity(rng, n, p, m=2, lam=0.5, margin=0.1):
+    """A, B, C with a storage of inertia (p, 0, n - p), P B = C^T and residual -2 margin I."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    P = Q @ np.diag(np.r_[-np.ones(p), np.ones(n - p)]) @ Q.T
+    K = rng.standard_normal((n, n))
+    A = np.linalg.solve(P, -margin * np.eye(n) + (K - K.T)) - lam * np.eye(n)
+    B = rng.standard_normal((n, m))
+    return A, B, (P @ B).T
+
+
+class TestStackedEvaluation:
+    """Blocks and equality maps are evaluated on stacks, so their call counts do not grow with n."""
+
+    @staticmethod
+    def _counted_solve(rng, n):
+        lam, p = 0.5, 1
+        A, B, C = _planted_passivity(rng, n, p)
+        calls = {"block": 0, "equality": 0}
+
+        def block(P):
+            calls["block"] += 1
+            return residual(A, P, lam)
+
+        def equality(P):
+            calls["equality"] += 1
+            return P @ B
+
+        problem = lmi.LmiProblem(
+            dim=n,
+            blocks=[block],
+            equalities=[lmi.LinearEquality(equality, C.T)],
+            inertia_target=(p, 0, n - p),
+            epsilon=1e-6,
+        )
+        P = lmi.solve(problem)
+        assert np.max(np.abs(P @ B - C.T)) <= 1e-10
+        assert np.linalg.eigvalsh(residual(A, P, lam))[-1] <= -1e-6 + 1e-6
+        return calls
+
+    def test_call_counts_do_not_grow_with_n(self, rng):
+        small = self._counted_solve(rng, 4)
+        large = self._counted_solve(rng, 10)  # 55 symmetric directions, 35 left after P B = C^T
+        # the block: at P_part, on the stack of directions, at the answer;
+        # the equality map: on the stacked basis, at the answer
+        assert small == large == {"block": 3, "equality": 2}
+
+
+class TestProblemValidation:
+    @pytest.mark.parametrize("epsilon", [0.0, -1e-6, np.nan, np.inf])
+    def test_epsilon_must_be_finite_and_positive(self, epsilon):
+        with pytest.raises(ValueError, match="finite and positive"):
+            lmi.LmiProblem(dim=1, blocks=[lambda P: P], epsilon=epsilon)
+
+    def test_report_fields(self):
+        report = lmi.LmiReport(iterations=4, violation=0.5, equality_residual=0.0, inertia=(1, 0, 1),
+                               message="m", gap_bound=0.25)
+        assert report.to_dict() == {"iterations": 4, "violation": 0.5, "equality_residual": 0.0,
+                                    "inertia": (1, 0, 1), "gap_bound": 0.25, "message": "m"}
+
+    def test_unsatisfiable_equality_report_is_strict_json(self):
+        # P B = C^T has no solution with B = 0 and C != 0: no iterate, violation inf
+        problem = lmi.LmiProblem(
+            dim=2,
+            blocks=[lambda P: -P],
+            equalities=[lmi.LinearEquality(lambda P: P @ np.zeros((2, 1)), np.array([[0.0], [1.0]]))],
+        )
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            lmi.solve(problem)
+        data = excinfo.value.report.to_dict()
+        assert data["violation"] is None and data["iterations"] == 0
+        json.dumps(data, allow_nan=False)

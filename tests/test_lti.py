@@ -38,6 +38,28 @@ class TestResidual:
     def test_infeasible_combination(self):
         assert np.allclose(residual(np.zeros((2, 2)), np.eye(2), 1.0), 2 * np.eye(2))
 
+    @pytest.mark.parametrize("n, k", [(2, 1), (4, 10), (10, 55)])
+    def test_stack_of_storages_matches_single(self, rng, n, k):
+        # the LMI engine evaluates a block on every search direction in one call
+        A = rng.standard_normal((n, n))
+        P = rng.standard_normal((k, n, n))
+        P = P + P.swapaxes(1, 2)
+        R = residual(A, P, 0.7)
+        assert R.shape == (k, n, n)
+        for Ri, Pi in zip(R, P):
+            assert Ri.tobytes() == residual(A, Pi, 0.7).tobytes()
+
+    def test_stack_dimension_mismatch_rejected(self, rng):
+        with pytest.raises(DimensionError):
+            residual(rng.standard_normal((3, 3)), np.zeros((5, 4, 4)), 0.0)
+
+    def test_stack_with_one_asymmetric_storage_rejected(self, rng):
+        P = _symmetric_stack(rng)
+        # beyond this matrix's allowance, but within the large last matrix's
+        P[0, 0, 1] += 1e-6
+        with pytest.raises(DimensionError):
+            residual(rng.standard_normal((4, 4)), P, 0.0)
+
 
 class TestCheckDominance:
     def test_known_storage_passes(self, msd_c4):
