@@ -63,22 +63,22 @@ def boundary_samples(cone: QuadraticCone, count: int, rng: np.random.Generator) 
     eigenvalues, eigenvectors = mc.sym_eigen(cone.P)
     neg = eigenvectors[:, eigenvalues < 0]
     pos = eigenvectors[:, eigenvalues > 0]
-    samples = np.empty((count, cone.P.shape[0]))
-    for i in range(count):
-        u = neg @ _unit(rng.standard_normal(neg.shape[1]))
-        v = pos @ _unit(rng.standard_normal(pos.shape[1]))
-        qn = -float(u @ cone.P @ u)
-        qp = float(v @ cone.P @ v)
-        x = np.sqrt(qp) * u + np.sqrt(qn) * v
-        samples[i] = _unit(x)
-    return samples
+    # row i holds sample i's negative-eigenspace, then positive-eigenspace coefficients
+    k = neg.shape[1]
+    coeffs = rng.standard_normal((count, k + pos.shape[1]))
+    U = _unit(coeffs[:, :k]) @ neg.T
+    V = _unit(coeffs[:, k:]) @ pos.T
+    qn = -np.einsum("ij,jk,ik->i", U, cone.P, U)
+    qp = np.einsum("ij,jk,ik->i", V, cone.P, V)
+    return _unit(np.sqrt(qp)[:, None] * U + np.sqrt(qn)[:, None] * V)
 
 
-def _unit(x: np.ndarray) -> np.ndarray:
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
+def _unit(X: np.ndarray) -> np.ndarray:
+    """Each row scaled to unit length."""
+    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    if not norms.all():
         raise NumericalError("degenerate sample direction")
-    return x / norm
+    return X / norms
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,8 @@ def positivity_probe(
     times = tuple(float(t) for t in times)
     if not times or samples < 1:
         raise ValueError("a positivity probe needs at least one time and one sample")
-    if min(times) <= 0:
-        raise ValueError("probe times must be positive")
+    if not np.isfinite(times).all() or min(times) <= 0:
+        raise ValueError("probe times must be finite and positive")
     A = state_matrix(sys)
     X = boundary_samples(cone, samples, rng)
     worst = -np.inf

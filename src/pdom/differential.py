@@ -20,7 +20,7 @@ import numpy as np
 from . import matrixcore as mc
 from .dissipativity import SupplyRate, dissipation_blocks
 from .errors import DimensionError
-from .lti import DominanceVerdict, _split_counts, _verify_blocks, residual
+from .lti import DominanceVerdict, _check_finite, _split_counts, _verify_blocks, residual
 from .model import Channel, LureSystem, Nonlinearity, _ValueEquality, cubic_saturated, scaled, tabulated
 
 __all__ = [
@@ -164,6 +164,7 @@ def vertex_verdicts(
 
 
 def _differential_verdict(sys, P, lam, p, supply, epsilon) -> DifferentialVerdict:
+    _check_finite(lam, epsilon)
     family, verdicts = vertex_verdicts(sys, P, lam, p, supply, epsilon)
     if p is None:
         p = verdicts[0].inertia.negative

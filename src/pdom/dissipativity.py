@@ -16,7 +16,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DominanceVerdict, LtiSystem, _verify_blocks, residual
+from .lti import DominanceVerdict, LtiSystem, _check_finite, _verify_blocks, residual
 from .model import _json_object, _ValueEquality
 
 __all__ = [
@@ -111,6 +111,7 @@ class DissipativityCertificate(_ValueEquality):
 
     def __post_init__(self):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
+        _check_finite(self.rate, self.epsilon)
         if self.rate < 0 or self.epsilon < 0:
             raise ValueError("rate and epsilon must be nonnegative")
         if not 0 <= self.p <= self.P.shape[0]:

@@ -44,6 +44,7 @@ class DominanceCertificate(_ValueEquality):
 
     def __post_init__(self):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
+        _check_finite(self.rate, self.epsilon)
         if self.rate < 0:
             raise ValueError("rate must be nonnegative")
         if self.epsilon < 0:
@@ -153,6 +154,12 @@ def residual(A, P, lam: float) -> np.ndarray:
     return 0.5 * (R + R.swapaxes(-1, -2))
 
 
+def _check_finite(rate: float, epsilon: float = 0.0) -> None:
+    """Refuse a NaN or infinite rate or margin, which no comparison would catch."""
+    if not np.isfinite([rate, epsilon]).all():
+        raise ValueError(f"rate and epsilon must be finite, got {rate} and {epsilon}")
+
+
 def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[DominanceVerdict]:
     """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
 
@@ -161,7 +168,7 @@ def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[
     passes when ``lmax(block) <= -epsilon + LMI_TOL`` and the storage has
     inertia (p, 0, n - p). Inertia mismatches are reported distinctly from
     residual violations, and a residual failure carries the violating
-    eigenpair.
+    eigenpair. The test is written as acceptance, so a NaN margin fails.
     """
     inertia_ok = inertia.matches(p)
     eigenvalues, eigenvectors = mc.sym_eigen(blocks)
@@ -169,11 +176,11 @@ def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[
     for i, lmax in enumerate(eigenvalues[:, -1].tolist()):
         if not inertia_ok:
             verdicts.append(DominanceVerdict(False, "inertia_mismatch", lmax, inertia))
-        elif lmax > -epsilon + LMI_TOL:
+        elif lmax <= -epsilon + LMI_TOL:
+            verdicts.append(DominanceVerdict(True, "pass", lmax, inertia))
+        else:
             witness = {"witness_eigenvalue": lmax, "witness_vector": eigenvectors[i, :, -1]}
             verdicts.append(DominanceVerdict(False, "residual_violation", lmax, inertia, **witness))
-        else:
-            verdicts.append(DominanceVerdict(True, "pass", lmax, inertia))
     return verdicts
 
 
@@ -197,6 +204,7 @@ def _split_counts(matrices, lam: float):
     Returns per matrix the distance of ``A + lam I``'s spectrum from the imaginary axis, its
     unstable count, and whether every eigenvalue clears ``SPLIT_TOL`` (inconclusive if not).
     """
+    _check_finite(lam)
     if lam < 0:
         raise ValueError("rate must be nonnegative")
     shifted = np.linalg.eigvals(matrices).real + lam
@@ -239,38 +247,23 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     A = state_matrix(sys)
     n = A.shape[0]
     W, T1, T2 = _ordered_split(A, lam, p)
-    blocks = []
+    core = np.zeros((n, n))
     if p > 0:
         # (T1 + lam I) is anti-Hurwitz: sign-flipped Lyapunov right-hand side
-        Xu = mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p))
-        blocks.append(-Xu)
+        core[:p, :p] = -mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p))
     if p < n:
-        Xs = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))
-        blocks.append(Xs)
-    core = _block_diag(blocks, n)
+        core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))
     Winv = np.linalg.solve(W, np.eye(n))
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
-    R = residual(A, P, lam)
-    eigenvalues, _ = mc.sym_eigen(R)
-    epsilon = -float(eigenvalues[-1]) / 2.0
+    # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
+    verdict = _verify_blocks(residual(A[None], P, lam), mc.inertia_of(P), p, 0.0)[0]
+    epsilon = -verdict.lmax_residual / 2.0
     if epsilon <= 0:
         raise NumericalError("constructed storage lost its definiteness margin")
-    cert = DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p)
-    verdict = check_dominance(A, cert)
     if not verdict.passed:
         raise NumericalError(f"constructed certificate failed verification: {verdict.status}")
-    return cert
-
-
-def _block_diag(blocks: list[np.ndarray], n: int) -> np.ndarray:
-    out = np.zeros((n, n))
-    offset = 0
-    for block in blocks:
-        k = block.shape[0]
-        out[offset : offset + k, offset : offset + k] = block
-        offset += k
-    return out
+    return DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p)
 
 
 def modal_split(sys, lam: float, p: int) -> ModalSplit:

@@ -1,12 +1,12 @@
 """Dense real matrix kernel used by every verifier in the package.
 
 Symmetric eigendecompositions, ordered real Schur splits, Lyapunov/Sylvester
-solves and the matrix exponential, all with explicit residual checks against
-the fixed tolerances of :mod:`pdom.policy`. Matrices are plain
-``numpy.ndarray`` values in double precision; systems of interest are small
-(n up to a few tens), so everything is dense. ``scipy.linalg`` is imported
-inside the functions that call it, since importing it would otherwise be
-most of the package's import time.
+solves (LAPACK ``trsyl`` on a real Schur form) and the matrix exponential, all
+with explicit residual checks against the fixed tolerances of
+:mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double
+precision; systems of interest are small (n up to a few tens), so everything
+is dense. ``scipy.linalg`` is imported inside the functions that call it,
+since importing it would otherwise be most of the package's import time.
 """
 
 from __future__ import annotations
@@ -134,8 +134,10 @@ def schur_split(A, shift: float) -> tuple[SchurForm, int]:
     the second return value is their count. A shifted eigenvalue within
     ``SPLIT_TOL`` of the imaginary axis makes the split non-hyperbolic and
     raises :class:`NonHyperbolicError` (the dominance test is inconclusive
-    at this rate, not failed).
+    at this rate, not failed); a shift that is not finite is a ``ValueError``.
     """
+    if not np.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
     mat = as_matrix(A)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError("schur_split requires a square matrix")
@@ -172,13 +174,13 @@ def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, 
         return form.Q.copy(), form.T[:k, :k].copy(), form.T[k:, k:].copy()
     T1 = form.T[:k, :k]
     T2 = form.T[k:, k:]
-    T12 = form.T[:k, k:]
-    import scipy.linalg as sla
+    from scipy.linalg.lapack import dtrsyl
 
-    try:
-        Y = sla.solve_sylvester(T1, -T2, -T12)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"block decoupling Sylvester solve failed: {exc}") from exc
+    # T1 Y - Y T2 = -T12, on blocks that are already quasi-triangular
+    Y, scale, info = dtrsyl(T1, T2, -form.T[:k, k:], isgn=-1)
+    if info < 0:
+        raise NumericalError(f"block decoupling Sylvester solve failed: argument {-info} is invalid")
+    Y /= scale
     V = np.eye(n)
     V[:k, k:] = Y
     return form.Q @ V, T1.copy(), T2.copy()
@@ -187,24 +189,32 @@ def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, 
 def lyapunov_solve(M, Q) -> np.ndarray:
     """Solve the continuous Lyapunov equation M^T X + X M = -Q.
 
-    ``M`` and ``-M^T`` must share no eigenvalue; otherwise the Sylvester
-    operator is singular and the solve is rejected.
+    Solved as ``T^T Y + Y T = -Z^T Q Z`` on the real Schur form ``M = Z T Z^T``.
+    ``M`` and ``-M^T`` must share no eigenvalue (read off T); otherwise the
+    Sylvester operator is singular and the solve is rejected.
     """
     mat = as_matrix(M)
     rhs = as_symmetric(Q)
     if mat.shape[0] != mat.shape[1] or mat.shape != rhs.shape:
         raise DimensionError("lyapunov_solve needs square M and Q of equal size")
-    spectrum = np.linalg.eigvals(mat)
-    sums = spectrum[:, None] + np.conj(spectrum[None, :])
-    scale = max(1.0, np.max(np.abs(spectrum)))
-    if np.min(np.abs(sums)) <= 1e-12 * scale:
-        raise NumericalError("singular Lyapunov operator: M and -M^T share an eigenvalue")
     import scipy.linalg as sla
+    from scipy.linalg.lapack import dtrsyl
 
     try:
-        X = sla.solve_continuous_lyapunov(mat.T, -rhs)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalError(f"Lyapunov solve failed: {exc}") from exc
+        T, Z = sla.schur(mat, output="real")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    # T's 2x2 blocks [[a, b], [c, a]] hold a +- i sqrt(-b c); its 1x1 blocks have c = 0
+    pair = np.sqrt(np.abs(np.diagonal(T, -1) * np.diagonal(T, 1)))
+    spectrum = np.diagonal(T) + 1j * (np.r_[pair, 0.0] - np.r_[0.0, pair])
+    sums = spectrum[:, None] + np.conj(spectrum[None, :])
+    size = max(1.0, np.max(np.abs(spectrum)))
+    if np.min(np.abs(sums)) <= 1e-12 * size:
+        raise NumericalError("singular Lyapunov operator: M and -M^T share an eigenvalue")
+    Y, scale, info = dtrsyl(T, T, -(Z.T @ rhs @ Z), trana="T")
+    if info < 0:
+        raise NumericalError(f"Lyapunov solve failed: argument {-info} is invalid")
+    X = Z @ (Y / scale) @ Z.T
     X = 0.5 * (X + X.T)
     residual = np.linalg.norm(mat.T @ X + X @ mat + rhs, "fro")
     bound = RECON_TOL * (

@@ -43,6 +43,11 @@ class TestAnalyze:
     def test_missing_file(self):
         assert cli.main(["analyze", "/nonexistent/sys.json", "--lambda", "1", "--p", "1"]) == 2
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_is_input_error(self, rate, capsys):
+        assert cli.main(["analyze", "msd-c4", "--lambda", rate, "--p", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_inconclusive_rate(self, capsys):
         # an eigenvalue exactly on the shifted axis
         assert cli.main(["analyze", "msd-c4", "--lambda", "0.26794919243112281", "--p", "1"]) == 1
@@ -51,6 +56,15 @@ class TestAnalyze:
 class TestVerify:
     def test_dominance_certificate(self, msd4_file, cert4_file):
         assert cli.main(["verify", msd4_file, cert4_file]) == 0
+
+    @pytest.mark.parametrize("epsilon, code", [(0.0, 1), (float("nan"), 2), (float("inf"), 2)])
+    def test_non_finite_epsilon_is_input_error(self, tmp_path, epsilon, code):
+        # lmax = 4 on diag(1, 2): fails at epsilon 0, and a non-finite epsilon is no claim at all
+        sys_path = tmp_path / "diag.json"
+        sys_path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 2.0]], "B": [[0.0], [0.0]], "C": [[0.0, 0.0]]}))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 0.0, "epsilon": epsilon, "p": 1}))
+        assert cli.main(["verify", str(sys_path), str(cert_path)]) == code
 
     def test_dissipativity_with_supply(self, tmp_path):
         sys_path = tmp_path / "msd8.json"
@@ -133,6 +147,10 @@ class TestCertify:
         data = json.loads(out.read_text())
         P = np.asarray(data["P"])
         assert np.max(np.abs(P @ registry.msd(8.0).B - registry.msd(8.0).C.T)) <= 1e-10
+
+    def test_non_finite_rate_is_input_error(self, capsys):
+        assert cli.main(["certify", "msd-c4", "--lambda", "nan", "--p", "1"]) == 2
+        assert "finite" in capsys.readouterr().err
 
     def test_split_mismatch_is_a_failed_check(self, capsys):
         # msd-c4 has one unstable eigenvalue at this rate, so the requested 2-split fails

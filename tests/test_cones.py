@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from pdom import matrixcore as mc
 from pdom import registry
 from pdom.cones import (
     QuadraticCone,
+    _unit,
     boundary_samples,
     positivity_probe,
     projective_measure_from_split,
     ratio_trace,
 )
-from pdom.errors import DimensionError
+from pdom.errors import DimensionError, NumericalError
 from pdom.lti import modal_split
 from pdom.sim import Trajectory, integrate
 
@@ -25,6 +27,39 @@ class TestCone:
     def test_rejects_definite_storage(self):
         with pytest.raises(DimensionError):
             QuadraticCone(P=np.eye(2), p=1)
+
+
+def _reference_samples(cone, count, rng):
+    """Sample by sample: one draw per eigenspace, then the equal-weight mix."""
+    eigenvalues, eigenvectors = mc.sym_eigen(cone.P)
+    neg = eigenvectors[:, eigenvalues < 0]
+    pos = eigenvectors[:, eigenvalues > 0]
+    samples = np.empty((count, cone.P.shape[0]))
+    for i in range(count):
+        a = rng.standard_normal(neg.shape[1])
+        b = rng.standard_normal(pos.shape[1])
+        u = neg @ (a / np.linalg.norm(a))
+        v = pos @ (b / np.linalg.norm(b))
+        x = np.sqrt(v @ cone.P @ v) * u + np.sqrt(-(u @ cone.P @ u)) * v
+        samples[i] = x / np.linalg.norm(x)
+    return samples
+
+
+class TestBoundarySamples:
+    @pytest.mark.parametrize("n, p", [(2, 1), (5, 1), (5, 4), (12, 1), (12, 11)])
+    def test_matches_per_sample_loop(self, n, p):
+        rng = np.random.default_rng(1000 + 10 * n + p)
+        V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        spectrum = rng.uniform(0.1, 3.0, n) * np.r_[-np.ones(p), np.ones(n - p)]
+        cone = QuadraticCone(P=V @ np.diag(spectrum) @ V.T, p=p)
+        for seed in (0, 7, 123):
+            X = boundary_samples(cone, 40, np.random.default_rng(seed))
+            ref = _reference_samples(cone, 40, np.random.default_rng(seed))
+            assert np.max(np.abs(X - ref)) <= 1e-14
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(NumericalError, match="degenerate"):
+            _unit(np.array([[1.0, 2.0], [0.0, 0.0]]))
 
 
 class TestPositivityProbe:
@@ -53,6 +88,11 @@ class TestPositivityProbe:
         # exp(0 t) = I keeps the boundary on the boundary
         verdict = positivity_probe(np.zeros((2, 2)), cone_c4, (1.0,), 20, rng)
         assert not verdict.passed
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_times_rejected(self, msd_c4, cone_c4, rng, bad):
+        with pytest.raises(ValueError, match="finite"):
+            positivity_probe(msd_c4, cone_c4, (0.5, bad), 10, rng)
 
     def test_seeded_determinism(self, msd_c4, cone_c4):
         a = positivity_probe(msd_c4, cone_c4, (0.5,), 30, np.random.default_rng(7))

@@ -385,6 +385,13 @@ class TestDiffDominance:
             assert check_dominance(jacobian(sys, x), cert).passed
 
 
+    @pytest.mark.parametrize("lam, epsilon", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_claim_rejected(self, lam, epsilon):
+        sys = registry.nonlinear_msd("velocity", "cubic")
+        with pytest.raises(ValueError, match="finite"):
+            check_diff_dominance(sys, registry.DIFF_STORAGE_VELOCITY, lam, epsilon=epsilon)
+
+
 class TestDiffDissipativity:
     def test_mixed_output_passivity(self):
         sys = registry.nonlinear_msd("mixed", "cubic")
@@ -398,6 +405,12 @@ class TestDiffDissipativity:
         sys = LureSystem(A=base.A, channels=base.channels, B=base.B, C=np.array([[0.0, 1.0]]))
         verdict = check_diff_dissipativity(sys, registry.DIFF_STORAGE_MIXED, 1.0, supply_passivity(1))
         assert not verdict.passed
+
+    @pytest.mark.parametrize("lam, epsilon", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)])
+    def test_non_finite_claim_rejected(self, lam, epsilon):
+        sys = registry.nonlinear_msd("mixed", "cubic")
+        with pytest.raises(ValueError, match="finite"):
+            check_diff_dissipativity(sys, registry.DIFF_STORAGE_MIXED, lam, supply_passivity(1), epsilon)
 
     def test_interior_slope_margin(self):
         # slope s = 1 sits inside the feasible window (roots of s^2 + 5 s - 10)

@@ -122,6 +122,13 @@ class TestVerify:
                 P=registry.PASSIVITY_STORAGE_C8, rate=RATE, epsilon=0.0, p=p, supply=supply_passivity(1)
             )
 
+    @pytest.mark.parametrize("field", ["rate", "epsilon"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_claim_rejected(self, field, bad):
+        claim = {"rate": RATE, "epsilon": 0.0, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, p=1, supply=supply_passivity(1), **claim)
+
     def test_large_gain_eventually_passes(self, rng):
         A, p = random_hyperbolic(rng, 3, 0.8)
         sys = LtiSystem(A=A, B=rng.standard_normal((3, 1)), C=0.01 * rng.standard_normal((1, 3)), D=np.zeros((1, 1)))

@@ -88,6 +88,19 @@ class TestCheckDominance:
         cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=0)
         assert check_dominance(msd_c4, cert).status == "inertia_mismatch"
 
+    def test_nan_margin_fails_the_kernel(self):
+        # lmax = 4 on diag(1, 2) with P = diag(-1, 1): no margin can excuse it
+        blocks = residual(np.diag([1.0, 2.0])[None], np.diag([-1.0, 1.0]), 0.0)
+        verdict = _verify_blocks(blocks, inertia_of(np.diag([-1.0, 1.0])), 1, np.nan)[0]
+        assert not verdict.passed and verdict.status == "residual_violation"
+
+    @pytest.mark.parametrize("field", ["rate", "epsilon"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_certificate_rejected(self, field, bad):
+        claim = {"P": np.diag([-1.0, 1.0]), "rate": 0.0, "epsilon": 0.0, "p": 1, field: bad}
+        with pytest.raises(ValueError, match="finite"):
+            DominanceCertificate(**claim)
+
 
 def _symmetric_stack(rng):
     """Three symmetric 4x4 blocks; the last is large, so an allowance taken
@@ -143,6 +156,11 @@ class TestEigenSplit:
     def test_large_rate_flips_everything(self, msd_c4):
         assert eigen_split_test(msd_c4, 5.0, 2).passed
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_rate_rejected(self, msd_c4, lam):
+        with pytest.raises(ValueError, match="finite"):
+            eigen_split_test(msd_c4, lam, 1)
+
     def test_inconclusive_on_axis(self):
         verdict = eigen_split_test(np.diag([-1.0, -2.0]), 1.0, 1)
         assert verdict.status == "inconclusive"
@@ -172,6 +190,19 @@ class TestConstructCertificate:
         assert cert.epsilon > 0
         assert inertia_of(cert.P).as_tuple() == (1, 0, 1)
         assert check_dominance(msd_c4, cert).passed
+
+    def test_residual_eigensolved_once(self, msd_c4, monkeypatch):
+        # one eigensolve for the residual's verdict and margin, one for P's inertia
+        calls = []
+        original = mc.sym_eigen
+        monkeypatch.setattr(mc, "sym_eigen", lambda S: calls.append(np.shape(S)) or original(S))
+        cert = construct_certificate(msd_c4, RATE, 1)
+        assert sorted(calls) == [(1, 2, 2), (2, 2)]
+        assert check_dominance(msd_c4, cert).passed
+
+    def test_nan_rate_rejected(self, msd_c4):
+        with pytest.raises(ValueError, match="finite"):
+            construct_certificate(msd_c4, np.nan, 1)
 
     def test_equivalence_with_split_test(self, rng):
         # certificate construction succeeds exactly when the split test passes

@@ -86,6 +86,29 @@ class TestSchurSplit:
         with pytest.raises(NonHyperbolicError):
             mc.schur_split(np.diag([-1.0, -2.0]), 1.0)
 
+    @pytest.mark.parametrize("shift", [np.nan, np.inf])
+    def test_non_finite_shift_rejected(self, shift):
+        with pytest.raises(ValueError, match="finite"):
+            mc.schur_split(np.diag([1.0, -2.0]), shift)
+
+    def test_block_diagonalize_with_pairs_in_both_blocks(self, rng):
+        # unstable spirals 1 +- 2i, 0.5 +- i and stable spirals -1 +- 3i, -2 +- 0.5i
+        D = np.zeros((8, 8))
+        for i, (re, im) in enumerate([(1.0, 2.0), (0.5, 1.0), (-1.0, 3.0), (-2.0, 0.5)]):
+            D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[re, im], [-im, re]]
+        V = rng.standard_normal((8, 8)) + 3.0 * np.eye(8)
+        A = V @ D @ np.linalg.inv(V)
+        form, k = mc.schur_split(A, 0.0)
+        assert k == 4
+        W, T1, T2 = mc.block_diagonalize(form, k)
+        assert np.count_nonzero(np.diagonal(T1, -1)) == 2
+        assert np.count_nonzero(np.diagonal(T2, -1)) == 2
+        core = np.zeros((8, 8))
+        core[:4, :4] = T1
+        core[4:, 4:] = T2
+        recon = W @ core @ np.linalg.solve(W, np.eye(8))
+        assert np.linalg.norm(recon - A) <= 1e-10 * np.linalg.norm(A)
+
     def test_block_diagonalize_decouples(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 8))
@@ -135,6 +158,39 @@ class TestLyapunov:
             )
             assert residual <= max(bound, RECON_TOL)
             count += 1
+
+    @staticmethod
+    def _reference(M, Q):
+        import scipy.linalg as sla
+
+        return sla.solve_continuous_lyapunov(M.T, -Q)
+
+    def test_agrees_with_scipy_on_complex_pairs(self, rng):
+        for n in (2, 3, 5, 8, 13):
+            D = np.diag(-rng.uniform(0.3, 3.0, n))
+            for i in range(0, n - 1, 2):
+                D[i, i + 1], D[i + 1, i] = 2.0, -2.0
+            V = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            M = V @ D @ np.linalg.inv(V)
+            assert np.any(np.abs(np.linalg.eigvals(M).imag) > 1.0)
+            Q = rng.standard_normal((n, n))
+            Q = Q + Q.T
+            X, ref = mc.lyapunov_solve(M, Q), self._reference(M, Q)
+            assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_agrees_with_scipy_when_non_normal(self, rng):
+        # a Jordan-like chain with couplings 5, in a rotated basis so that the
+        # Schur form is not M itself; ||X|| is about 2e4 for ||Q|| = 2.4
+        chain = np.diag(np.linspace(-1.0, -2.0, 6)) + np.diag(np.full(5, 5.0), 1)
+        U, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        M = U @ chain @ U.T
+        X, ref = mc.lyapunov_solve(M, np.eye(6)), self._reference(M, np.eye(6))
+        assert np.linalg.norm(X - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_imaginary_pair_is_singular(self):
+        # +-i: the pair's own sum is zero, read off the 2x2 Schur block
+        with pytest.raises(NumericalError, match="singular"):
+            mc.lyapunov_solve(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 
     def test_singular_operator_raises(self):
         # M and -M^T share the eigenvalue 0
