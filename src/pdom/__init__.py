@@ -19,7 +19,6 @@ from .differential import (
 from .dissipativity import (
     DissipativityCertificate,
     SupplyRate,
-    dissipativity_block,
     find_passivity_storage,
     min_gain,
     small_gain_pair,

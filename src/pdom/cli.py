@@ -8,8 +8,9 @@ written on every exit path; a run ended by an error records it under
 ``error``, with the search report under ``error.lmi`` when a storage search
 failed. A usage error (exit 2) writes the report too; ``--help`` writes none.
 
-Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive),
-2 input error, 3 numerical failure.
+Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
+or a storage search proved that no storage exists), 2 input error, 3
+numerical failure (a search that stalled or failed re-verification).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import registry, reproduce
-from .differential import LureSystem, check_diff_dissipativity, check_diff_dominance
 from .dissipativity import DissipativityCertificate, verify_dissipativity
 from .errors import (
     CouplingError,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .interconnect import FeedbackLoop, closed_loop_certificate, coupling_condition
 from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test
-from .model import _json_object
+from .model import LureSystem, _json_object
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
 
 EXIT_OK = 0
@@ -87,9 +87,15 @@ def _digest(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """Decode a JSON input file; NaN, Infinity and literals that overflow to infinity are refused."""
+    def finite(text: str) -> float:
+        if not np.isfinite(float(text)):
+            raise PdomError(f"cannot read {path}: non-finite number {text}")
+        return float(text)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise PdomError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
@@ -106,9 +112,12 @@ def _load_system(spec: str):
 
 def _parse_vector(text: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        vector = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise PdomError(f"cannot parse vector {text!r}; expected comma-separated numbers")
+    if not np.isfinite(vector).all():
+        raise PdomError(f"vector {text!r} has a non-finite entry")
+    return vector
 
 
 def cmd_analyze(args, report: RunReport) -> int:
@@ -147,21 +156,13 @@ def cmd_verify(args, report: RunReport) -> int:
     elif "supply" in cert_data:
         supply_data = cert_data["supply"]
 
-    # a Lur'e certificate is held to its claimed p and margin at every vertex
+    # the certificate is held to its claimed p and margin at every vertex of the model
     if supply_data is None:
-        cert = DominanceCertificate.from_dict(cert_data)
-        if system.channels:
-            verdict = check_diff_dominance(system, cert.P, cert.rate, p=cert.p, epsilon=cert.epsilon)
-        else:
-            verdict = check_dominance(system, cert)
+        verdict = check_dominance(system, DominanceCertificate.from_dict(cert_data))
     else:
         cert = DissipativityCertificate.from_dict({**cert_data, "supply": supply_data}, r=system.r, m=system.m)
-        if system.channels:
-            verdict = check_diff_dissipativity(system, cert.P, cert.rate, cert.supply, cert.epsilon, p=cert.p)
-        else:
-            verdict = verify_dissipativity(system, cert)
-    check = "vertex_family" if system.channels else "dominance" if supply_data is None else "dissipativity"
-    report.verdicts.append({"check": check, **verdict.to_dict()})
+        verdict = verify_dissipativity(system, cert)
+    report.verdicts.append({"check": "dominance" if supply_data is None else "dissipativity", **verdict.to_dict()})
     return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
@@ -364,6 +365,9 @@ def main(argv=None) -> int:
         for kinds, code, label in _FAILURES:
             if isinstance(exc, kinds):
                 break
+        if isinstance(exc, LmiInfeasibleError) and exc.report.proves_infeasible:
+            # a search that proves no storage exists is a failed criterion, not a numerical failure
+            code, label = EXIT_CRITERION_FAILED, "no storage"
         print(f"{label}: {exc}", file=sys.stderr)
         report.error = {"class": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, LmiInfeasibleError):

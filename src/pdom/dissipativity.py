@@ -2,10 +2,11 @@
 
 A system is p-dissipative with rate ``lam`` for the supply
 ``s(y, u) = y^T Q y + 2 y^T L u + u^T R u`` when the composite block matrix
-of :func:`dissipativity_block` is negative semidefinite for some storage P
-with inertia (p, 0, n-p). Named supplies cover passivity and finite-gain
-bounds; :func:`min_gain` gives the least gain bound a fixed storage
-certifies, in closed form.
+of :func:`dissipation_blocks` is negative semidefinite for some storage P
+with inertia (p, 0, n-p); a Lur'e model needs it at every vertex of its
+slope family, and a linear one at its one vertex A. Named supplies cover
+passivity and finite-gain bounds; :func:`min_gain` gives the least gain
+bound a fixed storage certifies, in closed form.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DominanceVerdict, LtiSystem, _check_finite, _verify_blocks, residual
+from .lti import DifferentialVerdict, LtiSystem, _check_finite, _family_verdict, residual
 from .model import _json_object, _ValueEquality
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "supply_passivity",
     "supply_gain",
     "small_gain_pair",
-    "dissipativity_block",
     "dissipation_blocks",
     "verify_dissipativity",
     "min_gain",
@@ -167,22 +167,6 @@ def small_gain_pair(gamma1: float, gamma2: float, r1: int = 1, r2: int = 1) -> t
     return s1, s2
 
 
-def dissipativity_block(
-    sys: LtiSystem,
-    P,
-    lam: float,
-    supply: SupplyRate,
-    epsilon: float = 0.0,
-) -> np.ndarray:
-    """Composite (n+m) block whose negative semidefiniteness is p-dissipativity.
-
-    Top-left: A^T P + P A + 2 lam P - C^T Q C + eps I.
-    Off-diagonal: P B - C^T L - C^T Q D.
-    Bottom-right: -D^T Q D - L^T D - D^T L - R.
-    """
-    return dissipation_blocks(sys.A[None], sys, P, lam, supply, epsilon)[0]
-
-
 def dissipation_blocks(
     matrices,
     sys: LtiSystem,
@@ -191,11 +175,14 @@ def dissipation_blocks(
     supply: SupplyRate,
     epsilon: float = 0.0,
 ) -> np.ndarray:
-    """:func:`dissipativity_block` with each matrix of a ``(k, n, n)`` stack in place of A.
+    """Composite (n+m) blocks, one for each matrix J of a ``(k, n, n)`` stack in place of A.
 
-    Returns the ``(k, n+m, n+m)`` stack of blocks. The parts that do not
-    involve A are formed once, in the same operation order as the single
-    block, so every block is bitwise the same.
+    Top-left: J^T P + P J + 2 lam P - C^T Q C + eps I.
+    Off-diagonal: P B - C^T L - C^T Q D.
+    Bottom-right: -D^T Q D - L^T D - D^T L - R.
+
+    Returns the ``(k, n+m, n+m)`` stack; the parts that do not involve J are
+    formed once.
     """
     P = mc.as_symmetric(P)
     if P.shape[0] != sys.n:
@@ -214,14 +201,10 @@ def dissipation_blocks(
     return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
 
-def verify_dissipativity(sys: LtiSystem, cert: DissipativityCertificate) -> DominanceVerdict:
-    """Check a dissipativity certificate: block definiteness plus storage inertia.
-
-    Only A enters the block, so the channels of a Lur'e model are left to
-    the vertex checks.
-    """
-    block = dissipativity_block(sys, cert.P, cert.rate, cert.supply, cert.epsilon)
-    return _verify_blocks(block[None], mc.inertia_of(cert.P), cert.p, 0.0)[0]
+def verify_dissipativity(sys, cert: DissipativityCertificate) -> DifferentialVerdict:
+    """Check a dissipativity certificate on every vertex: block definiteness plus storage inertia."""
+    blocks = lambda matrices: dissipation_blocks(matrices, sys, cert.P, cert.rate, cert.supply, cert.epsilon)
+    return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon, blocks)
 
 
 def min_gain(sys: LtiSystem, P, lam: float) -> float:
@@ -278,7 +261,7 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
         raise LmiInfeasibleError(
             lmi.LmiReport(
                 iterations=0,
-                violation=verdict.lmax_residual,
+                violation=verdict.worst_lmax,
                 equality_residual=float(np.linalg.norm(P @ sys.B - sys.C.T)),
                 inertia=verdict.inertia.as_tuple(),
                 message="engine output failed re-verification",

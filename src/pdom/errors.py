@@ -38,9 +38,10 @@ class CouplingError(PdomError):
 
 
 class LmiInfeasibleError(PdomError):
-    """Feasibility search exhausted its budget; carries the final report.
+    """Feasibility search returned no storage; carries the final report.
 
-    This is a failure report, not a proof of infeasibility.
+    It is a proof of infeasibility only when ``report.proves_infeasible``;
+    otherwise it reports a stall or a failed re-verification.
     """
 
     def __init__(self, report):

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .differential import vertex_verdicts
-from .dissipativity import DissipativityCertificate, SupplyRate
+from .dissipativity import DissipativityCertificate, SupplyRate, verify_dissipativity
 from .errors import (
     CouplingError,
     DimensionError,
     RateMismatchError,
     UnsupportedConfigurationError,
 )
-from .lti import DominanceCertificate
+from .lti import DominanceCertificate, check_dominance
 from .model import Channel, LureSystem, _json_object, _ValueEquality
 from .policy import LMI_TOL
 
@@ -159,8 +158,7 @@ def closed_loop_certificate(
     if not coupling.passed:
         raise CouplingError(f"coupling condition fails (lmax = {coupling.lmax:.3e})")
     for sys, cert in ((sys1, c1), (sys2, c2)):
-        _, verdicts = vertex_verdicts(sys, cert.P, cert.rate, cert.p, cert.supply, cert.epsilon)
-        if not all(v.passed for v in verdicts):
+        if not verify_dissipativity(sys, cert).passed:
             raise CouplingError("an open-loop certificate failed verification")
 
     loop = feedback_compose(sys1, sys2)
@@ -168,13 +166,11 @@ def closed_loop_certificate(
     P = np.zeros((n1 + n2, n1 + n2))
     P[:n1, :n1] = c1.P
     P[n1:, n1:] = c2.P
-    p = c1.p + c2.p
-    _, verdicts = vertex_verdicts(loop, P, c1.rate, p)
-    failed = [v.status for v in verdicts if not v.passed]
-    if failed:
-        raise CouplingError(f"closed-loop dominance check failed: {failed[0]}")
-    epsilon = max(0.0, -max(v.lmax_residual for v in verdicts)) / 2.0
-    return DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=p)
+    verdict = check_dominance(loop, DominanceCertificate(P=P, rate=c1.rate, epsilon=0.0, p=c1.p + c2.p))
+    if not verdict.passed:
+        raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")
+    epsilon = max(0.0, -verdict.worst_lmax) / 2.0
+    return DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=verdict.p)
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,7 +106,9 @@ class LmiReport:
     """Outcome of a search that returned no storage; ``iterations`` counts Newton steps.
 
     ``gap_bound`` is a lower bound on ``max_j lmax(F_j) + epsilon`` over the
-    search ball; only when it is positive does the report prove infeasibility.
+    search ball. The report proves infeasibility (:attr:`proves_infeasible`)
+    only when that bound is positive, or when the equalities have no solution,
+    so that no iterate was evaluated and ``violation`` is infinite.
     """
 
     iterations: int
@@ -115,6 +117,10 @@ class LmiReport:
     inertia: tuple[int, int, int] | None = None
     message: str = ""
     gap_bound: float | None = None
+
+    @property
+    def proves_infeasible(self) -> bool:
+        return self.violation == np.inf or (self.gap_bound is not None and self.gap_bound > 0)
 
     def to_dict(self) -> dict:
         return {

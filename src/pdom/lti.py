@@ -1,11 +1,13 @@
 """Dominance machinery and the verification kernel shared by every verifier.
 
 A system is p-dominant with rate ``lam >= 0`` when some symmetric storage P
-with inertia (p, 0, n-p) makes ``A^T P + P A + 2 lam P`` negative definite.
-This module verifies candidate certificates, runs the equivalent
-eigenvalue-splitting test, constructs certificates from an ordered Schur
-split, and produces the modal splitting with explicit decay constants.
-``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
+with inertia (p, 0, n-p) makes ``A^T P + P A + 2 lam P`` negative definite;
+a Lur'e model needs it at every vertex of its slope family, and a linear one
+is the family of the one vertex A. Every verifier returns the family verdict
+built here. This module also runs the equivalent eigenvalue-splitting test,
+constructs certificates from an ordered Schur split, and produces the modal
+splitting with explicit decay constants. ``LtiSystem`` is the channel-free
+use of the one model, :class:`LureSystem`.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
-from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, state_matrix
+from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, state_matrix, vertex_family
 from .policy import LMI_TOL, SPLIT_TOL
 
 __all__ = [
     "LtiSystem",
     "DominanceCertificate",
     "DominanceVerdict",
+    "VertexVerdict",
+    "DifferentialVerdict",
     "SplitVerdict",
     "ModalSplit",
     "residual",
@@ -71,25 +75,60 @@ class DominanceCertificate(_ValueEquality):
         )
 
 
-@dataclass(frozen=True, eq=False)
-class DominanceVerdict(_ValueEquality):
-    """Outcome of a certificate check, with the violation witness on failure (not compared by ``==``)."""
+@dataclass(frozen=True)
+class DominanceVerdict:
+    """One vertex's outcome, with the violation witness on failure (the vector is not compared by ``==``)."""
 
     passed: bool
     status: str  # "pass" | "inertia_mismatch" | "residual_violation"
     lmax_residual: float
     inertia: mc.Inertia
     witness_eigenvalue: float | None = None
-    witness_vector: np.ndarray | None = None
+    witness_vector: np.ndarray | None = field(default=None, compare=False)
+
+
+@dataclass(frozen=True)
+class VertexVerdict:
+    corner: tuple[float, ...]  # () for the one vertex of a channel-free model
+    verdict: DominanceVerdict
+    split_ok: bool | None  # exactly p unstable eigenvalues at the rate; None without channels
+
+
+@dataclass(frozen=True, eq=False)
+class DifferentialVerdict(_ValueEquality):
+    """The verdict of every verifier: a storage checked on each vertex of a model's family.
+
+    ``status`` is "pass", or the status of the first failing vertex.
+    """
+
+    passed: bool
+    p: int
+    rate: float
+    vertices: tuple[VertexVerdict, ...]
+    worst_lmax: float
+
+    @property
+    def status(self) -> str:
+        return next((v.verdict.status for v in self.vertices if not v.verdict.passed), "pass")
+
+    @property
+    def inertia(self) -> mc.Inertia:
+        """The storage's inertia, shared by every vertex."""
+        return self.vertices[0].verdict.inertia
+
+    @property
+    def failing_corners(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(v.corner for v in self.vertices if not v.verdict.passed)
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "status": self.status,
-            "lmax_residual": self.lmax_residual,
-            "inertia": self.inertia.as_tuple(),
-            "witness_eigenvalue": self.witness_eigenvalue,
-        }
+        vertices = [
+            {"corner": list(v.corner), "passed": v.verdict.passed, "status": v.verdict.status,
+             "lmax": v.verdict.lmax_residual, "witness_eigenvalue": v.verdict.witness_eigenvalue,
+             "split_ok": v.split_ok}
+            for v in self.vertices
+        ]
+        return {"passed": self.passed, "status": self.status, "p": self.p, "rate": self.rate,
+                "inertia": self.inertia.as_tuple(), "worst_lmax": self.worst_lmax, "vertices": vertices}
 
 
 @dataclass(frozen=True)
@@ -184,18 +223,49 @@ def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[
     return verdicts
 
 
-def check_dominance(sys, cert: DominanceCertificate) -> DominanceVerdict:
-    """Verify a dominance certificate: residual definiteness plus inertia.
+def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=None) -> DifferentialVerdict:
+    """The one verdict path: the storage P, claiming p, on every vertex of the model ``sys``.
 
-    Passes when ``lmax(residual) <= -epsilon + LMI_TOL`` and P has inertia
-    (p, 0, n - p). ``sys`` is a model or a bare state matrix; only A enters,
-    so the channels of a Lur'e model are left to the vertex checks.
+    A Lur'e model's vertices are its slope corners; a channel-free model or a
+    bare state matrix is the one vertex A at corner ``()``, whose ``split_ok``
+    is None (its split is :func:`eigen_split_test`'s answer). Without
+    ``blocks`` each vertex gets the dominance residual and must clear
+    ``epsilon``; ``blocks`` maps the vertex stack to dissipation blocks, which
+    carry ``epsilon`` themselves. An omitted p is read from P's inertia, and a
+    storage with an eigenvalue in the zero band is then refused.
     """
-    A = state_matrix(sys)
-    if cert.P.shape[0] != A.shape[0]:
-        raise DimensionError("certificate dimension does not match the system")
-    blocks = residual(A[None], cert.P, cert.rate)
-    return _verify_blocks(blocks, mc.inertia_of(cert.P), cert.p, cert.epsilon)[0]
+    inertia = mc.inertia_of(P)
+    if p is None:
+        if inertia.zero != 0:
+            raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
+        p = inertia.negative
+    if getattr(sys, "channels", ()):
+        family = vertex_family(sys)
+        matrices, corners = family.matrices, family.corners
+        _, unstable, conclusive = _split_counts(matrices, lam)
+        split_ok = (conclusive & (unstable == p)).tolist()
+    else:
+        matrices, corners, split_ok = state_matrix(sys)[None], ((),), (None,)
+    if blocks is None:
+        verdicts = _verify_blocks(residual(matrices, P, lam), inertia, p, epsilon)
+    else:
+        verdicts = _verify_blocks(blocks(matrices), inertia, p, 0.0)
+    return DifferentialVerdict(
+        passed=all(v.passed for v in verdicts),
+        p=p,
+        rate=lam,
+        vertices=tuple(map(VertexVerdict, corners, verdicts, split_ok)),
+        worst_lmax=max(v.lmax_residual for v in verdicts),
+    )
+
+
+def check_dominance(sys, cert: DominanceCertificate) -> DifferentialVerdict:
+    """Verify a dominance certificate on every vertex: residual definiteness plus inertia.
+
+    Passes when each vertex has ``lmax(residual) <= -epsilon + LMI_TOL`` and P
+    has inertia (p, 0, n - p). ``sys`` is a model or a bare state matrix.
+    """
+    return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon)
 
 
 def _split_counts(matrices, lam: float):

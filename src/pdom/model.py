@@ -2,12 +2,15 @@
 
 Dynamics are ``xdot = A x + sum_i g_i sigma_i(h_i^T x) + B u``,
 ``y = C x + D u``. A linear (LTI) system is the case with no channels, so
-``LtiSystem`` and ``LureSystem`` name the same class. Models, channels and
-nonlinearities compare equal when their ``to_dict()`` values are equal.
+``LtiSystem`` and ``LureSystem`` name the same class. Pinning each channel
+slope to its bounds gives the model's vertex family, on which every verifier
+checks a storage. Models, channels and nonlinearities compare equal when
+their ``to_dict()`` values are equal.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +25,9 @@ __all__ = [
     "tabulated",
     "Channel",
     "LureSystem",
+    "VertexFamily",
+    "hull_points",
+    "vertex_family",
     "state_matrix",
 ]
 
@@ -331,3 +337,43 @@ class LureSystem(_ValueEquality):
 def state_matrix(sys) -> np.ndarray:
     """The state matrix A of a model (validated when the model was built), or a bare state matrix."""
     return sys.A if hasattr(sys, "A") else mc.as_matrix(sys)
+
+
+@dataclass(frozen=True, eq=False)
+class VertexFamily(_ValueEquality):
+    """Slope-corner matrices whose convex hull contains every state Jacobian.
+
+    ``matrices`` is a ``(2^k, n, n)`` array whose ``i``-th matrix has the slopes
+    ``corners[i]``, in ``itertools.product`` order over the channels.
+    """
+
+    matrices: np.ndarray
+    corners: tuple[tuple[float, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.matrices)
+
+    def to_dict(self) -> dict:
+        return {"matrices": self.matrices.tolist(), "corners": [list(c) for c in self.corners]}
+
+
+def hull_points(sys: LureSystem, slopes) -> np.ndarray:
+    """``A + sum_i s_i g_i h_i^T`` for each row s of the ``(N, k)`` slopes, as an ``(N, n, n)`` stack.
+
+    The channel terms are added one channel at a time, in channel order.
+    """
+    slopes = np.asarray(slopes, dtype=float)
+    J = np.repeat(sys.A[None], slopes.shape[0], axis=0)
+    for i, ch in enumerate(sys.channels):
+        J += slopes[:, i, None, None] * np.outer(ch.g, ch.h)
+    return J
+
+
+def vertex_family(sys: LureSystem) -> VertexFamily:
+    """All sign-corner substitutions of the channel slopes into the Jacobian."""
+    for ch in sys.channels:
+        if not (np.isfinite(ch.alpha) and np.isfinite(ch.beta)):
+            raise ValueError("vertex relaxation needs finite slope bounds")
+    ranges = [(float(ch.alpha), float(ch.beta)) for ch in sys.channels]
+    corners = tuple(itertools.product(*ranges))
+    return VertexFamily(matrices=hull_points(sys, corners), corners=corners)

@@ -101,6 +101,8 @@ def integrate_batch(
     (20-90 us per step for up to some 30 rows). The generated step sums products left to right, while a
     one-row numpy product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
     """
+    if not np.isfinite([t_end, dt]).all():
+        raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
     if dt <= 0:
         raise ValueError("dt must be positive")
     if t_end < dt:

@@ -12,7 +12,7 @@ import pytest
 from conftest import random_hyperbolic
 from pdom import registry, reproduce
 from pdom.cones import QuadraticCone, positivity_probe, projective_measure_from_split, ratio_trace
-from pdom.dissipativity import dissipativity_block, min_gain, supply_gain
+from pdom.dissipativity import dissipation_blocks, min_gain, supply_gain
 from pdom.errors import NonHyperbolicError, SplitMismatchError
 from pdom.interconnect import compose_supply, feedback_compose
 from pdom.lti import (
@@ -205,7 +205,7 @@ class TestCriterion6Properties:
             gamma_star = min_gain(sys, cert.P, lam)
             gamma = gamma_star * 1.2 + 0.05 if checked % 2 == 0 else gamma_star * 0.5
             supply = supply_gain(gamma, r, m)
-            block = dissipativity_block(sys, cert.P, lam, supply)
+            block = dissipation_blocks(sys.A[None], sys, cert.P, lam, supply)[0]
             w, V = np.linalg.eigh(block)
             scale = max(1.0, float(np.abs(w).max()))
             if abs(w[-1]) < 1e-6 * scale:

@@ -109,9 +109,57 @@ class TestVerify:
         report_path = tmp_path / "report.json"
         assert cli.main(["--report", str(report_path), "verify", str(sys_path), str(cert_path)]) == 1
         verdict = json.loads(report_path.read_text())["verdicts"][0]
-        assert verdict["check"] == "vertex_family"
+        assert verdict["check"] == "dominance"
         assert verdict["passed"] is False
         assert verdict["p"] == claim["p"]
+
+    def test_lure_certificate_failing_one_vertex(self, tmp_path, capsys):
+        # A alone passes at rate 0.5; the vertex at slope -3 does not
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 0.5, "p": 1}))
+        report_path = tmp_path / "report.json"
+        assert cli.main(["--report", str(report_path), "verify", "nl-msd", str(cert_path)]) == 1
+        assert "dominance: residual_violation" in capsys.readouterr().out
+        verdict = json.loads(report_path.read_text())["verdicts"][0]
+        assert [(v["corner"], v["passed"]) for v in verdict["vertices"]] == [([-3.0], False), ([1.0], True)]
+        assert all(v["split_ok"] for v in verdict["vertices"])
+
+    def test_failing_linear_report_carries_the_witness(self, tmp_path, capsys):
+        sys_path = tmp_path / "diag.json"
+        sys_path.write_text(json.dumps({"A": [[1.0, 0.0], [0.0, 2.0]], "B": [[0.0], [0.0]], "C": [[0.0, 0.0]]}))
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 0.0, "p": 1}))
+        report_path = tmp_path / "report.json"
+        assert cli.main(["--report", str(report_path), "verify", str(sys_path), str(cert_path)]) == 1
+        assert capsys.readouterr().out == "dominance: residual_violation\n"
+        verdict = json.loads(report_path.read_text())["verdicts"][0]
+        assert verdict["check"] == "dominance" and verdict["status"] == "residual_violation"
+        assert verdict["inertia"] == [1, 0, 1] and verdict["worst_lmax"] == 4.0
+        assert verdict["vertices"] == [
+            {"corner": [], "passed": False, "status": "residual_violation", "lmax": 4.0,
+             "witness_eigenvalue": 4.0, "split_ok": None}
+        ]
+
+    @pytest.mark.parametrize(
+        "file, text",
+        [
+            ("system", '{"A": [[NaN, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}'),
+            ("system", '{"A": [[1e999, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}'),
+            ("certificate", '{"P": [[-1, 0], [0, Infinity]], "lambda": 0, "p": 1}'),
+            ("supply", '{"kind": "gain", "gamma": NaN}'),
+        ],
+        ids=["nan-system", "overflow-system", "infinity-certificate", "nan-supply"],
+    )
+    def test_non_finite_json_number_is_input_error(self, tmp_path, capsys, file, text):
+        paths = {name: tmp_path / f"{name}.json" for name in ("system", "certificate", "supply")}
+        paths["system"].write_text(json.dumps({"A": [[1, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}))
+        paths["certificate"].write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 0, "p": 1}))
+        paths["supply"].write_text(json.dumps({"kind": "passivity"}))
+        paths[file].write_text(text)
+        argv = ["verify", str(paths["system"]), str(paths["certificate"]), "--supply", str(paths["supply"])]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "non-finite number" in err and f"{file}.json" in err
 
     @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
     @pytest.mark.parametrize("system", ["nl-msd", "msd-c8"])
@@ -151,6 +199,29 @@ class TestCertify:
     def test_non_finite_rate_is_input_error(self, capsys):
         assert cli.main(["certify", "msd-c4", "--lambda", "nan", "--p", "1"]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "system, rate, lmi_check",
+        [
+            ({"A": [[0, 1], [-1, -4]], "B": [[0], [0]], "C": [[1, 0]]}, "0.5",
+             lambda lmi: lmi["violation"] is None and "unsatisfiable" in lmi["message"]),
+            ("msd-c4", "0", lambda lmi: lmi["gap_bound"] > 0),
+        ],
+        ids=["no-equality-solution", "positive-gap-bound"],
+    )
+    def test_proven_miss_is_a_failed_check(self, tmp_path, capsys, system, rate, lmi_check):
+        # B = 0 leaves P B = C^T without a solution; msd-c4 has no unstable eigenvalue at rate 0
+        if isinstance(system, dict):
+            path = tmp_path / "b0.json"
+            path.write_text(json.dumps(system))
+            system = str(path)
+        report = tmp_path / "r.json"
+        argv = ["--report", str(report), "certify", system, "--lambda", rate, "--p", "1", "--passivity"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith("no storage: ")
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "LmiInfeasibleError" and error["exit_code"] == 1
+        assert lmi_check(error["lmi"])
 
     def test_split_mismatch_is_a_failed_check(self, capsys):
         # msd-c4 has one unstable eigenvalue at this rate, so the requested 2-split fails
@@ -261,6 +332,23 @@ class TestSimulate:
 
     def test_wrong_x0_dimension(self):
         assert cli.main(["simulate", "nl-msd", "--x0", "1,1,1"]) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [["--x0", "1,1", "--t", "inf"], ["--x0", "1,1", "--t", "nan"], ["--x0", "1,1", "--dt", "nan"],
+         ["--x0", "nan,1"], ["--x0", "1,1", "--input", "inf"]],
+        ids=["t-inf", "t-nan", "dt-nan", "x0-nan", "input-inf"],
+    )
+    def test_non_finite_number_is_input_error(self, tmp_path, capsys, args):
+        report = tmp_path / "r.json"
+        argv = ["--report", str(report), "simulate", "msd-c4", *args]
+        if "--t" not in args:
+            argv += ["--t", "1"]
+        if "--dt" not in args:
+            argv += ["--dt", "0.01"]
+        assert cli.main(argv) == 2
+        assert "finite" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"]["exit_code"] == 2
 
 
 class TestNumericPolicyOverride:

@@ -15,10 +15,16 @@ from pdom.differential import (
     tabulated,
     vertex_family,
 )
-from pdom.dissipativity import DissipativityCertificate, supply_gain, supply_passivity, verify_dissipativity
+from pdom.dissipativity import (
+    DissipativityCertificate,
+    dissipation_blocks,
+    supply_gain,
+    supply_passivity,
+    verify_dissipativity,
+)
 from pdom.errors import DimensionError
 from pdom.interconnect import feedback_compose
-from pdom.lti import check_dominance, DominanceCertificate, eigen_split_test, residual
+from pdom.lti import _verify_blocks, check_dominance, DominanceCertificate, eigen_split_test, residual
 from pdom.matrixcore import inertia_of
 
 
@@ -249,6 +255,9 @@ class TestResultEquality:
         # the failing vertex carries a witness vector
         assert first.vertices[1].verdict.witness_vector is not None
         assert first == second and first.vertices[1].verdict == second.vertices[1].verdict
+        # the certificate check of the same claim returns the same verdict
+        cert = DominanceCertificate(P=registry.MONOTONE_STORAGE, rate=0.0, epsilon=0.0, p=first.p)
+        assert check_dominance(sys, cert) == first
 
     def test_different_values_compare_unequal(self):
         monotone = registry.nonlinear_msd("velocity", "monotone")
@@ -258,6 +267,33 @@ class TestResultEquality:
         assert at_zero != check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.5)
         assert at_zero.vertices[0].verdict != at_zero.vertices[1].verdict
         assert at_zero != at_zero.to_dict()
+        # a claim of another p is another verdict, though every lmax is the same
+        cert = DominanceCertificate(P=registry.MONOTONE_STORAGE, rate=0.0, epsilon=0.0, p=1)
+        other = check_dominance(monotone, cert)
+        assert other.worst_lmax == at_zero.worst_lmax and other != at_zero
+
+class TestCertificateChecksOnTheFamily:
+    """check_dominance and verify_dissipativity hold a Lur'e certificate to every vertex, not to A alone."""
+
+    def test_dominance_fails_at_the_steep_corner(self):
+        sys = registry.builtin_system("nl-msd")
+        cert = DominanceCertificate(P=np.diag([-1.0, 1.0]), rate=0.5, epsilon=0.0, p=1)
+        assert check_dominance(sys.A, cert).passed  # the slope-0 matrix A alone passes
+        verdict = check_dominance(sys, cert)
+        assert not verdict.passed and verdict.status == "residual_violation"
+        assert verdict.failing_corners == ((-3.0,),)
+        assert verdict == check_diff_dominance(sys, cert.P, cert.rate, p=1)
+
+    def test_dissipativity_fails_at_the_upper_corner(self):
+        sys = registry.builtin_system("nl-msd-mixed")
+        supply = supply_passivity(1)
+        cert = DissipativityCertificate(P=registry.DIFF_STORAGE_MIXED, rate=0.75, epsilon=0.0, p=1, supply=supply)
+        assert verify_dissipativity(LureSystem(A=sys.A, B=sys.B, C=sys.C), cert).passed  # A alone passes
+        verdict = verify_dissipativity(sys, cert)
+        assert not verdict.passed and verdict.status == "residual_violation"
+        assert verdict.failing_corners == ((1.0,),)
+        assert verdict == check_diff_dissipativity(sys, cert.P, cert.rate, supply, p=1)
+
 
 def _hull_point_by_channel(sys, slopes):
     """A + sum_i s_i g_i h_i^T accumulated channel by channel, one matrix at a time."""
@@ -298,7 +334,7 @@ class TestStackedFamily:
         assert len(failing) > len(family) // 2
         cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)
         for i in failing:
-            got, single = verdict.vertices[i].verdict, check_dominance(family.matrices[i], cert)
+            got, single = verdict.vertices[i].verdict, check_dominance(family.matrices[i], cert).vertices[0].verdict
             assert got.witness_eigenvalue.hex() == single.witness_eigenvalue.hex()
             assert got.witness_vector.tobytes() == single.witness_vector.tobytes()
             v = got.witness_vector
@@ -307,7 +343,7 @@ class TestStackedFamily:
         verdict = check_diff_dissipativity(sys, P, lam, supply)
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
         for J, v in zip(family.matrices, verdict.vertices):
-            single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert)
+            single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert).vertices[0].verdict
             assert v.verdict.status == single.status
             if single.status == "residual_violation":
                 assert v.verdict.witness_eigenvalue.hex() == single.witness_eigenvalue.hex()
@@ -476,16 +512,18 @@ def _linear_storages():
 
 
 class TestOneKernel:
-    """The vertex checks and the single-matrix checks share one acceptance rule."""
+    """Every verifier runs one acceptance rule on the model's vertex family; a channel-free model is one vertex."""
 
     @pytest.mark.parametrize("P, lam", _linear_storages())
     def test_channel_free_dominance_matches_single_matrix(self, msd_c8, P, lam):
         p = inertia_of(P).negative
         diff = check_diff_dominance(msd_c8, P, lam)
         single = check_dominance(msd_c8, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
-        assert len(diff.vertices) == 1 and diff.p == p
-        assert _same_verdict(diff.vertices[0].verdict, single)
-        assert diff.passed == single.passed and diff.worst_lmax == single.lmax_residual
+        kernel = _verify_blocks(residual(msd_c8.A[None], P, lam), inertia_of(P), p, 0.0)[0]
+        assert diff == single and diff.p == p
+        assert [(v.corner, v.split_ok) for v in single.vertices] == [((), None)]
+        assert _same_verdict(single.vertices[0].verdict, kernel)
+        assert (single.passed, single.status, single.worst_lmax) == (kernel.passed, kernel.status, kernel.lmax_residual)
 
     @pytest.mark.parametrize("P, lam", _linear_storages())
     @pytest.mark.parametrize("supply", [supply_passivity(1), supply_gain(0.5, 1, 1), supply_gain(5.0, 1, 1)])
@@ -495,15 +533,19 @@ class TestOneKernel:
         diff = check_diff_dissipativity(msd_c8, P, lam, supply, epsilon)
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
         single = verify_dissipativity(msd_c8, cert)
-        assert len(diff.vertices) == 1 and diff.p == p
-        assert _same_verdict(diff.vertices[0].verdict, single)
+        blocks = dissipation_blocks(msd_c8.A[None], msd_c8, P, lam, supply, epsilon)
+        kernel = _verify_blocks(blocks, inertia_of(P), p, 0.0)[0]
+        assert diff == single and len(single.vertices) == 1 and diff.p == p
+        assert _same_verdict(single.vertices[0].verdict, kernel)
 
     def test_outcomes_covered(self, msd_c8):
-        # the battery above holds passes, residual failures and split-inconsistent storages
+        # the battery above holds passes, residual failures and split-inconsistent storages;
+        # without channels the split is the split test's
         outcomes = set()
         for P, lam in _linear_storages():
             diff = check_diff_dominance(msd_c8, P, lam)
-            outcomes.add((diff.passed, all(v.split_ok for v in diff.vertices)))
+            assert diff.vertices[0].split_ok is None
+            outcomes.add((diff.passed, eigen_split_test(msd_c8, lam, diff.p).passed))
         assert {(True, True), (False, True), (False, False)} <= outcomes
 
     @pytest.mark.parametrize(
@@ -522,11 +564,11 @@ class TestOneKernel:
         verdict = check_diff_dominance(sys, P, lam)
         for J, v in zip(family.matrices, verdict.vertices):
             single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
-            assert _same_verdict(v.verdict, single)
+            assert _same_verdict(v.verdict, single.vertices[0].verdict)
         supplies = (supply_passivity(sys.r), supply_gain(2.0, sys.r, sys.m))
         for supply, epsilon in itertools.product(supplies, (0.0, 1e-3)):
             verdict = check_diff_dissipativity(sys, P, lam, supply, epsilon)
             for J, v in zip(family.matrices, verdict.vertices):
                 vertex = LureSystem(A=J, B=sys.B, C=sys.C)
                 cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
-                assert _same_verdict(v.verdict, verify_dissipativity(vertex, cert))
+                assert _same_verdict(v.verdict, verify_dissipativity(vertex, cert).vertices[0].verdict)

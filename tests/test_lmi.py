@@ -181,3 +181,13 @@ class TestProblemValidation:
         data = excinfo.value.report.to_dict()
         assert data["violation"] is None and data["iterations"] == 0
         json.dumps(data, allow_nan=False)
+        assert excinfo.value.report.proves_infeasible
+
+    @pytest.mark.parametrize(
+        "violation, gap_bound, proves",
+        [(np.inf, None, True), (1e-3, 2e-4, True), (1e-3, -2e-4, False), (1e-3, None, False), (-1.0, None, False)],
+        ids=["no-equality-solution", "positive-bound", "negative-bound", "stall", "inertia-mismatch"],
+    )
+    def test_proof_of_infeasibility(self, violation, gap_bound, proves):
+        report = lmi.LmiReport(iterations=3, violation=violation, equality_residual=0.0, gap_bound=gap_bound)
+        assert report.proves_infeasible is proves

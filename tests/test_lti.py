@@ -68,6 +68,12 @@ class TestCheckDominance:
         assert verdict.passed and verdict.status == "pass"
         assert inertia_of(registry.KNOWN_STORAGE[4]).as_tuple() == (1, 0, 1)
 
+    def test_bare_state_matrix(self, msd_c4):
+        cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=1)
+        verdict = check_dominance(msd_c4.A.tolist(), cert)
+        assert verdict.passed and verdict == check_dominance(msd_c4, cert)
+        assert [v.corner for v in verdict.vertices] == [()]
+
     def test_strict_margin(self):
         cert = DominanceCertificate(P=np.eye(2), rate=0.0, epsilon=1.0, p=0)
         assert check_dominance(-np.eye(2), cert).passed  # residual -2I <= -I
@@ -78,11 +84,13 @@ class TestCheckDominance:
         verdict = check_dominance(msd_c4, cert)
         assert not verdict.passed
         assert verdict.status == "residual_violation"
-        assert verdict.witness_eigenvalue > 0
+        (vertex,) = verdict.vertices
+        assert vertex.corner == () and vertex.split_ok is None
+        assert vertex.verdict.witness_eigenvalue > 0
         # the witness eigenvector realizes the violation
-        v = verdict.witness_vector
+        v = vertex.verdict.witness_vector
         R = residual(msd_c4.A, np.eye(2), RATE)
-        assert v @ R @ v == pytest.approx(verdict.witness_eigenvalue, rel=1e-9)
+        assert v @ R @ v == pytest.approx(vertex.verdict.witness_eigenvalue, rel=1e-9)
 
     def test_inertia_mismatch_distinct(self, msd_c4):
         cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=0)

@@ -33,6 +33,15 @@ class TestSymEigen:
         with pytest.raises(DimensionError):
             mc.sym_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_asymmetry_allowance(self):
+        # exactly symmetric: returned as is; within SYM_TOL * ||S||_F: averaged; beyond it: refused
+        S = np.array([[2.0, 1.0], [1.0, -3.0]])
+        assert mc.as_symmetric(S).tobytes() == S.tobytes()
+        near = mc.as_symmetric(S + np.array([[0.0, 1e-9], [0.0, 0.0]]))
+        assert near[0, 1] == near[1, 0] == pytest.approx(1.0 + 5e-10, rel=1e-15)
+        with pytest.raises(DimensionError, match="not symmetric"):
+            mc.as_symmetric(S + np.array([[0.0, 1e-8], [0.0, 0.0]]))
+
 
 class TestInertia:
     def test_identity(self):

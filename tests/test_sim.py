@@ -170,6 +170,11 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(msd_c4, [1.0, 1.0], t_end=0.0, dt=1.0)
 
+    @pytest.mark.parametrize("t_end, dt", [(np.inf, 0.01), (np.nan, 0.01), (1.0, np.nan), (np.inf, np.inf)])
+    def test_non_finite_horizon_rejected(self, msd_c4, t_end, dt):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_batch(msd_c4, [[1.0, 1.0]], t_end=t_end, dt=dt)
+
 
 def _channel_msd(sigma, alpha, beta):
     """x1' = x2, x2' = -x1 - x2 + sigma(x1) + u."""
