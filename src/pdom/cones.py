@@ -8,7 +8,7 @@ quantifies the contraction of the transient/dominant alignment ratio.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,10 +32,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadraticCone:
-    """Cone of vectors with nonpositive quadratic form under an indefinite P."""
+    """Cone of vectors with nonpositive quadratic form under an indefinite P.
+
+    P's eigendecomposition, taken once for the inertia check, is kept for
+    :func:`boundary_samples`.
+    """
 
     P: np.ndarray
     p: int
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = mc.as_symmetric(self.P)
@@ -43,33 +49,41 @@ class QuadraticCone:
         n = P.shape[0]
         if not 0 < self.p < n:
             raise DimensionError("a quadratic cone needs 0 < p < n")
-        inertia = mc.inertia_of(P)
+        eigenvalues, eigenvectors = mc.sym_eigen(P)
+        inertia = mc.Inertia.of_spectrum(eigenvalues)
         if not inertia.matches(self.p):
             raise DimensionError(
                 f"storage inertia {inertia.as_tuple()} does not match (p,0,n-p) for p={self.p}"
             )
+        object.__setattr__(self, "eigenvalues", eigenvalues)
+        object.__setattr__(self, "eigenvectors", eigenvectors)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float).ravel()
         return float(x @ self.P @ x)
 
 
+def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``x^T P x`` for each row x of X."""
+    return np.einsum("ij,ij->i", X @ P, X)
+
+
 def boundary_samples(cone: QuadraticCone, count: int, rng: np.random.Generator) -> np.ndarray:
     """Deterministic boundary sampling given the caller's generator.
 
     Mixes random unit vectors from the negative and positive eigenspaces of P
-    with equal quadratic weight, which lands exactly on ``x^T P x = 0``.
+    (the cone's own eigendecomposition, so P is not solved again) with equal
+    quadratic weight, which lands exactly on ``x^T P x = 0``.
     """
-    eigenvalues, eigenvectors = mc.sym_eigen(cone.P)
-    neg = eigenvectors[:, eigenvalues < 0]
-    pos = eigenvectors[:, eigenvalues > 0]
+    neg = cone.eigenvectors[:, cone.eigenvalues < 0]
+    pos = cone.eigenvectors[:, cone.eigenvalues > 0]
     # row i holds sample i's negative-eigenspace, then positive-eigenspace coefficients
     k = neg.shape[1]
     coeffs = rng.standard_normal((count, k + pos.shape[1]))
     U = _unit(coeffs[:, :k]) @ neg.T
     V = _unit(coeffs[:, k:]) @ pos.T
-    qn = -np.einsum("ij,jk,ik->i", U, cone.P, U)
-    qp = np.einsum("ij,jk,ik->i", V, cone.P, V)
+    qn = -_quadratic_forms(U, cone.P)
+    qp = _quadratic_forms(V, cone.P)
     return _unit(np.sqrt(qp)[:, None] * U + np.sqrt(qn)[:, None] * V)
 
 
@@ -120,7 +134,7 @@ def positivity_probe(
     for t in times:
         flow = mc.expm(A, t)
         Y = X @ flow.T
-        values = np.einsum("ij,jk,ik->i", Y, cone.P, Y)
+        values = _quadratic_forms(Y, cone.P)
         norms = np.einsum("ij,ij->i", Y, Y)
         worst = max(worst, float(np.max(values / norms)))
     return ConeProbeVerdict(

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DifferentialVerdict, LtiSystem, _check_finite, _family_verdict, residual
+from .lti import DifferentialVerdict, LtiSystem, _check_claim, _check_finite, _family_verdict, residual
 from .model import _json_object, _ValueEquality
 
 __all__ = [
@@ -235,10 +235,13 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
 
     The equality is enforced exactly by the feasibility engine's
     parameterization; the dominance residual is pushed strictly negative.
-    The returned certificate is re-verified before being handed back.
+    The returned certificate is re-verified before being handed back. A rate
+    that is not finite and nonnegative, or a p outside [0, n], is a
+    ``ValueError``.
     """
     from . import lmi  # deferred: keep module import costs flat
 
+    _check_claim(lam, p, sys.n)
     if not sys.is_strictly_proper:
         raise UnsupportedConfigurationError("storage search requires D = 0")
     if sys.r != sys.m:

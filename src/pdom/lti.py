@@ -19,7 +19,7 @@ import numpy as np
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
 from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, state_matrix, vertex_family
-from .policy import LMI_TOL, SPLIT_TOL
+from .policy import LMI_TOL, RECON_TOL, SPLIT_TOL
 
 __all__ = [
     "LtiSystem",
@@ -199,18 +199,37 @@ def _check_finite(rate: float, epsilon: float = 0.0) -> None:
         raise ValueError(f"rate and epsilon must be finite, got {rate} and {epsilon}")
 
 
-def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[DominanceVerdict]:
+def _check_claim(lam: float, p: int | None, n: int) -> None:
+    """Refuse a rate that is not finite and nonnegative, or a claimed p outside [0, n]."""
+    _check_finite(lam)
+    if lam < 0:
+        raise ValueError(f"rate must be nonnegative, got {lam}")
+    if p is not None and not 0 <= p <= n:
+        raise ValueError(f"claimed dominant dimension {p} outside [0, {n}]")
+
+
+def _solve_blocks(blocks, inertia_ok: bool):
+    """Ascending eigenvalues of a ``(k, d, d)`` stack, in one call, with the eigenvectors
+    only when a witness can be read (``None`` when the storage inertia already fails).
+    """
+    if inertia_ok:
+        return mc.sym_eigen(blocks)
+    return mc.sym_eigvals(blocks), None
+
+
+def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float, solved=None) -> list[DominanceVerdict]:
     """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
 
-    ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call, and
-    ``inertia`` is the storage's, eigensolved once by the caller. Each block
-    passes when ``lmax(block) <= -epsilon + LMI_TOL`` and the storage has
-    inertia (p, 0, n - p). Inertia mismatches are reported distinctly from
-    residual violations, and a residual failure carries the violating
+    ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call by
+    :func:`_solve_blocks` unless the caller passes its result as ``solved``,
+    and ``inertia`` is the storage's, eigensolved once by the caller. Each
+    block passes when ``lmax(block) <= -epsilon + LMI_TOL`` and the storage
+    has inertia (p, 0, n - p). Inertia mismatches are reported distinctly
+    from residual violations, and a residual failure carries the violating
     eigenpair. The test is written as acceptance, so a NaN margin fails.
     """
     inertia_ok = inertia.matches(p)
-    eigenvalues, eigenvectors = mc.sym_eigen(blocks)
+    eigenvalues, eigenvectors = solved if solved is not None else _solve_blocks(blocks, inertia_ok)
     verdicts = []
     for i, lmax in enumerate(eigenvalues[:, -1].tolist()):
         if not inertia_ok:
@@ -223,33 +242,69 @@ def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float) -> list[
     return verdicts
 
 
+def _vertex_splits(matrices, lam: float, p: int, inertia: mc.Inertia, norm: float, spectra: np.ndarray) -> list[bool]:
+    """Whether each vertex J has exactly p unstable eigenvalues at the rate, read off its residual.
+
+    ``inertia`` and ``norm`` are P's inertia and spectral norm, and
+    ``spectra`` the ascending spectra of the residuals
+    ``R = J^T P + P J + 2 lam P``. For an eigenvector v of J with eigenvalue
+    mu, ``v^H R v = 2 Re(mu + lam) v^H P v``, so a definite R puts every
+    shifted eigenvalue at least ``|l| / (2 ||P||_2)`` off the axis, l
+    being R's eigenvalue nearest zero; by the Lyapunov inertia theorem
+    ``J + lam I`` then has as many unstable eigenvalues as P has negative ones
+    (R < 0) or positive ones (R > 0). A vertex is decided so when |l| exceeds
+    ``delta = 2 SPLIT_TOL ||P||_2 + RECON_TOL ||R||_2``: the split test's own
+    ``SPLIT_TOL`` margin, plus the rounding of l, and the same for P and any
+    positive multiple of it. Every other vertex, and every vertex when P has
+    an eigenvalue in the zero band, goes to :func:`_split_counts`.
+    """
+    lmin, lmax = spectra[:, 0], spectra[:, -1]
+    delta = 2.0 * SPLIT_TOL * norm + RECON_TOL * np.maximum(abs(lmin), abs(lmax))
+    negative, positive = lmax < -delta, lmin > delta
+    split_ok = (negative & (inertia.negative == p)) | (positive & (inertia.positive == p))
+    undecided = ~(negative | positive) | (inertia.zero > 0)
+    if undecided.any():
+        _, unstable, conclusive = _split_counts(matrices[undecided], lam)
+        split_ok[undecided] = conclusive & (unstable == p)
+    return split_ok.tolist()
+
+
 def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=None) -> DifferentialVerdict:
     """The one verdict path: the storage P, claiming p, on every vertex of the model ``sys``.
 
-    A Lur'e model's vertices are its slope corners; a channel-free model or a
-    bare state matrix is the one vertex A at corner ``()``, whose ``split_ok``
-    is None (its split is :func:`eigen_split_test`'s answer). Without
-    ``blocks`` each vertex gets the dominance residual and must clear
-    ``epsilon``; ``blocks`` maps the vertex stack to dissipation blocks, which
-    carry ``epsilon`` themselves. An omitted p is read from P's inertia, and a
-    storage with an eigenvalue in the zero band is then refused.
+    A Lur'e model's vertices are its slope corners, and each one's
+    ``split_ok`` is read off its residual (:func:`_vertex_splits`); a
+    channel-free model or a bare state matrix is the one vertex A at corner
+    ``()``, whose ``split_ok`` is None (its split is :func:`eigen_split_test`'s
+    answer). Without ``blocks`` each vertex gets the dominance residual and
+    must clear ``epsilon``; ``blocks`` maps the vertex stack to dissipation
+    blocks, which carry ``epsilon`` themselves. An omitted p is read from P's
+    inertia, and a storage with an eigenvalue in the zero band is then
+    refused. A rate that is not finite and nonnegative, or a claimed p outside
+    [0, n], is a ``ValueError``.
     """
-    inertia = mc.inertia_of(P)
+    storage = mc.sym_eigvals(P)
+    _check_claim(lam, p, storage.size)
+    inertia = mc.Inertia.of_spectrum(storage)
     if p is None:
         if inertia.zero != 0:
             raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
         p = inertia.negative
-    if getattr(sys, "channels", ()):
+    channels = bool(getattr(sys, "channels", ()))
+    if channels:
         family = vertex_family(sys)
         matrices, corners = family.matrices, family.corners
-        _, unstable, conclusive = _split_counts(matrices, lam)
-        split_ok = (conclusive & (unstable == p)).tolist()
     else:
-        matrices, corners, split_ok = state_matrix(sys)[None], ((),), (None,)
+        matrices, corners = state_matrix(sys)[None], ((),)
     if blocks is None:
-        verdicts = _verify_blocks(residual(matrices, P, lam), inertia, p, epsilon)
+        R = residual(matrices, P, lam)
+        solved = _solve_blocks(R, inertia.matches(p))
+        verdicts, spectra = _verify_blocks(R, inertia, p, epsilon, solved), solved[0]
     else:
         verdicts = _verify_blocks(blocks(matrices), inertia, p, 0.0)
+        # the split rule reads the residual, which the dissipation blocks only contain
+        spectra = mc.sym_eigvals(residual(matrices, P, lam)) if channels else None
+    split_ok = _vertex_splits(matrices, lam, p, inertia, abs(storage).max(), spectra) if channels else (None,)
     return DifferentialVerdict(
         passed=all(v.passed for v in verdicts),
         p=p,
@@ -269,14 +324,12 @@ def check_dominance(sys, cert: DominanceCertificate) -> DifferentialVerdict:
 
 
 def _split_counts(matrices, lam: float):
-    """The split rule on each matrix A of a ``(k, n, n)`` stack, from one eigensolve.
+    """The split rule on each matrix A of a ``(k, n, n)`` stack, from one batched ``eigvals``.
 
     Returns per matrix the distance of ``A + lam I``'s spectrum from the imaginary axis, its
     unstable count, and whether every eigenvalue clears ``SPLIT_TOL`` (inconclusive if not).
+    The vertex check reaches it only for vertices whose residual leaves the split open.
     """
-    _check_finite(lam)
-    if lam < 0:
-        raise ValueError("rate must be nonnegative")
     shifted = np.linalg.eigvals(matrices).real + lam
     margin = np.min(np.abs(shifted), axis=-1, initial=np.inf)
     unstable = np.sum(shifted > SPLIT_TOL, axis=-1)
@@ -288,9 +341,12 @@ def eigen_split_test(sys, lam: float, p: int) -> SplitVerdict:
     """Spectral test: does ``A + lam I`` have exactly p strictly unstable eigenvalues?
 
     Returns "inconclusive" (distinct from "fail") when any shifted eigenvalue
-    sits within ``SPLIT_TOL`` of the imaginary axis.
+    sits within ``SPLIT_TOL`` of the imaginary axis. A rate that is not finite
+    and nonnegative, or a p outside [0, n], is a ``ValueError``.
     """
-    margin, unstable, conclusive = (v.item() for v in _split_counts(state_matrix(sys)[None], lam))
+    A = state_matrix(sys)
+    _check_claim(lam, p, A.shape[0])
+    margin, unstable, conclusive = (v.item() for v in _split_counts(A[None], lam))
     status = ("pass" if unstable == p else "fail") if conclusive else "inconclusive"
     return SplitVerdict(status, margin, unstable, p)
 
@@ -316,6 +372,7 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     """
     A = state_matrix(sys)
     n = A.shape[0]
+    _check_claim(lam, p, n)
     W, T1, T2 = _ordered_split(A, lam, p)
     core = np.zeros((n, n))
     if p > 0:
@@ -345,6 +402,7 @@ def modal_split(sys, lam: float, p: int) -> ModalSplit:
     """
     A = state_matrix(sys)
     n = A.shape[0]
+    _check_claim(lam, p, n)
     W, T1, T2 = _ordered_split(A, lam, p)
     Winv = np.linalg.solve(W, np.eye(n))
     E = np.zeros((n, n))

@@ -1,9 +1,10 @@
 """Dense real matrix kernel used by every verifier in the package.
 
-Symmetric eigendecompositions, ordered real Schur splits, Lyapunov/Sylvester
-solves (LAPACK ``trsyl`` on a real Schur form) and the matrix exponential, all
-with explicit residual checks against the fixed tolerances of
-:mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double
+Symmetric eigendecompositions (eigenvalues alone where no vector is read),
+ordered real Schur splits (LAPACK ``trsen`` on one real Schur form),
+Lyapunov/Sylvester solves (LAPACK ``trsyl`` on a real Schur form) and the
+matrix exponential, all with explicit residual checks against the fixed
+tolerances of :mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double
 precision; systems of interest are small (n up to a few tens), so everything
 is dense. ``scipy.linalg`` is imported inside the functions that call it,
 since importing it would otherwise be most of the package's import time.
@@ -24,6 +25,7 @@ __all__ = [
     "as_matrix",
     "as_symmetric",
     "sym_eigen",
+    "sym_eigvals",
     "inertia_of",
     "schur_split",
     "block_diagonalize",
@@ -75,6 +77,16 @@ class Inertia:
     zero: int
     positive: int
 
+    @staticmethod
+    def of_spectrum(eigenvalues: np.ndarray) -> "Inertia":
+        """Count eigenvalues below, inside and above the zero band ``[-ztol, ztol]``,
+        where ``ztol = ZTOL_REL * max(1, max |eigenvalue|)``.
+        """
+        ztol = ZTOL_REL * max(1.0, abs(eigenvalues).max(initial=0.0))
+        negative = int((eigenvalues < -ztol).sum())
+        positive = int((eigenvalues > ztol).sum())
+        return Inertia(negative, eigenvalues.size - negative - positive, positive)
+
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.negative, self.zero, self.positive)
 
@@ -116,33 +128,61 @@ def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:
     return eigenvalues, eigenvectors
 
 
+def sym_eigvals(S) -> np.ndarray:
+    """Eigenvalues (ascending) of a symmetric matrix or ``(..., n, n)`` stack, without vectors.
+
+    The same checks as :func:`sym_eigen`, at about half its cost; for callers that read no vector.
+    """
+    mat = as_symmetric(S)
+    try:
+        return np.linalg.eigvalsh(mat)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"symmetric eigensolve did not converge: {exc}") from exc
+
+
 def inertia_of(S) -> Inertia:
     """Count eigenvalues below, inside and above the zero band ``[-ztol, ztol]``,
     where ``ztol = ZTOL_REL * max(1, ||S||_2)``.
     """
-    eigenvalues, _ = sym_eigen(S)
-    ztol = ZTOL_REL * max(1.0, abs(eigenvalues).max(initial=0.0))
-    negative = int((eigenvalues < -ztol).sum())
-    positive = int((eigenvalues > ztol).sum())
-    zero = eigenvalues.size - negative - positive
-    return Inertia(negative, zero, positive)
+    return Inertia.of_spectrum(sym_eigvals(S))
+
+
+def _schur_spectrum(T: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a real Schur form, read off its diagonal blocks.
+
+    LAPACK's 2x2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(-b c)``; its 1x1 blocks have c = 0.
+    """
+    pair = np.sqrt(np.abs(np.diagonal(T, -1) * np.diagonal(T, 1)))
+    imag = np.zeros(T.shape[0])
+    imag[:-1] += pair
+    imag[1:] -= pair
+    return np.diagonal(T) + 1j * imag
 
 
 def schur_split(A, shift: float) -> tuple[SchurForm, int]:
     """Ordered real Schur form splitting the spectrum of ``A + shift*I`` at the axis.
 
     Eigenvalues of ``A + shift*I`` with positive real part lead the diagonal;
-    the second return value is their count. A shifted eigenvalue within
-    ``SPLIT_TOL`` of the imaginary axis makes the split non-hyperbolic and
-    raises :class:`NonHyperbolicError` (the dominance test is inconclusive
-    at this rate, not failed); a shift that is not finite is a ``ValueError``.
+    the second return value is their count. One unsorted real Schur form gives
+    the spectrum (read off T's diagonal blocks) and, reordered by LAPACK
+    ``trsen``, the split. A shifted eigenvalue within ``SPLIT_TOL`` of the
+    imaginary axis makes the split non-hyperbolic and raises
+    :class:`NonHyperbolicError` (the dominance test is inconclusive at this
+    rate, not failed); a shift that is not finite is a ``ValueError``.
     """
     if not np.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift}")
     mat = as_matrix(A)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError("schur_split requires a square matrix")
-    spectrum = np.linalg.eigvals(mat)
+    import scipy.linalg as sla
+    from scipy.linalg.lapack import dtrsen
+
+    try:
+        T, Q = sla.schur(mat, output="real")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    spectrum = _schur_spectrum(T)
     distance = np.abs(spectrum.real + shift)
     if np.any(distance <= SPLIT_TOL):
         worst = spectrum[np.argmin(distance)]
@@ -150,12 +190,9 @@ def schur_split(A, shift: float) -> tuple[SchurForm, int]:
             f"eigenvalue {worst:.6g} lies within {SPLIT_TOL:.1e} of the "
             f"shifted axis Re = {-shift:.6g}"
         )
-    import scipy.linalg as sla
-
-    try:
-        T, Q, sdim = sla.schur(mat, output="real", sort=lambda re, im: re > -shift)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    T, Q, _, _, sdim, _, _, info = dtrsen(spectrum.real + shift > 0, T, Q, job="N")
+    if info != 0:
+        raise NumericalError(f"Schur reordering failed (trsen info {info})")
     form = SchurForm(Q=Q, T=T)
     form.validate(mat)
     return form, int(sdim)
@@ -205,9 +242,7 @@ def lyapunov_solve(M, Q) -> np.ndarray:
         T, Z = sla.schur(mat, output="real")
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    # T's 2x2 blocks [[a, b], [c, a]] hold a +- i sqrt(-b c); its 1x1 blocks have c = 0
-    pair = np.sqrt(np.abs(np.diagonal(T, -1) * np.diagonal(T, 1)))
-    spectrum = np.diagonal(T) + 1j * (np.r_[pair, 0.0] - np.r_[0.0, pair])
+    spectrum = _schur_spectrum(T)
     sums = spectrum[:, None] + np.conj(spectrum[None, :])
     size = max(1.0, np.max(np.abs(spectrum)))
     if np.min(np.abs(sums)) <= 1e-12 * size:

@@ -223,6 +223,26 @@ class TestCertify:
         assert error["class"] == "LmiInfeasibleError" and error["exit_code"] == 1
         assert lmi_check(error["lmi"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["certify", "msd-c8", "--lambda", "1.2679", "--p", "7", "--passivity"],
+            ["certify", "msd-c8", "--lambda", "-1", "--p", "1", "--passivity"],
+            ["certify", "msd-c4", "--lambda", "1.2679", "--p", "5"],
+            ["certify", "msd-c4", "--lambda", "-0.5", "--p", "1"],
+            ["certify", "msd-c4", "--lambda", "-0.5", "--p", "0"],
+            ["analyze", "msd-c4", "--lambda", "1.2679", "--p", "5"],
+            ["analyze", "msd-c4", "--lambda", "1.2679", "--p", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_impossible_claim_is_input_error(self, tmp_path, capsys, argv):
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), *argv]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "ValueError" and error["exit_code"] == 2
+
     def test_split_mismatch_is_a_failed_check(self, capsys):
         # msd-c4 has one unstable eigenvalue at this rate, so the requested 2-split fails
         assert cli.main(["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"]) == 1

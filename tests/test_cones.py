@@ -57,6 +57,14 @@ class TestBoundarySamples:
             ref = _reference_samples(cone, 40, np.random.default_rng(seed))
             assert np.max(np.abs(X - ref)) <= 1e-14
 
+    def test_reads_the_cone_eigendecomposition(self, cone_c4, monkeypatch):
+        calls = []
+        original = mc.sym_eigen
+        monkeypatch.setattr(mc, "sym_eigen", lambda S: calls.append(np.shape(S)) or original(S))
+        boundary_samples(cone_c4, 10, np.random.default_rng(0))
+        QuadraticCone(P=registry.KNOWN_STORAGE[8], p=1)
+        assert calls == [(2, 2)]
+
     def test_zero_row_rejected(self):
         with pytest.raises(NumericalError, match="degenerate"):
             _unit(np.array([[1.0, 2.0], [0.0, 0.0]]))

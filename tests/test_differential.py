@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import random_hyperbolic
 from pdom import registry
 from pdom.differential import (
     Channel,
@@ -24,7 +25,14 @@ from pdom.dissipativity import (
 )
 from pdom.errors import DimensionError
 from pdom.interconnect import feedback_compose
-from pdom.lti import _verify_blocks, check_dominance, DominanceCertificate, eigen_split_test, residual
+from pdom.lti import (
+    _verify_blocks,
+    check_dominance,
+    construct_certificate,
+    DominanceCertificate,
+    eigen_split_test,
+    residual,
+)
 from pdom.matrixcore import inertia_of
 
 
@@ -375,6 +383,103 @@ class TestStackedFamily:
         splits = [eigen_split_test(J, 0.0, 0) for J in family.matrices]
         assert [s.status for s in splits] == ["pass", "inconclusive"]
         assert [v.split_ok for v in verdict.vertices] == [True, False]
+
+
+def _planted_lure(rng, n, k, gain):
+    """A Lur'e model with k cubic channels around a random hyperbolic A, and A's constructed storage.
+
+    With ``gain = 1`` every vertex keeps half of the storage's margin, so the
+    storage passes the whole family; larger gains push vertices past it.
+    Returns (model, rate, storage, its p).
+    """
+    lam = float(rng.uniform(0.0, 1.0))
+    A, p = random_hyperbolic(rng, n, lam)
+    cert = construct_certificate(A, lam, p)
+    # a vertex moves A by at most 3 k max|g|, which moves the residual by at most twice ||P|| times that
+    size = gain * cert.epsilon / (6.0 * k * np.linalg.norm(cert.P, 2))
+    channels = []
+    for _ in range(k):
+        g, h = rng.standard_normal(n), rng.standard_normal(n)
+        channels.append(Channel(g=size * g / np.linalg.norm(g), h=h / np.linalg.norm(h),
+                                sigma=cubic_saturated(), alpha=-3.0, beta=1.0))
+    sys = LureSystem(A=A, channels=tuple(channels), B=rng.standard_normal((n, 1)), C=rng.standard_normal((1, n)))
+    return sys, lam, cert.P, p
+
+
+class TestSplitFromResidual:
+    """A vertex's split_ok is read off its residual by the inertia theorem, or falls back to eigvals."""
+
+    SCALES = (1e-12, 1e-6, 1.0, 1e6, 1e12)
+
+    def test_battery_matches_split_test(self):
+        rng = np.random.default_rng(1414)
+        supply = supply_gain(2.0, 1, 1)
+        decided = undecided = 0
+        for n in range(2, 9):
+            for k in range(1, 7):
+                sys, lam, P, p = _planted_lure(rng, n, k, gain=float(rng.choice([1.0, 1e3])))
+                family = vertex_family(sys)
+                V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                signs = rng.choice([-1.0, 1.0], n)
+                signs[:2] = (-1.0, 1.0)
+                indefinite = V @ np.diag(signs * rng.uniform(0.1, 10.0, n)) @ V.T
+                expected = {}
+                for S in (P, -P, indefinite):
+                    nu = inertia_of(S).negative
+                    for claim in (nu, (nu + 1) % (n + 1)):
+                        if claim not in expected:
+                            expected[claim] = [eigen_split_test(J, lam, claim).passed for J in family.matrices]
+                        for scale in self.SCALES:
+                            for verdict in (
+                                check_diff_dominance(sys, scale * S, lam, p=claim),
+                                check_diff_dissipativity(sys, scale * S, lam, supply.scaled(scale), p=claim),
+                            ):
+                                assert [v.split_ok for v in verdict.vertices] == expected[claim], (n, k, scale)
+                R = residual(family.matrices, P, lam)
+                top = np.linalg.eigvalsh(R)[:, -1]
+                decided += int(np.sum(top < 0))
+                undecided += int(np.sum(top >= 0))
+        # both paths were taken: storages valid on every vertex, and vertices pushed past the margin
+        assert decided > 0 and undecided > 0
+
+    def test_definite_residual_near_the_axis_goes_to_the_split_test(self):
+        # corner s = 1 - 5e-8 has eigenvalue -5e-8, inside SPLIT_TOL, yet its residual 2 s P - 2 P stays definite
+        sigma = tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0 - 5e-8])
+        channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0 - 5e-8)
+        sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
+        family = vertex_family(sys)
+        assert [eigen_split_test(J, 0.0, 0).status for J in family.matrices] == ["pass", "inconclusive"]
+        for scale in self.SCALES:
+            verdict = check_diff_dominance(sys, scale * np.eye(2), 0.0, p=0)
+            assert [v.split_ok for v in verdict.vertices] == [True, False]
+
+    @staticmethod
+    def _count_eigvals(monkeypatch):
+        calls = []
+        original = np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(np.shape(M)) or original(M))
+        return calls
+
+    def test_definite_residuals_make_no_eigvals_call(self, monkeypatch):
+        sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, 8, gain=1.0)
+        calls = self._count_eigvals(monkeypatch)
+        valid = check_diff_dominance(sys, P, lam)
+        flipped = check_diff_dominance(sys, -P, lam)
+        assert calls == []
+        assert valid.passed and all(v.split_ok for v in valid.vertices)
+        assert not flipped.passed and flipped.p == 4 - p
+        monkeypatch.undo()
+        family = vertex_family(sys)
+        assert [v.split_ok for v in flipped.vertices] == [
+            eigen_split_test(J, lam, 4 - p).passed for J in family.matrices
+        ]
+
+    def test_zero_band_storage_falls_back_on_every_vertex(self, monkeypatch):
+        sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, 8, gain=1.0)
+        calls = self._count_eigvals(monkeypatch)
+        verdict = check_diff_dominance(sys, 1e-12 * P, lam, p=p)
+        assert calls == [(256, 4, 4)]
+        assert all(v.split_ok for v in verdict.vertices)
 
 
 class TestDiffDominance:

@@ -243,6 +243,11 @@ class TestStorageSearch:
                     shifted = sys.A + lam * np.eye(n)
                     assert np.linalg.eigvalsh(shifted.T @ P + P @ shifted)[-1] < 0
 
+    @pytest.mark.parametrize("lam, p", [(RATE, 7), (RATE, -1), (-1.0, 1)])
+    def test_impossible_claim_rejected(self, msd_c8, lam, p):
+        with pytest.raises(ValueError, match="nonnegative|outside"):
+            find_passivity_storage(msd_c8, lam, p)
+
     def test_unsatisfiable_equality(self):
         sys = LtiSystem(A=-np.eye(2), B=np.zeros((2, 1)), C=np.array([[1.0, 0.0]]), D=np.zeros((1, 1)))
         with pytest.raises(LmiInfeasibleError):

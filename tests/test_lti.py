@@ -183,6 +183,23 @@ class TestEigenSplit:
             assert eigen_split_test(A, 0.0, 0).passed == bool(np.all(re < 0))
 
 
+class TestImpossibleClaim:
+    """A negative or non-finite rate, or a p outside [0, n], is an input error on every entry."""
+
+    @pytest.mark.parametrize("lam, p", [(RATE, 5), (RATE, -1), (-0.5, 1), (-0.5, 0)])
+    def test_split_construction_and_modal_split(self, msd_c4, lam, p):
+        for entry in (eigen_split_test, construct_certificate, modal_split):
+            with pytest.raises(ValueError, match="nonnegative|outside"):
+                entry(msd_c4, lam, p)
+
+    @pytest.mark.parametrize("lam, p", [(-0.5, 1), (RATE, 3)])
+    def test_storage_checks(self, msd_c4, lam, p):
+        from pdom.differential import check_diff_dominance
+
+        with pytest.raises(ValueError, match="nonnegative|outside"):
+            check_diff_dominance(msd_c4, registry.KNOWN_STORAGE[4], lam, p=p)
+
+
 class TestConstructCertificate:
     def test_diagonal_closed_form(self):
         A = np.diag([-0.2679, -3.7321])
@@ -200,10 +217,11 @@ class TestConstructCertificate:
         assert check_dominance(msd_c4, cert).passed
 
     def test_residual_eigensolved_once(self, msd_c4, monkeypatch):
-        # one eigensolve for the residual's verdict and margin, one for P's inertia
+        # one eigensolve for the residual's verdict and margin, one for P's inertia, by either kernel
         calls = []
-        original = mc.sym_eigen
-        monkeypatch.setattr(mc, "sym_eigen", lambda S: calls.append(np.shape(S)) or original(S))
+        for name in ("sym_eigen", "sym_eigvals"):
+            original = getattr(mc, name)
+            monkeypatch.setattr(mc, name, lambda S, original=original: calls.append(np.shape(S)) or original(S))
         cert = construct_certificate(msd_c4, RATE, 1)
         assert sorted(calls) == [(1, 2, 2), (2, 2)]
         assert check_dominance(msd_c4, cert).passed

@@ -43,6 +43,23 @@ class TestSymEigen:
             mc.as_symmetric(S + np.array([[0.0, 1e-8], [0.0, 0.0]]))
 
 
+    def test_eigvals_are_the_eigen_values(self, rng):
+        stack = rng.standard_normal((6, 9, 9))
+        stack = stack + stack.swapaxes(-1, -2)
+        w, _ = mc.sym_eigen(stack)
+        assert np.allclose(mc.sym_eigvals(stack), w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    @pytest.mark.parametrize(
+        "S, error",
+        [([[0.0, 1.0], [0.0, 0.0]], DimensionError), ([[np.nan, 0.0], [0.0, 1.0]], NumericalError)],
+        ids=["asymmetric", "non-finite"],
+    )
+    def test_eigvals_checks_as_eigen(self, S, error):
+        for kernel in (mc.sym_eigen, mc.sym_eigvals):
+            with pytest.raises(error):
+                kernel(np.array(S))
+
+
 class TestInertia:
     def test_identity(self):
         assert mc.inertia_of(np.eye(3)).as_tuple() == (0, 0, 3)
@@ -99,6 +116,37 @@ class TestSchurSplit:
     def test_non_finite_shift_rejected(self, shift):
         with pytest.raises(ValueError, match="finite"):
             mc.schur_split(np.diag([1.0, -2.0]), shift)
+
+    def test_matches_sorted_scipy_schur(self, rng):
+        # the sorted LAPACK Schur form, on matrices with complex pairs on both sides of the axis
+        import scipy.linalg as sla
+
+        pairs = 0
+        for _ in range(40):
+            n = int(rng.integers(2, 13))
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-2, 2)
+            shift = float(rng.uniform(-0.5, 0.5)) * np.abs(A).max()
+            if np.min(np.abs(np.linalg.eigvals(A).real + shift)) <= 1e-6 * np.abs(A).max():
+                continue
+            form, k = mc.schur_split(A, shift)
+            T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re > -shift)
+            assert k == sdim
+            leading = np.sort_complex(np.linalg.eigvals(form.T[:k, :k]))
+            assert np.allclose(leading, np.sort_complex(np.linalg.eigvals(T[:k, :k])), atol=1e-9 * np.abs(A).max())
+            assert np.all(np.linalg.eigvals(form.T[:k, :k]).real > -shift)
+            assert np.all(np.linalg.eigvals(form.T[k:, k:]).real < -shift)
+            recon = form.Q @ form.T @ form.Q.T
+            assert np.linalg.norm(recon - A) <= 1e-12 * np.linalg.norm(A) * n
+            pairs += np.count_nonzero(np.diagonal(form.T, -1))
+        assert pairs > 0
+
+    def test_reordering_failure_is_numerical(self, monkeypatch):
+        import scipy.linalg.lapack as lapack
+
+        original = lapack.dtrsen
+        monkeypatch.setattr(lapack, "dtrsen", lambda *a, **kw: (*original(*a, **kw)[:7], 1))
+        with pytest.raises(NumericalError, match="reordering"):
+            mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
 
     def test_block_diagonalize_with_pairs_in_both_blocks(self, rng):
         # unstable spirals 1 +- 2i, 0.5 +- i and stable spirals -1 +- 3i, -2 +- 0.5i
