@@ -14,7 +14,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError
-from .lti import ModalSplit
+from .lti import ModalSplit, residual
 from .model import state_matrix
 from .policy import LMI_TOL, PROBE_MARGIN, ZTOL_REL
 
@@ -209,8 +209,7 @@ def _one_sided_margin(A, P, lam, lower: bool) -> float:
     so the generalized eigenproblem restricted to range(P) decides the full
     matrix inequality.
     """
-    Delta = A.T @ P + P @ A + 2.0 * lam * P
-    Delta = 0.5 * (Delta + Delta.T)
+    Delta = residual(A, P, lam)
     if not lower:
         Delta = -Delta
     eigenvalues, eigenvectors = mc.sym_eigen(P)
@@ -249,8 +248,8 @@ def ratio_trace(measure: ProjectiveMeasure, trajectory) -> RatioTrace:
     """
     states = trajectory.states
     times = trajectory.times
-    U = np.einsum("ij,jk,ik->i", states, measure.P_u, states)
-    S = np.einsum("ij,jk,ik->i", states, measure.P_s, states)
+    U = _quadratic_forms(states, measure.P_u)
+    S = _quadratic_forms(states, measure.P_s)
     floor = ZTOL_REL * max(1.0, float(np.linalg.norm(measure.P_u, 2)))
     scaled_floor = floor * np.maximum(1.0, np.einsum("ij,ij->i", states, states))
     if U[0] <= scaled_floor[0]:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .dissipativity import SupplyRate, dissipation_blocks
 from .errors import DimensionError
-from .lti import DifferentialVerdict, _check_finite, _family_verdict
+from .lti import DifferentialVerdict, _family_verdict
 from .model import (
     Channel,
     LureSystem,
@@ -77,7 +77,6 @@ def check_diff_dominance(
     shared (P, lam) and margin ``epsilon``, and P has inertia (p, 0, n-p);
     an omitted p is read from P.
     """
-    _check_finite(lam, epsilon)
     return _family_verdict(sys, P, lam, p, epsilon)
 
 
@@ -96,6 +95,5 @@ def check_diff_dissipativity(
     substituted for A and requires all of them to be negative semidefinite,
     with P of inertia (p, 0, n-p); an omitted p is read from P.
     """
-    _check_finite(lam, epsilon)
     blocks = lambda matrices: dissipation_blocks(matrices, sys, P, lam, supply, epsilon)
     return _family_verdict(sys, P, lam, p, epsilon, blocks)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DifferentialVerdict, LtiSystem, _check_claim, _check_finite, _family_verdict, residual
+from .lti import DifferentialVerdict, LtiSystem, _check_claim, _family_verdict, residual
 from .model import _json_object, _ValueEquality
 
 __all__ = [
@@ -111,11 +111,8 @@ class DissipativityCertificate(_ValueEquality):
 
     def __post_init__(self):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
-        _check_finite(self.rate, self.epsilon)
-        if self.rate < 0 or self.epsilon < 0:
-            raise ValueError("rate and epsilon must be nonnegative")
-        if not 0 <= self.p <= self.P.shape[0]:
-            raise ValueError("claimed dominant dimension out of range")
+        _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
+        object.__setattr__(self, "p", int(self.p))
 
     def to_dict(self) -> dict:
         return {
@@ -133,7 +130,7 @@ class DissipativityCertificate(_ValueEquality):
             P=np.asarray(data["P"], dtype=float),
             rate=float(data["lambda"]),
             epsilon=float(data.get("epsilon", 0.0)),
-            p=int(data["p"]),
+            p=data["p"],
             supply=SupplyRate.from_dict(data["supply"], r=r, m=m),
         )
 

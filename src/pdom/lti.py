@@ -24,7 +24,6 @@ from .policy import LMI_TOL, RECON_TOL, SPLIT_TOL
 __all__ = [
     "LtiSystem",
     "DominanceCertificate",
-    "DominanceVerdict",
     "VertexVerdict",
     "DifferentialVerdict",
     "SplitVerdict",
@@ -48,13 +47,8 @@ class DominanceCertificate(_ValueEquality):
 
     def __post_init__(self):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
-        _check_finite(self.rate, self.epsilon)
-        if self.rate < 0:
-            raise ValueError("rate must be nonnegative")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
-        if not 0 <= self.p <= self.P.shape[0]:
-            raise ValueError("claimed dominant dimension out of range")
+        _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
+        object.__setattr__(self, "p", int(self.p))
 
     def to_dict(self) -> dict:
         return {
@@ -71,27 +65,20 @@ class DominanceCertificate(_ValueEquality):
             P=np.asarray(data["P"], dtype=float),
             rate=float(data["lambda"]),
             epsilon=float(data.get("epsilon", 0.0)),
-            p=int(data["p"]),
+            p=data["p"],
         )
 
 
 @dataclass(frozen=True)
-class DominanceVerdict:
-    """One vertex's outcome, with the violation witness on failure (the vector is not compared by ``==``)."""
+class VertexVerdict:
+    """One vertex's outcome, with the violating eigenvector on a residual failure (not compared by ``==``)."""
 
+    corner: tuple[float, ...]  # () for the one vertex of a channel-free model
     passed: bool
     status: str  # "pass" | "inertia_mismatch" | "residual_violation"
-    lmax_residual: float
-    inertia: mc.Inertia
-    witness_eigenvalue: float | None = None
-    witness_vector: np.ndarray | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class VertexVerdict:
-    corner: tuple[float, ...]  # () for the one vertex of a channel-free model
-    verdict: DominanceVerdict
+    lmax: float
     split_ok: bool | None  # exactly p unstable eigenvalues at the rate; None without channels
+    witness_vector: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,26 +91,22 @@ class DifferentialVerdict(_ValueEquality):
     passed: bool
     p: int
     rate: float
+    inertia: mc.Inertia  # the storage's, shared by every vertex
     vertices: tuple[VertexVerdict, ...]
     worst_lmax: float
 
     @property
     def status(self) -> str:
-        return next((v.verdict.status for v in self.vertices if not v.verdict.passed), "pass")
-
-    @property
-    def inertia(self) -> mc.Inertia:
-        """The storage's inertia, shared by every vertex."""
-        return self.vertices[0].verdict.inertia
+        return next((v.status for v in self.vertices if not v.passed), "pass")
 
     @property
     def failing_corners(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(v.corner for v in self.vertices if not v.verdict.passed)
+        return tuple(v.corner for v in self.vertices if not v.passed)
 
     def to_dict(self) -> dict:
         vertices = [
-            {"corner": list(v.corner), "passed": v.verdict.passed, "status": v.verdict.status,
-             "lmax": v.verdict.lmax_residual, "witness_eigenvalue": v.verdict.witness_eigenvalue,
+            {"corner": list(v.corner), "passed": v.passed, "status": v.status, "lmax": v.lmax,
+             "witness_eigenvalue": v.lmax if v.status == "residual_violation" else None,
              "split_ok": v.split_ok}
             for v in self.vertices
         ]
@@ -193,53 +176,22 @@ def residual(A, P, lam: float) -> np.ndarray:
     return 0.5 * (R + R.swapaxes(-1, -2))
 
 
-def _check_finite(rate: float, epsilon: float = 0.0) -> None:
-    """Refuse a NaN or infinite rate or margin, which no comparison would catch."""
-    if not np.isfinite([rate, epsilon]).all():
-        raise ValueError(f"rate and epsilon must be finite, got {rate} and {epsilon}")
+def _check_claim(lam: float, p: int | None, n: int, epsilon: float = 0.0) -> None:
+    """The one claim rule: a finite, nonnegative rate and margin, and an integer p in [0, n].
 
-
-def _check_claim(lam: float, p: int | None, n: int) -> None:
-    """Refuse a rate that is not finite and nonnegative, or a claimed p outside [0, n]."""
-    _check_finite(lam)
-    if lam < 0:
-        raise ValueError(f"rate must be nonnegative, got {lam}")
-    if p is not None and not 0 <= p <= n:
+    A p of None (read from the storage later) passes; a bool is not an integer.
+    """
+    for name, value in (("rate", lam), ("epsilon", epsilon)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
+    if p is None:
+        return
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise ValueError(f"claimed dominant dimension must be an integer, got {p!r}")
+    if not 0 <= p <= n:
         raise ValueError(f"claimed dominant dimension {p} outside [0, {n}]")
-
-
-def _solve_blocks(blocks, inertia_ok: bool):
-    """Ascending eigenvalues of a ``(k, d, d)`` stack, in one call, with the eigenvectors
-    only when a witness can be read (``None`` when the storage inertia already fails).
-    """
-    if inertia_ok:
-        return mc.sym_eigen(blocks)
-    return mc.sym_eigvals(blocks), None
-
-
-def _verify_blocks(blocks, inertia: mc.Inertia, p: int, epsilon: float, solved=None) -> list[DominanceVerdict]:
-    """The one acceptance rule behind every verifier: storage inertia plus block definiteness.
-
-    ``blocks`` is a ``(k, d, d)`` stack, eigensolved in one call by
-    :func:`_solve_blocks` unless the caller passes its result as ``solved``,
-    and ``inertia`` is the storage's, eigensolved once by the caller. Each
-    block passes when ``lmax(block) <= -epsilon + LMI_TOL`` and the storage
-    has inertia (p, 0, n - p). Inertia mismatches are reported distinctly
-    from residual violations, and a residual failure carries the violating
-    eigenpair. The test is written as acceptance, so a NaN margin fails.
-    """
-    inertia_ok = inertia.matches(p)
-    eigenvalues, eigenvectors = solved if solved is not None else _solve_blocks(blocks, inertia_ok)
-    verdicts = []
-    for i, lmax in enumerate(eigenvalues[:, -1].tolist()):
-        if not inertia_ok:
-            verdicts.append(DominanceVerdict(False, "inertia_mismatch", lmax, inertia))
-        elif lmax <= -epsilon + LMI_TOL:
-            verdicts.append(DominanceVerdict(True, "pass", lmax, inertia))
-        else:
-            witness = {"witness_eigenvalue": lmax, "witness_vector": eigenvectors[i, :, -1]}
-            verdicts.append(DominanceVerdict(False, "residual_violation", lmax, inertia, **witness))
-    return verdicts
 
 
 def _vertex_splits(matrices, lam: float, p: int, inertia: mc.Inertia, norm: float, spectra: np.ndarray) -> list[bool]:
@@ -276,15 +228,18 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
     ``split_ok`` is read off its residual (:func:`_vertex_splits`); a
     channel-free model or a bare state matrix is the one vertex A at corner
     ``()``, whose ``split_ok`` is None (its split is :func:`eigen_split_test`'s
-    answer). Without ``blocks`` each vertex gets the dominance residual and
-    must clear ``epsilon``; ``blocks`` maps the vertex stack to dissipation
-    blocks, which carry ``epsilon`` themselves. An omitted p is read from P's
-    inertia, and a storage with an eigenvalue in the zero band is then
-    refused. A rate that is not finite and nonnegative, or a claimed p outside
-    [0, n], is a ``ValueError``.
+    answer). Without ``blocks`` each vertex's block is the dominance residual;
+    ``blocks`` maps the vertex stack to dissipation blocks, which carry
+    ``epsilon`` themselves. The block stack is eigensolved in one call, with
+    eigenvectors only when P has the claimed inertia (p, 0, n - p), and a
+    vertex passes when P does and ``lmax(block) <= -epsilon + LMI_TOL``
+    (``<= LMI_TOL`` for a dissipation block). A residual failure carries the
+    violating eigenvector. An omitted p is read from P's inertia, and a
+    storage with an eigenvalue in the zero band is then refused; a claim that
+    breaks :func:`_check_claim` is a ``ValueError``.
     """
     storage = mc.sym_eigvals(P)
-    _check_claim(lam, p, storage.size)
+    _check_claim(lam, p, storage.size, epsilon)
     inertia = mc.Inertia.of_spectrum(storage)
     if p is None:
         if inertia.zero != 0:
@@ -297,20 +252,35 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
     else:
         matrices, corners = state_matrix(sys)[None], ((),)
     if blocks is None:
-        R = residual(matrices, P, lam)
-        solved = _solve_blocks(R, inertia.matches(p))
-        verdicts, spectra = _verify_blocks(R, inertia, p, epsilon, solved), solved[0]
+        stack = residual(matrices, P, lam)
     else:
-        verdicts = _verify_blocks(blocks(matrices), inertia, p, 0.0)
-        # the split rule reads the residual, which the dissipation blocks only contain
+        # the split rule reads the residual, which the dissipation blocks only contain; its
+        # spectra are taken first, so the residual and block stacks are never held together
         spectra = mc.sym_eigvals(residual(matrices, P, lam)) if channels else None
-    split_ok = _vertex_splits(matrices, lam, p, inertia, abs(storage).max(), spectra) if channels else (None,)
+        stack = blocks(matrices)
+    inertia_ok = inertia.matches(p)
+    eigenvalues, vectors = mc.sym_eigen(stack) if inertia_ok else (mc.sym_eigvals(stack), None)
+    lmax = eigenvalues[:, -1]
+    passed = (lmax <= (-epsilon if blocks is None else 0.0) + LMI_TOL) & inertia_ok
+    if channels:
+        spectra = eigenvalues if blocks is None else spectra
+        split_ok = _vertex_splits(matrices, lam, p, inertia, abs(storage).max(), spectra)
+    else:
+        split_ok = (None,)
+    failure = "residual_violation" if inertia_ok else "inertia_mismatch"
+    tops = lmax.tolist()
+    vertices = tuple(
+        VertexVerdict(corner, ok, "pass" if ok else failure, top, split,
+                      None if ok or vectors is None else vectors[i, :, -1])
+        for i, (corner, ok, top, split) in enumerate(zip(corners, passed.tolist(), tops, split_ok))
+    )
     return DifferentialVerdict(
-        passed=all(v.passed for v in verdicts),
+        passed=bool(passed.all()),
         p=p,
         rate=lam,
-        vertices=tuple(map(VertexVerdict, corners, verdicts, split_ok)),
-        worst_lmax=max(v.lmax_residual for v in verdicts),
+        inertia=inertia,
+        vertices=vertices,
+        worst_lmax=max(tops),
     )
 
 
@@ -384,8 +354,8 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
-    verdict = _verify_blocks(residual(A[None], P, lam), mc.inertia_of(P), p, 0.0)[0]
-    epsilon = -verdict.lmax_residual / 2.0
+    verdict = _family_verdict(A, P, lam, p, 0.0)
+    epsilon = -verdict.worst_lmax / 2.0
     if epsilon <= 0:
         raise NumericalError("constructed storage lost its definiteness margin")
     if not verdict.passed:

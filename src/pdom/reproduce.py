@@ -214,7 +214,7 @@ def example3(seed: int = 42) -> SuiteResult:
     # (c) monotone-spring claim: known discrepancy at the shallow end
     mono = registry.nonlinear_msd("velocity", "monotone")
     mono_verdict = check_diff_dominance(mono, registry.MONOTONE_STORAGE, 0.0)
-    per_corner = {v.corner[0]: v.verdict.passed for v in mono_verdict.vertices}
+    per_corner = {v.corner[0]: v.passed for v in mono_verdict.vertices}
     expected_split = per_corner.get(-2.0, False) and not per_corner.get(-0.5, True)
     result.check(
         "monotone spring: vertex s=-2 passes, s=-0.5 fails (as the arithmetic gives)",

@@ -122,6 +122,8 @@ class TestVerify:
         assert "dominance: residual_violation" in capsys.readouterr().out
         verdict = json.loads(report_path.read_text())["verdicts"][0]
         assert [(v["corner"], v["passed"]) for v in verdict["vertices"]] == [([-3.0], False), ([1.0], True)]
+        # the witness eigenvalue is the failing vertex's lmax, and null on the passing one
+        assert [v["witness_eigenvalue"] for v in verdict["vertices"]] == [verdict["vertices"][0]["lmax"], None]
         assert all(v["split_ok"] for v in verdict["vertices"])
 
     def test_failing_linear_report_carries_the_witness(self, tmp_path, capsys):
@@ -170,7 +172,23 @@ class TestVerify:
         cert_path = tmp_path / "cert.json"
         cert_path.write_text(json.dumps(cert))
         assert cli.main(["verify", system, str(cert_path)]) == 2
-        assert "out of range" in capsys.readouterr().err
+        assert "outside" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("p", [1.5, True], ids=["fractional", "boolean"])
+    @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
+    def test_claimed_p_not_an_integer_is_input_error(self, tmp_path, capsys, p, supply):
+        # read as p = 1, this storage would pass
+        cert = {"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": 1.2679, "p": p}
+        if supply is not None:
+            cert["supply"] = supply
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", "msd-c4", str(cert_path)]) == 2
+        assert "integer" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "ValueError" and error["exit_code"] == 2
 
 
 class TestCertify:
@@ -323,7 +341,18 @@ class TestInterconnect:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
         assert cli.main(["interconnect", path]) == 2
-        assert "out of range" in capsys.readouterr().err
+        assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p", [1.5, True], ids=["fractional", "boolean"])
+    def test_loop_certificate_p_not_an_integer(self, tmp_path, capsys, p):
+        path = self._loop_file(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        data["cert2"]["p"] = p
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert cli.main(["interconnect", path]) == 2
+        assert "integer" in capsys.readouterr().err
 
 
 class TestSimulate:

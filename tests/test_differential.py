@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperbolic
+from pdom import matrixcore as mc
 from pdom import registry
 from pdom.differential import (
     Channel,
@@ -18,6 +19,7 @@ from pdom.differential import (
 )
 from pdom.dissipativity import (
     DissipativityCertificate,
+    SupplyRate,
     dissipation_blocks,
     supply_gain,
     supply_passivity,
@@ -26,7 +28,6 @@ from pdom.dissipativity import (
 from pdom.errors import DimensionError
 from pdom.interconnect import feedback_compose
 from pdom.lti import (
-    _verify_blocks,
     check_dominance,
     construct_certificate,
     DominanceCertificate,
@@ -34,6 +35,7 @@ from pdom.lti import (
     residual,
 )
 from pdom.matrixcore import inertia_of
+from pdom.policy import LMI_TOL
 
 
 class TestNonlinearities:
@@ -261,8 +263,8 @@ class TestResultEquality:
         first = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         second = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         # the failing vertex carries a witness vector
-        assert first.vertices[1].verdict.witness_vector is not None
-        assert first == second and first.vertices[1].verdict == second.vertices[1].verdict
+        assert first.vertices[1].witness_vector is not None
+        assert first == second and first.vertices[1] == second.vertices[1]
         # the certificate check of the same claim returns the same verdict
         cert = DominanceCertificate(P=registry.MONOTONE_STORAGE, rate=0.0, epsilon=0.0, p=first.p)
         assert check_dominance(sys, cert) == first
@@ -273,7 +275,7 @@ class TestResultEquality:
         assert vertex_family(monotone) != vertex_family(cubic)
         at_zero = check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.0)
         assert at_zero != check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.5)
-        assert at_zero.vertices[0].verdict != at_zero.vertices[1].verdict
+        assert at_zero.vertices[0] != at_zero.vertices[1]
         assert at_zero != at_zero.to_dict()
         # a claim of another p is another verdict, though every lmax is the same
         cert = DominanceCertificate(P=registry.MONOTONE_STORAGE, rate=0.0, epsilon=0.0, p=1)
@@ -338,24 +340,24 @@ class TestStackedFamily:
         lam = 0.5
         family = vertex_family(sys)
         verdict = check_diff_dominance(sys, P, lam)
-        failing = [i for i, v in enumerate(verdict.vertices) if v.verdict.status == "residual_violation"]
+        failing = [i for i, v in enumerate(verdict.vertices) if v.status == "residual_violation"]
         assert len(failing) > len(family) // 2
         cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)
         for i in failing:
-            got, single = verdict.vertices[i].verdict, check_dominance(family.matrices[i], cert).vertices[0].verdict
-            assert got.witness_eigenvalue.hex() == single.witness_eigenvalue.hex()
+            got, single = verdict.vertices[i], check_dominance(family.matrices[i], cert).vertices[0]
+            assert got.lmax.hex() == single.lmax.hex()
             assert got.witness_vector.tobytes() == single.witness_vector.tobytes()
             v = got.witness_vector
-            assert v @ residual(family.matrices[i], P, lam) @ v == pytest.approx(got.witness_eigenvalue, rel=1e-9)
+            assert v @ residual(family.matrices[i], P, lam) @ v == pytest.approx(got.lmax, rel=1e-9)
         supply = supply_gain(0.5, sys.r, sys.m)
         verdict = check_diff_dissipativity(sys, P, lam, supply)
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
         for J, v in zip(family.matrices, verdict.vertices):
-            single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert).vertices[0].verdict
-            assert v.verdict.status == single.status
+            single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert).vertices[0]
+            assert v.status == single.status
             if single.status == "residual_violation":
-                assert v.verdict.witness_eigenvalue.hex() == single.witness_eigenvalue.hex()
-                assert v.verdict.witness_vector.tobytes() == single.witness_vector.tobytes()
+                assert v.lmax.hex() == single.lmax.hex()
+                assert v.witness_vector.tobytes() == single.witness_vector.tobytes()
 
     @pytest.mark.parametrize(
         "name, P, lam",
@@ -383,6 +385,17 @@ class TestStackedFamily:
         splits = [eigen_split_test(J, 0.0, 0) for J in family.matrices]
         assert [s.status for s in splits] == ["pass", "inconclusive"]
         assert [v.split_ok for v in verdict.vertices] == [True, False]
+
+    def test_dissipation_split_reads_the_residual(self):
+        # the supply 3 y^2 + u^2 makes every dissipation block diag(2 J - 3, -1) negative definite,
+        # while each vertex J ~ 1 is unstable, so the split claimed by p = 0 fails
+        ch = registry.nonlinear_msd("velocity", "cubic").channels[0]
+        channel = Channel(g=np.array([0.01]), h=np.array([1.0]), sigma=ch.sigma, alpha=ch.alpha, beta=ch.beta)
+        sys = LureSystem(A=[[1.0]], channels=(channel,), B=[[0.0]], C=[[1.0]])
+        supply = SupplyRate(Q=[[3.0]], L=[[0.0]], R=[[1.0]])
+        verdict = check_diff_dissipativity(sys, np.eye(1), 0.0, supply, p=0)
+        assert verdict.passed
+        assert [v.split_ok for v in verdict.vertices] == [False, False]
 
 
 def _planted_lure(rng, n, k, gain):
@@ -498,7 +511,7 @@ class TestDiffDominance:
     def test_monotone_claim_splits(self):
         sys = registry.nonlinear_msd("velocity", "monotone")
         verdict = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
-        outcomes = {v.corner[0]: v.verdict.passed for v in verdict.vertices}
+        outcomes = {v.corner[0]: v.passed for v in verdict.vertices}
         assert outcomes[-2.0] is True
         assert outcomes[-0.5] is False
         assert not verdict.passed
@@ -532,6 +545,15 @@ class TestDiffDominance:
         with pytest.raises(ValueError, match="finite"):
             check_diff_dominance(sys, registry.DIFF_STORAGE_VELOCITY, lam, epsilon=epsilon)
 
+    def test_negative_margin_refused(self):
+        # this storage fails at the slope -0.5 vertex (worst lmax 0.30); a margin of -1 would excuse it
+        sys = registry.nonlinear_msd("velocity", "monotone")
+        assert not check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0).passed
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0, epsilon=-1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            check_diff_dissipativity(sys, registry.MONOTONE_STORAGE, 0.0, supply_passivity(sys.r), epsilon=-1.0)
+
 
 class TestDiffDissipativity:
     def test_mixed_output_passivity(self):
@@ -560,7 +582,7 @@ class TestDiffDissipativity:
         roots = np.sort(np.roots([1.0, 5.0, -10.0]))
         assert roots[0] < 1.0 < roots[1]
         verdict = check_diff_dissipativity(sys, P, 1.0, supply_passivity(1))
-        top = max(v.verdict.lmax_residual for v in verdict.vertices)
+        top = max(v.lmax for v in verdict.vertices)
         assert top <= 0.0
 
 
@@ -597,9 +619,17 @@ class TestComposition:
             feedback_compose(sys1, bad)
 
 
-def _same_verdict(a, b):
+def _outcome(vertex):
     # bitwise lmax: both checks must run the one kernel on the same block
-    return (a.passed, a.status, a.lmax_residual.hex()) == (b.passed, b.status, b.lmax_residual.hex())
+    return vertex.passed, vertex.status, vertex.lmax.hex()
+
+
+def _single_block(block, P, p):
+    """The outcome of one block at margin 0, from its own ``sym_eigen``, for a storage of the claimed inertia."""
+    assert inertia_of(P).matches(p)
+    lmax = float(mc.sym_eigen(block)[0][-1])
+    passed = lmax <= LMI_TOL
+    return passed, "pass" if passed else "residual_violation", lmax.hex()
 
 
 def _linear_storages():
@@ -624,11 +654,11 @@ class TestOneKernel:
         p = inertia_of(P).negative
         diff = check_diff_dominance(msd_c8, P, lam)
         single = check_dominance(msd_c8, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
-        kernel = _verify_blocks(residual(msd_c8.A[None], P, lam), inertia_of(P), p, 0.0)[0]
+        kernel = _single_block(residual(msd_c8.A[None], P, lam)[0], P, p)
         assert diff == single and diff.p == p
         assert [(v.corner, v.split_ok) for v in single.vertices] == [((), None)]
-        assert _same_verdict(single.vertices[0].verdict, kernel)
-        assert (single.passed, single.status, single.worst_lmax) == (kernel.passed, kernel.status, kernel.lmax_residual)
+        assert _outcome(single.vertices[0]) == kernel
+        assert (single.passed, single.status, single.worst_lmax.hex()) == kernel
 
     @pytest.mark.parametrize("P, lam", _linear_storages())
     @pytest.mark.parametrize("supply", [supply_passivity(1), supply_gain(0.5, 1, 1), supply_gain(5.0, 1, 1)])
@@ -639,9 +669,9 @@ class TestOneKernel:
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
         single = verify_dissipativity(msd_c8, cert)
         blocks = dissipation_blocks(msd_c8.A[None], msd_c8, P, lam, supply, epsilon)
-        kernel = _verify_blocks(blocks, inertia_of(P), p, 0.0)[0]
+        kernel = _single_block(blocks[0], P, p)
         assert diff == single and len(single.vertices) == 1 and diff.p == p
-        assert _same_verdict(single.vertices[0].verdict, kernel)
+        assert _outcome(single.vertices[0]) == kernel
 
     def test_outcomes_covered(self, msd_c8):
         # the battery above holds passes, residual failures and split-inconsistent storages;
@@ -669,11 +699,11 @@ class TestOneKernel:
         verdict = check_diff_dominance(sys, P, lam)
         for J, v in zip(family.matrices, verdict.vertices):
             single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
-            assert _same_verdict(v.verdict, single.vertices[0].verdict)
+            assert _outcome(v) == _outcome(single.vertices[0])
         supplies = (supply_passivity(sys.r), supply_gain(2.0, sys.r, sys.m))
         for supply, epsilon in itertools.product(supplies, (0.0, 1e-3)):
             verdict = check_diff_dissipativity(sys, P, lam, supply, epsilon)
             for J, v in zip(family.matrices, verdict.vertices):
                 vertex = LureSystem(A=J, B=sys.B, C=sys.C)
                 cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
-                assert _same_verdict(v.verdict, verify_dissipativity(vertex, cert).vertices[0].verdict)
+                assert _outcome(v) == _outcome(verify_dissipativity(vertex, cert).vertices[0])

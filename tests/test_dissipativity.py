@@ -117,7 +117,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("p", [-1, 3])
     def test_claimed_p_out_of_range_rejected(self, p):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="outside"):
             DissipativityCertificate(
                 P=registry.PASSIVITY_STORAGE_C8, rate=RATE, epsilon=0.0, p=p, supply=supply_passivity(1)
             )
@@ -128,6 +128,19 @@ class TestVerify:
         claim = {"rate": RATE, "epsilon": 0.0, field: bad}
         with pytest.raises(ValueError, match="finite"):
             DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, p=1, supply=supply_passivity(1), **claim)
+
+    @pytest.mark.parametrize("p", [1.5, True])
+    def test_certificate_file_with_a_p_that_is_not_an_integer(self, msd_c8, p):
+        data = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "lambda": RATE, "p": p, "supply": {"kind": "passivity"}}
+        with pytest.raises(ValueError, match="integer"):
+            DissipativityCertificate.from_dict(data, r=1, m=1)
+
+    @pytest.mark.parametrize("p", [1, np.int64(1)])
+    def test_integer_p_is_stored_as_int(self, msd_c8, p):
+        data = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "lambda": RATE, "p": p, "supply": {"kind": "passivity"}}
+        cert = DissipativityCertificate.from_dict(data, r=1, m=1)
+        assert type(cert.p) is int and type(cert.to_dict()["p"]) is int
+        assert verify_dissipativity(msd_c8, cert).passed
 
     def test_large_gain_eventually_passes(self, rng):
         A, p = random_hyperbolic(rng, 3, 0.8)

@@ -8,7 +8,7 @@ from pdom.errors import DimensionError, NonHyperbolicError, NumericalError, Spli
 from pdom.lti import (
     DominanceCertificate,
     LtiSystem,
-    _verify_blocks,
+    _family_verdict,
     check_dominance,
     construct_certificate,
     eigen_split_test,
@@ -86,21 +86,38 @@ class TestCheckDominance:
         assert verdict.status == "residual_violation"
         (vertex,) = verdict.vertices
         assert vertex.corner == () and vertex.split_ok is None
-        assert vertex.verdict.witness_eigenvalue > 0
+        assert vertex.status == "residual_violation" and vertex.lmax > 0
+        assert verdict.to_dict()["vertices"][0]["witness_eigenvalue"] == vertex.lmax
         # the witness eigenvector realizes the violation
-        v = vertex.verdict.witness_vector
+        v = vertex.witness_vector
         R = residual(msd_c4.A, np.eye(2), RATE)
-        assert v @ R @ v == pytest.approx(vertex.verdict.witness_eigenvalue, rel=1e-9)
+        assert v @ R @ v == pytest.approx(vertex.lmax, rel=1e-9)
 
     def test_inertia_mismatch_distinct(self, msd_c4):
         cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=0)
-        assert check_dominance(msd_c4, cert).status == "inertia_mismatch"
+        verdict = check_dominance(msd_c4, cert)
+        assert verdict.status == "inertia_mismatch"
+        # no witness without the claimed inertia
+        assert verdict.vertices[0].witness_vector is None
+        assert verdict.to_dict()["vertices"][0]["witness_eigenvalue"] is None
 
-    def test_nan_margin_fails_the_kernel(self):
-        # lmax = 4 on diag(1, 2) with P = diag(-1, 1): no margin can excuse it
-        blocks = residual(np.diag([1.0, 2.0])[None], np.diag([-1.0, 1.0]), 0.0)
-        verdict = _verify_blocks(blocks, inertia_of(np.diag([-1.0, 1.0])), 1, np.nan)[0]
-        assert not verdict.passed and verdict.status == "residual_violation"
+    def test_nan_margin_is_refused(self):
+        # lmax = 4 on diag(1, 2) with P = diag(-1, 1): no margin, NaN included, may excuse it
+        from pdom.differential import check_diff_dissipativity, check_diff_dominance
+        from pdom.dissipativity import DissipativityCertificate, supply_passivity
+
+        A, P = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])
+        sys = LtiSystem(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
+        with pytest.raises(ValueError, match="finite"):
+            _family_verdict(A, P, 0.0, 1, np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            DominanceCertificate(P=P, rate=0.0, epsilon=np.nan, p=1)
+        with pytest.raises(ValueError, match="finite"):
+            DissipativityCertificate(P=P, rate=0.0, epsilon=np.nan, p=1, supply=supply_passivity(1))
+        with pytest.raises(ValueError, match="finite"):
+            check_diff_dominance(sys, P, 0.0, epsilon=np.nan)
+        with pytest.raises(ValueError, match="finite"):
+            check_diff_dissipativity(sys, P, 0.0, supply_passivity(1), np.nan)
 
     @pytest.mark.parametrize("field", ["rate", "epsilon"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -138,7 +155,7 @@ class TestStackedKernel:
         with pytest.raises(DimensionError):
             mc.sym_eigen(S)
         with pytest.raises(DimensionError):
-            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0)
+            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0, lambda matrices: S)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, rng, bad):
@@ -149,7 +166,7 @@ class TestStackedKernel:
         with pytest.raises(NumericalError):
             mc.sym_eigen(S)
         with pytest.raises(NumericalError):
-            _verify_blocks(S, mc.Inertia(4, 0, 0), 4, 0.0)
+            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0, lambda matrices: S)
 
 
 class TestEigenSplit:
@@ -198,6 +215,27 @@ class TestImpossibleClaim:
 
         with pytest.raises(ValueError, match="nonnegative|outside"):
             check_diff_dominance(msd_c4, registry.KNOWN_STORAGE[4], lam, p=p)
+
+    @pytest.mark.parametrize("p", [1.5, 1.0, True, np.True_, "1"])
+    def test_p_that_is_not_an_integer(self, msd_c4, p):
+        from pdom.differential import check_diff_dominance
+
+        for entry in (eigen_split_test, construct_certificate, modal_split):
+            with pytest.raises(ValueError, match="integer"):
+                entry(msd_c4, RATE, p)
+        with pytest.raises(ValueError, match="integer"):
+            check_diff_dominance(msd_c4, registry.KNOWN_STORAGE[4], RATE, p=p)
+        # a certificate file's p is not converted: int() would read 1.5 or true as 1, and this storage passes at p = 1
+        with pytest.raises(ValueError, match="integer"):
+            DominanceCertificate.from_dict({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": p})
+
+    @pytest.mark.parametrize("p", [1, np.int64(1), np.int32(1)])
+    def test_integer_p_is_stored_as_int(self, msd_c4, p):
+        data = {"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": p}
+        cert = DominanceCertificate.from_dict(data)
+        assert type(cert.p) is int and cert.p == 1
+        assert type(cert.to_dict()["p"]) is int
+        assert check_dominance(msd_c4, cert).passed
 
 
 class TestConstructCertificate:
