@@ -112,7 +112,8 @@ class DissipativityCertificate(_ValueEquality):
     def __post_init__(self):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
         _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
-        object.__setattr__(self, "p", int(self.p))
+        for attr, cast in (("rate", float), ("epsilon", float), ("p", int)):
+            object.__setattr__(self, attr, cast(getattr(self, attr)))
 
     def to_dict(self) -> dict:
         return {
@@ -128,8 +129,8 @@ class DissipativityCertificate(_ValueEquality):
         data = _json_object(data, "a certificate")
         return DissipativityCertificate(
             P=np.asarray(data["P"], dtype=float),
-            rate=float(data["lambda"]),
-            epsilon=float(data.get("epsilon", 0.0)),
+            rate=data["lambda"],
+            epsilon=data.get("epsilon", 0.0),
             p=data["p"],
             supply=SupplyRate.from_dict(data["supply"], r=r, m=m),
         )

@@ -22,7 +22,7 @@ from .errors import (
     RateMismatchError,
     UnsupportedConfigurationError,
 )
-from .lti import DominanceCertificate, check_dominance
+from .lti import DominanceCertificate, _check_claim, check_dominance
 from .model import Channel, LureSystem, _json_object, _ValueEquality
 from .policy import LMI_TOL
 
@@ -183,6 +183,10 @@ class FeedbackLoop(_ValueEquality):
     supply2: SupplyRate
     rate: float
 
+    def __post_init__(self):
+        _check_claim(self.rate, None, 0)
+        object.__setattr__(self, "rate", float(self.rate))
+
     def to_dict(self) -> dict:
         return {
             "sys1": self.sys1.to_dict(),
@@ -204,5 +208,5 @@ class FeedbackLoop(_ValueEquality):
             sys2=sys2,
             supply1=supply1,
             supply2=supply2,
-            rate=float(data["lambda"]),
+            rate=data["lambda"],
         )

@@ -12,6 +12,7 @@ use of the one model, :class:`LureSystem`.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +49,8 @@ class DominanceCertificate(_ValueEquality):
     def __post_init__(self):
         object.__setattr__(self, "P", mc.as_symmetric(self.P))
         _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
-        object.__setattr__(self, "p", int(self.p))
+        for attr, cast in (("rate", float), ("epsilon", float), ("p", int)):
+            object.__setattr__(self, attr, cast(getattr(self, attr)))
 
     def to_dict(self) -> dict:
         return {
@@ -63,8 +65,8 @@ class DominanceCertificate(_ValueEquality):
         data = _json_object(data, "a certificate")
         return DominanceCertificate(
             P=np.asarray(data["P"], dtype=float),
-            rate=float(data["lambda"]),
-            epsilon=float(data.get("epsilon", 0.0)),
+            rate=data["lambda"],
+            epsilon=data.get("epsilon", 0.0),
             p=data["p"],
         )
 
@@ -179,9 +181,11 @@ def residual(A, P, lam: float) -> np.ndarray:
 def _check_claim(lam: float, p: int | None, n: int, epsilon: float = 0.0) -> None:
     """The one claim rule: a finite, nonnegative rate and margin, and an integer p in [0, n].
 
-    A p of None (read from the storage later) passes; a bool is not an integer.
+    A p of None (read from the storage later) passes; a bool is neither an integer nor a number.
     """
     for name, value in (("rate", lam), ("epsilon", epsilon)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
         if value < 0:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import DimensionError
+from .errors import DimensionError, UnsupportedConfigurationError
+from .policy import MAX_VERTICES
 
 __all__ = [
     "Nonlinearity",
@@ -370,7 +371,14 @@ def hull_points(sys: LureSystem, slopes) -> np.ndarray:
 
 
 def vertex_family(sys: LureSystem) -> VertexFamily:
-    """All sign-corner substitutions of the channel slopes into the Jacobian."""
+    """All sign-corner substitutions of the channel slopes into the Jacobian.
+
+    A family of more than ``MAX_VERTICES`` corners is refused before any corner is built.
+    """
+    if 2 ** len(sys.channels) > MAX_VERTICES:
+        raise UnsupportedConfigurationError(
+            f"{len(sys.channels)} channels make 2^{len(sys.channels)} vertices, more than {MAX_VERTICES}"
+        )
     for ch in sys.channels:
         if not (np.isfinite(ch.alpha) and np.isfinite(ch.beta)):
             raise ValueError("vertex relaxation needs finite slope bounds")

@@ -12,7 +12,6 @@ import csv
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import sqrt
 
 import numpy as np
 
@@ -95,11 +94,15 @@ def integrate_batch(
 
     A row whose norm exceeds 1e9, or is not finite, is flagged as truncated
     and its record is cut at that step; the row is not evaluated after it.
+    Both evaluators test ``x . x <= 1e18``, which is the same rule without a
+    square root: 1e18 is a float, and the square root of the next float
+    above it rounds above 1e9.
 
     A batch that :func:`_takes_row_step` accepts, with no callable input, runs row by row through the
-    model's generated float step (1-4 us per row-step for n <= 4); any other batch runs the numpy loop
-    (20-90 us per step for up to some 30 rows). The generated step sums products left to right, while a
-    one-row numpy product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
+    model's generated float step (0.25-0.75 us per row-step for the built-in models, n <= 4); any other
+    batch runs the numpy loop (9-28 us per step for up to 40 rows), timed on one core of a shared
+    2-core host with Python 3.11. The generated step sums products left to right, while a one-row numpy
+    product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
     """
     if not np.isfinite([t_end, dt]).all():
         raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -151,9 +154,8 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
             k4 = f(t + dt, X + dt * k3)
             X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
-            norms = np.sqrt(np.einsum("ij,ij->i", X, X))
             # the comparison is false for NaN and inf, so non-finite rows count as diverged
-            bad = ~(norms <= _DIVERGENCE_NORM)
+            bad = ~(np.einsum("ij,ij->i", X, X) <= _DIVERGENCE_NORM ** 2)
             if bad.any():
                 # cut the records of the diverged rows here and stop integrating them
                 cut_length[rows[bad]] = len(history)
@@ -175,69 +177,98 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
 
 def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
     """The same, row by row through the model's generated float step (no callable input). The step
-    is built on the model's first run and kept in its ``__dict__``, which a frozen dataclass still has."""
+    is compiled from :func:`_row_step_source` on the model's first run without an input, or with a
+    constant one, and kept in the model's ``__dict__``, which a frozen dataclass still has."""
     u_of_t, drive = _input_terms(sys, input_policy)
-    step = vars(sys).get("_row_step") or vars(sys).setdefault("_row_step", _generate_row_step(sys))
-    u = tuple(drive(0.0).tolist()) if drive else (0.0,) * sys.n
+    key = "_row_step" if drive is None else "_input_row_step"
+    if key not in vars(sys):
+        source, namespace = _row_step_source(sys, drive is not None)
+        exec(source, namespace)
+        vars(sys)[key] = namespace["step"]
+    step, u = vars(sys)[key], tuple(drive(0.0).tolist()) if drive else ()
     runs = [step(x, steps // record_every, record_every, dt, u) for x in X0.tolist()]
     return runs, None if u_of_t is None else np.repeat(u_of_t(0.0)[None], steps // record_every + 1, axis=0)
 
 
-def _generate_row_step(sys: LureSystem):
-    """Straight-line float code for ``step(x, records, every, dt, u) -> (states, truncated)``: the numpy
-    loop's stages, divergence test and records on one row, with ``u = B u`` of a constant input (or zero)
-    added; sums run left to right and skip zero coefficients, and the record grows in an ``array('d')``."""
-    n, namespace = sys.n, {"sqrt": sqrt, "bisect_right": bisect_right, "array": array}
+def _row_step_source(sys: LureSystem, with_input: bool) -> tuple[str, dict]:
+    """Straight-line float code for ``step(x, records, every, dt, u) -> (states, truncated)``, the numpy
+    loop's stages, divergence test and records on one row, and the names it reads. With an input,
+    ``u = B u`` of a constant input is added to every row, as the numpy loop adds it. Sums run left to
+    right and hold only the operations whose value is not known in advance: no zero coefficient, no
+    channel term on a row that no channel feeds, no input term in a run without one, and
+    ``a - x * 2.0`` for ``a + x * -2.0``, which rounds to the same bits. The record grows in an
+    ``array('d')``."""
+    n, namespace = sys.n, {"bisect_right": bisect_right, "array": array}
     namespace["states"] = lambda out: np.array(out).reshape(-1, n)
     x, y, u, *k = ([f"{v}{i}" for i in range(n)] for v in ("x", "y", "u", "k1_", "k2_", "k3_", "k4_"))
-    body = _field_lines(sys, x, k[0], namespace)
+    u = u if with_input else None
+    body = _field_lines(sys, x, k[0], u, namespace)
     for s, scale in enumerate(("half", "half", "dt")):
         body += [f"{yi} = {xi} + {scale} * {ki}" for xi, yi, ki in zip(x, y, k[s])]
-        body += _field_lines(sys, y, k[s + 1], namespace)
+        body += _field_lines(sys, y, k[s + 1], u, namespace)
     body += [f"{xi} = {xi} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for xi, a, b, c, d in zip(x, *k)]
     squares = " + ".join(f"{xi} * {xi}" for xi in x)
-    body += [f"if not sqrt({squares}) <= {_DIVERGENCE_NORM!r}:  # true for NaN and inf", "    return states(out), True"]
-    xs, us = "".join(f"{v}, " for v in x), "".join(f"{v}, " for v in u)
-    code = [f"def step(x, records, every, dt, u):\n    {xs}= x\n    {us}= u",
+    body += [f"if not {squares} <= {_DIVERGENCE_NORM ** 2!r}:  # true for NaN and inf", "    return states(out), True"]
+    xs = "".join(f"{v}, " for v in x)
+    code = [f"def step(x, records, every, dt, u):\n    {xs}= x",
+            *([f"    {''.join(f'{v}, ' for v in u)}= u"] if u else []),
             f"    half, sixth = 0.5 * dt, dt / 6.0\n    out = array('d', ({xs}))",
             "    for _ in range(records):\n        for _ in range(every):",
             *("            " + line for line in body), f"        out.fromlist([{xs}])\n    return states(out), False"]
-    exec("\n".join(code), namespace)
-    return namespace["step"]
+    return "\n".join(code), namespace
 
 
-def _field_lines(sys: LureSystem, xs, ks, namespace) -> list[str]:
-    """Statements setting ``ks`` to the field at ``xs`` as ``LureSystem.rhs`` sums it, plus ``u``."""
-    def _terms(coeffs, names) -> str:  # x0 * c0 + x1 * c1 + ... left to right, zero coefficients left out
-        return " + ".join(x if c == 1.0 else f"{x} * {c!r}" for c, x in zip(coeffs.tolist(), names) if c) or "0.0"
+def _sum(terms) -> str:
+    """``(coefficient, operand)`` pairs summed left to right, a negative coefficient as a subtraction."""
+    text = ""
+    for c, v in terms:
+        if not text:
+            text = f"-{v}" if c == -1.0 else v if c == 1.0 else f"{v} * {c!r}"
+        else:
+            text += (" - " if c < 0 else " + ") + (v if abs(c) == 1.0 else f"{v} * {abs(c)!r}")
+    return text
 
-    zs = [f"z{c}" for c in range(sys._H.shape[1])]
-    lines = [f"{z} = {_terms(sys._H[:, c], xs)}" for c, z in enumerate(zs)]
+
+def _field_lines(sys: LureSystem, xs, ks, us, namespace) -> list[str]:
+    """Statements setting ``ks`` to the field at ``xs`` as ``LureSystem.rhs`` sums it, plus ``us`` if given."""
+    def _terms(coeffs, names):  # the non-zero coefficients with their operands
+        return [(c, v) for c, v in zip(coeffs.tolist(), names) if c]
+
+    lines, zs = [], [f"z{c}" for c in range(sys._H.shape[1])]
+    args = []  # each channel's argument: a state itself when its column of H is a unit vector
+    for z, column in zip(zs, sys._H.T):
+        terms = _terms(column, xs)
+        if len(terms) == 1 and terms[0][0] == 1.0:
+            args.append(terms[0][1])
+        else:
+            lines.append(f"{z} = {_sum(terms) or '0.0'}")
+            args.append(z)
     for sigma, cols in sys._sigma_blocks:
-        for z in zs[cols]:
-            lines += _sigma_lines(sigma, z, namespace)
+        for z, arg in zip(zs[cols], args[cols]):
+            lines += _sigma_lines(sigma, arg, z, namespace)
     for i, ki in enumerate(ks):
-        channels = f" + ({_terms(sys._G[:, i], zs)})" if zs else ""
-        lines.append(f"{ki} = {_terms(sys.A[i], xs)}{channels} + u{i}")
+        terms, channels = _terms(sys.A[i], xs), _terms(sys._G[:, i], zs)
+        terms += channels if len(channels) < 2 else [(1.0, f"({_sum(channels)})")]
+        lines.append(f"{ki} = {_sum(terms + ([(1.0, us[i])] if us else [])) or '0.0'}")
     return lines
 
 
-def _sigma_lines(sigma, z: str, namespace) -> list[str]:
-    """Statements replacing float ``z`` by ``sigma(z)`` with the operations of ``Nonlinearity.__call__``."""
+def _sigma_lines(sigma, s: str, z: str, namespace) -> list[str]:
+    """Statements setting float ``z`` to ``sigma(s)`` with the operations of ``Nonlinearity.__call__``."""
     if sigma.kind == "cubic_saturated":  # np.minimum(q, 4.0) keeps a NaN q, and so does this
-        return [f"q = {z} * {z}", f"{z} = {z} - {1.0 / 3.0!r} * (4.0 if q > 4.0 else q) * {z}"]
+        return [f"q = {s} * {s}", f"{z} = {s} - {1.0 / 3.0!r} * (4.0 if q > 4.0 else q) * {s}"]
     if sigma.kind == "scaled":
-        return _sigma_lines(sigma.params["base"], z, namespace) + [f"{z} = {float(sigma.params['factor'])!r} * {z}"]
+        return _sigma_lines(sigma.params["base"], s, z, namespace) + [f"{z} = {float(sigma.params['factor'])!r} * {z}"]
     # np.interp's formula inside the table, _table_value's end slopes outside it
     kn, vs = (np.asarray(sigma.params[key], dtype=float).tolist() for key in ("knots", "values"))
     slopes = [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(kn, kn[1:], vs, vs[1:])]
     K, V, S = f"K{z}", f"V{z}", f"S{z}"
     namespace.update({K: tuple(kn), V: tuple(vs), S: tuple(slopes)})
-    return [f"if {kn[0]!r} <= {z} <= {kn[-1]!r}:",
-            f"    j = bisect_right({K}, {z}) - 1",
-            f"    {z} = {V}[j] if {K}[j] == {z} else {S}[j] * ({z} - {K}[j]) + {V}[j]",
-            f"elif {z} < {kn[0]!r}:", f"    {z} = {vs[0]!r} + {slopes[0]!r} * ({z} - {kn[0]!r})",
-            "else:  # above the table, or NaN", f"    {z} = {vs[-1]!r} + {slopes[-1]!r} * ({z} - {kn[-1]!r})"]
+    return [f"if {kn[0]!r} <= {s} <= {kn[-1]!r}:",
+            f"    j = bisect_right({K}, {s}) - 1",
+            f"    {z} = {V}[j] if {K}[j] == {s} else {S}[j] * ({s} - {K}[j]) + {V}[j]",
+            f"elif {s} < {kn[0]!r}:", f"    {z} = {vs[0]!r} + {slopes[0]!r} * ({s} - {kn[0]!r})",
+            "else:  # above the table, or NaN", f"    {z} = {vs[-1]!r} + {slopes[-1]!r} * ({s} - {kn[-1]!r})"]
 
 
 def integrate(

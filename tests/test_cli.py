@@ -175,6 +175,34 @@ class TestVerify:
         assert "outside" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("field", ["lambda", "epsilon"])
+    @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
+    def test_rate_or_margin_not_a_number_is_input_error(self, tmp_path, capsys, field, supply):
+        # float() read true as 1.0, and this claim passes with a rate or a margin of 1.0
+        cert = {"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 1.0, "p": 1, field: True}
+        if supply is not None:
+            cert["supply"] = supply
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", "msd-c4", str(cert_path)]) == 2
+        assert "must be a number" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "ValueError" and error["exit_code"] == 2
+
+    def test_too_many_channels_is_input_error(self, tmp_path, capsys):
+        # 17 channels make 2^17 vertices, above MAX_VERTICES: refused before any corner is built
+        channel = {"g": [0.0, 0.01], "h": [1.0, 0.0], "sigma": {"kind": "cubic_saturated"}, "alpha": -3.0, "beta": 1.0}
+        system = {"A": [[0.0, 1.0], [-1.0, -8.0]], "B": [[0.0], [1.0]], "C": [[1.0, 0.0]], "channels": [channel] * 17}
+        sys_path, cert_path = tmp_path / "k17.json", tmp_path / "cert.json"
+        sys_path.write_text(json.dumps(system))
+        cert_path.write_text(json.dumps({"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 1.0, "p": 1}))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", str(sys_path), str(cert_path)]) == 2
+        assert "2^17 vertices" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "UnsupportedConfigurationError" and error["exit_code"] == 2
+
     @pytest.mark.parametrize("p", [1.5, True], ids=["fractional", "boolean"])
     @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
     def test_claimed_p_not_an_integer_is_input_error(self, tmp_path, capsys, p, supply):
@@ -342,6 +370,20 @@ class TestInterconnect:
             json.dump(data, fh)
         assert cli.main(["interconnect", path]) == 2
         assert "outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["lambda", "cert1"])
+    def test_loop_rate_not_a_number(self, tmp_path, capsys, key):
+        path = self._loop_file(tmp_path)
+        with open(path, encoding="utf-8") as fh:
+            data = json.load(fh)
+        if key == "lambda":
+            data["lambda"] = True
+        else:
+            data["cert1"]["lambda"] = True
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        assert cli.main(["interconnect", path]) == 2
+        assert "must be a number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("p", [1.5, True], ids=["fractional", "boolean"])
     def test_loop_certificate_p_not_an_integer(self, tmp_path, capsys, p):

@@ -25,7 +25,7 @@ from pdom.dissipativity import (
     supply_passivity,
     verify_dissipativity,
 )
-from pdom.errors import DimensionError
+from pdom.errors import DimensionError, UnsupportedConfigurationError
 from pdom.interconnect import feedback_compose
 from pdom.lti import (
     check_dominance,
@@ -35,7 +35,7 @@ from pdom.lti import (
     residual,
 )
 from pdom.matrixcore import inertia_of
-from pdom.policy import LMI_TOL
+from pdom.policy import LMI_TOL, MAX_VERTICES
 
 
 class TestNonlinearities:
@@ -252,6 +252,16 @@ class TestVertexFamily:
             C=np.zeros((1, 2)),
         )
         assert len(vertex_family(sys)) == 4
+
+    def test_family_size_limit(self):
+        ch = registry.nonlinear_msd("velocity", "cubic").channels[0]
+        many = lambda k: LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=(ch,) * k)
+        assert MAX_VERTICES == 2**16 and len(vertex_family(many(16))) == MAX_VERTICES
+        with pytest.raises(UnsupportedConfigurationError, match="2\\^17 vertices"):
+            vertex_family(many(17))
+        P = registry.DIFF_STORAGE_VELOCITY
+        with pytest.raises(UnsupportedConfigurationError, match="2\\^17 vertices"):
+            check_diff_dominance(many(17), P, 1.0, p=1)
 
 
 class TestResultEquality:

@@ -142,6 +142,21 @@ class TestVerify:
         assert type(cert.p) is int and type(cert.to_dict()["p"]) is int
         assert verify_dissipativity(msd_c8, cert).passed
 
+    @pytest.mark.parametrize("field", ["lambda", "epsilon"])
+    @pytest.mark.parametrize("bad", [True, "0.5", None])
+    def test_certificate_file_with_a_rate_or_margin_that_is_not_a_number(self, field, bad):
+        data = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "lambda": RATE, "p": 1, "supply": {"kind": "passivity"},
+                field: bad}
+        with pytest.raises(ValueError, match="must be a number"):
+            DissipativityCertificate.from_dict(data, r=1, m=1)
+
+    def test_integer_rate_is_stored_as_float(self, msd_c8):
+        data = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "lambda": 1, "epsilon": 0, "p": 1,
+                "supply": {"kind": "passivity"}}
+        cert = DissipativityCertificate.from_dict(data, r=1, m=1)
+        assert type(cert.rate) is float and type(cert.epsilon) is float
+        assert cert.to_dict()["lambda"] == 1.0 and type(cert.to_dict()["lambda"]) is float
+
     def test_large_gain_eventually_passes(self, rng):
         A, p = random_hyperbolic(rng, 3, 0.8)
         sys = LtiSystem(A=A, B=rng.standard_normal((3, 1)), C=0.01 * rng.standard_normal((1, 3)), D=np.zeros((1, 1)))

@@ -257,3 +257,15 @@ class TestLoopSerialization:
         assert np.allclose(back.sys1.A, msd_c8.A)
         assert back.rate == RATE
         assert np.allclose(feedback_compose(back.sys1, back.sys2).A, feedback_compose(msd_c8, msd_c8).A)
+
+    @pytest.mark.parametrize("bad, match", [(True, "must be a number"), ("1.2679", "must be a number"),
+                                            (None, "must be a number"), (-0.5, "nonnegative"), (np.nan, "finite")])
+    def test_loop_rate_held_to_the_claim_rule(self, msd_c8, bad, match):
+        data = FeedbackLoop(msd_c8, msd_c8, supply_passivity(1), supply_passivity(1), RATE).to_dict()
+        with pytest.raises(ValueError, match=match):
+            FeedbackLoop.from_dict({**data, "lambda": bad})
+
+    def test_integer_loop_rate_is_stored_as_float(self, msd_c8):
+        data = FeedbackLoop(msd_c8, msd_c8, supply_passivity(1), supply_passivity(1), 0).to_dict()
+        assert data["lambda"] == 0.0 and type(data["lambda"]) is float
+        assert type(FeedbackLoop.from_dict(data).rate) is float

@@ -237,6 +237,24 @@ class TestImpossibleClaim:
         assert type(cert.to_dict()["p"]) is int
         assert check_dominance(msd_c4, cert).passed
 
+    @pytest.mark.parametrize("field", ["lambda", "epsilon"])
+    @pytest.mark.parametrize("bad", [True, False, np.True_, "1.2", None, [1.0]])
+    def test_rate_or_margin_that_is_not_a_number(self, field, bad):
+        # float() would read true as 1.0 and "1.2" as 1.2
+        data = {"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": 1, field: bad}
+        with pytest.raises(ValueError, match="must be a number"):
+            DominanceCertificate.from_dict(data)
+        with pytest.raises(ValueError, match="must be a number"):
+            DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=data["lambda"], epsilon=data.get("epsilon", 0.0),
+                                 p=1)
+
+    @pytest.mark.parametrize("rate", [0, np.int64(0), np.float32(0.0)])
+    def test_numeric_rate_and_margin_are_stored_as_float(self, rate):
+        cert = DominanceCertificate.from_dict({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": rate, "epsilon": 0,
+                                               "p": 1})
+        assert type(cert.rate) is float and type(cert.epsilon) is float
+        assert cert.to_dict()["lambda"] == 0.0 and type(cert.to_dict()["lambda"]) is float
+
 
 class TestConstructCertificate:
     def test_diagonal_closed_form(self):

@@ -1,4 +1,6 @@
 import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -185,11 +187,24 @@ def _channel_msd(sigma, alpha, beta):
 # tabulated: the starts put x1 below the table, inside it, on a knot and above it,
 # where the first field evaluation reads sigma
 _TABLE = tabulated([-1.0, 0.0, 0.5, 1.0], [-0.5, 0.0, 0.1, 0.4])
+
+
+def _signed_model():
+    """Leading -1 and negative coefficients, channel arguments that are not a state, three channels that
+    feed only the second row, and an input whose B u has a zero entry for the input (0.3, 0)."""
+    channels = (Channel(g=[0.0, -0.5], h=[1.0, 0.0], sigma=cubic_saturated(), alpha=-3.0, beta=1.0),
+                Channel(g=[0.0, 0.25], h=[0.5, -1.0], sigma=scaled(0.5, cubic_saturated()), alpha=-1.5, beta=0.5),
+                Channel(g=[0.0, 0.125], h=[0.0, -2.0], sigma=_TABLE, alpha=0.2, beta=0.6))
+    return LureSystem(A=[[-1.0, 1.0], [-2.0, -1.0]], B=np.eye(2), C=np.eye(2), channels=channels)
+
+
+# model, starts and constant input
 _EVALUATOR_MODELS = {
-    "cubic": (_channel_msd(cubic_saturated(), -3.0, 1.0), [[1.0, 1.0], [2.5, -1.0]]),
-    "scaled": (_channel_msd(scaled(0.5, cubic_saturated()), -1.5, 0.5), [[1.0, 1.0], [-2.5, 0.0]]),
-    "tabulated": (_channel_msd(_TABLE, 0.2, 0.6), [[-3.0, 0.0], [0.2, 0.1], [0.5, 0.0], [3.0, -1.0]]),
-    "loop": (registry.nonlinear_loop(), [[1.0, 0.5, -1.0, 0.2], [-2.0, 1.0, 0.5, 0.0]]),
+    "cubic": (_channel_msd(cubic_saturated(), -3.0, 1.0), [[1.0, 1.0], [2.5, -1.0]], [0.3]),
+    "scaled": (_channel_msd(scaled(0.5, cubic_saturated()), -1.5, 0.5), [[1.0, 1.0], [-2.5, 0.0]], [0.3]),
+    "tabulated": (_channel_msd(_TABLE, 0.2, 0.6), [[-3.0, 0.0], [0.2, 0.1], [0.5, 0.0], [3.0, -1.0]], [0.3]),
+    "loop": (registry.nonlinear_loop(), [[1.0, 0.5, -1.0, 0.2], [-2.0, 1.0, 0.5, 0.0]], [0.3, 0.3]),
+    "signed": (_signed_model(), [[1.0, 1.0], [-2.5, 0.5]], [0.3, 0.0]),
 }
 _NON_FINITE = [np.nan, np.inf, -np.inf]
 
@@ -218,12 +233,49 @@ class TestEvaluators:
     @pytest.mark.parametrize("with_input", [False, True])
     @pytest.mark.parametrize("kind", sorted(_EVALUATOR_MODELS))
     def test_rows_match_the_numpy_loop(self, kind, with_input, every):
-        model, starts = _EVALUATOR_MODELS[kind]
+        model, starts, u = _EVALUATOR_MODELS[kind]
         starts = starts + [[v] + [0.0] * (model.n - 1) for v in _NON_FINITE]
-        u = [0.3] * model.m if with_input else None
-        trajs = _same_rows(model, starts, t_end=10.0, dt=1e-2, every=every, input_policy=u)
+        trajs = _same_rows(model, starts, t_end=10.0, dt=1e-2, every=every, input_policy=u if with_input else None)
         assert [cut for _, cut in trajs] == [False] * (len(starts) - 3) + [True] * 3
         assert all(states.shape[0] == 1 for states, _ in trajs[-3:])
+
+    @pytest.mark.parametrize("model", [registry.nonlinear_loop(), _signed_model()], ids=["loop", "signed"])
+    def test_generated_step_holds_only_needed_terms(self, model):
+        bare, _ = sim._row_step_source(model, with_input=False)
+        assert not re.search(r"\bu\d", bare) and "(0.0)" not in bare and "* -1.0" not in bare
+        assert "sqrt" not in bare and "<= 1e+18:" in bare
+        driven, _ = sim._row_step_source(model, with_input=True)
+        for i in range(model.n):  # every row adds its B u entry, a zero one too, as the numpy loop does
+            assert re.search(rf"k1_{i} = .* \+ u{i}$", driven, re.M)
+
+    def test_signed_terms_are_subtractions(self):
+        source, _ = sim._row_step_source(_signed_model(), with_input=False)
+        assert "k1_0 = -x0 + x1\n" in source
+        assert "z1 = x0 * 0.5 - x1\n" in source and "z2 = x1 * -2.0\n" in source
+        assert "k1_1 = x0 * -2.0 - x1 + (z0 * -0.5 + z1 * 0.25 + z2 * 0.125)\n" in source
+        # the first channel's argument is x0 itself: sigma reads it with no copy
+        assert "z0 = x0 - " in source and "z0 = x0\n" not in source
+
+    def test_each_input_variant_is_built_once(self):
+        model = _signed_model()
+        integrate(model, [1.0, 1.0], t_end=0.1, dt=1e-2)
+        integrate(model, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=[0.3, 0.0])
+        bare, driven = vars(model)["_row_step"], vars(model)["_input_row_step"]
+        assert bare is not driven
+        integrate(model, [2.0, 1.0], t_end=0.1, dt=1e-2)
+        integrate(model, [2.0, 1.0], t_end=0.1, dt=1e-2, input_policy=[0.0, 1.0])
+        assert vars(model)["_row_step"] is bare and vars(model)["_input_row_step"] is driven
+
+    def test_divergence_boundary_is_the_squared_norm(self):
+        # x.x <= 1e18 is the rule |x| <= 1e9: 1e18 is a float, and the square root of the next float
+        # above it rounds above 1e9; so a norm of exactly 1e9 is kept and the next float is cut
+        still = LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 0)), C=np.zeros((0, 2)))
+        above = np.nextafter(1e9, np.inf)
+        starts = [[1e9, 0.0], [0.0, -1e9], [6e8, 8e8], [above, 0.0], [0.0, -above]]
+        runs = _same_rows(still, starts, t_end=0.1, dt=1e-2, every=1, input_policy=None)
+        assert [cut for _, cut in runs] == [False, False, False, True, True]
+        assert [not math.sqrt(a * a + b * b) <= 1e9 for a, b in starts] == [cut for _, cut in runs]
+        assert [len(states) for states, _ in runs] == [11, 11, 11, 1, 1]
 
     def test_diverging_lti_row(self):
         sys = LtiSystem(A=np.diag([1.0, -1.0]), B=np.zeros((2, 1)), C=np.eye(2))
@@ -249,7 +301,7 @@ class TestEvaluators:
          ("nl-loop", 256, False), ("dense-8", 4, False), ("msd-c8", 33, False)],
     )
     def test_rule_picks_the_evaluator(self, monkeypatch, name, rows, generated):
-        # msd-c8 has 3 non-zeros in A; its 33 rows would pass on the non-zeros alone, past its crossover
+        # msd-c8 has 3 non-zeros in A; its 33 rows would pass on the non-zeros alone, but not on the row cost
         if name == "dense-8":
             A = np.random.default_rng(8).normal(size=(8, 8)) - 4.0 * np.eye(8)
             model = LureSystem(A=A, B=np.zeros((8, 0)), C=np.zeros((0, 8)))
