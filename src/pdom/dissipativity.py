@@ -224,7 +224,7 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     if mu[-1] >= 0:
         raise ValueError(f"A^T P + P A + 2 lam P + C^T C is not negative definite (lmax = {mu[-1]:.3e})")
     Z = (V.T @ W) / np.sqrt(-mu)[:, None]  # Z^T Z = W^T (-M)^{-1} W
-    schur, _ = mc.sym_eigen(sys.D.T @ sys.D + Z.T @ Z)
+    schur = mc.sym_eigvals(sys.D.T @ sys.D + Z.T @ Z)
     return float(np.sqrt(max(schur[-1], 0.0)))
 
 

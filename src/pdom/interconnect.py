@@ -134,8 +134,7 @@ class CouplingVerdict:
 def coupling_condition(s1: SupplyRate, s2: SupplyRate) -> CouplingVerdict:
     """Dominance-coupling test: the pure-output part of the composed supply is <= 0."""
     coupled = compose_supply(s1, s2)
-    eigenvalues, _ = mc.sym_eigen(coupled.Q)
-    lmax = float(eigenvalues[-1])
+    lmax = float(mc.sym_eigvals(coupled.Q)[-1])
     return CouplingVerdict(passed=lmax <= LMI_TOL, lmax=lmax, matrix=coupled.Q)
 
 

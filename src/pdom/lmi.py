@@ -271,7 +271,7 @@ def _finalize(
     worst = -np.inf
     for blk in problem.blocks:
         R = np.asarray(blk(P), dtype=float)
-        worst = max(worst, float(mc.sym_eigen(R)[0][-1]) + problem.epsilon)
+        worst = max(worst, float(mc.sym_eigvals(R)[-1]) + problem.epsilon)
     actual_eq = _equality_residual(problem, P)
     inertia = mc.inertia_of(P).as_tuple()
     feasible = worst <= LMI_TOL and actual_eq <= EQ_TOL

@@ -73,21 +73,23 @@ class DominanceCertificate(_ValueEquality):
 
 @dataclass(frozen=True)
 class VertexVerdict:
-    """One vertex's outcome, with the violating eigenvector on a residual failure (not compared by ``==``)."""
+    """One vertex's outcome."""
 
     corner: tuple[float, ...]  # () for the one vertex of a channel-free model
     passed: bool
     status: str  # "pass" | "inertia_mismatch" | "residual_violation"
     lmax: float
     split_ok: bool | None  # exactly p unstable eigenvalues at the rate; None without channels
-    witness_vector: np.ndarray | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
 class DifferentialVerdict(_ValueEquality):
     """The verdict of every verifier: a storage checked on each vertex of a model's family.
 
-    ``status`` is "pass", or the status of the first failing vertex.
+    ``status`` is "pass", or the status of the first failing vertex. On a
+    residual failure the verdict keeps the block of the failing vertex with
+    the largest ``lmax`` (``witness_corner``), outside ``==`` and
+    ``to_dict``; ``witness``, its top eigenvector, is solved when read.
     """
 
     passed: bool
@@ -96,10 +98,23 @@ class DifferentialVerdict(_ValueEquality):
     inertia: mc.Inertia  # the storage's, shared by every vertex
     vertices: tuple[VertexVerdict, ...]
     worst_lmax: float
+    witness_block: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def status(self) -> str:
         return next((v.status for v in self.vertices if not v.passed), "pass")
+
+    @property
+    def witness(self) -> np.ndarray | None:
+        """The unit v with ``v^T B v = lmax(B)``, B the witness vertex's block; None unless a residual failure."""
+        return None if self.witness_block is None else mc.sym_eigen(self.witness_block)[1][:, -1]
+
+    @property
+    def witness_corner(self) -> tuple[float, ...] | None:
+        """The corner of the failing vertex with the largest ``lmax``; None unless a residual failure."""
+        if self.witness_block is None:
+            return None
+        return max((v for v in self.vertices if not v.passed), key=lambda v: v.lmax).corner
 
     @property
     def failing_corners(self) -> tuple[tuple[float, ...], ...]:
@@ -166,7 +181,7 @@ def residual(A, P, lam: float) -> np.ndarray:
     """Dominance LMI residual ``A^T P + P A + 2 lam P`` (symmetric).
 
     A ``(k, n, n)`` stack A gives the stack of residuals; its entries are
-    checked with the blocks (:func:`pdom.matrixcore.sym_eigen`). P may be a
+    checked with the blocks (:func:`pdom.matrixcore.sym_eigvals`). P may be a
     ``(..., n, n)`` stack that broadcasts against A; each of its matrices
     passes :func:`pdom.matrixcore.as_symmetric`'s finite and symmetry checks.
     """
@@ -234,11 +249,12 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
     ``()``, whose ``split_ok`` is None (its split is :func:`eigen_split_test`'s
     answer). Without ``blocks`` each vertex's block is the dominance residual;
     ``blocks`` maps the vertex stack to dissipation blocks, which carry
-    ``epsilon`` themselves. The block stack is eigensolved in one call, with
-    eigenvectors only when P has the claimed inertia (p, 0, n - p), and a
-    vertex passes when P does and ``lmax(block) <= -epsilon + LMI_TOL``
-    (``<= LMI_TOL`` for a dissipation block). A residual failure carries the
-    violating eigenvector. An omitted p is read from P's inertia, and a
+    ``epsilon`` themselves. The block stack is solved for eigenvalues alone,
+    in one call, and a vertex passes when P has the claimed inertia
+    (p, 0, n - p) and ``lmax(block) <= -epsilon + LMI_TOL`` (``<= LMI_TOL``
+    for a dissipation block). A residual failure keeps a copy of the block
+    with the largest ``lmax``, whose eigenvector the verdict solves only when
+    its ``witness`` is read. An omitted p is read from P's inertia, and a
     storage with an eigenvalue in the zero band is then refused; a claim that
     breaks :func:`_check_claim` is a ``ValueError``.
     """
@@ -263,7 +279,7 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
         spectra = mc.sym_eigvals(residual(matrices, P, lam)) if channels else None
         stack = blocks(matrices)
     inertia_ok = inertia.matches(p)
-    eigenvalues, vectors = mc.sym_eigen(stack) if inertia_ok else (mc.sym_eigvals(stack), None)
+    eigenvalues = mc.sym_eigvals(stack)
     lmax = eigenvalues[:, -1]
     passed = (lmax <= (-epsilon if blocks is None else 0.0) + LMI_TOL) & inertia_ok
     if channels:
@@ -274,10 +290,11 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
     failure = "residual_violation" if inertia_ok else "inertia_mismatch"
     tops = lmax.tolist()
     vertices = tuple(
-        VertexVerdict(corner, ok, "pass" if ok else failure, top, split,
-                      None if ok or vectors is None else vectors[i, :, -1])
-        for i, (corner, ok, top, split) in enumerate(zip(corners, passed.tolist(), tops, split_ok))
+        VertexVerdict(corner, ok, "pass" if ok else failure, top, split)
+        for corner, ok, top, split in zip(corners, passed.tolist(), tops, split_ok)
     )
+    # with the claimed inertia every failing vertex tops every passing one: the witness is the first argmax
+    witness_block = stack[np.argmax(lmax)].copy() if inertia_ok and not passed.all() else None
     return DifferentialVerdict(
         passed=bool(passed.all()),
         p=p,
@@ -285,6 +302,7 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
         inertia=inertia,
         vertices=vertices,
         worst_lmax=max(tops),
+        witness_block=witness_block,
     )
 
 

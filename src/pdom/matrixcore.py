@@ -51,7 +51,9 @@ def as_symmetric(value) -> np.ndarray:
 
     Each matrix must be finite, within an asymmetry allowance of
     ``SYM_TOL * max(1, ||S||_F)``; anything worse is a hard error rather than
-    something to silently average away.
+    something to silently average away. An exactly symmetric input comes back
+    as a copy; a near-symmetric one is averaged with its transpose, and an
+    average that overflows is a :class:`NumericalError`.
     """
     mat = np.asarray(value, dtype=float)
     if mat.ndim < 2:
@@ -61,12 +63,22 @@ def as_symmetric(value) -> np.ndarray:
     if mat.shape[-2] != mat.shape[-1]:
         raise DimensionError(f"symmetric matrix must be square, got {mat.shape}")
     flipped = mat.swapaxes(-1, -2)
-    if (mat != flipped).any():  # an exactly symmetric matrix, such as every verifier block, needs no allowance
+    if not (mat != flipped).any():  # exactly symmetric, such as every verifier block: no allowance, no average
+        return mat.copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         skew = np.abs(mat - flipped).max(axis=(-2, -1))
-        allowance = SYM_TOL * np.maximum(1.0, np.sqrt((mat * mat).sum(axis=(-2, -1))))
+        size = np.sqrt((mat * mat).sum(axis=(-2, -1)))
+        if not np.isfinite(size).all():  # ||S||_F past ~1e154: sum the squares of S / max|S| instead
+            peak = np.abs(mat).max(axis=(-2, -1))
+            scaled = peak * np.sqrt(((mat / peak[..., None, None]) ** 2).sum(axis=(-2, -1)))
+            size = np.where(np.isfinite(size), size, scaled)
+        allowance = SYM_TOL * np.maximum(1.0, size)
         if (skew > allowance).any():
             raise DimensionError(f"matrix is not symmetric (max asymmetry {np.max(skew):.3e})")
-    return 0.5 * (mat + flipped)
+        averaged = 0.5 * (mat + flipped)
+    if not np.isfinite(averaged).all():
+        raise NumericalError("symmetrized matrix overflows")
+    return averaged
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,8 @@ def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:
 def sym_eigvals(S) -> np.ndarray:
     """Eigenvalues (ascending) of a symmetric matrix or ``(..., n, n)`` stack, without vectors.
 
-    The same checks as :func:`sym_eigen`, at about half its cost; for callers that read no vector.
+    The same checks as :func:`sym_eigen`, at about half its cost; for callers that read no vector,
+    which includes every verdict. Each matrix of a stack gets the bits of a call on it alone.
     """
     mat = as_symmetric(S)
     try:

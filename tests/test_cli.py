@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -553,6 +554,12 @@ class TestRunReport:
 
 
 class TestReproduce:
+    def test_all_matches_golden_output(self, capsys):
+        # every line of every suite, numbers included, byte for byte
+        golden = pathlib.Path(__file__).parent / "golden" / "reproduce_all.txt"
+        assert cli.main(["reproduce", "all"]) == 0
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_suite_one(self, capsys):
         assert cli.main(["reproduce", "1"]) == 0
         out = capsys.readouterr().out

@@ -272,8 +272,8 @@ class TestResultEquality:
         assert vertex_family(sys) == vertex_family(sys)
         first = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         second = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
-        # the failing vertex carries a witness vector
-        assert first.vertices[1].witness_vector is not None
+        # the failing vertex is the witness, whose vector stays out of ==
+        assert first.witness_corner == first.vertices[1].corner and first.witness is not None
         assert first == second and first.vertices[1] == second.vertices[1]
         # the certificate check of the same claim returns the same verdict
         cert = DominanceCertificate(P=registry.MONOTONE_STORAGE, rate=0.0, epsilon=0.0, p=first.p)
@@ -356,18 +356,26 @@ class TestStackedFamily:
         for i in failing:
             got, single = verdict.vertices[i], check_dominance(family.matrices[i], cert).vertices[0]
             assert got.lmax.hex() == single.lmax.hex()
-            assert got.witness_vector.tobytes() == single.witness_vector.tobytes()
-            v = got.witness_vector
-            assert v @ residual(family.matrices[i], P, lam) @ v == pytest.approx(got.lmax, rel=1e-9)
+        top = max(failing, key=lambda i: verdict.vertices[i].lmax)
+        assert verdict.witness_corner == family.corners[top]
+        single = check_dominance(family.matrices[top], cert)
+        assert verdict.witness.tobytes() == single.witness.tobytes()
+        # the vector the stacked eigh would give that vertex
+        stacked = mc.sym_eigen(residual(family.matrices, P, lam))[1][top, :, -1]
+        assert verdict.witness.tobytes() == stacked.tobytes()
+        v = verdict.witness
+        assert v @ residual(family.matrices[top], P, lam) @ v == pytest.approx(verdict.worst_lmax, rel=1e-9)
         supply = supply_gain(0.5, sys.r, sys.m)
         verdict = check_diff_dissipativity(sys, P, lam, supply)
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
-        for J, v in zip(family.matrices, verdict.vertices):
-            single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert).vertices[0]
-            assert v.status == single.status
-            if single.status == "residual_violation":
-                assert v.lmax.hex() == single.lmax.hex()
-                assert v.witness_vector.tobytes() == single.witness_vector.tobytes()
+        singles = [verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert) for J in family.matrices]
+        for v, single in zip(verdict.vertices, singles):
+            assert v.status == single.vertices[0].status
+            if v.status == "residual_violation":
+                assert v.lmax.hex() == single.vertices[0].lmax.hex()
+        top = family.corners.index(verdict.witness_corner)
+        assert verdict.vertices[top].lmax == verdict.worst_lmax
+        assert verdict.witness.tobytes() == singles[top].witness.tobytes()
 
     @pytest.mark.parametrize(
         "name, P, lam",
@@ -635,9 +643,9 @@ def _outcome(vertex):
 
 
 def _single_block(block, P, p):
-    """The outcome of one block at margin 0, from its own ``sym_eigen``, for a storage of the claimed inertia."""
+    """The outcome of one block at margin 0, from its own ``sym_eigvals``, for a storage of the claimed inertia."""
     assert inertia_of(P).matches(p)
-    lmax = float(mc.sym_eigen(block)[0][-1])
+    lmax = float(mc.sym_eigvals(block)[-1])
     passed = lmax <= LMI_TOL
     return passed, "pass" if passed else "residual_violation", lmax.hex()
 
@@ -717,3 +725,73 @@ class TestOneKernel:
                 vertex = LureSystem(A=J, B=sys.B, C=sys.C)
                 cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
                 assert _outcome(v) == _outcome(verify_dissipativity(vertex, cert).vertices[0])
+
+
+@pytest.fixture
+def eigh_shapes(monkeypatch):
+    """The shape of every matrix or stack handed to ``np.linalg.eigh`` while the test runs."""
+    shapes, original = [], np.linalg.eigh
+    spy = lambda a, *args, **kw: shapes.append(np.shape(a)) or original(a, *args, **kw)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
+def _eigh_battery():
+    """(system, P, rate): linear and Lur'e models, with passing and residual-failing storages."""
+    linear = [(registry.msd(8.0), P, lam) for P, lam in _linear_storages()]
+    return linear + [
+        (registry.builtin_system("nl-msd"), registry.DIFF_STORAGE_VELOCITY, 1.0),
+        (registry.builtin_system("nl-msd"), np.diag([-1.0, 1.0]), 0.5),
+        (registry.builtin_system("nl-msd-monotone"), registry.MONOTONE_STORAGE, 0.0),
+        (registry.builtin_system("nl-loop"), np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED), 1.0),
+        (registry.builtin_system("nl-loop"), -np.eye(4), 1.0),
+    ]
+
+
+class TestEigenvaluesOnly:
+    """Every check solves its blocks for eigenvalues alone; reading the witness is one eigh on one block."""
+
+    def test_checks_make_no_eigh_call(self, eigh_shapes):
+        outcomes = set()
+        for sys, P, lam in _eigh_battery():
+            right = inertia_of(P).negative
+            supply = supply_passivity(sys.r)
+            for p in (right, (right + 1) % (sys.n + 1)):
+                verdicts = [
+                    check_dominance(sys, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)),
+                    check_diff_dominance(sys, P, lam, p=p),
+                    verify_dissipativity(sys, DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p,
+                                                                       supply=supply)),
+                    check_diff_dissipativity(sys, P, lam, supply, p=p),
+                ]
+                outcomes.update((bool(sys.channels), kind, v.status) for kind, v in zip("DDSS", verdicts))
+        construct_certificate(registry.msd(8.0), registry.KNOWN_RATE, 1)
+        statuses = ("pass", "residual_violation", "inertia_mismatch")
+        assert set(itertools.product((False, True), "DS", statuses)) <= outcomes
+        assert eigh_shapes == []
+
+    @pytest.mark.parametrize(
+        "name, P, lam",
+        [
+            ("msd-c8", registry.KNOWN_STORAGE[8], 0.0),
+            ("nl-msd", np.diag([-1.0, 1.0]), 0.5),
+            ("nl-loop", -np.eye(4), 1.0),
+        ],
+    )
+    def test_witness_is_one_eigh_on_one_block(self, eigh_shapes, name, P, lam):
+        sys = registry.builtin_system(name)
+        supply = supply_passivity(sys.r)
+        for verdict in (check_diff_dominance(sys, P, lam), check_diff_dissipativity(sys, P, lam, supply)):
+            assert verdict.status == "residual_violation" and eigh_shapes == []
+            assert verdict.witness is not None
+            assert len(eigh_shapes) == 1 and len(eigh_shapes[0]) == 2
+            eigh_shapes.clear()
+
+    def test_no_witness_without_a_residual_failure(self, eigh_shapes):
+        sys = registry.builtin_system("nl-msd")
+        passing = check_diff_dominance(sys, registry.DIFF_STORAGE_VELOCITY, 1.0)
+        mismatch = check_diff_dominance(sys, np.diag([-1.0, 1.0]), 0.5, p=0)
+        assert passing.passed and mismatch.status == "inertia_mismatch"
+        for verdict in (passing, mismatch):
+            assert verdict.witness is None and verdict.witness_corner is None
+        assert eigh_shapes == []

@@ -89,7 +89,8 @@ class TestCheckDominance:
         assert vertex.status == "residual_violation" and vertex.lmax > 0
         assert verdict.to_dict()["vertices"][0]["witness_eigenvalue"] == vertex.lmax
         # the witness eigenvector realizes the violation
-        v = vertex.witness_vector
+        assert verdict.witness_corner == ()
+        v = verdict.witness
         R = residual(msd_c4.A, np.eye(2), RATE)
         assert v @ R @ v == pytest.approx(vertex.lmax, rel=1e-9)
 
@@ -98,7 +99,7 @@ class TestCheckDominance:
         verdict = check_dominance(msd_c4, cert)
         assert verdict.status == "inertia_mismatch"
         # no witness without the claimed inertia
-        assert verdict.vertices[0].witness_vector is None
+        assert verdict.witness is None and verdict.witness_corner is None
         assert verdict.to_dict()["vertices"][0]["witness_eigenvalue"] is None
 
     def test_nan_margin_is_refused(self):

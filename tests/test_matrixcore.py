@@ -42,6 +42,31 @@ class TestSymEigen:
         with pytest.raises(DimensionError, match="not symmetric"):
             mc.as_symmetric(S + np.array([[0.0, 1e-8], [0.0, 0.0]]))
 
+    def test_exactly_symmetric_is_a_copy(self, rng):
+        stack = rng.standard_normal((5, 7, 7))
+        stack = stack + stack.swapaxes(-1, -2)
+        out = mc.as_symmetric(stack)
+        assert out.tobytes() == stack.tobytes() and not np.shares_memory(out, stack)
+
+    def test_huge_symmetric_entries_keep_their_inertia(self):
+        # the average 0.5 * (S + S^T) overflows at 1.7e308; a symmetric input is not averaged
+        S = np.diag([1.7e308, -1.7e308])
+        with np.errstate(all="raise"):
+            assert mc.as_symmetric(S).tobytes() == S.tobytes()
+            assert mc.inertia_of(S).as_tuple() == (1, 0, 1)
+
+    def test_overflowing_average_is_refused(self):
+        near = np.array([[1.7e308, 1.7e308], [1.7e308 * (1 - 1e-15), 1.7e308]])
+        with np.errstate(all="raise"), pytest.raises(NumericalError, match="overflows"):
+            mc.as_symmetric(near)
+
+    def test_huge_asymmetry_is_refused(self):
+        # ||S||_F overflows when squared, so the allowance is taken on S / max|S|
+        for S in ([[1e200, 1e199], [0.0, 1e200]], [[0.0, 1e308], [-1e308, 0.0]]):
+            with np.errstate(all="raise"), pytest.raises(DimensionError, match="not symmetric"):
+                mc.as_symmetric(np.array(S))
+        huge = np.array([[1e200, 1e200 * (1 - 1e-15)], [1e200, 1.0]])
+        assert mc.as_symmetric(huge)[0, 1] == mc.as_symmetric(huge)[1, 0]
 
     def test_eigvals_are_the_eigen_values(self, rng):
         stack = rng.standard_normal((6, 9, 9))
