@@ -1,13 +1,15 @@
 """Differential dominance of Lur'e systems via vertex relaxation.
 
-The model (:class:`LureSystem`, its channels and nonlinearities) and its
-vertex family live in :mod:`pdom.model` and are re-exported here. Every state
-Jacobian ``A + sum_i g_i sigma_i'(h_i^T x) h_i^T`` lies in the convex hull of
-the finite family obtained by pinning each slope to its bounds, so a uniform
+The model (:class:`LureSystem`, its channels and nonlinearities) and
+:func:`vertex_family`, which returns a model's corner matrices as one
+``(2^k, n, n)`` array together with their corners, live in :mod:`pdom.model`
+and are re-exported here. Every state Jacobian
+``A + sum_i g_i sigma_i'(h_i^T x) h_i^T`` lies in the convex hull of the
+finite family obtained by pinning each slope to its bounds, so a uniform
 storage that passes the dominance (or dissipation) LMI on every vertex
 certifies the differential property over the whole state space. Only
 constant storages are handled. The 2^k vertices of a k-channel model are
-held as one ``(2^k, n, n)`` array and checked with one stacked eigensolve.
+checked with one stacked eigensolve.
 
 The certificate checks :func:`pdom.lti.check_dominance` and
 :func:`pdom.dissipativity.verify_dissipativity` run the same vertex check;
@@ -18,14 +20,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dissipativity import SupplyRate, dissipation_blocks
+from .dissipativity import SupplyRate
 from .errors import DimensionError
 from .lti import DifferentialVerdict, _family_verdict
 from .model import (
     Channel,
     LureSystem,
     Nonlinearity,
-    VertexFamily,
     cubic_saturated,
     hull_points,
     scaled,
@@ -40,7 +41,6 @@ __all__ = [
     "tabulated",
     "Channel",
     "LureSystem",
-    "VertexFamily",
     "DifferentialVerdict",
     "hull_points",
     "jacobian",
@@ -53,9 +53,9 @@ __all__ = [
 def jacobian(sys: LureSystem, x) -> np.ndarray:
     """State Jacobian A + sum_i g_i sigma_i'(h_i^T x) h_i^T.
 
-    On the measure-zero set where a channel argument hits a kink (listed by
-    ``sigma.kinks``) the left derivative is used; the vertex checks depend
-    only on the slope bounds, so this choice never affects a verdict.
+    On the measure-zero set where a channel argument hits a kink the left
+    derivative is used; the vertex checks depend only on the slope bounds,
+    so this choice never affects a verdict.
     """
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != sys.n:
@@ -95,5 +95,4 @@ def check_diff_dissipativity(
     substituted for A and requires all of them to be negative semidefinite,
     with P of inertia (p, 0, n-p); an omitted p is read from P.
     """
-    blocks = lambda matrices: dissipation_blocks(matrices, sys, P, lam, supply, epsilon)
-    return _family_verdict(sys, P, lam, p, epsilon, blocks)
+    return _family_verdict(sys, P, lam, p, epsilon, supply)

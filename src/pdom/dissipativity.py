@@ -2,11 +2,12 @@
 
 A system is p-dissipative with rate ``lam`` for the supply
 ``s(y, u) = y^T Q y + 2 y^T L u + u^T R u`` when the composite block matrix
-of :func:`dissipation_blocks` is negative semidefinite for some storage P
-with inertia (p, 0, n-p); a Lur'e model needs it at every vertex of its
-slope family, and a linear one at its one vertex A. Named supplies cover
-passivity and finite-gain bounds; :func:`min_gain` gives the least gain
-bound a fixed storage certifies, in closed form.
+of :func:`pdom.lti.dissipation_blocks` (re-exported here) is negative
+semidefinite for some storage P with inertia (p, 0, n-p); a Lur'e model
+needs it at every vertex of its slope family, and a linear one at its one
+vertex A. Named supplies cover passivity and finite-gain bounds;
+:func:`min_gain` gives the least gain bound a fixed storage certifies, in
+closed form.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DifferentialVerdict, LtiSystem, _check_claim, _family_verdict, residual
-from .model import _json_object, _ValueEquality
+from .lti import DifferentialVerdict, LtiSystem, _check_claim, _family_verdict, dissipation_blocks, residual
+from .model import _json_number, _json_object, _ValueEquality
 
 __all__ = [
     "SupplyRate",
@@ -90,7 +91,7 @@ class SupplyRate(_ValueEquality):
             if kind == "passivity":
                 return supply_passivity(r)
             if kind == "gain":
-                return supply_gain(float(data["gamma"]), r, m)
+                return supply_gain(_json_number(data, "gamma"), r, m)
             raise ValueError(f"unknown supply kind {kind!r}")
         return SupplyRate(
             Q=np.asarray(data["Q"], dtype=float),
@@ -165,44 +166,9 @@ def small_gain_pair(gamma1: float, gamma2: float, r1: int = 1, r2: int = 1) -> t
     return s1, s2
 
 
-def dissipation_blocks(
-    matrices,
-    sys: LtiSystem,
-    P,
-    lam: float,
-    supply: SupplyRate,
-    epsilon: float = 0.0,
-) -> np.ndarray:
-    """Composite (n+m) blocks, one for each matrix J of a ``(k, n, n)`` stack in place of A.
-
-    Top-left: J^T P + P J + 2 lam P - C^T Q C + eps I.
-    Off-diagonal: P B - C^T L - C^T Q D.
-    Bottom-right: -D^T Q D - L^T D - D^T L - R.
-
-    Returns the ``(k, n+m, n+m)`` stack; the parts that do not involve J are
-    formed once.
-    """
-    P = mc.as_symmetric(P)
-    if P.shape[0] != sys.n:
-        raise DimensionError("storage dimension does not match the system")
-    if supply.r != sys.r or supply.m != sys.m:
-        raise DimensionError("supply channel dimensions do not match the system")
-    B, C, D = sys.B, sys.C, sys.D
-    Q, L, R = supply.Q, supply.L, supply.R
-    n = sys.n
-    off_diag = P @ B - C.T @ L - C.T @ Q @ D
-    blocks = np.empty((len(matrices), n + sys.m, n + sys.m))
-    blocks[:, :n, :n] = residual(matrices, P, lam) - C.T @ Q @ C + epsilon * np.eye(n)
-    blocks[:, :n, n:] = off_diag
-    blocks[:, n:, :n] = off_diag.T
-    blocks[:, n:, n:] = -(D.T @ Q @ D) - L.T @ D - D.T @ L - R
-    return 0.5 * (blocks + blocks.swapaxes(-1, -2))
-
-
 def verify_dissipativity(sys, cert: DissipativityCertificate) -> DifferentialVerdict:
     """Check a dissipativity certificate on every vertex: block definiteness plus storage inertia."""
-    blocks = lambda matrices: dissipation_blocks(matrices, sys, cert.P, cert.rate, cert.supply, cert.epsilon)
-    return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon, blocks)
+    return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon, cert.supply)
 
 
 def min_gain(sys: LtiSystem, P, lam: float) -> float:

@@ -4,7 +4,8 @@ A system is p-dominant with rate ``lam >= 0`` when some symmetric storage P
 with inertia (p, 0, n-p) makes ``A^T P + P A + 2 lam P`` negative definite;
 a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
-built here. This module also runs the equivalent eigenvalue-splitting test,
+built here, on the residual stack alone or with the supply terms of
+:func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test,
 constructs certificates from an ordered Schur split, and produces the modal
 splitting with explicit decay constants. ``LtiSystem`` is the channel-free
 use of the one model, :class:`LureSystem`.
@@ -30,6 +31,7 @@ __all__ = [
     "SplitVerdict",
     "ModalSplit",
     "residual",
+    "dissipation_blocks",
     "check_dominance",
     "eigen_split_test",
     "construct_certificate",
@@ -193,6 +195,35 @@ def residual(A, P, lam: float) -> np.ndarray:
     return 0.5 * (R + R.swapaxes(-1, -2))
 
 
+def dissipation_blocks(R, sys, P, supply, epsilon: float = 0.0) -> np.ndarray:
+    """The supply terms around each residual of a ``(k, n, n)`` stack R, as composite (n+m) blocks.
+
+    With R a residual ``J^T P + P J + 2 lam P`` (:func:`residual`) and the
+    supply's forms Q, L and S = ``supply.R``:
+    top-left: R - C^T Q C + eps I;
+    off-diagonal: P B - C^T L - C^T Q D;
+    bottom-right: -D^T Q D - L^T D - D^T L - S.
+
+    Returns the ``(k, n+m, n+m)`` stack; the parts that do not involve R are
+    formed once.
+    """
+    P = mc.as_symmetric(P)
+    if P.shape[0] != sys.n:
+        raise DimensionError("storage dimension does not match the system")
+    if supply.r != sys.r or supply.m != sys.m:
+        raise DimensionError("supply channel dimensions do not match the system")
+    B, C, D = sys.B, sys.C, sys.D
+    Q, L = supply.Q, supply.L
+    n = sys.n
+    off_diag = P @ B - C.T @ L - C.T @ Q @ D
+    blocks = np.empty((len(R), n + sys.m, n + sys.m))
+    blocks[:, :n, :n] = R - C.T @ Q @ C + epsilon * np.eye(n)
+    blocks[:, :n, n:] = off_diag
+    blocks[:, n:, :n] = off_diag.T
+    blocks[:, n:, n:] = -(D.T @ Q @ D) - L.T @ D - D.T @ L - supply.R
+    return 0.5 * (blocks + blocks.swapaxes(-1, -2))
+
+
 def _check_claim(lam: float, p: int | None, n: int, epsilon: float = 0.0) -> None:
     """The one claim rule: a finite, nonnegative rate and margin, and an integer p in [0, n].
 
@@ -240,16 +271,17 @@ def _vertex_splits(matrices, lam: float, p: int, inertia: mc.Inertia, norm: floa
     return split_ok.tolist()
 
 
-def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=None) -> DifferentialVerdict:
+def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=None) -> DifferentialVerdict:
     """The one verdict path: the storage P, claiming p, on every vertex of the model ``sys``.
 
     A Lur'e model's vertices are its slope corners, and each one's
     ``split_ok`` is read off its residual (:func:`_vertex_splits`); a
     channel-free model or a bare state matrix is the one vertex A at corner
     ``()``, whose ``split_ok`` is None (its split is :func:`eigen_split_test`'s
-    answer). Without ``blocks`` each vertex's block is the dominance residual;
-    ``blocks`` maps the vertex stack to dissipation blocks, which carry
-    ``epsilon`` themselves. The block stack is solved for eigenvalues alone,
+    answer). The residual stack R is formed once: without a ``supply`` it is
+    the block stack, and with one :func:`dissipation_blocks` builds the blocks
+    around it, carrying ``epsilon`` themselves, while R's own spectra give the
+    splits. The block stack is solved for eigenvalues alone,
     in one call, and a vertex passes when P has the claimed inertia
     (p, 0, n - p) and ``lmax(block) <= -epsilon + LMI_TOL`` (``<= LMI_TOL``
     for a dissipation block). A residual failure keeps a copy of the block
@@ -266,24 +298,15 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, blocks=No
             raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
         p = inertia.negative
     channels = bool(getattr(sys, "channels", ()))
-    if channels:
-        family = vertex_family(sys)
-        matrices, corners = family.matrices, family.corners
-    else:
-        matrices, corners = state_matrix(sys)[None], ((),)
-    if blocks is None:
-        stack = residual(matrices, P, lam)
-    else:
-        # the split rule reads the residual, which the dissipation blocks only contain; its
-        # spectra are taken first, so the residual and block stacks are never held together
-        spectra = mc.sym_eigvals(residual(matrices, P, lam)) if channels else None
-        stack = blocks(matrices)
+    matrices, corners = vertex_family(sys) if channels else (state_matrix(sys)[None], ((),))
+    R = residual(matrices, P, lam)
+    stack = R if supply is None else dissipation_blocks(R, sys, P, supply, epsilon)
     inertia_ok = inertia.matches(p)
     eigenvalues = mc.sym_eigvals(stack)
     lmax = eigenvalues[:, -1]
-    passed = (lmax <= (-epsilon if blocks is None else 0.0) + LMI_TOL) & inertia_ok
+    passed = (lmax <= (-epsilon if supply is None else 0.0) + LMI_TOL) & inertia_ok
     if channels:
-        spectra = eigenvalues if blocks is None else spectra
+        spectra = eigenvalues if supply is None else mc.sym_eigvals(R)
         split_ok = _vertex_splits(matrices, lam, p, inertia, abs(storage).max(), spectra)
     else:
         split_ok = (None,)

@@ -11,6 +11,7 @@ their ``to_dict()`` values are equal.
 from __future__ import annotations
 
 import itertools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,15 +27,12 @@ __all__ = [
     "tabulated",
     "Channel",
     "LureSystem",
-    "VertexFamily",
     "hull_points",
     "vertex_family",
     "state_matrix",
 ]
 
-_SLOPE_SAMPLES = 10_000
 _SLOPE_SLACK = 1e-9
-_VALIDATION_SPAN = (-10.0, 10.0)  # channel arguments sampled to validate slope bounds
 _KINDS = ("cubic_saturated", "scaled", "tabulated")
 
 
@@ -64,13 +62,20 @@ def _json_object(data, what: str) -> dict:
     return data
 
 
+def _json_number(data: dict, key: str) -> float:
+    """``data[key]`` as a float; anything but a number, ``true`` and ``false`` included, is a ValueError."""
+    value = data[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True, eq=False)
 class Nonlinearity(_ValueEquality):
     """Scalar piecewise-C1 nonlinearity with a closed-form derivative.
 
     ``kind`` is one of "cubic_saturated", "scaled" or "tabulated"; at kink
-    points the derivative is taken from the left. ``kinks`` lists those
-    points so callers can flag them.
+    points the derivative is taken from the left.
     """
 
     kind: str
@@ -103,14 +108,6 @@ class Nonlinearity(_ValueEquality):
             return self.params["factor"] * self.params["base"].derivative(s)
         return self._table_slope(s)
 
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        if self.kind == "cubic_saturated":
-            return (-2.0, 2.0)
-        if self.kind == "scaled":
-            return self.params["base"].kinks
-        return tuple(self.params["knots"][1:-1])
-
     def _table_value(self, s):
         knots = self.params["knots"]
         values = self.params["values"]
@@ -129,11 +126,18 @@ class Nonlinearity(_ValueEquality):
         idx = np.clip(np.searchsorted(knots, s, side="left") - 1, 0, len(slopes) - 1)
         return slopes[idx]
 
-    def slope_range(self, span: tuple[float, float]) -> tuple[float, float]:
-        grid = np.linspace(span[0], span[1], _SLOPE_SAMPLES)
-        grid = np.unique(np.concatenate([grid, np.asarray(self.kinks, dtype=float)]))
-        slopes = np.asarray(self.derivative(grid), dtype=float)
-        return float(np.min(slopes)), float(np.max(slopes))
+    def slope_range(self) -> tuple[float, float]:
+        """The exact range (min, max) of the derivative over the whole real line, in closed form.
+
+        A table extrapolates with its end slopes, so its range is that of its segment slopes.
+        """
+        if self.kind == "cubic_saturated":
+            return -3.0, 1.0
+        if self.kind == "scaled":
+            ends = [float(self.params["factor"] * end) for end in self.params["base"].slope_range()]
+            return min(ends), max(ends)
+        slopes = np.diff(self.params["values"]) / np.diff(self.params["knots"])
+        return float(slopes.min()), float(slopes.max())
 
     def to_dict(self) -> dict:
         if self.kind == "cubic_saturated":
@@ -157,7 +161,7 @@ class Nonlinearity(_ValueEquality):
         if kind == "cubic_saturated":
             return cubic_saturated()
         if kind == "scaled":
-            return scaled(float(data["factor"]), Nonlinearity.from_dict(data["base"]))
+            return scaled(_json_number(data, "factor"), Nonlinearity.from_dict(data["base"]))
         if kind == "tabulated":
             return tabulated(data["knots"], data["values"])
         raise ValueError(f"unknown nonlinearity kind {kind!r}")
@@ -220,8 +224,8 @@ class Channel(_ValueEquality):
             g=np.asarray(data["g"], dtype=float),
             h=np.asarray(data["h"], dtype=float),
             sigma=Nonlinearity.from_dict(data["sigma"]),
-            alpha=float(data["alpha"]),
-            beta=float(data["beta"]),
+            alpha=_json_number(data, "alpha"),
+            beta=_json_number(data, "beta"),
         )
 
 
@@ -229,9 +233,9 @@ class Channel(_ValueEquality):
 class LureSystem(_ValueEquality):
     """State-space data (A, B, C, D) with dimensions (n, m, r) plus channels.
 
-    ``D = 0`` stands for the zero (r, m) matrix. Channel slope bounds are
-    validated at construction by dense sampling of each channel's
-    derivative over ``_VALIDATION_SPAN``.
+    ``D = 0`` stands for the zero (r, m) matrix. At construction each
+    channel's declared slope bounds must contain the exact slope range of its
+    nonlinearity over the whole real line (:meth:`Nonlinearity.slope_range`).
     """
 
     A: np.ndarray
@@ -258,8 +262,9 @@ class LureSystem(_ValueEquality):
         for ch in channels:
             if ch.g.shape[0] != n:
                 raise DimensionError("channel vectors must match the state dimension")
-            lo, hi = ch.sigma.slope_range(_VALIDATION_SPAN)
-            if lo < ch.alpha - _SLOPE_SLACK or hi > ch.beta + _SLOPE_SLACK:
+            lo, hi = ch.sigma.slope_range()
+            # written so that a NaN slope or bound (a table with a null knot) is refused too
+            if not (lo >= ch.alpha - _SLOPE_SLACK and hi <= ch.beta + _SLOPE_SLACK):
                 raise ValueError(
                     f"channel slope range [{lo:.6g}, {hi:.6g}] escapes the declared "
                     f"bounds [{ch.alpha:.6g}, {ch.beta:.6g}]"
@@ -340,24 +345,6 @@ def state_matrix(sys) -> np.ndarray:
     return sys.A if hasattr(sys, "A") else mc.as_matrix(sys)
 
 
-@dataclass(frozen=True, eq=False)
-class VertexFamily(_ValueEquality):
-    """Slope-corner matrices whose convex hull contains every state Jacobian.
-
-    ``matrices`` is a ``(2^k, n, n)`` array whose ``i``-th matrix has the slopes
-    ``corners[i]``, in ``itertools.product`` order over the channels.
-    """
-
-    matrices: np.ndarray
-    corners: tuple[tuple[float, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-    def to_dict(self) -> dict:
-        return {"matrices": self.matrices.tolist(), "corners": [list(c) for c in self.corners]}
-
-
 def hull_points(sys: LureSystem, slopes) -> np.ndarray:
     """``A + sum_i s_i g_i h_i^T`` for each row s of the ``(N, k)`` slopes, as an ``(N, n, n)`` stack.
 
@@ -370,10 +357,13 @@ def hull_points(sys: LureSystem, slopes) -> np.ndarray:
     return J
 
 
-def vertex_family(sys: LureSystem) -> VertexFamily:
-    """All sign-corner substitutions of the channel slopes into the Jacobian.
+def vertex_family(sys: LureSystem) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
+    """All sign-corner substitutions of the channel slopes into the Jacobian, as (matrices, corners).
 
-    A family of more than ``MAX_VERTICES`` corners is refused before any corner is built.
+    The convex hull of the ``(2^k, n, n)`` matrices contains every state
+    Jacobian; the ``i``-th matrix has the slopes ``corners[i]``, in
+    ``itertools.product`` order over the channels. A family of more than
+    ``MAX_VERTICES`` corners is refused before any corner is built.
     """
     if 2 ** len(sys.channels) > MAX_VERTICES:
         raise UnsupportedConfigurationError(
@@ -384,4 +374,4 @@ def vertex_family(sys: LureSystem) -> VertexFamily:
             raise ValueError("vertex relaxation needs finite slope bounds")
     ranges = [(float(ch.alpha), float(ch.beta)) for ch in sys.channels]
     corners = tuple(itertools.product(*ranges))
-    return VertexFamily(matrices=hull_points(sys, corners), corners=corners)
+    return hull_points(sys, corners), corners

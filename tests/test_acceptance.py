@@ -21,6 +21,7 @@ from pdom.lti import (
     construct_certificate,
     eigen_split_test,
     modal_split,
+    residual,
 )
 from pdom.matrixcore import expm, inertia_of
 from pdom.sim import integrate, integrate_batch
@@ -205,7 +206,7 @@ class TestCriterion6Properties:
             gamma_star = min_gain(sys, cert.P, lam)
             gamma = gamma_star * 1.2 + 0.05 if checked % 2 == 0 else gamma_star * 0.5
             supply = supply_gain(gamma, r, m)
-            block = dissipation_blocks(sys.A[None], sys, cert.P, lam, supply)[0]
+            block = dissipation_blocks(residual(sys.A[None], cert.P, lam), sys, cert.P, supply)[0]
             w, V = np.linalg.eigh(block)
             scale = max(1.0, float(np.abs(w).max()))
             if abs(w[-1]) < 1e-6 * scale:

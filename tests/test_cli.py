@@ -191,6 +191,27 @@ class TestVerify:
         error = json.loads(report.read_text())["error"]
         assert error["class"] == "ValueError" and error["exit_code"] == 2
 
+    @pytest.mark.parametrize("field", ["alpha", "beta", "factor", "gamma"])
+    def test_boolean_model_or_supply_number_is_input_error(self, tmp_path, capsys, field):
+        # float() read true as 1.0, and each of these files then built a valid model or supply
+        sigma = {"kind": "tabulated", "knots": [-1.0, 0.0, 1.0], "values": [-1.0, 0.0, 1.0]}
+        if field == "factor":
+            sigma = {"kind": "scaled", "factor": True, "base": sigma}
+        channel = {"g": [0.0, 0.01], "h": [1.0, 0.0], "sigma": sigma, "alpha": 1.0, "beta": 1.0}
+        channel.update({field: True} if field in ("alpha", "beta") else {})
+        system = {"A": [[0.0, 1.0], [-1.0, -8.0]], "B": [[0.0], [1.0]], "C": [[0.0, 1.0]], "channels": [channel]}
+        cert = {"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 1.0, "p": 1}
+        if field == "gamma":
+            cert["supply"] = {"kind": "gain", "gamma": True}
+        sys_path, cert_path = tmp_path / "sys.json", tmp_path / "cert.json"
+        sys_path.write_text(json.dumps(system))
+        cert_path.write_text(json.dumps(cert))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", str(sys_path), str(cert_path)]) == 2
+        assert f"{field} must be a number, got True" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "ValueError" and error["exit_code"] == 2
+
     def test_too_many_channels_is_input_error(self, tmp_path, capsys):
         # 17 channels make 2^17 vertices, above MAX_VERTICES: refused before any corner is built
         channel = {"g": [0.0, 0.01], "h": [1.0, 0.0], "sigma": {"kind": "cubic_saturated"}, "alpha": -3.0, "beta": 1.0}

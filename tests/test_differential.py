@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperbolic
+from pdom import dissipativity, lti
 from pdom import matrixcore as mc
 from pdom import registry
 from pdom.differential import (
@@ -54,12 +55,10 @@ class TestNonlinearities:
         # left derivatives at the kinks
         assert sigma.derivative(2.0) == -3.0
         assert sigma.derivative(-2.0) == pytest.approx(-1.0 / 3.0)
-        assert sigma.kinks == (-2.0, 2.0)
 
     def test_cubic_slope_range(self):
-        lo, hi = cubic_saturated().slope_range((-10.0, 10.0))
-        assert lo == pytest.approx(-3.0)  # attained exactly at the kink
-        assert hi == pytest.approx(1.0, abs=1e-3)  # sampled near s = 0
+        lo, hi = cubic_saturated().slope_range()
+        assert (lo, hi) == (-3.0, 1.0)  # exact, over the whole real line
         # both bounds are attained by the derivative itself
         assert cubic_saturated().derivative(0.0) == 1.0
         assert cubic_saturated().derivative(2.0) == -3.0
@@ -79,8 +78,34 @@ class TestNonlinearities:
         assert sigma(2.0) == pytest.approx(-1.0)
         assert sigma.derivative(5.0) == -0.5
 
+    def test_slope_ranges_are_exact(self):
+        # the table's steep segment lies wholly outside [-10, 10], and counts all the same
+        steep = tabulated([-30.0, 20.0, 30.0], [-30.0, 20.0, 1020.0])
+        assert steep.slope_range() == (1.0, 100.0)
+        assert tabulated([-1.0, 0.0, 1.0], [2.0, 0.0, -0.5]).slope_range() == (-2.0, -0.5)
+        # a negative factor swaps the ends of the base range
+        assert scaled(2.0, cubic_saturated()).slope_range() == (-6.0, 2.0)
+        assert scaled(-0.5, cubic_saturated()).slope_range() == (-0.5, 1.5)
+        assert scaled(-1.0, steep).slope_range() == (-100.0, -1.0)
+
 
 class TestLureSystem:
+    def test_far_steep_segment_is_refused(self):
+        # slopes 1 and 100, the 100 only on [20, 30]: declared [1, 1], this model was accepted and diverged
+        steep = tabulated([-30.0, 20.0, 30.0], [-30.0, 20.0, 1020.0])
+        model = lambda sigma, alpha, beta: LureSystem(
+            A=[[0.0, 1.0], [-2.0, -1.0]], B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+            channels=(Channel(g=[0.0, 1.0], h=[1.0, 0.0], sigma=sigma, alpha=alpha, beta=beta),),
+        )
+        with pytest.raises(ValueError, match="escapes the declared bounds"):
+            model(steep, 1.0, 1.0)
+        # a null knot, read as NaN, makes NaN slopes, which no bounds contain
+        with pytest.raises(ValueError, match="escapes the declared bounds"):
+            model(tabulated([-30.0, None, 30.0], [-30.0, 20.0, 1020.0]), -np.inf, np.inf)
+        # with the true bounds the storage that passed on the narrow claim fails at the steep corner
+        verdict = check_diff_dominance(model(steep, 1.0, 100.0), [[1.5, 0.5], [0.5, 1.0]], 0.0, p=0)
+        assert not verdict.passed and verdict.failing_corners == ((100.0,),)
+
     def test_slope_bound_validation(self):
         with pytest.raises(ValueError):
             LureSystem(
@@ -219,9 +244,9 @@ class TestJacobian:
     def test_hull_membership(self, rng):
         # every sampled Jacobian has its slope inside the declared interval
         sys = registry.nonlinear_msd("velocity", "cubic")
-        fam = vertex_family(sys)
-        lo = min(c[0] for c in fam.corners)
-        hi = max(c[0] for c in fam.corners)
+        _, corners = vertex_family(sys)
+        lo = min(c[0] for c in corners)
+        hi = max(c[0] for c in corners)
         for _ in range(1000):
             x = rng.uniform(-6.0, 6.0, size=2)
             J = jacobian(sys, x)
@@ -233,15 +258,15 @@ class TestJacobian:
 
 class TestVertexFamily:
     def test_cubic_corners(self):
-        fam = vertex_family(registry.nonlinear_msd("velocity", "cubic"))
-        assert sorted(c[0] for c in fam.corners) == [-3.0, 1.0]
-        mats = sorted(fam.matrices, key=lambda M: M[1, 0])
+        matrices, corners = vertex_family(registry.nonlinear_msd("velocity", "cubic"))
+        assert sorted(c[0] for c in corners) == [-3.0, 1.0]
+        mats = sorted(matrices, key=lambda M: M[1, 0])
         assert np.allclose(mats[0], [[0.0, 1.0], [-3.0, -8.0]])
         assert np.allclose(mats[1], [[0.0, 1.0], [1.0, -8.0]])
 
     def test_monotone_corners(self):
-        fam = vertex_family(registry.nonlinear_msd("velocity", "monotone"))
-        assert sorted(c[0] for c in fam.corners) == [-2.0, -0.5]
+        _, corners = vertex_family(registry.nonlinear_msd("velocity", "monotone"))
+        assert sorted(c[0] for c in corners) == [-2.0, -0.5]
 
     def test_two_channel_count(self):
         ch = registry.nonlinear_msd("velocity", "cubic").channels[0]
@@ -251,12 +276,12 @@ class TestVertexFamily:
             B=np.zeros((2, 1)),
             C=np.zeros((1, 2)),
         )
-        assert len(vertex_family(sys)) == 4
+        assert len(vertex_family(sys)[0]) == 4
 
     def test_family_size_limit(self):
         ch = registry.nonlinear_msd("velocity", "cubic").channels[0]
         many = lambda k: LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=(ch,) * k)
-        assert MAX_VERTICES == 2**16 and len(vertex_family(many(16))) == MAX_VERTICES
+        assert MAX_VERTICES == 2**16 and len(vertex_family(many(16))[0]) == MAX_VERTICES
         with pytest.raises(UnsupportedConfigurationError, match="2\\^17 vertices"):
             vertex_family(many(17))
         P = registry.DIFF_STORAGE_VELOCITY
@@ -265,11 +290,12 @@ class TestVertexFamily:
 
 
 class TestResultEquality:
-    """Families and verdicts compare by value, and == never raises on their array fields."""
+    """Families are equal stacks of equal corners; verdicts compare by value, and == never raises on their array fields."""
 
     def test_equal_values_compare_equal(self):
         sys = registry.nonlinear_msd("velocity", "monotone")
-        assert vertex_family(sys) == vertex_family(sys)
+        (first_matrices, first_corners), (second_matrices, second_corners) = vertex_family(sys), vertex_family(sys)
+        assert first_matrices.tobytes() == second_matrices.tobytes() and first_corners == second_corners
         first = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         second = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         # the failing vertex is the witness, whose vector stays out of ==
@@ -282,7 +308,7 @@ class TestResultEquality:
     def test_different_values_compare_unequal(self):
         monotone = registry.nonlinear_msd("velocity", "monotone")
         cubic = registry.nonlinear_msd("velocity", "cubic")
-        assert vertex_family(monotone) != vertex_family(cubic)
+        assert vertex_family(monotone)[1] != vertex_family(cubic)[1]
         at_zero = check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.0)
         assert at_zero != check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.5)
         assert at_zero.vertices[0] != at_zero.vertices[1]
@@ -328,11 +354,11 @@ class TestStackedFamily:
 
     def test_matrices_are_the_hull_points_in_product_order(self, rng):
         sys = _mixed_channel_system(rng)
-        family = vertex_family(sys)
+        matrices, corners = vertex_family(sys)
         k = len(sys.channels)
-        assert family.matrices.shape == (2**k, sys.n, sys.n)
-        assert family.corners == tuple(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
-        for J, corner in zip(family.matrices, family.corners):
+        assert matrices.shape == (2**k, sys.n, sys.n)
+        assert corners == tuple(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
+        for J, corner in zip(matrices, corners):
             assert J.tobytes() == _hull_point_by_channel(sys, corner).tobytes()
 
     def test_jacobian_is_the_hull_point_of_its_slopes(self, rng):
@@ -348,32 +374,32 @@ class TestStackedFamily:
         P = M + M.T
         p = inertia_of(P).negative
         lam = 0.5
-        family = vertex_family(sys)
+        matrices, corners = vertex_family(sys)
         verdict = check_diff_dominance(sys, P, lam)
         failing = [i for i, v in enumerate(verdict.vertices) if v.status == "residual_violation"]
-        assert len(failing) > len(family) // 2
+        assert len(failing) > len(matrices) // 2
         cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)
         for i in failing:
-            got, single = verdict.vertices[i], check_dominance(family.matrices[i], cert).vertices[0]
+            got, single = verdict.vertices[i], check_dominance(matrices[i], cert).vertices[0]
             assert got.lmax.hex() == single.lmax.hex()
         top = max(failing, key=lambda i: verdict.vertices[i].lmax)
-        assert verdict.witness_corner == family.corners[top]
-        single = check_dominance(family.matrices[top], cert)
+        assert verdict.witness_corner == corners[top]
+        single = check_dominance(matrices[top], cert)
         assert verdict.witness.tobytes() == single.witness.tobytes()
         # the vector the stacked eigh would give that vertex
-        stacked = mc.sym_eigen(residual(family.matrices, P, lam))[1][top, :, -1]
+        stacked = mc.sym_eigen(residual(matrices, P, lam))[1][top, :, -1]
         assert verdict.witness.tobytes() == stacked.tobytes()
         v = verdict.witness
-        assert v @ residual(family.matrices[top], P, lam) @ v == pytest.approx(verdict.worst_lmax, rel=1e-9)
+        assert v @ residual(matrices[top], P, lam) @ v == pytest.approx(verdict.worst_lmax, rel=1e-9)
         supply = supply_gain(0.5, sys.r, sys.m)
         verdict = check_diff_dissipativity(sys, P, lam, supply)
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
-        singles = [verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert) for J in family.matrices]
+        singles = [verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C), cert) for J in matrices]
         for v, single in zip(verdict.vertices, singles):
             assert v.status == single.vertices[0].status
             if v.status == "residual_violation":
                 assert v.lmax.hex() == single.vertices[0].lmax.hex()
-        top = family.corners.index(verdict.witness_corner)
+        top = corners.index(verdict.witness_corner)
         assert verdict.vertices[top].lmax == verdict.worst_lmax
         assert verdict.witness.tobytes() == singles[top].witness.tobytes()
 
@@ -390,7 +416,7 @@ class TestStackedFamily:
         sys = registry.builtin_system(name)
         p = inertia_of(P).negative
         verdict = check_diff_dominance(sys, P, lam)
-        for J, v in zip(vertex_family(sys).matrices, verdict.vertices):
+        for J, v in zip(vertex_family(sys)[0], verdict.vertices):
             assert v.split_ok is eigen_split_test(J, lam, p).passed
 
     def test_vertex_on_the_shifted_axis_is_not_split_ok(self):
@@ -399,8 +425,8 @@ class TestStackedFamily:
         channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0)
         sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
         verdict = check_diff_dominance(sys, np.eye(2), 0.0)
-        family = vertex_family(sys)
-        splits = [eigen_split_test(J, 0.0, 0) for J in family.matrices]
+        matrices, _ = vertex_family(sys)
+        splits = [eigen_split_test(J, 0.0, 0) for J in matrices]
         assert [s.status for s in splits] == ["pass", "inconclusive"]
         assert [v.split_ok for v in verdict.vertices] == [True, False]
 
@@ -449,7 +475,7 @@ class TestSplitFromResidual:
         for n in range(2, 9):
             for k in range(1, 7):
                 sys, lam, P, p = _planted_lure(rng, n, k, gain=float(rng.choice([1.0, 1e3])))
-                family = vertex_family(sys)
+                matrices, _ = vertex_family(sys)
                 V, _ = np.linalg.qr(rng.standard_normal((n, n)))
                 signs = rng.choice([-1.0, 1.0], n)
                 signs[:2] = (-1.0, 1.0)
@@ -459,14 +485,14 @@ class TestSplitFromResidual:
                     nu = inertia_of(S).negative
                     for claim in (nu, (nu + 1) % (n + 1)):
                         if claim not in expected:
-                            expected[claim] = [eigen_split_test(J, lam, claim).passed for J in family.matrices]
+                            expected[claim] = [eigen_split_test(J, lam, claim).passed for J in matrices]
                         for scale in self.SCALES:
                             for verdict in (
                                 check_diff_dominance(sys, scale * S, lam, p=claim),
                                 check_diff_dissipativity(sys, scale * S, lam, supply.scaled(scale), p=claim),
                             ):
                                 assert [v.split_ok for v in verdict.vertices] == expected[claim], (n, k, scale)
-                R = residual(family.matrices, P, lam)
+                R = residual(matrices, P, lam)
                 top = np.linalg.eigvalsh(R)[:, -1]
                 decided += int(np.sum(top < 0))
                 undecided += int(np.sum(top >= 0))
@@ -478,8 +504,8 @@ class TestSplitFromResidual:
         sigma = tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0 - 5e-8])
         channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0 - 5e-8)
         sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
-        family = vertex_family(sys)
-        assert [eigen_split_test(J, 0.0, 0).status for J in family.matrices] == ["pass", "inconclusive"]
+        matrices, _ = vertex_family(sys)
+        assert [eigen_split_test(J, 0.0, 0).status for J in matrices] == ["pass", "inconclusive"]
         for scale in self.SCALES:
             verdict = check_diff_dominance(sys, scale * np.eye(2), 0.0, p=0)
             assert [v.split_ok for v in verdict.vertices] == [True, False]
@@ -500,9 +526,9 @@ class TestSplitFromResidual:
         assert valid.passed and all(v.split_ok for v in valid.vertices)
         assert not flipped.passed and flipped.p == 4 - p
         monkeypatch.undo()
-        family = vertex_family(sys)
+        matrices, _ = vertex_family(sys)
         assert [v.split_ok for v in flipped.vertices] == [
-            eigen_split_test(J, lam, 4 - p).passed for J in family.matrices
+            eigen_split_test(J, lam, 4 - p).passed for J in matrices
         ]
 
     def test_zero_band_storage_falls_back_on_every_vertex(self, monkeypatch):
@@ -686,7 +712,7 @@ class TestOneKernel:
         diff = check_diff_dissipativity(msd_c8, P, lam, supply, epsilon)
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
         single = verify_dissipativity(msd_c8, cert)
-        blocks = dissipation_blocks(msd_c8.A[None], msd_c8, P, lam, supply, epsilon)
+        blocks = dissipation_blocks(residual(msd_c8.A[None], P, lam), msd_c8, P, supply, epsilon)
         kernel = _single_block(blocks[0], P, p)
         assert diff == single and len(single.vertices) == 1 and diff.p == p
         assert _outcome(single.vertices[0]) == kernel
@@ -713,15 +739,15 @@ class TestOneKernel:
     def test_each_vertex_is_the_single_matrix_check(self, name, P, lam):
         sys = registry.builtin_system(name)
         p = inertia_of(P).negative
-        family = vertex_family(sys)
+        matrices, _ = vertex_family(sys)
         verdict = check_diff_dominance(sys, P, lam)
-        for J, v in zip(family.matrices, verdict.vertices):
+        for J, v in zip(matrices, verdict.vertices):
             single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
             assert _outcome(v) == _outcome(single.vertices[0])
         supplies = (supply_passivity(sys.r), supply_gain(2.0, sys.r, sys.m))
         for supply, epsilon in itertools.product(supplies, (0.0, 1e-3)):
             verdict = check_diff_dissipativity(sys, P, lam, supply, epsilon)
-            for J, v in zip(family.matrices, verdict.vertices):
+            for J, v in zip(matrices, verdict.vertices):
                 vertex = LureSystem(A=J, B=sys.B, C=sys.C)
                 cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
                 assert _outcome(v) == _outcome(verify_dissipativity(vertex, cert).vertices[0])
@@ -795,3 +821,35 @@ class TestEigenvaluesOnly:
         for verdict in (passing, mismatch):
             assert verdict.witness is None and verdict.witness_corner is None
         assert eigh_shapes == []
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """One entry per call of ``lti.residual``, through each verifier module that holds it."""
+    calls, original = [], lti.residual
+    spy = lambda *args, **kw: calls.append(1) or original(*args, **kw)
+    for module in (lti, dissipativity):
+        monkeypatch.setattr(module, "residual", spy)
+    return calls
+
+
+class TestOneResidual:
+    """Every check forms its residual stack once; the dissipation blocks are built around that stack."""
+
+    def test_one_residual_per_check(self, residual_calls):
+        for sys, P, lam in _eigh_battery():
+            p = inertia_of(P).negative
+            supply = supply_passivity(sys.r)
+            dominance_cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)
+            supply_cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
+            counts = []
+            for check in (
+                lambda: check_dominance(sys, dominance_cert),
+                lambda: verify_dissipativity(sys, supply_cert),
+                lambda: check_diff_dominance(sys, P, lam),
+                lambda: check_diff_dissipativity(sys, P, lam, supply),
+            ):
+                residual_calls.clear()
+                check()
+                counts.append(len(residual_calls))
+            assert counts == [1, 1, 1, 1], (sys.name, bool(sys.channels))

@@ -14,7 +14,7 @@ from pdom.dissipativity import (
     verify_dissipativity,
 )
 from pdom.errors import DimensionError, LmiInfeasibleError
-from pdom.lti import LtiSystem, construct_certificate
+from pdom.lti import LtiSystem, construct_certificate, residual
 
 RATE = registry.KNOWN_RATE
 
@@ -49,20 +49,18 @@ class TestNamedSupplies:
 
 class TestDissipativityBlock:
     def test_passivity_offdiag_vanishes(self, msd_c8):
-        block = dissipation_blocks(
-            msd_c8.A[None], msd_c8, registry.PASSIVITY_STORAGE_C8, RATE, supply_passivity(1)
-        )[0]
+        P = registry.PASSIVITY_STORAGE_C8
+        block = dissipation_blocks(residual(msd_c8.A[None], P, RATE), msd_c8, P, supply_passivity(1))[0]
         assert np.allclose(block[:2, 2], 0.0)  # P B - C^T L = 0
 
     def test_zero_system_zero_block(self):
         sys = LtiSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)), D=np.zeros((1, 1)))
         supply = SupplyRate(Q=np.zeros((1, 1)), L=np.zeros((1, 1)), R=np.zeros((1, 1)))
-        assert np.allclose(dissipation_blocks(sys.A[None], sys, np.eye(2), 0.0, supply)[0], np.zeros((3, 3)))
+        assert np.allclose(dissipation_blocks(residual(sys.A[None], np.eye(2), 0.0), sys, np.eye(2), supply)[0], np.zeros((3, 3)))
 
     def test_gain_block_value(self, msd_c8):
-        block = dissipation_blocks(
-            msd_c8.A[None], msd_c8, registry.PASSIVITY_STORAGE_C8, RATE, supply_gain(0.31, 1, 1)
-        )[0]
+        P = registry.PASSIVITY_STORAGE_C8
+        block = dissipation_blocks(residual(msd_c8.A[None], P, RATE), msd_c8, P, supply_gain(0.31, 1, 1))[0]
         expected = np.array(
             [
                 [-2.5358, -2.0, 0.0],
@@ -91,7 +89,7 @@ class TestDissipativityBlock:
             R=np.diag(rng.standard_normal(m)),
         )
         lam = 0.3
-        block = dissipation_blocks(sys.A[None], sys, P, lam, supply, epsilon=0.1)[0]
+        block = dissipation_blocks(residual(sys.A[None], P, lam), sys, P, supply, epsilon=0.1)[0]
         for _ in range(200):
             x = rng.standard_normal(n)
             u = rng.standard_normal(m)
@@ -323,7 +321,7 @@ class TestPointwiseEquivalence:
             gamma_star = min_gain(sys, cert.P, lam)
             gamma = gamma_star * 1.2 + 0.05 if checked % 2 == 0 else gamma_star * 0.5
             supply = supply_gain(gamma, r, m)
-            block = dissipation_blocks(sys.A[None], sys, cert.P, lam, supply)[0]
+            block = dissipation_blocks(residual(sys.A[None], cert.P, lam), sys, cert.P, supply)[0]
             w, V = np.linalg.eigh(block)
             scale = max(1.0, np.abs(w).max())
             if abs(w[-1]) < 1e-6 * scale:

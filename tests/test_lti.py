@@ -3,6 +3,7 @@ import pytest
 
 from conftest import random_hyperbolic
 from pdom import registry
+from pdom import lti
 from pdom import matrixcore as mc
 from pdom.errors import DimensionError, NonHyperbolicError, NumericalError, SplitMismatchError
 from pdom.lti import (
@@ -147,7 +148,7 @@ class TestStackedKernel:
             w1, V1 = mc.sym_eigen(block)
             assert w1.tobytes() == wi.tobytes() and V1.tobytes() == Vi.tobytes()
 
-    def test_asymmetric_block_rejected(self, rng):
+    def test_asymmetric_block_rejected(self, rng, monkeypatch):
         S = _symmetric_stack(rng)
         # beyond SYM_TOL * max(1, ||S_0||_F), about 1e-8, but within the last block's allowance
         S[0, 0, 1] += 1e-6
@@ -155,19 +156,21 @@ class TestStackedKernel:
             mc.sym_eigen(S[0])
         with pytest.raises(DimensionError):
             mc.sym_eigen(S)
+        monkeypatch.setattr(lti, "residual", lambda *args: S)  # the kernel's block stack
         with pytest.raises(DimensionError):
-            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0, lambda matrices: S)
+            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_block_rejected(self, rng, bad):
+    def test_non_finite_block_rejected(self, rng, bad, monkeypatch):
         S = _symmetric_stack(rng)
         S[1, 2, 2] = bad
         with pytest.raises(NumericalError):
             mc.sym_eigen(S[1])
         with pytest.raises(NumericalError):
             mc.sym_eigen(S)
+        monkeypatch.setattr(lti, "residual", lambda *args: S)  # the kernel's block stack
         with pytest.raises(NumericalError):
-            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0, lambda matrices: S)
+            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0)
 
 
 class TestEigenSplit:

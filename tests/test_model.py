@@ -7,10 +7,10 @@ import pytest
 
 import pdom
 from pdom import registry
-from pdom.dissipativity import DissipativityCertificate, supply_gain, supply_passivity
+from pdom.dissipativity import DissipativityCertificate, SupplyRate, supply_gain, supply_passivity
 from pdom.interconnect import FeedbackLoop
 from pdom.lti import DominanceCertificate
-from pdom.differential import Channel, LureSystem, cubic_saturated, scaled, tabulated
+from pdom.differential import Channel, LureSystem, Nonlinearity, cubic_saturated, scaled, tabulated
 from pdom.lti import LtiSystem
 
 SYSTEM_KEYS = {"name", "A", "B", "C", "D", "channels"}
@@ -59,6 +59,18 @@ class TestOneModel:
         lure = registry.nonlinear_msd("mixed", "cubic").to_dict()
         del lure["D"]
         assert LureSystem.from_dict(lure) == registry.nonlinear_msd("mixed", "cubic")
+
+    @pytest.mark.parametrize("value", [True, False, "1.0", None])
+    def test_json_numbers_are_numbers(self, value):
+        channel = registry.nonlinear_msd("mixed", "cubic").channels[0].to_dict()
+        for field in ("alpha", "beta"):
+            with pytest.raises(ValueError, match=f"{field} must be a number"):
+                Channel.from_dict({**channel, field: value})
+        factor = {"kind": "scaled", "factor": value, "base": {"kind": "cubic_saturated"}}
+        with pytest.raises(ValueError, match="factor must be a number"):
+            Nonlinearity.from_dict(factor)
+        with pytest.raises(ValueError, match="gamma must be a number"):
+            SupplyRate.from_dict({"kind": "gain", "gamma": value}, r=1, m=1)
 
     def test_default_feedthrough_is_zero(self):
         sys = LtiSystem(A=-np.eye(3), B=np.ones((3, 2)), C=np.ones((1, 3)))
