@@ -39,7 +39,6 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .interconnect import (
-    FeedbackLoop,
     closed_loop_certificate,
     compose_supply,
     coupling_condition,

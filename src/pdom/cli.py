@@ -16,7 +16,6 @@ numerical failure (a search that stalled or failed re-verification).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import sys
@@ -26,7 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import registry, reproduce
-from .dissipativity import DissipativityCertificate, verify_dissipativity
+from .dissipativity import (
+    DissipativityCertificate,
+    SupplyRate,
+    find_passivity_storage,
+    supply_passivity,
+    verify_dissipativity,
+)
 from .errors import (
     CouplingError,
     LmiInfeasibleError,
@@ -37,8 +42,8 @@ from .errors import (
     SplitMismatchError,
     UnsupportedConfigurationError,
 )
-from .interconnect import FeedbackLoop, closed_loop_certificate, coupling_condition
-from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test
+from .interconnect import closed_loop_certificate, coupling_condition
+from .lti import DominanceCertificate, _check_claim, check_dominance, construct_certificate, eigen_split_test
 from .model import LureSystem, _json_object
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
 
@@ -87,19 +92,31 @@ def _digest(path: str) -> str:
 
 
 def _load_json(path: str) -> dict:
-    """Decode a JSON input file; NaN, Infinity and literals that overflow to infinity are refused."""
+    """Decode a JSON input file; NaN, Infinity, literals that overflow to infinity and null are refused.
+
+    No input format uses null, and numpy would read one inside a matrix as NaN.
+    """
     def finite(text: str) -> float:
         if not np.isfinite(float(text)):
             raise PdomError(f"cannot read {path}: non-finite number {text}")
         return float(text)
 
+    def no_null(value) -> None:
+        if value is None:
+            raise PdomError(f"cannot read {path}: null is not an input value")
+        if isinstance(value, (dict, list)):
+            for item in value.values() if isinstance(value, dict) else value:
+                no_null(item)
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            data = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise PdomError(f"file not found: {path}")
     except json.JSONDecodeError as exc:
         raise PdomError(f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    no_null(data)
+    return data
 
 
 def _load_system(spec: str):
@@ -178,8 +195,6 @@ def cmd_certify(args, report: RunReport) -> int:
     if system.channels:
         raise UnsupportedConfigurationError("certify handles linear systems")
     if args.passivity:
-        from .dissipativity import find_passivity_storage
-
         cert = find_passivity_storage(system, args.rate, args.p)
         verdict = verify_dissipativity(system, cert)
     else:
@@ -195,34 +210,41 @@ def cmd_certify(args, report: RunReport) -> int:
 
 
 def cmd_interconnect(args, report: RunReport) -> int:
+    """Coupling test, then the closed-loop certificate, of one loop file.
+
+    The file holds ``sys1``, ``sys2``, ``supply1``, ``supply2`` and the loop's
+    rate ``lambda``, held to the claim rule before any verdict. ``certN``, when
+    present, is subsystem N's storage and p: the loop's rate is its default
+    rate and the loop's supply always wins. Without ``certN``, a passivity
+    storage is searched for a channel-free subsystem whose supply is the
+    passivity supply; any other subsystem without one is an input error.
+    """
     data = _load_json(args.loop)
     report.inputs = {"loop": {"path": args.loop, "sha256": _digest(args.loop)}, "seed": args.seed}
-    loop = FeedbackLoop.from_dict(data)
-    coupling = coupling_condition(loop.supply1, loop.supply2)
+    data = _json_object(data, "a loop")
+    systems = [LureSystem.from_dict(data["sys1"]), LureSystem.from_dict(data["sys2"])]
+    supplies = [SupplyRate.from_dict(data[f"supply{i}"], r=sys.r, m=sys.m) for i, sys in enumerate(systems, 1)]
+    _check_claim(data["lambda"], 0, 0)  # the rate alone: there is no storage yet
+    rate = float(data["lambda"])
+    coupling = coupling_condition(*supplies)
     report.verdicts.append({"check": "coupling", **coupling.to_dict()})
     if not coupling.passed:
         return EXIT_CRITERION_FAILED
 
     certs = []
-    for key, system, supply in (
-        ("cert1", loop.sys1, loop.supply1),
-        ("cert2", loop.sys2, loop.supply2),
-    ):
+    for i, (system, supply) in enumerate(zip(systems, supplies), 1):
+        key = f"cert{i}"
         if key in data:
-            # the loop's rate is the default and its supply always wins
-            entry = {"lambda": loop.rate, **_json_object(data[key], key), "supply": supply.to_dict()}
+            entry = {"lambda": rate, **_json_object(data[key], key), "supply": supply.to_dict()}
             certs.append(DissipativityCertificate.from_dict(entry))
-        elif not system.channels and not supply.Q.any():
-            from .dissipativity import find_passivity_storage
-
-            split = eigen_split_test(system, loop.rate, 0)
-            cert = find_passivity_storage(system, loop.rate, split.unstable_count)
-            certs.append(dataclasses.replace(cert, supply=supply))
+        elif not system.channels and supply == supply_passivity(system.r):
+            split = eigen_split_test(system, rate, 0)
+            certs.append(find_passivity_storage(system, rate, split.unstable_count))
         else:
             raise PdomError(
                 f"loop file must provide {key} (a storage) for this subsystem"
             )
-    cert = closed_loop_certificate(loop.sys1, certs[0], loop.sys2, certs[1])
+    cert = closed_loop_certificate(systems[0], certs[0], systems[1], certs[1])
     report.certificates.append(cert.to_dict())
     report.verdicts.append(
         {"check": "closed_loop", "passed": True, "p": cert.p, "lambda": cert.rate}

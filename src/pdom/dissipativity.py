@@ -18,7 +18,15 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
-from .lti import DifferentialVerdict, LtiSystem, _check_claim, _family_verdict, dissipation_blocks, residual
+from .lti import (
+    DifferentialVerdict,
+    DominanceCertificate,
+    LtiSystem,
+    _check_claim,
+    _family_verdict,
+    dissipation_blocks,
+    residual,
+)
 from .model import _json_number, _json_object, _ValueEquality
 
 __all__ = [
@@ -101,40 +109,24 @@ class SupplyRate(_ValueEquality):
 
 
 @dataclass(frozen=True, eq=False)
-class DissipativityCertificate(_ValueEquality):
-    """Storage, rate and supply claiming p-dissipativity of a system."""
+class DissipativityCertificate(DominanceCertificate):
+    """A dominance certificate plus the supply it claims p-dissipativity for.
 
-    P: np.ndarray
-    rate: float
-    epsilon: float
-    p: int
+    The storage, rate, margin and p, their claim check and their encoding are
+    the parent's; ``==`` still compares exact types, so a dissipativity
+    certificate never equals a dominance certificate.
+    """
+
     supply: SupplyRate
 
-    def __post_init__(self):
-        object.__setattr__(self, "P", mc.as_symmetric(self.P))
-        _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
-        for attr, cast in (("rate", float), ("epsilon", float), ("p", int)):
-            object.__setattr__(self, attr, cast(getattr(self, attr)))
-
     def to_dict(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "lambda": self.rate,
-            "epsilon": self.epsilon,
-            "p": self.p,
-            "supply": self.supply.to_dict(),
-        }
+        return {**super().to_dict(), "supply": self.supply.to_dict()}
 
-    @staticmethod
-    def from_dict(data: dict, r: int | None = None, m: int | None = None) -> "DissipativityCertificate":
+    @classmethod
+    def from_dict(cls, data: dict, r: int | None = None, m: int | None = None) -> "DissipativityCertificate":
+        """Decode the claim and its supply; (r, m) size a named supply shorthand."""
         data = _json_object(data, "a certificate")
-        return DissipativityCertificate(
-            P=np.asarray(data["P"], dtype=float),
-            rate=data["lambda"],
-            epsilon=data.get("epsilon", 0.0),
-            p=data["p"],
-            supply=SupplyRate.from_dict(data["supply"], r=r, m=m),
-        )
+        return super().from_dict(data, supply=SupplyRate.from_dict(data["supply"], r=r, m=m))
 
 
 def supply_passivity(r: int) -> SupplyRate:

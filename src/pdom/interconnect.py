@@ -5,6 +5,10 @@ compose into a single system on the stacked state. Supply rates compose into
 an explicit closed-loop supply on (y, v); when the pure-output part of that
 supply is negative semidefinite (the coupling condition), block-diagonal
 storages certify dominance of the loop with degree p1 + p2.
+
+The loop file (``sys1``, ``sys2``, ``supply1``, ``supply2``, ``lambda`` and
+optional ``cert1``, ``cert2``) is decoded by ``pdom interconnect`` itself;
+this module works on the decoded systems, supplies and certificates.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ from .errors import (
     RateMismatchError,
     UnsupportedConfigurationError,
 )
-from .lti import DominanceCertificate, _check_claim, check_dominance
-from .model import Channel, LureSystem, _json_object, _ValueEquality
+from .lti import DominanceCertificate, check_dominance
+from .model import Channel, LureSystem
 from .policy import LMI_TOL
 
 __all__ = [
-    "FeedbackLoop",
     "CouplingVerdict",
     "feedback_compose",
     "static_feedback",
@@ -170,42 +173,3 @@ def closed_loop_certificate(
         raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")
     epsilon = max(0.0, -verdict.worst_lmax) / 2.0
     return DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=verdict.p)
-
-
-@dataclass(frozen=True, eq=False)
-class FeedbackLoop(_ValueEquality):
-    """Loop description: two subsystems, their supplies and the shared rate."""
-
-    sys1: LureSystem
-    sys2: LureSystem
-    supply1: SupplyRate
-    supply2: SupplyRate
-    rate: float
-
-    def __post_init__(self):
-        _check_claim(self.rate, None, 0)
-        object.__setattr__(self, "rate", float(self.rate))
-
-    def to_dict(self) -> dict:
-        return {
-            "sys1": self.sys1.to_dict(),
-            "sys2": self.sys2.to_dict(),
-            "supply1": self.supply1.to_dict(),
-            "supply2": self.supply2.to_dict(),
-            "lambda": self.rate,
-        }
-
-    @staticmethod
-    def from_dict(data: dict) -> "FeedbackLoop":
-        data = _json_object(data, "a loop")
-        sys1 = LureSystem.from_dict(data["sys1"])
-        sys2 = LureSystem.from_dict(data["sys2"])
-        supply1 = SupplyRate.from_dict(data["supply1"], r=sys1.r, m=sys1.m)
-        supply2 = SupplyRate.from_dict(data["supply2"], r=sys2.r, m=sys2.m)
-        return FeedbackLoop(
-            sys1=sys1,
-            sys2=sys2,
-            supply1=supply1,
-            supply2=supply2,
-            rate=data["lambda"],
-        )

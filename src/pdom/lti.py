@@ -41,7 +41,12 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class DominanceCertificate(_ValueEquality):
-    """Storage matrix P plus rate and margin witnessing p-dominance."""
+    """Storage matrix P plus rate and margin witnessing p-dominance.
+
+    The claim is held to :func:`_check_claim` on construction, a p of None
+    included: a certificate states its p. A subclass adds fields (the
+    dissipativity certificate adds its supply) and inherits this check.
+    """
 
     P: np.ndarray
     rate: float
@@ -62,14 +67,16 @@ class DominanceCertificate(_ValueEquality):
             "p": self.p,
         }
 
-    @staticmethod
-    def from_dict(data: dict) -> "DominanceCertificate":
+    @classmethod
+    def from_dict(cls, data: dict, **fields) -> "DominanceCertificate":
+        """Decode the claim; ``fields`` are a subclass's own, already decoded."""
         data = _json_object(data, "a certificate")
-        return DominanceCertificate(
+        return cls(
             P=np.asarray(data["P"], dtype=float),
             rate=data["lambda"],
             epsilon=data.get("epsilon", 0.0),
             p=data["p"],
+            **fields,
         )
 
 
@@ -224,10 +231,10 @@ def dissipation_blocks(R, sys, P, supply, epsilon: float = 0.0) -> np.ndarray:
     return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
 
-def _check_claim(lam: float, p: int | None, n: int, epsilon: float = 0.0) -> None:
+def _check_claim(lam: float, p: int, n: int, epsilon: float = 0.0) -> None:
     """The one claim rule: a finite, nonnegative rate and margin, and an integer p in [0, n].
 
-    A p of None (read from the storage later) passes; a bool is neither an integer nor a number.
+    None and a bool are neither integers nor numbers.
     """
     for name, value in (("rate", lam), ("epsilon", epsilon)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
@@ -236,8 +243,6 @@ def _check_claim(lam: float, p: int | None, n: int, epsilon: float = 0.0) -> Non
             raise ValueError(f"{name} must be finite, got {value}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
-    if p is None:
-        return
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
         raise ValueError(f"claimed dominant dimension must be an integer, got {p!r}")
     if not 0 <= p <= n:
@@ -291,7 +296,7 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=No
     breaks :func:`_check_claim` is a ``ValueError``.
     """
     storage = mc.sym_eigvals(P)
-    _check_claim(lam, p, storage.size, epsilon)
+    _check_claim(lam, 0 if p is None else p, storage.size, epsilon)
     inertia = mc.Inertia.of_spectrum(storage)
     if p is None:
         if inertia.zero != 0:

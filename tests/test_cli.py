@@ -144,25 +144,46 @@ class TestVerify:
         ]
 
     @pytest.mark.parametrize(
-        "file, text",
+        "file, text, message",
         [
-            ("system", '{"A": [[NaN, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}'),
-            ("system", '{"A": [[1e999, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}'),
-            ("certificate", '{"P": [[-1, 0], [0, Infinity]], "lambda": 0, "p": 1}'),
-            ("supply", '{"kind": "gain", "gamma": NaN}'),
+            ("system", '{"A": [[NaN, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}', "non-finite number"),
+            ("system", '{"A": [[1e999, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}', "non-finite number"),
+            ("certificate", '{"P": [[-1, 0], [0, Infinity]], "lambda": 0, "p": 1}', "non-finite number"),
+            ("supply", '{"kind": "gain", "gamma": NaN}', "non-finite number"),
+            # numpy would read a null inside a matrix as NaN, a numerical failure (exit 3)
+            ("system", '{"A": [[null, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}', "null is not an input value"),
+            ("certificate", '{"P": null, "lambda": 0, "p": 1}', "null is not an input value"),
+            ("supply", '{"Q": [[null]], "L": [[1]], "R": [[0]]}', "null is not an input value"),
         ],
-        ids=["nan-system", "overflow-system", "infinity-certificate", "nan-supply"],
+        ids=["nan-system", "overflow-system", "infinity-certificate", "nan-supply", "null-system",
+             "null-certificate", "null-supply"],
     )
-    def test_non_finite_json_number_is_input_error(self, tmp_path, capsys, file, text):
+    def test_non_finite_json_number_is_input_error(self, tmp_path, capsys, file, text, message):
         paths = {name: tmp_path / f"{name}.json" for name in ("system", "certificate", "supply")}
         paths["system"].write_text(json.dumps({"A": [[1, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}))
         paths["certificate"].write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 0, "p": 1}))
         paths["supply"].write_text(json.dumps({"kind": "passivity"}))
         paths[file].write_text(text)
-        argv = ["verify", str(paths["system"]), str(paths["certificate"]), "--supply", str(paths["supply"])]
+        report = tmp_path / "r.json"
+        argv = ["--report", str(report), "verify", str(paths["system"]), str(paths["certificate"]),
+                "--supply", str(paths["supply"])]
         assert cli.main(argv) == 2
         err = capsys.readouterr().err
-        assert "non-finite number" in err and f"{file}.json" in err
+        assert message in err and f"{file}.json" in err
+        assert json.loads(report.read_text())["error"]["exit_code"] == 2
+
+    @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
+    def test_claimed_p_null_is_input_error(self, tmp_path, capsys, supply):
+        # int(None) would raise a TypeError: exit 1 with a traceback and no report
+        cert = {"P": [[-1, 0], [0, 1]], "lambda": 1.2679, "p": None}
+        if supply is not None:
+            cert["supply"] = supply
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps(cert))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", "msd-c4", str(cert_path)]) == 2
+        assert capsys.readouterr().err.startswith("input error: ")
+        assert json.loads(report.read_text())["error"]["exit_code"] == 2
 
     @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
     @pytest.mark.parametrize("system", ["nl-msd", "msd-c8"])
@@ -393,19 +414,67 @@ class TestInterconnect:
         assert cli.main(["interconnect", path]) == 2
         assert "outside" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["lambda", "cert1"])
-    def test_loop_rate_not_a_number(self, tmp_path, capsys, key):
+    @pytest.mark.parametrize(
+        "key, bad, message",
+        [
+            pytest.param("lambda", True, "rate must be a number, got True", id="lambda"),
+            pytest.param("cert1", True, "rate must be a number, got True", id="cert1"),
+            pytest.param("lambda", "1.2679", "rate must be a number, got '1.2679'", id="lambda-string"),
+            pytest.param("lambda", -0.5, "rate must be nonnegative, got -0.5", id="lambda-negative"),
+        ],
+    )
+    def test_loop_rate_not_a_number(self, tmp_path, capsys, key, bad, message):
         path = self._loop_file(tmp_path)
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
         if key == "lambda":
-            data["lambda"] = True
+            data["lambda"] = bad
         else:
-            data["cert1"]["lambda"] = True
+            data["cert1"]["lambda"] = bad
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(data, fh)
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", path]) == 2
+        assert message in capsys.readouterr().err
+        if key == "lambda":
+            # the loop's rate is held to the claim rule before the coupling test
+            assert json.loads(report.read_text())["verdicts"] == []
+
+    def test_integer_loop_rate_is_reported_as_float(self, tmp_path):
+        # two passive first-order lags, certified at rate 0 by P = 1 with the loop's rate as their default
+        lag = {"A": [[-1.0]], "B": [[1.0]], "C": [[1.0]]}
+        data = {"sys1": lag, "sys2": lag, "supply1": {"kind": "passivity"}, "supply2": {"kind": "passivity"},
+                "lambda": 0, "cert1": {"P": [[1.0]], "p": 0}, "cert2": {"P": [[1.0]], "p": 0}}
+        path, report = tmp_path / "lag_loop.json", tmp_path / "r.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["--report", str(report), "interconnect", str(path)]) == 0
+        out = json.loads(report.read_text())
+        for rate in (out["verdicts"][-1]["lambda"], out["certificates"][0]["lambda"]):
+            assert rate == 0.0 and type(rate) is float
+
+    def test_passive_loop_searches_its_storages(self, tmp_path):
+        from pdom.dissipativity import find_passivity_storage
+
+        path = self._loop_file(tmp_path)
+        data = json.loads(pathlib.Path(path).read_text())
+        del data["cert1"], data["cert2"]
+        pathlib.Path(path).write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", path]) == 0
+        cert = json.loads(report.read_text())["certificates"][0]
+        storage = find_passivity_storage(registry.msd(8.0), registry.KNOWN_RATE, 1).P
+        assert cert["p"] == 2
+        assert np.array_equal(np.asarray(cert["P"]), np.block([[storage, np.zeros((2, 2))], [np.zeros((2, 2)), storage]]))
+
+    def test_storage_is_searched_only_for_the_passivity_supply(self, tmp_path, capsys):
+        # Q = 0 but not the passivity supply: a passivity storage would certify a different claim
+        path = self._loop_file(tmp_path)
+        data = json.loads(pathlib.Path(path).read_text())
+        del data["cert1"], data["cert2"]
+        data["supply1"] = data["supply2"] = {"Q": [[0.0]], "L": [[2.0]], "R": [[-1.0]]}
+        pathlib.Path(path).write_text(json.dumps(data))
         assert cli.main(["interconnect", path]) == 2
-        assert "must be a number" in capsys.readouterr().err
+        assert "input error: loop file must provide cert1 (a storage) for this subsystem" in capsys.readouterr().err
 
     @pytest.mark.parametrize("p", [1.5, True], ids=["fractional", "boolean"])
     def test_loop_certificate_p_not_an_integer(self, tmp_path, capsys, p):

@@ -14,7 +14,7 @@ from pdom.dissipativity import (
     verify_dissipativity,
 )
 from pdom.errors import DimensionError, LmiInfeasibleError
-from pdom.lti import LtiSystem, construct_certificate, residual
+from pdom.lti import DominanceCertificate, LtiSystem, construct_certificate, residual
 
 RATE = registry.KNOWN_RATE
 
@@ -147,6 +147,26 @@ class TestVerify:
                 field: bad}
         with pytest.raises(ValueError, match="must be a number"):
             DissipativityCertificate.from_dict(data, r=1, m=1)
+
+    def test_certificate_round_trip(self):
+        cert = DissipativityCertificate(registry.PASSIVITY_STORAGE_C8, RATE, 1e-3, 1, supply_gain(0.5, 1, 1))
+        data = cert.to_dict()
+        assert list(data) == ["P", "lambda", "epsilon", "p", "supply"]
+        back = DissipativityCertificate.from_dict(data)
+        assert type(back) is DissipativityCertificate and back == cert and back.to_dict() == data
+        assert back != DissipativityCertificate.from_dict({**data, "supply": {"kind": "passivity"}}, r=1, m=1)
+
+    def test_a_dominance_certificate_plus_its_supply(self):
+        # the claim and its check are the parent's; == still tells the two kinds apart
+        assert issubclass(DissipativityCertificate, DominanceCertificate)
+        assert not {"__post_init__", "P", "rate", "epsilon", "p"} & set(vars(DissipativityCertificate))
+        cert = DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, rate=RATE, epsilon=0.0, p=1,
+                                        supply=supply_passivity(1))
+        dominance = DominanceCertificate.from_dict(cert.to_dict())
+        assert type(dominance) is DominanceCertificate and dominance.to_dict() == {
+            k: v for k, v in cert.to_dict().items() if k != "supply"
+        }
+        assert cert != dominance and dominance != cert
 
     def test_integer_rate_is_stored_as_float(self, msd_c8):
         data = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "lambda": 1, "epsilon": 0, "p": 1,

@@ -19,7 +19,6 @@ from pdom.errors import (
     UnsupportedConfigurationError,
 )
 from pdom.interconnect import (
-    FeedbackLoop,
     closed_loop_certificate,
     compose_supply,
     coupling_condition,
@@ -240,32 +239,3 @@ class TestClassicalSpecialization:
                 loop = feedback_compose(sys1, sys2)
                 assert np.all(np.linalg.eigvals(loop.A).real < 0)
                 assert check_dominance(loop, cert).passed
-
-
-class TestLoopSerialization:
-    def test_round_trip(self, msd_c8):
-        loop = FeedbackLoop(
-            sys1=msd_c8,
-            sys2=msd_c8,
-            supply1=supply_passivity(1),
-            supply2=supply_passivity(1),
-            rate=RATE,
-        )
-        data = loop.to_dict()
-        assert set(data) == {"sys1", "sys2", "supply1", "supply2", "lambda"}
-        back = FeedbackLoop.from_dict(data)
-        assert np.allclose(back.sys1.A, msd_c8.A)
-        assert back.rate == RATE
-        assert np.allclose(feedback_compose(back.sys1, back.sys2).A, feedback_compose(msd_c8, msd_c8).A)
-
-    @pytest.mark.parametrize("bad, match", [(True, "must be a number"), ("1.2679", "must be a number"),
-                                            (None, "must be a number"), (-0.5, "nonnegative"), (np.nan, "finite")])
-    def test_loop_rate_held_to_the_claim_rule(self, msd_c8, bad, match):
-        data = FeedbackLoop(msd_c8, msd_c8, supply_passivity(1), supply_passivity(1), RATE).to_dict()
-        with pytest.raises(ValueError, match=match):
-            FeedbackLoop.from_dict({**data, "lambda": bad})
-
-    def test_integer_loop_rate_is_stored_as_float(self, msd_c8):
-        data = FeedbackLoop(msd_c8, msd_c8, supply_passivity(1), supply_passivity(1), 0).to_dict()
-        assert data["lambda"] == 0.0 and type(data["lambda"]) is float
-        assert type(FeedbackLoop.from_dict(data).rate) is float

@@ -233,6 +233,22 @@ class TestImpossibleClaim:
         with pytest.raises(ValueError, match="integer"):
             DominanceCertificate.from_dict({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": p})
 
+    @pytest.mark.parametrize("kind", ["dominance", "dissipativity"])
+    def test_certificate_p_none(self, msd_c4, kind):
+        # a verifier reads an omitted p off the storage; a certificate states its p
+        from pdom.dissipativity import DissipativityCertificate, supply_passivity
+
+        data = {"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": None}
+        claim = {"P": registry.KNOWN_STORAGE[4], "rate": RATE, "epsilon": 0.0, "p": None}
+        if kind == "dominance":
+            builds = (lambda: DominanceCertificate.from_dict(data), lambda: DominanceCertificate(**claim))
+        else:
+            builds = (lambda: DissipativityCertificate.from_dict({**data, "supply": {"kind": "passivity"}}, r=1, m=1),
+                      lambda: DissipativityCertificate(**claim, supply=supply_passivity(1)))
+        for build in builds:
+            with pytest.raises(ValueError, match="claimed dominant dimension must be an integer, got None"):
+                build()
+
     @pytest.mark.parametrize("p", [1, np.int64(1), np.int32(1)])
     def test_integer_p_is_stored_as_int(self, msd_c4, p):
         data = {"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": p}

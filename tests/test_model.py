@@ -8,7 +8,6 @@ import pytest
 import pdom
 from pdom import registry
 from pdom.dissipativity import DissipativityCertificate, SupplyRate, supply_gain, supply_passivity
-from pdom.interconnect import FeedbackLoop
 from pdom.lti import DominanceCertificate
 from pdom.differential import Channel, LureSystem, Nonlinearity, cubic_saturated, scaled, tabulated
 from pdom.lti import LtiSystem
@@ -24,10 +23,6 @@ def _dominance(eps):
 def _dissipativity(supply):
     return DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, rate=registry.KNOWN_RATE, epsilon=0.0, p=1,
                                     supply=supply)
-
-
-def _loop(rate):
-    return FeedbackLoop(registry.msd(8.0), registry.msd(8.0), supply_passivity(1), supply_passivity(1), rate)
 
 
 def _with_feedthrough():
@@ -106,9 +101,8 @@ class TestValueEquality:
             (lambda g: supply_gain(g, 1, 1), 0.5, 0.6),
             (_dominance, 1e-3, 2e-3),
             (_dissipativity, supply_passivity(1), supply_gain(0.5, 1, 1)),
-            (_loop, 1.0, 2.0),
         ],
-        ids=["passivity", "gain", "dominance", "dissipativity", "loop"],
+        ids=["passivity", "gain", "dominance", "dissipativity"],
     )
     def test_certificates_and_supplies(self, build, same, other):
         a, b, c = build(same), build(same), build(other)
