@@ -40,7 +40,6 @@ from .errors import (
     PdomError,
     RateMismatchError,
     SplitMismatchError,
-    UnsupportedConfigurationError,
 )
 from .interconnect import closed_loop_certificate, coupling_condition
 from .lti import DominanceCertificate, _check_claim, check_dominance, construct_certificate, eigen_split_test
@@ -140,10 +139,6 @@ def _parse_vector(text: str) -> np.ndarray:
 def cmd_analyze(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "seed": args.seed}
-    if system.channels:
-        raise UnsupportedConfigurationError(
-            "analyze handles linear systems; use the vertex checks for Lur'e models"
-        )
     split = eigen_split_test(system, args.rate, args.p)
     report.verdicts.append({"check": "eigen_split", **split.to_dict()})
     if split.status == "inconclusive":
@@ -192,8 +187,6 @@ def cmd_certify(args, report: RunReport) -> int:
         "passivity": args.passivity,
         "seed": args.seed,
     }
-    if system.channels:
-        raise UnsupportedConfigurationError("certify handles linear systems")
     if args.passivity:
         cert = find_passivity_storage(system, args.rate, args.p)
         verdict = verify_dissipativity(system, cert)
@@ -365,7 +358,8 @@ _FAILURES = (
     ((NumericalError, LmiInfeasibleError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
     (NonHyperbolicError, EXIT_CRITERION_FAILED, "inconclusive"),
     (SplitMismatchError, EXIT_CRITERION_FAILED, "split mismatch"),
-    ((CouplingError, RateMismatchError), EXIT_INPUT_ERROR, "error"),
+    (CouplingError, EXIT_CRITERION_FAILED, "interconnection failed"),
+    (RateMismatchError, EXIT_INPUT_ERROR, "error"),
     # OSError: an input or output path that cannot be read or written
     ((PdomError, ValueError, KeyError, OSError), EXIT_INPUT_ERROR, "input error"),
 )

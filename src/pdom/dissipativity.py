@@ -27,7 +27,7 @@ from .lti import (
     dissipation_blocks,
     residual,
 )
-from .model import _json_number, _json_object, _ValueEquality
+from .model import _json_number, _json_object, _ValueEquality, state_matrix
 
 __all__ = [
     "SupplyRate",
@@ -173,10 +173,11 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     ``ValueError`` when M is not negative definite (no gain works) or when
     P has an eigenvalue in the zero band (the verifiers refuse it).
     """
+    A = state_matrix(sys)
     P = mc.as_symmetric(P)
     if mc.inertia_of(P).zero:
         raise ValueError("storage has eigenvalues inside the zero band")
-    M = residual(sys.A, P, lam) + sys.C.T @ sys.C
+    M = residual(A, P, lam) + sys.C.T @ sys.C
     W = P @ sys.B + sys.C.T @ sys.D
     mu, V = mc.sym_eigen(M)
     if mu[-1] >= 0:
@@ -197,16 +198,17 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
     """
     from . import lmi  # deferred: keep module import costs flat
 
+    A = state_matrix(sys)
     _check_claim(lam, p, sys.n)
     if not sys.is_strictly_proper:
         raise UnsupportedConfigurationError("storage search requires D = 0")
     if sys.r != sys.m:
         raise DimensionError("passivity needs a square channel (r = m)")
 
-    eps_search = 1e-6 * max(1.0, float(np.linalg.norm(sys.A, 2)))
+    eps_search = 1e-6 * max(1.0, float(np.linalg.norm(A, 2)))
     problem = lmi.LmiProblem(
         dim=sys.n,
-        blocks=[lambda P: residual(sys.A, P, lam)],
+        blocks=[lambda P: residual(A, P, lam)],
         equalities=[lmi.LinearEquality(lambda P: P @ sys.B, sys.C.T)],
         inertia_target=(p, 0, sys.n - p),
         epsilon=eps_search,

@@ -371,36 +371,45 @@ def eigen_split_test(sys, lam: float, p: int) -> SplitVerdict:
     return SplitVerdict(status, margin, unstable, p)
 
 
-def _ordered_split(A: np.ndarray, lam: float, p: int):
-    """Schur split at the requested rate, as (W, T1, T2) block-diagonal data."""
+def _ordered_split(sys, lam: float, p: int):
+    """A's one factorization for a claim (lam, p): ``(A, W, W^{-1}, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``.
+
+    T1 (p x p) and T2 are real Schur blocks holding the unstable and stable eigenvalues of ``A + lam I``.
+    Refused: a Lur'e model (``state_matrix``), a claim that breaks :func:`_check_claim`, a p off the split.
+    """
+    A = state_matrix(sys)
+    n = A.shape[0]
+    _check_claim(lam, p, n)
     form, unstable_dim = mc.schur_split(A, lam)
     if unstable_dim != p:
         raise SplitMismatchError(
             f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}"
         )
     W, T1, T2 = mc.block_diagonalize(form, p)
-    return W, T1, T2
+    return A, W, np.linalg.solve(W, np.eye(n)), T1, T2
 
 
 def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     """Build a dominance certificate from the ordered Schur split.
 
     The storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}`` where W decouples
-    ``A + lam I`` into its unstable/stable blocks and Xu, Xs solve the
-    per-block Lyapunov equations with identity right-hand sides. The result
-    always carries a strictly positive margin.
+    ``A + lam I`` into its unstable/stable blocks (:func:`_ordered_split`) and
+    Xu, Xs solve the per-block Lyapunov equations with identity right-hand
+    sides, each one ``trsyl`` on its Schur block ``T1 + lam I`` or ``T2 + lam I``.
+    The storage must pass the family verdict, and it carries a strictly positive margin.
     """
-    A = state_matrix(sys)
+    A, W, Winv, T1, T2 = _ordered_split(sys, lam, p)
     n = A.shape[0]
-    _check_claim(lam, p, n)
-    W, T1, T2 = _ordered_split(A, lam, p)
     core = np.zeros((n, n))
     if p > 0:
-        # (T1 + lam I) is anti-Hurwitz: sign-flipped Lyapunov right-hand side
-        core[:p, :p] = -mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p))
+        # (T1 + lam I) is anti-Hurwitz: M^T Xu + Xu M = I
+        M = T1 + lam * np.eye(p)
+        X = mc._trsyl(M, M, np.eye(p), trana="T")
+        core[:p, :p] = -0.5 * (X + X.T)
     if p < n:
-        core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))
-    Winv = np.linalg.solve(W, np.eye(n))
+        M = T2 + lam * np.eye(n - p)
+        X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
+        core[p:, p:] = 0.5 * (X + X.T)
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
@@ -416,29 +425,29 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
 def modal_split(sys, lam: float, p: int) -> ModalSplit:
     """Spectral projectors and decay constants for the dominant/transient split.
 
+    The rates are read off the diagonals of the Schur blocks T1 and T2 (their eigenvalues' real parts).
     The constants come from the conditioning of the decoupling basis and of
     each block's eigenvector matrix, which makes the two displayed bounds
     checkable on sampled trajectories.
     """
-    A = state_matrix(sys)
+    A, W, Winv, T1, T2 = _ordered_split(sys, lam, p)
     n = A.shape[0]
-    _check_claim(lam, p, n)
-    W, T1, T2 = _ordered_split(A, lam, p)
-    Winv = np.linalg.solve(W, np.eye(n))
     E = np.zeros((n, n))
     E[:p, :p] = np.eye(p)
     projector_dominant = W @ E @ Winv
     projector_transient = np.eye(n) - projector_dominant
 
     if p > 0:
-        rate_dominant = -float(np.min(np.linalg.eigvals(T1).real))
-        growth_floor = min(1.0, _subspace_floor(W[:, :p], T1))
+        rate_dominant = -float(np.min(np.diagonal(T1)))
+        spread, low = _spread(W[:, :p], T1)
+        growth_floor = min(1.0, float(low / spread))
     else:
         rate_dominant = -np.inf
         growth_floor = 1.0
     if p < n:
-        rate_transient = -float(np.max(np.linalg.eigvals(T2).real))
-        decay_ceiling = max(1.0, _subspace_ceiling(W[:, p:], T2))
+        rate_transient = -float(np.max(np.diagonal(T2)))
+        spread, low = _spread(W[:, p:], T2)
+        decay_ceiling = max(1.0, float(spread / low))
     else:
         rate_transient = np.inf
         decay_ceiling = 1.0
@@ -456,16 +465,7 @@ def modal_split(sys, lam: float, p: int) -> ModalSplit:
     )
 
 
-def _eigvec_condition(T: np.ndarray) -> float:
-    _, vectors = np.linalg.eig(T)
-    return float(np.linalg.cond(vectors))
-
-
-def _subspace_floor(basis: np.ndarray, block: np.ndarray) -> float:
+def _spread(basis: np.ndarray, block: np.ndarray) -> tuple[float, float]:
+    """``(s_max * cond(V), s_min)``: a modal basis's extreme singular values, V the block's eigenvectors."""
     singular = np.linalg.svd(basis, compute_uv=False)
-    return float(singular[-1] / (singular[0] * _eigvec_condition(block)))
-
-
-def _subspace_ceiling(basis: np.ndarray, block: np.ndarray) -> float:
-    singular = np.linalg.svd(basis, compute_uv=False)
-    return float(singular[0] * _eigvec_condition(block) / singular[-1])
+    return singular[0] * float(np.linalg.cond(np.linalg.eig(block)[1])), singular[-1]

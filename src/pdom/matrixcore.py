@@ -160,24 +160,43 @@ def inertia_of(S) -> Inertia:
     return Inertia.of_spectrum(sym_eigvals(S))
 
 
-def _schur_spectrum(T: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a real Schur form, read off its diagonal blocks.
+def _real_schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unsorted real Schur form ``mat = Z T Z^T`` as ``(T, Z, spectrum)``, the spectrum read off T.
 
     LAPACK's 2x2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(-b c)``; its 1x1 blocks have c = 0.
     """
+    import scipy.linalg as sla
+
+    try:
+        T, Z = sla.schur(mat, output="real")
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
     pair = np.sqrt(np.abs(np.diagonal(T, -1) * np.diagonal(T, 1)))
     imag = np.zeros(T.shape[0])
     imag[:-1] += pair
     imag[1:] -= pair
-    return np.diagonal(T) + 1j * imag
+    return T, Z, np.diagonal(T) + 1j * imag
+
+
+def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str = "N", isgn: int = 1) -> np.ndarray:
+    """Solve ``op(A) X + isgn X B = C`` on real Schur forms A and B with LAPACK ``trsyl`` (no factorization).
+
+    op(A) is A or A^T; X comes back unscaled. Only an invalid argument is an error here: the caller checks the result.
+    """
+    from scipy.linalg.lapack import dtrsyl
+
+    X, scale, info = dtrsyl(A, B, C, trana=trana, isgn=isgn)
+    if info < 0:
+        raise NumericalError(f"Sylvester solve failed: trsyl argument {-info} is invalid")
+    return X / scale
 
 
 def schur_split(A, shift: float) -> tuple[SchurForm, int]:
     """Ordered real Schur form splitting the spectrum of ``A + shift*I`` at the axis.
 
     Eigenvalues of ``A + shift*I`` with positive real part lead the diagonal;
-    the second return value is their count. One unsorted real Schur form gives
-    the spectrum (read off T's diagonal blocks) and, reordered by LAPACK
+    the second return value is their count. One unsorted real Schur form
+    (:func:`_real_schur`) gives the spectrum and, reordered by LAPACK
     ``trsen``, the split. A shifted eigenvalue within ``SPLIT_TOL`` of the
     imaginary axis makes the split non-hyperbolic and raises
     :class:`NonHyperbolicError` (the dominance test is inconclusive at this
@@ -188,14 +207,9 @@ def schur_split(A, shift: float) -> tuple[SchurForm, int]:
     mat = as_matrix(A)
     if mat.shape[0] != mat.shape[1]:
         raise DimensionError("schur_split requires a square matrix")
-    import scipy.linalg as sla
     from scipy.linalg.lapack import dtrsen
 
-    try:
-        T, Q = sla.schur(mat, output="real")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    spectrum = _schur_spectrum(T)
+    T, Q, spectrum = _real_schur(mat)
     distance = np.abs(spectrum.real + shift)
     if np.any(distance <= SPLIT_TOL):
         worst = spectrum[np.argmin(distance)]
@@ -214,56 +228,38 @@ def schur_split(A, shift: float) -> tuple[SchurForm, int]:
 def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decouple the leading k-by-k Schur block from the rest.
 
-    Returns ``(W, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``, where the
-    coupling block is removed by a Sylvester solve. Requires the two diagonal
-    blocks to have disjoint spectra, which the ordered split guarantees.
+    Returns ``(W, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``, T1 and T2 still in Schur form.
+    One :func:`_trsyl` on the two diagonal blocks removes the coupling block; their spectra must be
+    disjoint, which the ordered split guarantees.
     """
     n = form.T.shape[0]
     if not 0 <= k <= n:
         raise DimensionError(f"block size {k} outside [0, {n}]")
     if k in (0, n):
         return form.Q.copy(), form.T[:k, :k].copy(), form.T[k:, k:].copy()
-    T1 = form.T[:k, :k]
-    T2 = form.T[k:, k:]
-    from scipy.linalg.lapack import dtrsyl
-
-    # T1 Y - Y T2 = -T12, on blocks that are already quasi-triangular
-    Y, scale, info = dtrsyl(T1, T2, -form.T[:k, k:], isgn=-1)
-    if info < 0:
-        raise NumericalError(f"block decoupling Sylvester solve failed: argument {-info} is invalid")
-    Y /= scale
+    T1, T2 = form.T[:k, :k], form.T[k:, k:]
     V = np.eye(n)
-    V[:k, k:] = Y
+    V[:k, k:] = _trsyl(T1, T2, -form.T[:k, k:], isgn=-1)  # T1 Y - Y T2 = -T12
     return form.Q @ V, T1.copy(), T2.copy()
 
 
 def lyapunov_solve(M, Q) -> np.ndarray:
     """Solve the continuous Lyapunov equation M^T X + X M = -Q.
 
-    Solved as ``T^T Y + Y T = -Z^T Q Z`` on the real Schur form ``M = Z T Z^T``.
-    ``M`` and ``-M^T`` must share no eigenvalue (read off T); otherwise the
-    Sylvester operator is singular and the solve is rejected.
+    Solved as ``T^T Y + Y T = -Z^T Q Z`` (one :func:`_trsyl`) on the real Schur form ``M = Z T Z^T``.
+    ``M`` and ``-M^T`` must share no eigenvalue (read off T), and X must meet its residual bound.
+    An M already in real Schur form needs no factorization: :func:`_trsyl` on it alone solves it.
     """
     mat = as_matrix(M)
     rhs = as_symmetric(Q)
     if mat.shape[0] != mat.shape[1] or mat.shape != rhs.shape:
         raise DimensionError("lyapunov_solve needs square M and Q of equal size")
-    import scipy.linalg as sla
-    from scipy.linalg.lapack import dtrsyl
-
-    try:
-        T, Z = sla.schur(mat, output="real")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
-    spectrum = _schur_spectrum(T)
+    T, Z, spectrum = _real_schur(mat)
     sums = spectrum[:, None] + np.conj(spectrum[None, :])
     size = max(1.0, np.max(np.abs(spectrum)))
     if np.min(np.abs(sums)) <= 1e-12 * size:
         raise NumericalError("singular Lyapunov operator: M and -M^T share an eigenvalue")
-    Y, scale, info = dtrsyl(T, T, -(Z.T @ rhs @ Z), trana="T")
-    if info < 0:
-        raise NumericalError(f"Lyapunov solve failed: argument {-info} is invalid")
-    X = Z @ (Y / scale) @ Z.T
+    X = Z @ _trsyl(T, T, -(Z.T @ rhs @ Z), trana="T") @ Z.T
     X = 0.5 * (X + X.T)
     residual = np.linalg.norm(mat.T @ X + X @ mat + rhs, "fro")
     bound = RECON_TOL * (

@@ -341,7 +341,13 @@ class LureSystem(_ValueEquality):
 
 
 def state_matrix(sys) -> np.ndarray:
-    """The state matrix A of a model (validated when the model was built), or a bare state matrix."""
+    """The state matrix A of a channel-free model (validated when it was built), or a bare state matrix.
+
+    A model with channels is refused: its A is only the linear part, so no answer read off A holds for it.
+    """
+    if hasattr(sys, "A") and sys.channels:
+        raise UnsupportedConfigurationError("this routine reads A alone, only the linear part of a Lur'e model; "
+                                            "use the vertex checks for Lur'e models")
     return sys.A if hasattr(sys, "A") else mc.as_matrix(sys)
 
 

@@ -365,6 +365,20 @@ class TestInterconnect:
         # gain 2 against passivity: the pure-output block goes positive
         assert cli.main(["interconnect", self._loop_file(tmp_path, gamma2=2.0)]) == 1
 
+    def test_failed_open_loop_certificate_is_a_failed_check(self, tmp_path, capsys):
+        # diag(-1, 1) certifies no passivity of msd-c8 at rate 0, and `pdom verify` on it exits 1 too
+        path = self._loop_file(tmp_path)
+        data = json.loads(pathlib.Path(path).read_text())
+        data["lambda"] = 0
+        data["cert1"] = data["cert2"] = {"P": [[-1, 0], [0, 1]], "p": 1}
+        pathlib.Path(path).write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", path]) == 1
+        assert "interconnection failed: an open-loop certificate failed verification" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"] == {
+            "class": "CouplingError", "message": "an open-loop certificate failed verification", "exit_code": 1,
+        }
+
     def test_balanced_gain_pair_loop(self, tmp_path):
         # small-gain pair around the product boundary, expressed with
         # explicitly scaled supplies (storage scaled alike)

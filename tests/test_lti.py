@@ -322,6 +322,76 @@ class TestConstructCertificate:
                 construct_certificate(A, lam, wrong)
 
 
+def _split_battery(rng):
+    """Systems with their rate and p: random ones, p = 0 and p = n ones, and 2x2 Schur blocks on both sides."""
+    for k in range(48):
+        n = 1 + k % 8
+        lam = float(abs(rng.standard_normal()))
+        A, p = random_hyperbolic(rng, n, lam)
+        yield A, lam, p
+        real = np.linalg.eigvals(A).real + lam
+        yield A - (real.max() + 0.5) * np.eye(n), lam, 0
+        yield A - (real.min() - 0.5) * np.eye(n), lam, n
+    for _ in range(12):
+        n = int(rng.integers(4, 9))
+        core = np.diag(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 3.0, n))
+        core[:2, :2] = [[0.4, 1.5], [-1.5, 0.4]]  # unstable pair
+        core[2:4, 2:4] = [[-0.6, 2.5], [-2.5, -0.6]]  # stable pair
+        mix = rng.standard_normal((n, n)) + 3.0 * np.eye(n)
+        A = mix @ core @ np.linalg.inv(mix)
+        yield A, 0.0, int(np.sum(np.linalg.eigvals(A).real > 0))
+
+
+def _reference_storage(A, lam, p):
+    """The storage as built before the construction solved on the split's blocks: a general Lyapunov solve each."""
+    A, W, Winv, T1, T2 = lti._ordered_split(A, lam, p)
+    n = A.shape[0]
+    core = np.zeros((n, n))
+    if p > 0:
+        core[:p, :p] = -mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p))
+    if p < n:
+        core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))
+    P = Winv.T @ core @ Winv
+    return 0.5 * (P + P.T)
+
+
+class TestOneFactorization:
+    def test_storage_is_bitwise_the_general_solve(self, rng):
+        seen = {"p=0": 0, "p=n": 0, "pairs on both sides": 0}
+        for A, lam, p in _split_battery(rng):
+            _, _, _, T1, T2 = lti._ordered_split(A, lam, p)
+            seen["p=0"] += p == 0
+            seen["p=n"] += p == A.shape[0]
+            seen["pairs on both sides"] += bool(np.diagonal(T1, -1).any() and np.diagonal(T2, -1).any())
+            cert = construct_certificate(A, lam, p)
+            assert cert.P.tobytes() == _reference_storage(A, lam, p).tobytes()
+        assert min(seen.values()) >= 10, seen
+
+    def test_one_schur_form_per_certificate(self, rng, monkeypatch):
+        import scipy.linalg
+
+        calls = []
+        schur = scipy.linalg.schur
+        monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+        monkeypatch.setattr(mc, "lyapunov_solve", lambda *a: pytest.fail("lyapunov_solve called"))
+        for A, lam, p in _split_battery(rng):
+            calls.clear()
+            construct_certificate(A, lam, p)
+            assert len(calls) == 1
+
+    def test_modal_rates_read_off_the_schur_diagonal(self, rng, monkeypatch):
+        cases = list(_split_battery(rng))
+        splits = [(lti._ordered_split(A, lam, p), p) for A, lam, p in cases]
+        monkeypatch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigvals called"))
+        modal = [modal_split(A, lam, p) for A, lam, p in cases]
+        monkeypatch.undo()
+        for split, ((_, _, _, T1, T2), p) in zip(modal, splits):
+            if p > 0:
+                assert split.rate_dominant == pytest.approx(-min(np.linalg.eigvals(T1).real), rel=1e-12)
+            if p < T1.shape[0] + T2.shape[0]:
+                assert split.rate_transient == pytest.approx(-max(np.linalg.eigvals(T2).real), rel=1e-12)
+
+
 class TestModalSplit:
     def test_diagonal_case(self):
         split = modal_split(np.diag([-0.2679, -3.7321]), 1.2679, 1)

@@ -10,6 +10,7 @@ from pdom import registry
 from pdom.dissipativity import DissipativityCertificate, SupplyRate, supply_gain, supply_passivity
 from pdom.lti import DominanceCertificate
 from pdom.differential import Channel, LureSystem, Nonlinearity, cubic_saturated, scaled, tabulated
+from pdom.errors import UnsupportedConfigurationError
 from pdom.lti import LtiSystem
 
 SYSTEM_KEYS = {"name", "A", "B", "C", "D", "channels"}
@@ -70,6 +71,26 @@ class TestOneModel:
     def test_default_feedthrough_is_zero(self):
         sys = LtiSystem(A=-np.eye(3), B=np.ones((3, 2)), C=np.ones((1, 3)))
         assert sys.D.shape == (1, 2) and sys.is_strictly_proper and sys.channels == ()
+
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            lambda sys: pdom.eigen_split_test(sys, 0.0, 0),
+            lambda sys: pdom.construct_certificate(sys, 0.0, 0),
+            lambda sys: pdom.modal_split(sys, 0.0, 0),
+            lambda sys: pdom.positivity_probe(
+                sys, pdom.QuadraticCone(P=np.diag([-1.0, 1.0, 1.0, 1.0]), p=1), (1.0,), 4, np.random.default_rng(0)
+            ),
+            lambda sys: pdom.min_gain(sys, np.diag([-1.0, 1.0, 1.0, 1.0]), 1.0),
+            lambda sys: pdom.find_passivity_storage(sys, 1.0, 2),
+        ],
+        ids=["eigen_split_test", "construct_certificate", "modal_split", "positivity_probe", "min_gain",
+             "find_passivity_storage"],
+    )
+    def test_routines_reading_a_refuse_a_lure_model(self, routine):
+        # A is only the linear part of nl-loop: a certificate constructed from it fails 3 of the 4 vertices
+        with pytest.raises(UnsupportedConfigurationError, match="reads A alone"):
+            routine(registry.nonlinear_loop())
 
 
 class TestValueEquality:
