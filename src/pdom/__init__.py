@@ -4,7 +4,7 @@ from .cones import (
     ProjectiveMeasure,
     QuadraticCone,
     positivity_probe,
-    projective_measure_from_split,
+    projective_measure,
     ratio_trace,
 )
 from .differential import (

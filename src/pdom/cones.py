@@ -2,8 +2,10 @@
 
 An indefinite storage P with inertia (p, 0, n-p) induces the cone
 ``K = {x : x^T P x <= 0}``. For a dominant system the flow maps the cone
-boundary strictly into the interior; the projective measure pair (P_u, P_s)
-quantifies the contraction of the transient/dominant alignment ratio.
+boundary strictly into the interior. The projective measure pair (P_u, P_s)
+splits the certificate's storage as ``P = P_s - P_u``, built from the same
+block storages, and quantifies the contraction of the transient/dominant
+alignment ratio S(x)/U(x).
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError
-from .lti import ModalSplit, residual
+from .lti import _block_storages
 from .model import state_matrix
-from .policy import LMI_TOL, PROBE_MARGIN, ZTOL_REL
+from .policy import PROBE_MARGIN, ZTOL_REL
 
 __all__ = [
     "QuadraticCone",
@@ -25,7 +27,7 @@ __all__ = [
     "RatioTrace",
     "boundary_samples",
     "positivity_probe",
-    "projective_measure_from_split",
+    "projective_measure",
     "ratio_trace",
 ]
 
@@ -147,9 +149,11 @@ def positivity_probe(
 
 @dataclass(frozen=True)
 class ProjectiveMeasure:
-    """PSD pair (P_u, P_s) of ranks (p, n-p) with a certified contraction margin.
+    """PSD pair (P_u, P_s) of ranks (p, n-p) whose difference is the certificate's storage.
 
-    Satisfies ``A^T P_u + P_u A >= (-2*rate + eps_hat) P_u`` and
+    ``P_s - P_u`` is the storage P that :func:`pdom.lti.construct_certificate`
+    builds for the same (rate, p). The pair satisfies
+    ``A^T P_u + P_u A >= (-2*rate + eps_hat) P_u`` and
     ``A^T P_s + P_s A <= (-2*rate - eps_hat) P_s`` for the reported
     ``eps_hat > 0``, so the ratio S(x)/U(x) of the two quadratic seminorms
     decays at least like ``exp(-2 eps_hat t)`` along trajectories.
@@ -163,69 +167,42 @@ class ProjectiveMeasure:
     rate: float
 
 
-def projective_measure_from_split(split: ModalSplit) -> ProjectiveMeasure:
-    """Build the projective measure pair from the modal projectors and certify it.
+def projective_measure(sys, lam: float, p: int) -> ProjectiveMeasure:
+    """The projective measure of the p-dominance certificate at rate ``lam``, from its block storages.
 
-    The candidates are the Gram matrices of the two spectral projectors. The
-    construction is existence-backed but not universal: for strongly
-    non-normal blocks the one-sided inequalities can fail, in which case the
-    violated side is reported as an error.
+    With ``A = W blockdiag(T1, T2) W^{-1}`` and the block storages Xu, Xs of
+    :func:`pdom.lti._block_storages`, ``P_u = V_u^T Xu V_u`` and
+    ``P_s = V_s^T Xs V_s``, V_u and V_s being the first p and the last n - p
+    rows of W^{-1}. Each one-sided inequality is a congruence of the block
+    inequality ``M^T X + X M >= eps X`` in modal coordinates, with
+    ``M = T1 + lam I`` for Xu and ``M = -(T2 + lam I)`` for Xs, so ``eps_hat``
+    is the smaller of the two blocks' margins (:func:`_block_margin`).
+    Refused as :func:`pdom.lti.construct_certificate` refuses (a Lur'e model,
+    a bad claim, a p off the split), a trivial split (``ValueError``) and a
+    margin that is not positive (``NumericalError``).
     """
-    if split.a_matrix is None:
-        raise ValueError("modal split does not carry its system matrix")
-    A = split.a_matrix
+    A, Winv, T1, T2, Xu, Xs = _block_storages(sys, lam, p)
     n = A.shape[0]
-    if not 0 < split.p < n:
+    if not 0 < p < n:
         raise ValueError("projective measure needs a nontrivial split (0 < p < n)")
-    P_u = split.projector_dominant.T @ split.projector_dominant
-    P_s = split.projector_transient.T @ split.projector_transient
-    P_u = 0.5 * (P_u + P_u.T)
-    P_s = 0.5 * (P_s + P_s.T)
-
-    eps_u = _one_sided_margin(A, P_u, split.shift, lower=True)
-    eps_s = _one_sided_margin(A, P_s, split.shift, lower=False)
-    if eps_u <= 0:
-        raise NumericalError(
-            f"dominant-side inequality failed (margin {eps_u:.3e}); "
-            "projector-based measure is not valid for this system"
-        )
-    if eps_s <= 0:
-        raise NumericalError(
-            f"transient-side inequality failed (margin {eps_s:.3e}); "
-            "projector-based measure is not valid for this system"
-        )
-    eps_hat = min(eps_u, eps_s)
-    rank_u = mc.inertia_of(P_u).positive
-    rank_s = mc.inertia_of(P_s).positive
-    if rank_u != split.p or rank_s != n - split.p:
-        raise NumericalError("projective measure ranks do not match the split")
-    return ProjectiveMeasure(P_u=P_u, P_s=P_s, rank_u=rank_u, rank_s=rank_s, eps_hat=eps_hat, rate=split.shift)
+    eps_hat = min(_block_margin(T1 + lam * np.eye(p), Xu), _block_margin(-(T2 + lam * np.eye(n - p)), Xs))
+    if eps_hat <= 0:
+        raise NumericalError(f"projective measure has no contraction margin ({eps_hat:.3e})")
+    P_u = Winv[:p].T @ Xu @ Winv[:p]
+    P_s = Winv[p:].T @ Xs @ Winv[p:]
+    return ProjectiveMeasure(P_u=0.5 * (P_u + P_u.T), P_s=0.5 * (P_s + P_s.T), rank_u=p, rank_s=n - p,
+                             eps_hat=eps_hat, rate=lam)
 
 
-def _one_sided_margin(A, P, lam, lower: bool) -> float:
-    """Largest eps with Delta >= eps*P (lower) or -Delta >= eps*P (upper) on range(P).
-
-    Delta = A^T P + P A + 2 lam P shares its range with P by construction,
-    so the generalized eigenproblem restricted to range(P) decides the full
-    matrix inequality.
-    """
-    Delta = residual(A, P, lam)
-    if not lower:
-        Delta = -Delta
-    eigenvalues, eigenvectors = mc.sym_eigen(P)
-    scale = max(1.0, float(np.max(np.abs(eigenvalues))))
-    mask = eigenvalues > ZTOL_REL * scale
-    basis = eigenvectors[:, mask]
-    # residual of Delta outside range(P) must vanish for the restriction to decide
-    off_range = Delta - basis @ (basis.T @ Delta @ basis) @ basis.T
-    if np.linalg.norm(off_range, "fro") > 1e3 * LMI_TOL * max(1.0, np.linalg.norm(Delta, "fro")):
-        raise NumericalError("inequality residual leaks outside the measure's range")
-    M1 = basis.T @ Delta @ basis
-    M2 = basis.T @ P @ basis
+def _block_margin(M: np.ndarray, X: np.ndarray) -> float:
+    """Least eigenvalue of the formed block residual ``M^T X + X M`` relative to the positive definite X."""
     import scipy.linalg as sla  # deferred, as in matrixcore
 
-    values = sla.eigh(0.5 * (M1 + M1.T), 0.5 * (M2 + M2.T), eigvals_only=True)
-    return float(values[0])
+    R = M.T @ X + X @ M
+    try:
+        return float(sla.eigh(0.5 * (R + R.T), X, eigvals_only=True)[0])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"block storage is not positive definite: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -243,15 +220,15 @@ class RatioTrace:
 def ratio_trace(measure: ProjectiveMeasure, trajectory) -> RatioTrace:
     """Evaluate the alignment ratio along a trajectory and check its envelope.
 
-    Truncates (with a flag) if U(x(t)) falls below the zero band; requires
-    U(x(0)) > 0 to start.
+    Truncates (with a flag) if U(x(t)) falls below the zero band
+    ``ZTOL_REL ||P_u||_2 |x(t)|^2``; requires U(x(0)) above it to start.
     """
     states = trajectory.states
     times = trajectory.times
     U = _quadratic_forms(states, measure.P_u)
     S = _quadratic_forms(states, measure.P_s)
-    floor = ZTOL_REL * max(1.0, float(np.linalg.norm(measure.P_u, 2)))
-    scaled_floor = floor * np.maximum(1.0, np.einsum("ij,ij->i", states, states))
+    # the band scales with |x|^2 as U does, so the trace, like S/U, is the same at every scale of x
+    scaled_floor = ZTOL_REL * float(np.linalg.norm(measure.P_u, 2)) * np.einsum("ij,ij->i", states, states)
     if U[0] <= scaled_floor[0]:
         raise ValueError("trajectory starts with no dominant component (U(x(0)) ~ 0)")
     valid = U > scaled_floor

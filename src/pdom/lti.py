@@ -183,7 +183,6 @@ class ModalSplit:
     decay_ceiling: float  # in [1, inf)
     shift: float
     p: int
-    a_matrix: np.ndarray = field(repr=False, default=None)
 
 
 def residual(A, P, lam: float) -> np.ndarray:
@@ -389,27 +388,43 @@ def _ordered_split(sys, lam: float, p: int):
     return A, W, np.linalg.solve(W, np.eye(n)), T1, T2
 
 
+def _block_storages(sys, lam: float, p: int):
+    """The per-block Lyapunov storages of the ordered split: ``(A, W^{-1}, T1, T2, Xu, Xs)``.
+
+    With ``A = W blockdiag(T1, T2) W^{-1}`` (:func:`_ordered_split`), Xu and Xs
+    solve ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``:
+    one ``trsyl`` each on its Schur block, symmetrized. Both M are
+    anti-Hurwitz, so both storages are positive definite; an empty block
+    gives a 0 x 0 storage.
+    """
+    A, W, Winv, T1, T2 = _ordered_split(sys, lam, p)
+    n = A.shape[0]
+    Xu = Xs = np.zeros((0, 0))
+    if p > 0:
+        M = T1 + lam * np.eye(p)
+        X = mc._trsyl(M, M, np.eye(p), trana="T")
+        Xu = 0.5 * (X + X.T)
+    if p < n:
+        M = T2 + lam * np.eye(n - p)
+        X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
+        Xs = 0.5 * (X + X.T)
+    return A, Winv, T1, T2, Xu, Xs
+
+
 def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     """Build a dominance certificate from the ordered Schur split.
 
     The storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}`` where W decouples
-    ``A + lam I`` into its unstable/stable blocks (:func:`_ordered_split`) and
-    Xu, Xs solve the per-block Lyapunov equations with identity right-hand
-    sides, each one ``trsyl`` on its Schur block ``T1 + lam I`` or ``T2 + lam I``.
+    ``A + lam I`` into its unstable/stable blocks and Xu, Xs are the block
+    storages of :func:`_block_storages`, which the projective measure
+    (:func:`pdom.cones.projective_measure`) reads too.
     The storage must pass the family verdict, and it carries a strictly positive margin.
     """
-    A, W, Winv, T1, T2 = _ordered_split(sys, lam, p)
+    A, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)
     n = A.shape[0]
     core = np.zeros((n, n))
-    if p > 0:
-        # (T1 + lam I) is anti-Hurwitz: M^T Xu + Xu M = I
-        M = T1 + lam * np.eye(p)
-        X = mc._trsyl(M, M, np.eye(p), trana="T")
-        core[:p, :p] = -0.5 * (X + X.T)
-    if p < n:
-        M = T2 + lam * np.eye(n - p)
-        X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
-        core[p:, p:] = 0.5 * (X + X.T)
+    core[:p, :p] = -Xu
+    core[p:, p:] = Xs
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
@@ -461,7 +476,6 @@ def modal_split(sys, lam: float, p: int) -> ModalSplit:
         decay_ceiling=decay_ceiling,
         shift=lam,
         p=p,
-        a_matrix=A,
     )
 
 

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import random_hyperbolic
 from pdom import registry, reproduce
-from pdom.cones import QuadraticCone, positivity_probe, projective_measure_from_split, ratio_trace
+from pdom.cones import QuadraticCone, positivity_probe, projective_measure, ratio_trace
 from pdom.dissipativity import dissipation_blocks, min_gain, supply_gain
 from pdom.errors import NonHyperbolicError, SplitMismatchError
 from pdom.interconnect import compose_supply, feedback_compose
@@ -20,7 +20,6 @@ from pdom.lti import (
     check_dominance,
     construct_certificate,
     eigen_split_test,
-    modal_split,
     residual,
 )
 from pdom.matrixcore import expm, inertia_of
@@ -173,8 +172,7 @@ class TestCriterion6Properties:
         total = 0
         for c in (4.0, 8.0):
             sys = registry.msd(c)
-            split = modal_split(sys, registry.KNOWN_RATE, 1)
-            measure = projective_measure_from_split(split)
+            measure = projective_measure(sys, registry.KNOWN_RATE, 1)
             X0 = rng.standard_normal((25, 2))
             # keep a clear dominant component so U(x(0)) > 0
             X0[:, 0] += np.sign(X0[:, 0]) + 0.5

@@ -8,11 +8,11 @@ from pdom.cones import (
     _unit,
     boundary_samples,
     positivity_probe,
-    projective_measure_from_split,
+    projective_measure,
     ratio_trace,
 )
 from pdom.errors import DimensionError, NumericalError
-from pdom.lti import modal_split
+from pdom.lti import _ordered_split, construct_certificate, modal_split
 from pdom.sim import Trajectory, integrate
 
 RATE = registry.KNOWN_RATE
@@ -110,20 +110,17 @@ class TestPositivityProbe:
 
 class TestProjectiveMeasure:
     def test_diagonal_case(self):
-        split = modal_split(np.diag([-0.2679, -3.7321]), 1.2679, 1)
-        measure = projective_measure_from_split(split)
-        assert np.allclose(measure.P_u, np.diag([1.0, 0.0]), atol=1e-12)
-        assert np.allclose(measure.P_s, np.diag([0.0, 1.0]), atol=1e-12)
+        measure = projective_measure(np.diag([-0.2679, -3.7321]), 1.2679, 1)
+        assert np.allclose(measure.P_u, np.diag([0.5, 0.0]), atol=1e-12)
+        assert np.allclose(measure.P_s, np.diag([0.0, 1.0 / (2.0 * 2.4642)]), atol=1e-12)
         assert measure.eps_hat == pytest.approx(2.0, abs=1e-6)
 
     def test_three_state_saddle(self):
-        split = modal_split(np.diag([1.0, -1.0, -2.0]), 0.0, 1)
-        measure = projective_measure_from_split(split)
-        assert np.allclose(measure.P_u, np.diag([1.0, 0.0, 0.0]), atol=1e-12)
+        measure = projective_measure(np.diag([1.0, -1.0, -2.0]), 0.0, 1)
+        assert np.allclose(measure.P_u, np.diag([0.5, 0.0, 0.0]), atol=1e-12)
 
     def test_msd_ranks(self, msd_c4):
-        split = modal_split(msd_c4, RATE, 1)
-        measure = projective_measure_from_split(split)
+        measure = projective_measure(msd_c4, RATE, 1)
         assert (measure.rank_u, measure.rank_s) == (1, 1)
         assert measure.eps_hat > 0
         # certified one-sided inequalities hold as matrix inequalities
@@ -132,6 +129,59 @@ class TestProjectiveMeasure:
         lhs_s = -(A.T @ measure.P_s + measure.P_s @ A) + (-2 * RATE - measure.eps_hat) * measure.P_s
         assert np.linalg.eigvalsh(lhs_u)[0] > -1e-9
         assert np.linalg.eigvalsh(lhs_s)[0] > -1e-9
+
+    def test_trivial_split_rejected(self):
+        with pytest.raises(ValueError, match="nontrivial split"):
+            projective_measure(np.diag([-1.0, -2.0]), 0.0, 0)
+
+
+def _non_normal(rng, n, lam):
+    """``A = S (D + N) S^{-1}`` and its p: D a real Schur form whose spectrum lies 0.1 to 3 off Re = -lam
+    on both sides (with complex pairs), N strictly upper triangular off those pairs, S of condition at most e^2."""
+    while True:
+        D = np.diag(-lam + rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 3.0, n))
+        pairs = [i for i in range(0, n - 1, 2) if rng.random() < 0.3]
+        for i in pairs:
+            D[i + 1, i + 1] = D[i, i]
+            D[i, i + 1] = rng.uniform(0.2, 3.0)
+            D[i + 1, i] = -D[i, i + 1]
+        p = int(np.sum(np.diagonal(D) > -lam))
+        if 0 < p < n:
+            break
+    N = np.triu(rng.standard_normal((n, n)), 1) * rng.choice([0.1, 1.0, 3.0])
+    N[pairs, [i + 1 for i in pairs]] = 0.0
+    Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    S = Q1 @ np.diag(np.exp(rng.uniform(-1.0, 1.0, n))) @ Q2
+    return S @ (D + N) @ np.linalg.inv(S), p
+
+
+class TestMeasureBattery:
+    @pytest.mark.parametrize("lam", [0.0, 0.7, 2.0])
+    def test_holds_on_every_certified_non_normal_system(self, lam):
+        # 400 systems per rate, n = 2..12, each one that construct_certificate accepts: the measure is
+        # built without a NumericalError, its one-sided inequalities hold at eps_hat on their blocks in
+        # modal coordinates (formed in long double), and P_s - P_u is the certificate's storage
+        rng = np.random.default_rng(int(10 * lam) + 21)
+        L = np.longdouble
+        checked = 0
+        while checked < 400:
+            n = int(rng.integers(2, 13))
+            A, p = _non_normal(rng, n, lam)
+            try:
+                cert = construct_certificate(A, lam, p)
+            except NumericalError:
+                continue  # a storage whose conditioning puts an eigenvalue in the zero band
+            measure = projective_measure(A, lam, p)
+            W = _ordered_split(A, lam, p)[1].astype(L)
+            for P, sign, block in ((measure.P_u, 1, slice(0, p)), (measure.P_s, -1, slice(p, n))):
+                P = P.astype(L)
+                inequality = sign * (A.T @ P + P @ A + 2 * lam * P) - L(measure.eps_hat) * P
+                lhs = (W.T @ inequality @ W)[block, block].astype(float)
+                gram = (W.T @ P @ W)[block, block].astype(float)
+                assert np.linalg.eigvalsh(0.5 * (lhs + lhs.T))[0] >= -1e-9 * np.linalg.norm(gram, 2)
+            assert np.abs(measure.P_s - measure.P_u - cert.P).max() <= 1e-9 * np.linalg.norm(cert.P, 2)
+            checked += 1
 
 
 class TestRankTwoCone:
@@ -148,12 +198,10 @@ class TestRankTwoCone:
         assert verdict.passed
 
     def test_spiral_pair_ratio_decay(self):
-        from pdom.lti import modal_split as make_split
-
         A = np.zeros((4, 4))
         A[:2, :2] = [[0.1, 2.0], [-2.0, 0.1]]
         A[2:, 2:] = np.diag([-3.0, -4.0])
-        measure = projective_measure_from_split(make_split(A, 0.0, 2))
+        measure = projective_measure(A, 0.0, 2)
         assert (measure.rank_u, measure.rank_s) == (2, 2)
         traj = integrate(A, [1.0, 0.0, 1.0, -1.0], t_end=4.0, dt=1e-3)
         trace = ratio_trace(measure, traj)
@@ -164,8 +212,7 @@ class TestRankTwoCone:
 class TestRatioTrace:
     def test_closed_form_saddle(self):
         # exact flow of diag(1,-1): ratio is exp(-4t)
-        split = modal_split(np.diag([1.0, -1.0]), 0.0, 1)
-        measure = projective_measure_from_split(split)
+        measure = projective_measure(np.diag([1.0, -1.0]), 0.0, 1)
         times = np.linspace(0.0, 3.0, 61)
         states = np.column_stack([np.exp(times), np.exp(-times)])
         traj = Trajectory(t0=0.0, dt=times[1] - times[0], states=states)
@@ -174,8 +221,7 @@ class TestRatioTrace:
         assert trace.envelope_ok and not trace.truncated
 
     def test_msd_monotone_decay(self, msd_c4):
-        split = modal_split(msd_c4, RATE, 1)
-        measure = projective_measure_from_split(split)
+        measure = projective_measure(msd_c4, RATE, 1)
         traj = integrate(msd_c4, [1.0, 1.0], t_end=5.0, dt=1e-3)
         trace = ratio_trace(measure, traj)
         assert trace.envelope_ok
@@ -184,7 +230,7 @@ class TestRatioTrace:
 
     def test_dominant_start_stays_zero(self, msd_c4):
         split = modal_split(msd_c4, RATE, 1)
-        measure = projective_measure_from_split(split)
+        measure = projective_measure(msd_c4, RATE, 1)
         x0 = split.projector_dominant @ np.array([1.0, 1.0])
         traj = integrate(msd_c4, x0, t_end=2.0, dt=1e-3)
         trace = ratio_trace(measure, traj)
@@ -192,8 +238,22 @@ class TestRatioTrace:
 
     def test_rejects_transient_start(self, msd_c4):
         split = modal_split(msd_c4, RATE, 1)
-        measure = projective_measure_from_split(split)
+        measure = projective_measure(msd_c4, RATE, 1)
         x0 = split.projector_transient @ np.array([1.0, 1.0])
         traj = integrate(msd_c4, x0, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError):
             ratio_trace(measure, traj)
+
+    def test_scale_invariant(self, msd_c4):
+        # S/U is homogeneous of degree 0: a start scaled by s gives the same trace
+        measure = projective_measure(msd_c4, RATE, 1)
+        traces = [
+            ratio_trace(measure, integrate(msd_c4, [s, s], t_end=5.0, dt=1e-3))
+            for s in (1.0, 1e-4, 1e-8, 1e-12, 1e6)
+        ]
+        reference = traces[0]
+        assert not reference.truncated and len(reference.ratio) == 5001
+        for trace in traces[1:]:
+            assert trace.truncated == reference.truncated
+            assert len(trace.ratio) == len(reference.ratio)
+            assert np.max(np.abs(trace.ratio - reference.ratio)) <= 1e-6 * reference.ratio[0]

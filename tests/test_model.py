@@ -83,9 +83,10 @@ class TestOneModel:
             ),
             lambda sys: pdom.min_gain(sys, np.diag([-1.0, 1.0, 1.0, 1.0]), 1.0),
             lambda sys: pdom.find_passivity_storage(sys, 1.0, 2),
+            lambda sys: pdom.projective_measure(sys, 1.0, 2),
         ],
         ids=["eigen_split_test", "construct_certificate", "modal_split", "positivity_probe", "min_gain",
-             "find_passivity_storage"],
+             "find_passivity_storage", "projective_measure"],
     )
     def test_routines_reading_a_refuse_a_lure_model(self, routine):
         # A is only the linear part of nl-loop: a certificate constructed from it fails 3 of the 4 vertices
