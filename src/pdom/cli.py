@@ -136,6 +136,18 @@ def _parse_vector(text: str) -> np.ndarray:
     return vector
 
 
+def _verdict_entry(check: str, verdict) -> dict:
+    """A certificate check's report entry: the verdict's ``to_dict`` plus its failure witness.
+
+    ``witness`` (the unit eigenvector) and ``witness_corner`` name the failing vertex with the largest
+    ``lmax`` on a residual violation, and are null otherwise; they stay out of ``to_dict``, which ``==`` reads.
+    """
+    witness, corner = verdict.witness, verdict.witness_corner
+    return {"check": check, **verdict.to_dict(),
+            "witness": None if witness is None else witness.tolist(),
+            "witness_corner": None if corner is None else list(corner)}
+
+
 def cmd_analyze(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "seed": args.seed}
@@ -149,7 +161,7 @@ def cmd_analyze(args, report: RunReport) -> int:
     cert = construct_certificate(system, args.rate, args.p)
     verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
-    report.verdicts.append({"check": "dominance", **verdict.to_dict()})
+    report.verdicts.append(_verdict_entry("dominance", verdict))
     return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
@@ -174,7 +186,7 @@ def cmd_verify(args, report: RunReport) -> int:
     else:
         cert = DissipativityCertificate.from_dict({**cert_data, "supply": supply_data}, r=system.r, m=system.m)
         verdict = verify_dissipativity(system, cert)
-    report.verdicts.append({"check": "dominance" if supply_data is None else "dissipativity", **verdict.to_dict()})
+    report.verdicts.append(_verdict_entry("dominance" if supply_data is None else "dissipativity", verdict))
     return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
@@ -194,7 +206,7 @@ def cmd_certify(args, report: RunReport) -> int:
         cert = construct_certificate(system, args.rate, args.p)
         verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
-    report.verdicts.append({"check": "certificate", **verdict.to_dict()})
+    report.verdicts.append(_verdict_entry("certificate", verdict))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)

@@ -24,9 +24,11 @@ __all__ = [
     "SchurForm",
     "as_matrix",
     "as_symmetric",
+    "frobenius",
     "sym_eigen",
     "sym_eigvals",
     "inertia_of",
+    "positive_definite",
     "schur_split",
     "block_diagonalize",
     "lyapunov_solve",
@@ -65,20 +67,59 @@ def as_symmetric(value) -> np.ndarray:
     flipped = mat.swapaxes(-1, -2)
     if not (mat != flipped).any():  # exactly symmetric, such as every verifier block: no allowance, no average
         return mat.copy()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         skew = np.abs(mat - flipped).max(axis=(-2, -1))
-        size = np.sqrt((mat * mat).sum(axis=(-2, -1)))
-        if not np.isfinite(size).all():  # ||S||_F past ~1e154: sum the squares of S / max|S| instead
-            peak = np.abs(mat).max(axis=(-2, -1))
-            scaled = peak * np.sqrt(((mat / peak[..., None, None]) ** 2).sum(axis=(-2, -1)))
-            size = np.where(np.isfinite(size), size, scaled)
-        allowance = SYM_TOL * np.maximum(1.0, size)
+        allowance = SYM_TOL * np.maximum(1.0, frobenius(mat))
         if (skew > allowance).any():
             raise DimensionError(f"matrix is not symmetric (max asymmetry {np.max(skew):.3e})")
         averaged = 0.5 * (mat + flipped)
     if not np.isfinite(averaged).all():
         raise NumericalError("symmetrized matrix overflows")
     return averaged
+
+
+def frobenius(mat: np.ndarray) -> np.ndarray:
+    """``||S||_F`` of each matrix of a finite ``(..., n, n)`` stack.
+
+    Where the squares overflow (``||S||_F`` past about 1e154) the sum is taken over S / max|S|.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        size = np.sqrt((mat * mat).sum(axis=(-2, -1)))
+        if not np.isfinite(size).all():
+            peak = np.abs(mat).max(axis=(-2, -1))
+            scaled = peak * np.sqrt(((mat / peak[..., None, None]) ** 2).sum(axis=(-2, -1)))
+            size = np.where(np.isfinite(size), size, scaled)
+    return size
+
+
+def positive_definite(S) -> np.ndarray:
+    """One flag per matrix of a finite symmetric ``(..., n, n)`` stack: is it positive definite?
+
+    A matrix is positive definite when every pivot of its unpivoted Cholesky
+    factorization is positive. Each matrix is factored scaled by its largest
+    |entry|, the whole stack in n steps with each entry held as one row over
+    the stack, and the answer is a flag, never an exception
+    (``np.linalg.cholesky`` raises on the first failure). Scaled so, the
+    diagonal of each Schur complement stays at most 1, so a positive definite
+    matrix has ``c_i^2 < d`` for every entry c_i of each pivot column, d being
+    the pivot. A column that breaks this makes a 2 x 2 principal minor
+    non-positive: the matrix is declared not definite at that step, and its
+    later multipliers are zero, so nothing overflows. A 0 x 0 matrix is
+    positive definite.
+    """
+    mat = np.asarray(S, dtype=float)
+    n = mat.shape[-1]
+    M = mat.transpose(mat.ndim - 2, mat.ndim - 1, *range(mat.ndim - 2)).copy()
+    peak = np.maximum(M.max(axis=(0, 1), initial=0.0), -M.min(axis=(0, 1), initial=0.0))
+    M /= np.where(peak > 0.0, peak, 1.0)
+    ok = np.ones(mat.shape[:-2], dtype=bool)
+    for _ in range(n - 1):
+        pivot, column = M[0, 0], M[1:, 0]
+        ok &= (column * column).max(axis=0) < pivot
+        L = column / np.sqrt(np.where(ok, pivot, np.inf))
+        M = M[1:, 1:]
+        M -= L[:, None] * L[None, :]
+    return ok & (M[0, 0] > 0.0) if n else ok
 
 
 @dataclass(frozen=True)

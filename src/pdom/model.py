@@ -10,7 +10,6 @@ their ``to_dict()`` values are equal.
 
 from __future__ import annotations
 
-import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -354,30 +353,49 @@ def state_matrix(sys) -> np.ndarray:
 def hull_points(sys: LureSystem, slopes) -> np.ndarray:
     """``A + sum_i s_i g_i h_i^T`` for each row s of the ``(N, k)`` slopes, as an ``(N, n, n)`` stack.
 
-    The channel terms are added one channel at a time, in channel order.
+    The channel terms are added one channel at a time, in channel order. Slopes that are not a
+    finite ``(N, k)`` array, k being the model's channel count, are refused.
     """
     slopes = np.asarray(slopes, dtype=float)
+    k = len(sys.channels)
+    if slopes.ndim != 2 or slopes.shape[1] != k:
+        raise DimensionError(f"slopes must be an (N, {k}) array, one column per channel; got shape {slopes.shape}")
+    if not np.isfinite(slopes).all():
+        raise ValueError("slopes must be finite")
     J = np.repeat(sys.A[None], slopes.shape[0], axis=0)
     for i, ch in enumerate(sys.channels):
         J += slopes[:, i, None, None] * np.outer(ch.g, ch.h)
     return J
 
 
-def vertex_family(sys: LureSystem) -> tuple[np.ndarray, tuple[tuple[float, ...], ...]]:
+def vertex_family(sys: LureSystem) -> tuple[np.ndarray, np.ndarray]:
     """All sign-corner substitutions of the channel slopes into the Jacobian, as (matrices, corners).
 
     The convex hull of the ``(2^k, n, n)`` matrices contains every state
-    Jacobian; the ``i``-th matrix has the slopes ``corners[i]``, in
-    ``itertools.product`` order over the channels. A family of more than
-    ``MAX_VERTICES`` corners is refused before any corner is built.
+    Jacobian; the ``i``-th matrix has the slopes ``corners[i]``, a row of the
+    ``(2^k, k)`` corners, in ``itertools.product`` order over the channels.
+    The family is built by doubling, one channel at a time: each matrix so
+    far is followed by its two extensions, ``J + alpha g h^T`` and
+    ``J + beta g h^T``. Every corner gets its channel terms added in channel
+    order, so each matrix is bitwise the :func:`hull_points` result for its
+    corner. A family of more than ``MAX_VERTICES`` corners is refused before
+    any corner is built.
     """
-    if 2 ** len(sys.channels) > MAX_VERTICES:
-        raise UnsupportedConfigurationError(
-            f"{len(sys.channels)} channels make 2^{len(sys.channels)} vertices, more than {MAX_VERTICES}"
-        )
+    k = len(sys.channels)
+    if 2**k > MAX_VERTICES:
+        raise UnsupportedConfigurationError(f"{k} channels make 2^{k} vertices, more than {MAX_VERTICES}")
     for ch in sys.channels:
         if not (np.isfinite(ch.alpha) and np.isfinite(ch.beta)):
             raise ValueError("vertex relaxation needs finite slope bounds")
-    ranges = [(float(ch.alpha), float(ch.beta)) for ch in sys.channels]
-    corners = tuple(itertools.product(*ranges))
-    return hull_points(sys, corners), corners
+    n = sys.n
+    J = sys.A.copy()[None]
+    for ch in sys.channels:
+        step = np.outer(ch.g, ch.h)
+        doubled = np.empty((len(J), 2, n, n))
+        np.add(J, float(ch.alpha) * step, out=doubled[:, 0])
+        np.add(J, float(ch.beta) * step, out=doubled[:, 1])
+        J = doubled.reshape(-1, n, n)
+    # bit k - 1 - i of a vertex's index picks channel i's bound: the first channel varies slowest
+    upper = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
+    corners = np.where(upper, [float(ch.beta) for ch in sys.channels], [float(ch.alpha) for ch in sys.channels])
+    return J, corners

@@ -143,6 +143,35 @@ class TestVerify:
              "witness_eigenvalue": 4.0, "split_ok": None}
         ]
 
+    def test_failed_report_names_the_witness_vector_and_corner(self, tmp_path):
+        # the vertex at slope -3 fails at rate 0.5: the report carries its corner and the top eigenvector of its residual
+        from pdom.differential import hull_points
+        from pdom.lti import residual
+
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"P": [[-1.0, 0.0], [0.0, 1.0]], "lambda": 0.5, "p": 1}))
+        canonical = []
+        for _ in range(2):
+            report = cli.RunReport(command="verify")
+            args = cli.build_parser().parse_args(["verify", "nl-msd", str(cert_path)])
+            assert args.func(args, report) == cli.EXIT_CRITERION_FAILED
+            canonical.append(report.canonical_json())
+        assert canonical[0] == canonical[1]
+        verdict = json.loads(canonical[0])["verdicts"][0]
+        assert verdict["witness_corner"] == [-3.0]
+        v = np.array(verdict["witness"])
+        J = hull_points(registry.builtin_system("nl-msd"), [[-3.0]])[0]
+        assert np.linalg.norm(v) == pytest.approx(1.0)
+        assert v @ residual(J, np.diag([-1.0, 1.0]), 0.5) @ v == pytest.approx(verdict["worst_lmax"], rel=1e-12)
+
+    def test_passing_report_has_no_witness(self, tmp_path):
+        cert_path = tmp_path / "cert.json"
+        cert_path.write_text(json.dumps({"P": registry.DIFF_STORAGE_VELOCITY.tolist(), "lambda": 1.0, "p": 1}))
+        report_path = tmp_path / "report.json"
+        assert cli.main(["--report", str(report_path), "verify", "nl-msd", str(cert_path)]) == 0
+        verdict = json.loads(report_path.read_text())["verdicts"][0]
+        assert verdict["witness"] is None and verdict["witness_corner"] is None
+
     @pytest.mark.parametrize(
         "file, text, message",
         [

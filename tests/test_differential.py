@@ -13,6 +13,7 @@ from pdom.differential import (
     check_diff_dissipativity,
     check_diff_dominance,
     cubic_saturated,
+    hull_points,
     jacobian,
     scaled,
     tabulated,
@@ -295,7 +296,7 @@ class TestResultEquality:
     def test_equal_values_compare_equal(self):
         sys = registry.nonlinear_msd("velocity", "monotone")
         (first_matrices, first_corners), (second_matrices, second_corners) = vertex_family(sys), vertex_family(sys)
-        assert first_matrices.tobytes() == second_matrices.tobytes() and first_corners == second_corners
+        assert first_matrices.tobytes() == second_matrices.tobytes() and np.array_equal(first_corners, second_corners)
         first = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         second = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         # the failing vertex is the witness, whose vector stays out of ==
@@ -308,7 +309,7 @@ class TestResultEquality:
     def test_different_values_compare_unequal(self):
         monotone = registry.nonlinear_msd("velocity", "monotone")
         cubic = registry.nonlinear_msd("velocity", "cubic")
-        assert vertex_family(monotone)[1] != vertex_family(cubic)[1]
+        assert not np.array_equal(vertex_family(monotone)[1], vertex_family(cubic)[1])
         at_zero = check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.0)
         assert at_zero != check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.5)
         assert at_zero.vertices[0] != at_zero.vertices[1]
@@ -353,13 +354,20 @@ class TestStackedFamily:
     """The vertex family is one (2^k, n, n) stack, checked with stacked solves."""
 
     def test_matrices_are_the_hull_points_in_product_order(self, rng):
-        sys = _mixed_channel_system(rng)
-        matrices, corners = vertex_family(sys)
-        k = len(sys.channels)
-        assert matrices.shape == (2**k, sys.n, sys.n)
-        assert corners == tuple(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
-        for J, corner in zip(matrices, corners):
-            assert J.tobytes() == _hull_point_by_channel(sys, corner).tobytes()
+        # k = 0...12 channels: the seven mixed ones, then one whose bounds coincide, then the mixed ones again
+        mixed = _mixed_channel_system(rng)
+        fixed = Channel(g=rng.standard_normal(mixed.n), h=rng.standard_normal(mixed.n),
+                        sigma=tabulated([0.0, 1.0], [0.0, 0.7]), alpha=0.7, beta=0.7)
+        for k in range(13):
+            channels = (mixed.channels + (fixed,) + mixed.channels)[:k]
+            sys = LureSystem(A=mixed.A, B=mixed.B, C=mixed.C, channels=channels)
+            matrices, corners = vertex_family(sys)
+            assert matrices.shape == (2**k, sys.n, sys.n) and corners.shape == (2**k, k)
+            product = list(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
+            assert corners.tolist() == [list(corner) for corner in product]
+            assert matrices.tobytes() == hull_points(sys, product).tobytes()
+            for i in range(0, 2**k, max(1, 2**k // 64)):
+                assert matrices[i].tobytes() == _hull_point_by_channel(sys, product[i]).tobytes()
 
     def test_jacobian_is_the_hull_point_of_its_slopes(self, rng):
         sys = _mixed_channel_system(rng)
@@ -383,7 +391,7 @@ class TestStackedFamily:
             got, single = verdict.vertices[i], check_dominance(matrices[i], cert).vertices[0]
             assert got.lmax.hex() == single.lmax.hex()
         top = max(failing, key=lambda i: verdict.vertices[i].lmax)
-        assert verdict.witness_corner == corners[top]
+        assert verdict.witness_corner == tuple(corners[top])
         single = check_dominance(matrices[top], cert)
         assert verdict.witness.tobytes() == single.witness.tobytes()
         # the vector the stacked eigh would give that vertex
@@ -399,7 +407,7 @@ class TestStackedFamily:
             assert v.status == single.vertices[0].status
             if v.status == "residual_violation":
                 assert v.lmax.hex() == single.vertices[0].lmax.hex()
-        top = corners.index(verdict.witness_corner)
+        top = corners.tolist().index(list(verdict.witness_corner))
         assert verdict.vertices[top].lmax == verdict.worst_lmax
         assert verdict.witness.tobytes() == singles[top].witness.tobytes()
 
@@ -440,6 +448,86 @@ class TestStackedFamily:
         verdict = check_diff_dissipativity(sys, np.eye(1), 0.0, supply, p=0)
         assert verdict.passed
         assert [v.split_ok for v in verdict.vertices] == [False, False]
+
+
+_SHIPPED_CLAIMS = [
+    ("nl-msd", registry.DIFF_STORAGE_VELOCITY, 1.0),
+    ("nl-msd", registry.DIFF_STORAGE_VELOCITY, 0.5),
+    ("nl-msd-monotone", registry.MONOTONE_STORAGE, 0.0),
+    ("nl-msd-contractive", registry.MONOTONE_STORAGE, 0.0),
+    ("nl-msd-mixed", registry.DIFF_STORAGE_MIXED, 1.0),
+    ("nl-loop", np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED), 1.0),
+]
+
+
+class TestVerdictColumns:
+    """A verdict keeps its vertices as columns; its records and summaries are those the single checks give."""
+
+    @staticmethod
+    def _records(sys, P, lam, p, supply=None):
+        """Each vertex's record from the single-matrix check on it and the split test, in product order."""
+        corners = list(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
+        records = []
+        for J, corner in zip(hull_points(sys, corners), corners):
+            if supply is None:
+                single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
+            else:
+                cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
+                single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C, D=sys.D), cert)
+            (vertex,) = single.vertices
+            records.append(lti.VertexVerdict(corner, vertex.passed, vertex.status, vertex.lmax,
+                                             eigen_split_test(J, lam, p).passed))
+        return tuple(records)
+
+    @pytest.mark.parametrize("name, P, lam", _SHIPPED_CLAIMS)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("with_supply", [False, True])
+    def test_columns_give_the_records_of_the_single_checks(self, name, P, lam, sign, with_supply):
+        sys = registry.builtin_system(name)
+        S = sign * P
+        supply = supply_gain(2.0, sys.r, sys.m) if with_supply else None
+        nu = inertia_of(S).negative
+        for p in (nu, (nu + 1) % (sys.n + 1)):
+            if supply is None:
+                verdict = check_diff_dominance(sys, S, lam, p=p)
+            else:
+                verdict = check_diff_dissipativity(sys, S, lam, supply, p=p)
+            records = self._records(sys, S, lam, p, supply)
+            assert verdict.vertices == records
+            assert verdict.status == next((v.status for v in records if not v.passed), "pass")
+            assert verdict.passed is all(v.passed for v in records)
+            assert verdict.failing_corners == tuple(v.corner for v in records if not v.passed)
+            expected = None
+            if verdict.status == "residual_violation":
+                expected = max((v for v in records if not v.passed), key=lambda v: v.lmax).corner
+            assert verdict.witness_corner == expected
+            assert verdict.worst_lmax == max(v.lmax for v in records)
+            assert verdict.to_dict()["vertices"] == [
+                {"corner": list(v.corner), "passed": v.passed, "status": v.status, "lmax": v.lmax,
+                 "witness_eigenvalue": v.lmax if v.status == "residual_violation" else None, "split_ok": v.split_ok}
+                for v in records
+            ]
+
+    def test_records_are_built_once(self):
+        verdict = check_diff_dominance(registry.builtin_system("nl-loop"), np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED), 1.0)
+        assert verdict.vertices is verdict.vertices
+
+
+class TestHullPoints:
+    def test_slopes_must_be_one_column_per_channel(self):
+        sys = registry.builtin_system("nl-msd")
+        assert hull_points(sys, [[1.0]]).shape == (1, 2, 2)
+        assert hull_points(sys, np.empty((0, 1))).shape == (0, 2, 2)
+        for slopes in ([[1.0, 5.0, 7.0]], [1.0], 1.0, [[[1.0]]], np.empty((3, 0))):
+            with pytest.raises(DimensionError, match="one column per channel"):
+                hull_points(sys, slopes)
+        with pytest.raises(DimensionError):
+            hull_points(registry.builtin_system("msd-c4"), [[1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_slopes_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            hull_points(registry.builtin_system("nl-loop"), [[0.0, bad]])
 
 
 def _planted_lure(rng, n, k, gain):
@@ -530,6 +618,22 @@ class TestSplitFromResidual:
         assert [v.split_ok for v in flipped.vertices] == [
             eigen_split_test(J, lam, 4 - p).passed for J in matrices
         ]
+
+    @pytest.mark.parametrize("k, residual_solves", [(5, [(32, 4, 4)]), (6, [])])
+    def test_large_dissipativity_families_solve_no_residual_stack(self, monkeypatch, k, residual_solves):
+        # from lti._PIVOT_MIN_VERTICES = 64 vertices up, the residuals' definiteness comes from pivots
+        sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, k, gain=1.0)
+        supply = supply_gain(2.0, 1, 1)
+        shapes = []
+        original = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: shapes.append(np.shape(M)) or original(M))
+        verdicts = [check_diff_dissipativity(sys, S, lam, supply) for S in (P, -P)]
+        monkeypatch.undo()
+        assert lti._PIVOT_MIN_VERTICES == 64
+        assert shapes == [(4, 4), (2**k, 5, 5), *residual_solves] * 2
+        matrices, _ = vertex_family(sys)
+        for verdict in verdicts:
+            assert verdict.split_ok.tolist() == [eigen_split_test(J, lam, verdict.p).passed for J in matrices]
 
     def test_zero_band_storage_falls_back_on_every_vertex(self, monkeypatch):
         sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, 8, gain=1.0)

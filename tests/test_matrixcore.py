@@ -116,6 +116,66 @@ class TestInertia:
             assert mc.inertia_of(T.T @ S @ T).as_tuple() == mc.inertia_of(S).as_tuple()
 
 
+class TestPositiveDefinite:
+    """One flag per matrix from the pivots of its unpivoted Cholesky factorization, never an exception."""
+
+    SCALES = (1e-150, 1e-75, 1e-12, 1.0, 1e12, 1e75, 1e150)
+
+    @staticmethod
+    def _stack(rng, n, count=40):
+        """Definite, negative definite and indefinite matrices, each with its smallest |eigenvalue| at least 1e-6 of its largest."""
+        V = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        w = rng.uniform(1e-6, 1.0, (count, n)) * rng.choice([-1.0, 1.0], (count, n))
+        w[: count // 4] = np.abs(w[: count // 4])
+        w[count // 4 : count // 2] = -np.abs(w[count // 4 : count // 2])
+        S = (V * w[:, None, :]) @ V.swapaxes(-1, -2)
+        return 0.5 * (S + S.swapaxes(-1, -2))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_eigvalsh_signs(self, rng, n):
+        base = self._stack(rng, n)
+        for scale in self.SCALES:
+            S = scale * base
+            lam = np.linalg.eigvalsh(S)
+            # a sign eigvalsh itself leaves open is not compared: every |eigenvalue| must clear its rounding
+            clear = np.abs(lam).min(axis=-1) > 1e-9 * np.abs(lam).max(axis=-1)
+            assert clear.all()
+            with np.errstate(all="raise"):
+                flags = mc.positive_definite(S)
+            assert flags.dtype == bool and flags.shape == (len(S),)
+            assert np.array_equal(flags, lam[:, 0] > 0)
+            assert 0 < flags.sum() < len(S)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_singular_matrices_are_not_definite(self, rng, n):
+        # a definite matrix with one row and column zeroed, the zero matrix, and a diagonal with a zero entry
+        definite = np.array([M @ M.T + np.eye(n) for M in rng.standard_normal((6, n, n))])
+        for i, M in enumerate(definite[:4]):
+            M[i % n, :] = 0.0
+            M[:, i % n] = 0.0
+        definite[4] = 0.0
+        definite[5] = np.diag(np.r_[np.ones(n - 1), 0.0])
+        for scale in self.SCALES:
+            with np.errstate(all="raise"):
+                flags = mc.positive_definite(scale * definite)
+            assert not flags.any()
+            assert (np.linalg.eigvalsh(scale * definite)[:, 0] <= 1e-12 * scale * np.abs(definite).max()).all()
+
+    def test_a_tiny_pivot_does_not_overflow(self):
+        # the second pivot is 1e-320: a multiplier 0.5 / sqrt(1e-320) would square past the float range
+        S = np.array([[[1.0, 0.0, 0.0], [0.0, 1e-320, 0.5], [0.0, 0.5, 1.0]],
+                      [[1.0, 0.0, 0.0], [0.0, 1e-300, 1e-160], [0.0, 1e-160, 1.0]]])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            flags = mc.positive_definite(S)
+        assert flags.tolist() == [False, True]
+
+    def test_shapes(self):
+        assert mc.positive_definite(np.eye(3)).shape == ()
+        assert bool(mc.positive_definite(np.eye(3))) and not mc.positive_definite(-np.eye(3))
+        assert mc.positive_definite(np.zeros((2, 5, 0, 0))).tolist() == [[True] * 5] * 2
+        assert mc.positive_definite(np.ones((2, 3, 1, 1))).all()
+
+
 class TestSchurSplit:
     def test_msd_shifted_split(self, msd_c4):
         form, unstable = mc.schur_split(msd_c4.A, 1.2679)
