@@ -99,8 +99,9 @@ class DifferentialVerdict(_ValueEquality):
     The per-vertex outcomes are kept as columns, one row per vertex in family
     order: ``corners`` (the ``(2^k, k)`` slopes; one empty row for a
     channel-free model), ``vertex_passed``, ``lmax`` (each block's top
-    eigenvalue) and ``split_ok`` (None without channels). ``vertices``, one
-    :class:`VertexVerdict` record per row, is built from them when first read.
+    eigenvalue) and ``split_ok`` (None without channels), read-only arrays
+    of their own. ``vertices``, one :class:`VertexVerdict` record per row, is
+    built from them when first read.
     ``status`` is "pass", or the status every failing vertex shares. On a
     residual failure the verdict keeps the block of the failing vertex with
     the largest ``lmax`` (``witness_corner``), outside ``==`` and
@@ -154,9 +155,13 @@ class DifferentialVerdict(_ValueEquality):
 
     @functools.cached_property
     def vertices(self) -> tuple[VertexVerdict, ...]:
-        # row by row, with one float object per distinct slope, so the records hold no copy of each slope per vertex
-        slopes = {}
-        corners = (tuple(map(slopes.setdefault, row, row)) for row in map(np.ndarray.tolist, self.corners))
+        # column by column, one float object per distinct slope (by bit pattern, so -0.0 stays -0.0): the
+        # records hold no copy of each slope per vertex
+        columns = []
+        for column in self.corners.T:
+            _, first, index = np.unique(column.view(np.uint64), return_index=True, return_inverse=True)
+            columns.append(list(map(column[first].tolist().__getitem__, index.tolist())))
+        corners = zip(*columns) if columns else [()] * len(self.lmax)
         return tuple(VertexVerdict(*row) for row in self._rows(corners))
 
     def to_dict(self) -> dict:
@@ -261,11 +266,6 @@ def dissipation_blocks(R, sys, P, supply, epsilon: float = 0.0) -> np.ndarray:
 
 _NO_CORNER = np.empty((1, 0))  # the corners of a channel-free model's one vertex
 _NO_CORNER.flags.writeable = False
-# From this many vertices up, a dissipativity check reads its residuals' definiteness off the pivots
-# (:func:`_definite_residuals`); below it, one eigensolve of the residual stack costs less than the
-# pivots' fixed cost of 2(n - 1) stacked steps. At n = 6 a whole check took 0.21 ms with the pivots
-# and 0.19 ms with the eigensolve at 32 vertices, and 0.27 ms and 0.30 ms at 64.
-_PIVOT_MIN_VERTICES = 64
 
 
 def _check_claim(lam: float, p: int, n: int, epsilon: float = 0.0) -> None:
@@ -342,15 +342,15 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=No
     in one call, and a vertex passes when P has the claimed inertia
     (p, 0, n - p) and ``lmax(block) <= -epsilon + LMI_TOL`` (``<= LMI_TOL``
     for a dissipation block). R's definiteness margins come from the block
-    spectra when R is the block stack. A dissipativity check reads them off
+    spectra when R is the block stack; a dissipativity check reads them off
     the pivots of ``-R - delta I`` and ``R - delta I``
-    (:func:`_definite_residuals`, with ``delta`` taking ``||R||_F >= ||R||_2``)
-    on a family of at least ``_PIVOT_MIN_VERTICES`` vertices, and off R's own
-    spectra, one more eigensolve, on a smaller one. A residual failure keeps a
-    copy of the block with the largest ``lmax``, whose eigenvector the verdict
-    solves only when its ``witness`` is read. An omitted p is read from P's
-    inertia, and a storage with an eigenvalue in the zero band is then
-    refused; a claim that breaks :func:`_check_claim` is a ``ValueError``.
+    (:func:`_definite_residuals`, with ``delta`` taking ``||R||_F >= ||R||_2``),
+    so it solves no spectrum of R. The verdict's columns are read-only. A
+    residual failure keeps a copy of the block with the largest ``lmax``,
+    whose eigenvector the verdict solves only when its ``witness`` is read.
+    An omitted p is read from P's inertia, and a storage with an eigenvalue
+    in the zero band is then refused; a claim that breaks
+    :func:`_check_claim` is a ``ValueError``.
     """
     storage = mc.sym_eigvals(P)
     _check_claim(lam, 0 if p is None else p, storage.size, epsilon)
@@ -365,7 +365,7 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=No
     stack = R if supply is None else dissipation_blocks(R, sys, P, supply, epsilon)
     inertia_ok = inertia.matches(p)
     eigenvalues = mc.sym_eigvals(stack)
-    lmax = eigenvalues[:, -1]
+    lmax = eigenvalues[:, -1].copy()  # a column of its own: the verdict keeps no spectrum alive
     passed = (lmax <= (-epsilon if supply is None else 0.0) + LMI_TOL) & inertia_ok
     all_passed = bool(passed.all())
     # with the claimed inertia every failing vertex tops every passing one: the witness is the first argmax
@@ -374,14 +374,17 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=No
     split_ok = None
     if channels:
         floor = 2.0 * SPLIT_TOL * abs(storage).max()
-        if supply is not None and len(R) >= _PIVOT_MIN_VERTICES:
-            negative, positive = _definite_residuals(R, floor)
+        if supply is None:
+            lmin = eigenvalues[:, 0]
+            delta = floor + RECON_TOL * np.maximum(abs(lmin), abs(lmax))
+            negative, positive = lmax < -delta, lmin > delta
         else:
-            spectra = eigenvalues if supply is None else mc.sym_eigvals(R)
-            lmin, top = spectra[:, 0], spectra[:, -1]
-            delta = floor + RECON_TOL * np.maximum(abs(lmin), abs(top))
-            negative, positive = top < -delta, lmin > delta
+            negative, positive = _definite_residuals(R, floor)
         split_ok = _vertex_splits(matrices, lam, p, inertia, negative, positive)
+        split_ok.setflags(write=False)
+        corners.setflags(write=False)  # a channel-free model's _NO_CORNER is read-only already
+    passed.setflags(write=False)
+    lmax.setflags(write=False)
     return DifferentialVerdict(
         passed=all_passed,
         p=p,

@@ -512,6 +512,34 @@ class TestVerdictColumns:
         verdict = check_diff_dominance(registry.builtin_system("nl-loop"), np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED), 1.0)
         assert verdict.vertices is verdict.vertices
 
+    def test_record_corners_keep_each_slope_bit_for_bit(self):
+        # -0.0 and 0.0 compare equal, but a record's corner is the slope the channel declares
+        sigma = tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0])
+        channels = tuple(Channel(g=[0.0, 1.0], h=[1.0, 0.0], sigma=sigma, alpha=a, beta=1.0) for a in (-0.0, 0.0))
+        sys = LureSystem(A=[[0.0, 1.0], [-2.0, -1.0]], B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=channels)
+        verdict = check_diff_dominance(sys, [[1.5, 0.5], [0.5, 1.0]], 0.0, p=0)
+        corners = [v.corner for v in verdict.vertices]
+        assert repr(corners) == "[(-0.0, 0.0), (-0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]"
+        # one float object per distinct slope of a channel
+        assert corners[0][0] is corners[1][0] and corners[2][1] is corners[0][1]
+
+    @pytest.mark.parametrize("with_supply", [False, True])
+    def test_columns_are_read_only_and_own_their_memory(self, with_supply):
+        sys = registry.builtin_system("nl-loop")
+        P = np.kron(np.eye(2), registry.DIFF_STORAGE_MIXED)
+        if with_supply:
+            verdict = check_diff_dissipativity(sys, P, 1.0, supply_gain(2.0, sys.r, sys.m))
+        else:
+            verdict = check_diff_dominance(sys, P, 1.0)
+        for column in (verdict.corners, verdict.vertex_passed, verdict.lmax, verdict.split_ok):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = column[0]
+        # the top eigenvalues are a column of their own, not a view into the whole block spectra
+        assert verdict.lmax.base is None and verdict.lmax.flags.c_contiguous
+        lone = check_diff_dominance(np.diag([-1.0, -2.0]), np.eye(2), 0.0, p=0)
+        assert not (lone.corners.flags.writeable or lone.vertex_passed.flags.writeable or lone.lmax.flags.writeable)
+
 
 class TestHullPoints:
     def test_slopes_must_be_one_column_per_channel(self):
@@ -619,9 +647,9 @@ class TestSplitFromResidual:
             eigen_split_test(J, lam, 4 - p).passed for J in matrices
         ]
 
-    @pytest.mark.parametrize("k, residual_solves", [(5, [(32, 4, 4)]), (6, [])])
-    def test_large_dissipativity_families_solve_no_residual_stack(self, monkeypatch, k, residual_solves):
-        # from lti._PIVOT_MIN_VERTICES = 64 vertices up, the residuals' definiteness comes from pivots
+    @pytest.mark.parametrize("k", [1, 5, 6])
+    def test_dissipativity_families_solve_no_residual_stack(self, monkeypatch, k):
+        # at every family size the residuals' definiteness comes from pivots, not from R's spectra
         sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, k, gain=1.0)
         supply = supply_gain(2.0, 1, 1)
         shapes = []
@@ -629,8 +657,7 @@ class TestSplitFromResidual:
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: shapes.append(np.shape(M)) or original(M))
         verdicts = [check_diff_dissipativity(sys, S, lam, supply) for S in (P, -P)]
         monkeypatch.undo()
-        assert lti._PIVOT_MIN_VERTICES == 64
-        assert shapes == [(4, 4), (2**k, 5, 5), *residual_solves] * 2
+        assert shapes == [(4, 4), (2**k, 5, 5)] * 2
         matrices, _ = vertex_family(sys)
         for verdict in verdicts:
             assert verdict.split_ok.tolist() == [eigen_split_test(J, lam, verdict.p).passed for J in matrices]
