@@ -40,10 +40,9 @@ from .errors import (
 )
 from .interconnect import (
     closed_loop_certificate,
-    compose_supply,
     coupling_condition,
-    feedback_compose,
-    static_feedback,
+    network,
+    network_supply,
 )
 from .lti import (
     DominanceCertificate,

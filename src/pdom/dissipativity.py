@@ -137,9 +137,13 @@ def supply_passivity(r: int) -> SupplyRate:
 
 
 def supply_gain(gamma: float, r: int, m: int) -> SupplyRate:
-    """Finite-gain supply s(y, u) = gamma^2 |u|^2 - |y|^2."""
-    if gamma < 0:
-        raise ValueError("gain bound must be nonnegative")
+    """Finite-gain supply s(y, u) = gamma^2 |u|^2 - |y|^2.
+
+    A negative or NaN gamma is refused, and so is one whose square overflows.
+    """
+    gamma = float(gamma)  # a Python float: its square overflows to inf without a warning
+    if not (gamma >= 0 and np.isfinite(gamma * gamma)):
+        raise ValueError(f"gain bound must be nonnegative with a finite square, got {gamma!r}")
     return SupplyRate(Q=-np.eye(r), L=np.zeros((r, m)), R=gamma * gamma * np.eye(m))
 
 

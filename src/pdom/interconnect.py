@@ -1,10 +1,13 @@
-"""Negative-feedback interconnection and closed-loop certificate algebra.
+"""Networks of open systems: one composition routine and its supply algebra.
 
-Two open systems in the standard loop ``u1 = -y2 + v1``, ``u2 = y1 + v2``
-compose into a single system on the stacked state. Supply rates compose into
-an explicit closed-loop supply on (y, v); when the pure-output part of that
-supply is negative semidefinite (the coupling condition), block-diagonal
-storages certify dominance of the loop with degree p1 + p2.
+Parts joined by the static coupling ``u = M y + v`` form one system on the
+stacked state, :func:`network`; their supplies give the network's supply on
+(y, v), :func:`network_supply`. When the pure-output part of that supply,
+``[I; M]^T S [I; M]`` for the block-diagonal supply S, is negative
+semidefinite (the coupling condition), the block-diagonal storage of
+p_i-dissipative parts certifies dominance of the whole with degree sum p_i
+(Moylan & Hill, IEEE TAC 23(2), 1978). The two-system negative-feedback loop
+``u1 = -y2 + v1``, ``u2 = y1 + v2`` is the case ``M = [[0, -I], [I, 0]]``.
 
 The loop file (``sys1``, ``sys2``, ``supply1``, ``supply2``, ``lambda`` and
 optional ``cert1``, ``cert2``) is decoded by ``pdom interconnect`` itself;
@@ -13,7 +16,6 @@ this module works on the decoded systems, supplies and certificates.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,113 +34,102 @@ from .policy import LMI_TOL
 
 __all__ = [
     "CouplingVerdict",
-    "feedback_compose",
-    "static_feedback",
-    "compose_supply",
+    "network",
+    "network_supply",
     "coupling_condition",
     "closed_loop_certificate",
 ]
 
 
-def _check_channels(sys1, sys2) -> None:
-    if sys1.m != sys2.r or sys2.m != sys1.r:
-        raise DimensionError(
-            f"incompatible loop channels: (m1, r1) = ({sys1.m}, {sys1.r}), "
-            f"(m2, r2) = ({sys2.m}, {sys2.r})"
-        )
+def _offsets(sizes) -> np.ndarray:
+    return np.cumsum([0, *sizes])
 
 
-def feedback_compose(sys1: LureSystem, sys2: LureSystem) -> LureSystem:
-    """Closed loop of two strictly proper systems, state (x1, x2), input (v1, v2).
+def _block_diagonal(blocks) -> np.ndarray:
+    rows, cols = _offsets([b.shape[0] for b in blocks]), _offsets([b.shape[1] for b in blocks])
+    out = np.zeros((rows[-1], cols[-1]))
+    for i, block in enumerate(blocks):
+        out[rows[i]:rows[i + 1], cols[i]:cols[i + 1]] = block
+    return out
 
+
+def network(parts, M) -> LureSystem:
+    """The parts joined by ``u = M y + v``, with states, inputs and outputs stacked in part order.
+
+    Every part must be strictly proper (D = 0). Part i's block row of A is
+    ``A_i`` plus ``(B_i @ M_ij) @ C_j`` for each nonzero block ``M_ij`` of M,
+    the ``(m_i, r_j)`` block that feeds part j's output to part i's input.
     Channels are lifted to the stacked state by zero-padding their g and h
-    vectors, so a loop of Lur'e systems is a Lur'e system.
+    vectors, so a network of Lur'e systems is a Lur'e system.
     """
-    if not (sys1.is_strictly_proper and sys2.is_strictly_proper):
-        raise UnsupportedConfigurationError("feedback composition requires D1 = D2 = 0")
-    _check_channels(sys1, sys2)
-    n1, n2 = sys1.n, sys2.n
-    A = np.block(
-        [
-            [sys1.A, -sys1.B @ sys2.C],
-            [sys2.B @ sys1.C, sys2.A],
-        ]
+    parts = tuple(parts)
+    if not parts:
+        raise DimensionError("a network needs at least one part")
+    if not all(part.is_strictly_proper for part in parts):
+        raise UnsupportedConfigurationError("network composition requires every part to have D = 0")
+    n, m, r = (_offsets([getattr(part, dim) for part in parts]) for dim in ("n", "m", "r"))
+    M = mc.as_matrix(M, shape=(m[-1], r[-1]))
+    A = _block_diagonal([part.A for part in parts])
+    for i, part in enumerate(parts):
+        for j, other in enumerate(parts):
+            M_ij = M[m[i]:m[i + 1], r[j]:r[j + 1]]
+            if M_ij.any():
+                term = (part.B @ M_ij) @ other.C
+                # an off-diagonal block is the term itself, signed zeros included, not 0 + term
+                A[n[i]:n[i + 1], n[j]:n[j + 1]] = part.A + term if i == j else term
+
+    def lift(ch: Channel, i: int) -> Channel:
+        g, h = np.zeros(n[-1]), np.zeros(n[-1])
+        g[n[i]:n[i + 1]], h[n[i]:n[i + 1]] = ch.g, ch.h
+        return Channel(g=g, h=h, sigma=ch.sigma, alpha=ch.alpha, beta=ch.beta)
+
+    return LureSystem(
+        A=A,
+        B=_block_diagonal([part.B for part in parts]),
+        C=_block_diagonal([part.C for part in parts]),
+        channels=tuple(lift(ch, i) for i, part in enumerate(parts) for ch in part.channels),
+        name=f"network({', '.join(part.name or f'part{i + 1}' for i, part in enumerate(parts))})",
     )
-    B = np.block(
-        [
-            [sys1.B, np.zeros((n1, sys2.m))],
-            [np.zeros((n2, sys1.m)), sys2.B],
-        ]
-    )
-    C = np.block(
-        [
-            [sys1.C, np.zeros((sys1.r, n2))],
-            [np.zeros((sys2.r, n1)), sys2.C],
-        ]
-    )
-
-    def lift(ch: Channel, before: int, after: int) -> Channel:
-        pad = lambda v: np.concatenate([np.zeros(before), v, np.zeros(after)])
-        return Channel(g=pad(ch.g), h=pad(ch.h), sigma=ch.sigma, alpha=ch.alpha, beta=ch.beta)
-
-    channels = tuple(lift(ch, 0, n2) for ch in sys1.channels) + tuple(lift(ch, n1, 0) for ch in sys2.channels)
-    name = f"feedback({sys1.name or 'sys1'}, {sys2.name or 'sys2'})"
-    return LureSystem(A=A, B=B, C=C, channels=channels, name=name)
 
 
-def static_feedback(sys: LureSystem, k: float) -> LureSystem:
-    """Static output feedback u = -k y + v, kept as a dedicated path.
+def network_supply(supplies, M) -> SupplyRate:
+    """The network's supply on (y, v): ``sum_i s_i(y_i, u_i)`` under ``u = M y + v``.
 
-    Modeling the gain as a second system would need an empty state; closing
-    the loop directly as ``A - k B C`` avoids those edge cases.
+    Over the block-diagonal Q, L and R of the parts' supplies it is
+    ``(Q + LM + (LM)^T + M^T R M, L + M^T R, R)``.
     """
-    if not sys.is_strictly_proper:
-        raise UnsupportedConfigurationError("static feedback requires D = 0")
-    if sys.r != sys.m:
-        raise DimensionError("static output feedback needs a square channel")
-    return dataclasses.replace(sys, A=sys.A - k * sys.B @ sys.C, name=f"{sys.name or 'sys'}<-gain({k:g})")
+    Q, L, R = (_block_diagonal([getattr(s, name) for s in supplies]) for name in ("Q", "L", "R"))
+    M = mc.as_matrix(M, shape=(R.shape[0], Q.shape[0]))
+    LM = L @ M
+    return SupplyRate(Q=Q + LM + LM.T + M.T @ R @ M, L=L + M.T @ R, R=R)
 
 
-def compose_supply(s1: SupplyRate, s2: SupplyRate) -> SupplyRate:
-    """Closed-loop supply on ((y1, y2), (v1, v2)) induced by the loop equations."""
-    if s1.m != s2.r or s2.m != s1.r:
-        raise DimensionError("supply channel dimensions are not loop-compatible")
-    Q = np.block(
-        [
-            [s1.Q + s2.R, -s1.L + s2.L.T],
-            [-s1.L.T + s2.L, s2.Q + s1.R],
-        ]
-    )
-    L = np.block(
-        [
-            [s1.L, s2.R],
-            [-s1.R, s2.L],
-        ]
-    )
-    R = np.block(
-        [
-            [s1.R, np.zeros((s1.m, s2.m))],
-            [np.zeros((s2.m, s1.m)), s2.R],
-        ]
-    )
-    return SupplyRate(Q=0.5 * (Q + Q.T), L=L, R=R)
+def _loop_coupling(first, second) -> np.ndarray:
+    """M of the loop ``u1 = -y2 + v1``, ``u2 = y1 + v2`` between two systems or two supplies."""
+    if first.m != second.r or second.m != first.r:
+        raise DimensionError(
+            f"incompatible loop channels: (m1, r1) = ({first.m}, {first.r}), "
+            f"(m2, r2) = ({second.m}, {second.r})"
+        )
+    M = np.zeros((first.m + second.m, first.r + second.r))
+    M[: first.m, first.r :] = -np.eye(first.m)
+    M[first.m :, : first.r] = np.eye(second.m)
+    return M
 
 
 @dataclass(frozen=True)
 class CouplingVerdict:
     passed: bool
     lmax: float
-    matrix: np.ndarray
 
     def to_dict(self) -> dict:
         return {"passed": self.passed, "lmax": self.lmax}
 
 
 def coupling_condition(s1: SupplyRate, s2: SupplyRate) -> CouplingVerdict:
-    """Dominance-coupling test: the pure-output part of the composed supply is <= 0."""
-    coupled = compose_supply(s1, s2)
-    lmax = float(mc.sym_eigvals(coupled.Q)[-1])
-    return CouplingVerdict(passed=lmax <= LMI_TOL, lmax=lmax, matrix=coupled.Q)
+    """Dominance-coupling test of the two-system loop: the pure-output part of its supply is <= 0."""
+    lmax = float(mc.sym_eigvals(network_supply((s1, s2), _loop_coupling(s1, s2)).Q)[-1])
+    return CouplingVerdict(passed=lmax <= LMI_TOL, lmax=lmax)
 
 
 def closed_loop_certificate(
@@ -163,11 +154,8 @@ def closed_loop_certificate(
         if not verify_dissipativity(sys, cert).passed:
             raise CouplingError("an open-loop certificate failed verification")
 
-    loop = feedback_compose(sys1, sys2)
-    n1, n2 = c1.P.shape[0], c2.P.shape[0]
-    P = np.zeros((n1 + n2, n1 + n2))
-    P[:n1, :n1] = c1.P
-    P[n1:, n1:] = c2.P
+    loop = network((sys1, sys2), _loop_coupling(sys1, sys2))
+    P = _block_diagonal((c1.P, c2.P))
     verdict = check_dominance(loop, DominanceCertificate(P=P, rate=c1.rate, epsilon=0.0, p=c1.p + c2.p))
     if not verdict.passed:
         raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")

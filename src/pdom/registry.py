@@ -13,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from .interconnect import feedback_compose
+from .interconnect import network
 from .model import Channel, LureSystem, Nonlinearity, cubic_saturated, tabulated
 
 __all__ = [
@@ -110,7 +110,7 @@ def nonlinear_loop() -> LureSystem:
     """Negative feedback of two mixed-output nonlinear oscillators (4 states)."""
     sys1 = nonlinear_msd(output="mixed", spring="cubic", name="nl-msd-1")
     sys2 = nonlinear_msd(output="mixed", spring="cubic", name="nl-msd-2")
-    return dataclasses.replace(feedback_compose(sys1, sys2), name="nl-loop")
+    return dataclasses.replace(network((sys1, sys2), [[0.0, -1.0], [1.0, 0.0]]), name="nl-loop")
 
 
 _BUILTINS = {

@@ -25,7 +25,7 @@ from .dissipativity import (
     supply_passivity,
     verify_dissipativity,
 )
-from .interconnect import coupling_condition, static_feedback
+from .interconnect import coupling_condition, network
 from .lti import DominanceCertificate, check_dominance, construct_certificate, eigen_split_test, residual
 from .matrixcore import inertia_of
 from .policy import EQ_TOL
@@ -141,7 +141,7 @@ def example2(seed: int = 42) -> SuiteResult:
         f"equality residual {found_eq:.1e}",
     )
     for k in (0.0, 1.0, 10.0, 100.0):
-        closed = static_feedback(sys, k)
+        closed = network((sys,), [[-k]])
         split = eigen_split_test(closed, lam, 1)
         result.check(f"negative feedback k={k:g} keeps 1-dominance", split.passed)
 
@@ -152,7 +152,7 @@ def example2(seed: int = 42) -> SuiteResult:
         f"gamma*={gamma:.4f}",
     )
     for k in (3.2, -3.2):
-        closed = static_feedback(sys, k)
+        closed = network((sys,), [[-k]])
         split = eigen_split_test(closed, lam, 1)
         result.check(f"feedback k={k:g} keeps 1-dominance", split.passed)
     delta = 0.05

@@ -14,7 +14,7 @@ from pdom import registry, reproduce
 from pdom.cones import QuadraticCone, positivity_probe, projective_measure, ratio_trace
 from pdom.dissipativity import dissipation_blocks, min_gain, supply_gain
 from pdom.errors import NonHyperbolicError, SplitMismatchError
-from pdom.interconnect import compose_supply, feedback_compose
+from pdom.interconnect import _loop_coupling, network, network_supply
 from pdom.lti import (
     LtiSystem,
     check_dominance,
@@ -253,8 +253,9 @@ class TestCriterion6Properties:
             sys2 = LtiSystem(A=A2, B=B2, C=C2, D=np.zeros((r2, r1)))
             s1 = supply_gain(min_gain(sys1, c1.P, lam) + 0.05, r1, r2)
             s2 = supply_gain(min_gain(sys2, c2.P, lam) + 0.05, r2, r1)
-            loop = feedback_compose(sys1, sys2)
-            supply = compose_supply(s1, s2)
+            coupling = _loop_coupling(sys1, sys2)
+            loop = network((sys1, sys2), coupling)
+            supply = network_supply((s1, s2), coupling)
             P = np.zeros((n1 + n2, n1 + n2))
             P[:n1, :n1] = c1.P
             P[n1:, n1:] = c2.P

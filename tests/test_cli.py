@@ -262,6 +262,16 @@ class TestVerify:
         error = json.loads(report.read_text())["error"]
         assert error["class"] == "ValueError" and error["exit_code"] == 2
 
+    def test_overflowing_gain_is_input_error(self, tmp_path, capsys):
+        # gamma^2 overflows to inf: an input error, not a numerical failure (exit 3)
+        cert = {"P": [[-1, 0], [0, 1]], "lambda": 1.2679, "p": 1, "supply": {"kind": "gain", "gamma": 1e200}}
+        cert_path, report = tmp_path / "c.json", tmp_path / "r.json"
+        cert_path.write_text(json.dumps(cert))
+        assert cli.main(["--report", str(report), "verify", "msd-c8", str(cert_path)]) == 2
+        assert "gain bound must be nonnegative with a finite square" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "ValueError" and error["exit_code"] == 2
+
     def test_too_many_channels_is_input_error(self, tmp_path, capsys):
         # 17 channels make 2^17 vertices, above MAX_VERTICES: refused before any corner is built
         channel = {"g": [0.0, 0.01], "h": [1.0, 0.0], "sigma": {"kind": "cubic_saturated"}, "alpha": -3.0, "beta": 1.0}
@@ -407,6 +417,30 @@ class TestInterconnect:
         assert json.loads(report.read_text())["error"] == {
             "class": "CouplingError", "message": "an open-loop certificate failed verification", "exit_code": 1,
         }
+
+    def test_overflowing_gain_supply_is_input_error(self, tmp_path, capsys):
+        path = self._loop_file(tmp_path, gamma2=1e200)
+        assert cli.main(["interconnect", path]) == 2
+        assert "gain bound must be nonnegative with a finite square" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["feedthrough", "wide"])
+    def test_loop_refusals_keep_their_class(self, tmp_path, case):
+        # a part with D != 0, and channel widths no loop can join, are input errors
+        path = self._loop_file(tmp_path)
+        data = json.loads(pathlib.Path(path).read_text())
+        if case == "feedthrough":
+            data["sys2"]["D"] = [[1.0]]
+            expected = "UnsupportedConfigurationError"
+        else:
+            data["sys2"] = {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[1.0, 0.0], [0.0, 1.0]], "C": [[1.0, 1.0]]}
+            data["supply1"] = data["supply2"] = {"kind": "gain", "gamma": 0.5}
+            data["cert2"] = {"P": [[1.0, 0.0], [0.0, 1.0]], "p": 0}
+            expected = "DimensionError"
+        pathlib.Path(path).write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", path]) == 2
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == expected and error["exit_code"] == 2
 
     def test_balanced_gain_pair_loop(self, tmp_path):
         # small-gain pair around the product boundary, expressed with

@@ -28,7 +28,7 @@ from pdom.dissipativity import (
     verify_dissipativity,
 )
 from pdom.errors import DimensionError, UnsupportedConfigurationError
-from pdom.interconnect import feedback_compose
+from pdom.interconnect import _loop_coupling, network
 from pdom.lti import (
     check_dominance,
     construct_certificate,
@@ -764,8 +764,8 @@ class TestDiffDissipativity:
 class TestComposition:
     def test_channel_free_matches_linear_compose(self, msd_c8):
         lure = LureSystem(A=msd_c8.A, channels=(), B=msd_c8.B, C=msd_c8.C)
-        composed = feedback_compose(lure, lure)
-        linear = feedback_compose(msd_c8, msd_c8)
+        composed = network((lure, lure), _loop_coupling(lure, lure))
+        linear = network((msd_c8, msd_c8), _loop_coupling(msd_c8, msd_c8))
         assert np.allclose(composed.A, linear.A)
         assert np.allclose(composed.B, linear.B)
         assert np.allclose(composed.C, linear.C)
@@ -791,7 +791,7 @@ class TestComposition:
         sys1 = registry.nonlinear_msd("mixed", "cubic")
         bad = LureSystem(A=-np.eye(2), channels=(), B=np.ones((2, 2)), C=np.ones((1, 2)))
         with pytest.raises(DimensionError):
-            feedback_compose(sys1, bad)
+            network((sys1, bad), _loop_coupling(sys1, bad))
 
 
 def _outcome(vertex):

@@ -36,6 +36,14 @@ class TestNamedSupplies:
         assert supply_gain(0.0, 1, 1).evaluate([2.0], [5.0]) == -4.0
         assert supply_gain(1.0, 1, 1).evaluate([1.0], [1.0]) == 0.0
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 1e200, np.float64(1e155), -0.1])
+    def test_gain_refuses_nan_negative_and_overflowing_bounds(self, gamma):
+        with pytest.raises(ValueError, match="nonnegative with a finite square"):
+            supply_gain(gamma, 1, 1)
+
+    def test_gain_keeps_the_largest_finite_square(self):
+        assert supply_gain(1e154, 1, 1).R[0, 0] == 1e308
+
     def test_shorthand_round_trip(self):
         s = SupplyRate.from_dict({"kind": "gain", "gamma": 0.5}, r=1, m=1)
         assert s.R[0, 0] == pytest.approx(0.25)

@@ -19,72 +19,142 @@ from pdom.errors import (
     UnsupportedConfigurationError,
 )
 from pdom.interconnect import (
+    _loop_coupling,
     closed_loop_certificate,
-    compose_supply,
     coupling_condition,
-    feedback_compose,
-    static_feedback,
+    network,
+    network_supply,
 )
 from pdom.lti import LtiSystem, check_dominance, construct_certificate, eigen_split_test
+from pdom.model import Channel, LureSystem, cubic_saturated
 
 RATE = registry.KNOWN_RATE
+LOOP = [[0.0, -1.0], [1.0, 0.0]]  # u1 = -y2 + v1, u2 = y1 + v2 on one channel each
 
 
 def _integrator():
     return LtiSystem(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]], name="integrator")
 
 
-class TestFeedbackCompose:
+def _loop(first, second):
+    return network((first, second), _loop_coupling(first, second))
+
+
+def _random_part(rng, n, m, r):
+    channels = tuple(
+        Channel(g=rng.standard_normal(n), h=rng.standard_normal(n), sigma=cubic_saturated(), alpha=-3.0, beta=1.0)
+        for _ in range(int(rng.integers(0, 3)))
+    )
+    return LureSystem(A=rng.standard_normal((n, n)), B=rng.standard_normal((n, m)), C=rng.standard_normal((r, n)),
+                      channels=channels)
+
+
+class TestNetwork:
     def test_integrator_loop(self):
-        loop = feedback_compose(_integrator(), _integrator())
+        loop = _loop(_integrator(), _integrator())
         assert np.allclose(loop.A, [[0.0, -1.0], [1.0, 0.0]])
         assert np.allclose(loop.B, np.eye(2))
         assert np.allclose(loop.C, np.eye(2))
 
     def test_block_structure(self, msd_c8):
-        loop = feedback_compose(msd_c8, msd_c8)
+        loop = _loop(msd_c8, msd_c8)
         assert np.allclose(loop.A[:2, 2:], -msd_c8.B @ msd_c8.C)
         assert np.allclose(loop.A[2:, :2], msd_c8.B @ msd_c8.C)
 
-    def test_dimension_mismatch(self, msd_c8):
-        wide = LtiSystem(A=-np.eye(2), B=np.ones((2, 2)), C=np.ones((1, 2)), D=np.zeros((1, 2)))
-        with pytest.raises(DimensionError):
-            feedback_compose(msd_c8, wide)
+    def test_loop_is_the_hand_formula(self, rng):
+        # M = [[0, -I], [I, 0]] gives [[A1, -B1 C2], [B2 C1, A2]] exactly, blockdiag(B) and blockdiag(C)
+        for _ in range(300):
+            m, r = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+            sys1 = _random_part(rng, int(rng.integers(1, 5)), m, r)
+            sys2 = _random_part(rng, int(rng.integers(1, 5)), r, m)
+            loop = _loop(sys1, sys2)
+            n1, n2 = sys1.n, sys2.n
+            A = np.block([[sys1.A, -sys1.B @ sys2.C], [sys2.B @ sys1.C, sys2.A]])
+            B = np.block([[sys1.B, np.zeros((n1, r))], [np.zeros((n2, m)), sys2.B]])
+            C = np.block([[sys1.C, np.zeros((r, n2))], [np.zeros((m, n1)), sys2.C]])
+            assert np.array_equal(loop.A, A) and np.array_equal(loop.B, B) and np.array_equal(loop.C, C)
+            assert loop.is_strictly_proper and loop.D.shape == (r + m, m + r)
+            padded = [np.concatenate([ch.g, np.zeros(n2)]) for ch in sys1.channels] + [
+                np.concatenate([np.zeros(n1), ch.g]) for ch in sys2.channels
+            ]
+            assert len(loop.channels) == len(padded)
+            assert all(np.array_equal(ch.g, g) for ch, g in zip(loop.channels, padded))
 
-    def test_feedthrough_rejected(self, msd_c8):
-        direct = LtiSystem(A=-np.eye(1), B=np.eye(1), C=np.eye(1), D=np.eye(1))
-        with pytest.raises(UnsupportedConfigurationError):
-            feedback_compose(msd_c8, direct)
+    def test_static_gain_is_the_hand_formula(self, rng):
+        # one part with M = -k I is A - k B C, exactly
+        for _ in range(300):
+            n, m = int(rng.integers(1, 6)), int(rng.integers(1, 4))
+            sys = LtiSystem(A=rng.standard_normal((n, n)), B=rng.standard_normal((n, m)), C=rng.standard_normal((m, n)))
+            k = float(rng.choice([0.0, 1.0, -3.2, 3.2, 100.0, 10.0 * rng.standard_normal()]))
+            assert np.array_equal(network((sys,), -k * np.eye(m)).A, sys.A - k * sys.B @ sys.C)
 
-
-class TestStaticFeedback:
     def test_closed_matrix(self, msd_c8):
-        closed = static_feedback(msd_c8, 3.0)
+        closed = network((msd_c8,), [[-3.0]])
         assert np.allclose(closed.A, msd_c8.A - 3.0 * msd_c8.B @ msd_c8.C)
 
     def test_k_sweep_keeps_dominance(self, msd_c8):
         for k in (0.0, 1.0, 10.0, 100.0):
-            closed = static_feedback(msd_c8, k)
+            closed = network((msd_c8,), [[-k]])
             assert eigen_split_test(closed, RATE, 1).passed
 
+    @pytest.mark.parametrize("count", [1, 2, 3, 4])
+    def test_vector_field_is_the_parts_under_the_coupling(self, rng, count):
+        # network(parts, M).rhs(x) + B v is the stacked part.rhs(x_i, u_i) with u = M C x + v
+        for _ in range(25):
+            parts = [
+                _random_part(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3)))
+                for _ in range(count)
+            ]
+            m, r = sum(part.m for part in parts), sum(part.r for part in parts)
+            M = rng.standard_normal((m, r)) * (rng.random((m, r)) < 0.6)
+            net = network(parts, M)
+            X, V = rng.standard_normal((7, net.n)), rng.standard_normal((7, m))
+            U = X @ net.C.T @ M.T + V
+            stacked, at_n, at_m = [], 0, 0
+            for part in parts:
+                stacked.append(part.rhs(X[:, at_n:at_n + part.n], U[:, at_m:at_m + part.m]))
+                at_n, at_m = at_n + part.n, at_m + part.m
+            assert np.allclose(net.rhs(X, V), np.hstack(stacked), rtol=1e-12, atol=1e-12)
 
-class TestComposeSupply:
+    def test_dimension_mismatch(self, msd_c8):
+        wide = LtiSystem(A=-np.eye(2), B=np.ones((2, 2)), C=np.ones((1, 2)), D=np.zeros((1, 2)))
+        with pytest.raises(DimensionError):
+            _loop(msd_c8, wide)
+
+    def test_misshaped_coupling_rejected(self, msd_c8):
+        for M in (np.zeros((2, 1)), np.zeros((1, 2)), np.zeros(3)):
+            with pytest.raises(DimensionError):
+                network((msd_c8, msd_c8), M)
+
+    def test_feedthrough_rejected(self, msd_c8):
+        direct = LtiSystem(A=-np.eye(1), B=np.eye(1), C=np.eye(1), D=np.eye(1))
+        with pytest.raises(UnsupportedConfigurationError):
+            _loop(msd_c8, direct)
+        with pytest.raises(UnsupportedConfigurationError):
+            network((direct,), [[-1.0]])
+
+    def test_no_parts_rejected(self):
+        with pytest.raises(DimensionError):
+            network((), np.zeros((0, 0)))
+
+
+class TestNetworkSupply:
     def test_two_passivity_supplies(self):
         s = supply_passivity(1)
-        composed = compose_supply(s, s)
+        composed = network_supply((s, s), LOOP)
         assert np.allclose(composed.Q, np.zeros((2, 2)))
         assert np.allclose(composed.L, np.eye(2))
         assert np.allclose(composed.R, np.zeros((2, 2)))
 
     def test_two_gain_supplies(self):
         g = supply_gain(0.5, 1, 1)
-        composed = compose_supply(g, g)
+        composed = network_supply((g, g), LOOP)
         assert np.allclose(composed.Q, np.diag([-0.75, -0.75]))
         assert np.allclose(composed.R, np.diag([0.25, 0.25]))
 
     def test_zero_supplies(self):
         z = SupplyRate(Q=np.zeros((1, 1)), L=np.zeros((1, 1)), R=np.zeros((1, 1)))
-        composed = compose_supply(z, z)
+        composed = network_supply((z, z), LOOP)
         assert not np.any(composed.Q) and not np.any(composed.L) and not np.any(composed.R)
 
     def test_pointwise_identity(self, rng):
@@ -98,7 +168,7 @@ class TestComposeSupply:
             s2 = SupplyRate(
                 Q=_sym(rng, r2), L=rng.standard_normal((r2, r1)), R=_sym(rng, r1)
             )
-            composed = compose_supply(s1, s2)
+            composed = network_supply((s1, s2), _loop_coupling(s1, s2))
             y1, y2 = rng.standard_normal(r1), rng.standard_normal(r2)
             v1, v2 = rng.standard_normal(r2), rng.standard_normal(r1)
             u1 = -y2 + v1
@@ -106,6 +176,27 @@ class TestComposeSupply:
             direct = s1.evaluate(y1, u1) + s2.evaluate(y2, u2)
             stacked = composed.evaluate(np.concatenate([y1, y2]), np.concatenate([v1, v2]))
             assert direct == pytest.approx(stacked, rel=1e-9, abs=1e-9)
+
+    def test_network_pointwise_identity(self, rng):
+        # for N parts and any M: sum_i s_i(y_i, u_i) with u = M y + v
+        for _ in range(100):
+            count = int(rng.integers(1, 5))
+            rs, ms = rng.integers(1, 4, size=count), rng.integers(1, 4, size=count)
+            supplies = [
+                SupplyRate(Q=_sym(rng, r), L=rng.standard_normal((r, m)), R=_sym(rng, m)) for r, m in zip(rs, ms)
+            ]
+            M = rng.standard_normal((ms.sum(), rs.sum())) * (rng.random((ms.sum(), rs.sum())) < 0.6)
+            composed = network_supply(supplies, M)
+            y, v = rng.standard_normal(rs.sum()), rng.standard_normal(ms.sum())
+            u = M @ y + v
+            y_at, u_at = np.cumsum(rs)[:-1], np.cumsum(ms)[:-1]
+            direct = sum(s.evaluate(yi, ui) for s, yi, ui in zip(supplies, np.split(y, y_at), np.split(u, u_at)))
+            assert direct == pytest.approx(composed.evaluate(y, v), rel=1e-9, abs=1e-9)
+
+    def test_misshaped_coupling_rejected(self):
+        s = supply_passivity(1)
+        with pytest.raises(DimensionError):
+            network_supply((s, s), np.zeros((2, 1)))
 
 
 def _sym(rng, n):
@@ -138,7 +229,7 @@ class TestClosedLoopCertificate:
         )
         closed_cert = closed_loop_certificate(msd_c8, cert, msd_c8, cert)
         assert closed_cert.p == 2
-        loop = feedback_compose(msd_c8, msd_c8)
+        loop = _loop(msd_c8, msd_c8)
         assert check_dominance(loop, closed_cert).passed
 
     def test_zero_dominant_pair_classical_stability(self):
@@ -150,7 +241,7 @@ class TestClosedLoopCertificate:
         assert verify_dissipativity(sys, cert).passed
         closed_cert = closed_loop_certificate(sys, cert, sys, cert)
         assert closed_cert.p == 0
-        loop = feedback_compose(sys, sys)
+        loop = _loop(sys, sys)
         assert np.all(np.linalg.eigvals(loop.A).real < 0)
         assert check_dominance(loop, closed_cert).passed
 
@@ -212,7 +303,7 @@ class TestClosedLoopCertificate:
                 continue
             closed_cert = closed_loop_certificate(sys1, c1, sys2, c2)
             assert closed_cert.p == p1 + p2
-            assert check_dominance(feedback_compose(sys1, sys2), closed_cert).passed
+            assert check_dominance(_loop(sys1, sys2), closed_cert).passed
             built += 1
 
 
@@ -236,6 +327,6 @@ class TestClassicalSpecialization:
             if hypothesis_holds:
                 cert = closed_loop_certificate(sys1, c1, sys2, c2)
                 assert cert.p == 0
-                loop = feedback_compose(sys1, sys2)
+                loop = _loop(sys1, sys2)
                 assert np.all(np.linalg.eigvals(loop.A).real < 0)
                 assert check_dominance(loop, cert).passed
