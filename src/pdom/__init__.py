@@ -33,7 +33,6 @@ from .errors import (
     NonHyperbolicError,
     NumericalError,
     PdomError,
-    PropertyViolationError,
     RateMismatchError,
     SplitMismatchError,
     UnsupportedConfigurationError,
@@ -47,11 +46,9 @@ from .interconnect import (
 from .lti import (
     DominanceCertificate,
     LtiSystem,
-    ModalSplit,
     check_dominance,
     construct_certificate,
     eigen_split_test,
-    modal_split,
     residual,
 )
 from .matrixcore import Inertia, inertia_of, sym_eigen
@@ -60,7 +57,6 @@ from .sim import (
     classify_asymptotics,
     integrate,
     integrate_batch,
-    multistability_probe,
 )
 
 __version__ = "0.1.0"

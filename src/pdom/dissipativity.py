@@ -76,10 +76,18 @@ class SupplyRate(_ValueEquality):
         return float(y @ self.Q @ y + 2.0 * y @ self.L @ u + u @ self.R @ u)
 
     def scaled(self, tau: float) -> "SupplyRate":
-        """Positive rescaling; dissipativity is preserved with storage tau*P."""
-        if tau <= 0:
-            raise ValueError("supply scaling must be positive")
-        return SupplyRate(Q=tau * self.Q, L=tau * self.L, R=tau * self.R)
+        """Positive rescaling; dissipativity is preserved with storage tau*P.
+
+        A tau that is not finite and positive is refused, and so is one that overflows an entry.
+        """
+        tau = float(tau)
+        if not (tau > 0 and np.isfinite(tau)):
+            raise ValueError(f"supply scaling must be finite and positive, got {tau!r}")
+        with np.errstate(over="ignore"):
+            Q, L, R = tau * self.Q, tau * self.L, tau * self.R
+        if not (np.isfinite(Q).all() and np.isfinite(L).all() and np.isfinite(R).all()):
+            raise ValueError(f"supply scaling by {tau!r} overflows")
+        return SupplyRate(Q=Q, L=L, R=R)
 
     def to_dict(self) -> dict:
         return {"Q": self.Q.tolist(), "L": self.L.tolist(), "R": self.R.tolist()}
@@ -167,6 +175,15 @@ def verify_dissipativity(sys, cert: DissipativityCertificate) -> DifferentialVer
     return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon, cert.supply)
 
 
+def _io_state_matrix(sys) -> np.ndarray:
+    """The state matrix of a channel-free model (:func:`pdom.model.state_matrix`); a bare state matrix,
+    which has no B or C to read, is refused."""
+    if not hasattr(sys, "B"):
+        raise UnsupportedConfigurationError("this routine reads B and C as well as A; "
+                                            "a bare state matrix has neither, so pass an LtiSystem")
+    return state_matrix(sys)
+
+
 def min_gain(sys: LtiSystem, P, lam: float) -> float:
     """Least gain bound gamma that the FIXED storage (P, lam) certifies, in closed form.
 
@@ -177,7 +194,7 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     ``ValueError`` when M is not negative definite (no gain works) or when
     P has an eigenvalue in the zero band (the verifiers refuse it).
     """
-    A = state_matrix(sys)
+    A = _io_state_matrix(sys)
     P = mc.as_symmetric(P)
     if mc.inertia_of(P).zero:
         raise ValueError("storage has eigenvalues inside the zero band")
@@ -202,7 +219,7 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
     """
     from . import lmi  # deferred: keep module import costs flat
 
-    A = state_matrix(sys)
+    A = _io_state_matrix(sys)
     _check_claim(lam, p, sys.n)
     if not sys.is_strictly_proper:
         raise UnsupportedConfigurationError("storage search requires D = 0")

@@ -48,10 +48,3 @@ class LmiInfeasibleError(PdomError):
         super().__init__(str(report))
         self.report = report
 
-
-class PropertyViolationError(PdomError):
-    """An empirically validated property failed on a concrete trajectory."""
-
-    def __init__(self, message, details=None):
-        super().__init__(message)
-        self.details = details

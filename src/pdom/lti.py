@@ -5,10 +5,11 @@ with inertia (p, 0, n-p) makes ``A^T P + P A + 2 lam P`` negative definite;
 a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
-:func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test,
-constructs certificates from an ordered Schur split, and produces the modal
-splitting with explicit decay constants. ``LtiSystem`` is the channel-free
-use of the one model, :class:`LureSystem`.
+:func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test
+and constructs certificates from an ordered Schur split, whose block
+storages the projective measure (:func:`pdom.cones.projective_measure`)
+reads too. ``LtiSystem`` is the channel-free use of the one model,
+:class:`LureSystem`.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ __all__ = [
     "VertexVerdict",
     "DifferentialVerdict",
     "SplitVerdict",
-    "ModalSplit",
     "residual",
     "dissipation_blocks",
     "check_dominance",
     "eigen_split_test",
     "construct_certificate",
-    "modal_split",
 ]
 
 
@@ -194,29 +193,6 @@ class SplitVerdict:
             "unstable_count": self.unstable_count,
             "requested_p": self.requested_p,
         }
-
-
-@dataclass(frozen=True)
-class ModalSplit:
-    """Invariant splitting into dominant and transient eigenspaces.
-
-    ``projector_dominant`` and ``projector_transient`` are the spectral
-    projectors; the decay bounds read, for every solution of ``xdot = A x``,
-
-        |x_dom(t)|  >= growth_floor  * exp(-rate_dominant * t)  * |x_dom(0)|
-        |x_tran(t)| <= decay_ceiling * exp(-rate_transient * t) * |x_tran(0)|
-
-    with ``rate_dominant < shift < rate_transient``.
-    """
-
-    projector_dominant: np.ndarray
-    projector_transient: np.ndarray
-    rate_dominant: float
-    rate_transient: float
-    growth_floor: float   # in (0, 1]
-    decay_ceiling: float  # in [1, inf)
-    shift: float
-    p: int
 
 
 def residual(A, P, lam: float) -> np.ndarray:
@@ -500,51 +476,3 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     if not verdict.passed:
         raise NumericalError(f"constructed certificate failed verification: {verdict.status}")
     return DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p)
-
-
-def modal_split(sys, lam: float, p: int) -> ModalSplit:
-    """Spectral projectors and decay constants for the dominant/transient split.
-
-    The rates are read off the diagonals of the Schur blocks T1 and T2 (their eigenvalues' real parts).
-    The constants come from the conditioning of the decoupling basis and of
-    each block's eigenvector matrix, which makes the two displayed bounds
-    checkable on sampled trajectories.
-    """
-    A, W, Winv, T1, T2 = _ordered_split(sys, lam, p)
-    n = A.shape[0]
-    E = np.zeros((n, n))
-    E[:p, :p] = np.eye(p)
-    projector_dominant = W @ E @ Winv
-    projector_transient = np.eye(n) - projector_dominant
-
-    if p > 0:
-        rate_dominant = -float(np.min(np.diagonal(T1)))
-        spread, low = _spread(W[:, :p], T1)
-        growth_floor = min(1.0, float(low / spread))
-    else:
-        rate_dominant = -np.inf
-        growth_floor = 1.0
-    if p < n:
-        rate_transient = -float(np.max(np.diagonal(T2)))
-        spread, low = _spread(W[:, p:], T2)
-        decay_ceiling = max(1.0, float(spread / low))
-    else:
-        rate_transient = np.inf
-        decay_ceiling = 1.0
-
-    return ModalSplit(
-        projector_dominant=projector_dominant,
-        projector_transient=projector_transient,
-        rate_dominant=rate_dominant,
-        rate_transient=rate_transient,
-        growth_floor=growth_floor,
-        decay_ceiling=decay_ceiling,
-        shift=lam,
-        p=p,
-    )
-
-
-def _spread(basis: np.ndarray, block: np.ndarray) -> tuple[float, float]:
-    """``(s_max * cond(V), s_min)``: a modal basis's extreme singular values, V the block's eigenvectors."""
-    singular = np.linalg.svd(basis, compute_uv=False)
-    return singular[0] * float(np.linalg.cond(np.linalg.eig(block)[1])), singular[-1]

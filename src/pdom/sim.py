@@ -1,9 +1,8 @@
 """Fixed-step integration and trajectory-level validation.
 
 Classical fourth-order Runge-Kutta over a uniform grid, batched across
-initial conditions, plus classifiers that turn raw trajectories into
-asymptotic verdicts (fixed point, limit cycle, divergence) and a probe that
-checks multistability predictions on a grid of initial conditions.
+initial conditions, plus a classifier that turns raw trajectories into
+asymptotic verdicts (fixed point, limit cycle, divergence).
 """
 
 from __future__ import annotations
@@ -15,18 +14,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, PropertyViolationError
+from .errors import DimensionError
 from .model import LureSystem, state_matrix
 from .policy import CYCLE_TOL, FP_TOL_SCALE
 
 __all__ = [
     "Trajectory",
     "AsymptoticVerdict",
-    "MultistabilityReport",
     "integrate",
     "integrate_batch",
     "classify_asymptotics",
-    "multistability_probe",
     "write_trajectory_csv",
 ]
 
@@ -112,8 +109,11 @@ def integrate_batch(
         raise ValueError("t_end must be at least dt")
     if record_every < 1:
         raise ValueError("record_every must be a positive integer")
+    ratio = t_end / dt
+    if not np.isfinite(ratio):  # a step count that overflows a float
+        raise ValueError(f"t_end / dt must be finite, got {t_end} / {dt}")
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
-    steps = int(round(t_end / dt))
+    steps = int(round(ratio))
     if steps % record_every:
         raise ValueError("t_end must be a whole number of recorded intervals (dt * record_every)")
     if not isinstance(sys, LureSystem):  # a bare state matrix
@@ -382,51 +382,6 @@ def classify_asymptotics(traj: Trajectory) -> AsymptoticVerdict:
         kind="undecided",
         diagnostics={"tail_displacement": displacement, "jitter": jitter, "ptp_drift": ptp_drift},
     )
-
-
-@dataclass(frozen=True)
-class MultistabilityReport:
-    """Clustered equilibria reached from a grid of initial conditions."""
-
-    equilibria: np.ndarray  # (k, n) cluster representatives
-    verdicts: tuple[AsymptoticVerdict, ...]
-    divergent: int
-
-    @property
-    def count(self) -> int:
-        return self.equilibria.shape[0]
-
-
-def multistability_probe(
-    sys,
-    grid: np.ndarray,
-    t_end: float = 100.0,
-    dt: float = 1e-3,
-) -> MultistabilityReport:
-    """Integrate a grid of initial conditions; every bounded run must settle.
-
-    Raises :class:`PropertyViolationError` if any non-divergent trajectory
-    classifies as something other than a fixed point. Equilibria are merged
-    with a cluster radius of ten fixed-point tolerances.
-    """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    trajectories = integrate_batch(sys, grid, t_end, dt)
-    verdicts = tuple(classify_asymptotics(t) for t in trajectories)
-    violations = [v for v in verdicts if v.kind not in ("fixed_point", "divergent")]
-    if violations:
-        raise PropertyViolationError(
-            f"{len(violations)} bounded trajectories did not settle to fixed points",
-            details=violations,
-        )
-    points = [v.location for v in verdicts if v.kind == "fixed_point"]
-    divergent = sum(1 for v in verdicts if v.kind == "divergent")
-    clusters: list[np.ndarray] = []
-    for point in points:
-        radius = 10.0 * FP_TOL_SCALE * (1.0 + float(np.linalg.norm(point)))
-        if not any(np.linalg.norm(point - c) <= radius for c in clusters):
-            clusters.append(point)
-    equilibria = np.array(clusters) if clusters else np.empty((0, grid.shape[1]))
-    return MultistabilityReport(equilibria=equilibria, verdicts=verdicts, divergent=divergent)
 
 
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:

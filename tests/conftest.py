@@ -19,6 +19,22 @@ def msd_c8():
     return registry.msd(8.0)
 
 
+def spiral_system():
+    """A 4x4 A with an unstable spiral pair (0.1 +- 2i) and stable modes -3, -4, in skewed coordinates."""
+    A = np.zeros((4, 4))
+    A[:2, :2] = [[0.1, 2.0], [-2.0, 0.1]]
+    A[2:, 2:] = np.diag([-3.0, -4.0])
+    mix = np.array(
+        [
+            [1.0, 0.2, -0.1, 0.3],
+            [0.0, 1.0, 0.4, -0.2],
+            [0.1, 0.0, 1.0, 0.1],
+            [-0.3, 0.2, 0.0, 1.0],
+        ]
+    )
+    return mix @ A @ np.linalg.inv(mix)
+
+
 def random_hyperbolic(rng, n, lam, margin=0.05, scale=1.0):
     """Random A whose spectrum stays clear of Re = -lam; returns (A, p)."""
     while True:

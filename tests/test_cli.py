@@ -595,8 +595,8 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "args",
         [["--x0", "1,1", "--t", "inf"], ["--x0", "1,1", "--t", "nan"], ["--x0", "1,1", "--dt", "nan"],
-         ["--x0", "nan,1"], ["--x0", "1,1", "--input", "inf"]],
-        ids=["t-inf", "t-nan", "dt-nan", "x0-nan", "input-inf"],
+         ["--x0", "nan,1"], ["--x0", "1,1", "--input", "inf"], ["--x0", "1,1", "--t", "1e300", "--dt", "1e-10"]],
+        ids=["t-inf", "t-nan", "dt-nan", "x0-nan", "input-inf", "steps-overflow"],
     )
     def test_non_finite_number_is_input_error(self, tmp_path, capsys, args):
         report = tmp_path / "r.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import spiral_system
 from pdom import matrixcore as mc
 from pdom import registry
 from pdom.cones import (
@@ -12,7 +13,7 @@ from pdom.cones import (
     ratio_trace,
 )
 from pdom.errors import DimensionError, NumericalError
-from pdom.lti import _ordered_split, construct_certificate, modal_split
+from pdom.lti import _ordered_split, construct_certificate
 from pdom.sim import Trajectory, integrate
 
 RATE = registry.KNOWN_RATE
@@ -130,6 +131,17 @@ class TestProjectiveMeasure:
         assert np.linalg.eigvalsh(lhs_u)[0] > -1e-9
         assert np.linalg.eigvalsh(lhs_s)[0] > -1e-9
 
+    def test_kernels_are_invariant_subspaces(self, msd_c4):
+        # ker P_u is the transient subspace and ker P_s the dominant one: each is A-invariant,
+        # of dimension n - p and p
+        for A, lam, p in ((msd_c4.A, RATE, 1), (spiral_system(), 0.0, 2)):
+            measure = projective_measure(A, lam, p)
+            n = A.shape[0]
+            for form, dim in ((measure.P_u, n - p), (measure.P_s, p)):
+                assert mc.inertia_of(form).as_tuple() == (0, dim, n - dim)
+                K = np.linalg.eigh(form)[1][:, :dim]  # orthonormal basis of the kernel
+                assert np.linalg.norm(A @ K - K @ (K.T @ A @ K)) <= 1e-9 * np.linalg.norm(A)
+
     def test_trivial_split_rejected(self):
         with pytest.raises(ValueError, match="nontrivial split"):
             projective_measure(np.diag([-1.0, -2.0]), 0.0, 0)
@@ -229,17 +241,15 @@ class TestRatioTrace:
         assert np.all(np.diff(trace.ratio) <= 1e-6 * np.maximum(1.0, trace.ratio[:-1]))
 
     def test_dominant_start_stays_zero(self, msd_c4):
-        split = modal_split(msd_c4, RATE, 1)
         measure = projective_measure(msd_c4, RATE, 1)
-        x0 = split.projector_dominant @ np.array([1.0, 1.0])
+        x0 = np.linalg.eigh(measure.P_s)[1][:, 0]  # a unit vector of ker P_s, the dominant subspace
         traj = integrate(msd_c4, x0, t_end=2.0, dt=1e-3)
         trace = ratio_trace(measure, traj)
         assert np.max(trace.ratio) < 1e-10
 
     def test_rejects_transient_start(self, msd_c4):
-        split = modal_split(msd_c4, RATE, 1)
         measure = projective_measure(msd_c4, RATE, 1)
-        x0 = split.projector_transient @ np.array([1.0, 1.0])
+        x0 = np.linalg.eigh(measure.P_u)[1][:, 0]  # a unit vector of ker P_u, the transient subspace
         traj = integrate(msd_c4, x0, t_end=1.0, dt=1e-3)
         with pytest.raises(ValueError):
             ratio_trace(measure, traj)

@@ -9,11 +9,12 @@ from pdom.dissipativity import (
     dissipation_blocks,
     find_passivity_storage,
     min_gain,
+    small_gain_pair,
     supply_gain,
     supply_passivity,
     verify_dissipativity,
 )
-from pdom.errors import DimensionError, LmiInfeasibleError
+from pdom.errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
 from pdom.lti import DominanceCertificate, LtiSystem, construct_certificate, residual
 
 RATE = registry.KNOWN_RATE
@@ -53,6 +54,18 @@ class TestNamedSupplies:
     def test_scaling_positive_only(self):
         with pytest.raises(ValueError):
             supply_passivity(1).scaled(-1.0)
+
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf"), np.float64(np.inf)], ids=["nan", "inf", "numpy-inf"])
+    def test_scaling_refuses_non_finite(self, tau):
+        with pytest.raises(ValueError, match="finite and positive"):
+            supply_passivity(1).scaled(tau)
+
+    def test_scaling_refuses_overflow(self):
+        with pytest.raises(ValueError, match="overflows"):
+            supply_gain(1e150, 1, 1).scaled(1e10)
+        # the balanced pair scales the second supply by gamma1 / gamma2, here 1e310
+        with pytest.raises(ValueError, match="finite and positive"):
+            small_gain_pair(1e150, 1e-160)
 
 
 class TestDissipativityBlock:
@@ -260,6 +273,13 @@ class TestMinGain:
     def test_zero_band_storage_rejected(self, msd_c8):
         with pytest.raises(ValueError, match="zero band"):
             min_gain(msd_c8, np.diag([-1.0, 1e-12]), RATE)
+
+    def test_bare_state_matrix_refused(self, msd_c8):
+        # both routines read B and C, which a bare state matrix does not have
+        with pytest.raises(UnsupportedConfigurationError, match="B and C"):
+            min_gain(msd_c8.A, registry.PASSIVITY_STORAGE_C8, RATE)
+        with pytest.raises(UnsupportedConfigurationError, match="B and C"):
+            find_passivity_storage(msd_c8.A, RATE, 1)
 
 
 class TestStorageSearch:

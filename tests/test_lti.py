@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic
+from conftest import random_hyperbolic, spiral_system
 from pdom import registry
 from pdom import lti
 from pdom import matrixcore as mc
@@ -13,10 +13,9 @@ from pdom.lti import (
     check_dominance,
     construct_certificate,
     eigen_split_test,
-    modal_split,
     residual,
 )
-from pdom.matrixcore import expm, inertia_of
+from pdom.matrixcore import inertia_of
 
 RATE = registry.KNOWN_RATE
 
@@ -208,8 +207,8 @@ class TestImpossibleClaim:
     """A negative or non-finite rate, or a p outside [0, n], is an input error on every entry."""
 
     @pytest.mark.parametrize("lam, p", [(RATE, 5), (RATE, -1), (-0.5, 1), (-0.5, 0)])
-    def test_split_construction_and_modal_split(self, msd_c4, lam, p):
-        for entry in (eigen_split_test, construct_certificate, modal_split):
+    def test_split_test_and_construction(self, msd_c4, lam, p):
+        for entry in (eigen_split_test, construct_certificate):
             with pytest.raises(ValueError, match="nonnegative|outside"):
                 entry(msd_c4, lam, p)
 
@@ -224,7 +223,7 @@ class TestImpossibleClaim:
     def test_p_that_is_not_an_integer(self, msd_c4, p):
         from pdom.differential import check_diff_dominance
 
-        for entry in (eigen_split_test, construct_certificate, modal_split):
+        for entry in (eigen_split_test, construct_certificate):
             with pytest.raises(ValueError, match="integer"):
                 entry(msd_c4, RATE, p)
         with pytest.raises(ValueError, match="integer"):
@@ -379,106 +378,17 @@ class TestOneFactorization:
             construct_certificate(A, lam, p)
             assert len(calls) == 1
 
-    def test_modal_rates_read_off_the_schur_diagonal(self, rng, monkeypatch):
-        cases = list(_split_battery(rng))
-        splits = [(lti._ordered_split(A, lam, p), p) for A, lam, p in cases]
-        monkeypatch.setattr(np.linalg, "eigvals", lambda *a: pytest.fail("eigvals called"))
-        modal = [modal_split(A, lam, p) for A, lam, p in cases]
-        monkeypatch.undo()
-        for split, ((_, _, _, T1, T2), p) in zip(modal, splits):
-            if p > 0:
-                assert split.rate_dominant == pytest.approx(-min(np.linalg.eigvals(T1).real), rel=1e-12)
-            if p < T1.shape[0] + T2.shape[0]:
-                assert split.rate_transient == pytest.approx(-max(np.linalg.eigvals(T2).real), rel=1e-12)
-
-
-class TestModalSplit:
-    def test_diagonal_case(self):
-        split = modal_split(np.diag([-0.2679, -3.7321]), 1.2679, 1)
-        assert np.allclose(split.projector_dominant, np.diag([1.0, 0.0]))
-        assert split.rate_dominant == pytest.approx(0.2679)
-        assert split.rate_transient == pytest.approx(3.7321)
-        assert split.growth_floor == pytest.approx(1.0)
-        assert split.decay_ceiling == pytest.approx(1.0)
-
-    def test_saddle(self):
-        split = modal_split(np.diag([1.0, -1.0]), 0.0, 1)
-        assert np.allclose(split.projector_dominant, np.diag([1.0, 0.0]))
-
-    def test_msd_projectors(self, msd_c4):
-        split = modal_split(msd_c4, RATE, 1)
-        Pi = split.projector_dominant
-        assert np.linalg.matrix_rank(Pi) == 1
-        assert np.linalg.matrix_rank(split.projector_transient) == 1
-        assert np.allclose(Pi + split.projector_transient, np.eye(2), atol=1e-12)
-        assert np.allclose(Pi @ Pi, Pi, atol=1e-9)
-        assert np.allclose(Pi @ msd_c4.A, msd_c4.A @ Pi, atol=1e-9)
-        assert split.rate_dominant < RATE < split.rate_transient
-
-    def test_flow_decay_bounds(self, msd_c4, rng):
-        # the two displayed bounds hold along exact flows; the absolute slack
-        # covers the precision floor of components that decay to ~1e-10
-        split = modal_split(msd_c4, RATE, 1)
-        for _ in range(20):
-            x0 = rng.standard_normal(2)
-            xp0 = split.projector_dominant @ x0
-            xs0 = split.projector_transient @ x0
-            for t in np.linspace(0.0, 6.0, 25):
-                flow = expm(msd_c4.A, t)
-                xp = np.linalg.norm(flow @ xp0)
-                xs = np.linalg.norm(flow @ xs0)
-                floor = split.growth_floor * np.exp(-split.rate_dominant * t) * np.linalg.norm(xp0)
-                ceiling = split.decay_ceiling * np.exp(-split.rate_transient * t) * np.linalg.norm(xs0)
-                assert xp >= floor * (1 - 1e-6) - 1e-12 * np.linalg.norm(xp0)
-                assert xs <= ceiling * (1 + 1e-6) + 1e-12 * np.linalg.norm(xs0)
-
-
 class TestComplexPairs:
-    # oscillatory modes produce 2x2 Schur blocks; the split, certificate
-    # construction and modal machinery must handle them
-
-    def _spiral_system(self):
-        A = np.zeros((4, 4))
-        A[:2, :2] = [[0.1, 2.0], [-2.0, 0.1]]  # unstable spiral pair
-        A[2:, 2:] = np.diag([-3.0, -4.0])
-        mix = np.array(
-            [
-                [1.0, 0.2, -0.1, 0.3],
-                [0.0, 1.0, 0.4, -0.2],
-                [0.1, 0.0, 1.0, 0.1],
-                [-0.3, 0.2, 0.0, 1.0],
-            ]
-        )
-        return mix @ A @ np.linalg.inv(mix)
+    # oscillatory modes produce 2x2 Schur blocks; the split and the certificate
+    # construction must handle them
 
     def test_certificate_with_spiral_dominant_pair(self):
-        A = self._spiral_system()
+        A = spiral_system()
         assert eigen_split_test(A, 0.0, 2).passed
         cert = construct_certificate(A, 0.0, 2)
         assert inertia_of(cert.P).as_tuple() == (2, 0, 2)
         assert cert.epsilon > 0
         assert check_dominance(A, cert).passed
-
-    def test_modal_split_with_spiral_pair(self):
-        A = self._spiral_system()
-        split = modal_split(A, 0.0, 2)
-        Pi = split.projector_dominant
-        assert np.linalg.matrix_rank(Pi) == 2
-        assert np.allclose(Pi @ A, A @ Pi, atol=1e-8)
-        assert split.rate_dominant == pytest.approx(-0.1, abs=1e-9)
-        assert split.rate_transient == pytest.approx(3.0, abs=1e-9)
-        # decay bounds along the exact flow
-        rng = np.random.default_rng(11)
-        for _ in range(5):
-            x0 = rng.standard_normal(4)
-            xp0 = Pi @ x0
-            xs0 = split.projector_transient @ x0
-            for t in np.linspace(0.0, 3.0, 13):
-                flow = expm(A, t)
-                floor = split.growth_floor * np.exp(-split.rate_dominant * t)
-                ceiling = split.decay_ceiling * np.exp(-split.rate_transient * t)
-                assert np.linalg.norm(flow @ xp0) >= floor * np.linalg.norm(xp0) * (1 - 1e-6)
-                assert np.linalg.norm(flow @ xs0) <= ceiling * np.linalg.norm(xs0) * (1 + 1e-6) + 1e-12
 
     def test_stable_complex_pair_below_rate(self):
         A = np.zeros((3, 3))

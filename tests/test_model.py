@@ -77,7 +77,6 @@ class TestOneModel:
         [
             lambda sys: pdom.eigen_split_test(sys, 0.0, 0),
             lambda sys: pdom.construct_certificate(sys, 0.0, 0),
-            lambda sys: pdom.modal_split(sys, 0.0, 0),
             lambda sys: pdom.positivity_probe(
                 sys, pdom.QuadraticCone(P=np.diag([-1.0, 1.0, 1.0, 1.0]), p=1), (1.0,), 4, np.random.default_rng(0)
             ),
@@ -85,7 +84,7 @@ class TestOneModel:
             lambda sys: pdom.find_passivity_storage(sys, 1.0, 2),
             lambda sys: pdom.projective_measure(sys, 1.0, 2),
         ],
-        ids=["eigen_split_test", "construct_certificate", "modal_split", "positivity_probe", "min_gain",
+        ids=["eigen_split_test", "construct_certificate", "positivity_probe", "min_gain",
              "find_passivity_storage", "projective_measure"],
     )
     def test_routines_reading_a_refuse_a_lure_model(self, routine):
