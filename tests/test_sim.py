@@ -371,6 +371,57 @@ class TestModalDecay:
         assert np.max(U) <= 1e-18 * np.linalg.norm(P_u, 2)
 
 
+class TestMultistability:
+    """Multistability probed by simulation: integrate_batch over a grid of starts, classify_asymptotics on each."""
+
+    @staticmethod
+    def _settle(sys, grid, t_end, dt):
+        verdicts = [classify_asymptotics(t) for t in integrate_batch(sys, grid, t_end, dt)]
+        assert all(v.kind == "fixed_point" for v in verdicts), [v.kind for v in verdicts]
+        return np.array([v.location for v in verdicts])
+
+    @staticmethod
+    def _equilibria(points):
+        # merge fixed points within ten fixed-point tolerances of a kept one
+        clusters = []
+        for point in points:
+            radius = 10.0 * sim.FP_TOL_SCALE * (1.0 + float(np.linalg.norm(point)))
+            if not any(np.linalg.norm(point - c) <= radius for c in clusters):
+                clusters.append(point)
+        return np.array(clusters)
+
+    def test_cubic_grid_equilibria(self):
+        sys = registry.nonlinear_msd("velocity", "cubic")
+        axis = np.linspace(-3.0, 3.0, 5)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        equilibria = self._equilibria(self._settle(sys, grid, t_end=100.0, dt=1e-3))
+        roots = np.sort(equilibria[:, 0])
+        assert roots == pytest.approx([-np.sqrt(3.0), 0.0, np.sqrt(3.0)], abs=1e-5)
+        assert np.max(np.abs(equilibria[:, 1])) < 1e-6
+
+    def test_contractive_single_cluster(self):
+        sys = registry.nonlinear_msd("velocity", "contractive")
+        assert check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0).passed
+        axis = np.linspace(-1.0, 1.0, 3)
+        grid = np.stack(np.meshgrid(axis, axis), axis=-1).reshape(-1, 2)
+        equilibria = self._equilibria(self._settle(sys, grid, t_end=150.0, dt=2e-3))
+        assert len(equilibria) == 1
+        assert np.allclose(equilibria[0], 0.0, atol=1e-5)
+
+    def test_single_point_grid(self):
+        sys = registry.nonlinear_msd("velocity", "cubic")
+        points = self._settle(sys, np.array([[1.0, 1.0]]), t_end=100.0, dt=1e-3)
+        assert len(self._equilibria(points)) == 1
+
+    def test_cycle_violates_probe(self):
+        # every start off the origin reaches the loop's one limit cycle: no fixed point to report
+        loop = registry.nonlinear_loop()
+        grid = np.array([[1.0, 0.5, -1.0, 0.2], [-1.0, -0.5, 1.0, -0.2], [0.1, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, -2.0]])
+        verdicts = [classify_asymptotics(t) for t in integrate_batch(loop, grid, t_end=400.0, dt=1e-2)]
+        assert [v.kind for v in verdicts] == ["limit_cycle"] * 4
+        assert [v.period for v in verdicts] == pytest.approx([52.9] * 4, abs=0.5)
+
+
 class TestIncrementalContraction:
     def test_distance_nonincreasing_for_contractive_systems(self, rng):
         # certified storages make the induced distance shrink along 50 pairs
