@@ -259,10 +259,6 @@ def cmd_interconnect(args, report: RunReport) -> int:
 
 def cmd_simulate(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
-    if args.dt <= 0:
-        raise PdomError("--dt must be positive")
-    if args.t_end < args.dt:
-        raise PdomError("--t must be at least --dt")
     x0 = _parse_vector(args.x0)
     if x0.shape[0] != system.n:
         raise PdomError(f"--x0 has {x0.shape[0]} entries, system has {system.n} states")

@@ -60,10 +60,6 @@ class QuadraticCone:
         object.__setattr__(self, "eigenvalues", eigenvalues)
         object.__setattr__(self, "eigenvectors", eigenvectors)
 
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float).ravel()
-        return float(x @ self.P @ x)
-
 
 def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """``x^T P x`` for each row x of X."""
@@ -181,7 +177,7 @@ def projective_measure(sys, lam: float, p: int) -> ProjectiveMeasure:
     a bad claim, a p off the split), a trivial split (``ValueError``) and a
     margin that is not positive (``NumericalError``).
     """
-    A, Winv, T1, T2, Xu, Xs = _block_storages(sys, lam, p)
+    A, _, Winv, T1, T2, Xu, Xs = _block_storages(sys, lam, p)
     n = A.shape[0]
     if not 0 < p < n:
         raise ValueError("projective measure needs a nontrivial split (0 < p < n)")

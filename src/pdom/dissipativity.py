@@ -191,10 +191,12 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     gain supply's block is ``[[M, W], [W^T, D^T D - gamma^2 I]]``. When
     ``M < 0`` it is ``<= 0`` exactly when gamma^2 is at least the top
     eigenvalue of the Schur complement ``D^T D + W^T (-M)^{-1} W``. Raises
-    ``ValueError`` when M is not negative definite (no gain works) or when
-    P has an eigenvalue in the zero band (the verifiers refuse it).
+    ``ValueError`` for a rate that is not finite and nonnegative, when M is
+    not negative definite (no gain works) or when P has an eigenvalue in the
+    zero band (the verifiers refuse all three).
     """
     A = _io_state_matrix(sys)
+    _check_claim(lam, 0, sys.n)
     P = mc.as_symmetric(P)
     if mc.inertia_of(P).zero:
         raise ValueError("storage has eigenvalues inside the zero band")

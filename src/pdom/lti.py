@@ -6,15 +6,16 @@ a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
 :func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test
-and constructs certificates from an ordered Schur split, whose block
-storages the projective measure (:func:`pdom.cones.projective_measure`)
-reads too. ``LtiSystem`` is the channel-free use of the one model,
-:class:`LureSystem`.
+and constructs certificates from an ordered Schur split: one function,
+:func:`_block_storages`, splits, decouples and solves the block storages
+that the projective measure (:func:`pdom.cones.projective_measure`) reads too.
+``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import numbers
 from dataclasses import dataclass, field
 
@@ -92,7 +93,7 @@ class VertexVerdict:
 
 
 @dataclass(frozen=True, eq=False)
-class DifferentialVerdict(_ValueEquality):
+class DifferentialVerdict:
     """The verdict of every verifier: a storage checked on each vertex of a model's family.
 
     The per-vertex outcomes are kept as columns, one row per vertex in family
@@ -100,7 +101,8 @@ class DifferentialVerdict(_ValueEquality):
     channel-free model), ``vertex_passed``, ``lmax`` (each block's top
     eigenvalue) and ``split_ok`` (None without channels), read-only arrays
     of their own. ``vertices``, one :class:`VertexVerdict` record per row, is
-    built from them when first read.
+    built from them when first read, and ``==`` compares the claim
+    (``passed``, ``p``, ``rate``, ``inertia``) and the columns.
     ``status`` is "pass", or the status every failing vertex shares. On a
     residual failure the verdict keeps the block of the failing vertex with
     the largest ``lmax`` (``witness_corner``), outside ``==`` and
@@ -154,14 +156,19 @@ class DifferentialVerdict(_ValueEquality):
 
     @functools.cached_property
     def vertices(self) -> tuple[VertexVerdict, ...]:
-        # column by column, one float object per distinct slope (by bit pattern, so -0.0 stays -0.0): the
-        # records hold no copy of each slope per vertex
-        columns = []
-        for column in self.corners.T:
-            _, first, index = np.unique(column.view(np.uint64), return_index=True, return_inverse=True)
-            columns.append(list(map(column[first].tolist().__getitem__, index.tolist())))
-        corners = zip(*columns) if columns else [()] * len(self.lmax)
-        return tuple(VertexVerdict(*row) for row in self._rows(corners))
+        # the family is in product order over each channel's (alpha, beta), the first and last corners: the
+        # records share one float object per bound (-0.0 stays -0.0), and a channel-free model gets its one ()
+        bounds = zip(self.corners[0].tolist(), self.corners[-1].tolist())
+        return tuple(VertexVerdict(*row) for row in self._rows(itertools.product(*bounds)))
+
+    def __eq__(self, other):
+        # the claim and the four columns (a None split_ok equals only None); the summaries derive from them
+        return (type(other) is type(self)
+                and (self.passed, self.p, self.rate, self.inertia) == (other.passed, other.p, other.rate, other.inertia)
+                and all(np.array_equal(getattr(self, column), getattr(other, column))
+                        for column in ("corners", "vertex_passed", "lmax", "split_ok")))
+
+    __hash__ = None
 
     def to_dict(self) -> dict:
         vertices = [
@@ -411,35 +418,31 @@ def eigen_split_test(sys, lam: float, p: int) -> SplitVerdict:
     return SplitVerdict(status, margin, unstable, p)
 
 
-def _ordered_split(sys, lam: float, p: int):
-    """A's one factorization for a claim (lam, p): ``(A, W, W^{-1}, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``.
+def _block_storages(sys, lam: float, p: int):
+    """A's one factorization for a claim (lam, p): ``(A, W, W^{-1}, T1, T2, Xu, Xs)``.
 
-    T1 (p x p) and T2 are real Schur blocks holding the unstable and stable eigenvalues of ``A + lam I``.
-    Refused: a Lur'e model (``state_matrix``), a claim that breaks :func:`_check_claim`, a p off the split.
+    The ordered split ``A = Q T Q^T`` (:func:`pdom.matrixcore.schur_split`) puts the unstable
+    eigenvalues of ``A + lam I`` in the leading p x p Schur block T1 and the stable ones in T2; for
+    0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks (their spectra are disjoint),
+    so ``A = W blockdiag(T1, T2) W^{-1}`` with ``W = Q [[I, Y], [0, I]]``. Xu and Xs solve
+    ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``: one ``trsyl`` each on its
+    Schur block, symmetrized. Both M are anti-Hurwitz, so both storages are positive definite; an
+    empty block gives a 0 x 0 storage. Refused: a Lur'e model (``state_matrix``), a claim that breaks
+    :func:`_check_claim`, a p off the split (:class:`SplitMismatchError`).
     """
     A = state_matrix(sys)
     n = A.shape[0]
     _check_claim(lam, p, n)
-    form, unstable_dim = mc.schur_split(A, lam)
+    Q, T, unstable_dim = mc.schur_split(A, lam)
     if unstable_dim != p:
-        raise SplitMismatchError(
-            f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}"
-        )
-    W, T1, T2 = mc.block_diagonalize(form, p)
-    return A, W, np.linalg.solve(W, np.eye(n)), T1, T2
-
-
-def _block_storages(sys, lam: float, p: int):
-    """The per-block Lyapunov storages of the ordered split: ``(A, W^{-1}, T1, T2, Xu, Xs)``.
-
-    With ``A = W blockdiag(T1, T2) W^{-1}`` (:func:`_ordered_split`), Xu and Xs
-    solve ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``:
-    one ``trsyl`` each on its Schur block, symmetrized. Both M are
-    anti-Hurwitz, so both storages are positive definite; an empty block
-    gives a 0 x 0 storage.
-    """
-    A, W, Winv, T1, T2 = _ordered_split(sys, lam, p)
-    n = A.shape[0]
+        raise SplitMismatchError(f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}")
+    T1, T2 = T[:p, :p], T[p:, p:]
+    W = Q
+    if 0 < p < n:
+        V = np.eye(n)
+        V[:p, p:] = mc._trsyl(T1, T2, -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
+        W = Q @ V
+    Winv = np.linalg.solve(W, np.eye(n))
     Xu = Xs = np.zeros((0, 0))
     if p > 0:
         M = T1 + lam * np.eye(p)
@@ -449,7 +452,7 @@ def _block_storages(sys, lam: float, p: int):
         M = T2 + lam * np.eye(n - p)
         X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
         Xs = 0.5 * (X + X.T)
-    return A, Winv, T1, T2, Xu, Xs
+    return A, W, Winv, T1, T2, Xu, Xs
 
 
 def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
@@ -461,7 +464,7 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     (:func:`pdom.cones.projective_measure`) reads too.
     The storage must pass the family verdict, and it carries a strictly positive margin.
     """
-    A, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)
+    A, _, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)
     n = A.shape[0]
     core = np.zeros((n, n))
     core[:p, :p] = -Xu

@@ -1,7 +1,8 @@
 """Dense real matrix kernel used by every verifier in the package.
 
 Symmetric eigendecompositions (eigenvalues alone where no vector is read),
-ordered real Schur splits (LAPACK ``trsen`` on one real Schur form),
+ordered real Schur splits ``(Q, T, k)`` (LAPACK ``trsen`` on one real Schur
+form; :func:`pdom.lti._block_storages` decouples and solves on its blocks),
 Lyapunov/Sylvester solves (LAPACK ``trsyl`` on a real Schur form) and the
 matrix exponential, all with explicit residual checks against the fixed
 tolerances of :mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double
@@ -21,7 +22,6 @@ from .policy import RECON_TOL, SPLIT_TOL, SYM_TOL, ZTOL_REL
 
 __all__ = [
     "Inertia",
-    "SchurForm",
     "as_matrix",
     "as_symmetric",
     "frobenius",
@@ -30,7 +30,6 @@ __all__ = [
     "inertia_of",
     "positive_definite",
     "schur_split",
-    "block_diagonalize",
     "lyapunov_solve",
     "expm",
 ]
@@ -148,26 +147,6 @@ class Inertia:
         return self.negative == p and self.zero == 0
 
 
-@dataclass(frozen=True)
-class SchurForm:
-    """Real Schur factorization A = Q T Q^T with a prescribed eigenvalue order.
-
-    The leading diagonal blocks of T hold the eigenvalues the split promoted.
-    """
-
-    Q: np.ndarray
-    T: np.ndarray
-
-    def validate(self, A: np.ndarray) -> None:
-        n = self.Q.shape[0]
-        orth = np.linalg.norm(self.Q.T @ self.Q - np.eye(n), "fro")
-        if orth > 1e3 * RECON_TOL:
-            raise NumericalError(f"Schur basis lost orthogonality ({orth:.3e})")
-        recon = np.linalg.norm(self.Q @ self.T @ self.Q.T - A, "fro")
-        if recon > RECON_TOL * max(1.0, np.linalg.norm(A, "fro")) * 1e3:
-            raise NumericalError(f"Schur reconstruction residual too large ({recon:.3e})")
-
-
 def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
@@ -232,16 +211,17 @@ def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str = "N", isgn: 
     return X / scale
 
 
-def schur_split(A, shift: float) -> tuple[SchurForm, int]:
-    """Ordered real Schur form splitting the spectrum of ``A + shift*I`` at the axis.
+def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
+    """Ordered real Schur form ``A = Q T Q^T`` splitting the spectrum of ``A + shift*I`` at the axis.
 
-    Eigenvalues of ``A + shift*I`` with positive real part lead the diagonal;
-    the second return value is their count. One unsorted real Schur form
+    Returns ``(Q, T, k)``: eigenvalues of ``A + shift*I`` with positive real
+    part lead the diagonal of T, and k is their count. One unsorted real Schur form
     (:func:`_real_schur`) gives the spectrum and, reordered by LAPACK
     ``trsen``, the split. A shifted eigenvalue within ``SPLIT_TOL`` of the
     imaginary axis makes the split non-hyperbolic and raises
     :class:`NonHyperbolicError` (the dominance test is inconclusive at this
-    rate, not failed); a shift that is not finite is a ``ValueError``.
+    rate, not failed); a shift that is not finite is a ``ValueError``, and a
+    basis that lost orthogonality or fails to reconstruct A is a :class:`NumericalError`.
     """
     if not np.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift}")
@@ -261,27 +241,13 @@ def schur_split(A, shift: float) -> tuple[SchurForm, int]:
     T, Q, _, _, sdim, _, _, info = dtrsen(spectrum.real + shift > 0, T, Q, job="N")
     if info != 0:
         raise NumericalError(f"Schur reordering failed (trsen info {info})")
-    form = SchurForm(Q=Q, T=T)
-    form.validate(mat)
-    return form, int(sdim)
-
-
-def block_diagonalize(form: SchurForm, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decouple the leading k-by-k Schur block from the rest.
-
-    Returns ``(W, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``, T1 and T2 still in Schur form.
-    One :func:`_trsyl` on the two diagonal blocks removes the coupling block; their spectra must be
-    disjoint, which the ordered split guarantees.
-    """
-    n = form.T.shape[0]
-    if not 0 <= k <= n:
-        raise DimensionError(f"block size {k} outside [0, {n}]")
-    if k in (0, n):
-        return form.Q.copy(), form.T[:k, :k].copy(), form.T[k:, k:].copy()
-    T1, T2 = form.T[:k, :k], form.T[k:, k:]
-    V = np.eye(n)
-    V[:k, k:] = _trsyl(T1, T2, -form.T[:k, k:], isgn=-1)  # T1 Y - Y T2 = -T12
-    return form.Q @ V, T1.copy(), T2.copy()
+    orth = np.linalg.norm(Q.T @ Q - np.eye(mat.shape[0]), "fro")
+    if orth > 1e3 * RECON_TOL:
+        raise NumericalError(f"Schur basis lost orthogonality ({orth:.3e})")
+    recon = np.linalg.norm(Q @ T @ Q.T - mat, "fro")
+    if recon > RECON_TOL * max(1.0, np.linalg.norm(mat, "fro")) * 1e3:
+        raise NumericalError(f"Schur reconstruction residual too large ({recon:.3e})")
+    return Q, T, int(sdim)
 
 
 def lyapunov_solve(M, Q) -> np.ndarray:

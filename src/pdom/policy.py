@@ -12,4 +12,5 @@ PROBE_MARGIN = 1e-8   # quantified "interior" margin for cone probes
 EQ_TOL = 1e-10        # linear equality residual allowed in solutions
 FP_TOL_SCALE = 1e-6   # fixed-point tail displacement, times (1+|x|)
 CYCLE_TOL = 1e-2      # relative period jitter allowed for cycles
+STEP_TOL = 1e-9       # relative distance of t_end / dt from a whole step count
 MAX_VERTICES = 2**16  # largest vertex family built (k = 16, n = 6: 0.10 s and 85 MB per dominance check, 0.15 s and 136 MB per dissipativity check)

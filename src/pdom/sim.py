@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .model import LureSystem, state_matrix
-from .policy import CYCLE_TOL, FP_TOL_SCALE
+from .policy import CYCLE_TOL, FP_TOL_SCALE, STEP_TOL
 
 __all__ = [
     "Trajectory",
@@ -89,6 +89,9 @@ def integrate_batch(
 ) -> list[Trajectory]:
     """RK4 over a batch of initial conditions (rows of X0), one grid for all.
 
+    ``t_end / dt`` must be a whole number of steps (to a relative ``STEP_TOL``) and of recorded intervals
+    (``dt * record_every``); any other horizon is a ``ValueError``, never a shortened run.
+
     A row whose norm exceeds 1e9, or is not finite, is flagged as truncated
     and its record is cut at that step; the row is not evaluated after it.
     Both evaluators test ``x . x <= 1e18``, which is the same rule without a
@@ -114,6 +117,8 @@ def integrate_batch(
         raise ValueError(f"t_end / dt must be finite, got {t_end} / {dt}")
     X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     steps = int(round(ratio))
+    if abs(ratio - steps) > STEP_TOL * ratio:  # rounding would shorten or stretch the horizon
+        raise ValueError(f"t_end must be a whole number of steps (dt), got {t_end} / {dt} = {ratio!r}")
     if steps % record_every:
         raise ValueError("t_end must be a whole number of recorded intervals (dt * record_every)")
     if not isinstance(sys, LureSystem):  # a bare state matrix

@@ -589,6 +589,13 @@ class TestSimulate:
     def test_zero_dt_rejected(self):
         assert cli.main(["simulate", "nl-msd", "--x0", "1,1", "--dt", "0"]) == 2
 
+    def test_horizon_off_the_step_grid_is_input_error(self, tmp_path, capsys):
+        # 1 / 0.4 is 2.5 steps: the run used to end at t = 0.8 with samples: 3 while its report said t: 1.0
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "simulate", "msd-c4", "--x0", "1,1", "--t", "1", "--dt", "0.4"]) == 2
+        assert "whole number of steps" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"]["exit_code"] == 2
+
     def test_wrong_x0_dimension(self):
         assert cli.main(["simulate", "nl-msd", "--x0", "1,1,1"]) == 2
 

@@ -13,7 +13,7 @@ from pdom.cones import (
     ratio_trace,
 )
 from pdom.errors import DimensionError, NumericalError
-from pdom.lti import _ordered_split, construct_certificate
+from pdom.lti import _block_storages, construct_certificate
 from pdom.sim import Trajectory, integrate
 
 RATE = registry.KNOWN_RATE
@@ -185,7 +185,7 @@ class TestMeasureBattery:
             except NumericalError:
                 continue  # a storage whose conditioning puts an eigenvalue in the zero band
             measure = projective_measure(A, lam, p)
-            W = _ordered_split(A, lam, p)[1].astype(L)
+            W = _block_storages(A, lam, p)[1].astype(L)
             for P, sign, block in ((measure.P_u, 1, slice(0, p)), (measure.P_s, -1, slice(p, n))):
                 P = P.astype(L)
                 inequality = sign * (A.T @ P + P @ A + 2 * lam * P) - L(measure.eps_hat) * P

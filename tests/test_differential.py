@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -318,6 +319,22 @@ class TestResultEquality:
         cert = DominanceCertificate(P=registry.MONOTONE_STORAGE, rate=0.0, epsilon=0.0, p=1)
         other = check_dominance(monotone, cert)
         assert other.worst_lmax == at_zero.worst_lmax and other != at_zero
+
+    def test_equality_reads_the_columns(self, rng, monkeypatch):
+        # k = 12 channels on n = 6 states: 4096 vertices, compared without forming either to_dict
+        n = 6
+        channels = tuple(Channel(g=rng.standard_normal(n), h=rng.standard_normal(n), sigma=cubic_saturated(),
+                                 alpha=-3.0, beta=1.0) for _ in range(12))
+        sys = LureSystem(A=rng.standard_normal((n, n)) - 3.0 * np.eye(n), B=np.zeros((n, 1)), C=np.zeros((1, n)),
+                         channels=channels)
+        first, second = (check_diff_dominance(sys, np.eye(n), 0.5, p=0) for _ in range(2))
+        monkeypatch.setattr(lti.DifferentialVerdict, "to_dict", lambda self: pytest.fail("to_dict called"))
+        assert len(first.lmax) == 2**12 and first == second
+        for column in ("lmax", "split_ok"):
+            changed = getattr(first, column).copy()
+            changed[1000] = not changed[1000] if column == "split_ok" else changed[1000] + 1e-12
+            assert first != dataclasses.replace(first, **{column: changed})
+
 
 class TestCertificateChecksOnTheFamily:
     """check_dominance and verify_dissipativity hold a Lur'e certificate to every vertex, not to A alone."""

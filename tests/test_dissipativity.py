@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hyperbolic
+from pdom import matrixcore as mc
 from pdom import registry
 from pdom.dissipativity import (
     DissipativityCertificate,
@@ -273,6 +274,13 @@ class TestMinGain:
     def test_zero_band_storage_rejected(self, msd_c8):
         with pytest.raises(ValueError, match="zero band"):
             min_gain(msd_c8, np.diag([-1.0, 1e-12]), RATE)
+
+    @pytest.mark.parametrize("lam, lyapunov", [(np.nan, False), (np.inf, False), (None, False), (True, False), (-0.05, True)])
+    def test_rate_held_to_the_claim_rule(self, msd_c8, lam, lyapunov):
+        # before the claim check: NumericalError, TypeError, True read as rate 1, and gamma = 1.118 at rate -0.05
+        P = mc.lyapunov_solve(msd_c8.A, np.eye(2)) if lyapunov else registry.PASSIVITY_STORAGE_C8
+        with pytest.raises(ValueError, match="rate must be"):
+            min_gain(msd_c8, P, lam)
 
     def test_bare_state_matrix_refused(self, msd_c8):
         # both routines read B and C, which a bare state matrix does not have

@@ -343,7 +343,7 @@ def _split_battery(rng):
 
 def _reference_storage(A, lam, p):
     """The storage as built before the construction solved on the split's blocks: a general Lyapunov solve each."""
-    A, W, Winv, T1, T2 = lti._ordered_split(A, lam, p)
+    A, W, Winv, T1, T2, _, _ = lti._block_storages(A, lam, p)
     n = A.shape[0]
     core = np.zeros((n, n))
     if p > 0:
@@ -358,7 +358,7 @@ class TestOneFactorization:
     def test_storage_is_bitwise_the_general_solve(self, rng):
         seen = {"p=0": 0, "p=n": 0, "pairs on both sides": 0}
         for A, lam, p in _split_battery(rng):
-            _, _, _, T1, T2 = lti._ordered_split(A, lam, p)
+            _, _, _, T1, T2, _, _ = lti._block_storages(A, lam, p)
             seen["p=0"] += p == 0
             seen["p=n"] += p == A.shape[0]
             seen["pairs on both sides"] += bool(np.diagonal(T1, -1).any() and np.diagonal(T2, -1).any())

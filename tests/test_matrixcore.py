@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pdom import matrixcore as mc
+from pdom.lti import _block_storages
 from pdom.policy import RECON_TOL
 from pdom.errors import DimensionError, NonHyperbolicError, NumericalError
 
@@ -178,19 +179,19 @@ class TestPositiveDefinite:
 
 class TestSchurSplit:
     def test_msd_shifted_split(self, msd_c4):
-        form, unstable = mc.schur_split(msd_c4.A, 1.2679)
+        _, T, unstable = mc.schur_split(msd_c4.A, 1.2679)
         assert unstable == 1
-        eigs = np.sort(np.linalg.eigvals(form.T).real)
+        eigs = np.sort(np.linalg.eigvals(T).real)
         assert eigs == pytest.approx([-3.7321, -0.2679], abs=1e-4)
         # promoted block leads
-        assert np.linalg.eigvals(form.T[:1, :1])[0].real > -1.2679
+        assert np.linalg.eigvals(T[:1, :1])[0].real > -1.2679
 
     def test_trivial_stable(self):
-        _, unstable = mc.schur_split(np.diag([-1.0, -2.0]), 0.0)
+        _, _, unstable = mc.schur_split(np.diag([-1.0, -2.0]), 0.0)
         assert unstable == 0
 
     def test_mixed_diagonal(self):
-        _, unstable = mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
+        _, _, unstable = mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
         assert unstable == 1
 
     def test_non_hyperbolic_raises(self):
@@ -213,16 +214,16 @@ class TestSchurSplit:
             shift = float(rng.uniform(-0.5, 0.5)) * np.abs(A).max()
             if np.min(np.abs(np.linalg.eigvals(A).real + shift)) <= 1e-6 * np.abs(A).max():
                 continue
-            form, k = mc.schur_split(A, shift)
-            T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re > -shift)
+            Q, T, k = mc.schur_split(A, shift)
+            sorted_T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re > -shift)
             assert k == sdim
-            leading = np.sort_complex(np.linalg.eigvals(form.T[:k, :k]))
-            assert np.allclose(leading, np.sort_complex(np.linalg.eigvals(T[:k, :k])), atol=1e-9 * np.abs(A).max())
-            assert np.all(np.linalg.eigvals(form.T[:k, :k]).real > -shift)
-            assert np.all(np.linalg.eigvals(form.T[k:, k:]).real < -shift)
-            recon = form.Q @ form.T @ form.Q.T
+            leading = np.sort_complex(np.linalg.eigvals(T[:k, :k]))
+            assert np.allclose(leading, np.sort_complex(np.linalg.eigvals(sorted_T[:k, :k])), atol=1e-9 * np.abs(A).max())
+            assert np.all(np.linalg.eigvals(T[:k, :k]).real > -shift)
+            assert np.all(np.linalg.eigvals(T[k:, k:]).real < -shift)
+            recon = Q @ T @ Q.T
             assert np.linalg.norm(recon - A) <= 1e-12 * np.linalg.norm(A) * n
-            pairs += np.count_nonzero(np.diagonal(form.T, -1))
+            pairs += np.count_nonzero(np.diagonal(T, -1))
         assert pairs > 0
 
     def test_reordering_failure_is_numerical(self, monkeypatch):
@@ -233,16 +234,16 @@ class TestSchurSplit:
         with pytest.raises(NumericalError, match="reordering"):
             mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
 
-    def test_block_diagonalize_with_pairs_in_both_blocks(self, rng):
+    def test_split_decouples_with_pairs_in_both_blocks(self, rng):
         # unstable spirals 1 +- 2i, 0.5 +- i and stable spirals -1 +- 3i, -2 +- 0.5i
         D = np.zeros((8, 8))
         for i, (re, im) in enumerate([(1.0, 2.0), (0.5, 1.0), (-1.0, 3.0), (-2.0, 0.5)]):
             D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[re, im], [-im, re]]
         V = rng.standard_normal((8, 8)) + 3.0 * np.eye(8)
         A = V @ D @ np.linalg.inv(V)
-        form, k = mc.schur_split(A, 0.0)
+        _, _, k = mc.schur_split(A, 0.0)
         assert k == 4
-        W, T1, T2 = mc.block_diagonalize(form, k)
+        _, W, _, T1, T2, _, _ = _block_storages(A, 0.0, k)
         assert np.count_nonzero(np.diagonal(T1, -1)) == 2
         assert np.count_nonzero(np.diagonal(T2, -1)) == 2
         core = np.zeros((8, 8))
@@ -251,7 +252,7 @@ class TestSchurSplit:
         recon = W @ core @ np.linalg.solve(W, np.eye(8))
         assert np.linalg.norm(recon - A) <= 1e-10 * np.linalg.norm(A)
 
-    def test_block_diagonalize_decouples(self, rng):
+    def test_split_decouples(self, rng):
         for _ in range(20):
             n = int(rng.integers(2, 8))
             A = rng.standard_normal((n, n))
@@ -259,9 +260,9 @@ class TestSchurSplit:
             if np.min(np.abs(shifted)) < 1e-3:
                 continue
             k_target = int(np.sum(shifted > 0))
-            form, k = mc.schur_split(A, 0.0)
+            _, _, k = mc.schur_split(A, 0.0)
             assert k == k_target
-            W, T1, T2 = mc.block_diagonalize(form, k)
+            _, W, _, T1, T2, _, _ = _block_storages(A, 0.0, k)
             core = np.zeros((n, n))
             core[:k, :k] = T1
             core[k:, k:] = T2

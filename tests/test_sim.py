@@ -179,6 +179,18 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="finite"):
             integrate_batch(msd_c4, [[1.0, 1.0]], t_end=t_end, dt=dt)
 
+    @pytest.mark.parametrize("t_end, dt, record_every", [(1.0, 0.4, 1), (1.0, 0.4, 2), (1.0, 0.3, 1), (1.0, 1e-3 * (1 + 1e-8), 1)])
+    def test_horizon_off_the_step_grid_rejected(self, msd_c4, t_end, dt, record_every):
+        # 1.0 / 0.4 = 2.5 steps used to run 2 steps and end at t = 0.8, record_every=2 included
+        with pytest.raises(ValueError, match="whole number of steps"):
+            integrate_batch(msd_c4, [[1.0, 1.0]], t_end=t_end, dt=dt, record_every=record_every)
+
+    def test_horizon_within_step_tol_runs_to_the_end(self, msd_c4):
+        # 0.3 / 0.1 is 2.9999999999999996 in floating point: three steps, ending at t_end
+        traj = integrate(msd_c4, [1.0, 1.0], t_end=0.3, dt=0.1)
+        assert traj.states.shape[0] == 4
+        assert traj.times[-1] == pytest.approx(0.3, rel=1e-12)
+
 
 def _channel_msd(sigma, alpha, beta):
     """x1' = x2, x2' = -x1 - x2 + sigma(x1) + u."""
