@@ -103,6 +103,10 @@ def integrate_batch(
     batch runs the numpy loop (9-28 us per step for up to 40 rows), timed on one core of a shared
     2-core host with Python 3.11. The generated step sums products left to right, while a one-row numpy
     product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
+
+    The records take batch * (steps / record_every + 1) * n * 8 bytes, held once, plus O(batch * n)
+    working arrays. X0 is one start of width ``sys.n`` or a ``(batch, sys.n)`` array; any other shape
+    is a ``DimensionError``.
     """
     if not np.isfinite([t_end, dt]).all():
         raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
@@ -115,7 +119,6 @@ def integrate_batch(
     ratio = t_end / dt
     if not np.isfinite(ratio):  # a step count that overflows a float
         raise ValueError(f"t_end / dt must be finite, got {t_end} / {dt}")
-    X0 = np.atleast_2d(np.asarray(X0, dtype=float))
     steps = int(round(ratio))
     if abs(ratio - steps) > STEP_TOL * ratio:  # rounding would shorten or stretch the horizon
         raise ValueError(f"t_end must be a whole number of steps (dt), got {t_end} / {dt} = {ratio!r}")
@@ -124,6 +127,10 @@ def integrate_batch(
     if not isinstance(sys, LureSystem):  # a bare state matrix
         A = state_matrix(sys)
         sys = LureSystem(A=A, B=np.zeros((A.shape[0], 0)), C=np.zeros((0, A.shape[0])))
+    X0 = np.ascontiguousarray(X0, dtype=float)  # the numpy loop steps from X0 itself, in C order
+    if X0.ndim not in (1, 2) or X0.shape[-1] != sys.n:
+        raise DimensionError(f"initial states of shape {X0.shape} fit neither ({sys.n},) nor (batch, {sys.n})")
+    X0 = np.atleast_2d(X0)
     small = _takes_row_step(sys, X0.shape[0]) and not callable(input_policy)
     runs, inputs = (_rk4_rows if small else _rk4_batch)(sys, X0, steps, dt, record_every, input_policy)
     return [Trajectory(0.0, dt * record_every, states, None if inputs is None else inputs[: len(states)], cut)
@@ -140,17 +147,20 @@ def _takes_row_step(sys: LureSystem, rows: int) -> bool:
 
 
 def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
-    """The numpy RK4 loop on the whole batch: ``(states, truncated)`` per row, and the input record."""
+    """The numpy RK4 loop on the whole batch: ``(states, truncated)`` per row, and the input record.
+    Each is written into one ``np.zeros`` array allocated before the loop; the OS zeroes its pages on first
+    write, so records never reached, after every row is cut, never become resident, though reserved."""
     u_of_t, drive = _input_terms(sys, input_policy)
     f = (lambda t, X: sys.rhs(X) + drive(t)) if drive else (lambda t, X: sys.rhs(X))
-    batch = X0.shape[0]
-    X = X0.copy()
-    history = [X0.copy()]
-    inputs = [u_of_t(0.0)] if u_of_t is not None else None
-    cut_length = np.full(batch, -1, dtype=int)  # record count at divergence, -1 if none
-    rows = np.arange(batch)  # the batch rows that X still integrates
-    t = 0.0
-    half, sixth = 0.5 * dt, dt / 6.0
+    records = np.zeros((steps // record_every + 1, *X0.shape))  # (N, batch, n)
+    records[0] = X = X0
+    inputs = None if u_of_t is None else np.zeros((len(records), sys.m))
+    if inputs is not None:
+        inputs[0] = u_of_t(0.0)
+    count = 1  # records written
+    cut_length = np.full(len(X0), -1, dtype=int)  # record count at divergence, -1 if none
+    rows = np.arange(len(X0))  # the batch rows that X still integrates
+    t, half, sixth = 0.0, 0.5 * dt, dt / 6.0
     with np.errstate(invalid="ignore", over="ignore"):
         for step in range(steps):
             k1 = f(t, X)
@@ -163,21 +173,18 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
             bad = ~(np.einsum("ij,ij->i", X, X) <= _DIVERGENCE_NORM ** 2)
             if bad.any():
                 # cut the records of the diverged rows here and stop integrating them
-                cut_length[rows[bad]] = len(history)
+                cut_length[rows[bad]] = count
                 X, rows = X[~bad], rows[~bad]
                 if not rows.size:
                     break
             if (step + 1) % record_every == 0:
-                if rows.size == batch:
-                    history.append(X.copy())
-                else:  # the entries of cut rows lie past their records' ends
-                    history.append(np.zeros_like(X0))
-                    history[-1][rows] = X
+                # the entries of cut rows lie past their records' ends and stay zero
+                records[count, rows if rows.size < len(X0) else slice(None)] = X
                 if inputs is not None:
-                    inputs.append(u_of_t(t))
-    stacked = np.stack(history, axis=0)  # (N, batch, n)
-    runs = [(stacked[: cut if cut >= 0 else None, i], bool(cut >= 0)) for i, cut in enumerate(cut_length)]
-    return runs, np.stack(inputs, axis=0) if inputs is not None else None
+                    inputs[count] = u_of_t(t)
+                count += 1
+    runs = [(records[: cut if cut >= 0 else count, i], bool(cut >= 0)) for i, cut in enumerate(cut_length)]
+    return runs, None if inputs is None else inputs[:count]
 
 
 def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
@@ -204,7 +211,7 @@ def _row_step_source(sys: LureSystem, with_input: bool) -> tuple[str, dict]:
     ``a - x * 2.0`` for ``a + x * -2.0``, which rounds to the same bits. The record grows in an
     ``array('d')``."""
     n, namespace = sys.n, {"bisect_right": bisect_right, "array": array}
-    namespace["states"] = lambda out: np.array(out).reshape(-1, n)
+    namespace["states"] = lambda out: np.frombuffer(out).reshape(-1, n)
     x, y, u, *k = ([f"{v}{i}" for i in range(n)] for v in ("x", "y", "u", "k1_", "k2_", "k3_", "k4_"))
     u = u if with_input else None
     body = _field_lines(sys, x, k[0], u, namespace)

@@ -1,12 +1,14 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from pdom import registry, sim
 from pdom.differential import check_diff_dominance
+from pdom.errors import DimensionError
 from pdom.cones import projective_measure
 from pdom.lti import LtiSystem, construct_certificate
 from pdom.matrixcore import expm
@@ -191,6 +193,18 @@ class TestIntegrate:
         assert traj.states.shape[0] == 4
         assert traj.times[-1] == pytest.approx(0.3, rel=1e-12)
 
+    # the narrow batch would go to the generated step, the wide one to the numpy loop
+    @pytest.mark.parametrize("shape", [(2, 3), (300, 3), (2, 2, 4), (3,)], ids=["narrow", "wide", "3-d", "single"])
+    def test_start_off_the_state_width_rejected(self, shape):
+        with pytest.raises(DimensionError, match=re.escape(f"shape {shape} fit neither (4,) nor (batch, 4)")):
+            integrate_batch(registry.nonlinear_loop(), np.ones(shape), t_end=0.1, dt=1e-2)
+
+    def test_single_start_and_empty_batch_run(self):
+        loop = registry.nonlinear_loop()
+        (single,) = integrate_batch(loop, np.ones(4), t_end=0.1, dt=1e-2)
+        assert single.states.shape == (11, 4)
+        assert integrate_batch(loop, np.zeros((0, 4)), t_end=0.1, dt=1e-2) == []
+
 
 def _channel_msd(sigma, alpha, beta):
     """x1' = x2, x2' = -x1 - x2 + sigma(x1) + u."""
@@ -296,18 +310,38 @@ class TestEvaluators:
         (_, first_cut), (_, second_cut) = _same_rows(sys, [[1e2, 0.0], [1e-3, 1.0]], 20.0, 1e-2, 5, None)
         assert first_cut and not second_cut
 
-    @pytest.mark.parametrize("rows, dt, every", [(10, 1e-2, 2), (16, 2.5e-2, 5)])
-    def test_nl_loop_batches_match_bitwise(self, rows, dt, every):
+    @pytest.mark.parametrize(
+        "rows, dt, every, cut", [(10, 1e-2, 2, False), (16, 2.5e-2, 5, False), (256, 2e-2, 5, True)]
+    )
+    def test_nl_loop_batches_match_bitwise(self, rows, dt, every, cut):
         # the benchmark's nl-loop batch shapes: a batched numpy product sums in sequence, as the
-        # generated step does, so the two agree to the bit
+        # generated step does, so the two agree to the bit; the wide batch has two rows cut at the
+        # first step, one from a norm of 1e9 and one from a NaN entry
         loop = registry.nonlinear_loop()
         x0 = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 4))
+        if cut:
+            x0[-2:] = [[1e9, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]
         steps = int(round(50.0 / dt))
         by_rows, _ = sim._rk4_rows(loop, x0, steps, dt, every, None)
         batch, _ = sim._rk4_batch(loop, x0, steps, dt, every, None)
+        ends = [(1, True)] * 2 if cut else [(steps // every + 1, False)] * 2
+        assert [(len(a), a_cut) for a, a_cut in by_rows[-2:]] == ends
         for (a, a_cut), (b, b_cut) in zip(by_rows, batch, strict=True):
             assert a_cut == b_cut
             np.testing.assert_array_equal(a, b)
+
+    def test_numpy_loop_holds_its_records_once(self):
+        # 256 nl-loop rows over 250 steps, none diverging: one record array plus the working arrays
+        loop = registry.nonlinear_loop()
+        x0 = np.random.default_rng(0).uniform(-3.0, 3.0, (256, 4))
+        tracemalloc.start()
+        try:
+            runs, _ = sim._rk4_batch(loop, x0, 250, 2e-2, 1, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(cut for _, cut in runs)
+        assert peak <= 1.25 * 251 * 256 * 4 * 8
 
     @pytest.mark.parametrize(
         "name, rows, generated",
