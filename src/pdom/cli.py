@@ -2,11 +2,14 @@
 reproduce.
 
 Systems, certificates and supplies travel as JSON; trajectories as CSV.
-Every command emits a RunReport (JSON with --report) that is byte-identical
-across runs for identical inputs and seed, wall time excluded, and is
-written on every exit path; a run ended by an error records it under
-``error``, with the search report under ``error.lmi`` when a storage search
-failed. A usage error (exit 2) writes the report too; ``--help`` writes none.
+Every command emits a RunReport (JSON with --report) whose ``inputs`` hold
+exactly the flags and files its run read (``--report`` and ``--out`` paths
+aside; ``metrics`` names the output files). It is byte-identical across runs
+for identical inputs, wall time excluded, and is written on every exit path;
+a run ended by an error records it under ``error``, with the search report
+under ``error.lmi`` when a storage search failed. A usage error (exit 2)
+writes the report too; ``--help`` writes none. Only ``reproduce`` draws
+random numbers, so only it takes ``--seed``.
 
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
 or a storage search proved that no storage exists), 2 input error, 3
@@ -54,7 +57,7 @@ EXIT_NUMERICAL_FAILURE = 3
 
 @dataclass
 class RunReport:
-    """Serializable record of one command run; deterministic given inputs + seed."""
+    """Serializable record of one command run; deterministic given its ``inputs``."""
 
     command: str | None  # None when a usage error came before the verb
     inputs: dict = field(default_factory=dict)
@@ -150,7 +153,7 @@ def _verdict_entry(check: str, verdict) -> dict:
 
 def cmd_analyze(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
-    report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "seed": args.seed}
+    report.inputs = {"system": source, "lambda": args.rate, "p": args.p}
     split = eigen_split_test(system, args.rate, args.p)
     report.verdicts.append({"check": "eigen_split", **split.to_dict()})
     if split.status == "inconclusive":
@@ -171,7 +174,6 @@ def cmd_verify(args, report: RunReport) -> int:
     report.inputs = {
         "system": source,
         "certificate": {"path": args.certificate, "sha256": _digest(args.certificate)},
-        "seed": args.seed,
     }
     supply_data = None
     if args.supply:
@@ -192,13 +194,7 @@ def cmd_verify(args, report: RunReport) -> int:
 
 def cmd_certify(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
-    report.inputs = {
-        "system": source,
-        "lambda": args.rate,
-        "p": args.p,
-        "passivity": args.passivity,
-        "seed": args.seed,
-    }
+    report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "passivity": args.passivity}
     if args.passivity:
         cert = find_passivity_storage(system, args.rate, args.p)
         verdict = verify_dissipativity(system, cert)
@@ -225,7 +221,7 @@ def cmd_interconnect(args, report: RunReport) -> int:
     passivity supply; any other subsystem without one is an input error.
     """
     data = _load_json(args.loop)
-    report.inputs = {"loop": {"path": args.loop, "sha256": _digest(args.loop)}, "seed": args.seed}
+    report.inputs = {"loop": {"path": args.loop, "sha256": _digest(args.loop)}}
     data = _json_object(data, "a loop")
     systems = [LureSystem.from_dict(data["sys1"]), LureSystem.from_dict(data["sys2"])]
     supplies = [SupplyRate.from_dict(data[f"supply{i}"], r=sys.r, m=sys.m) for i, sys in enumerate(systems, 1)]
@@ -269,7 +265,7 @@ def cmd_simulate(args, report: RunReport) -> int:
         "t": args.t_end,
         "dt": args.dt,
         "input": None if input_policy is None else input_policy.tolist(),
-        "seed": args.seed,
+        "record_every": args.record_every,
     }
     traj = integrate(
         system, x0, t_end=args.t_end, dt=args.dt, input_policy=input_policy, record_every=args.record_every
@@ -317,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pdom",
         description="Dominance and dissipativity certification for linear and Lur'e systems",
     )
-    parser.add_argument("--seed", type=int, default=42, help="seed for all randomized probes")
     parser.add_argument("--report", help="write the RunReport JSON to this path")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -357,6 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a built-in reproduction suite")
     p.add_argument("which", choices=["1", "2", "3", "all"])
+    p.add_argument("--seed", type=int, default=42, help="seed of the cone-boundary samples and limit-cycle starts")
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -46,7 +46,7 @@ class QuadraticCone:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        P = mc.as_symmetric(self.P)
+        P = mc.read_only_copy(mc.as_symmetric(self.P))
         object.__setattr__(self, "P", P)
         n = P.shape[0]
         if not 0 < self.p < n:
@@ -57,8 +57,8 @@ class QuadraticCone:
             raise DimensionError(
                 f"storage inertia {inertia.as_tuple()} does not match (p,0,n-p) for p={self.p}"
             )
-        object.__setattr__(self, "eigenvalues", eigenvalues)
-        object.__setattr__(self, "eigenvectors", eigenvectors)
+        object.__setattr__(self, "eigenvalues", mc.read_only_copy(eigenvalues))
+        object.__setattr__(self, "eigenvectors", mc.read_only_copy(eigenvectors))
 
 
 def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -58,9 +58,8 @@ class SupplyRate(_ValueEquality):
             raise DimensionError(
                 f"cross term must be {Q.shape[0]}x{R.shape[0]}, got {L.shape}"
             )
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "R", R)
+        for attr, value in (("Q", Q), ("L", L), ("R", R)):
+            object.__setattr__(self, attr, mc.read_only_copy(value))
 
     @property
     def r(self) -> int:

@@ -55,7 +55,7 @@ class DominanceCertificate(_ValueEquality):
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "P", mc.as_symmetric(self.P))
+        object.__setattr__(self, "P", mc.read_only_copy(mc.as_symmetric(self.P)))
         _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
         for attr, cast in (("rate", float), ("epsilon", float), ("p", int)):
             object.__setattr__(self, attr, cast(getattr(self, attr)))

@@ -24,6 +24,7 @@ __all__ = [
     "Inertia",
     "as_matrix",
     "as_symmetric",
+    "read_only_copy",
     "frobenius",
     "sym_eigen",
     "sym_eigvals",
@@ -75,6 +76,14 @@ def as_symmetric(value) -> np.ndarray:
     if not np.isfinite(averaged).all():
         raise NumericalError("symmetrized matrix overflows")
     return averaged
+
+
+def read_only_copy(value) -> np.ndarray:
+    """A read-only float copy of ``value``. Every frozen type keeps its arrays so: a later write into
+    the caller's array reaches none of its values, and a write into one of them raises."""
+    out = np.array(value, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def frobenius(mat: np.ndarray) -> np.ndarray:

@@ -4,8 +4,9 @@ Dynamics are ``xdot = A x + sum_i g_i sigma_i(h_i^T x) + B u``,
 ``y = C x + D u``. A linear (LTI) system is the case with no channels, so
 ``LtiSystem`` and ``LureSystem`` name the same class. Pinning each channel
 slope to its bounds gives the model's vertex family, on which every verifier
-checks a storage. Models, channels and nonlinearities compare equal when
-their ``to_dict()`` values are equal.
+checks a storage. Models, channels and nonlinearities hold read-only copies
+of the arrays they are built from, and compare equal when their
+``to_dict()`` values are equal.
 """
 
 from __future__ import annotations
@@ -83,6 +84,16 @@ class Nonlinearity(_ValueEquality):
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
+        object.__setattr__(self, "params", dict(self.params))  # the caller's dict may change; this one does not
+        if self.kind == "tabulated":
+            # a table's segment slopes are computed here, once
+            knots, values = (mc.read_only_copy(self.params[key]) for key in ("knots", "values"))
+            if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
+                raise DimensionError("a tabulated nonlinearity needs matching 1-d knots and values")
+            if np.any(np.diff(knots) <= 0):
+                raise ValueError("table knots must be strictly increasing")
+            slopes = mc.read_only_copy(np.diff(values) / np.diff(knots))
+            object.__setattr__(self, "params", {"knots": knots, "values": values, "slopes": slopes})
 
     def __hash__(self):
         return hash(_frozen(self.to_dict()))
@@ -108,19 +119,15 @@ class Nonlinearity(_ValueEquality):
         return self._table_slope(s)
 
     def _table_value(self, s):
-        knots = self.params["knots"]
-        values = self.params["values"]
+        knots, values, slopes = (self.params[key] for key in ("knots", "values", "slopes"))
         # linear extrapolation with the end slopes outside the table
-        slopes = np.diff(values) / np.diff(knots)
         inner = np.interp(s, knots, values)
         lo = values[0] + slopes[0] * (s - knots[0])
         hi = values[-1] + slopes[-1] * (s - knots[-1])
         return np.where(s < knots[0], lo, np.where(s > knots[-1], hi, inner))
 
     def _table_slope(self, s):
-        knots = self.params["knots"]
-        values = self.params["values"]
-        slopes = np.diff(values) / np.diff(knots)
+        knots, slopes = self.params["knots"], self.params["slopes"]
         # left derivative: the segment ending at s decides at interior knots
         idx = np.clip(np.searchsorted(knots, s, side="left") - 1, 0, len(slopes) - 1)
         return slopes[idx]
@@ -135,7 +142,7 @@ class Nonlinearity(_ValueEquality):
         if self.kind == "scaled":
             ends = [float(self.params["factor"] * end) for end in self.params["base"].slope_range()]
             return min(ends), max(ends)
-        slopes = np.diff(self.params["values"]) / np.diff(self.params["knots"])
+        slopes = self.params["slopes"]
         return float(slopes.min()), float(slopes.max())
 
     def to_dict(self) -> dict:
@@ -149,8 +156,8 @@ class Nonlinearity(_ValueEquality):
             }
         return {
             "kind": self.kind,
-            "knots": np.asarray(self.params["knots"]).tolist(),
-            "values": np.asarray(self.params["values"]).tolist(),
+            "knots": self.params["knots"].tolist(),
+            "values": self.params["values"].tolist(),
         }
 
     @staticmethod
@@ -178,12 +185,7 @@ def scaled(factor: float, base: Nonlinearity) -> Nonlinearity:
 
 
 def tabulated(knots, values) -> Nonlinearity:
-    knots = np.asarray(knots, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
-        raise DimensionError("a tabulated nonlinearity needs matching 1-d knots and values")
-    if np.any(np.diff(knots) <= 0):
-        raise ValueError("table knots must be strictly increasing")
+    """Piecewise-linear interpolation of a table, extended with its end slopes."""
     return Nonlinearity(kind="tabulated", params={"knots": knots, "values": values})
 
 
@@ -198,8 +200,8 @@ class Channel(_ValueEquality):
     beta: float
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float).ravel()
-        h = np.asarray(self.h, dtype=float).ravel()
+        g = mc.read_only_copy(np.ravel(self.g))
+        h = mc.read_only_copy(np.ravel(self.h))
         if g.shape != h.shape:
             raise DimensionError("channel vectors g and h must share the state dimension")
         if self.alpha > self.beta:
@@ -268,8 +270,9 @@ class LureSystem(_ValueEquality):
                     f"channel slope range [{lo:.6g}, {hi:.6g}] escapes the declared "
                     f"bounds [{ch.alpha:.6g}, {ch.beta:.6g}]"
                 )
-        for attr, value in (("A", A), ("B", B), ("C", C), ("D", D), ("channels", channels)):
-            object.__setattr__(self, attr, value)
+        for attr, value in (("A", A), ("B", B), ("C", C), ("D", D)):
+            object.__setattr__(self, attr, mc.read_only_copy(value))
+        object.__setattr__(self, "channels", channels)
         # fused field: H (n, k) and G (k, n) keep the channels whose sigmas are
         # equal in one contiguous block, so rhs calls each distinct sigma once
         groups: dict[Nonlinearity, list[Channel]] = {}

@@ -64,19 +64,18 @@ class Trajectory:
 
 
 def _input_terms(sys: LureSystem, input_policy):
-    """u(t) of an input policy and the field's input term B u(t); both None without an input."""
+    """u(t) of an input policy and the map from u to the field's input term B u; both None without an input."""
     if input_policy is None:
         return None, None
     if sys.m == 0:
         raise DimensionError("inputs supplied for a system without inputs")
     if callable(input_policy):
-        u_of_t = lambda t: np.asarray(input_policy(t), dtype=float).ravel()
-        return u_of_t, lambda t: u_of_t(t) @ sys.B.T
+        return lambda t: np.asarray(input_policy(t), dtype=float).ravel(), lambda u: u @ sys.B.T
     const = np.asarray(input_policy, dtype=float).ravel()
     if const.shape[0] != sys.m:
         raise DimensionError("constant input dimension does not match B")
     bias = const @ sys.B.T
-    return lambda t: const, lambda t: bias
+    return lambda t: const, lambda u: bias
 
 
 def integrate_batch(
@@ -103,6 +102,9 @@ def integrate_batch(
     batch runs the numpy loop (9-28 us per step for up to 40 rows), timed on one core of a shared
     2-core host with Python 3.11. The generated step sums products left to right, while a one-row numpy
     product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
+
+    A callable input is evaluated once per distinct time: at t = 0, then at ``t + dt/2`` and ``t + dt``
+    of each step, the latter serving that step's last stage, its record and the next step's first stage.
 
     The records take batch * (steps / record_every + 1) * n * 8 bytes, held once, plus O(batch * n)
     working arrays. X0 is one start of width ``sys.n`` or a ``(batch, sys.n)`` array; any other shape
@@ -150,23 +152,31 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
     """The numpy RK4 loop on the whole batch: ``(states, truncated)`` per row, and the input record.
     Each is written into one ``np.zeros`` array allocated before the loop; the OS zeroes its pages on first
     write, so records never reached, after every row is cut, never become resident, though reserved."""
-    u_of_t, drive = _input_terms(sys, input_policy)
-    f = (lambda t, X: sys.rhs(X) + drive(t)) if drive else (lambda t, X: sys.rhs(X))
+    u_of_t, input_term = _input_terms(sys, input_policy)
+    f = (lambda X, b: sys.rhs(X) + b) if input_term else (lambda X, b: sys.rhs(X))
     records = np.zeros((steps // record_every + 1, *X0.shape))  # (N, batch, n)
     records[0] = X = X0
     inputs = None if u_of_t is None else np.zeros((len(records), sys.m))
+    # u and B u at a step's end (its k4, its record and the next k1), B u at its midpoint (k2 and k3)
+    u1 = b_mid = b1 = None
     if inputs is not None:
-        inputs[0] = u_of_t(0.0)
+        inputs[0] = u1 = u_of_t(0.0)
+        b1 = input_term(u1)
     count = 1  # records written
     cut_length = np.full(len(X0), -1, dtype=int)  # record count at divergence, -1 if none
     rows = np.arange(len(X0))  # the batch rows that X still integrates
     t, half, sixth = 0.0, 0.5 * dt, dt / 6.0
     with np.errstate(invalid="ignore", over="ignore"):
         for step in range(steps):
-            k1 = f(t, X)
-            k2 = f(t + half, X + half * k1)
-            k3 = f(t + half, X + half * k2)
-            k4 = f(t + dt, X + dt * k3)
+            b0 = b1
+            if inputs is not None:
+                b_mid = input_term(u_of_t(t + half))
+                u1 = u_of_t(t + dt)
+                b1 = input_term(u1)
+            k1 = f(X, b0)
+            k2 = f(X + half * k1, b_mid)
+            k3 = f(X + half * k2, b_mid)
+            k4 = f(X + dt * k3, b1)
             X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
             # the comparison is false for NaN and inf, so non-finite rows count as diverged
@@ -181,7 +191,7 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
                 # the entries of cut rows lie past their records' ends and stay zero
                 records[count, rows if rows.size < len(X0) else slice(None)] = X
                 if inputs is not None:
-                    inputs[count] = u_of_t(t)
+                    inputs[count] = u1
                 count += 1
     runs = [(records[: cut if cut >= 0 else count, i], bool(cut >= 0)) for i, cut in enumerate(cut_length)]
     return runs, None if inputs is None else inputs[:count]
@@ -191,13 +201,13 @@ def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
     """The same, row by row through the model's generated float step (no callable input). The step
     is compiled from :func:`_row_step_source` on the model's first run without an input, or with a
     constant one, and kept in the model's ``__dict__``, which a frozen dataclass still has."""
-    u_of_t, drive = _input_terms(sys, input_policy)
-    key = "_row_step" if drive is None else "_input_row_step"
+    u_of_t, input_term = _input_terms(sys, input_policy)
+    key = "_row_step" if input_term is None else "_input_row_step"
     if key not in vars(sys):
-        source, namespace = _row_step_source(sys, drive is not None)
+        source, namespace = _row_step_source(sys, input_term is not None)
         exec(source, namespace)
         vars(sys)[key] = namespace["step"]
-    step, u = vars(sys)[key], tuple(drive(0.0).tolist()) if drive else ()
+    step, u = vars(sys)[key], tuple(input_term(u_of_t(0.0)).tolist()) if input_term else ()
     runs = [step(x, steps // record_every, record_every, dt, u) for x in X0.tolist()]
     return runs, None if u_of_t is None else np.repeat(u_of_t(0.0)[None], steps // record_every + 1, axis=0)
 
@@ -272,8 +282,7 @@ def _sigma_lines(sigma, s: str, z: str, namespace) -> list[str]:
     if sigma.kind == "scaled":
         return _sigma_lines(sigma.params["base"], s, z, namespace) + [f"{z} = {float(sigma.params['factor'])!r} * {z}"]
     # np.interp's formula inside the table, _table_value's end slopes outside it
-    kn, vs = (np.asarray(sigma.params[key], dtype=float).tolist() for key in ("knots", "values"))
-    slopes = [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(kn, kn[1:], vs, vs[1:])]
+    kn, vs, slopes = (sigma.params[key].tolist() for key in ("knots", "values", "slopes"))
     K, V, S = f"K{z}", f"V{z}", f"S{z}"
     namespace.update({K: tuple(kn), V: tuple(vs), S: tuple(slopes)})
     return [f"if {kn[0]!r} <= {s} <= {kn[-1]!r}:",

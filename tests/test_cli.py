@@ -721,6 +721,41 @@ class TestRunReport:
         assert "usage: pdom analyze" in capsys.readouterr().out
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("verb", ["analyze", "verify", "certify", "interconnect", "simulate"])
+    def test_inputs_hold_no_seed(self, tmp_path, msd4_file, cert4_file, capsys, verb):
+        # only reproduce draws random numbers, so only its report records a seed
+        argv = {
+            "analyze": ["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"],
+            "verify": ["verify", msd4_file, cert4_file],
+            "certify": ["certify", "msd-c4", "--lambda", "1.2679", "--p", "1"],
+            "interconnect": ["interconnect", TestInterconnect()._loop_file(tmp_path)],
+            "simulate": ["simulate", "nl-msd", "--x0", "1,1", "--t", "1"],
+        }[verb]
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), *argv]) == 0
+        data = json.loads(report.read_text())
+        assert data["command"] == verb and data["inputs"] and "seed" not in data["inputs"]
+
+    def test_seed_before_the_verb_is_a_usage_error(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        argv = ["--report", str(report), "--seed", "1", "analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("usage: pdom")
+        data = json.loads(report.read_text())
+        assert data["command"] is None and data["error"]["class"] == "UsageError"
+
+    def test_simulate_inputs_record_every(self, tmp_path, capsys):
+        # --record-every changes the samples and can change the verdict, so the inputs name it
+        reports = []
+        for every in ("1", "10"):
+            report = tmp_path / f"r{every}.json"
+            argv = ["simulate", "nl-msd", "--x0", "1,1", "--t", "10", "--record-every", every]
+            assert cli.main(["--report", str(report), *argv]) == 0
+            reports.append(json.loads(report.read_text()))
+        assert [r["inputs"]["record_every"] for r in reports] == [1, 10]
+        assert [r["metrics"]["samples"] for r in reports] == [10001, 1001]
+        assert reports[0]["inputs"] != reports[1]["inputs"]
+
     def test_unwritable_report_is_an_input_error(self, tmp_path, capsys):
         argv = ["--report", str(tmp_path / "no_such_dir" / "r.json"), "analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]
         assert cli.main(argv) == 2
@@ -740,8 +775,14 @@ class TestReproduce:
         assert "ALL PASS" in out
         assert out.count("PASS") >= 10
 
+    def test_seed_is_recorded(self, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "reproduce", "1", "--seed", "7"]) == 0
+        assert "ALL PASS" in capsys.readouterr().out
+        assert json.loads(report.read_text())["inputs"] == {"which": "1", "seed": 7}
+
     def test_report_determinism(self, tmp_path, capsys):
-        # identical inputs and seed produce identical canonical reports
+        # identical inputs produce identical canonical reports
         reports = []
         for name in ("a.json", "b.json"):
             path = tmp_path / name

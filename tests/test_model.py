@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import pdom
-from pdom import registry
+from pdom import registry, sim
+from pdom.cones import QuadraticCone
 from pdom.dissipativity import DissipativityCertificate, SupplyRate, supply_gain, supply_passivity
-from pdom.lti import DominanceCertificate
+from pdom.lti import DominanceCertificate, check_dominance
 from pdom.differential import Channel, LureSystem, Nonlinearity, cubic_saturated, scaled, tabulated
 from pdom.errors import UnsupportedConfigurationError
 from pdom.lti import LtiSystem
@@ -143,6 +144,45 @@ class TestValueEquality:
         )
         sys = LureSystem(A=-np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=channels)
         assert len(sys._sigma_blocks) == 1
+
+
+class TestOwnedArrays:
+    def test_caller_writes_after_a_run_reach_nothing(self):
+        # the monotone oscillator, a storage, a supply, a cone and a scaled spring, each built from arrays
+        # (or a dict) the caller keeps
+        ref = registry.nonlinear_msd("velocity", "monotone")
+        A, B, C, D = (np.array(a) for a in (ref.A, ref.B, ref.C, ref.D))
+        g, h = np.array(ref.channels[0].g), np.array(ref.channels[0].h)
+        knots, values = (np.array(ref.channels[0].sigma.params[key]) for key in ("knots", "values"))
+        channel = Channel(g=g, h=h, sigma=tabulated(knots, values), alpha=-2.0, beta=-0.5)
+        model = LureSystem(A=A, B=B, C=C, D=D, channels=(channel,))
+        P, P_cone = np.array(registry.MONOTONE_STORAGE), np.array(registry.KNOWN_STORAGE[4])
+        Q, L, R = np.zeros((1, 1)), np.array([[0.5]]), np.zeros((1, 1))
+        cert = DissipativityCertificate(P=P, rate=0.0, epsilon=0.0, p=0, supply=SupplyRate(Q=Q, L=L, R=R))
+        cone = QuadraticCone(P=P_cone, p=1)
+        params = {"factor": 2.0, "base": cubic_saturated()}
+        half_spring = Nonlinearity(kind="scaled", params=params)
+        starts = np.array([[1.0, 1.0], [-2.5, 0.5]])
+
+        def run():
+            rows, _ = sim._rk4_rows(model, starts, 200, 1e-2, 5, None)
+            batch, _ = sim._rk4_batch(model, starts, 200, 1e-2, 5, None)
+            return ([states for states, _ in rows], [states for states, _ in batch],
+                    check_dominance(model, cert), model.to_dict(), cert.to_dict(), cone.P.tolist(),
+                    half_spring.to_dict(), float(half_spring(1.0)), hash(half_spring))
+
+        first = run()  # compiles the model's generated step from the A it holds
+        for array in (A, B, C, D, g, h, knots, values, P, P_cone, Q, L, R):
+            array[...] = -15.0
+        params["factor"] = -15.0
+        second = run()
+        for a, b in zip(first[0] + first[1], second[0] + second[1], strict=True):
+            np.testing.assert_array_equal(a, b)
+        assert second[2:] == first[2:]
+        for array in (model.A, model.D, channel.g, channel.sigma.params["slopes"], cert.P, cert.supply.L, cone.P,
+                      cone.eigenvectors):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
 
 
 def test_import_defers_scipy_linalg():

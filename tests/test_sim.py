@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import re
@@ -55,6 +56,33 @@ class TestIntegrate:
         sys = LtiSystem(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         traj = integrate(sys, [0.0], t_end=1.0, dt=1e-3, input_policy=lambda t: [np.cos(t)])
         assert traj.final_state[0] == pytest.approx(np.sin(1.0), abs=1e-8)
+
+    def test_callable_input_evaluated_once_per_time(self):
+        # x' = -x + u(t) for t = 1, dt = 0.1: u is needed at 21 distinct times, 0, 0.05, 0.1, ..., 1
+        calls = []
+
+        def u(t):
+            calls.append(t)
+            return [math.sin(3.0 * t)]
+
+        sys = LtiSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
+        traj = integrate(sys, [0.0], t_end=1.0, dt=0.1, input_policy=u)
+        assert len(calls) == len(set(calls)) == 21
+        # the same RK4 written out by hand on floats: each stage rounds as the numpy loop does
+        x, t, dt = 0.0, 0.0, 0.1
+        half, sixth, states, inputs = 0.5 * dt, dt / 6.0, [0.0], [math.sin(0.0)]
+        f = lambda x, t: -x + math.sin(3.0 * t)
+        for _ in range(10):
+            k1 = f(x, t)
+            k2 = f(x + half * k1, t + half)
+            k3 = f(x + half * k2, t + half)
+            k4 = f(x + dt * k3, t + dt)
+            x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += dt
+            states.append(x)
+            inputs.append(math.sin(3.0 * t))
+        assert traj.states[:, 0].tolist() == states
+        assert traj.inputs[:, 0].tolist() == inputs
 
     def test_divergence_truncates(self):
         traj = integrate(np.array([[1.0]]), [1.0], t_end=50.0, dt=1e-2)
@@ -275,6 +303,20 @@ class TestEvaluators:
         driven, _ = sim._row_step_source(model, with_input=True)
         for i in range(model.n):  # every row adds its B u entry, a zero one too, as the numpy loop does
             assert re.search(rf"k1_{i} = .* \+ u{i}$", driven, re.M)
+
+    def test_table_slopes_keep_their_bits(self):
+        # a table's segment slopes are computed once, when it is built, with the IEEE operations that the
+        # field and the generated step repeated on every call before; the digests are of that older code
+        model = registry.builtin_system("nl-msd-monotone")
+        table = model.channels[0].sigma.params
+        kn, vs = table["knots"].tolist(), table["values"].tolist()
+        assert table["slopes"].tolist() == [(v1 - v0) / (k1 - k0) for k0, k1, v0, v1 in zip(kn, kn[1:], vs, vs[1:])]
+        s = np.linspace(-8.0, 8.0, 161)  # inside the table, at its knots and beyond both ends
+        X = np.stack([np.concatenate([s, np.arange(-6.0, 7.0)]), np.concatenate([-0.5 * s, np.ones(13)])], axis=1)
+        assert hashlib.sha256(model.rhs(X).tobytes()).hexdigest()[:16] == "33ee39f31fa01e35"
+        for with_input, digest in ((False, "feed9489034660df"), (True, "eba331bcac6a906d")):
+            source, _ = sim._row_step_source(model, with_input)
+            assert hashlib.sha256(source.encode()).hexdigest()[:16] == digest
 
     def test_signed_terms_are_subtractions(self):
         source, _ = sim._row_step_source(_signed_model(), with_input=False)
