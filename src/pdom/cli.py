@@ -2,14 +2,15 @@
 reproduce.
 
 Systems, certificates and supplies travel as JSON; trajectories as CSV.
-Every command emits a RunReport (JSON with --report) whose ``inputs`` hold
-exactly the flags and files its run read (``--report`` and ``--out`` paths
-aside; ``metrics`` names the output files). It is byte-identical across runs
-for identical inputs, wall time excluded, and is written on every exit path;
-a run ended by an error records it under ``error``, with the search report
-under ``error.lmi`` when a storage search failed. A usage error (exit 2)
-writes the report too; ``--help`` writes none. Only ``reproduce`` draws
-random numbers, so only it takes ``--seed``.
+Every command emits a RunReport (JSON with --report, before or after the
+verb) whose ``inputs`` hold exactly the flags and files its run read
+(``--report`` and ``--out`` paths aside; ``metrics`` names the output
+files). It is byte-identical across runs for identical inputs, wall time
+excluded, and is written on every exit path; a run ended by an error
+records it under ``error``, with the search report under ``error.lmi``
+when a storage search failed. A usage error (exit 2) writes the report too;
+``--help`` writes none. Only ``reproduce`` draws random numbers, so only it
+takes ``--seed``.
 
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
 or a storage search proved that no storage exists), 2 input error, 3
@@ -308,12 +309,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# the one --report flag, which main reads off the whole command line before the verb's parser runs
+_REPORT = _Parser(prog="pdom", add_help=False, allow_abbrev=False)
+_REPORT.add_argument("--report", help="write the RunReport JSON to this path (before or after the verb)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="pdom",
         description="Dominance and dissipativity certification for linear and Lur'e systems",
+        parents=[_REPORT],
     )
-    parser.add_argument("--report", help="write the RunReport JSON to this path")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("analyze", help="split test + certificate construction + verification")
@@ -370,13 +376,14 @@ _FAILURES = (
 
 
 def main(argv=None) -> int:
-    # parsed into a namespace of our own, so that a usage error still leaves
-    # --report and the verb (set before its subparser runs) readable
-    args = argparse.Namespace()
+    # parsed into a namespace of our own, so that a usage error still leaves --report and the verb (set
+    # before its subparser runs) readable; --report comes first, as a subparser that errs keeps no value
+    args = argparse.Namespace(report=None, verb=None)
     report = RunReport(command=None)
     start = time.perf_counter()
     try:
-        build_parser().parse_args(argv, namespace=args)
+        _, rest = _REPORT.parse_known_args(argv, namespace=args)
+        build_parser().parse_args(rest, namespace=args)
         code = args.func(args, report)
     except UsageError as exc:
         code = EXIT_INPUT_ERROR

@@ -17,7 +17,7 @@ import numpy as np
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError
 from .lti import _block_storages
-from .model import state_matrix
+from .model import LureSystem, state_matrix
 from .policy import PROBE_MARGIN, ZTOL_REL
 
 __all__ = [
@@ -110,7 +110,7 @@ class ConeProbeVerdict:
 
 
 def positivity_probe(
-    sys,
+    sys: LureSystem,
     cone: QuadraticCone,
     times,
     samples: int,
@@ -163,7 +163,7 @@ class ProjectiveMeasure:
     rate: float
 
 
-def projective_measure(sys, lam: float, p: int) -> ProjectiveMeasure:
+def projective_measure(sys: LureSystem, lam: float, p: int) -> ProjectiveMeasure:
     """The projective measure of the p-dominance certificate at rate ``lam``, from its block storages.
 
     With ``A = W blockdiag(T1, T2) W^{-1}`` and the block storages Xu, Xs of

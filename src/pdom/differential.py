@@ -27,6 +27,7 @@ from .model import (
     Channel,
     LureSystem,
     Nonlinearity,
+    as_model,
     cubic_saturated,
     hull_points,
     scaled,
@@ -58,7 +59,7 @@ def jacobian(sys: LureSystem, x) -> np.ndarray:
     so this choice never affects a verdict.
     """
     x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != sys.n:
+    if x.shape[0] != as_model(sys).n:
         raise DimensionError("state dimension mismatch")
     return hull_points(sys, [[float(ch.sigma.derivative(float(ch.h @ x))) for ch in sys.channels]])[0]
 

@@ -169,18 +169,9 @@ def small_gain_pair(gamma1: float, gamma2: float, r1: int = 1, r2: int = 1) -> t
     return s1, s2
 
 
-def verify_dissipativity(sys, cert: DissipativityCertificate) -> DifferentialVerdict:
+def verify_dissipativity(sys: LtiSystem, cert: DissipativityCertificate) -> DifferentialVerdict:
     """Check a dissipativity certificate on every vertex: block definiteness plus storage inertia."""
     return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon, cert.supply)
-
-
-def _io_state_matrix(sys) -> np.ndarray:
-    """The state matrix of a channel-free model (:func:`pdom.model.state_matrix`); a bare state matrix,
-    which has no B or C to read, is refused."""
-    if not hasattr(sys, "B"):
-        raise UnsupportedConfigurationError("this routine reads B and C as well as A; "
-                                            "a bare state matrix has neither, so pass an LtiSystem")
-    return state_matrix(sys)
 
 
 def min_gain(sys: LtiSystem, P, lam: float) -> float:
@@ -194,7 +185,7 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     not negative definite (no gain works) or when P has an eigenvalue in the
     zero band (the verifiers refuse all three).
     """
-    A = _io_state_matrix(sys)
+    A = state_matrix(sys)
     _check_claim(lam, 0, sys.n)
     P = mc.as_symmetric(P)
     if mc.inertia_of(P).zero:
@@ -220,7 +211,7 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
     """
     from . import lmi  # deferred: keep module import costs flat
 
-    A = _io_state_matrix(sys)
+    A = state_matrix(sys)
     _check_claim(lam, p, sys.n)
     if not sys.is_strictly_proper:
         raise UnsupportedConfigurationError("storage search requires D = 0")

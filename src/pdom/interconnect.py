@@ -29,7 +29,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .lti import DominanceCertificate, check_dominance
-from .model import Channel, LureSystem
+from .model import Channel, LureSystem, as_model
 from .policy import LMI_TOL
 
 __all__ = [
@@ -62,7 +62,7 @@ def network(parts, M) -> LureSystem:
     Channels are lifted to the stacked state by zero-padding their g and h
     vectors, so a network of Lur'e systems is a Lur'e system.
     """
-    parts = tuple(parts)
+    parts = tuple(map(as_model, parts))
     if not parts:
         raise DimensionError("a network needs at least one part")
     if not all(part.is_strictly_proper for part in parts):
@@ -133,9 +133,9 @@ def coupling_condition(s1: SupplyRate, s2: SupplyRate) -> CouplingVerdict:
 
 
 def closed_loop_certificate(
-    sys1,
+    sys1: LureSystem,
     c1: DissipativityCertificate,
-    sys2,
+    sys2: LureSystem,
     c2: DissipativityCertificate,
 ) -> DominanceCertificate:
     """Block-diagonal dominance certificate for the loop, verified before return.

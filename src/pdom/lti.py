@@ -23,7 +23,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, NumericalError, SplitMismatchError
-from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, state_matrix, vertex_family
+from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, as_model, state_matrix, vertex_family
 from .policy import LMI_TOL, RECON_TOL, SPLIT_TOL
 
 __all__ = [
@@ -311,14 +311,14 @@ def _definite_residuals(R: np.ndarray, floor: float) -> tuple[np.ndarray, np.nda
     return negative, mc.positive_definite(shifted)
 
 
-def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=None) -> DifferentialVerdict:
+def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float, supply=None) -> DifferentialVerdict:
     """The one verdict path: the storage P, claiming p, on every vertex of the model ``sys``.
 
     A Lur'e model's vertices are its slope corners, and each one's
     ``split_ok`` is read off its residual (:func:`_vertex_splits`); a
-    channel-free model or a bare state matrix is the one vertex A at the
-    empty corner, whose ``split_ok`` is None (its split is
-    :func:`eigen_split_test`'s answer). The residual stack R is formed once:
+    channel-free model is the one vertex A at the empty corner, whose
+    ``split_ok`` is None (its split is :func:`eigen_split_test`'s answer).
+    The residual stack R is formed once:
     without a ``supply`` it is the block stack, and with one
     :func:`dissipation_blocks` builds the blocks around it, carrying
     ``epsilon`` themselves. The block stack is solved for eigenvalues alone,
@@ -342,8 +342,8 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=No
         if inertia.zero != 0:
             raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
         p = inertia.negative
-    channels = bool(getattr(sys, "channels", ()))
-    matrices, corners = vertex_family(sys) if channels else (state_matrix(sys)[None], _NO_CORNER)
+    channels = bool(as_model(sys).channels)
+    matrices, corners = vertex_family(sys) if channels else (sys.A[None], _NO_CORNER)
     R = residual(matrices, P, lam)
     stack = R if supply is None else dissipation_blocks(R, sys, P, supply, epsilon)
     inertia_ok = inertia.matches(p)
@@ -381,11 +381,11 @@ def _family_verdict(sys, P, lam: float, p: int | None, epsilon: float, supply=No
     )
 
 
-def check_dominance(sys, cert: DominanceCertificate) -> DifferentialVerdict:
+def check_dominance(sys: LtiSystem, cert: DominanceCertificate) -> DifferentialVerdict:
     """Verify a dominance certificate on every vertex: residual definiteness plus inertia.
 
     Passes when each vertex has ``lmax(residual) <= -epsilon + LMI_TOL`` and P
-    has inertia (p, 0, n - p). ``sys`` is a model or a bare state matrix.
+    has inertia (p, 0, n - p).
     """
     return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon)
 
@@ -404,7 +404,7 @@ def _split_counts(matrices, lam: float):
     return margin, unstable, conclusive
 
 
-def eigen_split_test(sys, lam: float, p: int) -> SplitVerdict:
+def eigen_split_test(sys: LtiSystem, lam: float, p: int) -> SplitVerdict:
     """Spectral test: does ``A + lam I`` have exactly p strictly unstable eigenvalues?
 
     Returns "inconclusive" (distinct from "fail") when any shifted eigenvalue
@@ -418,7 +418,7 @@ def eigen_split_test(sys, lam: float, p: int) -> SplitVerdict:
     return SplitVerdict(status, margin, unstable, p)
 
 
-def _block_storages(sys, lam: float, p: int):
+def _block_storages(sys: LtiSystem, lam: float, p: int):
     """A's one factorization for a claim (lam, p): ``(A, W, W^{-1}, T1, T2, Xu, Xs)``.
 
     The ordered split ``A = Q T Q^T`` (:func:`pdom.matrixcore.schur_split`) puts the unstable
@@ -455,7 +455,7 @@ def _block_storages(sys, lam: float, p: int):
     return A, W, Winv, T1, T2, Xu, Xs
 
 
-def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
+def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertificate:
     """Build a dominance certificate from the ordered Schur split.
 
     The storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}`` where W decouples
@@ -464,15 +464,14 @@ def construct_certificate(sys, lam: float, p: int) -> DominanceCertificate:
     (:func:`pdom.cones.projective_measure`) reads too.
     The storage must pass the family verdict, and it carries a strictly positive margin.
     """
-    A, _, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)
-    n = A.shape[0]
-    core = np.zeros((n, n))
+    _, _, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)
+    core = np.zeros((sys.n, sys.n))
     core[:p, :p] = -Xu
     core[p:, p:] = Xs
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
-    verdict = _family_verdict(A, P, lam, p, 0.0)
+    verdict = _family_verdict(sys, P, lam, p, 0.0)
     epsilon = -verdict.worst_lmax / 2.0
     if epsilon <= 0:
         raise NumericalError("constructed storage lost its definiteness margin")

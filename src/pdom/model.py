@@ -4,9 +4,10 @@ Dynamics are ``xdot = A x + sum_i g_i sigma_i(h_i^T x) + B u``,
 ``y = C x + D u``. A linear (LTI) system is the case with no channels, so
 ``LtiSystem`` and ``LureSystem`` name the same class. Pinning each channel
 slope to its bounds gives the model's vertex family, on which every verifier
-checks a storage. Models, channels and nonlinearities hold read-only copies
-of the arrays they are built from, and compare equal when their
-``to_dict()`` values are equal.
+checks a storage. A model is the only system input (:func:`as_model`), and
+its numbers (A to D, g, h, scale factors, table knots and values) are finite
+by construction. Models, channels and nonlinearities hold read-only copies
+of the arrays they are built from, and compare equal by ``to_dict()`` value.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "LureSystem",
     "hull_points",
     "vertex_family",
+    "as_model",
     "state_matrix",
 ]
 
@@ -85,14 +87,18 @@ class Nonlinearity(_ValueEquality):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown nonlinearity kind {self.kind!r}")
         object.__setattr__(self, "params", dict(self.params))  # the caller's dict may change; this one does not
+        if self.kind == "scaled" and not (np.isfinite(self.params["factor"]) and self.params["factor"] != 0):
+            raise ValueError(f"scaling factor must be finite and nonzero, got {self.params['factor']!r}")
         if self.kind == "tabulated":
             # a table's segment slopes are computed here, once
             knots, values = (mc.read_only_copy(self.params[key]) for key in ("knots", "values"))
             if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
                 raise DimensionError("a tabulated nonlinearity needs matching 1-d knots and values")
-            if np.any(np.diff(knots) <= 0):
-                raise ValueError("table knots must be strictly increasing")
-            slopes = mc.read_only_copy(np.diff(values) / np.diff(knots))
+            with np.errstate(all="ignore"):  # each knot and value enters a spacing and a slope, checked below
+                steps = np.diff(knots)
+                slopes = mc.read_only_copy(np.diff(values) / steps)
+            if not (np.isfinite(steps).all() and np.isfinite(slopes).all() and (steps > 0).all()):
+                raise ValueError("table knots must be finite and strictly increasing, with finite values and slopes")
             object.__setattr__(self, "params", {"knots": knots, "values": values, "slopes": slopes})
 
     def __hash__(self):
@@ -179,8 +185,6 @@ def cubic_saturated() -> Nonlinearity:
 
 
 def scaled(factor: float, base: Nonlinearity) -> Nonlinearity:
-    if factor == 0:
-        raise ValueError("scaling factor must be nonzero")
     return Nonlinearity(kind="scaled", params={"factor": factor, "base": base})
 
 
@@ -204,6 +208,8 @@ class Channel(_ValueEquality):
         h = mc.read_only_copy(np.ravel(self.h))
         if g.shape != h.shape:
             raise DimensionError("channel vectors g and h must share the state dimension")
+        if not (np.isfinite(g).all() and np.isfinite(h).all()):
+            raise ValueError("channel vectors g and h must be finite")
         if self.alpha > self.beta:
             raise ValueError("slope bounds must satisfy alpha <= beta")
         object.__setattr__(self, "g", g)
@@ -264,7 +270,7 @@ class LureSystem(_ValueEquality):
             if ch.g.shape[0] != n:
                 raise DimensionError("channel vectors must match the state dimension")
             lo, hi = ch.sigma.slope_range()
-            # written so that a NaN slope or bound (a table with a null knot) is refused too
+            # written so that a NaN bound is refused too
             if not (lo >= ch.alpha - _SLOPE_SLACK and hi <= ch.beta + _SLOPE_SLACK):
                 raise ValueError(
                     f"channel slope range [{lo:.6g}, {hi:.6g}] escapes the declared "
@@ -342,15 +348,22 @@ class LureSystem(_ValueEquality):
         )
 
 
+def as_model(sys) -> LureSystem:
+    """``sys`` if it is a model, whose numbers were checked when it was built; anything else is refused."""
+    if not isinstance(sys, LureSystem):
+        raise UnsupportedConfigurationError(f"expected a model (LtiSystem or LureSystem), got {type(sys).__name__}")
+    return sys
+
+
 def state_matrix(sys) -> np.ndarray:
-    """The state matrix A of a channel-free model (validated when it was built), or a bare state matrix.
+    """The state matrix A of a channel-free model.
 
     A model with channels is refused: its A is only the linear part, so no answer read off A holds for it.
     """
-    if hasattr(sys, "A") and sys.channels:
+    if as_model(sys).channels:
         raise UnsupportedConfigurationError("this routine reads A alone, only the linear part of a Lur'e model; "
                                             "use the vertex checks for Lur'e models")
-    return sys.A if hasattr(sys, "A") else mc.as_matrix(sys)
+    return sys.A
 
 
 def hull_points(sys: LureSystem, slopes) -> np.ndarray:
@@ -360,7 +373,7 @@ def hull_points(sys: LureSystem, slopes) -> np.ndarray:
     finite ``(N, k)`` array, k being the model's channel count, are refused.
     """
     slopes = np.asarray(slopes, dtype=float)
-    k = len(sys.channels)
+    k = len(as_model(sys).channels)
     if slopes.ndim != 2 or slopes.shape[1] != k:
         raise DimensionError(f"slopes must be an (N, {k}) array, one column per channel; got shape {slopes.shape}")
     if not np.isfinite(slopes).all():
@@ -384,7 +397,7 @@ def vertex_family(sys: LureSystem) -> tuple[np.ndarray, np.ndarray]:
     corner. A family of more than ``MAX_VERTICES`` corners is refused before
     any corner is built.
     """
-    k = len(sys.channels)
+    k = len(as_model(sys).channels)
     if 2**k > MAX_VERTICES:
         raise UnsupportedConfigurationError(f"{k} channels make 2^{k} vertices, more than {MAX_VERTICES}")
     for ch in sys.channels:

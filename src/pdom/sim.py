@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import matrixcore as mc
 from .errors import DimensionError
-from .model import LureSystem, state_matrix
+from .model import LureSystem, as_model
 from .policy import CYCLE_TOL, FP_TOL_SCALE, STEP_TOL
 
 __all__ = [
@@ -35,7 +36,8 @@ _ROW_COST_CHANNELS = 280
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a uniform time grid; ``truncated`` flags a divergence cutoff."""
+    """States on a uniform time grid; ``truncated`` flags a divergence cutoff. The states and inputs are
+    read-only: a writable array passed in is copied, and a read-only one, as the integrator returns, is kept."""
 
     t0: float
     dt: float
@@ -44,12 +46,12 @@ class Trajectory:
     truncated: bool = False
 
     def __post_init__(self):
-        states = np.asarray(self.states, dtype=float)
+        states = _read_only(self.states)
         if states.ndim != 2 or states.shape[0] < 1:
             raise DimensionError("trajectory needs a (samples, n) state array")
         object.__setattr__(self, "states", states)
         if self.inputs is not None:
-            inputs = np.asarray(self.inputs, dtype=float)
+            inputs = _read_only(self.inputs)
             if inputs.shape[0] != states.shape[0]:
                 raise DimensionError("input record length does not match the state record")
             object.__setattr__(self, "inputs", inputs)
@@ -61,6 +63,12 @@ class Trajectory:
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
+
+
+def _read_only(values) -> np.ndarray:
+    """``values`` as a float array that no one can write: itself if it is one already, else a read-only copy."""
+    values = np.asarray(values, dtype=float)
+    return mc.read_only_copy(values) if values.flags.writeable else values
 
 
 def _input_terms(sys: LureSystem, input_policy):
@@ -79,7 +87,7 @@ def _input_terms(sys: LureSystem, input_policy):
 
 
 def integrate_batch(
-    sys,
+    sys: LureSystem,
     X0: np.ndarray,
     t_end: float,
     dt: float,
@@ -107,9 +115,10 @@ def integrate_batch(
     of each step, the latter serving that step's last stage, its record and the next step's first stage.
 
     The records take batch * (steps / record_every + 1) * n * 8 bytes, held once, plus O(batch * n)
-    working arrays. X0 is one start of width ``sys.n`` or a ``(batch, sys.n)`` array; any other shape
-    is a ``DimensionError``.
+    working arrays; the trajectories' states and inputs are read-only views of them. X0 is one start
+    of width ``sys.n`` or a ``(batch, sys.n)`` array; any other shape is a ``DimensionError``.
     """
+    sys = as_model(sys)
     if not np.isfinite([t_end, dt]).all():
         raise ValueError(f"t_end and dt must be finite, got {t_end} and {dt}")
     if dt <= 0:
@@ -126,9 +135,6 @@ def integrate_batch(
         raise ValueError(f"t_end must be a whole number of steps (dt), got {t_end} / {dt} = {ratio!r}")
     if steps % record_every:
         raise ValueError("t_end must be a whole number of recorded intervals (dt * record_every)")
-    if not isinstance(sys, LureSystem):  # a bare state matrix
-        A = state_matrix(sys)
-        sys = LureSystem(A=A, B=np.zeros((A.shape[0], 0)), C=np.zeros((0, A.shape[0])))
     X0 = np.ascontiguousarray(X0, dtype=float)  # the numpy loop steps from X0 itself, in C order
     if X0.ndim not in (1, 2) or X0.shape[-1] != sys.n:
         raise DimensionError(f"initial states of shape {X0.shape} fit neither ({sys.n},) nor (batch, {sys.n})")
@@ -193,6 +199,9 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
                 if inputs is not None:
                     inputs[count] = u1
                 count += 1
+    records.setflags(write=False)  # before any view of it leaves: every trajectory's states are read-only
+    if inputs is not None:
+        inputs.setflags(write=False)
     runs = [(records[: cut if cut >= 0 else count, i], bool(cut >= 0)) for i, cut in enumerate(cut_length)]
     return runs, None if inputs is None else inputs[:count]
 
@@ -209,7 +218,8 @@ def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
         vars(sys)[key] = namespace["step"]
     step, u = vars(sys)[key], tuple(input_term(u_of_t(0.0)).tolist()) if input_term else ()
     runs = [step(x, steps // record_every, record_every, dt, u) for x in X0.tolist()]
-    return runs, None if u_of_t is None else np.repeat(u_of_t(0.0)[None], steps // record_every + 1, axis=0)
+    # a constant input's record is a read-only view of its one row
+    return runs, None if u_of_t is None else np.broadcast_to(u_of_t(0.0), (steps // record_every + 1, sys.m))
 
 
 def _row_step_source(sys: LureSystem, with_input: bool) -> tuple[str, dict]:
@@ -221,7 +231,7 @@ def _row_step_source(sys: LureSystem, with_input: bool) -> tuple[str, dict]:
     ``a - x * 2.0`` for ``a + x * -2.0``, which rounds to the same bits. The record grows in an
     ``array('d')``."""
     n, namespace = sys.n, {"bisect_right": bisect_right, "array": array}
-    namespace["states"] = lambda out: np.frombuffer(out).reshape(-1, n)
+    namespace["states"] = lambda out: np.frombuffer(memoryview(out).toreadonly()).reshape(-1, n)  # read-only rows
     x, y, u, *k = ([f"{v}{i}" for i in range(n)] for v in ("x", "y", "u", "k1_", "k2_", "k3_", "k4_"))
     u = u if with_input else None
     body = _field_lines(sys, x, k[0], u, namespace)
@@ -293,7 +303,7 @@ def _sigma_lines(sigma, s: str, z: str, namespace) -> list[str]:
 
 
 def integrate(
-    sys,
+    sys: LureSystem,
     x0,
     t_end: float,
     dt: float,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pdom import registry
+from pdom import LtiSystem, registry
 
 
 @pytest.fixture
@@ -17,6 +17,13 @@ def msd_c4():
 @pytest.fixture(scope="session")
 def msd_c8():
     return registry.msd(8.0)
+
+
+def lti_model(A):
+    """The channel-free model of the state matrix A, with no inputs and no outputs."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[0]
+    return LtiSystem(A=A, B=np.zeros((n, 0)), C=np.zeros((0, n)))
 
 
 def spiral_system():

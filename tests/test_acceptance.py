@@ -9,7 +9,7 @@ is printed as the checks pass.
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic
+from conftest import lti_model, random_hyperbolic
 from pdom import registry, reproduce
 from pdom.cones import QuadraticCone, positivity_probe, projective_measure, ratio_trace
 from pdom.dissipativity import dissipation_blocks, min_gain, supply_gain
@@ -133,15 +133,15 @@ class TestCriterion6Properties:
             n = int(rng.integers(2, 9))
             lam = float(np.abs(rng.standard_normal()))
             A, p = random_hyperbolic(rng, n, lam)
-            assert eigen_split_test(A, lam, p).passed
-            cert = construct_certificate(A, lam, p)
+            assert eigen_split_test(lti_model(A), lam, p).passed
+            cert = construct_certificate(lti_model(A), lam, p)
             assert cert.epsilon > 0
-            verdict = check_dominance(A, cert)
+            verdict = check_dominance(lti_model(A), cert)
             assert verdict.passed
             assert inertia_of(cert.P).as_tuple() == (p, 0, n - p)
             wrong = p + 1 if p < n else p - 1
             with pytest.raises((SplitMismatchError, NonHyperbolicError)):
-                construct_certificate(A, lam, wrong)
+                construct_certificate(lti_model(A), lam, wrong)
         print("PASS criterion 6a: split/certificate equivalence on 200 random systems")
 
     def test_cone_invariance_probe(self):
@@ -158,11 +158,11 @@ class TestCriterion6Properties:
             A, p = random_hyperbolic(rng, n, lam)
             if not 0 < p < n:
                 continue
-            certified.append((A, construct_certificate(A, lam, p).P))
+            certified.append((A, construct_certificate(lti_model(A), lam, p).P))
         for A, P in certified:
             p = inertia_of(P).negative
             cone = QuadraticCone(P=P, p=p)
-            verdict = positivity_probe(A, cone, (0.1, 1.0), 100, rng)
+            verdict = positivity_probe(lti_model(A), cone, (0.1, 1.0), 100, rng)
             assert verdict.passed, f"cone probe failed (worst {verdict.worst_value:.3e})"
         print(f"PASS criterion 6b: cone invariance probes on {len(certified)} certified systems")
 
@@ -196,7 +196,7 @@ class TestCriterion6Properties:
             r = int(rng.integers(1, 3))
             lam = float(np.abs(rng.standard_normal())) + 0.1
             A, p = random_hyperbolic(rng, n, lam)
-            cert = construct_certificate(A, lam, p)
+            cert = construct_certificate(lti_model(A), lam, p)
             B = rng.standard_normal((n, m))
             C = rng.standard_normal((r, n))
             C *= np.sqrt(0.5 * cert.epsilon) / max(1.0, np.linalg.norm(C, 2))
@@ -241,8 +241,8 @@ class TestCriterion6Properties:
             r2 = int(rng.integers(1, 3))
             A1, p1 = random_hyperbolic(rng, n1, lam)
             A2, p2 = random_hyperbolic(rng, n2, lam)
-            c1 = construct_certificate(A1, lam, p1)
-            c2 = construct_certificate(A2, lam, p2)
+            c1 = construct_certificate(lti_model(A1), lam, p1)
+            c2 = construct_certificate(lti_model(A2), lam, p2)
             B1 = rng.standard_normal((n1, r2))
             B2 = rng.standard_normal((n2, r1))
             C1 = rng.standard_normal((r1, n1))

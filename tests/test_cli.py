@@ -714,6 +714,21 @@ class TestRunReport:
             canonical.append(json.dumps(data, sort_keys=True, indent=2))
         assert canonical[0] == canonical[1]
 
+    @pytest.mark.parametrize(
+        "argv, code, error",
+        [
+            (["simulate", "nl-msd", "--x0", "1,1", "--t", "1"], 0, None),
+            (["analyze", "msd-c4", "--p", "1"], 2, "UsageError"),
+        ],
+        ids=["exit0", "usage-error"],
+    )
+    def test_report_after_the_verb(self, tmp_path, monkeypatch, capsys, argv, code, error):
+        # one flag on either side of the verb; it was an unrecognized argument after it, and no report was written
+        monkeypatch.chdir(tmp_path)
+        assert cli.main([*argv, "--report", "r.json"]) == code
+        data = json.loads((tmp_path / "r.json").read_text())
+        assert data["command"] == argv[0] and (data.get("error") or {}).get("class") == error
+
     def test_help_writes_no_report(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["--report", str(tmp_path / "r.json"), "analyze", "--help"])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import spiral_system
+from conftest import lti_model, spiral_system
 from pdom import matrixcore as mc
 from pdom import registry
 from pdom.cones import (
@@ -95,7 +95,7 @@ class TestPositivityProbe:
 
     def test_zero_matrix_fails(self, cone_c4, rng):
         # exp(0 t) = I keeps the boundary on the boundary
-        verdict = positivity_probe(np.zeros((2, 2)), cone_c4, (1.0,), 20, rng)
+        verdict = positivity_probe(lti_model(np.zeros((2, 2))), cone_c4, (1.0,), 20, rng)
         assert not verdict.passed
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -111,13 +111,13 @@ class TestPositivityProbe:
 
 class TestProjectiveMeasure:
     def test_diagonal_case(self):
-        measure = projective_measure(np.diag([-0.2679, -3.7321]), 1.2679, 1)
+        measure = projective_measure(lti_model(np.diag([-0.2679, -3.7321])), 1.2679, 1)
         assert np.allclose(measure.P_u, np.diag([0.5, 0.0]), atol=1e-12)
         assert np.allclose(measure.P_s, np.diag([0.0, 1.0 / (2.0 * 2.4642)]), atol=1e-12)
         assert measure.eps_hat == pytest.approx(2.0, abs=1e-6)
 
     def test_three_state_saddle(self):
-        measure = projective_measure(np.diag([1.0, -1.0, -2.0]), 0.0, 1)
+        measure = projective_measure(lti_model(np.diag([1.0, -1.0, -2.0])), 0.0, 1)
         assert np.allclose(measure.P_u, np.diag([0.5, 0.0, 0.0]), atol=1e-12)
 
     def test_msd_ranks(self, msd_c4):
@@ -135,7 +135,7 @@ class TestProjectiveMeasure:
         # ker P_u is the transient subspace and ker P_s the dominant one: each is A-invariant,
         # of dimension n - p and p
         for A, lam, p in ((msd_c4.A, RATE, 1), (spiral_system(), 0.0, 2)):
-            measure = projective_measure(A, lam, p)
+            measure = projective_measure(lti_model(A), lam, p)
             n = A.shape[0]
             for form, dim in ((measure.P_u, n - p), (measure.P_s, p)):
                 assert mc.inertia_of(form).as_tuple() == (0, dim, n - dim)
@@ -144,7 +144,7 @@ class TestProjectiveMeasure:
 
     def test_trivial_split_rejected(self):
         with pytest.raises(ValueError, match="nontrivial split"):
-            projective_measure(np.diag([-1.0, -2.0]), 0.0, 0)
+            projective_measure(lti_model(np.diag([-1.0, -2.0])), 0.0, 0)
 
 
 def _non_normal(rng, n, lam):
@@ -181,11 +181,11 @@ class TestMeasureBattery:
             n = int(rng.integers(2, 13))
             A, p = _non_normal(rng, n, lam)
             try:
-                cert = construct_certificate(A, lam, p)
+                cert = construct_certificate(lti_model(A), lam, p)
             except NumericalError:
                 continue  # a storage whose conditioning puts an eigenvalue in the zero band
-            measure = projective_measure(A, lam, p)
-            W = _block_storages(A, lam, p)[1].astype(L)
+            measure = projective_measure(lti_model(A), lam, p)
+            W = _block_storages(lti_model(A), lam, p)[1].astype(L)
             for P, sign, block in ((measure.P_u, 1, slice(0, p)), (measure.P_s, -1, slice(p, n))):
                 P = P.astype(L)
                 inequality = sign * (A.T @ P + P @ A + 2 * lam * P) - L(measure.eps_hat) * P
@@ -204,18 +204,18 @@ class TestRankTwoCone:
         A = np.zeros((4, 4))
         A[:2, :2] = [[0.1, 2.0], [-2.0, 0.1]]
         A[2:, 2:] = np.diag([-3.0, -4.0])
-        cert = construct_certificate(A, 0.0, 2)
+        cert = construct_certificate(lti_model(A), 0.0, 2)
         cone = QuadraticCone(P=cert.P, p=2)
-        verdict = positivity_probe(A, cone, (0.2, 1.0), 100, rng)
+        verdict = positivity_probe(lti_model(A), cone, (0.2, 1.0), 100, rng)
         assert verdict.passed
 
     def test_spiral_pair_ratio_decay(self):
         A = np.zeros((4, 4))
         A[:2, :2] = [[0.1, 2.0], [-2.0, 0.1]]
         A[2:, 2:] = np.diag([-3.0, -4.0])
-        measure = projective_measure(A, 0.0, 2)
+        measure = projective_measure(lti_model(A), 0.0, 2)
         assert (measure.rank_u, measure.rank_s) == (2, 2)
-        traj = integrate(A, [1.0, 0.0, 1.0, -1.0], t_end=4.0, dt=1e-3)
+        traj = integrate(lti_model(A), [1.0, 0.0, 1.0, -1.0], t_end=4.0, dt=1e-3)
         trace = ratio_trace(measure, traj)
         assert trace.envelope_ok
         assert trace.ratio[-1] < 1e-6 * trace.ratio[0]
@@ -224,7 +224,7 @@ class TestRankTwoCone:
 class TestRatioTrace:
     def test_closed_form_saddle(self):
         # exact flow of diag(1,-1): ratio is exp(-4t)
-        measure = projective_measure(np.diag([1.0, -1.0]), 0.0, 1)
+        measure = projective_measure(lti_model(np.diag([1.0, -1.0])), 0.0, 1)
         times = np.linspace(0.0, 3.0, 61)
         states = np.column_stack([np.exp(times), np.exp(-times)])
         traj = Trajectory(t0=0.0, dt=times[1] - times[0], states=states)

@@ -4,7 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic
+from conftest import lti_model, random_hyperbolic
 from pdom import dissipativity, lti
 from pdom import matrixcore as mc
 from pdom import registry
@@ -101,8 +101,8 @@ class TestLureSystem:
         )
         with pytest.raises(ValueError, match="escapes the declared bounds"):
             model(steep, 1.0, 1.0)
-        # a null knot, read as NaN, makes NaN slopes, which no bounds contain
-        with pytest.raises(ValueError, match="escapes the declared bounds"):
+        # a null knot, read as NaN, is refused by the table itself, whatever the bounds
+        with pytest.raises(ValueError, match="must be finite"):
             model(tabulated([-30.0, None, 30.0], [-30.0, 20.0, 1020.0]), -np.inf, np.inf)
         # with the true bounds the storage that passed on the narrow claim fails at the steep corner
         verdict = check_diff_dominance(model(steep, 1.0, 100.0), [[1.5, 0.5], [0.5, 1.0]], 0.0, p=0)
@@ -342,7 +342,7 @@ class TestCertificateChecksOnTheFamily:
     def test_dominance_fails_at_the_steep_corner(self):
         sys = registry.builtin_system("nl-msd")
         cert = DominanceCertificate(P=np.diag([-1.0, 1.0]), rate=0.5, epsilon=0.0, p=1)
-        assert check_dominance(sys.A, cert).passed  # the slope-0 matrix A alone passes
+        assert check_dominance(lti_model(sys.A), cert).passed  # the slope-0 matrix A alone passes
         verdict = check_dominance(sys, cert)
         assert not verdict.passed and verdict.status == "residual_violation"
         assert verdict.failing_corners == ((-3.0,),)
@@ -405,11 +405,11 @@ class TestStackedFamily:
         assert len(failing) > len(matrices) // 2
         cert = DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)
         for i in failing:
-            got, single = verdict.vertices[i], check_dominance(matrices[i], cert).vertices[0]
+            got, single = verdict.vertices[i], check_dominance(lti_model(matrices[i]), cert).vertices[0]
             assert got.lmax.hex() == single.lmax.hex()
         top = max(failing, key=lambda i: verdict.vertices[i].lmax)
         assert verdict.witness_corner == tuple(corners[top])
-        single = check_dominance(matrices[top], cert)
+        single = check_dominance(lti_model(matrices[top]), cert)
         assert verdict.witness.tobytes() == single.witness.tobytes()
         # the vector the stacked eigh would give that vertex
         stacked = mc.sym_eigen(residual(matrices, P, lam))[1][top, :, -1]
@@ -442,7 +442,7 @@ class TestStackedFamily:
         p = inertia_of(P).negative
         verdict = check_diff_dominance(sys, P, lam)
         for J, v in zip(vertex_family(sys)[0], verdict.vertices):
-            assert v.split_ok is eigen_split_test(J, lam, p).passed
+            assert v.split_ok is eigen_split_test(lti_model(J), lam, p).passed
 
     def test_vertex_on_the_shifted_axis_is_not_split_ok(self):
         # slopes in [-1, 1] on the first state: the corner s = 1 has eigenvalue 0 = -lam
@@ -451,7 +451,7 @@ class TestStackedFamily:
         sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
         verdict = check_diff_dominance(sys, np.eye(2), 0.0)
         matrices, _ = vertex_family(sys)
-        splits = [eigen_split_test(J, 0.0, 0) for J in matrices]
+        splits = [eigen_split_test(lti_model(J), 0.0, 0) for J in matrices]
         assert [s.status for s in splits] == ["pass", "inconclusive"]
         assert [v.split_ok for v in verdict.vertices] == [True, False]
 
@@ -487,13 +487,13 @@ class TestVerdictColumns:
         records = []
         for J, corner in zip(hull_points(sys, corners), corners):
             if supply is None:
-                single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
+                single = check_dominance(lti_model(J), DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
             else:
                 cert = DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p, supply=supply)
                 single = verify_dissipativity(LureSystem(A=J, B=sys.B, C=sys.C, D=sys.D), cert)
             (vertex,) = single.vertices
             records.append(lti.VertexVerdict(corner, vertex.passed, vertex.status, vertex.lmax,
-                                             eigen_split_test(J, lam, p).passed))
+                                             eigen_split_test(lti_model(J), lam, p).passed))
         return tuple(records)
 
     @pytest.mark.parametrize("name, P, lam", _SHIPPED_CLAIMS)
@@ -554,7 +554,7 @@ class TestVerdictColumns:
                 column[0] = column[0]
         # the top eigenvalues are a column of their own, not a view into the whole block spectra
         assert verdict.lmax.base is None and verdict.lmax.flags.c_contiguous
-        lone = check_diff_dominance(np.diag([-1.0, -2.0]), np.eye(2), 0.0, p=0)
+        lone = check_diff_dominance(lti_model(np.diag([-1.0, -2.0])), np.eye(2), 0.0, p=0)
         assert not (lone.corners.flags.writeable or lone.vertex_passed.flags.writeable or lone.lmax.flags.writeable)
 
 
@@ -584,7 +584,7 @@ def _planted_lure(rng, n, k, gain):
     """
     lam = float(rng.uniform(0.0, 1.0))
     A, p = random_hyperbolic(rng, n, lam)
-    cert = construct_certificate(A, lam, p)
+    cert = construct_certificate(lti_model(A), lam, p)
     # a vertex moves A by at most 3 k max|g|, which moves the residual by at most twice ||P|| times that
     size = gain * cert.epsilon / (6.0 * k * np.linalg.norm(cert.P, 2))
     channels = []
@@ -618,7 +618,7 @@ class TestSplitFromResidual:
                     nu = inertia_of(S).negative
                     for claim in (nu, (nu + 1) % (n + 1)):
                         if claim not in expected:
-                            expected[claim] = [eigen_split_test(J, lam, claim).passed for J in matrices]
+                            expected[claim] = [eigen_split_test(lti_model(J), lam, claim).passed for J in matrices]
                         for scale in self.SCALES:
                             for verdict in (
                                 check_diff_dominance(sys, scale * S, lam, p=claim),
@@ -638,7 +638,7 @@ class TestSplitFromResidual:
         channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0 - 5e-8)
         sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
         matrices, _ = vertex_family(sys)
-        assert [eigen_split_test(J, 0.0, 0).status for J in matrices] == ["pass", "inconclusive"]
+        assert [eigen_split_test(lti_model(J), 0.0, 0).status for J in matrices] == ["pass", "inconclusive"]
         for scale in self.SCALES:
             verdict = check_diff_dominance(sys, scale * np.eye(2), 0.0, p=0)
             assert [v.split_ok for v in verdict.vertices] == [True, False]
@@ -661,7 +661,7 @@ class TestSplitFromResidual:
         monkeypatch.undo()
         matrices, _ = vertex_family(sys)
         assert [v.split_ok for v in flipped.vertices] == [
-            eigen_split_test(J, lam, 4 - p).passed for J in matrices
+            eigen_split_test(lti_model(J), lam, 4 - p).passed for J in matrices
         ]
 
     @pytest.mark.parametrize("k", [1, 5, 6])
@@ -677,7 +677,7 @@ class TestSplitFromResidual:
         assert shapes == [(4, 4), (2**k, 5, 5)] * 2
         matrices, _ = vertex_family(sys)
         for verdict in verdicts:
-            assert verdict.split_ok.tolist() == [eigen_split_test(J, lam, verdict.p).passed for J in matrices]
+            assert verdict.split_ok.tolist() == [eigen_split_test(lti_model(J), lam, verdict.p).passed for J in matrices]
 
     def test_zero_band_storage_falls_back_on_every_vertex(self, monkeypatch):
         sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, 8, gain=1.0)
@@ -728,7 +728,7 @@ class TestDiffDominance:
         cert = DominanceCertificate(P=registry.DIFF_STORAGE_VELOCITY, rate=1.0, epsilon=0.0, p=1)
         for _ in range(200):
             x = rng.uniform(-5.0, 5.0, size=2)
-            assert check_dominance(jacobian(sys, x), cert).passed
+            assert check_dominance(lti_model(jacobian(sys, x)), cert).passed
 
 
     @pytest.mark.parametrize("lam, epsilon", [(np.nan, 0.0), (np.inf, 0.0), (1.0, np.nan), (1.0, np.inf)])
@@ -890,7 +890,7 @@ class TestOneKernel:
         matrices, _ = vertex_family(sys)
         verdict = check_diff_dominance(sys, P, lam)
         for J, v in zip(matrices, verdict.vertices):
-            single = check_dominance(J, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
+            single = check_dominance(lti_model(J), DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))
             assert _outcome(v) == _outcome(single.vertices[0])
         supplies = (supply_passivity(sys.r), supply_gain(2.0, sys.r, sys.m))
         for supply, epsilon in itertools.product(supplies, (0.0, 1e-3)):

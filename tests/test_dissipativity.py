@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic
+from conftest import lti_model, random_hyperbolic
 from pdom import matrixcore as mc
 from pdom import registry
 from pdom.dissipativity import (
@@ -15,7 +15,7 @@ from pdom.dissipativity import (
     supply_passivity,
     verify_dissipativity,
 )
-from pdom.errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
+from pdom.errors import DimensionError, LmiInfeasibleError
 from pdom.lti import DominanceCertificate, LtiSystem, construct_certificate, residual
 
 RATE = registry.KNOWN_RATE
@@ -255,7 +255,7 @@ class TestMinGain:
             n, m, r = int(rng.integers(2, 5)), int(rng.integers(1, 3)), int(rng.integers(1, 3))
             lam = float(rng.uniform(0.1, 1.0))
             A, p = random_hyperbolic(rng, n, lam)
-            cert = construct_certificate(A, lam, p)
+            cert = construct_certificate(lti_model(A), lam, p)
             C = rng.standard_normal((r, n))
             C *= np.sqrt(0.5 * cert.epsilon) / max(1.0, np.linalg.norm(C, 2))
             D = rng.standard_normal((r, m)) if trial % 2 else np.zeros((r, m))
@@ -282,12 +282,6 @@ class TestMinGain:
         with pytest.raises(ValueError, match="rate must be"):
             min_gain(msd_c8, P, lam)
 
-    def test_bare_state_matrix_refused(self, msd_c8):
-        # both routines read B and C, which a bare state matrix does not have
-        with pytest.raises(UnsupportedConfigurationError, match="B and C"):
-            min_gain(msd_c8.A, registry.PASSIVITY_STORAGE_C8, RATE)
-        with pytest.raises(UnsupportedConfigurationError, match="B and C"):
-            find_passivity_storage(msd_c8.A, RATE, 1)
 
 
 class TestStorageSearch:
@@ -300,7 +294,7 @@ class TestStorageSearch:
         # choose C = B^T P0 for a constructed dominant storage P0: feasible by design
         for _ in range(5):
             A, p = random_hyperbolic(rng, 3, 1.0)
-            P0 = construct_certificate(A, 1.0, p).P
+            P0 = construct_certificate(lti_model(A), 1.0, p).P
             B = rng.standard_normal((3, 1))
             sys = LtiSystem(A=A, B=B, C=(B.T @ P0), D=np.zeros((1, 1)))
             cert = find_passivity_storage(sys, 1.0, p)
@@ -369,7 +363,7 @@ class TestPointwiseEquivalence:
             r = int(rng.integers(1, 3))
             lam = float(np.abs(rng.standard_normal())) + 0.1
             A, p = random_hyperbolic(rng, n, lam)
-            cert = construct_certificate(A, lam, p)
+            cert = construct_certificate(lti_model(A), lam, p)
             B = rng.standard_normal((n, m))
             C = rng.standard_normal((r, n))
             C *= np.sqrt(0.5 * cert.epsilon) / max(1.0, np.linalg.norm(C, 2))

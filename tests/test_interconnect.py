@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic
+from conftest import lti_model, random_hyperbolic
 from pdom import registry
 from pdom.differential import check_diff_dominance
 from pdom.dissipativity import (
@@ -291,8 +291,8 @@ class TestClosedLoopCertificate:
         while built < 10:
             A1, p1 = random_hyperbolic(rng, 3, 1.0)
             A2, p2 = random_hyperbolic(rng, 2, 1.0)
-            P1 = construct_certificate(A1, 1.0, p1).P
-            P2 = construct_certificate(A2, 1.0, p2).P
+            P1 = construct_certificate(lti_model(A1), 1.0, p1).P
+            P2 = construct_certificate(lti_model(A2), 1.0, p2).P
             B1 = rng.standard_normal((3, 1))
             B2 = rng.standard_normal((2, 1))
             sys1 = LtiSystem(A=A1, B=B1, C=(B1.T @ P1), D=np.zeros((1, 1)))

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic
+from conftest import lti_model, random_hyperbolic
 from pdom import lmi, registry
 from pdom.errors import LmiInfeasibleError
 from pdom.lti import DominanceCertificate, check_dominance, construct_certificate, residual
@@ -84,7 +84,7 @@ class TestSolve:
             n = int(rng.integers(2, 6))
             lam = 1.0
             A, p = random_hyperbolic(rng, n, lam)
-            cert = construct_certificate(A, lam, p)
+            cert = construct_certificate(lti_model(A), lam, p)
             problem = lmi.LmiProblem(
                 dim=n,
                 blocks=[lambda P, A=A: residual(A, P, lam)],
@@ -92,7 +92,7 @@ class TestSolve:
                 epsilon=cert.epsilon / 10,
             )
             P = lmi.solve(problem)
-            verdict = check_dominance(A, DominanceCertificate(P=P, rate=lam, epsilon=cert.epsilon / 10, p=p))
+            verdict = check_dominance(lti_model(A), DominanceCertificate(P=P, rate=lam, epsilon=cert.epsilon / 10, p=p))
             assert verdict.passed
             solved += 1
 

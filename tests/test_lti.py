@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_hyperbolic, spiral_system
+from conftest import lti_model, random_hyperbolic, spiral_system
 from pdom import registry
 from pdom import lti
 from pdom import matrixcore as mc
@@ -68,15 +68,9 @@ class TestCheckDominance:
         assert verdict.passed and verdict.status == "pass"
         assert inertia_of(registry.KNOWN_STORAGE[4]).as_tuple() == (1, 0, 1)
 
-    def test_bare_state_matrix(self, msd_c4):
-        cert = DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=1)
-        verdict = check_dominance(msd_c4.A.tolist(), cert)
-        assert verdict.passed and verdict == check_dominance(msd_c4, cert)
-        assert [v.corner for v in verdict.vertices] == [()]
-
     def test_strict_margin(self):
         cert = DominanceCertificate(P=np.eye(2), rate=0.0, epsilon=1.0, p=0)
-        assert check_dominance(-np.eye(2), cert).passed  # residual -2I <= -I
+        assert check_dominance(lti_model(-np.eye(2)), cert).passed  # residual -2I <= -I
 
     def test_wrong_claim_fails_with_witness(self, msd_c4):
         # p = 0 cannot hold: an eigenvalue sits above -rate
@@ -110,7 +104,7 @@ class TestCheckDominance:
         A, P = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])
         sys = LtiSystem(A=A, B=np.ones((2, 1)), C=np.ones((1, 2)))
         with pytest.raises(ValueError, match="finite"):
-            _family_verdict(A, P, 0.0, 1, np.nan)
+            _family_verdict(lti_model(A), P, 0.0, 1, np.nan)
         with pytest.raises(ValueError, match="finite"):
             DominanceCertificate(P=P, rate=0.0, epsilon=np.nan, p=1)
         with pytest.raises(ValueError, match="finite"):
@@ -157,7 +151,7 @@ class TestStackedKernel:
             mc.sym_eigen(S)
         monkeypatch.setattr(lti, "residual", lambda *args: S)  # the kernel's block stack
         with pytest.raises(DimensionError):
-            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0)
+            _family_verdict(lti_model(-np.eye(4)), -np.eye(4), 0.0, 4, 0.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_block_rejected(self, rng, bad, monkeypatch):
@@ -169,7 +163,7 @@ class TestStackedKernel:
             mc.sym_eigen(S)
         monkeypatch.setattr(lti, "residual", lambda *args: S)  # the kernel's block stack
         with pytest.raises(NumericalError):
-            _family_verdict(-np.eye(4), -np.eye(4), 0.0, 4, 0.0)
+            _family_verdict(lti_model(-np.eye(4)), -np.eye(4), 0.0, 4, 0.0)
 
 
 class TestEigenSplit:
@@ -190,7 +184,7 @@ class TestEigenSplit:
             eigen_split_test(msd_c4, lam, 1)
 
     def test_inconclusive_on_axis(self):
-        verdict = eigen_split_test(np.diag([-1.0, -2.0]), 1.0, 1)
+        verdict = eigen_split_test(lti_model(np.diag([-1.0, -2.0])), 1.0, 1)
         assert verdict.status == "inconclusive"
 
     def test_zero_dominance_iff_hurwitz(self, rng):
@@ -200,7 +194,7 @@ class TestEigenSplit:
             re = np.linalg.eigvals(A).real
             if np.min(np.abs(re)) < 1e-3:
                 continue
-            assert eigen_split_test(A, 0.0, 0).passed == bool(np.all(re < 0))
+            assert eigen_split_test(lti_model(A), 0.0, 0).passed == bool(np.all(re < 0))
 
 
 class TestImpossibleClaim:
@@ -278,11 +272,11 @@ class TestImpossibleClaim:
 class TestConstructCertificate:
     def test_diagonal_closed_form(self):
         A = np.diag([-0.2679, -3.7321])
-        cert = construct_certificate(A, 1.2679, 1)
+        cert = construct_certificate(lti_model(A), 1.2679, 1)
         assert cert.P == pytest.approx(np.diag([-0.5, 0.2029]), abs=1e-4)
 
     def test_stable_identity(self):
-        cert = construct_certificate(-np.eye(2), 0.0, 0)
+        cert = construct_certificate(lti_model(-np.eye(2)), 0.0, 0)
         assert np.allclose(cert.P, 0.5 * np.eye(2))
 
     def test_msd_certificate_verifies(self, msd_c4):
@@ -311,14 +305,14 @@ class TestConstructCertificate:
             n = int(rng.integers(2, 9))
             lam = float(np.abs(rng.standard_normal()))
             A, p = random_hyperbolic(rng, n, lam)
-            assert eigen_split_test(A, lam, p).passed
-            cert = construct_certificate(A, lam, p)
+            assert eigen_split_test(lti_model(A), lam, p).passed
+            cert = construct_certificate(lti_model(A), lam, p)
             assert cert.epsilon > 0
-            assert check_dominance(A, cert).passed
+            assert check_dominance(lti_model(A), cert).passed
             wrong = p + 1 if p < n else p - 1
-            assert not eigen_split_test(A, lam, wrong).passed
+            assert not eigen_split_test(lti_model(A), lam, wrong).passed
             with pytest.raises((SplitMismatchError, NonHyperbolicError)):
-                construct_certificate(A, lam, wrong)
+                construct_certificate(lti_model(A), lam, wrong)
 
 
 def _split_battery(rng):
@@ -343,7 +337,7 @@ def _split_battery(rng):
 
 def _reference_storage(A, lam, p):
     """The storage as built before the construction solved on the split's blocks: a general Lyapunov solve each."""
-    A, W, Winv, T1, T2, _, _ = lti._block_storages(A, lam, p)
+    A, W, Winv, T1, T2, _, _ = lti._block_storages(lti_model(A), lam, p)
     n = A.shape[0]
     core = np.zeros((n, n))
     if p > 0:
@@ -358,11 +352,11 @@ class TestOneFactorization:
     def test_storage_is_bitwise_the_general_solve(self, rng):
         seen = {"p=0": 0, "p=n": 0, "pairs on both sides": 0}
         for A, lam, p in _split_battery(rng):
-            _, _, _, T1, T2, _, _ = lti._block_storages(A, lam, p)
+            _, _, _, T1, T2, _, _ = lti._block_storages(lti_model(A), lam, p)
             seen["p=0"] += p == 0
             seen["p=n"] += p == A.shape[0]
             seen["pairs on both sides"] += bool(np.diagonal(T1, -1).any() and np.diagonal(T2, -1).any())
-            cert = construct_certificate(A, lam, p)
+            cert = construct_certificate(lti_model(A), lam, p)
             assert cert.P.tobytes() == _reference_storage(A, lam, p).tobytes()
         assert min(seen.values()) >= 10, seen
 
@@ -375,7 +369,7 @@ class TestOneFactorization:
         monkeypatch.setattr(mc, "lyapunov_solve", lambda *a: pytest.fail("lyapunov_solve called"))
         for A, lam, p in _split_battery(rng):
             calls.clear()
-            construct_certificate(A, lam, p)
+            construct_certificate(lti_model(A), lam, p)
             assert len(calls) == 1
 
 class TestComplexPairs:
@@ -384,19 +378,19 @@ class TestComplexPairs:
 
     def test_certificate_with_spiral_dominant_pair(self):
         A = spiral_system()
-        assert eigen_split_test(A, 0.0, 2).passed
-        cert = construct_certificate(A, 0.0, 2)
+        assert eigen_split_test(lti_model(A), 0.0, 2).passed
+        cert = construct_certificate(lti_model(A), 0.0, 2)
         assert inertia_of(cert.P).as_tuple() == (2, 0, 2)
         assert cert.epsilon > 0
-        assert check_dominance(A, cert).passed
+        assert check_dominance(lti_model(A), cert).passed
 
     def test_stable_complex_pair_below_rate(self):
         A = np.zeros((3, 3))
         A[0, 0] = 1.0
         A[1:, 1:] = [[-0.5, 3.0], [-3.0, -0.5]]
-        assert eigen_split_test(A, 0.0, 1).passed
-        cert = construct_certificate(A, 0.0, 1)
-        assert check_dominance(A, cert).passed
+        assert eigen_split_test(lti_model(A), 0.0, 1).passed
+        cert = construct_certificate(lti_model(A), 0.0, 1)
+        assert check_dominance(lti_model(A), cert).passed
 
 
 class TestSerialization:

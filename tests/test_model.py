@@ -93,6 +93,63 @@ class TestOneModel:
         with pytest.raises(UnsupportedConfigurationError, match="reads A alone"):
             routine(registry.nonlinear_loop())
 
+    @pytest.mark.parametrize(
+        "routine",
+        [
+            lambda A: pdom.check_dominance(A, _dominance(0.0)),
+            lambda A: pdom.check_diff_dominance(A, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE),
+            lambda A: pdom.eigen_split_test(A, registry.KNOWN_RATE, 1),
+            lambda A: pdom.construct_certificate(A, registry.KNOWN_RATE, 1),
+            lambda A: pdom.projective_measure(A, registry.KNOWN_RATE, 1),
+            lambda A: pdom.positivity_probe(
+                A, QuadraticCone(P=registry.KNOWN_STORAGE[4], p=1), (1.0,), 4, np.random.default_rng(0)
+            ),
+            lambda A: pdom.integrate(A, [1.0, 1.0], t_end=1.0, dt=0.1),
+            lambda A: pdom.integrate_batch(A, np.ones((2, 2)), t_end=1.0, dt=0.1),
+            lambda A: pdom.min_gain(A, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE),
+            lambda A: pdom.find_passivity_storage(A, registry.KNOWN_RATE, 1),
+            lambda A: pdom.verify_dissipativity(A, _dissipativity(supply_passivity(1))),
+            lambda A: pdom.check_diff_dissipativity(
+                A, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE, supply_passivity(1)
+            ),
+            lambda A: pdom.closed_loop_certificate(
+                A, _dissipativity(supply_passivity(1)), A, _dissipativity(supply_passivity(1))
+            ),
+            lambda A: pdom.vertex_family(A),
+        ],
+        ids=["check_dominance", "check_diff_dominance", "eigen_split_test", "construct_certificate",
+             "projective_measure", "positivity_probe", "integrate", "integrate_batch", "min_gain",
+             "find_passivity_storage", "verify_dissipativity", "check_diff_dissipativity",
+             "closed_loop_certificate", "vertex_family"],
+    )
+    def test_every_routine_refuses_a_bare_state_matrix(self, routine):
+        # a system enters pdom only as a model; msd-c8's A, as an array or as nested lists, is not one
+        for bare in (registry.msd(8.0).A, registry.msd(8.0).A.tolist()):
+            with pytest.raises(UnsupportedConfigurationError):
+                routine(bare)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: Channel(g=[bad, 1.0], h=[1.0, 0.0], sigma=cubic_saturated(), alpha=-3.0, beta=1.0),
+            lambda bad: Channel(g=[0.0, 1.0], h=[1.0, bad], sigma=cubic_saturated(), alpha=-3.0, beta=1.0),
+            lambda bad: scaled(bad, cubic_saturated()),
+            lambda bad: tabulated([KNOTS[0], bad, KNOTS[2]], VALUES),
+            lambda bad: tabulated(KNOTS, [VALUES[0], bad, VALUES[2]]),
+        ],
+        ids=["g", "h", "factor", "knot", "value"],
+    )
+    def test_non_finite_fields_are_refused_at_construction(self, build, bad):
+        # before, g = [nan, 1] or scaled(inf, cubic) with bounds (-inf, inf) built a model, and its
+        # generated RK4 step then raised NameError on the name "nan" or "inf"
+        with pytest.raises(ValueError, match="finite"):
+            build(bad)
+
+    def test_overflowing_table_slope_is_refused(self):
+        with pytest.raises(ValueError, match="finite"):
+            tabulated([0.0, 1e-300], [0.0, 1e300])
+
 
 class TestValueEquality:
     def test_models(self):

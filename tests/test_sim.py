@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import lti_model
 from pdom import registry, sim
 from pdom.differential import check_diff_dominance
 from pdom.errors import DimensionError
@@ -25,7 +26,7 @@ from pdom.sim import (
 
 class TestIntegrate:
     def test_scalar_decay(self):
-        traj = integrate(np.array([[-1.0]]), [1.0], t_end=1.0, dt=1e-3)
+        traj = integrate(lti_model(np.array([[-1.0]])), [1.0], t_end=1.0, dt=1e-3)
         assert traj.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_lti_matches_expm(self, msd_c4):
@@ -85,7 +86,7 @@ class TestIntegrate:
         assert traj.inputs[:, 0].tolist() == inputs
 
     def test_divergence_truncates(self):
-        traj = integrate(np.array([[1.0]]), [1.0], t_end=50.0, dt=1e-2)
+        traj = integrate(lti_model(np.array([[1.0]])), [1.0], t_end=50.0, dt=1e-2)
         assert traj.truncated
         assert traj.states.shape[0] < 5001
         assert np.all(np.isfinite(traj.states))
@@ -405,12 +406,29 @@ class TestEvaluators:
         # the generated step never calls the numpy field; the numpy loop calls it four times a step
         assert len(calls) == (0 if generated else 40)
 
-    def test_bare_state_matrix(self):
-        A = np.array([[0.0, 1.0, 0.0], [-2.0, -0.5, 1.0], [0.3, 0.0, -1.0]])
-        x0 = [[1.0, 0.0, -1.0], [0.5, 2.0, 0.1]]
-        runs = _same_rows(LureSystem(A=A, B=np.zeros((3, 0)), C=np.zeros((0, 3))), x0, 10.0, 1e-2, 1, None)
-        for (states, _), traj in zip(runs, integrate_batch(A, x0, t_end=10.0, dt=1e-2)):
-            np.testing.assert_array_equal(states, traj.states)
+
+class TestReadOnlyRecords:
+    @pytest.mark.parametrize(
+        "rows, input_policy",
+        [(1, [0.5]), (40, [0.5]), (1, lambda t: [np.sin(t)])],
+        ids=["generated-step", "numpy-loop", "callable-input"],
+    )
+    def test_a_write_into_a_returned_trajectory_raises(self, msd_c4, rows, input_policy):
+        trajs = integrate_batch(msd_c4, np.ones((rows, 2)), t_end=1.0, dt=1e-2, input_policy=input_policy)
+        for traj in trajs:
+            for array in (traj.states, traj.inputs, traj.final_state):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[0] = 0.0
+            # the integrator's records are kept, not copied
+            assert Trajectory(0.0, traj.dt, traj.states, traj.inputs).states is traj.states
+
+    def test_a_callers_later_write_reaches_no_trajectory(self, msd_c4):
+        states, inputs = np.array(integrate(msd_c4, [1.0, 1.0], t_end=1.0, dt=1e-2).states), np.zeros((101, 1))
+        traj = Trajectory(0.0, 1e-2, states, inputs)
+        kept = traj.states.copy()
+        states[...], inputs[...] = 7.0, 7.0
+        np.testing.assert_array_equal(traj.states, kept)
+        assert not traj.inputs.any()
 
 
 class TestClassify:
@@ -430,7 +448,7 @@ class TestClassify:
         assert verdict.amplitude > 0.5
 
     def test_divergent(self):
-        traj = integrate(np.array([[1.0]]), [1.0], t_end=60.0, dt=1e-2)
+        traj = integrate(lti_model(np.array([[1.0]])), [1.0], t_end=60.0, dt=1e-2)
         assert classify_asymptotics(traj).kind == "divergent"
 
     def test_equilibrium_start_stays(self):
@@ -443,7 +461,7 @@ class TestClassify:
     def test_short_oscillation_undecided(self):
         # harmonic motion with under six recorded crossings stays undecided
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        traj = integrate(A, [1.0, 0.0], t_end=12.0, dt=1e-2)
+        traj = integrate(lti_model(A), [1.0, 0.0], t_end=12.0, dt=1e-2)
         assert classify_asymptotics(traj).kind == "undecided"
 
 
@@ -518,7 +536,7 @@ class TestIncrementalContraction:
         assert check_diff_dominance(sys, P, 0.0).passed
         X0 = rng.uniform(-2.0, 2.0, size=(60, 2))
         trajs = integrate_batch(sys, X0, t_end=20.0, dt=1e-3, record_every=10)
-        lin = construct_certificate(registry.msd(4.0).A, 0.0, 0)
+        lin = construct_certificate(registry.msd(4.0), 0.0, 0)
         lin_trajs = integrate_batch(
             registry.msd(4.0), rng.uniform(-2, 2, size=(40, 2)), t_end=20.0, dt=1e-3, record_every=10
         )
