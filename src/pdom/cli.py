@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -140,18 +141,6 @@ def _parse_vector(text: str) -> np.ndarray:
     return vector
 
 
-def _verdict_entry(check: str, verdict) -> dict:
-    """A certificate check's report entry: the verdict's ``to_dict`` plus its failure witness.
-
-    ``witness`` (the unit eigenvector) and ``witness_corner`` name the failing vertex with the largest
-    ``lmax`` on a residual violation, and are null otherwise; they stay out of ``to_dict``, which ``==`` reads.
-    """
-    witness, corner = verdict.witness, verdict.witness_corner
-    return {"check": check, **verdict.to_dict(),
-            "witness": None if witness is None else witness.tolist(),
-            "witness_corner": None if corner is None else list(corner)}
-
-
 def cmd_analyze(args, report: RunReport) -> int:
     system, source = _load_system(args.system)
     report.inputs = {"system": source, "lambda": args.rate, "p": args.p}
@@ -165,7 +154,7 @@ def cmd_analyze(args, report: RunReport) -> int:
     cert = construct_certificate(system, args.rate, args.p)
     verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
-    report.verdicts.append(_verdict_entry("dominance", verdict))
+    report.verdicts.append({"check": "dominance", **verdict.to_dict()})
     return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
@@ -189,7 +178,7 @@ def cmd_verify(args, report: RunReport) -> int:
     else:
         cert = DissipativityCertificate.from_dict({**cert_data, "supply": supply_data}, r=system.r, m=system.m)
         verdict = verify_dissipativity(system, cert)
-    report.verdicts.append(_verdict_entry("dominance" if supply_data is None else "dissipativity", verdict))
+    report.verdicts.append({"check": "dominance" if supply_data is None else "dissipativity", **verdict.to_dict()})
     return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
 
 
@@ -203,7 +192,7 @@ def cmd_certify(args, report: RunReport) -> int:
         cert = construct_certificate(system, args.rate, args.p)
         verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
-    report.verdicts.append(_verdict_entry("certificate", verdict))
+    report.verdicts.append({"check": "certificate", **verdict.to_dict()})
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
@@ -309,6 +298,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# argparse takes a token that starts with "-" and is not a plain number for an option, so a comma list whose
+# first entry is negative is joined to its flag ("--x0 -1,1" becomes "--x0=-1,1") before the command line is parsed
+_VECTOR_FLAGS = ("--x0", "--input")
+
+
+def _join_vector_values(argv: list[str]) -> list[str]:
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _VECTOR_FLAGS and re.match(r"-\.?\d", token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 # the one --report flag, which main reads off the whole command line before the verb's parser runs
 _REPORT = _Parser(prog="pdom", add_help=False, allow_abbrev=False)
 _REPORT.add_argument("--report", help="write the RunReport JSON to this path (before or after the verb)")
@@ -379,10 +383,11 @@ def main(argv=None) -> int:
     # parsed into a namespace of our own, so that a usage error still leaves --report and the verb (set
     # before its subparser runs) readable; --report comes first, as a subparser that errs keeps no value
     args = argparse.Namespace(report=None, verb=None)
+    argv = sys.argv[1:] if argv is None else argv
     report = RunReport(command=None)
     start = time.perf_counter()
     try:
-        _, rest = _REPORT.parse_known_args(argv, namespace=args)
+        _, rest = _REPORT.parse_known_args(_join_vector_values(argv), namespace=args)
         build_parser().parse_args(rest, namespace=args)
         code = args.func(args, report)
     except UsageError as exc:

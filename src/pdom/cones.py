@@ -18,7 +18,7 @@ from . import matrixcore as mc
 from .errors import DimensionError, NumericalError
 from .lti import _block_storages
 from .model import LureSystem, state_matrix
-from .policy import PROBE_MARGIN, ZTOL_REL
+from .policy import ENVELOPE_TOL, PROBE_MARGIN, ZTOL_REL
 
 __all__ = [
     "QuadraticCone",
@@ -99,14 +99,6 @@ class ConeProbeVerdict:
     samples: int
     times: tuple[float, ...]
     worst_value: float  # max over probes of x(t)^T P x(t) / |x(t)|^2
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "samples": self.samples,
-            "times": list(self.times),
-            "worst_value": self.worst_value,
-        }
 
 
 def positivity_probe(
@@ -233,8 +225,8 @@ def ratio_trace(measure: ProjectiveMeasure, trajectory) -> RatioTrace:
     times, U, S = times[:last], U[:last], S[:last]
     ratio = S / U
     envelope = ratio[0] * np.exp(-2.0 * measure.eps_hat * (times - times[0]))
-    slack = 1e-6 * max(1.0, float(ratio[0]))
-    envelope_ok = bool(np.all(ratio <= envelope * (1.0 + 1e-6) + slack))
+    slack = ENVELOPE_TOL * max(1.0, float(ratio[0]))
+    envelope_ok = bool(np.all(ratio <= envelope * (1.0 + ENVELOPE_TOL) + slack))
     return RatioTrace(
         times=times,
         u_values=U,

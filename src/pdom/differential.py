@@ -13,7 +13,7 @@ checked with one stacked eigensolve.
 
 The certificate checks :func:`pdom.lti.check_dominance` and
 :func:`pdom.dissipativity.verify_dissipativity` run the same vertex check;
-the two here take a bare storage and read an omitted p from its inertia.
+the two here take a bare storage, read p from its inertia and claim no margin.
 """
 
 from __future__ import annotations
@@ -64,36 +64,22 @@ def jacobian(sys: LureSystem, x) -> np.ndarray:
     return hull_points(sys, [[float(ch.sigma.derivative(float(ch.h @ x))) for ch in sys.channels]])[0]
 
 
-def check_diff_dominance(
-    sys: LureSystem,
-    P,
-    lam: float,
-    *,
-    p: int | None = None,
-    epsilon: float = 0.0,
-) -> DifferentialVerdict:
-    """Differential p-dominance via the vertex relaxation.
+def check_diff_dominance(sys: LureSystem, P, lam: float) -> DifferentialVerdict:
+    """Differential p-dominance via the vertex relaxation, p read from P's inertia.
 
     Passes when every vertex matrix satisfies the dominance LMI with the
-    shared (P, lam) and margin ``epsilon``, and P has inertia (p, 0, n-p);
-    an omitted p is read from P.
+    shared (P, lam) at margin 0; a stated p or margin is a certificate's
+    (:func:`pdom.lti.check_dominance`).
     """
-    return _family_verdict(sys, P, lam, p, epsilon)
+    return _family_verdict(sys, P, lam, None, 0.0)
 
 
-def check_diff_dissipativity(
-    sys: LureSystem,
-    P,
-    lam: float,
-    supply: SupplyRate,
-    epsilon: float = 0.0,
-    *,
-    p: int | None = None,
-) -> DifferentialVerdict:
-    """Differential p-dissipativity via per-vertex composite blocks.
+def check_diff_dissipativity(sys: LureSystem, P, lam: float, supply: SupplyRate) -> DifferentialVerdict:
+    """Differential p-dissipativity via per-vertex composite blocks, p read from P's inertia.
 
     Builds the (n+m) block of the open-system test with each vertex matrix
-    substituted for A and requires all of them to be negative semidefinite,
-    with P of inertia (p, 0, n-p); an omitted p is read from P.
+    substituted for A and requires all of them to be negative semidefinite
+    at margin 0; a stated p or margin is a certificate's
+    (:func:`pdom.dissipativity.verify_dissipativity`).
     """
-    return _family_verdict(sys, P, lam, p, epsilon, supply)
+    return _family_verdict(sys, P, lam, None, 0.0, supply)

@@ -28,6 +28,7 @@ from .lti import (
     residual,
 )
 from .model import _json_number, _json_object, _ValueEquality, state_matrix
+from .policy import SEARCH_MARGIN
 
 __all__ = [
     "SupplyRate",
@@ -154,8 +155,8 @@ def supply_gain(gamma: float, r: int, m: int) -> SupplyRate:
     return SupplyRate(Q=-np.eye(r), L=np.zeros((r, m)), R=gamma * gamma * np.eye(m))
 
 
-def small_gain_pair(gamma1: float, gamma2: float, r1: int = 1, r2: int = 1) -> tuple[SupplyRate, SupplyRate]:
-    """Gain supplies for a feedback pair, balanced so coupling decides gamma1*gamma2 <= 1.
+def small_gain_pair(gamma1: float, gamma2: float) -> tuple[SupplyRate, SupplyRate]:
+    """Gain supplies for a single-channel feedback pair, balanced so coupling decides gamma1*gamma2 <= 1.
 
     Dissipativity is invariant under positive supply scaling (with the storage
     scaled alike), so the second supply is rescaled by gamma1/gamma2. With
@@ -164,8 +165,8 @@ def small_gain_pair(gamma1: float, gamma2: float, r1: int = 1, r2: int = 1) -> t
     """
     if gamma1 <= 0 or gamma2 <= 0:
         raise ValueError("gain bounds must be positive for the balanced pair")
-    s1 = supply_gain(gamma1, r1, r2)
-    s2 = supply_gain(gamma2, r2, r1).scaled(gamma1 / gamma2)
+    s1 = supply_gain(gamma1, 1, 1)
+    s2 = supply_gain(gamma2, 1, 1).scaled(gamma1 / gamma2)
     return s1, s2
 
 
@@ -218,7 +219,7 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
     if sys.r != sys.m:
         raise DimensionError("passivity needs a square channel (r = m)")
 
-    eps_search = 1e-6 * max(1.0, float(np.linalg.norm(A, 2)))
+    eps_search = SEARCH_MARGIN * max(1.0, float(np.linalg.norm(A, 2)))
     problem = lmi.LmiProblem(
         dim=sys.n,
         blocks=[lambda P: residual(A, P, lam)],

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .lti import DominanceCertificate, check_dominance
 from .model import Channel, LureSystem, as_model
-from .policy import LMI_TOL
+from .policy import LMI_TOL, RATE_MATCH_TOL
 
 __all__ = [
     "CouplingVerdict",
@@ -145,7 +145,7 @@ def closed_loop_certificate(
     blockdiag(P1, P2) then claims p1 + p2, and the loop's vertex family (one
     vertex when no subsystem has channels) must pass the dominance LMI.
     """
-    if abs(c1.rate - c2.rate) > 1e-12:
+    if abs(c1.rate - c2.rate) > RATE_MATCH_TOL:
         raise RateMismatchError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
     coupling = coupling_condition(c1.supply, c2.supply)
     if not coupling.passed:

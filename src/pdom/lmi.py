@@ -178,14 +178,13 @@ def solve(problem: LmiProblem) -> np.ndarray:
         N = Vt[rank:].T  # dsym x d
         P_part = smat(part, n)
     else:
-        eq_residual = 0.0
         N = np.eye(dsym)
         P_part = np.zeros((n, n))
 
     d = N.shape[1]
     if d == 0 and problem.equalities:
         # fully determined by equalities; only the block check remains
-        return _finalize(problem, P_part, 0, eq_residual)
+        return _finalize(problem, P_part, 0)
 
     # S_j(x) = (t - epsilon) I - F_j(c) is affine in x = (c, t): for each block
     # its value at x = 0 and its d + 1 generators, the last one for t
@@ -258,46 +257,27 @@ def solve(problem: LmiProblem) -> np.ndarray:
 
     P = P_part + smat(N @ x[:-1], n)
     P = 0.5 * (P + P.T)
-    return _finalize(problem, P, iterations, eq_residual, bound)
+    return _finalize(problem, P, iterations, bound)
 
 
-def _finalize(
-    problem: LmiProblem,
-    P: np.ndarray,
-    iterations: int,
-    eq_residual: float,
-    bound: float | None = None,
-) -> np.ndarray:
+def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float | None = None) -> np.ndarray:
+    """P, if it meets every block, equality and the inertia target; otherwise the one failure report."""
     worst = -np.inf
     for blk in problem.blocks:
         R = np.asarray(blk(P), dtype=float)
         worst = max(worst, float(mc.sym_eigvals(R)[-1]) + problem.epsilon)
     actual_eq = _equality_residual(problem, P)
     inertia = mc.inertia_of(P).as_tuple()
-    feasible = worst <= LMI_TOL and actual_eq <= EQ_TOL
-    if feasible and problem.inertia_target is not None and inertia != tuple(problem.inertia_target):
-        raise LmiInfeasibleError(
-            LmiReport(
-                iterations=iterations,
-                violation=worst,
-                equality_residual=actual_eq,
-                inertia=inertia,
-                message=f"blocks satisfied but inertia {inertia} != target {tuple(problem.inertia_target)}",
-            )
-        )
-    if not feasible:
-        raise LmiInfeasibleError(
-            LmiReport(
-                iterations=iterations,
-                violation=worst,
-                equality_residual=actual_eq,
-                inertia=inertia,
-                message="no storage in the search ball meets the margin"
-                if bound is not None and bound > 0 else "barrier search ended without a storage",
-                gap_bound=bound,
-            )
-        )
-    return P
+    target = None if problem.inertia_target is None else tuple(problem.inertia_target)
+    if not (worst <= LMI_TOL and actual_eq <= EQ_TOL):  # NaN included
+        message = ("no storage in the search ball meets the margin" if bound is not None and bound > 0
+                   else "barrier search ended without a storage")
+    elif target is not None and inertia != target:
+        message, bound = f"blocks satisfied but inertia {inertia} != target {target}", None
+    else:
+        return P
+    raise LmiInfeasibleError(LmiReport(iterations=iterations, violation=worst, equality_residual=actual_eq,
+                                       inertia=inertia, message=message, gap_bound=bound))
 
 
 def _equality_residual(problem: LmiProblem, P: np.ndarray) -> float:

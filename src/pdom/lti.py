@@ -105,8 +105,8 @@ class DifferentialVerdict:
     (``passed``, ``p``, ``rate``, ``inertia``) and the columns.
     ``status`` is "pass", or the status every failing vertex shares. On a
     residual failure the verdict keeps the block of the failing vertex with
-    the largest ``lmax`` (``witness_corner``), outside ``==`` and
-    ``to_dict``; ``witness``, its top eigenvector, is solved when read.
+    the largest ``lmax`` (``witness_corner``), outside ``==``; ``witness``,
+    its top eigenvector, is solved when read, as ``to_dict`` reads it.
     """
 
     passed: bool
@@ -176,8 +176,11 @@ class DifferentialVerdict:
              "witness_eigenvalue": top if status == "residual_violation" else None, "split_ok": split}
             for corner, ok, status, top, split in self._rows(self.corners.tolist())
         ]
+        witness, corner = self.witness, self.witness_corner
         return {"passed": self.passed, "status": self.status, "p": self.p, "rate": self.rate,
-                "inertia": self.inertia.as_tuple(), "worst_lmax": self.worst_lmax, "vertices": vertices}
+                "inertia": self.inertia.as_tuple(), "worst_lmax": self.worst_lmax, "vertices": vertices,
+                "witness": None if witness is None else witness.tolist(),
+                "witness_corner": None if corner is None else list(corner)}
 
 
 @dataclass(frozen=True)

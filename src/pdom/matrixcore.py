@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonHyperbolicError, NumericalError
-from .policy import RECON_TOL, SPLIT_TOL, SYM_TOL, ZTOL_REL
+from .policy import LYAP_SEP_TOL, RECON_TOL, SCHUR_FACTOR, SPLIT_TOL, SYM_TOL, ZTOL_REL
 
 __all__ = [
     "Inertia",
@@ -251,10 +251,10 @@ def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
     if info != 0:
         raise NumericalError(f"Schur reordering failed (trsen info {info})")
     orth = np.linalg.norm(Q.T @ Q - np.eye(mat.shape[0]), "fro")
-    if orth > 1e3 * RECON_TOL:
+    if orth > SCHUR_FACTOR * RECON_TOL:
         raise NumericalError(f"Schur basis lost orthogonality ({orth:.3e})")
     recon = np.linalg.norm(Q @ T @ Q.T - mat, "fro")
-    if recon > RECON_TOL * max(1.0, np.linalg.norm(mat, "fro")) * 1e3:
+    if recon > RECON_TOL * max(1.0, np.linalg.norm(mat, "fro")) * SCHUR_FACTOR:
         raise NumericalError(f"Schur reconstruction residual too large ({recon:.3e})")
     return Q, T, int(sdim)
 
@@ -273,7 +273,7 @@ def lyapunov_solve(M, Q) -> np.ndarray:
     T, Z, spectrum = _real_schur(mat)
     sums = spectrum[:, None] + np.conj(spectrum[None, :])
     size = max(1.0, np.max(np.abs(spectrum)))
-    if np.min(np.abs(sums)) <= 1e-12 * size:
+    if np.min(np.abs(sums)) <= LYAP_SEP_TOL * size:
         raise NumericalError("singular Lyapunov operator: M and -M^T share an eigenvalue")
     X = Z @ _trsyl(T, T, -(Z.T @ rhs @ Z), trana="T") @ Z.T
     X = 0.5 * (X + X.T)

@@ -6,7 +6,7 @@ Dynamics are ``xdot = A x + sum_i g_i sigma_i(h_i^T x) + B u``,
 slope to its bounds gives the model's vertex family, on which every verifier
 checks a storage. A model is the only system input (:func:`as_model`), and
 its numbers (A to D, g, h, scale factors, table knots and values) are finite
-by construction. Models, channels and nonlinearities hold read-only copies
+by construction, and so are its channel products and vertex matrices. Models, channels and nonlinearities hold read-only copies
 of the arrays they are built from, and compare equal by ``to_dict()`` value.
 """
 
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import DimensionError, UnsupportedConfigurationError
-from .policy import MAX_VERTICES
+from .policy import MAX_VERTICES, SLOPE_SLACK
 
 __all__ = [
     "Nonlinearity",
@@ -34,7 +34,6 @@ __all__ = [
     "state_matrix",
 ]
 
-_SLOPE_SLACK = 1e-9
 _KINDS = ("cubic_saturated", "scaled", "tabulated")
 
 
@@ -242,7 +241,10 @@ class LureSystem(_ValueEquality):
 
     ``D = 0`` stands for the zero (r, m) matrix. At construction each
     channel's declared slope bounds must contain the exact slope range of its
-    nonlinearity over the whole real line (:meth:`Nonlinearity.slope_range`).
+    nonlinearity over the whole real line (:meth:`Nonlinearity.slope_range`),
+    and each ``g h^T`` must be finite, as must, at finite slope bounds, the
+    bound ``|A| + sum_i max(|alpha_i|, |beta_i|) |g_i| |h_i|^T`` on every
+    vertex matrix and state Jacobian.
     """
 
     A: np.ndarray
@@ -271,7 +273,7 @@ class LureSystem(_ValueEquality):
                 raise DimensionError("channel vectors must match the state dimension")
             lo, hi = ch.sigma.slope_range()
             # written so that a NaN bound is refused too
-            if not (lo >= ch.alpha - _SLOPE_SLACK and hi <= ch.beta + _SLOPE_SLACK):
+            if not (lo >= ch.alpha - SLOPE_SLACK and hi <= ch.beta + SLOPE_SLACK):
                 raise ValueError(
                     f"channel slope range [{lo:.6g}, {hi:.6g}] escapes the declared "
                     f"bounds [{ch.alpha:.6g}, {ch.beta:.6g}]"
@@ -288,8 +290,20 @@ class LureSystem(_ValueEquality):
         for sigma, members in groups.items():
             blocks.append((sigma, slice(len(ordered), len(ordered) + len(members))))
             ordered += members
-        object.__setattr__(self, "_H", np.array([ch.h for ch in ordered]).reshape(-1, n).T)
-        object.__setattr__(self, "_G", np.array([ch.g for ch in ordered]).reshape(-1, n))
+        H = np.array([ch.h for ch in ordered]).reshape(-1, n).T
+        G = np.array([ch.g for ch in ordered]).reshape(-1, n)
+        if channels:
+            # each |g_i| |h_i|^T, and at finite slope bounds the bound on every entry of a vertex or Jacobian
+            reach = np.array([max(abs(ch.alpha), abs(ch.beta)) for ch in ordered], dtype=float)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = abs(G)[:, :, None] * abs(H.T)[:, None, :]
+                if np.isfinite(reach).all():  # an overflowed product makes the bound inf or nan too
+                    terms = abs(A) + (reach[:, None, None] * terms).sum(axis=0)
+            if not np.isfinite(terms).all():
+                raise ValueError("channel terms overflow: g h^T, or the vertex bound "
+                                 "|A| + sum_i max(|alpha_i|, |beta_i|) |g_i| |h_i|^T, is not finite")
+        object.__setattr__(self, "_H", H)
+        object.__setattr__(self, "_G", G)
         object.__setattr__(self, "_sigma_blocks", tuple(blocks))
 
     @property

@@ -13,4 +13,13 @@ EQ_TOL = 1e-10        # linear equality residual allowed in solutions
 FP_TOL_SCALE = 1e-6   # fixed-point tail displacement, times (1+|x|)
 CYCLE_TOL = 1e-2      # relative period jitter allowed for cycles
 STEP_TOL = 1e-9       # relative distance of t_end / dt from a whole step count
+SLOPE_SLACK = 1e-9    # how far a nonlinearity's slope range may pass its declared bounds
+SCHUR_FACTOR = 1e3    # a Schur form's orthogonality and reconstruction residual allowance, in units of RECON_TOL
+LYAP_SEP_TOL = 1e-12  # least |mu_i + conj(mu_j)| of a Lyapunov operator, times max(1, |mu|max)
+RATE_MATCH_TOL = 1e-12  # largest difference of the two open-loop rates a loop certificate takes as one
+ENVELOPE_TOL = 1e-6   # ratio-trace envelope slack: relative, and absolute times max(1, ratio(0))
+SEARCH_MARGIN = 1e-6  # margin the storage search asks for, times max(1, ||A||_2)
+PTP_DRIFT_TOL = 5 * CYCLE_TOL  # relative change of a cycle's peak-to-peak pattern over two periods
+PTP_FLOOR = 1e-12     # least peak-to-peak span a cycle's drift is taken relative to
+DIVERGENCE_NORM = 1e9  # state norm at which a trajectory is cut as divergent
 MAX_VERTICES = 2**16  # largest vertex family built (k = 16, n = 6: 0.10 s and 85 MB per dominance check, 0.15 s and 136 MB per dissipativity check)

@@ -44,13 +44,13 @@ DIFF_STORAGE_MIXED = np.array([[-2.0, 1.0], [1.0, 2.0]])  # y = x1 + 2 x2, rate 
 MONOTONE_STORAGE = np.array([[1.0, 0.5], [0.5, 1.0]])     # monotone spring claim, rate 0
 
 
-def msd(c: float, name: str | None = None) -> LureSystem:
+def msd(c: float) -> LureSystem:
     """Mass-spring-damper with damping c, force input, velocity output."""
     return LureSystem(
         A=np.array([[0.0, 1.0], [-1.0, -c]]),
         B=np.array([[0.0], [1.0]]),
         C=np.array([[0.0, 1.0]]),
-        name=name or f"msd-c{c:g}",
+        name=f"msd-c{c:g}",
     )
 
 

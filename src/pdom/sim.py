@@ -17,7 +17,7 @@ import numpy as np
 from . import matrixcore as mc
 from .errors import DimensionError
 from .model import LureSystem, as_model
-from .policy import CYCLE_TOL, FP_TOL_SCALE, STEP_TOL
+from .policy import CYCLE_TOL, DIVERGENCE_NORM, FP_TOL_SCALE, PTP_DRIFT_TOL, PTP_FLOOR, STEP_TOL
 
 __all__ = [
     "Trajectory",
@@ -28,7 +28,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-_DIVERGENCE_NORM = 1e9
 # bounds on rows * row cost for the generated step, without and with channels; see _takes_row_step
 _ROW_COST = 120
 _ROW_COST_CHANNELS = 280
@@ -99,7 +98,7 @@ def integrate_batch(
     ``t_end / dt`` must be a whole number of steps (to a relative ``STEP_TOL``) and of recorded intervals
     (``dt * record_every``); any other horizon is a ``ValueError``, never a shortened run.
 
-    A row whose norm exceeds 1e9, or is not finite, is flagged as truncated
+    A row whose norm exceeds ``DIVERGENCE_NORM`` = 1e9, or is not finite, is flagged as truncated
     and its record is cut at that step; the row is not evaluated after it.
     Both evaluators test ``x . x <= 1e18``, which is the same rule without a
     square root: 1e18 is a float, and the square root of the next float
@@ -186,7 +185,7 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
             X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += dt
             # the comparison is false for NaN and inf, so non-finite rows count as diverged
-            bad = ~(np.einsum("ij,ij->i", X, X) <= _DIVERGENCE_NORM ** 2)
+            bad = ~(np.einsum("ij,ij->i", X, X) <= DIVERGENCE_NORM ** 2)
             if bad.any():
                 # cut the records of the diverged rows here and stop integrating them
                 cut_length[rows[bad]] = count
@@ -240,7 +239,7 @@ def _row_step_source(sys: LureSystem, with_input: bool) -> tuple[str, dict]:
         body += _field_lines(sys, y, k[s + 1], u, namespace)
     body += [f"{xi} = {xi} + sixth * ({a} + 2.0 * {b} + 2.0 * {c} + {d})" for xi, a, b, c, d in zip(x, *k)]
     squares = " + ".join(f"{xi} * {xi}" for xi in x)
-    body += [f"if not {squares} <= {_DIVERGENCE_NORM ** 2!r}:  # true for NaN and inf", "    return states(out), True"]
+    body += [f"if not {squares} <= {DIVERGENCE_NORM ** 2!r}:  # true for NaN and inf", "    return states(out), True"]
     xs = "".join(f"{v}, " for v in x)
     code = [f"def step(x, records, every, dt, u):\n    {xs}= x",
             *([f"    {''.join(f'{v}, ' for v in u)}= u"] if u else []),
@@ -400,9 +399,9 @@ def classify_asymptotics(traj: Trajectory) -> AsymptoticVerdict:
     prev = states[-2 * per_samples : -per_samples]
     ptp_last = np.ptp(last, axis=0)
     ptp_prev = np.ptp(prev, axis=0)
-    scale = np.maximum(np.max(ptp_last), 1e-12)
+    scale = np.maximum(np.max(ptp_last), PTP_FLOOR)
     ptp_drift = float(np.max(np.abs(ptp_last - ptp_prev)) / scale)
-    if jitter < CYCLE_TOL and ptp_drift < 5 * CYCLE_TOL:
+    if jitter < CYCLE_TOL and ptp_drift < PTP_DRIFT_TOL:
         return AsymptoticVerdict(
             kind="limit_cycle",
             period=mean_period,

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ class TestAnalyze:
 class TestVerify:
     def test_dominance_certificate(self, msd4_file, cert4_file):
         assert cli.main(["verify", msd4_file, cert4_file]) == 0
+
+    def test_overflowing_channel_product_is_input_error(self, tmp_path, capsys):
+        # g and h are finite but g h^T is not: an input error when the model is built (exit 2), with no
+        # RuntimeWarning, and not a numerical failure of the vertex check (exit 3)
+        channel = {"g": [0, 1e200], "h": [1e200, 0], "sigma": {"kind": "cubic_saturated"}, "alpha": -3, "beta": 1}
+        model = {"A": [[0, 1], [-1, -8]], "B": [[0], [1]], "C": [[1, 0]], "channels": [channel]}
+        (tmp_path / "overflow.json").write_text(json.dumps(model))
+        (tmp_path / "rate1.json").write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 1, "p": 1}))
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            argv = ["--report", str(report), "verify", str(tmp_path / "overflow.json"), str(tmp_path / "rate1.json")]
+            assert cli.main(argv) == 2
+        assert "channel terms overflow" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert (error["class"], error["exit_code"]) == ("ValueError", 2)
 
     @pytest.mark.parametrize("epsilon, code", [(0.0, 1), (float("nan"), 2), (float("inf"), 2)])
     def test_non_finite_epsilon_is_input_error(self, tmp_path, epsilon, code):
@@ -599,6 +616,24 @@ class TestSimulate:
     def test_wrong_x0_dimension(self):
         assert cli.main(["simulate", "nl-msd", "--x0", "1,1,1"]) == 2
 
+    @pytest.mark.parametrize("x0", ["-1,1", "-.5,2", "-1e-3,1"])
+    def test_negative_first_entry(self, tmp_path, capsys, x0):
+        # argparse alone reads "-1,1" as an option, leaving --x0 without its value
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "simulate", "nl-msd", "--x0", x0, "--t", "1"]) == 0
+        assert json.loads(report.read_text())["inputs"]["x0"] == [float(v) for v in x0.split(",")]
+        argv = ["--report", str(report), "simulate", "nl-loop", "--x0", "1,0,0,0", "--input", x0, "--t", "1"]
+        assert cli.main(argv) == 0
+        assert json.loads(report.read_text())["inputs"]["input"] == [float(v) for v in x0.split(",")]
+
+    @pytest.mark.parametrize("argv", [["--x0"], ["--x0", "--t", "1"], ["--x0", "1,1", "--input"]],
+                             ids=["x0-last", "x0-before-flag", "input-last"])
+    def test_vector_flag_without_value_is_usage_error(self, tmp_path, capsys, argv):
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "simulate", "nl-msd", *argv]) == 2
+        assert "expected one argument" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"]["class"] == "UsageError"
+
     @pytest.mark.parametrize(
         "args",
         [["--x0", "1,1", "--t", "inf"], ["--x0", "1,1", "--t", "nan"], ["--x0", "1,1", "--dt", "nan"],
@@ -775,6 +810,45 @@ class TestRunReport:
         argv = ["--report", str(tmp_path / "no_such_dir" / "r.json"), "analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"]
         assert cli.main(argv) == 2
         assert "input error: " in capsys.readouterr().err
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+# name: (input files, written under these relative names, the command line, its exit code). Every block these
+# verify runs solve is diagonal, so each lmax and witness is exact in binary and the report bytes do not depend on
+# the LAPACK build.
+_RATE0 = '{"P": [[-1, 0], [0, 1]], "lambda": 0, "p": 1}\n'
+_GOLDEN_REPORTS = {
+    # CI's diag.json + rate0.json: A^T P + P A = diag(-2, 4), so lmax 4 and witness [0, 1]
+    "verify_linear_failure": (
+        {"diag.json": '{"A": [[1, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}\n', "rate0.json": _RATE0},
+        ["verify", "diag.json", "rate0.json"], 1),
+    # vertex residuals diag(-2, -4) at slope -3 and diag(-2, 4) at slope 1
+    "verify_lure_failure": (
+        {"lure.json": '{"A": [[1, 0], [0, 1]], "B": [[0], [0]], "C": [[0, 0]], "channels": [{"g": [0, 1], '
+                      '"h": [0, 1], "sigma": {"kind": "cubic_saturated"}, "alpha": -3, "beta": 1}]}\n',
+         "rate0.json": _RATE0},
+        ["verify", "lure.json", "rate0.json"], 1),
+    # the gain-1 supply's block is diag(-2, -3, -1)
+    "verify_dissipativity_pass": (
+        {"out.json": '{"A": [[1, 0], [0, -2]], "B": [[0], [0]], "C": [[0, 1]]}\n',
+         "gain1.json": '{"P": [[-1, 0], [0, 1]], "lambda": 0, "p": 1, "supply": {"kind": "gain", "gamma": 1}}\n'},
+        ["verify", "out.json", "gain1.json"], 0),
+}
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("name", sorted(_GOLDEN_REPORTS))
+    def test_report_matches_golden(self, tmp_path, monkeypatch, capsys, name):
+        # the canonical report (wall time aside), byte for byte
+        files, argv, code = _GOLDEN_REPORTS[name]
+        monkeypatch.chdir(tmp_path)
+        for file, text in files.items():
+            (tmp_path / file).write_text(text)
+        assert cli.main(["--report", "report.json", *argv]) == code
+        data = json.loads((tmp_path / "report.json").read_text())
+        data.pop("wall_time_s")
+        assert json.dumps(data, sort_keys=True, indent=2) + "\n" == (GOLDEN / f"{name}.json").read_text()
 
 
 class TestReproduce:

@@ -41,6 +41,13 @@ from pdom.matrixcore import inertia_of
 from pdom.policy import LMI_TOL, MAX_VERTICES
 
 
+def _claim(sys, P, lam, p, epsilon=0.0, supply=None):
+    """The certificate check of a stated claim: storage P at rate lam, claiming p with margin epsilon."""
+    if supply is None:
+        return check_dominance(sys, DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p))
+    return verify_dissipativity(sys, DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply))
+
+
 class TestNonlinearities:
     def test_cubic_values(self):
         sigma = cubic_saturated()
@@ -105,7 +112,7 @@ class TestLureSystem:
         with pytest.raises(ValueError, match="must be finite"):
             model(tabulated([-30.0, None, 30.0], [-30.0, 20.0, 1020.0]), -np.inf, np.inf)
         # with the true bounds the storage that passed on the narrow claim fails at the steep corner
-        verdict = check_diff_dominance(model(steep, 1.0, 100.0), [[1.5, 0.5], [0.5, 1.0]], 0.0, p=0)
+        verdict = _claim(model(steep, 1.0, 100.0), [[1.5, 0.5], [0.5, 1.0]], 0.0, 0)
         assert not verdict.passed and verdict.failing_corners == ((100.0,),)
 
     def test_slope_bound_validation(self):
@@ -288,7 +295,7 @@ class TestVertexFamily:
             vertex_family(many(17))
         P = registry.DIFF_STORAGE_VELOCITY
         with pytest.raises(UnsupportedConfigurationError, match="2\\^17 vertices"):
-            check_diff_dominance(many(17), P, 1.0, p=1)
+            _claim(many(17), P, 1.0, 1)
 
 
 class TestResultEquality:
@@ -327,7 +334,7 @@ class TestResultEquality:
                                  alpha=-3.0, beta=1.0) for _ in range(12))
         sys = LureSystem(A=rng.standard_normal((n, n)) - 3.0 * np.eye(n), B=np.zeros((n, 1)), C=np.zeros((1, n)),
                          channels=channels)
-        first, second = (check_diff_dominance(sys, np.eye(n), 0.5, p=0) for _ in range(2))
+        first, second = (_claim(sys, np.eye(n), 0.5, 0) for _ in range(2))
         monkeypatch.setattr(lti.DifferentialVerdict, "to_dict", lambda self: pytest.fail("to_dict called"))
         assert len(first.lmax) == 2**12 and first == second
         for column in ("lmax", "split_ok"):
@@ -346,7 +353,7 @@ class TestCertificateChecksOnTheFamily:
         verdict = check_dominance(sys, cert)
         assert not verdict.passed and verdict.status == "residual_violation"
         assert verdict.failing_corners == ((-3.0,),)
-        assert verdict == check_diff_dominance(sys, cert.P, cert.rate, p=1)
+        assert verdict == check_diff_dominance(sys, cert.P, cert.rate)  # P's inertia gives p = 1
 
     def test_dissipativity_fails_at_the_upper_corner(self):
         sys = registry.builtin_system("nl-msd-mixed")
@@ -356,7 +363,7 @@ class TestCertificateChecksOnTheFamily:
         verdict = verify_dissipativity(sys, cert)
         assert not verdict.passed and verdict.status == "residual_violation"
         assert verdict.failing_corners == ((1.0,),)
-        assert verdict == check_diff_dissipativity(sys, cert.P, cert.rate, supply, p=1)
+        assert verdict == check_diff_dissipativity(sys, cert.P, cert.rate, supply)  # P's inertia gives p = 1
 
 
 def _hull_point_by_channel(sys, slopes):
@@ -462,7 +469,7 @@ class TestStackedFamily:
         channel = Channel(g=np.array([0.01]), h=np.array([1.0]), sigma=ch.sigma, alpha=ch.alpha, beta=ch.beta)
         sys = LureSystem(A=[[1.0]], channels=(channel,), B=[[0.0]], C=[[1.0]])
         supply = SupplyRate(Q=[[3.0]], L=[[0.0]], R=[[1.0]])
-        verdict = check_diff_dissipativity(sys, np.eye(1), 0.0, supply, p=0)
+        verdict = _claim(sys, np.eye(1), 0.0, 0, supply=supply)
         assert verdict.passed
         assert [v.split_ok for v in verdict.vertices] == [False, False]
 
@@ -505,10 +512,7 @@ class TestVerdictColumns:
         supply = supply_gain(2.0, sys.r, sys.m) if with_supply else None
         nu = inertia_of(S).negative
         for p in (nu, (nu + 1) % (sys.n + 1)):
-            if supply is None:
-                verdict = check_diff_dominance(sys, S, lam, p=p)
-            else:
-                verdict = check_diff_dissipativity(sys, S, lam, supply, p=p)
+            verdict = _claim(sys, S, lam, p, supply=supply)
             records = self._records(sys, S, lam, p, supply)
             assert verdict.vertices == records
             assert verdict.status == next((v.status for v in records if not v.passed), "pass")
@@ -534,7 +538,7 @@ class TestVerdictColumns:
         sigma = tabulated([-1.0, 0.0, 1.0], [0.0, 0.0, 1.0])
         channels = tuple(Channel(g=[0.0, 1.0], h=[1.0, 0.0], sigma=sigma, alpha=a, beta=1.0) for a in (-0.0, 0.0))
         sys = LureSystem(A=[[0.0, 1.0], [-2.0, -1.0]], B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=channels)
-        verdict = check_diff_dominance(sys, [[1.5, 0.5], [0.5, 1.0]], 0.0, p=0)
+        verdict = _claim(sys, [[1.5, 0.5], [0.5, 1.0]], 0.0, 0)
         corners = [v.corner for v in verdict.vertices]
         assert repr(corners) == "[(-0.0, 0.0), (-0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]"
         # one float object per distinct slope of a channel
@@ -554,7 +558,7 @@ class TestVerdictColumns:
                 column[0] = column[0]
         # the top eigenvalues are a column of their own, not a view into the whole block spectra
         assert verdict.lmax.base is None and verdict.lmax.flags.c_contiguous
-        lone = check_diff_dominance(lti_model(np.diag([-1.0, -2.0])), np.eye(2), 0.0, p=0)
+        lone = _claim(lti_model(np.diag([-1.0, -2.0])), np.eye(2), 0.0, 0)
         assert not (lone.corners.flags.writeable or lone.vertex_passed.flags.writeable or lone.lmax.flags.writeable)
 
 
@@ -621,8 +625,8 @@ class TestSplitFromResidual:
                             expected[claim] = [eigen_split_test(lti_model(J), lam, claim).passed for J in matrices]
                         for scale in self.SCALES:
                             for verdict in (
-                                check_diff_dominance(sys, scale * S, lam, p=claim),
-                                check_diff_dissipativity(sys, scale * S, lam, supply.scaled(scale), p=claim),
+                                _claim(sys, scale * S, lam, claim),
+                                _claim(sys, scale * S, lam, claim, supply=supply.scaled(scale)),
                             ):
                                 assert [v.split_ok for v in verdict.vertices] == expected[claim], (n, k, scale)
                 R = residual(matrices, P, lam)
@@ -640,7 +644,7 @@ class TestSplitFromResidual:
         matrices, _ = vertex_family(sys)
         assert [eigen_split_test(lti_model(J), 0.0, 0).status for J in matrices] == ["pass", "inconclusive"]
         for scale in self.SCALES:
-            verdict = check_diff_dominance(sys, scale * np.eye(2), 0.0, p=0)
+            verdict = _claim(sys, scale * np.eye(2), 0.0, 0)
             assert [v.split_ok for v in verdict.vertices] == [True, False]
 
     @staticmethod
@@ -682,7 +686,7 @@ class TestSplitFromResidual:
     def test_zero_band_storage_falls_back_on_every_vertex(self, monkeypatch):
         sys, lam, P, p = _planted_lure(np.random.default_rng(8), 4, 8, gain=1.0)
         calls = self._count_eigvals(monkeypatch)
-        verdict = check_diff_dominance(sys, 1e-12 * P, lam, p=p)
+        verdict = _claim(sys, 1e-12 * P, lam, p)
         assert calls == [(256, 4, 4)]
         assert all(v.split_ok for v in verdict.vertices)
 
@@ -735,16 +739,16 @@ class TestDiffDominance:
     def test_non_finite_claim_rejected(self, lam, epsilon):
         sys = registry.nonlinear_msd("velocity", "cubic")
         with pytest.raises(ValueError, match="finite"):
-            check_diff_dominance(sys, registry.DIFF_STORAGE_VELOCITY, lam, epsilon=epsilon)
+            _claim(sys, registry.DIFF_STORAGE_VELOCITY, lam, 1, epsilon)
 
     def test_negative_margin_refused(self):
         # this storage fails at the slope -0.5 vertex (worst lmax 0.30); a margin of -1 would excuse it
         sys = registry.nonlinear_msd("velocity", "monotone")
         assert not check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0).passed
         with pytest.raises(ValueError, match="nonnegative"):
-            check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0, epsilon=-1.0)
+            _claim(sys, registry.MONOTONE_STORAGE, 0.0, 0, -1.0)
         with pytest.raises(ValueError, match="nonnegative"):
-            check_diff_dissipativity(sys, registry.MONOTONE_STORAGE, 0.0, supply_passivity(sys.r), epsilon=-1.0)
+            _claim(sys, registry.MONOTONE_STORAGE, 0.0, 0, -1.0, supply_passivity(sys.r))
 
 
 class TestDiffDissipativity:
@@ -765,7 +769,7 @@ class TestDiffDissipativity:
     def test_non_finite_claim_rejected(self, lam, epsilon):
         sys = registry.nonlinear_msd("mixed", "cubic")
         with pytest.raises(ValueError, match="finite"):
-            check_diff_dissipativity(sys, registry.DIFF_STORAGE_MIXED, lam, supply_passivity(1), epsilon)
+            _claim(sys, registry.DIFF_STORAGE_MIXED, lam, 1, epsilon, supply_passivity(1))
 
     def test_interior_slope_margin(self):
         # slope s = 1 sits inside the feasible window (roots of s^2 + 5 s - 10)
@@ -857,7 +861,7 @@ class TestOneKernel:
     @pytest.mark.parametrize("epsilon", [0.0, 1e-3])
     def test_channel_free_dissipativity_matches_single_matrix(self, msd_c8, P, lam, supply, epsilon):
         p = inertia_of(P).negative
-        diff = check_diff_dissipativity(msd_c8, P, lam, supply, epsilon)
+        diff = lti._family_verdict(msd_c8, P, lam, None, epsilon, supply)  # p read from P, at the stated margin
         cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
         single = verify_dissipativity(msd_c8, cert)
         blocks = dissipation_blocks(residual(msd_c8.A[None], P, lam), msd_c8, P, supply, epsilon)
@@ -894,7 +898,7 @@ class TestOneKernel:
             assert _outcome(v) == _outcome(single.vertices[0])
         supplies = (supply_passivity(sys.r), supply_gain(2.0, sys.r, sys.m))
         for supply, epsilon in itertools.product(supplies, (0.0, 1e-3)):
-            verdict = check_diff_dissipativity(sys, P, lam, supply, epsilon)
+            verdict = _claim(sys, P, lam, p, epsilon, supply)
             for J, v in zip(matrices, verdict.vertices):
                 vertex = LureSystem(A=J, B=sys.B, C=sys.C)
                 cert = DissipativityCertificate(P=P, rate=lam, epsilon=epsilon, p=p, supply=supply)
@@ -933,10 +937,10 @@ class TestEigenvaluesOnly:
             for p in (right, (right + 1) % (sys.n + 1)):
                 verdicts = [
                     check_dominance(sys, DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p)),
-                    check_diff_dominance(sys, P, lam, p=p),
+                    check_diff_dominance(sys, P, lam),
                     verify_dissipativity(sys, DissipativityCertificate(P=P, rate=lam, epsilon=0.0, p=p,
                                                                        supply=supply)),
-                    check_diff_dissipativity(sys, P, lam, supply, p=p),
+                    check_diff_dissipativity(sys, P, lam, supply),
                 ]
                 outcomes.update((bool(sys.channels), kind, v.status) for kind, v in zip("DDSS", verdicts))
         construct_certificate(registry.msd(8.0), registry.KNOWN_RATE, 1)
@@ -964,7 +968,7 @@ class TestEigenvaluesOnly:
     def test_no_witness_without_a_residual_failure(self, eigh_shapes):
         sys = registry.builtin_system("nl-msd")
         passing = check_diff_dominance(sys, registry.DIFF_STORAGE_VELOCITY, 1.0)
-        mismatch = check_diff_dominance(sys, np.diag([-1.0, 1.0]), 0.5, p=0)
+        mismatch = _claim(sys, np.diag([-1.0, 1.0]), 0.5, 0)
         assert passing.passed and mismatch.status == "inertia_mismatch"
         for verdict in (passing, mismatch):
             assert verdict.witness is None and verdict.witness_corner is None

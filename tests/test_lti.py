@@ -98,7 +98,6 @@ class TestCheckDominance:
 
     def test_nan_margin_is_refused(self):
         # lmax = 4 on diag(1, 2) with P = diag(-1, 1): no margin, NaN included, may excuse it
-        from pdom.differential import check_diff_dissipativity, check_diff_dominance
         from pdom.dissipativity import DissipativityCertificate, supply_passivity
 
         A, P = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])
@@ -109,10 +108,11 @@ class TestCheckDominance:
             DominanceCertificate(P=P, rate=0.0, epsilon=np.nan, p=1)
         with pytest.raises(ValueError, match="finite"):
             DissipativityCertificate(P=P, rate=0.0, epsilon=np.nan, p=1, supply=supply_passivity(1))
+        # the kernel's p-from-inertia path, which the bare-storage checks take, at a NaN margin
         with pytest.raises(ValueError, match="finite"):
-            check_diff_dominance(sys, P, 0.0, epsilon=np.nan)
+            _family_verdict(sys, P, 0.0, None, np.nan)
         with pytest.raises(ValueError, match="finite"):
-            check_diff_dissipativity(sys, P, 0.0, supply_passivity(1), np.nan)
+            _family_verdict(sys, P, 0.0, None, np.nan, supply_passivity(1))
 
     @pytest.mark.parametrize("field", ["rate", "epsilon"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -208,20 +208,16 @@ class TestImpossibleClaim:
 
     @pytest.mark.parametrize("lam, p", [(-0.5, 1), (RATE, 3)])
     def test_storage_checks(self, msd_c4, lam, p):
-        from pdom.differential import check_diff_dominance
-
         with pytest.raises(ValueError, match="nonnegative|outside"):
-            check_diff_dominance(msd_c4, registry.KNOWN_STORAGE[4], lam, p=p)
+            check_dominance(msd_c4, DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=lam, epsilon=0.0, p=p))
 
     @pytest.mark.parametrize("p", [1.5, 1.0, True, np.True_, "1"])
     def test_p_that_is_not_an_integer(self, msd_c4, p):
-        from pdom.differential import check_diff_dominance
-
         for entry in (eigen_split_test, construct_certificate):
             with pytest.raises(ValueError, match="integer"):
                 entry(msd_c4, RATE, p)
         with pytest.raises(ValueError, match="integer"):
-            check_diff_dominance(msd_c4, registry.KNOWN_STORAGE[4], RATE, p=p)
+            check_dominance(msd_c4, DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=RATE, epsilon=0.0, p=p))
         # a certificate file's p is not converted: int() would read 1.5 or true as 1, and this storage passes at p = 1
         with pytest.raises(ValueError, match="integer"):
             DominanceCertificate.from_dict({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": p})

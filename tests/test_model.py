@@ -1,6 +1,8 @@
+import inspect
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -149,6 +151,41 @@ class TestOneModel:
     def test_overflowing_table_slope_is_refused(self):
         with pytest.raises(ValueError, match="finite"):
             tabulated([0.0, 1e-300], [0.0, 1e300])
+
+    @pytest.mark.parametrize(
+        "g, h, alpha",
+        [([0.0, 1e200], [1e200, 0.0], -3.0), ([0.0, 1e154], [1e154, 0.0], -3e10)],
+        ids=["product", "vertex-bound"],
+    )
+    def test_overflowing_channel_terms_are_refused(self, g, h, alpha):
+        # g and h are finite, but g h^T, or the bound on the vertex matrices, is not: refused when the model is
+        # built, with no RuntimeWarning, so no vertex check meets a non-finite entry
+        channel = Channel(g=g, h=h, sigma=cubic_saturated(), alpha=alpha, beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="channel terms overflow"):
+                LureSystem(A=[[0.0, 1.0], [-1.0, -8.0]], B=[[0.0], [1.0]], C=[[1.0, 0.0]], channels=(channel,))
+
+    def test_channel_terms_at_infinite_slope_bounds(self):
+        # no vertex family is built at infinite bounds, so only g h^T must be finite
+        channel = Channel(g=[0.0, 1e154], h=[1e154, 0.0], sigma=cubic_saturated(), alpha=-np.inf, beta=np.inf)
+        LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=(channel,))
+        with pytest.raises(ValueError, match="channel terms overflow"):
+            LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                       channels=(Channel(g=[0.0, 1e200], h=[1e200, 0.0], sigma=cubic_saturated(),
+                                         alpha=-np.inf, beta=np.inf),))
+
+
+class TestNoUnsetOptions:
+    def test_removed_parameters(self):
+        # a stated p or margin is a certificate's; the pair's channels and the system's name are fixed
+        for routine, removed in (
+            (pdom.check_diff_dominance, {"p", "epsilon"}),
+            (pdom.check_diff_dissipativity, {"p", "epsilon"}),
+            (pdom.small_gain_pair, {"r1", "r2"}),
+            (registry.msd, {"name"}),
+        ):
+            assert not removed & set(inspect.signature(routine).parameters)
 
 
 class TestValueEquality:
