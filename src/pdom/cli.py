@@ -5,8 +5,10 @@ Systems, certificates and supplies travel as JSON; trajectories as CSV.
 Every command emits a RunReport (JSON with --report, before or after the
 verb) whose ``inputs`` hold exactly the flags and files its run read
 (``--report`` and ``--out`` paths aside; ``metrics`` names the output
-files). It is byte-identical across runs for identical inputs, wall time
-excluded, and is written on every exit path; a run ended by an error
+files). A file is recorded, with its digest once it is read, before it is
+parsed, so the report of a run that fails on it names it. The report is
+byte-identical across runs for identical inputs, wall time excluded, and is
+written on every exit path; a run ended by an error
 records it under ``error``, with the search report under ``error.lmi``
 when a storage search failed. A usage error (exit 2) writes the report too;
 ``--help`` writes none. Only ``reproduce`` draws random numbers, so only it
@@ -90,15 +92,11 @@ class RunReport:
         return json.dumps(self.to_dict(include_volatile=False), sort_keys=True, indent=2)
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()[:16]
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str, inputs: dict, key: str) -> dict:
     """Decode a JSON input file; NaN, Infinity, literals that overflow to infinity and null are refused.
 
-    No input format uses null, and numpy would read one inside a matrix as NaN.
+    The file is recorded under ``inputs[key]`` before it is parsed: its path, then its digest once
+    it is read. No input format uses null, and numpy would read one inside a matrix as NaN.
     """
     def finite(text: str) -> float:
         if not np.isfinite(float(text)):
@@ -112,23 +110,27 @@ def _load_json(path: str) -> dict:
             for item in value.values() if isinstance(value, dict) else value:
                 no_null(item)
 
+    inputs[key] = {"path": path}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh, parse_float=finite, parse_constant=finite)
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except FileNotFoundError:
         raise PdomError(f"file not found: {path}")
+    inputs[key]["sha256"] = hashlib.sha256(raw).hexdigest()[:16]
+    try:
+        data = json.loads(raw.decode("utf-8"), parse_float=finite, parse_constant=finite)
     except json.JSONDecodeError as exc:
         raise PdomError(f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
     no_null(data)
     return data
 
 
-def _load_system(spec: str):
-    """A system argument is either a built-in name or a JSON file path."""
+def _load_system(spec: str, inputs: dict):
+    """A system argument is either a built-in name or a JSON file path; ``inputs["system"]`` records it."""
     if spec in registry.builtin_names():
-        return registry.builtin_system(spec), {"builtin": spec}
-    data = _load_json(spec)
-    return LureSystem.from_dict(data), {"path": spec, "sha256": _digest(spec)}
+        inputs["system"] = {"builtin": spec}
+        return registry.builtin_system(spec)
+    return LureSystem.from_dict(_load_json(spec, inputs, "system"))
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -142,8 +144,8 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def cmd_analyze(args, report: RunReport) -> int:
-    system, source = _load_system(args.system)
-    report.inputs = {"system": source, "lambda": args.rate, "p": args.p}
+    report.inputs = {"lambda": args.rate, "p": args.p}
+    system = _load_system(args.system, report.inputs)
     split = eigen_split_test(system, args.rate, args.p)
     report.verdicts.append({"check": "eigen_split", **split.to_dict()})
     if split.status == "inconclusive":
@@ -159,16 +161,11 @@ def cmd_analyze(args, report: RunReport) -> int:
 
 
 def cmd_verify(args, report: RunReport) -> int:
-    system, source = _load_system(args.system)
-    cert_data = _load_json(args.certificate)
-    report.inputs = {
-        "system": source,
-        "certificate": {"path": args.certificate, "sha256": _digest(args.certificate)},
-    }
+    system = _load_system(args.system, report.inputs)
+    cert_data = _load_json(args.certificate, report.inputs, "certificate")
     supply_data = None
     if args.supply:
-        supply_data = _load_json(args.supply)
-        report.inputs["supply"] = {"path": args.supply, "sha256": _digest(args.supply)}
+        supply_data = _load_json(args.supply, report.inputs, "supply")
     elif "supply" in cert_data:
         supply_data = cert_data["supply"]
 
@@ -183,8 +180,8 @@ def cmd_verify(args, report: RunReport) -> int:
 
 
 def cmd_certify(args, report: RunReport) -> int:
-    system, source = _load_system(args.system)
-    report.inputs = {"system": source, "lambda": args.rate, "p": args.p, "passivity": args.passivity}
+    report.inputs = {"lambda": args.rate, "p": args.p, "passivity": args.passivity}
+    system = _load_system(args.system, report.inputs)
     if args.passivity:
         cert = find_passivity_storage(system, args.rate, args.p)
         verdict = verify_dissipativity(system, cert)
@@ -210,9 +207,7 @@ def cmd_interconnect(args, report: RunReport) -> int:
     storage is searched for a channel-free subsystem whose supply is the
     passivity supply; any other subsystem without one is an input error.
     """
-    data = _load_json(args.loop)
-    report.inputs = {"loop": {"path": args.loop, "sha256": _digest(args.loop)}}
-    data = _json_object(data, "a loop")
+    data = _json_object(_load_json(args.loop, report.inputs, "loop"), "a loop")
     systems = [LureSystem.from_dict(data["sys1"]), LureSystem.from_dict(data["sys2"])]
     supplies = [SupplyRate.from_dict(data[f"supply{i}"], r=sys.r, m=sys.m) for i, sys in enumerate(systems, 1)]
     _check_claim(data["lambda"], 0, 0)  # the rate alone: there is no storage yet
@@ -244,19 +239,18 @@ def cmd_interconnect(args, report: RunReport) -> int:
 
 
 def cmd_simulate(args, report: RunReport) -> int:
-    system, source = _load_system(args.system)
+    system = _load_system(args.system, report.inputs)
     x0 = _parse_vector(args.x0)
     if x0.shape[0] != system.n:
         raise PdomError(f"--x0 has {x0.shape[0]} entries, system has {system.n} states")
     input_policy = _parse_vector(args.input) if args.input else None
-    report.inputs = {
-        "system": source,
+    report.inputs.update({
         "x0": x0.tolist(),
         "t": args.t_end,
         "dt": args.dt,
         "input": None if input_policy is None else input_policy.tolist(),
         "record_every": args.record_every,
-    }
+    })
     traj = integrate(
         system, x0, t_end=args.t_end, dt=args.dt, input_policy=input_policy, record_every=args.record_every
     )

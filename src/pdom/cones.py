@@ -46,12 +46,12 @@ class QuadraticCone:
     eigenvectors: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        P = mc.read_only_copy(mc.as_symmetric(self.P))
-        object.__setattr__(self, "P", P)
-        n = P.shape[0]
+        object.__setattr__(self, "P", mc.as_symmetric(self.P))  # an array of its own
+        self.P.setflags(write=False)
+        n = self.P.shape[0]
         if not 0 < self.p < n:
             raise DimensionError("a quadratic cone needs 0 < p < n")
-        eigenvalues, eigenvectors = mc.sym_eigen(P)
+        eigenvalues, eigenvectors = mc.sym_eigen(self.P)
         inertia = mc.Inertia.of_spectrum(eigenvalues)
         if not inertia.matches(self.p):
             raise DimensionError(

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import matrixcore as mc
 from .dissipativity import SupplyRate
 from .errors import DimensionError
-from .lti import DifferentialVerdict, _family_verdict
+from .lti import DifferentialVerdict, _check_claim, _family_verdict
 from .model import (
     Channel,
     LureSystem,
@@ -71,6 +72,8 @@ def check_diff_dominance(sys: LureSystem, P, lam: float) -> DifferentialVerdict:
     shared (P, lam) at margin 0; a stated p or margin is a certificate's
     (:func:`pdom.lti.check_dominance`).
     """
+    P = mc.as_symmetric(P)
+    _check_claim(lam, 0, 0)  # the rate alone: p is read from P
     return _family_verdict(sys, P, lam, None, 0.0)
 
 
@@ -82,4 +85,6 @@ def check_diff_dissipativity(sys: LureSystem, P, lam: float, supply: SupplyRate)
     at margin 0; a stated p or margin is a certificate's
     (:func:`pdom.dissipativity.verify_dissipativity`).
     """
+    P = mc.as_symmetric(P)
+    _check_claim(lam, 0, 0)
     return _family_verdict(sys, P, lam, None, 0.0, supply)

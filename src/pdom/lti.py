@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -44,9 +44,9 @@ __all__ = [
 class DominanceCertificate(_ValueEquality):
     """Storage matrix P plus rate and margin witnessing p-dominance.
 
-    The claim is held to :func:`_check_claim` on construction, a p of None
-    included: a certificate states its p. A subclass adds fields (the
-    dissipativity certificate adds its supply) and inherits this check.
+    P is held to :func:`pdom.matrixcore.as_symmetric` and the claim to :func:`_check_claim` on
+    construction, a p of None included: a certificate states its p, and the checks take them as
+    given. A subclass adds fields (the dissipativity certificate adds its supply) and inherits this.
     """
 
     P: np.ndarray
@@ -55,30 +55,21 @@ class DominanceCertificate(_ValueEquality):
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "P", mc.read_only_copy(mc.as_symmetric(self.P)))
+        object.__setattr__(self, "P", mc.as_symmetric(self.P))  # an array of its own
+        self.P.setflags(write=False)
         _check_claim(self.rate, self.p, self.P.shape[0], self.epsilon)
         for attr, cast in (("rate", float), ("epsilon", float), ("p", int)):
             object.__setattr__(self, attr, cast(getattr(self, attr)))
 
     def to_dict(self) -> dict:
-        return {
-            "P": self.P.tolist(),
-            "lambda": self.rate,
-            "epsilon": self.epsilon,
-            "p": self.p,
-        }
+        return {"P": self.P.tolist(), "lambda": self.rate, "epsilon": self.epsilon, "p": self.p}
 
     @classmethod
     def from_dict(cls, data: dict, **fields) -> "DominanceCertificate":
         """Decode the claim; ``fields`` are a subclass's own, already decoded."""
         data = _json_object(data, "a certificate")
-        return cls(
-            P=np.asarray(data["P"], dtype=float),
-            rate=data["lambda"],
-            epsilon=data.get("epsilon", 0.0),
-            p=data["p"],
-            **fields,
-        )
+        return cls(P=np.asarray(data["P"], dtype=float), rate=data["lambda"], epsilon=data.get("epsilon", 0.0),
+                   p=data["p"], **fields)
 
 
 @dataclass(frozen=True)
@@ -197,12 +188,7 @@ class SplitVerdict:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "margin": self.margin,
-            "unstable_count": self.unstable_count,
-            "requested_p": self.requested_p,
-        }
+        return asdict(self)
 
 
 def residual(A, P, lam: float) -> np.ndarray:
@@ -217,6 +203,11 @@ def residual(A, P, lam: float) -> np.ndarray:
     P = mc.as_symmetric(P)
     if A.shape[-2:] != P.shape[-2:]:
         raise DimensionError("A and P must share dimensions")
+    return _residual(A, P, lam)
+
+
+def _residual(A: np.ndarray, P: np.ndarray, lam: float) -> np.ndarray:
+    """:func:`residual`'s arithmetic, on A and P that its checks would pass."""
     R = A.swapaxes(-1, -2) @ P + P @ A + 2.0 * lam * P
     return 0.5 * (R + R.swapaxes(-1, -2))
 
@@ -238,6 +229,11 @@ def dissipation_blocks(R, sys, P, supply, epsilon: float = 0.0) -> np.ndarray:
         raise DimensionError("storage dimension does not match the system")
     if supply.r != sys.r or supply.m != sys.m:
         raise DimensionError("supply channel dimensions do not match the system")
+    return _dissipation_blocks(R, sys, P, supply, epsilon)
+
+
+def _dissipation_blocks(R, sys, P: np.ndarray, supply, epsilon: float) -> np.ndarray:
+    """:func:`dissipation_blocks`' arithmetic, on a P that its checks would pass."""
     B, C, D = sys.B, sys.C, sys.D
     Q, L = supply.Q, supply.L
     n = sys.n
@@ -317,40 +313,41 @@ def _definite_residuals(R: np.ndarray, floor: float) -> tuple[np.ndarray, np.nda
 def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float, supply=None) -> DifferentialVerdict:
     """The one verdict path: the storage P, claiming p, on every vertex of the model ``sys``.
 
-    A Lur'e model's vertices are its slope corners, and each one's
-    ``split_ok`` is read off its residual (:func:`_vertex_splits`); a
-    channel-free model is the one vertex A at the empty corner, whose
-    ``split_ok`` is None (its split is :func:`eigen_split_test`'s answer).
-    The residual stack R is formed once:
-    without a ``supply`` it is the block stack, and with one
-    :func:`dissipation_blocks` builds the blocks around it, carrying
-    ``epsilon`` themselves. The block stack is solved for eigenvalues alone,
-    in one call, and a vertex passes when P has the claimed inertia
-    (p, 0, n - p) and ``lmax(block) <= -epsilon + LMI_TOL`` (``<= LMI_TOL``
-    for a dissipation block). R's definiteness margins come from the block
-    spectra when R is the block stack; a dissipativity check reads them off
-    the pivots of ``-R - delta I`` and ``R - delta I``
-    (:func:`_definite_residuals`, with ``delta`` taking ``||R||_F >= ||R||_2``),
-    so it solves no spectrum of R. The verdict's columns are read-only. A
-    residual failure keeps a copy of the block with the largest ``lmax``,
-    whose eigenvector the verdict solves only when its ``witness`` is read.
-    An omitted p is read from P's inertia, and a storage with an eigenvalue
-    in the zero band is then refused; a claim that breaks
-    :func:`_check_claim` is a ``ValueError``.
+    Inputs are validated where they enter, and this kernel takes them as given: P passed
+    :func:`pdom.matrixcore.as_symmetric` and the claim :func:`_check_claim` in a certificate's
+    constructor or in the bare-storage check that called it. It checks only that P and the supply
+    fit the model, and the block stack it forms. A Lur'e model's vertices are its slope corners,
+    each one's ``split_ok`` read off its residual (:func:`_vertex_splits`); a channel-free model is
+    the one vertex A at the empty corner, with ``split_ok`` None. The residual stack R is formed
+    once; with a ``supply``, :func:`dissipation_blocks` builds the blocks around it, carrying
+    ``epsilon`` themselves. The block stack is checked once, in place, and solved for eigenvalues
+    alone; a residual block has P's shape, so P is solved in that call, on the stack ``[P, R]``.
+    A vertex passes when P has the claimed inertia (p, 0, n - p) and ``lmax(block) <= -epsilon +
+    LMI_TOL`` (``<= LMI_TOL`` for a dissipation block). R's definiteness margins come from the
+    block spectra when R is the block stack, or else off the pivots of ``-R - delta I`` and
+    ``R - delta I`` (:func:`_definite_residuals`, ``delta`` taking ``||R||_F >= ||R||_2``). The
+    verdict's columns are read-only. A residual failure keeps a copy of the block with the largest
+    ``lmax``, whose eigenvector the verdict solves only when its ``witness`` is read. An omitted p
+    is read from P's inertia; a storage with an eigenvalue in the zero band is then a ValueError.
     """
-    storage = mc.sym_eigvals(P)
-    _check_claim(lam, 0 if p is None else p, storage.size, epsilon)
+    channels = bool(as_model(sys).channels)
+    if P.shape != (sys.n, sys.n) or supply is not None and (supply.r, supply.m) != (sys.r, sys.m):
+        raise DimensionError("storage or supply dimensions do not match the system")
+    matrices, corners = vertex_family(sys) if channels else (sys.A[None], _NO_CORNER)
+    if supply is None:
+        stack = np.concatenate((P[None], _residual(matrices, P, lam)))
+        spectra = mc.sym_eigvals(stack)
+        storage, eigenvalues, stack = spectra[0], spectra[1:], stack[1:]
+    else:
+        R = _residual(matrices, P, lam)
+        stack = _dissipation_blocks(R, sys, P, supply, epsilon)
+        storage, eigenvalues = np.linalg.eigvalsh(P), mc.sym_eigvals(stack)  # P was checked where it entered
     inertia = mc.Inertia.of_spectrum(storage)
     if p is None:
         if inertia.zero != 0:
             raise ValueError("storage has eigenvalues inside the zero band; claim is ill-posed")
         p = inertia.negative
-    channels = bool(as_model(sys).channels)
-    matrices, corners = vertex_family(sys) if channels else (sys.A[None], _NO_CORNER)
-    R = residual(matrices, P, lam)
-    stack = R if supply is None else dissipation_blocks(R, sys, P, supply, epsilon)
     inertia_ok = inertia.matches(p)
-    eigenvalues = mc.sym_eigvals(stack)
     lmax = eigenvalues[:, -1].copy()  # a column of its own: the verdict keeps no spectrum alive
     passed = (lmax <= (-epsilon if supply is None else 0.0) + LMI_TOL) & inertia_ok
     all_passed = bool(passed.all())
@@ -371,17 +368,8 @@ def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float
         corners.setflags(write=False)  # a channel-free model's _NO_CORNER is read-only already
     passed.setflags(write=False)
     lmax.setflags(write=False)
-    return DifferentialVerdict(
-        passed=all_passed,
-        p=p,
-        rate=lam,
-        inertia=inertia,
-        corners=corners,
-        vertex_passed=passed,
-        lmax=lmax,
-        split_ok=split_ok,
-        witness_block=witness_block,
-    )
+    return DifferentialVerdict(passed=all_passed, p=p, rate=lam, inertia=inertia, corners=corners, vertex_passed=passed,
+                               lmax=lmax, split_ok=split_ok, witness_block=witness_block)
 
 
 def check_dominance(sys: LtiSystem, cert: DominanceCertificate) -> DifferentialVerdict:

@@ -55,8 +55,15 @@ def as_symmetric(value) -> np.ndarray:
     ``SYM_TOL * max(1, ||S||_F)``; anything worse is a hard error rather than
     something to silently average away. An exactly symmetric input comes back
     as a copy; a near-symmetric one is averaged with its transpose, and an
-    average that overflows is a :class:`NumericalError`.
+    average that overflows is a :class:`NumericalError`. Either way the caller
+    owns the array it gets.
     """
+    mat = _symmetrized(value)
+    return mat.copy() if mat is value or mat.base is not None else mat  # a view may be the caller's memory
+
+
+def _symmetrized(value) -> np.ndarray:
+    """:func:`as_symmetric`'s checks and average without its copy: an exactly symmetric float array comes back as is."""
     mat = np.asarray(value, dtype=float)
     if mat.ndim < 2:
         mat = np.atleast_2d(mat)
@@ -66,7 +73,7 @@ def as_symmetric(value) -> np.ndarray:
         raise DimensionError(f"symmetric matrix must be square, got {mat.shape}")
     flipped = mat.swapaxes(-1, -2)
     if not (mat != flipped).any():  # exactly symmetric, such as every verifier block: no allowance, no average
-        return mat.copy()
+        return mat
     with np.errstate(over="ignore", invalid="ignore"):
         skew = np.abs(mat - flipped).max(axis=(-2, -1))
         allowance = SYM_TOL * np.maximum(1.0, frobenius(mat))
@@ -159,9 +166,9 @@ class Inertia:
 def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
-    A ``(..., n, n)`` stack is checked matrix by matrix and solved in one call.
+    A ``(..., n, n)`` stack is checked matrix by matrix, in place, and solved in one call.
     """
-    mat = as_symmetric(S)
+    mat = _symmetrized(S)
     try:
         eigenvalues, eigenvectors = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
@@ -175,7 +182,7 @@ def sym_eigvals(S) -> np.ndarray:
     The same checks as :func:`sym_eigen`, at about half its cost; for callers that read no vector,
     which includes every verdict. Each matrix of a stack gets the bits of a call on it alone.
     """
-    mat = as_symmetric(S)
+    mat = _symmetrized(S)
     try:
         return np.linalg.eigvalsh(mat)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure

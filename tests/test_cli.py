@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import warnings
@@ -72,8 +73,12 @@ class TestVerify:
             argv = ["--report", str(report), "verify", str(tmp_path / "overflow.json"), str(tmp_path / "rate1.json")]
             assert cli.main(argv) == 2
         assert "channel terms overflow" in capsys.readouterr().err
-        error = json.loads(report.read_text())["error"]
-        assert (error["class"], error["exit_code"]) == ("ValueError", 2)
+        data = json.loads(report.read_text())
+        assert (data["error"]["class"], data["error"]["exit_code"]) == ("ValueError", 2)
+        # the system file is recorded before it is parsed, so the report names the file that failed; the
+        # certificate, never read, is not an input of this run
+        digest = hashlib.sha256((tmp_path / "overflow.json").read_bytes()).hexdigest()[:16]
+        assert data["inputs"] == {"system": {"path": str(tmp_path / "overflow.json"), "sha256": digest}}
 
     @pytest.mark.parametrize("epsilon, code", [(0.0, 1), (float("nan"), 2), (float("inf"), 2)])
     def test_non_finite_epsilon_is_input_error(self, tmp_path, epsilon, code):
@@ -835,6 +840,40 @@ _GOLDEN_REPORTS = {
          "gain1.json": '{"P": [[-1, 0], [0, 1]], "lambda": 0, "p": 1, "supply": {"kind": "gain", "gamma": 1}}\n'},
         ["verify", "out.json", "gain1.json"], 0),
 }
+
+
+class TestInputsBeforeParsing:
+    """Every file a run opens is in its report's inputs, recorded before it is parsed: its path, and its digest
+    once it is read."""
+
+    @pytest.mark.parametrize("verb, rest", [
+        ("analyze", ["--lambda", "1", "--p", "1"]),
+        ("verify", ["cert.json"]),
+        ("certify", ["--lambda", "1", "--p", "1"]),
+        ("simulate", ["--x0", "1,1"]),
+    ])
+    def test_system_that_fails_to_load(self, tmp_path, monkeypatch, verb, rest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cert.json").write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 1, "p": 1}))
+        (tmp_path / "broken.json").write_text("{broken")
+        digest = hashlib.sha256(b"{broken").hexdigest()[:16]
+        for system, record in (("broken.json", {"path": "broken.json", "sha256": digest}),
+                               ("nosuch.json", {"path": "nosuch.json"})):
+            assert cli.main(["--report", "r.json", verb, system, *rest]) == 2
+            assert json.loads((tmp_path / "r.json").read_text())["inputs"]["system"] == record
+
+    def test_certificate_and_supply_that_fail_to_load(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "nan.json").write_text('{"P": [[NaN]], "lambda": 0, "p": 0}')
+        digest = hashlib.sha256((tmp_path / "nan.json").read_bytes()).hexdigest()[:16]
+        for rest, inputs in (
+            (["nosuch.json", "--supply", "nosuch2.json"], {"certificate": {"path": "nosuch.json"}}),
+            (["nan.json"], {"certificate": {"path": "nan.json", "sha256": digest}}),
+            (["nan.json", "--supply", "nosuch.json"], {"certificate": {"path": "nan.json", "sha256": digest}}),
+        ):
+            assert cli.main(["--report", "r.json", "verify", "msd-c8", *rest]) == 2
+            recorded = json.loads((tmp_path / "r.json").read_text())["inputs"]
+            assert recorded == {"system": {"builtin": "msd-c8"}, **inputs}
 
 
 class TestReportBytes:
