@@ -24,6 +24,7 @@ from .lti import (
     LtiSystem,
     _check_claim,
     _family_verdict,
+    _residual,
     dissipation_blocks,
     residual,
 )
@@ -188,10 +189,12 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     """
     A = state_matrix(sys)
     _check_claim(lam, 0, sys.n)
-    P = mc.as_symmetric(P)
-    if mc.inertia_of(P).zero:
+    P = mc.as_symmetric(P)  # P's one check: its spectrum and M are taken from it as checked
+    if P.shape != A.shape:
+        raise DimensionError("A and P must share dimensions")
+    if mc.Inertia.of_spectrum(np.linalg.eigvalsh(P)).zero:
         raise ValueError("storage has eigenvalues inside the zero band")
-    M = residual(A, P, lam) + sys.C.T @ sys.C
+    M = _residual(A, P, lam) + sys.C.T @ sys.C
     W = P @ sys.B + sys.C.T @ sys.D
     mu, V = mc.sym_eigen(M)
     if mu[-1] >= 0:

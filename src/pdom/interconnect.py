@@ -28,7 +28,7 @@ from .errors import (
     RateMismatchError,
     UnsupportedConfigurationError,
 )
-from .lti import DominanceCertificate, check_dominance
+from .lti import DominanceCertificate, _family_verdict
 from .model import Channel, LureSystem, as_model
 from .policy import LMI_TOL, RATE_MATCH_TOL
 
@@ -154,9 +154,8 @@ def closed_loop_certificate(
         if not verify_dissipativity(sys, cert).passed:
             raise CouplingError("an open-loop certificate failed verification")
 
-    loop = network((sys1, sys2), _loop_coupling(sys1, sys2))
-    P = _block_diagonal((c1.P, c2.P))
-    verdict = check_dominance(loop, DominanceCertificate(P=P, rate=c1.rate, epsilon=0.0, p=c1.p + c2.p))
+    P = _block_diagonal((c1.P, c2.P))  # each block passed as_symmetric in its certificate, and p1 + p2 <= n1 + n2
+    verdict = _family_verdict(network((sys1, sys2), _loop_coupling(sys1, sys2)), P, c1.rate, c1.p + c2.p, 0.0)
     if not verdict.passed:
         raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")
     epsilon = max(0.0, -verdict.worst_lmax) / 2.0

@@ -382,13 +382,13 @@ def check_dominance(sys: LtiSystem, cert: DominanceCertificate) -> DifferentialV
 
 
 def _split_counts(matrices, lam: float):
-    """The split rule on each matrix A of a ``(k, n, n)`` stack, from one batched ``eigvals``.
+    """The split rule on each matrix A of a ``(k, n, n)`` stack, from one ``eigvals`` call per CPU-sized chunk.
 
     Returns per matrix the distance of ``A + lam I``'s spectrum from the imaginary axis, its
     unstable count, and whether every eigenvalue clears ``SPLIT_TOL`` (inconclusive if not).
     The vertex check reaches it only for vertices whose residual leaves the split open.
     """
-    shifted = np.linalg.eigvals(matrices).real + lam
+    shifted = mc._on_cores(np.linalg.eigvals, matrices).real + lam
     margin = np.min(np.abs(shifted), axis=-1, initial=np.inf)
     unstable = np.sum(shifted > SPLIT_TOL, axis=-1)
     conclusive = unstable + np.sum(shifted < -SPLIT_TOL, axis=-1) == shifted.shape[-1]

@@ -13,12 +13,15 @@ since importing it would otherwise be most of the package's import time.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionError, NonHyperbolicError, NumericalError
 from .policy import LYAP_SEP_TOL, RECON_TOL, SCHUR_FACTOR, SPLIT_TOL, SYM_TOL, ZTOL_REL
+
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 __all__ = [
     "Inertia",
@@ -163,6 +166,20 @@ class Inertia:
         return self.negative == p and self.zero == 0
 
 
+def _on_cores(kernel, stack: np.ndarray) -> np.ndarray:
+    """``kernel`` (a numpy linalg gufunc: it releases the GIL) on a stack, in one contiguous chunk of at least 256
+    matrices per CPU. The calling thread solves the first, pool threads joined before return solve the rest, and a
+    chunk's exception is raised here. A matrix's result does not depend on its batch, so the bits are one call's."""
+    parts = min(_CPUS, len(stack) // 256)
+    if parts < 2:  # under 512 matrices, or one CPU: one call
+        return kernel(stack)
+    from concurrent.futures import ThreadPoolExecutor  # deferred: only a large stack is split
+    first, *rest = np.array_split(stack, parts)
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [pool.submit(kernel, chunk) for chunk in rest]
+        return np.concatenate([kernel(first), *(future.result() for future in futures)])
+
+
 def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
@@ -180,12 +197,13 @@ def sym_eigvals(S) -> np.ndarray:
     """Eigenvalues (ascending) of a symmetric matrix or ``(..., n, n)`` stack, without vectors.
 
     The same checks as :func:`sym_eigen`, at about half its cost; for callers that read no vector,
-    which includes every verdict. Each matrix of a stack gets the bits of a call on it alone.
+    which includes every verdict. A stack is solved in one ``eigvalsh`` call per CPU-sized chunk (:func:`_on_cores`):
+    each matrix of it gets the bits of a call on it alone.
     """
     mat = _symmetrized(S)
-    try:
-        return np.linalg.eigvalsh(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+    try:  # a stack under 512, as every check of a channel-free model solves, skips the helper's call
+        return np.linalg.eigvalsh(mat) if mat.ndim < 3 or len(mat) < 512 else _on_cores(np.linalg.eigvalsh, mat)
+    except np.linalg.LinAlgError as exc:  # a LAPACK failure, in any chunk
         raise NumericalError(f"symmetric eigensolve did not converge: {exc}") from exc
 
 

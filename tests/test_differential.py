@@ -691,6 +691,33 @@ class TestSplitFromResidual:
         assert all(v.split_ok for v in verdict.vertices)
 
 
+class TestSplitAcrossCpus:
+    """A k = 12 family's stacks are solved one chunk per CPU: every verdict is the one of a single call."""
+
+    def test_split_verdicts_equal_one_call_verdicts(self, monkeypatch):
+        sys, lam, P, p = _planted_lure(np.random.default_rng(12), 6, 12, gain=1.0)
+        supply = supply_gain(1e3, 1, 1)
+        # the flipped storage fails every residual; the zero-band one sends every vertex to eigvals
+        claims = [(100.0 * P, p), (-100.0 * P, 6 - p), (1e-12 * P, p)]
+        sizes, original = [], np.linalg.eigvals
+        monkeypatch.setattr(np.linalg, "eigvals", lambda M: sizes.append(len(M)) or original(M))
+        parts = min(max(2, mc._CPUS), 4096 // 256)  # this host's split, or two chunks on one CPU
+        runs = []
+        for run_cpus in (parts, 1):
+            monkeypatch.setattr(mc, "_CPUS", run_cpus)
+            runs.append([_claim(sys, S, lam, q, 0.0, s) for S, q in claims for s in (None, supply)]
+                        + [check(sys, S, lam, *s) for S, _ in claims[:2]
+                           for check, s in ((check_diff_dominance, ()), (check_diff_dissipativity, (supply,)))])
+        split, unsplit = runs
+        assert len(sizes) == 2 * parts + 2 and sizes[-2:] == [4096, 4096] and max(sizes[:-2]) <= -(-4096 // parts)
+        statuses = ["pass", "pass", "residual_violation", "residual_violation", "inertia_mismatch", "inertia_mismatch"]
+        assert [v.status for v in split] == statuses + statuses[:4]
+        assert split[4].split_ok.all()
+        assert all(v.lmax.shape == (4096,) for v in split)
+        assert split == unsplit
+        assert [v.to_dict() for v in split] == [v.to_dict() for v in unsplit]
+
+
 class TestDiffDominance:
     def test_cubic_uniform_certificate(self):
         sys = registry.nonlinear_msd("velocity", "cubic")

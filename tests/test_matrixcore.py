@@ -1,9 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 
 from conftest import lti_model
 from pdom import matrixcore as mc
-from pdom.lti import _block_storages
+from pdom.lti import _block_storages, _split_counts
 from pdom.policy import RECON_TOL
 from pdom.errors import DimensionError, NonHyperbolicError, NumericalError
 
@@ -85,6 +87,78 @@ class TestSymEigen:
         for kernel in (mc.sym_eigen, mc.sym_eigvals):
             with pytest.raises(error):
                 kernel(np.array(S))
+
+
+@pytest.fixture
+def eigvalsh_shapes(monkeypatch):
+    """The shape of every stack handed to ``np.linalg.eigvalsh`` while the test runs, in call order."""
+    shapes, original = [], np.linalg.eigvalsh
+    spy = lambda a, *args, **kw: shapes.append(np.shape(a)) or original(a, *args, **kw)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return shapes
+
+
+class TestOnCores:
+    """A stack of 512 or more matrices is solved one contiguous chunk per CPU, each on its own thread,
+    with the bits of one call on the whole stack."""
+
+    @staticmethod
+    def _stacks():
+        rng = np.random.default_rng(31)
+        for n in (6, 7):
+            A = rng.standard_normal((4097, n, n))
+            yield A + A.swapaxes(-1, -2), A
+
+    def test_split_stack_has_the_bits_of_one_call(self, monkeypatch, eigvalsh_shapes):
+        monkeypatch.setattr(mc, "_CPUS", 3)  # split on any host, into chunks of unequal size
+        for S, A in self._stacks():
+            whole = np.linalg.eigvalsh(S)
+            eigvalsh_shapes.clear()
+            assert np.array_equal(mc.sym_eigvals(S), whole)
+            assert sorted(eigvalsh_shapes) == [(1365,) + S.shape[1:]] + [(1366,) + S.shape[1:]] * 2
+            assert np.array_equal(mc._on_cores(np.linalg.eigvals, A), np.linalg.eigvals(A))
+            split = _split_counts(A, 0.3)
+            monkeypatch.setattr(mc, "_CPUS", 1)
+            unsplit = _split_counts(A, 0.3)
+            monkeypatch.setattr(mc, "_CPUS", 3)
+            assert all(np.array_equal(a, b) for a, b in zip(split, unsplit))
+
+    def test_one_cpu_makes_one_call(self, monkeypatch, eigvalsh_shapes):
+        monkeypatch.setattr(mc, "_CPUS", 1)
+        S = next(self._stacks())[0]
+        mc.sym_eigvals(S)
+        assert eigvalsh_shapes == [S.shape]
+
+    @pytest.mark.parametrize("size, chunks", [(2, [2]), (511, [511]), (512, [256, 256]), (2048, [512] * 4)])
+    def test_chunks_hold_at_least_256_matrices(self, monkeypatch, eigvalsh_shapes, size, chunks):
+        monkeypatch.setattr(mc, "_CPUS", 4)
+        mc.sym_eigvals(np.broadcast_to(np.eye(3), (size, 3, 3)))
+        assert sorted(shape[0] for shape in eigvalsh_shapes) == chunks
+
+    def test_error_in_a_later_chunk_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CPUS", 3)
+        S = next(self._stacks())[0]
+        calls, original = [], np.linalg.eigvalsh
+
+        def failing(a, *args, **kw):
+            calls.append(len(a))
+            if np.shares_memory(a, S[-1]):  # the last chunk, solved on a pool thread
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        before = threading.active_count()
+        with pytest.raises(NumericalError, match="did not converge"):
+            mc.sym_eigvals(S)
+        assert len(calls) == 3 and threading.active_count() == before
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        monkeypatch.setattr(mc, "_CPUS", 4)
+        before = threading.active_count()
+        for S, A in self._stacks():
+            mc.sym_eigvals(S)
+            _split_counts(A, 0.0)
+            assert threading.active_count() == before
 
 
 class TestInertia:

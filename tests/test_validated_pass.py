@@ -7,10 +7,19 @@ import pytest
 from conftest import lti_model, random_hyperbolic
 from pdom import lti
 from pdom import matrixcore as mc
+from pdom import registry
 from pdom.cones import QuadraticCone
 from pdom.differential import Channel, LureSystem, check_diff_dissipativity, check_diff_dominance, cubic_saturated
-from pdom.dissipativity import DissipativityCertificate, SupplyRate, supply_gain, supply_passivity, verify_dissipativity
+from pdom.dissipativity import (
+    DissipativityCertificate,
+    SupplyRate,
+    min_gain,
+    supply_gain,
+    supply_passivity,
+    verify_dissipativity,
+)
 from pdom.errors import DimensionError, NumericalError
+from pdom.interconnect import closed_loop_certificate
 from pdom.lti import (
     DominanceCertificate,
     check_dominance,
@@ -166,6 +175,21 @@ class TestEachInputCheckedOnce:
         construct_certificate(msd_c4, 1.2679, 1)
         assert symmetry_checks == {"as_symmetric": 1, "checks": 2}
 
+    def test_min_gain(self, symmetry_checks, msd_c8):
+        # P once, where it enters; then M in sym_eigen and the Schur complement in sym_eigvals
+        min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE)
+        assert symmetry_checks == {"as_symmetric": 1, "checks": 3}
+
+    def test_closed_loop(self, symmetry_checks, msd_c8):
+        # the loop supply's Q and R, its coupling form, each open-loop block stack, the loop's [P, R] stack,
+        # and the returned certificate's P: that certificate is the one built
+        cert = DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, rate=registry.KNOWN_RATE, epsilon=0.0,
+                                        p=1, supply=supply_passivity(1))
+        symmetry_checks.update(as_symmetric=0, checks=0)
+        loop = closed_loop_certificate(msd_c8, cert, msd_c8, cert)
+        assert symmetry_checks == {"as_symmetric": 3, "checks": 7}
+        assert loop.p == 2 and loop.epsilon > 0
+
 
 def _asymmetric(P):
     P = P.copy()
@@ -194,6 +218,7 @@ class TestBoundaryRefusals:
         "residual": lambda P: residual(TestBoundaryRefusals.SYS.A, P, 0.0),
         "dissipation_blocks": lambda P: dissipation_blocks(
             np.zeros((1, 2, 2)), TestBoundaryRefusals.SYS, P, supply_passivity(1)),
+        "min_gain": lambda P: min_gain(TestBoundaryRefusals.SYS, P, 0.0),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -207,7 +232,7 @@ class TestBoundaryRefusals:
             self.ENTRIES[entry](bad)
 
     @pytest.mark.parametrize("entry", ["check_diff_dominance", "check_diff_dissipativity", "residual",
-                                       "dissipation_blocks"])
+                                       "dissipation_blocks", "min_gain"])
     def test_storage_of_another_size(self, entry):
         with pytest.raises(DimensionError):
             self.ENTRIES[entry](np.diag([-1.0, 1.0, 1.0]))
