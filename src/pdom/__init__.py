@@ -1,19 +1,12 @@
 """Dominance and dissipativity certification for linear and Lur'e systems."""
 
-from .cones import (
-    ProjectiveMeasure,
-    QuadraticCone,
-    positivity_probe,
-    projective_measure,
-    ratio_trace,
-)
+from .cones import QuadraticCone, positivity_probe
 from .differential import (
     Channel,
     LureSystem,
     Nonlinearity,
     check_diff_dissipativity,
     check_diff_dominance,
-    jacobian,
     vertex_family,
 )
 from .dissipativity import (
@@ -33,7 +26,6 @@ from .errors import (
     NonHyperbolicError,
     NumericalError,
     PdomError,
-    RateMismatchError,
     SplitMismatchError,
     UnsupportedConfigurationError,
 )

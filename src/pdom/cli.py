@@ -45,7 +45,6 @@ from .errors import (
     NonHyperbolicError,
     NumericalError,
     PdomError,
-    RateMismatchError,
     SplitMismatchError,
 )
 from .interconnect import closed_loop_certificate, coupling_condition
@@ -367,7 +366,6 @@ _FAILURES = (
     (NonHyperbolicError, EXIT_CRITERION_FAILED, "inconclusive"),
     (SplitMismatchError, EXIT_CRITERION_FAILED, "split mismatch"),
     (CouplingError, EXIT_CRITERION_FAILED, "interconnection failed"),
-    (RateMismatchError, EXIT_INPUT_ERROR, "error"),
     # OSError: an input or output path that cannot be read or written
     ((PdomError, ValueError, KeyError, OSError), EXIT_INPUT_ERROR, "input error"),
 )

@@ -18,17 +18,13 @@ the two here take a bare storage, read p from its inertia and claim no margin.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import matrixcore as mc
 from .dissipativity import SupplyRate
-from .errors import DimensionError
 from .lti import DifferentialVerdict, _check_claim, _family_verdict
 from .model import (
     Channel,
     LureSystem,
     Nonlinearity,
-    as_model,
     cubic_saturated,
     hull_points,
     scaled,
@@ -45,24 +41,10 @@ __all__ = [
     "LureSystem",
     "DifferentialVerdict",
     "hull_points",
-    "jacobian",
     "vertex_family",
     "check_diff_dominance",
     "check_diff_dissipativity",
 ]
-
-
-def jacobian(sys: LureSystem, x) -> np.ndarray:
-    """State Jacobian A + sum_i g_i sigma_i'(h_i^T x) h_i^T.
-
-    On the measure-zero set where a channel argument hits a kink the left
-    derivative is used; the vertex checks depend only on the slope bounds,
-    so this choice never affects a verdict.
-    """
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape[0] != as_model(sys).n:
-        raise DimensionError("state dimension mismatch")
-    return hull_points(sys, [[float(ch.sigma.derivative(float(ch.h @ x))) for ch in sys.channels]])[0]
 
 
 def check_diff_dominance(sys: LureSystem, P, lam: float) -> DifferentialVerdict:

@@ -29,10 +29,6 @@ class UnsupportedConfigurationError(PdomError):
     """A structurally valid input falls outside the supported configuration."""
 
 
-class RateMismatchError(PdomError):
-    """Interconnected certificates do not share a uniform rate."""
-
-
 class CouplingError(PdomError):
     """The interconnection coupling condition does not hold."""
 

@@ -22,12 +22,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .dissipativity import DissipativityCertificate, SupplyRate, verify_dissipativity
-from .errors import (
-    CouplingError,
-    DimensionError,
-    RateMismatchError,
-    UnsupportedConfigurationError,
-)
+from .errors import CouplingError, DimensionError, UnsupportedConfigurationError
 from .lti import DominanceCertificate, _family_verdict
 from .model import Channel, LureSystem, as_model
 from .policy import LMI_TOL, RATE_MATCH_TOL
@@ -146,7 +141,7 @@ def closed_loop_certificate(
     vertex when no subsystem has channels) must pass the dominance LMI.
     """
     if abs(c1.rate - c2.rate) > RATE_MATCH_TOL:
-        raise RateMismatchError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
+        raise ValueError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
     coupling = coupling_condition(c1.supply, c2.supply)
     if not coupling.passed:
         raise CouplingError(f"coupling condition fails (lmax = {coupling.lmax:.3e})")

@@ -7,8 +7,7 @@ is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
 :func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test
 and constructs certificates from an ordered Schur split: one function,
-:func:`_block_storages`, splits, decouples and solves the block storages
-that the projective measure (:func:`pdom.cones.projective_measure`) reads too.
+:func:`_block_storages`, splits, decouples and solves the block storages.
 ``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
@@ -451,8 +450,7 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
 
     The storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}`` where W decouples
     ``A + lam I`` into its unstable/stable blocks and Xu, Xs are the block
-    storages of :func:`_block_storages`, which the projective measure
-    (:func:`pdom.cones.projective_measure`) reads too.
+    storages of :func:`_block_storages`.
     The storage must pass the family verdict, and it carries a strictly positive margin.
     """
     _, _, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)

@@ -17,7 +17,6 @@ SLOPE_SLACK = 1e-9    # how far a nonlinearity's slope range may pass its declar
 SCHUR_FACTOR = 1e3    # a Schur form's orthogonality and reconstruction residual allowance, in units of RECON_TOL
 LYAP_SEP_TOL = 1e-12  # least |mu_i + conj(mu_j)| of a Lyapunov operator, times max(1, |mu|max)
 RATE_MATCH_TOL = 1e-12  # largest difference of the two open-loop rates a loop certificate takes as one
-ENVELOPE_TOL = 1e-6   # ratio-trace envelope slack: relative, and absolute times max(1, ratio(0))
 SEARCH_MARGIN = 1e-6  # margin the storage search asks for, times max(1, ||A||_2)
 PTP_DRIFT_TOL = 5 * CYCLE_TOL  # relative change of a cycle's peak-to-peak pattern over two periods
 PTP_FLOOR = 1e-12     # least peak-to-peak span a cycle's drift is taken relative to

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic
+from oracles import projective_measure, ratio_trace
 from pdom import registry, reproduce
-from pdom.cones import QuadraticCone, positivity_probe, projective_measure, ratio_trace
+from pdom.cones import QuadraticCone, positivity_probe
 from pdom.dissipativity import dissipation_blocks, min_gain, supply_gain
 from pdom.errors import NonHyperbolicError, SplitMismatchError
 from pdom.interconnect import _loop_coupling, network, network_supply

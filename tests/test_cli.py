@@ -440,6 +440,18 @@ class TestInterconnect:
             "class": "CouplingError", "message": "an open-loop certificate failed verification", "exit_code": 1,
         }
 
+    def test_mismatched_rates_are_an_input_error(self, tmp_path, capsys):
+        # cert1 carries a rate of its own, 0.5 against the loop's: a loop certificate needs one rate
+        path = self._loop_file(tmp_path)
+        data = json.loads(pathlib.Path(path).read_text())
+        data["cert1"]["lambda"] = 0.5
+        pathlib.Path(path).write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", path]) == 2
+        message = f"rates differ: 0.5 vs {registry.KNOWN_RATE} (uniform rate required)"
+        assert f"input error: {message}" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"] == {"class": "ValueError", "message": message, "exit_code": 2}
+
     def test_overflowing_gain_supply_is_input_error(self, tmp_path, capsys):
         path = self._loop_file(tmp_path, gamma2=1e200)
         assert cli.main(["interconnect", path]) == 2

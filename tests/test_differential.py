@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic
+from oracles import jacobian
 from pdom import lti
 from pdom import matrixcore as mc
 from pdom import registry
@@ -15,7 +16,6 @@ from pdom.differential import (
     check_diff_dominance,
     cubic_saturated,
     hull_points,
-    jacobian,
     scaled,
     tabulated,
     vertex_family,

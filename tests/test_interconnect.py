@@ -15,7 +15,6 @@ from pdom.dissipativity import (
 from pdom.errors import (
     CouplingError,
     DimensionError,
-    RateMismatchError,
     UnsupportedConfigurationError,
 )
 from pdom.interconnect import (
@@ -252,7 +251,7 @@ class TestClosedLoopCertificate:
         c2 = DissipativityCertificate(
             P=registry.PASSIVITY_STORAGE_C8, rate=0.5, epsilon=0.0, p=1, supply=supply_passivity(1)
         )
-        with pytest.raises(RateMismatchError):
+        with pytest.raises(ValueError, match="rates differ"):
             closed_loop_certificate(msd_c8, c1, msd_c8, c2)
 
     def test_coupling_failure_rejected(self, msd_c8):

@@ -85,10 +85,9 @@ class TestOneModel:
             ),
             lambda sys: pdom.min_gain(sys, np.diag([-1.0, 1.0, 1.0, 1.0]), 1.0),
             lambda sys: pdom.find_passivity_storage(sys, 1.0, 2),
-            lambda sys: pdom.projective_measure(sys, 1.0, 2),
         ],
         ids=["eigen_split_test", "construct_certificate", "positivity_probe", "min_gain",
-             "find_passivity_storage", "projective_measure"],
+             "find_passivity_storage"],
     )
     def test_routines_reading_a_refuse_a_lure_model(self, routine):
         # A is only the linear part of nl-loop: a certificate constructed from it fails 3 of the 4 vertices
@@ -102,7 +101,6 @@ class TestOneModel:
             lambda A: pdom.check_diff_dominance(A, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE),
             lambda A: pdom.eigen_split_test(A, registry.KNOWN_RATE, 1),
             lambda A: pdom.construct_certificate(A, registry.KNOWN_RATE, 1),
-            lambda A: pdom.projective_measure(A, registry.KNOWN_RATE, 1),
             lambda A: pdom.positivity_probe(
                 A, QuadraticCone(P=registry.KNOWN_STORAGE[4], p=1), (1.0,), 4, np.random.default_rng(0)
             ),
@@ -120,7 +118,7 @@ class TestOneModel:
             lambda A: pdom.vertex_family(A),
         ],
         ids=["check_dominance", "check_diff_dominance", "eigen_split_test", "construct_certificate",
-             "projective_measure", "positivity_probe", "integrate", "integrate_batch", "min_gain",
+             "positivity_probe", "integrate", "integrate_batch", "min_gain",
              "find_passivity_storage", "verify_dissipativity", "check_diff_dissipativity",
              "closed_loop_certificate", "vertex_family"],
     )

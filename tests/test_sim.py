@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from conftest import lti_model
+from oracles import projective_measure
 from pdom import registry, sim
 from pdom.differential import check_diff_dominance
 from pdom.errors import DimensionError
-from pdom.cones import projective_measure
 from pdom.lti import LtiSystem, construct_certificate
 from pdom.matrixcore import expm
 from pdom.model import Channel, LureSystem, cubic_saturated, scaled, tabulated

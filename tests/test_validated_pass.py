@@ -180,6 +180,11 @@ class TestEachInputCheckedOnce:
         min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE)
         assert symmetry_checks == {"as_symmetric": 1, "checks": 3}
 
+    def test_quadratic_cone(self, symmetry_checks):
+        # P once, where it enters; the eigendecomposition kept for the boundary samples is taken from it as checked
+        QuadraticCone(P=registry.KNOWN_STORAGE[4], p=1)
+        assert symmetry_checks == {"as_symmetric": 1, "checks": 1}
+
     def test_closed_loop(self, symmetry_checks, msd_c8):
         # the loop supply's Q and R, its coupling form, each open-loop block stack, the loop's [P, R] stack,
         # and the returned certificate's P: that certificate is the one built
