@@ -14,6 +14,7 @@ since importing it would otherwise be most of the package's import time.
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,16 +169,28 @@ class Inertia:
 
 def _on_cores(kernel, stack: np.ndarray) -> np.ndarray:
     """``kernel`` (a numpy linalg gufunc: it releases the GIL) on a stack, in one contiguous chunk of at least 256
-    matrices per CPU. The calling thread solves the first, pool threads joined before return solve the rest, and a
+    matrices per CPU. The calling thread solves the first, threads joined before return solve the rest, and a
     chunk's exception is raised here. A matrix's result does not depend on its batch, so the bits are one call's."""
     parts = min(_CPUS, len(stack) // 256)
     if parts < 2:  # under 512 matrices, or one CPU: one call
         return kernel(stack)
-    from concurrent.futures import ThreadPoolExecutor  # deferred: only a large stack is split
-    first, *rest = np.array_split(stack, parts)
-    with ThreadPoolExecutor(parts - 1) as pool:
-        futures = [pool.submit(kernel, chunk) for chunk in rest]
-        return np.concatenate([kernel(first), *(future.result() for future in futures)])
+    chunks = np.array_split(stack, parts)
+
+    def solve(i):  # a chunk's result, or its exception, in its place
+        try:
+            chunks[i] = kernel(chunks[i])
+        except BaseException as exc:
+            chunks[i] = exc
+    threads = [threading.Thread(target=solve, args=(i,)) for i in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    solve(0)
+    for thread in threads:
+        thread.join()
+    for chunk in chunks:
+        if isinstance(chunk, BaseException):
+            raise chunk
+    return np.concatenate(chunks)
 
 
 def sym_eigen(S) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,10 @@ asymptotic verdicts (fixed point, limit cycle, divergence).
 from __future__ import annotations
 
 import csv
+import os
+import pickle
+import sys
+import threading
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -31,6 +35,10 @@ __all__ = [
 # bounds on rows * row cost for the generated step, without and with channels; see _takes_row_step
 _ROW_COST = 120
 _ROW_COST_CHANNELS = 280
+# rows * steps * row cost from which a generated-step batch is split across CPUs (_on_cpus): at about 45 ns a unit,
+# a split in two saves work * 45 ns / 2, ten times the 1.3 ms that a fork and its transfer take. Linux only: fork
+# without exec is unsafe with macOS system libraries, and Windows has no fork.
+_SPLIT_WORK = 10 * 1.3e-3 * 2 / 45e-9 if sys.platform == "linux" else float("inf")
 
 
 @dataclass(frozen=True)
@@ -105,13 +113,18 @@ def integrate_batch(
     above it rounds above 1e9.
 
     A batch that :func:`_takes_row_step` accepts, with no callable input, runs row by row through the
-    model's generated float step (0.25-0.75 us per row-step for the built-in models, n <= 4); any other
+    model's generated float step (0.25-0.75 us per row-step and CPU for the built-in models, n <= 4); any other
     batch runs the numpy loop (9-28 us per step for up to 40 rows), timed on one core of a shared
     2-core host with Python 3.11. The generated step sums products left to right, while a one-row numpy
     product may pair them: for n > 2 a row's last bits can depend on the shape of its batch.
+    On Linux, a generated-step batch of two rows or more and rows * steps * row cost of at least ``_SPLIT_WORK``
+    (about 26 ms), in a process with two CPUs or more and no other Python thread, runs as one contiguous chunk of
+    rows per CPU, each past the first in a forked child (:func:`_on_cpus`). Every row runs the same step on the
+    same floats, so the bits do not depend on the CPU count; no child outlives the call.
 
     A callable input is evaluated once per distinct time: at t = 0, then at ``t + dt/2`` and ``t + dt``
     of each step, the latter serving that step's last stage, its record and the next step's first stage.
+    Its value at t = 0 must have ``sys.m`` entries, as a constant input must; else it is a ``DimensionError``.
 
     The records take batch * (steps / record_every + 1) * n * 8 bytes, held once, plus O(batch * n)
     working arrays; the trajectories' states and inputs are read-only views of them. X0 is one start
@@ -149,8 +162,11 @@ def _takes_row_step(sys: LureSystem, rows: int) -> bool:
     non-zeros of ``A``, ``H`` and ``G``) plus one per state for the stage updates, while the numpy loop's
     cost is mostly a fixed dispatch, about 2.5x higher with channels; each bound sits below every
     crossover measured."""
-    cost = np.count_nonzero(sys.A) + np.count_nonzero(sys._H) + np.count_nonzero(sys._G) + sys.n
-    return rows * cost <= (_ROW_COST_CHANNELS if sys.channels else _ROW_COST)
+    return rows * _row_cost(sys) <= (_ROW_COST_CHANNELS if sys.channels else _ROW_COST)
+
+
+def _row_cost(sys: LureSystem) -> int:
+    return np.count_nonzero(sys.A) + np.count_nonzero(sys._H) + np.count_nonzero(sys._G) + sys.n
 
 
 def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
@@ -165,7 +181,9 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
     # u and B u at a step's end (its k4, its record and the next k1), B u at its midpoint (k2 and k3)
     u1 = b_mid = b1 = None
     if inputs is not None:
-        inputs[0] = u1 = u_of_t(0.0)
+        if (u1 := u_of_t(0.0)).shape != (sys.m,):  # a callable input's width, checked at t = 0 alone
+            raise DimensionError(f"callable input of width {u1.size} at t = 0 does not match B's {sys.m} columns")
+        inputs[0] = u1
         b1 = input_term(u1)
     count = 1  # records written
     cut_length = np.full(len(X0), -1, dtype=int)  # record count at divergence, -1 if none
@@ -216,9 +234,48 @@ def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
         exec(source, namespace)
         vars(sys)[key] = namespace["step"]
     step, u = vars(sys)[key], tuple(input_term(u_of_t(0.0)).tolist()) if input_term else ()
-    runs = [step(x, steps // record_every, record_every, dt, u) for x in X0.tolist()]
+    runs = _on_cpus(step, X0, (steps // record_every, record_every, dt, u), len(X0) * steps * _row_cost(sys))
     # a constant input's record is a read-only view of its one row
     return runs, None if u_of_t is None else np.broadcast_to(u_of_t(0.0), (steps // record_every + 1, sys.m))
+
+
+def _on_cpus(step, X0, args: tuple, work: int) -> list:
+    """``step(x, *args)`` on each row of X0, split as :func:`integrate_batch` states: the caller runs the first chunk,
+    and a child of ``os.fork()`` each other one, pickling its runs, or its exception's type and message, into a pipe
+    and ending with ``os._exit`` on every path. The caller reaps every child, killing any left first if it raises."""
+    parts = min(mc._CPUS, len(X0))
+    if parts < 2 or work < _SPLIT_WORK or threading.active_count() > 1:
+        return [step(x, *args) for x in X0.tolist()]
+    first, *rest = (chunk.tolist() for chunk in np.array_split(X0, parts))
+    caller, children, fds = os.getpid(), [], []
+    try:
+        for chunk in rest:
+            fds += os.pipe()
+            children.append(os.fork())
+            if not children[-1]:  # the child; a raise that escapes below ends it in the finally clause
+                with open(fds[-1], "wb") as pipe:
+                    try:
+                        pickle.dump([step(x, *args) for x in chunk], pipe, pickle.HIGHEST_PROTOCOL)
+                    except BaseException as exc:  # sent for the caller to raise
+                        pickle.dump((type(exc), str(exc)), pipe)
+                os._exit(0)
+            os.close(fds.pop())  # the write end, before the next fork: no other child may hold it open
+        runs = [step(x, *args) for x in first]
+        for read in fds:
+            if isinstance(result := pickle.load(open(read, "rb", closefd=False)), tuple):
+                raise result[0](result[1])
+            runs += result
+        while children:
+            os.waitpid(children.pop(), 0)
+        return runs
+    finally:
+        if os.getpid() != caller:
+            os._exit(1)
+        for pid in children:  # left only if the caller raised
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+        for fd in fds:
+            os.close(fd)
 
 
 def _row_step_source(sys: LureSystem, with_input: bool) -> tuple[str, dict]:

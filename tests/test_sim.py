@@ -1,7 +1,11 @@
 import hashlib
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,7 +13,7 @@ import pytest
 
 from conftest import lti_model
 from oracles import projective_measure
-from pdom import registry, sim
+from pdom import matrixcore as mc, registry, sim
 from pdom.differential import check_diff_dominance
 from pdom.errors import DimensionError
 from pdom.lti import LtiSystem, construct_certificate
@@ -228,6 +232,12 @@ class TestIntegrate:
         with pytest.raises(DimensionError, match=re.escape(f"shape {shape} fit neither (4,) nor (batch, 4)")):
             integrate_batch(registry.nonlinear_loop(), np.ones(shape), t_end=0.1, dt=1e-2)
 
+    @pytest.mark.parametrize("width", [2, 0], ids=["too-wide", "too-narrow"])
+    def test_callable_input_off_the_input_width_rejected(self, msd_c4, width):
+        # checked on its value at t = 0, before the loop, as a constant input is checked
+        with pytest.raises(DimensionError, match=f"callable input of width {width} at t = 0 does not match"):
+            integrate(msd_c4, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=lambda t: np.zeros(width))
+
     def test_single_start_and_empty_batch_run(self):
         loop = registry.nonlinear_loop()
         (single,) = integrate_batch(loop, np.ones(4), t_end=0.1, dt=1e-2)
@@ -405,6 +415,125 @@ class TestEvaluators:
         assert len(trajs) == rows and all(t.states.shape == (11, model.n) for t in trajs)
         # the generated step never calls the numpy field; the numpy loop calls it four times a step
         assert len(calls) == (0 if generated else 40)
+
+
+def _in_process(model, x0, steps, dt, every):
+    """The generated step on each row, one after another: the in-process loop that a split must match."""
+    sim._rk4_rows(model, x0[:1], 1, dt, 1, None)  # builds the model's step
+    return [vars(model)["_row_step"](x, steps // every, every, dt, ()) for x in x0.tolist()]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the integrator splits a batch across CPUs on Linux alone")
+class TestRowsOnCpus:
+    """A generated-step batch with enough work runs one chunk of rows per CPU, each past the first in a forked
+    child: every record and cut flag is the in-process loop's, a child's error is raised in the caller, and no
+    child or thread outlives the call."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        calls, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        return calls
+
+    @staticmethod
+    def _assert_nothing_left(threads):
+        with pytest.raises(ChildProcessError):  # no child at all, running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "rows, dt, every, t_end, cut",
+        [(10, 1e-2, 2, 50.0, False), (16, 2.5e-2, 5, 100.0, False), (10, 1e-2, 2, 50.0, True)],
+        ids=["loop-batch", "narrow-batch", "cut-rows"],
+    )
+    def test_split_keeps_the_bits(self, monkeypatch, forks, cpus, rows, dt, every, t_end, cut):
+        # the benchmark's nl-loop shapes; the last batch's two cut rows, one of norm 1e9 and one with a NaN,
+        # sit in the last child's chunk at 2 and 3 CPUs
+        loop = registry.nonlinear_loop()
+        x0 = np.random.default_rng(rows).uniform(-3.0, 3.0, (rows, 4))
+        if cut:
+            x0[-2:] = [[1e9, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]
+        steps, threads = int(round(t_end / dt)), threading.active_count()
+        assert rows * steps * sim._row_cost(loop) >= sim._SPLIT_WORK
+        expected = _in_process(loop, x0, steps, dt, every)
+        monkeypatch.setattr(mc, "_CPUS", cpus)
+        runs, _ = sim._rk4_rows(loop, x0, steps, dt, every, None)
+        assert len(forks) == cpus - 1
+        assert [flag for _, flag in runs] == [flag for _, flag in expected] == [False] * (rows - 2) + [cut] * 2
+        for (a, _), (b, _) in zip(runs, expected, strict=True):
+            assert a.dtype == b.dtype and not a.flags.writeable
+            assert np.array_equal(a, b, equal_nan=True)
+        self._assert_nothing_left(threads)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("row, where", [(9, "child"), (0, "caller")])
+    def test_an_error_reaches_the_caller_and_leaves_no_child(self, monkeypatch, forks, cpus, row, where):
+        loop = registry.nonlinear_loop()
+        x0 = np.random.default_rng(10).uniform(-3.0, 3.0, (10, 4))
+        _in_process(loop, x0[:1], 1, 1e-2, 1)
+        step, bad = vars(loop)["_row_step"], x0[row].tolist()
+
+        def failing(x, *args):
+            if x == bad:
+                raise ZeroDivisionError(f"row {row} failed in the {where}")
+            return step(x, *args)
+
+        vars(loop)["_row_step"] = failing
+        monkeypatch.setattr(mc, "_CPUS", cpus)
+        threads = threading.active_count()
+        with pytest.raises(ZeroDivisionError) as caught:
+            sim._rk4_rows(loop, x0, 5000, 1e-2, 2, None)
+        assert caught.type is ZeroDivisionError and str(caught.value) == f"row {row} failed in the {where}"
+        assert len(forks) == cpus - 1
+        self._assert_nothing_left(threads)
+
+    def test_no_fork_without_a_split(self, monkeypatch, forks):
+        loop = registry.nonlinear_loop()
+        x0 = np.random.default_rng(10).uniform(-3.0, 3.0, (40, 4))
+        monkeypatch.setattr(mc, "_CPUS", 2)
+        cost = sim._row_cost(loop)
+        assert 40_000 * cost >= sim._SPLIT_WORK > 10 * 3_000 * cost
+        sim._rk4_rows(loop, x0[:1], 40_000, 1e-2, 10, None)  # one row
+        sim._rk4_rows(loop, x0[:10], 3_000, 1e-2, 2, None)  # under the work bound
+        ready = threading.Event()
+        waiting = threading.Thread(target=ready.wait, args=(60.0,))
+        waiting.start()
+        try:
+            sim._rk4_rows(loop, x0[:10], 5_000, 1e-2, 2, None)  # a live second Python thread
+        finally:
+            ready.set()
+            waiting.join(60.0)
+        assert not waiting.is_alive()
+        integrate_batch(loop, x0, t_end=10.0, dt=1e-2)  # 40 rows: the numpy loop
+        monkeypatch.setattr(mc, "_CPUS", 1)
+        sim._rk4_rows(loop, x0[:10], 5_000, 1e-2, 2, None)  # one CPU
+        assert forks == []
+
+    def test_a_split_loads_no_module(self):
+        # in a fresh interpreter: import pdom loads no module that its parent did not, a split loads none at
+        # all, and neither multiprocessing nor concurrent.futures is ever loaded
+        code = """if True:
+            import sys
+            import numpy as np
+            before = set(sys.modules)
+            import pdom
+            from pdom import matrixcore as mc, registry, sim
+            extra = {m for m in set(sys.modules) - before if m.split(".")[0] != "pdom"}
+            assert extra <= {"__future__", "_csv", "array", "copy", "csv", "dataclasses"}, extra
+            x0 = np.linspace(-3.0, 3.0, 40).reshape(10, 4)
+            loaded, forked = set(sys.modules), []
+            fork, mc._CPUS = sim.os.fork, 2
+            sim.os.fork = lambda: forked.append(1) or fork()
+            pdom.integrate_batch(registry.nonlinear_loop(), x0, t_end=50.0, dt=1e-2, record_every=2)
+            assert forked == [1] and set(sys.modules) == loaded, set(sys.modules) - loaded
+            assert "multiprocessing" not in sys.modules and "concurrent.futures" not in sys.modules
+            print("ok")
+        """
+        src = os.path.dirname(os.path.dirname(sim.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
 
 
 class TestReadOnlyRecords:
