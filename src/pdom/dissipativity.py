@@ -26,7 +26,6 @@ from .lti import (
     _family_verdict,
     _residual,
     dissipation_blocks,
-    residual,
 )
 from .model import _json_number, _json_object, _ValueEquality, state_matrix
 from .policy import SEARCH_MARGIN
@@ -225,7 +224,7 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
     eps_search = SEARCH_MARGIN * max(1.0, float(np.linalg.norm(A, 2)))
     problem = lmi.LmiProblem(
         dim=sys.n,
-        blocks=[lambda P: residual(A, P, lam)],
+        blocks=[lambda P: _residual(A, P, lam)],  # the engine checks what its blocks return
         equalities=[lmi.LinearEquality(lambda P: P @ sys.B, sys.C.T)],
         inertia_target=(p, 0, sys.n - p),
         epsilon=eps_search,

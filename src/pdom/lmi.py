@@ -16,7 +16,10 @@ Blocks and equality maps take a ``(..., n, n)`` stack of P and return the
 stack of their values. The engine calls each block once on ``P_part`` and
 once on the stack of all null-space directions ``P_part + smat(N^T)``, and
 each equality map once on the stacked basis of symmetric matrices, so the
-number of calls does not grow with n.
+number of calls does not grow with n. One SVD gives ``P_part`` (lstsq's
+minimum-norm solution) and N. The block values are checked once; a Newton
+step is then one eigensolve per block, the congruence and Gram matrix of its
+generators, and one LU factorization, which also serves a growth of mu.
 
 Success is verifier-gated: callers re-check every solution with the relevant
 module verifier, so the engine can never leak an unverified certificate.
@@ -25,12 +28,13 @@ module verifier, so the engine can never leak an unverified certificate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import LmiInfeasibleError
+from .errors import LmiInfeasibleError, NumericalError
 from .policy import EQ_TOL, LMI_TOL
 
 __all__ = [
@@ -49,24 +53,28 @@ _CENTRED = 0.5  # Newton decrement below which an iterate counts as central
 _MAX_STEPS = 500  # guard against numerical stalls; the gap stop comes first
 
 
+@lru_cache(maxsize=None)
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only svec index: the upper triangle's rows and columns, their weights (1 or sqrt 2), each entry's place."""
+    rows, cols = np.triu_indices(n)
+    position = np.empty((n, n), dtype=np.intp)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    index = rows, cols, np.where(rows == cols, 1.0, _SQRT2), position
+    for array in index:
+        array.setflags(write=False)
+    return index
+
+
 def svec(S: np.ndarray) -> np.ndarray:
     """Orthonormal half-vectorization: Frobenius inner product becomes a dot product."""
-    n = S.shape[0]
-    idx = np.triu_indices(n)
-    out = S[idx].copy()
-    out[idx[0] != idx[1]] *= _SQRT2
-    return out
+    rows, cols, weight, _ = _svec_index(S.shape[0])
+    return S[rows, cols] * weight
 
 
 def smat(v: np.ndarray, n: int) -> np.ndarray:
     """Inverse of :func:`svec`; a stack of vectors (last axis) gives a stack of matrices."""
-    idx = np.triu_indices(n)
-    vals = np.array(v, dtype=float)
-    vals[..., idx[0] != idx[1]] /= _SQRT2
-    S = np.zeros(vals.shape[:-1] + (n, n))
-    S[..., idx[0], idx[1]] = vals
-    S[..., idx[1], idx[0]] = vals
-    return S
+    _, _, weight, position = _svec_index(n)
+    return (np.asarray(v, dtype=float) / weight)[..., position]
 
 
 @dataclass(frozen=True)
@@ -162,7 +170,9 @@ def solve(problem: LmiProblem) -> np.ndarray:
             rows.append(np.asarray(eq.map(basis), dtype=float).reshape(dsym, -1).T)
         G = np.vstack(rows)
         g = np.concatenate(rhs)
-        part, *_ = np.linalg.lstsq(G, g, rcond=None)
+        U, sv, Vt = np.linalg.svd(G)
+        rank = int(np.sum(sv > max(G.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
+        part = Vt[:rank].T @ ((U[:, :rank].T @ g) / sv[:rank])
         eq_residual = float(np.linalg.norm(G @ part - g, np.inf))
         if eq_residual > EQ_TOL * max(1.0, float(np.linalg.norm(g, np.inf))):
             raise LmiInfeasibleError(
@@ -173,8 +183,6 @@ def solve(problem: LmiProblem) -> np.ndarray:
                     message="equality constraints are unsatisfiable",
                 )
             )
-        _, sv, Vt = np.linalg.svd(G)
-        rank = int(np.sum(sv > max(G.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
         N = Vt[rank:].T  # dsym x d
         P_part = smat(part, n)
     else:
@@ -191,11 +199,14 @@ def solve(problem: LmiProblem) -> np.ndarray:
     directions = P_part + smat(N.T, n)
     slacks = []
     for blk in problem.blocks:
-        base = np.asarray(blk(P_part), dtype=float)
-        F = np.asarray(blk(directions), dtype=float) - base
-        k = base.shape[0]
-        gens = np.concatenate([-0.5 * (F + F.transpose(0, 2, 1)), np.eye(k)[None]])
-        slacks.append((-problem.epsilon * np.eye(k) - 0.5 * (base + base.T), gens))
+        with np.errstate(all="ignore"):
+            base = np.asarray(blk(P_part), dtype=float)
+            F = np.asarray(blk(directions), dtype=float) - base
+            gens = np.concatenate([-0.5 * (F + F.transpose(0, 2, 1)), np.eye(len(base))[None]])
+            S0 = -problem.epsilon * np.eye(len(base)) - 0.5 * (base + base.T)
+        if not (np.isfinite(S0).all() and np.isfinite(gens).all()):
+            raise NumericalError("an LMI block is not finite on the search's affine data")
+        slacks.append((S0, gens))
     radius = _RADIUS * max(1.0, float(np.linalg.norm(P_part)))
     block_dims = sum(S0.shape[0] for S0, _ in slacks)
 
@@ -204,39 +215,44 @@ def solve(problem: LmiProblem) -> np.ndarray:
     x[-1] = 1.0 - min(float(mc.sym_eigen(S0)[0][0]) for S0, _ in slacks)
     mu = float(block_dims + 1)
     bound = None
+    # the step's large arrays, allocated once: a fresh one each step costs its page faults
+    work = [(np.empty(gens.shape), np.empty(gens.shape)) for _, gens in slacks]
+    hess = np.empty((d + 1, d + 1))
     for iterations in range(1, _MAX_STEPS + 1):
         c, t = x[:-1], x[-1]
-        spectra = [mc.sym_eigen(S0 + np.tensordot(x, gens, 1)) for S0, gens in slacks]
+        spectra = [mc.sym_eigen(S0 + (x @ gens.reshape(d + 1, -1)).reshape(S0.shape)) for S0, gens in slacks]
         lowest = min(s[0] for s, _ in spectra)
         # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack that is not
         # positive has lost definiteness to rounding
         if t - lowest < 0 or lowest <= 0:
             break
         grad = np.zeros(d + 1)
-        hess = np.zeros((d + 1, d + 1))
-        scaled = []
-        for (s, U), (_, gens) in zip(spectra, slacks):
-            # congruence by S^{-1/2}: gradient -tr, Hessian the Gram matrix
+        hess[...] = 0.0
+        for (s, U), (_, gens), (GL, D) in zip(spectra, slacks, work):
+            # congruence by S^{-1/2}, into D: gradient -tr, Hessian the Gram matrix
             L = U / np.sqrt(s)
-            scaled.append(np.matmul(L.T, np.matmul(gens, L)))
-            flat = scaled[-1].reshape(d + 1, -1)
+            flat = np.matmul(L.T, np.matmul(gens, L, out=GL), out=D).reshape(d + 1, -1)
             grad -= flat[:, :: s.size + 1].sum(axis=1)
             hess += flat @ flat.T
         rho = radius * radius - c @ c
         grad[:-1] += 2.0 * c / rho
-        hess[:-1, :-1] += (2.0 / rho) * np.eye(d) + (4.0 / rho**2) * np.outer(c, c)
+        hess[:-1, :-1] += (4.0 / rho**2) * np.outer(c, c)
+        hess.flat[: d * (d + 1) : d + 2] += 2.0 / rho
         grad[-1] += mu
-        step = np.linalg.solve(hess, -grad)
+        # one factorization for the step at mu and for the change of step per unit of mu
+        rhs = np.zeros((d + 1, 2))
+        rhs[:, 0], rhs[-1, 1] = -grad, -1.0
+        step, per_mu = np.linalg.solve(hess, rhs).T
         decrement = float(np.sqrt(max(-grad @ step, 0.0)))
         if decrement < _CENTRED:
             if (block_dims + 1) / mu < LMI_TOL:
                 break  # the gap is inside the acceptance slack: _finalize decides
             grad[-1] += (_MU_GROWTH - 1.0) * mu
+            step = step + (_MU_GROWTH - 1.0) * mu * per_mu
             mu *= _MU_GROWTH
-            step = np.linalg.solve(hess, -grad)
             decrement = float(np.sqrt(max(-grad @ step, 0.0)))
         # along the step each slack moves as S^{1/2} (I + a D_j) S^{1/2}
-        sigma = np.concatenate([np.linalg.eigvalsh(np.tensordot(step, G, 1)) for G in scaled])
+        sigma = np.concatenate([np.linalg.eigvalsh((step @ D.reshape(d + 1, -1)).reshape(D[0].shape)) for _, D in work])
         dc = step[:-1]
         if sigma.max() <= 1.0:
             # Z_j = S_j^{-1/2} (I - D_j) S_j^{-1/2} / mu is dual feasible, and
@@ -246,10 +262,10 @@ def solve(problem: LmiProblem) -> np.ndarray:
             if bound > 0:
                 break
         # backtrack on mu t - sum log det S_j - log(R^2 - |c|^2) along the step
-        a = 1.0
+        a, c_dc, dc_dc, sigma_min = 1.0, c @ dc, dc @ dc, sigma.min()
         for _ in range(60):
-            ball = 1.0 - (2.0 * a * (c @ dc) + a * a * (dc @ dc)) / rho
-            if ball > 0 and np.all(a * sigma > -1.0):
+            ball = 1.0 - (2.0 * a * c_dc + a * a * dc_dc) / rho
+            if ball > 0 and a * sigma_min > -1.0:
                 if mu * a * step[-1] - np.log1p(a * sigma).sum() - np.log(ball) <= -0.25 * a * decrement**2:
                     break
             a *= 0.5

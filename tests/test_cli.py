@@ -373,6 +373,14 @@ class TestCertify:
         assert error["class"] == "LmiInfeasibleError" and error["exit_code"] == 1
         assert lmi_check(error["lmi"])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_search_is_a_numerical_failure(self, tmp_path, capsys):
+        # A^T P + P A overflows on this A: the engine refuses its block data before the first step, with no warning
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"A": [[1e308, 0], [0, -1e308]], "B": [[1], [0]], "C": [[1, 0]]}))
+        assert cli.main(["certify", str(path), "--lambda", "0.5", "--p", "1", "--passivity"]) == 3
+        assert "not finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "argv",
         [

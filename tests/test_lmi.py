@@ -1,11 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic
 from pdom import lmi, registry
-from pdom.errors import LmiInfeasibleError
+from pdom.errors import LmiInfeasibleError, NumericalError
 from pdom.lti import DominanceCertificate, check_dominance, construct_certificate, residual
 
 RATE = registry.KNOWN_RATE
@@ -19,6 +22,40 @@ class TestSvec:
             T = _sym(rng, n)
             assert np.allclose(lmi.smat(lmi.svec(S), n), S)
             assert lmi.svec(S) @ lmi.svec(T) == pytest.approx(np.sum(S * T))
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_cached_index_matches_the_formulas_bitwise(self, rng, n):
+        # the index gather against the original formulas, on signed zeros and values from 1e-300 to 1e300
+        dsym = n * (n + 1) // 2
+        values = rng.standard_normal(dsym) * 10.0 ** rng.integers(-300, 301, dsym)
+        values[::3] = -0.0
+        S = _smat_reference(values, n)
+        stack = rng.standard_normal((7, dsym))
+        assert _bits(lmi.svec(S)) == _bits(_svec_reference(S))
+        assert _bits(lmi.smat(values, n)) == _bits(S)
+        assert _bits(lmi.smat(stack, n)) == _bits(_smat_reference(stack, n))
+        assert all(_bits(lmi.svec(M)) == _bits(_svec_reference(M)) for M in lmi.smat(stack, n))
+
+
+def _svec_reference(S):
+    idx = np.triu_indices(S.shape[0])
+    out = S[idx].copy()
+    out[idx[0] != idx[1]] *= np.sqrt(2.0)
+    return out
+
+
+def _smat_reference(v, n):
+    idx = np.triu_indices(n)
+    vals = np.array(v, dtype=float)
+    vals[..., idx[0] != idx[1]] /= np.sqrt(2.0)
+    S = np.zeros(vals.shape[:-1] + (n, n))
+    S[..., idx[0], idx[1]] = vals
+    S[..., idx[1], idx[0]] = vals
+    return S
+
+
+def _bits(a):
+    return a.shape, a.dtype, a.tobytes()
 
 
 def _sym(rng, n):
@@ -155,6 +192,43 @@ class TestStackedEvaluation:
         # the block: at P_part, on the stack of directions, at the answer;
         # the equality map: on the stacked basis, at the answer
         assert small == large == {"block": 3, "equality": 2}
+
+
+class TestBlockData:
+    """The blocks' values at P_part and on the directions are checked once, before the first Newton step."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "block",
+        [lambda P: residual(np.diag([1e308, -1e308]), P, 0.5), lambda P: np.where(P == 0, P, np.nan)],
+        ids=["overflow", "nan"],
+    )
+    def test_non_finite_block_data_fail_before_the_first_step(self, monkeypatch, block):
+        def no_step(S):
+            raise AssertionError("a slack was solved")
+
+        monkeypatch.setattr(lmi.mc, "sym_eigen", no_step)
+        with pytest.raises(NumericalError, match="not finite"):
+            lmi.solve(lmi.LmiProblem(dim=2, blocks=[block], epsilon=1e-4))
+
+    def test_a_search_loads_only_the_engine(self):
+        # in a fresh interpreter: after import pdom, a storage search adds pdom.lmi and nothing else;
+        # scipy, whose linalg module alone would add some 20 MB to the process, is never loaded
+        code = """if True:
+            import sys
+            import pdom
+            from pdom import registry
+            system = registry.msd(8.0)
+            before = set(sys.modules)
+            pdom.find_passivity_storage(system, registry.KNOWN_RATE, 1)
+            assert set(sys.modules) - before == {"pdom.lmi"}, set(sys.modules) - before
+            assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+            print("ok")
+        """
+        src = os.path.dirname(os.path.dirname(lmi.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert out.returncode == 0 and out.stdout == "ok\n", out.stderr
 
 
 class TestProblemValidation:
