@@ -92,15 +92,16 @@ class RunReport:
 
 
 def _load_json(path: str, inputs: dict, key: str) -> dict:
-    """Decode a JSON input file; NaN, Infinity, literals that overflow to infinity and null are refused.
+    """Decode a JSON input file; NaN, Infinity, literals that overflow a float (integers too), null and
+    nesting deeper than the recursion limit are refused.
 
     The file is recorded under ``inputs[key]`` before it is parsed: its path, then its digest once
     it is read. No input format uses null, and numpy would read one inside a matrix as NaN.
     """
-    def finite(text: str) -> float:
+    def finite(text: str, number=float):
         if not np.isfinite(float(text)):
             raise PdomError(f"cannot read {path}: non-finite number {text}")
-        return float(text)
+        return number(text)
 
     def no_null(value) -> None:
         if value is None:
@@ -117,10 +118,13 @@ def _load_json(path: str, inputs: dict, key: str) -> dict:
         raise PdomError(f"file not found: {path}")
     inputs[key]["sha256"] = hashlib.sha256(raw).hexdigest()[:16]
     try:
-        data = json.loads(raw.decode("utf-8"), parse_float=finite, parse_constant=finite)
+        data = json.loads(raw.decode("utf-8"), parse_float=finite, parse_constant=finite,
+                          parse_int=lambda text: finite(text, int))
+        no_null(data)
     except json.JSONDecodeError as exc:
         raise PdomError(f"cannot parse {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    no_null(data)
+    except RecursionError:
+        raise PdomError(f"cannot read {path}: nested too deep")
     return data
 
 

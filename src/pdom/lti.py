@@ -6,8 +6,7 @@ a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
 :func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test
-and constructs certificates from an ordered Schur split: one function,
-:func:`_block_storages`, splits, decouples and solves the block storages.
+and constructs certificates from an ordered Schur split.
 ``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
@@ -245,6 +244,7 @@ def _dissipation_blocks(R, sys, P: np.ndarray, supply, epsilon: float) -> np.nda
     return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
 
+_FLOAT_MAX = float(np.finfo(float).max)
 _NO_CORNER = np.empty((1, 0))  # the corners of a channel-free model's one vertex
 _NO_CORNER.flags.writeable = False
 
@@ -257,7 +257,7 @@ def _check_claim(lam: float, p: int, n: int, epsilon: float = 0.0) -> None:
     for name, value in (("rate", lam), ("epsilon", epsilon)):
         if isinstance(value, bool) or not isinstance(value, numbers.Real):
             raise ValueError(f"{name} must be a number, got {value!r}")
-        if not np.isfinite(value):
+        if not (abs(value) <= _FLOAT_MAX if isinstance(value, int) else np.isfinite(value)):  # ints may pass floats
             raise ValueError(f"{name} must be finite, got {value}")
         if value < 0:
             raise ValueError(f"{name} must be nonnegative, got {value}")
@@ -408,16 +408,17 @@ def eigen_split_test(sys: LtiSystem, lam: float, p: int) -> SplitVerdict:
     return SplitVerdict(status, margin, unstable, p)
 
 
-def _block_storages(sys: LtiSystem, lam: float, p: int):
-    """A's one factorization for a claim (lam, p): ``(A, W, W^{-1}, T1, T2, Xu, Xs)``.
+def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertificate:
+    """Build a dominance certificate from A's one factorization for the claim (lam, p).
 
     The ordered split ``A = Q T Q^T`` (:func:`pdom.matrixcore.schur_split`) puts the unstable
     eigenvalues of ``A + lam I`` in the leading p x p Schur block T1 and the stable ones in T2; for
     0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks (their spectra are disjoint),
     so ``A = W blockdiag(T1, T2) W^{-1}`` with ``W = Q [[I, Y], [0, I]]``. Xu and Xs solve
     ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``: one ``trsyl`` each on its
-    Schur block, symmetrized. Both M are anti-Hurwitz, so both storages are positive definite; an
-    empty block gives a 0 x 0 storage. Refused: a Lur'e model (``state_matrix``), a claim that breaks
+    Schur block, symmetrized. Both M are anti-Hurwitz, so both block storages are positive definite,
+    and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``. It must pass the family verdict, and it
+    carries a strictly positive margin. Refused: a Lur'e model (``state_matrix``), a claim that breaks
     :func:`_check_claim`, a p off the split (:class:`SplitMismatchError`).
     """
     A = state_matrix(sys)
@@ -426,37 +427,21 @@ def _block_storages(sys: LtiSystem, lam: float, p: int):
     Q, T, unstable_dim = mc.schur_split(A, lam)
     if unstable_dim != p:
         raise SplitMismatchError(f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}")
-    T1, T2 = T[:p, :p], T[p:, p:]
     W = Q
     if 0 < p < n:
         V = np.eye(n)
-        V[:p, p:] = mc._trsyl(T1, T2, -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
+        V[:p, p:] = mc._trsyl(T[:p, :p], T[p:, p:], -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
         W = Q @ V
     Winv = np.linalg.solve(W, np.eye(n))
-    Xu = Xs = np.zeros((0, 0))
+    core = np.zeros((n, n))
     if p > 0:
-        M = T1 + lam * np.eye(p)
+        M = T[:p, :p] + lam * np.eye(p)
         X = mc._trsyl(M, M, np.eye(p), trana="T")
-        Xu = 0.5 * (X + X.T)
+        core[:p, :p] = -(0.5 * (X + X.T))  # -Xu
     if p < n:
-        M = T2 + lam * np.eye(n - p)
+        M = T[p:, p:] + lam * np.eye(n - p)
         X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
-        Xs = 0.5 * (X + X.T)
-    return A, W, Winv, T1, T2, Xu, Xs
-
-
-def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertificate:
-    """Build a dominance certificate from the ordered Schur split.
-
-    The storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}`` where W decouples
-    ``A + lam I`` into its unstable/stable blocks and Xu, Xs are the block
-    storages of :func:`_block_storages`.
-    The storage must pass the family verdict, and it carries a strictly positive margin.
-    """
-    _, _, Winv, _, _, Xu, Xs = _block_storages(sys, lam, p)
-    core = np.zeros((sys.n, sys.n))
-    core[:p, :p] = -Xu
-    core[p:, p:] = Xs
+        core[p:, p:] = 0.5 * (X + X.T)  # Xs
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2

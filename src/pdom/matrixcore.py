@@ -2,7 +2,7 @@
 
 Symmetric eigendecompositions (eigenvalues alone where no vector is read),
 ordered real Schur splits ``(Q, T, k)`` (LAPACK ``trsen`` on one real Schur
-form; :func:`pdom.lti._block_storages` decouples and solves on its blocks),
+form; :func:`pdom.lti.construct_certificate` decouples and solves on its blocks),
 Lyapunov/Sylvester solves (LAPACK ``trsyl`` on a real Schur form) and the
 matrix exponential, all with explicit residual checks against the fixed
 tolerances of :mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double

@@ -73,10 +73,9 @@ def _json_number(data: dict, key: str) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Nonlinearity(_ValueEquality):
-    """Scalar piecewise-C1 nonlinearity with a closed-form derivative.
+    """Scalar piecewise-C1 nonlinearity with a closed-form slope range.
 
-    ``kind`` is one of "cubic_saturated", "scaled" or "tabulated"; at kink
-    points the derivative is taken from the left.
+    ``kind`` is one of "cubic_saturated", "scaled" or "tabulated".
     """
 
     kind: str
@@ -111,18 +110,6 @@ class Nonlinearity(_ValueEquality):
             return self.params["factor"] * self.params["base"](s)
         return self._table_value(s)
 
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.kind == "cubic_saturated":
-            # left derivative at the kinks: -3 at s = 2, -1/3 at s = -2
-            inner = np.abs(s) < 2.0
-            at_pos_kink = s == 2.0
-            out = np.where(inner | at_pos_kink, 1.0 - s * s, -1.0 / 3.0)
-            return out if out.shape else float(out)
-        if self.kind == "scaled":
-            return self.params["factor"] * self.params["base"].derivative(s)
-        return self._table_slope(s)
-
     def _table_value(self, s):
         knots, values, slopes = (self.params[key] for key in ("knots", "values", "slopes"))
         # linear extrapolation with the end slopes outside the table
@@ -130,12 +117,6 @@ class Nonlinearity(_ValueEquality):
         lo = values[0] + slopes[0] * (s - knots[0])
         hi = values[-1] + slopes[-1] * (s - knots[-1])
         return np.where(s < knots[0], lo, np.where(s > knots[-1], hi, inner))
-
-    def _table_slope(self, s):
-        knots, slopes = self.params["knots"], self.params["slopes"]
-        # left derivative: the segment ending at s decides at interior knots
-        idx = np.clip(np.searchsorted(knots, s, side="left") - 1, 0, len(slopes) - 1)
-        return slopes[idx]
 
     def slope_range(self) -> tuple[float, float]:
         """The exact range (min, max) of the derivative over the whole real line, in closed form.
@@ -322,9 +303,9 @@ class LureSystem(_ValueEquality):
     def is_strictly_proper(self) -> bool:
         return not self.D.any()
 
-    def rhs(self, X: np.ndarray, U: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized vector field on rows of X (shape (..., n)): one product for
-        all channel arguments, one sigma call per distinct nonlinearity and one
+    def rhs(self, X: np.ndarray) -> np.ndarray:
+        """Vectorized field without input on rows of X (shape (..., n)): one product
+        for all channel arguments, one sigma call per distinct nonlinearity and one
         product summing the channel terms (where g vectors overlap, that sum
         may round differently from a channel-by-channel one)."""
         X = np.asarray(X, dtype=float)
@@ -334,8 +315,6 @@ class LureSystem(_ValueEquality):
             for sigma, cols in self._sigma_blocks:
                 Z[..., cols] = sigma(Z[..., cols])
             out = out + Z @ self._G
-        if U is not None:
-            out = out + np.asarray(U, dtype=float) @ self.B.T
         return out
 
     def to_dict(self) -> dict:

@@ -78,21 +78,6 @@ def _read_only(values) -> np.ndarray:
     return mc.read_only_copy(values) if values.flags.writeable else values
 
 
-def _input_terms(sys: LureSystem, input_policy):
-    """u(t) of an input policy and the map from u to the field's input term B u; both None without an input."""
-    if input_policy is None:
-        return None, None
-    if sys.m == 0:
-        raise DimensionError("inputs supplied for a system without inputs")
-    if callable(input_policy):
-        return lambda t: np.asarray(input_policy(t), dtype=float).ravel(), lambda u: u @ sys.B.T
-    const = np.asarray(input_policy, dtype=float).ravel()
-    if const.shape[0] != sys.m:
-        raise DimensionError("constant input dimension does not match B")
-    bias = const @ sys.B.T
-    return lambda t: const, lambda u: bias
-
-
 def integrate_batch(
     sys: LureSystem,
     X0: np.ndarray,
@@ -112,7 +97,10 @@ def integrate_batch(
     square root: 1e18 is a float, and the square root of the next float
     above it rounds above 1e9.
 
-    A batch that :func:`_takes_row_step` accepts, with no callable input, runs row by row through the
+    ``input_policy`` is None or a constant input of ``sys.m`` finite entries, recorded on every sample; the
+    field adds its ``B u``. Any other width is a ``DimensionError``, a non-finite entry a ``ValueError``.
+
+    A batch that :func:`_takes_row_step` accepts runs row by row through the
     model's generated float step (0.25-0.75 us per row-step and CPU for the built-in models, n <= 4); any other
     batch runs the numpy loop (9-28 us per step for up to 40 rows), timed on one core of a shared
     2-core host with Python 3.11. The generated step sums products left to right, while a one-row numpy
@@ -122,13 +110,9 @@ def integrate_batch(
     rows per CPU, each past the first in a forked child (:func:`_on_cpus`). Every row runs the same step on the
     same floats, so the bits do not depend on the CPU count; no child outlives the call.
 
-    A callable input is evaluated once per distinct time: at t = 0, then at ``t + dt/2`` and ``t + dt``
-    of each step, the latter serving that step's last stage, its record and the next step's first stage.
-    Its value at t = 0 must have ``sys.m`` entries, as a constant input must; else it is a ``DimensionError``.
-
     The records take batch * (steps / record_every + 1) * n * 8 bytes, held once, plus O(batch * n)
-    working arrays; the trajectories' states and inputs are read-only views of them. X0 is one start
-    of width ``sys.n`` or a ``(batch, sys.n)`` array; any other shape is a ``DimensionError``.
+    working arrays; the trajectories' states are read-only views of them, and their inputs of the one input.
+    X0 is one start of width ``sys.n`` or a ``(batch, sys.n)`` array; any other shape is a ``DimensionError``.
     """
     sys = as_model(sys)
     if not np.isfinite([t_end, dt]).all():
@@ -147,12 +131,18 @@ def integrate_batch(
         raise ValueError(f"t_end must be a whole number of steps (dt), got {t_end} / {dt} = {ratio!r}")
     if steps % record_every:
         raise ValueError("t_end must be a whole number of recorded intervals (dt * record_every)")
+    u = None if input_policy is None else mc.read_only_copy(np.ravel(input_policy))
+    if u is not None and u.shape != (sys.m,):
+        raise DimensionError(f"constant input of {u.size} entries does not match B's {sys.m} columns")
+    if u is not None and not np.isfinite(u).all():
+        raise ValueError(f"constant input must be finite, got {u.tolist()}")
     X0 = np.ascontiguousarray(X0, dtype=float)  # the numpy loop steps from X0 itself, in C order
     if X0.ndim not in (1, 2) or X0.shape[-1] != sys.n:
         raise DimensionError(f"initial states of shape {X0.shape} fit neither ({sys.n},) nor (batch, {sys.n})")
     X0 = np.atleast_2d(X0)
-    small = _takes_row_step(sys, X0.shape[0]) and not callable(input_policy)
-    runs, inputs = (_rk4_rows if small else _rk4_batch)(sys, X0, steps, dt, record_every, input_policy)
+    bias = None if u is None else u @ sys.B.T
+    runs = (_rk4_rows if _takes_row_step(sys, len(X0)) else _rk4_batch)(sys, X0, steps, dt, record_every, bias)
+    inputs = None if u is None else np.broadcast_to(u, (steps // record_every + 1, sys.m))  # a read-only view
     return [Trajectory(0.0, dt * record_every, states, None if inputs is None else inputs[: len(states)], cut)
             for states, cut in runs]
 
@@ -169,39 +159,24 @@ def _row_cost(sys: LureSystem) -> int:
     return np.count_nonzero(sys.A) + np.count_nonzero(sys._H) + np.count_nonzero(sys._G) + sys.n
 
 
-def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
-    """The numpy RK4 loop on the whole batch: ``(states, truncated)`` per row, and the input record.
-    Each is written into one ``np.zeros`` array allocated before the loop; the OS zeroes its pages on first
-    write, so records never reached, after every row is cut, never become resident, though reserved."""
-    u_of_t, input_term = _input_terms(sys, input_policy)
-    f = (lambda X, b: sys.rhs(X) + b) if input_term else (lambda X, b: sys.rhs(X))
+def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, bias):
+    """The numpy RK4 loop on the whole batch, ``B u`` being ``bias`` (None without an input): ``(states,
+    truncated)`` per row. The states are written into one ``np.zeros`` array allocated before the loop; the OS
+    zeroes its pages on first write, so records never reached, after every row is cut, never become resident."""
+    f = sys.rhs if bias is None else (lambda X: sys.rhs(X) + bias)
     records = np.zeros((steps // record_every + 1, *X0.shape))  # (N, batch, n)
     records[0] = X = X0
-    inputs = None if u_of_t is None else np.zeros((len(records), sys.m))
-    # u and B u at a step's end (its k4, its record and the next k1), B u at its midpoint (k2 and k3)
-    u1 = b_mid = b1 = None
-    if inputs is not None:
-        if (u1 := u_of_t(0.0)).shape != (sys.m,):  # a callable input's width, checked at t = 0 alone
-            raise DimensionError(f"callable input of width {u1.size} at t = 0 does not match B's {sys.m} columns")
-        inputs[0] = u1
-        b1 = input_term(u1)
     count = 1  # records written
     cut_length = np.full(len(X0), -1, dtype=int)  # record count at divergence, -1 if none
     rows = np.arange(len(X0))  # the batch rows that X still integrates
-    t, half, sixth = 0.0, 0.5 * dt, dt / 6.0
+    half, sixth = 0.5 * dt, dt / 6.0
     with np.errstate(invalid="ignore", over="ignore"):
         for step in range(steps):
-            b0 = b1
-            if inputs is not None:
-                b_mid = input_term(u_of_t(t + half))
-                u1 = u_of_t(t + dt)
-                b1 = input_term(u1)
-            k1 = f(X, b0)
-            k2 = f(X + half * k1, b_mid)
-            k3 = f(X + half * k2, b_mid)
-            k4 = f(X + dt * k3, b1)
+            k1 = f(X)
+            k2 = f(X + half * k1)
+            k3 = f(X + half * k2)
+            k4 = f(X + dt * k3)
             X = X + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += dt
             # the comparison is false for NaN and inf, so non-finite rows count as diverged
             bad = ~(np.einsum("ij,ij->i", X, X) <= DIVERGENCE_NORM ** 2)
             if bad.any():
@@ -213,30 +188,22 @@ def _rk4_batch(sys: LureSystem, X0, steps, dt, record_every, input_policy):
             if (step + 1) % record_every == 0:
                 # the entries of cut rows lie past their records' ends and stay zero
                 records[count, rows if rows.size < len(X0) else slice(None)] = X
-                if inputs is not None:
-                    inputs[count] = u1
                 count += 1
     records.setflags(write=False)  # before any view of it leaves: every trajectory's states are read-only
-    if inputs is not None:
-        inputs.setflags(write=False)
-    runs = [(records[: cut if cut >= 0 else count, i], bool(cut >= 0)) for i, cut in enumerate(cut_length)]
-    return runs, None if inputs is None else inputs[:count]
+    return [(records[: cut if cut >= 0 else count, i], bool(cut >= 0)) for i, cut in enumerate(cut_length)]
 
 
-def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, input_policy):
-    """The same, row by row through the model's generated float step (no callable input). The step
-    is compiled from :func:`_row_step_source` on the model's first run without an input, or with a
-    constant one, and kept in the model's ``__dict__``, which a frozen dataclass still has."""
-    u_of_t, input_term = _input_terms(sys, input_policy)
-    key = "_row_step" if input_term is None else "_input_row_step"
+def _rk4_rows(sys: LureSystem, X0, steps, dt, record_every, bias):
+    """The same, row by row through the model's generated float step. The step is compiled from
+    :func:`_row_step_source` on the model's first run without an input, or with one, and kept in the
+    model's ``__dict__``, which a frozen dataclass still has."""
+    key = "_row_step" if bias is None else "_input_row_step"
     if key not in vars(sys):
-        source, namespace = _row_step_source(sys, input_term is not None)
+        source, namespace = _row_step_source(sys, bias is not None)
         exec(source, namespace)
         vars(sys)[key] = namespace["step"]
-    step, u = vars(sys)[key], tuple(input_term(u_of_t(0.0)).tolist()) if input_term else ()
-    runs = _on_cpus(step, X0, (steps // record_every, record_every, dt, u), len(X0) * steps * _row_cost(sys))
-    # a constant input's record is a read-only view of its one row
-    return runs, None if u_of_t is None else np.broadcast_to(u_of_t(0.0), (steps // record_every + 1, sys.m))
+    u = () if bias is None else tuple(bias.tolist())
+    return _on_cpus(vars(sys)[key], X0, (steps // record_every, record_every, dt, u), len(X0) * steps * _row_cost(sys))
 
 
 def _on_cpus(step, X0, args: tuple, work: int) -> list:

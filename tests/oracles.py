@@ -5,8 +5,10 @@ verifier. The projective measure splits the certificate's storage into two
 semidefinite forms whose ratio must contract along every trajectory, and
 :func:`ratio_trace` checks that contraction on one trajectory. :func:`jacobian`
 is the state Jacobian at one point, which must lie in the hull of the vertex
-family. The measure factors A as the certificate does, through
-:func:`pdom.lti._block_storages`.
+family, built from :func:`derivative`, the left derivative of a nonlinearity.
+:func:`block_split` factors A with the LAPACK calls that
+:func:`pdom.lti.construct_certificate` makes, so the measure and the tests
+that rebuild a certificate read the same split bit for bit.
 """
 
 from __future__ import annotations
@@ -15,14 +17,45 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import dtrsyl
 
-from pdom.cones import _quadratic_forms
+from pdom import matrixcore as mc
 from pdom.errors import DimensionError, NumericalError
-from pdom.lti import _block_storages
-from pdom.model import LureSystem, as_model, hull_points
+from pdom.model import LureSystem, Nonlinearity, as_model, hull_points, state_matrix
 from pdom.policy import ZTOL_REL
 
 ENVELOPE_TOL = 1e-6  # ratio-trace envelope slack: relative, and absolute times max(1, ratio(0))
+
+
+def _trsyl(A, B, C, **options) -> np.ndarray:
+    """``op(A) X + isgn X B = C`` on real Schur forms, unscaled, as the construction solves it."""
+    X, scale, info = dtrsyl(A, B, C, **options)
+    assert info >= 0, f"trsyl argument {-info} is invalid"
+    return X / scale
+
+
+def block_split(A, lam: float, p: int):
+    """``(W, W^{-1}, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``, as the certificate construction splits A.
+
+    The ordered Schur form ``A = Q T Q^T`` of :func:`pdom.matrixcore.schur_split` leads with the p
+    eigenvalues of ``A + lam I`` right of the axis (a p off the split is a ``ValueError``); for
+    0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks, and ``W = Q [[I, Y], [0, I]]``.
+    """
+    Q, T, k = mc.schur_split(A, lam)
+    if k != p:
+        raise ValueError(f"A + {lam:.6g} I has {k} unstable eigenvalues, expected {p}")
+    n = T.shape[0]
+    W = Q
+    if 0 < p < n:
+        V = np.eye(n)
+        V[:p, p:] = _trsyl(T[:p, :p], T[p:, p:], -T[:p, p:], isgn=-1)
+        W = Q @ V
+    return W, np.linalg.solve(W, np.eye(n)), T[:p, :p], T[p:, p:]
+
+
+def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """``x^T P x`` for each row x of X."""
+    return np.einsum("ij,ij->i", X @ P, X)
 
 
 @dataclass(frozen=True)
@@ -48,22 +81,27 @@ class ProjectiveMeasure:
 def projective_measure(sys: LureSystem, lam: float, p: int) -> ProjectiveMeasure:
     """The projective measure of the p-dominance certificate at rate ``lam``, from its block storages.
 
-    With ``A = W blockdiag(T1, T2) W^{-1}`` and the block storages Xu, Xs of
-    :func:`pdom.lti._block_storages`, ``P_u = V_u^T Xu V_u`` and
-    ``P_s = V_s^T Xs V_s``, V_u and V_s being the first p and the last n - p
-    rows of W^{-1}. Each one-sided inequality is a congruence of the block
-    inequality ``M^T X + X M >= eps X`` in modal coordinates, with
-    ``M = T1 + lam I`` for Xu and ``M = -(T2 + lam I)`` for Xs, so ``eps_hat``
-    is the smaller of the two blocks' margins (:func:`_block_margin`).
-    Refused as :func:`pdom.lti.construct_certificate` refuses (a Lur'e model,
-    a bad claim, a p off the split), a trivial split (``ValueError``) and a
-    margin that is not positive (``NumericalError``).
+    With ``A = W blockdiag(T1, T2) W^{-1}`` (:func:`block_split`), the block
+    storages Xu and Xs solve ``M^T X + X M = I`` for ``M = T1 + lam I`` and
+    ``M = -(T2 + lam I)``, as the certificate construction solves them, and
+    ``P_u = V_u^T Xu V_u``, ``P_s = V_s^T Xs V_s``, V_u and V_s being the first
+    p and the last n - p rows of W^{-1}. Each one-sided inequality is a
+    congruence of the block inequality ``M^T X + X M >= eps X`` in modal
+    coordinates, so ``eps_hat`` is the smaller of the two blocks' margins
+    (:func:`_block_margin`). Refused: a Lur'e model, a p off the split or a
+    trivial split (``ValueError``), and a margin that is not positive
+    (``NumericalError``).
     """
-    A, _, Winv, T1, T2, Xu, Xs = _block_storages(sys, lam, p)
+    A = state_matrix(sys)
     n = A.shape[0]
     if not 0 < p < n:
         raise ValueError("projective measure needs a nontrivial split (0 < p < n)")
-    eps_hat = min(_block_margin(T1 + lam * np.eye(p), Xu), _block_margin(-(T2 + lam * np.eye(n - p)), Xs))
+    _, Winv, T1, T2 = block_split(A, lam, p)
+    Mu, Ms = T1 + lam * np.eye(p), T2 + lam * np.eye(n - p)
+    Xu = _trsyl(Mu, Mu, np.eye(p), trana="T")
+    Xs = _trsyl(Ms, Ms, -np.eye(n - p), trana="T")
+    Xu, Xs = 0.5 * (Xu + Xu.T), 0.5 * (Xs + Xs.T)
+    eps_hat = min(_block_margin(Mu, Xu), _block_margin(-Ms, Xs))
     if eps_hat <= 0:
         raise NumericalError(f"projective measure has no contraction margin ({eps_hat:.3e})")
     P_u = Winv[:p].T @ Xu @ Winv[:p]
@@ -125,6 +163,27 @@ def ratio_trace(measure: ProjectiveMeasure, trajectory) -> RatioTrace:
     )
 
 
+def derivative(sigma: Nonlinearity, s):
+    """The left derivative of ``sigma`` at s, in closed form: a float for a scalar s, else an array."""
+    s = np.asarray(s, dtype=float)
+    if sigma.kind == "cubic_saturated":
+        # left derivative at the kinks: -3 at s = 2, -1/3 at s = -2
+        inner = np.abs(s) < 2.0
+        at_pos_kink = s == 2.0
+        out = np.where(inner | at_pos_kink, 1.0 - s * s, -1.0 / 3.0)
+        return out if out.shape else float(out)
+    if sigma.kind == "scaled":
+        return sigma.params["factor"] * derivative(sigma.params["base"], s)
+    return _table_slope(sigma, s)
+
+
+def _table_slope(sigma: Nonlinearity, s):
+    knots, slopes = sigma.params["knots"], sigma.params["slopes"]
+    # left derivative: the segment ending at s decides at interior knots
+    idx = np.clip(np.searchsorted(knots, s, side="left") - 1, 0, len(slopes) - 1)
+    return slopes[idx]
+
+
 def jacobian(sys: LureSystem, x) -> np.ndarray:
     """State Jacobian A + sum_i g_i sigma_i'(h_i^T x) h_i^T.
 
@@ -135,4 +194,4 @@ def jacobian(sys: LureSystem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if x.shape[0] != as_model(sys).n:
         raise DimensionError("state dimension mismatch")
-    return hull_points(sys, [[float(ch.sigma.derivative(float(ch.h @ x))) for ch in sys.channels]])[0]
+    return hull_points(sys, [[float(derivative(ch.sigma, float(ch.h @ x))) for ch in sys.channels]])[0]

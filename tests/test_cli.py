@@ -223,6 +223,34 @@ class TestVerify:
         assert message in err and f"{file}.json" in err
         assert json.loads(report.read_text())["error"]["exit_code"] == 2
 
+    @pytest.mark.parametrize(
+        "file, text, message",
+        [
+            ("certificate", '{"P": [[-1, 0], [0, 1%s]], "lambda": 0, "p": 1}' % ("0" * 399), "non-finite number 1000"),
+            ("certificate", '{"P": [[-1, 0], [0, 1]], "lambda": 1%s, "p": 1}' % ("0" * 400), "non-finite number 1000"),
+            ("system", "[" * 990 + "]" * 990, "nested too deep"),
+        ],
+        ids=["400-digit-entry", "401-digit-lambda", "nested-990-deep"],
+    )
+    def test_json_that_crashed_the_loader_is_input_error(self, tmp_path, capsys, file, text, message):
+        # each one printed a traceback (OverflowError, TypeError, RecursionError), exited 1 and wrote no report
+        paths = {name: tmp_path / f"{name}.json" for name in ("system", "certificate")}
+        paths["system"].write_text(json.dumps({"A": [[1, 0], [0, 2]], "B": [[0], [0]], "C": [[0, 0]]}))
+        paths["certificate"].write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 0, "p": 1}))
+        paths[file].write_text(text)
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", str(paths["system"]), str(paths["certificate"])]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and message in err and f"{file}.json" in err
+        assert json.loads(report.read_text())["error"]["exit_code"] == 2
+
+    def test_integer_literals_keep_their_type(self, tmp_path):
+        # integers pass the finiteness rule as floats do, and stay integers: p must be one
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": 1, "p": 1}))
+        data = cli._load_json(str(path), {}, "certificate")
+        assert type(data["p"]) is int and type(data["lambda"]) is int
+
     @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
     def test_claimed_p_null_is_input_error(self, tmp_path, capsys, supply):
         # int(None) would raise a TypeError: exit 1 with a traceback and no report

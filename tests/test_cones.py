@@ -4,10 +4,10 @@ import pytest
 from conftest import lti_model, spiral_system
 from pdom import matrixcore as mc
 from pdom import registry
-from oracles import projective_measure, ratio_trace
+from oracles import block_split, projective_measure, ratio_trace
 from pdom.cones import QuadraticCone, _unit, boundary_samples, positivity_probe
 from pdom.errors import DimensionError, NumericalError
-from pdom.lti import _block_storages, construct_certificate
+from pdom.lti import construct_certificate
 from pdom.sim import Trajectory, integrate
 
 RATE = registry.KNOWN_RATE
@@ -179,7 +179,7 @@ class TestMeasureBattery:
             except NumericalError:
                 continue  # a storage whose conditioning puts an eigenvalue in the zero band
             measure = projective_measure(lti_model(A), lam, p)
-            W = _block_storages(lti_model(A), lam, p)[1].astype(L)
+            W = block_split(A, lam, p)[0].astype(L)
             for P, sign, block in ((measure.P_u, 1, slice(0, p)), (measure.P_s, -1, slice(p, n))):
                 P = P.astype(L)
                 inequality = sign * (A.T @ P + P @ A + 2 * lam * P) - L(measure.eps_hat) * P

@@ -98,7 +98,7 @@ class TestNetwork:
 
     @pytest.mark.parametrize("count", [1, 2, 3, 4])
     def test_vector_field_is_the_parts_under_the_coupling(self, rng, count):
-        # network(parts, M).rhs(x) + B v is the stacked part.rhs(x_i, u_i) with u = M C x + v
+        # network(parts, M).rhs(x) + B v is the stacked part.rhs(x_i) + B_i u_i with u = M C x + v
         for _ in range(25):
             parts = [
                 _random_part(rng, int(rng.integers(1, 4)), int(rng.integers(1, 3)), int(rng.integers(1, 3)))
@@ -111,9 +111,9 @@ class TestNetwork:
             U = X @ net.C.T @ M.T + V
             stacked, at_n, at_m = [], 0, 0
             for part in parts:
-                stacked.append(part.rhs(X[:, at_n:at_n + part.n], U[:, at_m:at_m + part.m]))
+                stacked.append(part.rhs(X[:, at_n:at_n + part.n]) + U[:, at_m:at_m + part.m] @ part.B.T)
                 at_n, at_m = at_n + part.n, at_m + part.m
-            assert np.allclose(net.rhs(X, V), np.hstack(stacked), rtol=1e-12, atol=1e-12)
+            assert np.allclose(net.rhs(X) + V @ net.B.T, np.hstack(stacked), rtol=1e-12, atol=1e-12)
 
     def test_dimension_mismatch(self, msd_c8):
         wide = LtiSystem(A=-np.eye(2), B=np.ones((2, 2)), C=np.ones((1, 2)), D=np.zeros((1, 2)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic, spiral_system
+from oracles import block_split
 from pdom import registry
 from pdom import lti
 from pdom import matrixcore as mc
@@ -257,6 +258,14 @@ class TestImpossibleClaim:
             DominanceCertificate(P=registry.KNOWN_STORAGE[4], rate=data["lambda"], epsilon=data.get("epsilon", 0.0),
                                  p=1)
 
+    @pytest.mark.parametrize("field", ["lambda", "epsilon"])
+    @pytest.mark.parametrize("big", [10**400, -(10**400), 2**1024], ids=["401-digits", "negative", "2^1024"])
+    def test_integer_beyond_float_range_is_not_finite(self, field, big):
+        # np.isfinite raised a TypeError on a Python int that no float holds
+        data = {"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": RATE, "p": 1, field: big}
+        with pytest.raises(ValueError, match="must be finite"):
+            DominanceCertificate.from_dict(data)
+
     @pytest.mark.parametrize("rate", [0, np.int64(0), np.float32(0.0)])
     def test_numeric_rate_and_margin_are_stored_as_float(self, rate):
         cert = DominanceCertificate.from_dict({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": rate, "epsilon": 0,
@@ -333,7 +342,7 @@ def _split_battery(rng):
 
 def _reference_storage(A, lam, p):
     """The storage as built before the construction solved on the split's blocks: a general Lyapunov solve each."""
-    A, W, Winv, T1, T2, _, _ = lti._block_storages(lti_model(A), lam, p)
+    _, Winv, T1, T2 = block_split(A, lam, p)
     n = A.shape[0]
     core = np.zeros((n, n))
     if p > 0:
@@ -348,7 +357,7 @@ class TestOneFactorization:
     def test_storage_is_bitwise_the_general_solve(self, rng):
         seen = {"p=0": 0, "p=n": 0, "pairs on both sides": 0}
         for A, lam, p in _split_battery(rng):
-            _, _, _, T1, T2, _, _ = lti._block_storages(lti_model(A), lam, p)
+            _, _, T1, T2 = block_split(A, lam, p)
             seen["p=0"] += p == 0
             seen["p=n"] += p == A.shape[0]
             seen["pairs on both sides"] += bool(np.diagonal(T1, -1).any() and np.diagonal(T2, -1).any())

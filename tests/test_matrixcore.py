@@ -3,9 +3,9 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import lti_model
 from pdom import matrixcore as mc
-from pdom.lti import _block_storages, _split_counts
+from oracles import block_split
+from pdom.lti import _split_counts
 from pdom.policy import RECON_TOL
 from pdom.errors import DimensionError, NonHyperbolicError, NumericalError
 
@@ -318,7 +318,7 @@ class TestSchurSplit:
         A = V @ D @ np.linalg.inv(V)
         _, _, k = mc.schur_split(A, 0.0)
         assert k == 4
-        _, W, _, T1, T2, _, _ = _block_storages(lti_model(A), 0.0, k)
+        W, _, T1, T2 = block_split(A, 0.0, k)
         assert np.count_nonzero(np.diagonal(T1, -1)) == 2
         assert np.count_nonzero(np.diagonal(T2, -1)) == 2
         core = np.zeros((8, 8))
@@ -337,7 +337,7 @@ class TestSchurSplit:
             k_target = int(np.sum(shifted > 0))
             _, _, k = mc.schur_split(A, 0.0)
             assert k == k_target
-            _, W, _, T1, T2, _, _ = _block_storages(lti_model(A), 0.0, k)
+            W, _, T1, T2 = block_split(A, 0.0, k)
             core = np.zeros((n, n))
             core[:k, :k] = T1
             core[k:, k:] = T2

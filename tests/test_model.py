@@ -257,8 +257,8 @@ class TestOwnedArrays:
         starts = np.array([[1.0, 1.0], [-2.5, 0.5]])
 
         def run():
-            rows, _ = sim._rk4_rows(model, starts, 200, 1e-2, 5, None)
-            batch, _ = sim._rk4_batch(model, starts, 200, 1e-2, 5, None)
+            rows = sim._rk4_rows(model, starts, 200, 1e-2, 5, None)
+            batch = sim._rk4_batch(model, starts, 200, 1e-2, 5, None)
             return ([states for states, _ in rows], [states for states, _ in batch],
                     check_dominance(model, cert), model.to_dict(), cert.to_dict(), cone.P.tolist(),
                     half_spring.to_dict(), float(half_spring(1.0)), hash(half_spring))

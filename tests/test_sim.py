@@ -57,37 +57,24 @@ class TestIntegrate:
         assert traj.final_state[0] == pytest.approx(1.0, abs=1e-6)
         assert traj.inputs is not None and traj.inputs[0][0] == 1.0
 
-    def test_callback_input(self):
-        sys = LtiSystem(A=[[0.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
-        traj = integrate(sys, [0.0], t_end=1.0, dt=1e-3, input_policy=lambda t: [np.cos(t)])
-        assert traj.final_state[0] == pytest.approx(np.sin(1.0), abs=1e-8)
-
-    def test_callable_input_evaluated_once_per_time(self):
-        # x' = -x + u(t) for t = 1, dt = 0.1: u is needed at 21 distinct times, 0, 0.05, 0.1, ..., 1
-        calls = []
-
-        def u(t):
-            calls.append(t)
-            return [math.sin(3.0 * t)]
-
-        sys = LtiSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]])
-        traj = integrate(sys, [0.0], t_end=1.0, dt=0.1, input_policy=u)
-        assert len(calls) == len(set(calls)) == 21
-        # the same RK4 written out by hand on floats: each stage rounds as the numpy loop does
-        x, t, dt = 0.0, 0.0, 0.1
-        half, sixth, states, inputs = 0.5 * dt, dt / 6.0, [0.0], [math.sin(0.0)]
-        f = lambda x, t: -x + math.sin(3.0 * t)
+    @pytest.mark.parametrize("rows", [1, 70], ids=["generated-step", "numpy-loop"])
+    def test_constant_input_is_a_hand_written_rk4(self, rows):
+        # x' = -x + 0.3 u with u = 0.7, the same RK4 written out on floats: each stage rounds as both evaluators do
+        sys = LtiSystem(A=[[-1.0]], B=[[0.3]], C=[[1.0]])
+        trajs = integrate_batch(sys, np.zeros((rows, 1)), t_end=1.0, dt=0.1, input_policy=[0.7])
+        x, dt, bias = 0.0, 0.1, 0.7 * 0.3
+        half, sixth, states = 0.5 * dt, dt / 6.0, [0.0]
+        f = lambda x: -x + bias
         for _ in range(10):
-            k1 = f(x, t)
-            k2 = f(x + half * k1, t + half)
-            k3 = f(x + half * k2, t + half)
-            k4 = f(x + dt * k3, t + dt)
+            k1 = f(x)
+            k2 = f(x + half * k1)
+            k3 = f(x + half * k2)
+            k4 = f(x + dt * k3)
             x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += dt
             states.append(x)
-            inputs.append(math.sin(3.0 * t))
-        assert traj.states[:, 0].tolist() == states
-        assert traj.inputs[:, 0].tolist() == inputs
+        for traj in trajs:
+            assert traj.states[:, 0].tolist() == states
+            assert traj.inputs.tolist() == [[0.7]] * 11
 
     def test_divergence_truncates(self):
         traj = integrate(lti_model(np.array([[1.0]])), [1.0], t_end=50.0, dt=1e-2)
@@ -133,9 +120,9 @@ class TestIntegrate:
         rows_seen, lookups = [], []
         field, bisect = LureSystem.rhs, sim.bisect_right
 
-        def counting_rhs(self, X, U=None):
+        def counting_rhs(self, X):
             rows_seen.append(X.shape[0])
-            return field(self, X, U)
+            return field(self, X)
 
         def counting_bisect(knots, s):
             lookups.append(s)
@@ -178,18 +165,15 @@ class TestIntegrate:
         assert not trajs[1].truncated and trajs[1].states.shape[0] == 6001
         assert np.all(np.isfinite(trajs[1].states))
 
-    def test_stops_once_every_row_is_cut(self):
+    def test_stops_once_every_row_is_cut(self, monkeypatch):
         sys = LtiSystem(A=[[1.0]], B=[[0.0]], C=[[1.0]], D=[[0.0]])
-        times = []
-
-        def u(t):
-            times.append(t)
-            return [0.0]
-
-        trajs = integrate_batch(sys, [[1.0], [-2.0]], t_end=100.0, dt=1e-2, input_policy=u)
+        calls, field = [], LureSystem.rhs
+        monkeypatch.setattr(LureSystem, "rhs", lambda self, X: calls.append(1) or field(self, X))
+        rows = next(rows for rows in itertools.count(2) if not sim._takes_row_step(sys, rows))  # the numpy loop
+        trajs = integrate_batch(sys, [[1.0], [-2.0]] * rows, t_end=100.0, dt=1e-2, input_policy=[0.0])
         assert all(tr.truncated for tr in trajs)
-        # both rows pass 1e9 before t = 21; no field evaluation comes after that
-        assert max(times) < 21.0
+        # every row passes 1e9 before t = 21; no field evaluation comes after that
+        assert 0 < len(calls) <= 4 * 2100
 
     def test_rk4_order(self, msd_c4):
         ref = expm(msd_c4.A, 1.0) @ np.array([1.0, 1.0])
@@ -233,10 +217,20 @@ class TestIntegrate:
             integrate_batch(registry.nonlinear_loop(), np.ones(shape), t_end=0.1, dt=1e-2)
 
     @pytest.mark.parametrize("width", [2, 0], ids=["too-wide", "too-narrow"])
-    def test_callable_input_off_the_input_width_rejected(self, msd_c4, width):
-        # checked on its value at t = 0, before the loop, as a constant input is checked
-        with pytest.raises(DimensionError, match=f"callable input of width {width} at t = 0 does not match"):
-            integrate(msd_c4, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=lambda t: np.zeros(width))
+    def test_constant_input_off_the_input_width_rejected(self, msd_c4, width):
+        with pytest.raises(DimensionError, match=f"constant input of {width} entries does not match B's 1 columns"):
+            integrate(msd_c4, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=np.zeros(width))
+
+    def test_input_to_a_system_without_inputs_rejected(self):
+        still = LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 0)), C=np.zeros((0, 2)))
+        with pytest.raises(DimensionError, match="constant input of 1 entries does not match B's 0 columns"):
+            integrate(still, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=[0.0])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_constant_input_rejected(self, msd_c4, value):
+        # a NaN input used to return a one-sample truncated run, and an infinite one to warn in the field's product
+        with pytest.raises(ValueError, match="constant input must be finite"):
+            integrate(msd_c4, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=[value])
 
     def test_single_start_and_empty_batch_run(self):
         loop = registry.nonlinear_loop()
@@ -277,11 +271,13 @@ _NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
 def _same_rows(model, x0, t_end, dt, every, input_policy):
-    """Both evaluators on the same rows: equal cut flags, record lengths and input records, and
-    states to 1e-12 relative (bitwise, NaN-aware, for n <= 2). Returns the ``(states, truncated)`` runs."""
+    """Both evaluators on the same rows, with the field's ``B u`` of a constant input or none: equal cut flags
+    and record lengths, and states to 1e-12 relative (bitwise, NaN-aware, for n <= 2). Returns the
+    ``(states, truncated)`` runs."""
     steps = int(round(t_end / dt))
-    rows, rows_inputs = sim._rk4_rows(model, np.asarray(x0, dtype=float), steps, dt, every, input_policy)
-    batch, batch_inputs = sim._rk4_batch(model, np.asarray(x0, dtype=float), steps, dt, every, input_policy)
+    bias = None if input_policy is None else np.asarray(input_policy, dtype=float) @ model.B.T
+    rows = sim._rk4_rows(model, np.asarray(x0, dtype=float), steps, dt, every, bias)
+    batch = sim._rk4_batch(model, np.asarray(x0, dtype=float), steps, dt, every, bias)
     for (a, a_cut), (b, b_cut) in zip(rows, batch, strict=True):
         assert a_cut == b_cut and a.shape == b.shape
         if model.n <= 2:
@@ -289,9 +285,6 @@ def _same_rows(model, x0, t_end, dt, every, input_policy):
         else:
             scale = np.abs(b[np.isfinite(b)]).max(initial=1.0)
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12 * scale)
-        if batch_inputs is not None:
-            np.testing.assert_array_equal(rows_inputs[: len(a)], batch_inputs[: len(b)])
-    assert (rows_inputs is None) == (batch_inputs is None)
     return rows
 
 
@@ -375,8 +368,8 @@ class TestEvaluators:
         if cut:
             x0[-2:] = [[1e9, 0.0, 0.0, 0.0], [0.0, np.nan, 0.0, 0.0]]
         steps = int(round(50.0 / dt))
-        by_rows, _ = sim._rk4_rows(loop, x0, steps, dt, every, None)
-        batch, _ = sim._rk4_batch(loop, x0, steps, dt, every, None)
+        by_rows = sim._rk4_rows(loop, x0, steps, dt, every, None)
+        batch = sim._rk4_batch(loop, x0, steps, dt, every, None)
         ends = [(1, True)] * 2 if cut else [(steps // every + 1, False)] * 2
         assert [(len(a), a_cut) for a, a_cut in by_rows[-2:]] == ends
         for (a, a_cut), (b, b_cut) in zip(by_rows, batch, strict=True):
@@ -389,7 +382,7 @@ class TestEvaluators:
         x0 = np.random.default_rng(0).uniform(-3.0, 3.0, (256, 4))
         tracemalloc.start()
         try:
-            runs, _ = sim._rk4_batch(loop, x0, 250, 2e-2, 1, None)
+            runs = sim._rk4_batch(loop, x0, 250, 2e-2, 1, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -410,7 +403,7 @@ class TestEvaluators:
             model = registry.builtin_system(name)
         assert sim._takes_row_step(model, rows) == generated
         calls, field = [], LureSystem.rhs
-        monkeypatch.setattr(LureSystem, "rhs", lambda self, X, U=None: calls.append(1) or field(self, X, U))
+        monkeypatch.setattr(LureSystem, "rhs", lambda self, X: calls.append(1) or field(self, X))
         trajs = integrate_batch(model, np.ones((rows, model.n)), t_end=0.1, dt=1e-2)
         assert len(trajs) == rows and all(t.states.shape == (11, model.n) for t in trajs)
         # the generated step never calls the numpy field; the numpy loop calls it four times a step
@@ -458,7 +451,7 @@ class TestRowsOnCpus:
         assert rows * steps * sim._row_cost(loop) >= sim._SPLIT_WORK
         expected = _in_process(loop, x0, steps, dt, every)
         monkeypatch.setattr(mc, "_CPUS", cpus)
-        runs, _ = sim._rk4_rows(loop, x0, steps, dt, every, None)
+        runs = sim._rk4_rows(loop, x0, steps, dt, every, None)
         assert len(forks) == cpus - 1
         assert [flag for _, flag in runs] == [flag for _, flag in expected] == [False] * (rows - 2) + [cut] * 2
         for (a, _), (b, _) in zip(runs, expected, strict=True):
@@ -538,12 +531,10 @@ class TestRowsOnCpus:
 
 class TestReadOnlyRecords:
     @pytest.mark.parametrize(
-        "rows, input_policy",
-        [(1, [0.5]), (40, [0.5]), (1, lambda t: [np.sin(t)])],
-        ids=["generated-step", "numpy-loop", "callable-input"],
+        "rows", [1, 40], ids=["generated-step", "numpy-loop"],
     )
-    def test_a_write_into_a_returned_trajectory_raises(self, msd_c4, rows, input_policy):
-        trajs = integrate_batch(msd_c4, np.ones((rows, 2)), t_end=1.0, dt=1e-2, input_policy=input_policy)
+    def test_a_write_into_a_returned_trajectory_raises(self, msd_c4, rows):
+        trajs = integrate_batch(msd_c4, np.ones((rows, 2)), t_end=1.0, dt=1e-2, input_policy=[0.5])
         for traj in trajs:
             for array in (traj.states, traj.inputs, traj.final_state):
                 with pytest.raises(ValueError, match="read-only"):
