@@ -244,13 +244,6 @@ class TestVerify:
         assert err.startswith("input error: ") and message in err and f"{file}.json" in err
         assert json.loads(report.read_text())["error"]["exit_code"] == 2
 
-    def test_integer_literals_keep_their_type(self, tmp_path):
-        # integers pass the finiteness rule as floats do, and stay integers: p must be one
-        path = tmp_path / "cert.json"
-        path.write_text(json.dumps({"P": registry.KNOWN_STORAGE[4].tolist(), "lambda": 1, "p": 1}))
-        data = cli._load_json(str(path), {}, "certificate")
-        assert type(data["p"]) is int and type(data["lambda"]) is int
-
     @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
     def test_claimed_p_null_is_input_error(self, tmp_path, capsys, supply):
         # int(None) would raise a TypeError: exit 1 with a traceback and no report
