@@ -427,19 +427,20 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     Q, T, unstable_dim = mc.schur_split(A, lam)
     if unstable_dim != p:
         raise SplitMismatchError(f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}")
+    T1, T2 = T[:p, :p], T[p:, p:]
     W = Q
     if 0 < p < n:
         V = np.eye(n)
-        V[:p, p:] = mc._trsyl(T[:p, :p], T[p:, p:], -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
+        V[:p, p:] = mc._trsyl(T1, T2, -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
         W = Q @ V
     Winv = np.linalg.solve(W, np.eye(n))
     core = np.zeros((n, n))
     if p > 0:
-        M = T[:p, :p] + lam * np.eye(p)
+        M = T1 + lam * np.eye(p)
         X = mc._trsyl(M, M, np.eye(p), trana="T")
         core[:p, :p] = -(0.5 * (X + X.T))  # -Xu
     if p < n:
-        M = T[p:, p:] + lam * np.eye(n - p)
+        M = T2 + lam * np.eye(n - p)
         X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
         core[p:, p:] = 0.5 * (X + X.T)  # Xs
     P = Winv.T @ core @ Winv
