@@ -23,10 +23,8 @@ from .errors import (
     CouplingError,
     DimensionError,
     LmiInfeasibleError,
-    NonHyperbolicError,
     NumericalError,
     PdomError,
-    SplitMismatchError,
     UnsupportedConfigurationError,
 )
 from .interconnect import (

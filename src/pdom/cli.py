@@ -14,9 +14,15 @@ when a storage search failed. A usage error (exit 2) writes the report too;
 ``--help`` writes none. Only ``reproduce`` draws random numbers, so only it
 takes ``--seed``.
 
+``analyze`` and ``certify`` (without ``--passivity``) decide a dominance claim on
+one path: the ``eigen_split`` verdict, then the constructed certificate and its
+``dominance`` check. A claim off the split, or an inconclusive one, is a failed
+``eigen_split`` verdict, not an error.
+
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
-or a storage search proved that no storage exists), 2 input error, 3
-numerical failure (a search that stalled or failed re-verification).
+or a storage search proved that no storage exists), 2 input error (a model
+nested too deep for the interpreter's stack included), 3 numerical failure
+(a search that stalled or failed re-verification).
 """
 
 from __future__ import annotations
@@ -39,14 +45,7 @@ from .dissipativity import (
     supply_passivity,
     verify_dissipativity,
 )
-from .errors import (
-    CouplingError,
-    LmiInfeasibleError,
-    NonHyperbolicError,
-    NumericalError,
-    PdomError,
-    SplitMismatchError,
-)
+from .errors import CouplingError, LmiInfeasibleError, NumericalError, PdomError
 from .interconnect import closed_loop_certificate, coupling_condition
 from .lti import DominanceCertificate, _check_claim, check_dominance, construct_certificate, eigen_split_test
 from .model import LureSystem, _json_object
@@ -146,21 +145,31 @@ def _parse_vector(text: str) -> np.ndarray:
     return vector
 
 
-def cmd_analyze(args, report: RunReport) -> int:
-    report.inputs = {"lambda": args.rate, "p": args.p}
-    system = _load_system(args.system, report.inputs)
-    split = eigen_split_test(system, args.rate, args.p)
+def _dominance(system, rate: float, p: int, report: RunReport) -> DominanceCertificate | None:
+    """The claim (rate, p) as ``analyze`` decides it: the split verdict, then the constructed certificate and its
+    check, each recorded. Returns the certificate when all pass; a claim off the split or an inconclusive one is
+    a failed criterion, not an error."""
+    split = eigen_split_test(system, rate, p)
     report.verdicts.append({"check": "eigen_split", **split.to_dict()})
     if split.status == "inconclusive":
         report.warnings.append("split inconclusive: an eigenvalue sits on the shifted axis")
-        return EXIT_CRITERION_FAILED
-    if split.status == "fail":
-        return EXIT_CRITERION_FAILED
-    cert = construct_certificate(system, args.rate, args.p)
+    if not split.passed:
+        return None
+    try:
+        cert = construct_certificate(system, rate, p)
+    except ValueError as exc:  # the claim is well posed (checked above): the split rule refused it on the Schur form
+        report.warnings.append(f"split inconclusive: {exc}")
+        return None
     verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
     report.verdicts.append({"check": "dominance", **verdict.to_dict()})
-    return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
+    return cert if verdict.passed else None
+
+
+def cmd_analyze(args, report: RunReport) -> int:
+    report.inputs = {"lambda": args.rate, "p": args.p}
+    system = _load_system(args.system, report.inputs)
+    return EXIT_CRITERION_FAILED if _dominance(system, args.rate, args.p, report) is None else EXIT_OK
 
 
 def cmd_verify(args, report: RunReport) -> int:
@@ -188,16 +197,19 @@ def cmd_certify(args, report: RunReport) -> int:
     if args.passivity:
         cert = find_passivity_storage(system, args.rate, args.p)
         verdict = verify_dissipativity(system, cert)
+        report.certificates.append(cert.to_dict())
+        report.verdicts.append({"check": "dissipativity", **verdict.to_dict()})
+        if not verdict.passed:
+            return EXIT_CRITERION_FAILED
     else:
-        cert = construct_certificate(system, args.rate, args.p)
-        verdict = check_dominance(system, cert)
-    report.certificates.append(cert.to_dict())
-    report.verdicts.append({"check": "certificate", **verdict.to_dict()})
+        cert = _dominance(system, args.rate, args.p, report)
+        if cert is None:
+            return EXIT_CRITERION_FAILED
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(cert.to_dict(), fh, indent=2, sort_keys=True)
         report.metrics["certificate_file"] = args.out
-    return EXIT_OK if verdict.passed else EXIT_CRITERION_FAILED
+    return EXIT_OK
 
 
 def cmd_interconnect(args, report: RunReport) -> int:
@@ -367,11 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 # exception classes in the order they are matched, with exit code and stderr label
 _FAILURES = (
     ((NumericalError, LmiInfeasibleError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
-    (NonHyperbolicError, EXIT_CRITERION_FAILED, "inconclusive"),
-    (SplitMismatchError, EXIT_CRITERION_FAILED, "split mismatch"),
     (CouplingError, EXIT_CRITERION_FAILED, "interconnection failed"),
     # OSError: an input or output path that cannot be read or written
-    ((PdomError, ValueError, KeyError, OSError), EXIT_INPUT_ERROR, "input error"),
+    # RecursionError: pdom recurses only over the nesting of its inputs, so a stack overflow means one nests too deep
+    ((PdomError, ValueError, KeyError, OSError, RecursionError), EXIT_INPUT_ERROR, "input error"),
 )
 
 
@@ -389,7 +400,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         code = EXIT_INPUT_ERROR
         report.error = {"class": type(exc).__name__, "message": str(exc), "exit_code": code}
-    except (PdomError, ValueError, KeyError, OSError) as exc:
+    except (PdomError, ValueError, KeyError, OSError, RecursionError) as exc:
         for kinds, code, label in _FAILURES:
             if isinstance(exc, kinds):
                 break

@@ -70,11 +70,6 @@ class SupplyRate(_ValueEquality):
     def m(self) -> int:
         return self.R.shape[0]
 
-    def evaluate(self, y, u) -> float:
-        y = np.asarray(y, dtype=float).ravel()
-        u = np.asarray(u, dtype=float).ravel()
-        return float(y @ self.Q @ y + 2.0 * y @ self.L @ u + u @ self.R @ u)
-
     def scaled(self, tau: float) -> "SupplyRate":
         """Positive rescaling; dissipativity is preserved with storage tau*P.
 

@@ -13,18 +13,6 @@ class NumericalError(PdomError):
     """A numerical routine failed to converge or left its valid range."""
 
 
-class NonHyperbolicError(PdomError):
-    """An eigenvalue sits too close to the shifted imaginary axis.
-
-    The dominance test is inconclusive at this rate; callers should report
-    "inconclusive" rather than pass/fail.
-    """
-
-
-class SplitMismatchError(PdomError):
-    """The requested dominant dimension disagrees with the actual eigenvalue split."""
-
-
 class UnsupportedConfigurationError(PdomError):
     """A structurally valid input falls outside the supported configuration."""
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import DimensionError, NumericalError, SplitMismatchError
+from .errors import DimensionError, NumericalError
 from .model import LureSystem as LtiSystem, _json_object, _ValueEquality, as_model, state_matrix, vertex_family
 from .policy import LMI_TOL, RECON_TOL, SPLIT_TOL
 
@@ -131,10 +131,6 @@ class DifferentialVerdict:
         With the claimed inertia every failing vertex tops every passing one, so it is the first argmax of ``lmax``.
         """
         return None if self.witness_block is None else tuple(self.corners[self.lmax.argmax()].tolist())
-
-    @property
-    def failing_corners(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(map(tuple, self.corners[~self.vertex_passed].tolist()))
 
     def _rows(self, corners):
         """Each vertex's (corner, passed, status, lmax, split_ok) as plain Python values, the corners given."""
@@ -380,18 +376,24 @@ def check_dominance(sys: LtiSystem, cert: DominanceCertificate) -> DifferentialV
     return _family_verdict(sys, cert.P, cert.rate, cert.p, cert.epsilon)
 
 
-def _split_counts(matrices, lam: float):
-    """The split rule on each matrix A of a ``(k, n, n)`` stack, from one ``eigvals`` call per CPU-sized chunk.
+def _split_rule(shifted: np.ndarray):
+    """The one split rule, on the real parts ``shifted`` (last axis) of each spectrum of ``A + lam I``.
 
-    Returns per matrix the distance of ``A + lam I``'s spectrum from the imaginary axis, its
-    unstable count, and whether every eigenvalue clears ``SPLIT_TOL`` (inconclusive if not).
-    The vertex check reaches it only for vertices whose residual leaves the split open.
+    Returns per spectrum its distance from the imaginary axis, its unstable count, and whether
+    every eigenvalue clears ``SPLIT_TOL`` (inconclusive if not).
     """
-    shifted = mc._on_cores(np.linalg.eigvals, matrices).real + lam
     margin = np.min(np.abs(shifted), axis=-1, initial=np.inf)
     unstable = np.sum(shifted > SPLIT_TOL, axis=-1)
     conclusive = unstable + np.sum(shifted < -SPLIT_TOL, axis=-1) == shifted.shape[-1]
     return margin, unstable, conclusive
+
+
+def _split_counts(matrices, lam: float):
+    """:func:`_split_rule` on each matrix A of a ``(k, n, n)`` stack, from one ``eigvals`` call per CPU-sized chunk.
+
+    The vertex check reaches it only for vertices whose residual leaves the split open.
+    """
+    return _split_rule(mc._on_cores(np.linalg.eigvals, matrices).real + lam)
 
 
 def eigen_split_test(sys: LtiSystem, lam: float, p: int) -> SplitVerdict:
@@ -419,14 +421,18 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     Schur block, symmetrized. Both M are anti-Hurwitz, so both block storages are positive definite,
     and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``. It must pass the family verdict, and it
     carries a strictly positive margin. Refused: a Lur'e model (``state_matrix``), a claim that breaks
-    :func:`_check_claim`, a p off the split (:class:`SplitMismatchError`).
+    :func:`_check_claim`, and a claim that :func:`_split_rule` refuses on the diagonal of T (a
+    ``ValueError``: inconclusive, or a p off the split), which holds the real parts of its spectrum.
     """
     A = state_matrix(sys)
     n = A.shape[0]
     _check_claim(lam, p, n)
-    Q, T, unstable_dim = mc.schur_split(A, lam)
-    if unstable_dim != p:
-        raise SplitMismatchError(f"A + {lam:.6g} I has {unstable_dim} unstable eigenvalues, expected {p}")
+    Q, T, _ = mc.schur_split(A, lam)
+    _, unstable, conclusive = _split_rule(np.diagonal(T) + lam)
+    if not conclusive:
+        raise ValueError(f"an eigenvalue of A + {lam:.6g} I lies within {SPLIT_TOL:.1e} of the imaginary axis")
+    if unstable != p:
+        raise ValueError(f"A + {lam:.6g} I has {unstable} unstable eigenvalues, expected {p}")
     T1, T2 = T[:p, :p], T[p:, p:]
     W = Q
     if 0 < p < n:

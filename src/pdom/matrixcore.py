@@ -2,7 +2,8 @@
 
 Symmetric eigendecompositions (eigenvalues alone where no vector is read),
 ordered real Schur splits ``(Q, T, k)`` (LAPACK ``trsen`` on one real Schur
-form; :func:`pdom.lti.construct_certificate` decouples and solves on its blocks),
+form; :func:`pdom.lti.construct_certificate` applies the split rule to the
+diagonal of T, then decouples and solves on its blocks),
 Lyapunov/Sylvester solves (LAPACK ``trsyl`` on a real Schur form) and the
 matrix exponential, all with explicit residual checks against the fixed
 tolerances of :mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double
@@ -19,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonHyperbolicError, NumericalError
-from .policy import LYAP_SEP_TOL, RECON_TOL, SCHUR_FACTOR, SPLIT_TOL, SYM_TOL, ZTOL_REL
+from .errors import DimensionError, NumericalError
+from .policy import LYAP_SEP_TOL, RECON_TOL, SCHUR_FACTOR, SYM_TOL, ZTOL_REL
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -264,11 +265,10 @@ def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
     Returns ``(Q, T, k)``: eigenvalues of ``A + shift*I`` with positive real
     part lead the diagonal of T, and k is their count. One unsorted real Schur form
     (:func:`_real_schur`) gives the spectrum and, reordered by LAPACK
-    ``trsen``, the split. A shifted eigenvalue within ``SPLIT_TOL`` of the
-    imaginary axis makes the split non-hyperbolic and raises
-    :class:`NonHyperbolicError` (the dominance test is inconclusive at this
-    rate, not failed); a shift that is not finite is a ``ValueError``, and a
-    basis that lost orthogonality or fails to reconstruct A is a :class:`NumericalError`.
+    ``trsen``, the split. It only orders: whether the split is hyperbolic is
+    the caller's rule, read off the diagonal of T (the real parts of the
+    spectrum). A shift that is not finite is a ``ValueError``, and a basis
+    that lost orthogonality or fails to reconstruct A is a :class:`NumericalError`.
     """
     if not np.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift}")
@@ -278,13 +278,6 @@ def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
     from scipy.linalg.lapack import dtrsen
 
     T, Q, spectrum = _real_schur(mat)
-    distance = np.abs(spectrum.real + shift)
-    if np.any(distance <= SPLIT_TOL):
-        worst = spectrum[np.argmin(distance)]
-        raise NonHyperbolicError(
-            f"eigenvalue {worst:.6g} lies within {SPLIT_TOL:.1e} of the "
-            f"shifted axis Re = {-shift:.6g}"
-        )
     T, Q, _, _, sdim, _, _, info = dtrsen(spectrum.real + shift > 0, T, Q, job="N")
     if info != 0:
         raise NumericalError(f"Schur reordering failed (trsen info {info})")

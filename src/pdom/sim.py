@@ -67,10 +67,6 @@ class Trajectory:
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.states.shape[0])
 
-    @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
 
 def _read_only(values) -> np.ndarray:
     """``values`` as a float array that no one can write: itself if it is one already, else a read-only copy."""

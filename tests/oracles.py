@@ -8,7 +8,9 @@ is the state Jacobian at one point, which must lie in the hull of the vertex
 family, built from :func:`derivative`, the left derivative of a nonlinearity.
 :func:`block_split` factors A with the LAPACK calls that
 :func:`pdom.lti.construct_certificate` makes, so the measure and the tests
-that rebuild a certificate read the same split bit for bit.
+that rebuild a certificate read the same split bit for bit. :func:`supply_value`
+and :func:`failing_corners` compute, for the tests, a supply's value at one
+point and a verdict's failing corners.
 """
 
 from __future__ import annotations
@@ -51,6 +53,18 @@ def block_split(A, lam: float, p: int):
         V[:p, p:] = _trsyl(T[:p, :p], T[p:, p:], -T[:p, p:], isgn=-1)
         W = Q @ V
     return W, np.linalg.solve(W, np.eye(n)), T[:p, :p], T[p:, p:]
+
+
+def supply_value(supply, y, u) -> float:
+    """A supply's quadratic form ``y^T Q y + 2 y^T L u + u^T R u`` at one (y, u)."""
+    y = np.asarray(y, dtype=float).ravel()
+    u = np.asarray(u, dtype=float).ravel()
+    return float(y @ supply.Q @ y + 2.0 * y @ supply.L @ u + u @ supply.R @ u)
+
+
+def failing_corners(verdict) -> tuple[tuple[float, ...], ...]:
+    """The corners of a verdict's failing vertices, in family order."""
+    return tuple(map(tuple, verdict.corners[~verdict.vertex_passed].tolist()))
 
 
 def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from oracles import projective_measure, ratio_trace
 from pdom import registry, reproduce
 from pdom.cones import QuadraticCone, positivity_probe
 from pdom.dissipativity import dissipation_blocks, min_gain, supply_gain
-from pdom.errors import NonHyperbolicError, SplitMismatchError
 from pdom.interconnect import _loop_coupling, network, network_supply
 from pdom.lti import (
     LtiSystem,
@@ -141,7 +140,7 @@ class TestCriterion6Properties:
             assert verdict.passed
             assert inertia_of(cert.P).as_tuple() == (p, 0, n - p)
             wrong = p + 1 if p < n else p - 1
-            with pytest.raises((SplitMismatchError, NonHyperbolicError)):
+            with pytest.raises(ValueError, match="unstable eigenvalues"):
                 construct_certificate(lti_model(A), lam, wrong)
         print("PASS criterion 6a: split/certificate equivalence on 200 random systems")
 
@@ -296,7 +295,7 @@ class TestCriterion6Properties:
         errors = []
         for dt in (2e-2, 1e-2, 5e-3):
             traj = integrate(msd_c4, [1.0, 1.0], t_end=1.0, dt=dt)
-            errors.append(np.linalg.norm(traj.final_state - ref))
+            errors.append(np.linalg.norm(traj.states[-1] - ref))
         assert 12.0 < errors[0] / errors[1] < 20.0
         assert 12.0 < errors[1] / errors[2] < 20.0
         print("PASS criterion 6g: integrator shows fourth-order convergence")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pdom import cli, registry
+from pdom import matrixcore as mc
 
 
 @pytest.fixture()
@@ -244,6 +245,22 @@ class TestVerify:
         assert err.startswith("input error: ") and message in err and f"{file}.json" in err
         assert json.loads(report.read_text())["error"]["exit_code"] == 2
 
+    def test_model_nested_too_deep_is_input_error(self, tmp_path, capsys):
+        # 900 scaled wrappers decode, and building the model then ran out of stack: a traceback, exit 1, no report
+        sigma = {"kind": "cubic_saturated"}
+        for _ in range(900):
+            sigma = {"kind": "scaled", "factor": 1.0, "base": sigma}
+        channel = {"g": [0, 0.01], "h": [1, 0], "sigma": sigma, "alpha": -3, "beta": 1}
+        system = tmp_path / "deep.json"
+        system.write_text(json.dumps({"A": [[0, 1], [-1, -8]], "B": [[0], [1]], "C": [[1, 0]], "channels": [channel]}))
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 1, "p": 1}))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "verify", str(system), str(cert)]) == 2
+        assert capsys.readouterr().err.startswith("input error: maximum recursion depth exceeded")
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "RecursionError" and error["exit_code"] == 2
+
     @pytest.mark.parametrize("supply", [None, {"kind": "passivity"}], ids=["dominance", "dissipativity"])
     def test_claimed_p_null_is_input_error(self, tmp_path, capsys, supply):
         # int(None) would raise a TypeError: exit 1 with a traceback and no report
@@ -422,10 +439,66 @@ class TestCertify:
         error = json.loads(report.read_text())["error"]
         assert error["class"] == "ValueError" and error["exit_code"] == 2
 
-    def test_split_mismatch_is_a_failed_check(self, capsys):
-        # msd-c4 has one unstable eigenvalue at this rate, so the requested 2-split fails
-        assert cli.main(["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"]) == 1
-        assert "split mismatch" in capsys.readouterr().err
+    def test_split_mismatch_is_a_failed_check(self, tmp_path, capsys):
+        # msd-c4 has one unstable eigenvalue at this rate, so the requested 2-split fails: a verdict, not an error
+        report, out = tmp_path / "r.json", tmp_path / "cert.json"
+        argv = ["--report", str(report), "certify", "msd-c4", "--lambda", "1.2679", "--p", "2", "--out", str(out)]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "eigen_split: fail\n" and captured.err == ""
+        data = json.loads(report.read_text())
+        assert "error" not in data and data["certificates"] == [] and data["warnings"] == []
+        [split] = data["verdicts"]
+        assert split["check"] == "eigen_split" and split["status"] == "fail"
+        assert (split["unstable_count"], split["requested_p"]) == (1, 2)
+        assert not out.exists()
+
+    def test_split_the_schur_form_refuses_is_inconclusive(self, tmp_path, monkeypatch, capsys):
+        # eigvals and the Schur form compute the spectrum apart: where eigvals clears the axis and T's diagonal
+        # does not, the claim is inconclusive (exit 1, a warning), never an input error
+        original = mc.schur_split
+
+        def near_axis(A, shift):  # msd-c4's unstable eigenvalue at this rate moved to 5e-8 off the axis
+            Q, T, k = original(A, shift)
+            T = T.copy()
+            T[0, 0] = -shift + 5e-8
+            return Q, T, k
+
+        monkeypatch.setattr(mc, "schur_split", near_axis)
+        for verb in ("analyze", "certify"):
+            report = tmp_path / f"{verb}.json"
+            assert cli.main(["--report", str(report), verb, "msd-c4", "--lambda", "1.2679", "--p", "1"]) == 1
+            assert capsys.readouterr().err == ""
+            data = json.loads(report.read_text())
+            assert "error" not in data and data["certificates"] == []
+            assert [v["status"] for v in data["verdicts"]] == ["pass"]
+            assert data["warnings"] == ["split inconclusive: an eigenvalue of A + 1.2679 I lies within 1.0e-07 of "
+                                        "the imaginary axis"]
+
+    @pytest.mark.parametrize(
+        "system, rate",
+        [(name, rate) for name in ("msd-c4", "msd-c8") for rate in ("0", "0.5", "1.2679", "3")]
+        + [("msd-c4", "0.26794919243112281"), ("on-axis", "0")],
+    )
+    def test_certify_decides_as_analyze(self, tmp_path, capsys, system, rate):
+        # the same exit code, split verdict, certificate, check and warnings for every p; on-axis splits 1e-8, -1e-8
+        inconclusive = system == "on-axis" or rate == "0.26794919243112281"  # an eigenvalue on the shifted axis
+        if system == "on-axis":
+            system = str(tmp_path / "on_axis.json")
+            pathlib.Path(system).write_text(json.dumps({"A": [[1e-8, 0], [0, -1e-8]], "B": [[0], [0]], "C": [[0, 0]]}))
+        codes = set()
+        for p in range(3):
+            runs = []
+            for verb in ("analyze", "certify"):
+                report = tmp_path / f"{verb}.json"
+                code = cli.main(["--report", str(report), verb, system, "--lambda", rate, "--p", str(p)])
+                data = json.loads(report.read_text())
+                runs.append((code, data["verdicts"], data["certificates"], data["warnings"], data.get("error")))
+            assert runs[0] == runs[1]
+            assert runs[0][1][0]["check"] == "eigen_split"
+            codes.add(runs[0][0])
+        capsys.readouterr()
+        assert codes == ({1} if inconclusive else {0, 1})
 
 
 class TestInterconnect:
@@ -729,7 +802,7 @@ class TestRunReport:
         [
             (["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"], 0, None),
             (["simulate", "nl-msd", "--x0", "1,1", "--t", "10"], 0, None),
-            (["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"], 1, "SplitMismatchError"),
+            (["certify", "msd-c4", "--lambda", "1.2679", "--p", "2"], 1, None),
             (["verify", "nosuch.json", "nosuch2.json"], 2, "PdomError"),
             (["certify", "msd-c8", "--lambda", "1.2679", "--p", "0", "--passivity"], 3, "LmiInfeasibleError"),
             (["certify", "msd-c4", "--lambda", "1.2679", "--p", "1", "--out", "no_such_dir/x.json"], 2,

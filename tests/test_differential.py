@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic
-from oracles import derivative, jacobian
+from oracles import derivative, failing_corners, jacobian
 from pdom import lti
 from pdom import matrixcore as mc
 from pdom import registry
@@ -113,7 +113,7 @@ class TestLureSystem:
             model(tabulated([-30.0, None, 30.0], [-30.0, 20.0, 1020.0]), -np.inf, np.inf)
         # with the true bounds the storage that passed on the narrow claim fails at the steep corner
         verdict = _claim(model(steep, 1.0, 100.0), [[1.5, 0.5], [0.5, 1.0]], 0.0, 0)
-        assert not verdict.passed and verdict.failing_corners == ((100.0,),)
+        assert not verdict.passed and failing_corners(verdict) == ((100.0,),)
 
     def test_slope_bound_validation(self):
         with pytest.raises(ValueError):
@@ -346,7 +346,7 @@ class TestCertificateChecksOnTheFamily:
         assert check_dominance(lti_model(sys.A), cert).passed  # the slope-0 matrix A alone passes
         verdict = check_dominance(sys, cert)
         assert not verdict.passed and verdict.status == "residual_violation"
-        assert verdict.failing_corners == ((-3.0,),)
+        assert failing_corners(verdict) == ((-3.0,),)
         assert verdict == check_diff_dominance(sys, cert.P, cert.rate)  # P's inertia gives p = 1
 
     def test_dissipativity_fails_at_the_upper_corner(self):
@@ -356,7 +356,7 @@ class TestCertificateChecksOnTheFamily:
         assert verify_dissipativity(LureSystem(A=sys.A, B=sys.B, C=sys.C), cert).passed  # A alone passes
         verdict = verify_dissipativity(sys, cert)
         assert not verdict.passed and verdict.status == "residual_violation"
-        assert verdict.failing_corners == ((1.0,),)
+        assert failing_corners(verdict) == ((1.0,),)
         assert verdict == check_diff_dissipativity(sys, cert.P, cert.rate, supply)  # P's inertia gives p = 1
 
 
@@ -511,7 +511,7 @@ class TestVerdictColumns:
             assert verdict.vertices == records
             assert verdict.status == next((v.status for v in records if not v.passed), "pass")
             assert verdict.passed is all(v.passed for v in records)
-            assert verdict.failing_corners == tuple(v.corner for v in records if not v.passed)
+            assert failing_corners(verdict) == tuple(v.corner for v in records if not v.passed)
             expected = None
             if verdict.status == "residual_violation":
                 expected = max((v for v in records if not v.passed), key=lambda v: v.lmax).corner
@@ -732,7 +732,7 @@ class TestDiffDominance:
         assert outcomes[-2.0] is True
         assert outcomes[-0.5] is False
         assert not verdict.passed
-        assert verdict.failing_corners == ((-0.5,),)
+        assert failing_corners(verdict) == ((-0.5,),)
         # frozen residuals: [[s, s-3], [s-3, -15]] at the two corners
         from pdom.lti import residual
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic
+from oracles import supply_value
 from pdom import matrixcore as mc
 from pdom import registry
 from pdom.dissipativity import (
@@ -24,7 +25,7 @@ RATE = registry.KNOWN_RATE
 class TestNamedSupplies:
     def test_passivity_scalar(self):
         s = supply_passivity(1)
-        assert s.evaluate([1.0], [-1.0]) == -2.0
+        assert supply_value(s, [1.0], [-1.0]) == -2.0
 
     def test_passivity_two_channel(self):
         s = supply_passivity(2)
@@ -35,8 +36,8 @@ class TestNamedSupplies:
     def test_gain_forms(self):
         s = supply_gain(0.3, 1, 1)
         assert s.R[0, 0] == pytest.approx(0.09)
-        assert supply_gain(0.0, 1, 1).evaluate([2.0], [5.0]) == -4.0
-        assert supply_gain(1.0, 1, 1).evaluate([1.0], [1.0]) == 0.0
+        assert supply_value(supply_gain(0.0, 1, 1), [2.0], [5.0]) == -4.0
+        assert supply_value(supply_gain(1.0, 1, 1), [1.0], [1.0]) == 0.0
 
     @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), 1e200, np.float64(1e155), -0.1])
     def test_gain_refuses_nan_negative_and_overflowing_bounds(self, gamma):
@@ -117,7 +118,7 @@ class TestDissipativityBlock:
             u = rng.standard_normal(m)
             xdot = sys.A @ x + sys.B @ u
             y = sys.C @ x + sys.D @ u
-            lhs = 2 * xdot @ P @ x + 2 * lam * x @ P @ x + 0.1 * x @ x - supply.evaluate(y, u)
+            lhs = 2 * xdot @ P @ x + 2 * lam * x @ P @ x + 0.1 * x @ x - supply_value(supply, y, u)
             z = np.concatenate([x, u])
             assert lhs == pytest.approx(z @ block @ z, rel=1e-9, abs=1e-9)
 
@@ -383,7 +384,7 @@ class TestPointwiseEquivalence:
                 x, u = z[:n], z[n:]
                 xdot = A @ x + B @ u
                 y = C @ x
-                lhs = 2 * xdot @ cert.P @ x + 2 * lam * (x @ cert.P @ x) - supply.evaluate(y, u)
+                lhs = 2 * xdot @ cert.P @ x + 2 * lam * (x @ cert.P @ x) - supply_value(supply, y, u)
                 worst = max(worst, lhs)
             if w[-1] <= 0:
                 assert worst <= 1e-8 * scale

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic
+from oracles import supply_value
 from pdom import registry
 from pdom.differential import check_diff_dominance
 from pdom.dissipativity import (
@@ -172,8 +173,8 @@ class TestNetworkSupply:
             v1, v2 = rng.standard_normal(r2), rng.standard_normal(r1)
             u1 = -y2 + v1
             u2 = y1 + v2
-            direct = s1.evaluate(y1, u1) + s2.evaluate(y2, u2)
-            stacked = composed.evaluate(np.concatenate([y1, y2]), np.concatenate([v1, v2]))
+            direct = supply_value(s1, y1, u1) + supply_value(s2, y2, u2)
+            stacked = supply_value(composed, np.concatenate([y1, y2]), np.concatenate([v1, v2]))
             assert direct == pytest.approx(stacked, rel=1e-9, abs=1e-9)
 
     def test_network_pointwise_identity(self, rng):
@@ -189,8 +190,8 @@ class TestNetworkSupply:
             y, v = rng.standard_normal(rs.sum()), rng.standard_normal(ms.sum())
             u = M @ y + v
             y_at, u_at = np.cumsum(rs)[:-1], np.cumsum(ms)[:-1]
-            direct = sum(s.evaluate(yi, ui) for s, yi, ui in zip(supplies, np.split(y, y_at), np.split(u, u_at)))
-            assert direct == pytest.approx(composed.evaluate(y, v), rel=1e-9, abs=1e-9)
+            direct = sum(supply_value(s, yi, ui) for s, yi, ui in zip(supplies, np.split(y, y_at), np.split(u, u_at)))
+            assert direct == pytest.approx(supply_value(composed, y, v), rel=1e-9, abs=1e-9)
 
     def test_misshaped_coupling_rejected(self):
         s = supply_passivity(1)

@@ -6,7 +6,7 @@ from oracles import block_split
 from pdom import registry
 from pdom import lti
 from pdom import matrixcore as mc
-from pdom.errors import DimensionError, NonHyperbolicError, NumericalError, SplitMismatchError
+from pdom.errors import DimensionError, NumericalError
 from pdom.lti import (
     DominanceCertificate,
     LtiSystem,
@@ -17,6 +17,7 @@ from pdom.lti import (
     residual,
 )
 from pdom.matrixcore import inertia_of
+from pdom.policy import SPLIT_TOL
 
 RATE = registry.KNOWN_RATE
 
@@ -300,6 +301,12 @@ class TestConstructCertificate:
         assert calls == [(2, 2, 2)]
         assert check_dominance(msd_c4, cert).passed
 
+    @pytest.mark.parametrize("p", [0, 1, 2])
+    def test_non_hyperbolic_refused(self, p):
+        # A + I has the eigenvalue 0: the split rule on T's diagonal refuses every p
+        with pytest.raises(ValueError, match="imaginary axis"):
+            construct_certificate(lti_model(np.diag([-1.0, -2.0])), 1.0, p)
+
     def test_nan_rate_rejected(self, msd_c4):
         with pytest.raises(ValueError, match="finite"):
             construct_certificate(msd_c4, np.nan, 1)
@@ -316,8 +323,44 @@ class TestConstructCertificate:
             assert check_dominance(lti_model(A), cert).passed
             wrong = p + 1 if p < n else p - 1
             assert not eigen_split_test(lti_model(A), lam, wrong).passed
-            with pytest.raises((SplitMismatchError, NonHyperbolicError)):
+            with pytest.raises(ValueError, match="unstable eigenvalues"):
                 construct_certificate(lti_model(A), lam, wrong)
+
+
+class TestNearAxisBattery:
+    """One eigenvalue at -lam + delta, delta in {0, +-5e-8, +-1e-7, +-2e-7}, in random coordinates V: the claims the
+    split rule decides by rounding. eigvals and the Schur form may disagree there; the construction follows its own
+    Schur form."""
+
+    DELTAS = (0.0, 5e-8, -5e-8, 1e-7, -1e-7, 2e-7, -2e-7)
+
+    def test_refuses_exactly_what_the_rule_refuses_on_the_schur_form(self):
+        rng = np.random.default_rng(37)
+        seen = {"refused": 0, "certified": 0, "numerical": 0}
+        for i in range(700):
+            n = int(rng.integers(2, 9))
+            lam = float(rng.uniform(0.0, 2.0))
+            others = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.3, 3.0, n - 1)
+            V = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+            A = V @ np.diag([self.DELTAS[i % 7], *others]) @ np.linalg.inv(V) - lam * np.eye(n)
+            p = int(np.sum(others > 0) + rng.integers(0, 2))
+            if p > n:
+                continue
+            shifted = np.diagonal(mc.schur_split(A, lam)[1]) + lam  # the real parts of A + lam I's spectrum
+            refused = np.min(np.abs(shifted)) <= SPLIT_TOL or np.sum(shifted > SPLIT_TOL) != p
+            try:
+                cert = construct_certificate(lti_model(A), lam, p)
+            except ValueError:
+                assert refused
+                seen["refused"] += 1
+                continue
+            except NumericalError:
+                assert not refused
+                seen["numerical"] += 1
+                continue
+            assert not refused and check_dominance(lti_model(A), cert).passed
+            seen["certified"] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 def _split_battery(rng):

@@ -7,7 +7,7 @@ from pdom import matrixcore as mc
 from oracles import block_split
 from pdom.lti import _split_counts
 from pdom.policy import RECON_TOL
-from pdom.errors import DimensionError, NonHyperbolicError, NumericalError
+from pdom.errors import DimensionError, NumericalError
 
 
 class TestSymEigen:
@@ -269,9 +269,11 @@ class TestSchurSplit:
         _, _, unstable = mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
         assert unstable == 1
 
-    def test_non_hyperbolic_raises(self):
-        with pytest.raises(NonHyperbolicError):
-            mc.schur_split(np.diag([-1.0, -2.0]), 1.0)
+    def test_non_hyperbolic_is_only_ordered(self):
+        # whether the split is hyperbolic is construct_certificate's rule, read off T's diagonal
+        Q, T, unstable = mc.schur_split(np.diag([-1.0, -2.0]), 1.0)
+        assert unstable == 0 and sorted(np.diagonal(T)) == [-2.0, -1.0]
+        assert np.allclose(Q @ T @ Q.T, np.diag([-1.0, -2.0]))
 
     @pytest.mark.parametrize("shift", [np.nan, np.inf])
     def test_non_finite_shift_rejected(self, shift):

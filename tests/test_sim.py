@@ -31,22 +31,22 @@ from pdom.sim import (
 class TestIntegrate:
     def test_scalar_decay(self):
         traj = integrate(lti_model(np.array([[-1.0]])), [1.0], t_end=1.0, dt=1e-3)
-        assert traj.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
+        assert traj.states[-1][0] == pytest.approx(np.exp(-1.0), abs=1e-9)
 
     def test_lti_matches_expm(self, msd_c4):
         traj = integrate(msd_c4, [1.0, 1.0], t_end=1.0, dt=1e-3)
         ref = expm(msd_c4.A, 1.0) @ np.array([1.0, 1.0])
-        assert np.linalg.norm(traj.final_state - ref) <= 1e-6 * np.linalg.norm(ref)
+        assert np.linalg.norm(traj.states[-1] - ref) <= 1e-6 * np.linalg.norm(ref)
 
     def test_hurwitz_decay_to_origin(self, msd_c4):
         traj = integrate(msd_c4, [1.0, 1.0], t_end=40.0, dt=1e-3, record_every=10)
-        assert np.linalg.norm(traj.final_state) < 1e-4
+        assert np.linalg.norm(traj.states[-1]) < 1e-4
 
     def test_nonlinear_equilibrium(self):
         # unforced oscillator settles where the spring force and velocity vanish
         sys = registry.nonlinear_msd("velocity", "cubic")
         traj = integrate(sys, [1.0, 1.0], t_end=60.0, dt=1e-3, record_every=10)
-        x1, x2 = traj.final_state
+        x1, x2 = traj.states[-1]
         assert abs(float(sys.channels[0].sigma(x1))) < 1e-6
         assert abs(x2) < 1e-6
 
@@ -54,7 +54,7 @@ class TestIntegrate:
         # xdot = -x + 1 settles at 1
         sys = LtiSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[0.0]])
         traj = integrate(sys, [0.0], t_end=20.0, dt=1e-3, input_policy=[1.0], record_every=10)
-        assert traj.final_state[0] == pytest.approx(1.0, abs=1e-6)
+        assert traj.states[-1][0] == pytest.approx(1.0, abs=1e-6)
         assert traj.inputs is not None and traj.inputs[0][0] == 1.0
 
     @pytest.mark.parametrize("rows", [1, 70], ids=["generated-step", "numpy-loop"])
@@ -89,7 +89,7 @@ class TestIntegrate:
         x0 = np.array([[1.0, 1.0], [0.0, 1.0]])
         trajs = integrate_batch(sys, x0, t_end=60.0, dt=1e-2)
         assert trajs[0].truncated and not trajs[1].truncated
-        assert trajs[1].final_state[1] == pytest.approx(np.exp(-60.0), abs=1e-12)
+        assert trajs[1].states[-1][1] == pytest.approx(np.exp(-60.0), abs=1e-12)
 
     def test_non_finite_start_rows_cut_at_first_record(self):
         loop = registry.nonlinear_loop()
@@ -180,7 +180,7 @@ class TestIntegrate:
         errors = []
         for dt in (2e-2, 1e-2, 5e-3):
             traj = integrate(msd_c4, [1.0, 1.0], t_end=1.0, dt=dt)
-            errors.append(np.linalg.norm(traj.final_state - ref))
+            errors.append(np.linalg.norm(traj.states[-1] - ref))
         assert 12.0 < errors[0] / errors[1] < 20.0
         assert 12.0 < errors[1] / errors[2] < 20.0
 
@@ -536,7 +536,7 @@ class TestReadOnlyRecords:
     def test_a_write_into_a_returned_trajectory_raises(self, msd_c4, rows):
         trajs = integrate_batch(msd_c4, np.ones((rows, 2)), t_end=1.0, dt=1e-2, input_policy=[0.5])
         for traj in trajs:
-            for array in (traj.states, traj.inputs, traj.final_state):
+            for array in (traj.states, traj.inputs):
                 with pytest.raises(ValueError, match="read-only"):
                     array[0] = 0.0
             # the integrator's records are kept, not copied
