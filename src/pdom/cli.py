@@ -41,13 +41,14 @@ from . import registry, reproduce
 from .dissipativity import (
     DissipativityCertificate,
     SupplyRate,
+    _find_passivity_storage,
     find_passivity_storage,
     supply_passivity,
     verify_dissipativity,
 )
 from .errors import CouplingError, LmiInfeasibleError, NumericalError, PdomError
 from .interconnect import closed_loop_certificate, coupling_condition
-from .lti import DominanceCertificate, _check_claim, check_dominance, construct_certificate, eigen_split_test
+from .lti import DominanceCertificate, _check_claim, _construct_certificate, check_dominance, eigen_split_test
 from .model import LureSystem, _json_object
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
 
@@ -146,9 +147,9 @@ def _parse_vector(text: str) -> np.ndarray:
 
 
 def _dominance(system, rate: float, p: int, report: RunReport) -> DominanceCertificate | None:
-    """The claim (rate, p) as ``analyze`` decides it: the split verdict, then the constructed certificate and its
-    check, each recorded. Returns the certificate when all pass; a claim off the split or an inconclusive one is
-    a failed criterion, not an error."""
+    """The claim (rate, p) as ``analyze`` decides it: the split verdict, then the constructed certificate and the
+    check its construction passed, each recorded. Returns the certificate; a claim off the split or an inconclusive
+    one is a failed criterion (None), not an error, and a certificate that fails its check a ``NumericalError``."""
     split = eigen_split_test(system, rate, p)
     report.verdicts.append({"check": "eigen_split", **split.to_dict()})
     if split.status == "inconclusive":
@@ -156,14 +157,13 @@ def _dominance(system, rate: float, p: int, report: RunReport) -> DominanceCerti
     if not split.passed:
         return None
     try:
-        cert = construct_certificate(system, rate, p)
+        cert, verdict = _construct_certificate(system, rate, p)  # the verdict it checked its storage by
     except ValueError as exc:  # the claim is well posed (checked above): the split rule refused it on the Schur form
         report.warnings.append(f"split inconclusive: {exc}")
         return None
-    verdict = check_dominance(system, cert)
     report.certificates.append(cert.to_dict())
     report.verdicts.append({"check": "dominance", **verdict.to_dict()})
-    return cert if verdict.passed else None
+    return cert
 
 
 def cmd_analyze(args, report: RunReport) -> int:
@@ -195,12 +195,9 @@ def cmd_certify(args, report: RunReport) -> int:
     report.inputs = {"lambda": args.rate, "p": args.p, "passivity": args.passivity}
     system = _load_system(args.system, report.inputs)
     if args.passivity:
-        cert = find_passivity_storage(system, args.rate, args.p)
-        verdict = verify_dissipativity(system, cert)
+        cert, verdict = _find_passivity_storage(system, args.rate, args.p)  # the verdict that re-verified it
         report.certificates.append(cert.to_dict())
         report.verdicts.append({"check": "dissipativity", **verdict.to_dict()})
-        if not verdict.passed:
-            return EXIT_CRITERION_FAILED
     else:
         cert = _dominance(system, args.rate, args.p, report)
         if cert is None:

@@ -207,6 +207,11 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
     that is not finite and nonnegative, or a p outside [0, n], is a
     ``ValueError``.
     """
+    return _find_passivity_storage(sys, lam, p)[0]
+
+
+def _find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> tuple[DissipativityCertificate, DifferentialVerdict]:
+    """:func:`find_passivity_storage`, with the passing verdict that re-verified the certificate."""
     from . import lmi  # deferred: keep module import costs flat
 
     A = state_matrix(sys)
@@ -239,4 +244,4 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
                 message="engine output failed re-verification",
             )
         )
-    return cert
+    return cert, verdict

@@ -11,6 +11,13 @@ Vandenberghe & Boyd, SIAM Review, 1996) then takes Newton steps from c = 0 on
 iterate that meets every block with margin epsilon, or when the Lagrange dual
 bound (``t - m/mu`` at a central point, m the summed block dimensions plus
 one) is positive, which proves that no storage in the ball meets the margin.
+The start has unit slack on the worst block, and mu starts where the first
+centre's gap m/mu is 1 % of the larger of that slack and the start's
+violation ``max_j lmax(F_j(P_part)) + epsilon``: a first centre as wide as
+the distance t has to fall is discarded once mu grows, and one scaled to the
+violation keeps a badly scaled start from a long damped phase. A singular
+Newton system, like a slack or a ball slack that loses positivity to
+rounding, ends the search, and the final check decides.
 
 Blocks and equality maps take a ``(..., n, n)`` stack of P and return the
 stack of their values. The engine calls each block once on ``P_part`` and
@@ -210,10 +217,13 @@ def solve(problem: LmiProblem) -> np.ndarray:
     radius = _RADIUS * max(1.0, float(np.linalg.norm(P_part)))
     block_dims = sum(S0.shape[0] for S0, _ in slacks)
 
-    # start at c = 0 with unit slack on the worst block and a gap estimate of 1
+    # start at c = 0 with unit slack on the worst block; the first centre's gap
+    # (block_dims + 1) / mu is 1 % of that slack or of the start's violation,
+    # whichever is larger
+    violation = -min(float(mc.sym_eigen(S0)[0][0]) for S0, _ in slacks)
     x = np.zeros(d + 1)
-    x[-1] = 1.0 - min(float(mc.sym_eigen(S0)[0][0]) for S0, _ in slacks)
-    mu = float(block_dims + 1)
+    x[-1] = 1.0 + violation
+    mu = _MU_GROWTH * (block_dims + 1) / max(1.0, violation)
     bound = None
     # the step's large arrays, allocated once: a fresh one each step costs its page faults
     work = [(np.empty(gens.shape), np.empty(gens.shape)) for _, gens in slacks]
@@ -222,9 +232,10 @@ def solve(problem: LmiProblem) -> np.ndarray:
         c, t = x[:-1], x[-1]
         spectra = [mc.sym_eigen(S0 + (x @ gens.reshape(d + 1, -1)).reshape(S0.shape)) for S0, gens in slacks]
         lowest = min(s[0] for s, _ in spectra)
-        # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack that is not
-        # positive has lost definiteness to rounding
-        if t - lowest < 0 or lowest <= 0:
+        rho = radius * radius - c @ c
+        # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack, or the ball's
+        # slack rho, that is not positive has lost definiteness to rounding
+        if t - lowest < 0 or lowest <= 0 or rho <= 0:
             break
         grad = np.zeros(d + 1)
         hess[...] = 0.0
@@ -234,7 +245,6 @@ def solve(problem: LmiProblem) -> np.ndarray:
             flat = np.matmul(L.T, np.matmul(gens, L, out=GL), out=D).reshape(d + 1, -1)
             grad -= flat[:, :: s.size + 1].sum(axis=1)
             hess += flat @ flat.T
-        rho = radius * radius - c @ c
         grad[:-1] += 2.0 * c / rho
         hess[:-1, :-1] += (4.0 / rho**2) * np.outer(c, c)
         hess.flat[: d * (d + 1) : d + 2] += 2.0 / rho
@@ -242,7 +252,10 @@ def solve(problem: LmiProblem) -> np.ndarray:
         # one factorization for the step at mu and for the change of step per unit of mu
         rhs = np.zeros((d + 1, 2))
         rhs[:, 0], rhs[-1, 1] = -grad, -1.0
-        step, per_mu = np.linalg.solve(hess, rhs).T
+        try:
+            step, per_mu = np.linalg.solve(hess, rhs).T
+        except np.linalg.LinAlgError:
+            break  # a singular Hessian is a numerical stall, as a slack that loses definiteness is
         decrement = float(np.sqrt(max(-grad @ step, 0.0)))
         if decrement < _CENTRED:
             if (block_dims + 1) / mu < LMI_TOL:

@@ -424,6 +424,15 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     :func:`_check_claim`, and a claim that :func:`_split_rule` refuses on the diagonal of T (a
     ``ValueError``: inconclusive, or a p off the split), which holds the real parts of its spectrum.
     """
+    return _construct_certificate(sys, lam, p)[0]
+
+
+def _construct_certificate(sys: LtiSystem, lam: float, p: int) -> tuple[DominanceCertificate, DifferentialVerdict]:
+    """:func:`construct_certificate`, with the family verdict it checked the storage by.
+
+    The verdict is taken at margin 0; with the one vertex passing it equals the verdict at the
+    certificate's margin ``epsilon = -lmax/2``, so a caller that reports it solves no second one.
+    """
     A = state_matrix(sys)
     n = A.shape[0]
     _check_claim(lam, p, n)
@@ -458,4 +467,4 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
         raise NumericalError("constructed storage lost its definiteness margin")
     if not verdict.passed:
         raise NumericalError(f"constructed certificate failed verification: {verdict.status}")
-    return DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p)
+    return DominanceCertificate(P=P, rate=lam, epsilon=epsilon, p=p), verdict

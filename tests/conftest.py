@@ -4,6 +4,16 @@ import pytest
 from pdom import LtiSystem, registry
 
 
+# a well-posed model whose Newton Hessian is singular on the search's second step (rate 5e4, p = 0)
+SINGULAR_HESSIAN_MODEL = {
+    "A": [[-51968.66566891053, 65408.43145298164, -55113.22714311038],
+          [-52258.85427890903, -50321.62704876259, -112498.13030353705],
+          [56797.117127461635, 122661.77552153388, -87504.91675612409]],
+    "B": [[-0.35467765129457984], [0.28873641320113763], [-0.8892890685057938]],
+    "C": [[-1975.0280458328346, 2799.7822223603175, -6092.660749219793]],
+}
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)

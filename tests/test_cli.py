@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from pdom import cli, registry
+from conftest import SINGULAR_HESSIAN_MODEL
+from pdom import cli, dissipativity, lti, registry
 from pdom import matrixcore as mc
 
 
@@ -418,6 +419,55 @@ class TestCertify:
         path.write_text(json.dumps({"A": [[1e308, 0], [0, -1e308]], "B": [[1], [0]], "C": [[1, 0]]}))
         assert cli.main(["certify", str(path), "--lambda", "0.5", "--p", "1", "--passivity"]) == 3
         assert "not finite" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_search_hessian_is_a_numerical_failure(self, tmp_path, capsys):
+        # a well-posed model whose Newton Hessian turns singular: a search that ended without a storage (exit 3),
+        # where numpy's LinAlgError, a ValueError, used to read as an input error (exit 2)
+        path, report = tmp_path / "singular.json", tmp_path / "r.json"
+        path.write_text(json.dumps(SINGULAR_HESSIAN_MODEL))
+        argv = ["--report", str(report), "certify", str(path), "--lambda", "50000", "--p", "0", "--passivity"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        error = json.loads(report.read_text())["error"]
+        assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
+        assert error["lmi"]["message"] == "barrier search ended without a storage" and error["lmi"]["gap_bound"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "msd-c4", "--lambda", "1.2679", "--p", "1"],
+            ["certify", "msd-c4", "--lambda", "1.2679", "--p", "1"],
+            ["certify", "msd-c8", "--lambda", "1.2679", "--p", "1", "--passivity"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_each_verdict_solved_once(self, tmp_path, monkeypatch, capsys, argv):
+        # the reported verdict is the one the construction or the search checked its storage by: one family
+        # verdict per run, equal to what the public check makes of the reported certificate
+        calls = []
+        family_verdict = lti._family_verdict
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return family_verdict(*args, **kwargs)
+
+        monkeypatch.setattr(lti, "_family_verdict", counted)
+        monkeypatch.setattr(dissipativity, "_family_verdict", counted)
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), *argv]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        data = json.loads(report.read_text())
+        [cert] = data["certificates"]
+        system = registry.builtin_system(argv[1])
+        if "--passivity" in argv:
+            check = dissipativity.verify_dissipativity(system, dissipativity.DissipativityCertificate.from_dict(cert))
+        else:
+            check = lti.check_dominance(system, lti.DominanceCertificate.from_dict(cert))
+        assert data["verdicts"][-1] == {"check": "dissipativity" if "--passivity" in argv else "dominance",
+                                         **json.loads(json.dumps(check.to_dict()))}
+        assert isinstance(data["verdicts"][-1]["rate"], float)
 
     @pytest.mark.parametrize(
         "argv",

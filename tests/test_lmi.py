@@ -6,10 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import lti_model, random_hyperbolic
-from pdom import lmi, registry
+from conftest import SINGULAR_HESSIAN_MODEL, lti_model, random_hyperbolic
+from pdom import LtiSystem, find_passivity_storage, lmi, registry, verify_dissipativity
+from pdom.differential import check_diff_dominance
 from pdom.errors import LmiInfeasibleError, NumericalError
 from pdom.lti import DominanceCertificate, check_dominance, construct_certificate, residual
+from pdom.model import vertex_family
 
 RATE = registry.KNOWN_RATE
 
@@ -155,6 +157,127 @@ def _planted_passivity(rng, n, p, m=2, lam=0.5, margin=0.1):
     A = np.linalg.solve(P, -margin * np.eye(n) + (K - K.T)) - lam * np.eye(n)
     B = rng.standard_normal((n, m))
     return A, B, (P @ B).T
+
+
+class TestNumericalStall:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_singular_hessian_ends_the_search(self, monkeypatch):
+        # the LinAlgError of a singular Newton system ends the search as a stall would: _finalize reports it
+        singular = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            try:
+                return solve(a, b)
+            except np.linalg.LinAlgError:
+                singular.append(a.shape)
+                raise
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        system = LtiSystem(**{key: np.array(value) for key, value in SINGULAR_HESSIAN_MODEL.items()})
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            find_passivity_storage(system, 5e4, 0)
+        report = excinfo.value.report
+        assert singular, "the model no longer reaches a singular Hessian"
+        assert report.message == "barrier search ended without a storage"
+        assert report.gap_bound is None and not report.proves_infeasible
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_ball_without_interior_ends_the_search(self, monkeypatch, msd_c8):
+        # a ball slack R^2 - |c|^2 that is not positive ends the search as a slack that lost definiteness does,
+        # before the barrier divides by it; a zero radius makes it zero at the first iterate
+        monkeypatch.setattr(lmi, "_RADIUS", 0.0)
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            find_passivity_storage(msd_c8, RATE, 1)
+        report = excinfo.value.report
+        assert (report.iterations, report.message) == (1, "barrier search ended without a storage")
+
+
+def _vertex_search(name, p, rate):
+    """One block per vertex of the built-in Lur'e model, residual(J, P, rate), inertia (p, 0, n - p), margin 1e-6."""
+    system = registry.builtin_system(name)
+    matrices, _ = vertex_family(system)
+    problem = lmi.LmiProblem(
+        dim=system.n,
+        blocks=[lambda P, J=J: residual(J, P, rate) for J in matrices],
+        inertia_target=(p, 0, system.n - p),
+        epsilon=1e-6,
+    )
+    return system, lmi.solve(problem)
+
+
+class TestVertexSearchTable:
+    """The vertex-family storage search: which rates have a uniform storage, and which provably have none."""
+
+    @pytest.mark.parametrize(
+        "name, p, rate",
+        [("nl-loop", 2, rate) for rate in (0.42, 0.43, 0.45, 0.5, 1, 3, 6, 7.5)]
+        + [("nl-msd", 1, rate) for rate in (0.4, 0.5, 1, 4, 7.5)]
+        + [("nl-msd-monotone", 0, rate) for rate in (0, 0.03, 0.06, 0.062)]
+        + [("nl-msd-monotone", 1, rate) for rate in (0.26, 0.3, 1, 7.7)],
+    )
+    def test_storage_found(self, name, p, rate):
+        system, P = _vertex_search(name, p, rate)
+        verdict = check_diff_dominance(system, P, rate)
+        assert verdict.passed and verdict.p == p
+
+    # each rate lies outside the model's necessary rate window, so no storage exists there; nl-loop at
+    # 0.402-0.41 is left out, as whether a storage exists there is open
+    @pytest.mark.parametrize(
+        "name, p, rate",
+        [("nl-loop", 2, 0.3), ("nl-loop", 2, 7.7), ("nl-msd", 1, 0.3), ("nl-msd", 1, 7.7), ("nl-msd-monotone", 0, 0.07)],
+    )
+    def test_no_storage_proved(self, name, p, rate):
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            _vertex_search(name, p, rate)
+        assert excinfo.value.report.proves_infeasible
+
+
+def _workload_planted(rng, n, p, m, margin, rate=0.5):
+    """The search benchmark's planted problem: a storage of inertia (p, 0, n - p) and norm 1 with P B = C^T and
+    residual -2 margin I; a unit skew coupling and a B of unit norm."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    mags = np.exp(rng.uniform(-0.5, 0.5, n))
+    P = Q @ np.diag(np.r_[-np.ones(p), np.ones(n - p)] * mags) @ Q.T / mags.max()
+    P = 0.5 * (P + P.T)
+    K = rng.standard_normal((n, n))
+    K -= K.T
+    A = np.linalg.solve(P, -margin * np.eye(n) + K / np.linalg.norm(K, 2)) - rate * np.eye(n)
+    B = rng.standard_normal((n, m))
+    B /= np.linalg.norm(B, 2)
+    return LtiSystem(A=A, B=B, C=(P @ B).T)
+
+
+class TestSearchSteps:
+    # the engine solved 651 slacks over this battery when its barrier weight started at (block dimensions + 1),
+    # a first centre as wide as the unit slack; one solve starts each search, and one more each Newton step
+    PARENT_SOLVES = 651
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_planted_battery_steps(self, monkeypatch):
+        rng = np.random.default_rng(38)
+        solves = [0]
+        sym_eigen = lmi.mc.sym_eigen
+
+        def counted(S):
+            solves[0] += 1
+            return sym_eigen(S)
+
+        monkeypatch.setattr(lmi.mc, "sym_eigen", counted)
+        for n in (4, 6, 10, 16):
+            for p in (0, 1, 2):
+                for m in (1, 2):
+                    for margin in (1e-1, 1e-2) * 2:  # two draws of each combination
+                        system = _workload_planted(rng, n, p, m, margin)
+                        cert = find_passivity_storage(system, 0.5, p)
+                        P = cert.P
+                        assert verify_dissipativity(system, cert).passed
+                        assert np.linalg.norm(P @ system.B - system.C.T) <= 1e-8 * np.linalg.norm(system.C)
+                        assert np.linalg.eigvalsh(residual(system.A, P, 0.5))[-1] < 0
+                        assert int(np.sum(np.linalg.eigvalsh(P) < 0)) == p
+        # the margin leaves room for BLAS rounding across numpy builds
+        assert solves[0] <= 0.85 * self.PARENT_SOLVES, solves[0]
 
 
 class TestStackedEvaluation:
