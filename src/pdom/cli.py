@@ -156,11 +156,7 @@ def _dominance(system, rate: float, p: int, report: RunReport) -> DominanceCerti
         report.warnings.append("split inconclusive: an eigenvalue sits on the shifted axis")
     if not split.passed:
         return None
-    try:
-        cert, verdict = _construct_certificate(system, rate, p)  # the verdict it checked its storage by
-    except ValueError as exc:  # the claim is well posed (checked above): the split rule refused it on the Schur form
-        report.warnings.append(f"split inconclusive: {exc}")
-        return None
+    cert, verdict = _construct_certificate(system, rate, p)  # the verdict it checked its storage by
     report.certificates.append(cert.to_dict())
     report.verdicts.append({"check": "dominance", **verdict.to_dict()})
     return cert
@@ -373,13 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the classes main reports, each an input error unless an earlier row of _FAILURES matches it. OSError: a path that
+# cannot be read or written; RecursionError: pdom recurses only over its inputs' nesting, so one nests too deep
+_REPORTED = (PdomError, ValueError, KeyError, OSError, RecursionError)
+
 # exception classes in the order they are matched, with exit code and stderr label
 _FAILURES = (
     ((NumericalError, LmiInfeasibleError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
     (CouplingError, EXIT_CRITERION_FAILED, "interconnection failed"),
-    # OSError: an input or output path that cannot be read or written
-    # RecursionError: pdom recurses only over the nesting of its inputs, so a stack overflow means one nests too deep
-    ((PdomError, ValueError, KeyError, OSError, RecursionError), EXIT_INPUT_ERROR, "input error"),
+    (_REPORTED, EXIT_INPUT_ERROR, "input error"),
 )
 
 
@@ -397,7 +395,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         code = EXIT_INPUT_ERROR
         report.error = {"class": type(exc).__name__, "message": str(exc), "exit_code": code}
-    except (PdomError, ValueError, KeyError, OSError, RecursionError) as exc:
+    except _REPORTED as exc:
         for kinds, code, label in _FAILURES:
             if isinstance(exc, kinds):
                 break

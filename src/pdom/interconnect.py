@@ -69,9 +69,10 @@ def network(parts, M) -> LureSystem:
         for j, other in enumerate(parts):
             M_ij = M[m[i]:m[i + 1], r[j]:r[j + 1]]
             if M_ij.any():
-                term = (part.B @ M_ij) @ other.C
-                # an off-diagonal block is the term itself, signed zeros included, not 0 + term
-                A[n[i]:n[i + 1], n[j]:n[j + 1]] = part.A + term if i == j else term
+                with np.errstate(over="ignore", invalid="ignore"):  # an overflow leaves A non-finite: the model refuses
+                    term = (part.B @ M_ij) @ other.C
+                    # an off-diagonal block is the term itself, signed zeros included, not 0 + term
+                    A[n[i]:n[i + 1], n[j]:n[j + 1]] = part.A + term if i == j else term
 
     def lift(ch: Channel, i: int) -> Channel:
         g, h = np.zeros(n[-1]), np.zeros(n[-1])

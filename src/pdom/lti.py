@@ -6,7 +6,7 @@ a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
 :func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test
-and constructs certificates from an ordered Schur split.
+and constructs certificates from an ordered Schur split, both on one unsorted Schur form's spectrum.
 ``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
@@ -202,8 +202,9 @@ def residual(A, P, lam: float) -> np.ndarray:
 
 def _residual(A: np.ndarray, P: np.ndarray, lam: float) -> np.ndarray:
     """:func:`residual`'s arithmetic, on A and P that its checks would pass."""
-    R = A.swapaxes(-1, -2) @ P + P @ A + 2.0 * lam * P
-    return 0.5 * (R + R.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite: the block check refuses it
+        R = A.swapaxes(-1, -2) @ P + P @ A + 2.0 * lam * P
+        return 0.5 * (R + R.swapaxes(-1, -2))
 
 
 def dissipation_blocks(R, sys, P, supply, epsilon: float = 0.0) -> np.ndarray:
@@ -231,13 +232,14 @@ def _dissipation_blocks(R, sys, P: np.ndarray, supply, epsilon: float) -> np.nda
     B, C, D = sys.B, sys.C, sys.D
     Q, L = supply.Q, supply.L
     n = sys.n
-    off_diag = P @ B - C.T @ L - C.T @ Q @ D
     blocks = np.empty((len(R), n + sys.m, n + sys.m))
-    blocks[:, :n, :n] = R - C.T @ Q @ C + epsilon * np.eye(n)
-    blocks[:, :n, n:] = off_diag
-    blocks[:, n:, :n] = off_diag.T
-    blocks[:, n:, n:] = -(D.T @ Q @ D) - L.T @ D - D.T @ L - supply.R
-    return 0.5 * (blocks + blocks.swapaxes(-1, -2))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite: the block check refuses it
+        off_diag = P @ B - C.T @ L - C.T @ Q @ D
+        blocks[:, :n, :n] = R - C.T @ Q @ C + epsilon * np.eye(n)
+        blocks[:, :n, n:] = off_diag
+        blocks[:, n:, :n] = off_diag.T
+        blocks[:, n:, n:] = -(D.T @ Q @ D) - L.T @ D - D.T @ L - supply.R
+        return 0.5 * (blocks + blocks.swapaxes(-1, -2))
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
@@ -278,12 +280,12 @@ def _vertex_splits(matrices, lam: float, p: int, inertia: mc.Inertia, negative: 
     (R < 0) or positive ones (R > 0). Both terms scale with P, so P and any
     positive multiple of it get the same answer. Every other vertex, and
     every vertex when P has an eigenvalue in the zero band, goes to
-    :func:`_split_counts`.
+    :func:`_split_rule`, its spectra from one ``eigvals`` call per CPU-sized chunk.
     """
     split_ok = (negative & (inertia.negative == p)) | (positive & (inertia.positive == p))
     undecided = ~(negative | positive) | (inertia.zero > 0)
     if undecided.any():
-        _, unstable, conclusive = _split_counts(matrices[undecided], lam)
+        _, unstable, conclusive = _split_rule(mc._on_cores(np.linalg.eigvals, matrices[undecided]).real + lam)
         split_ok[undecided] = conclusive & (unstable == p)
     return split_ok
 
@@ -388,24 +390,17 @@ def _split_rule(shifted: np.ndarray):
     return margin, unstable, conclusive
 
 
-def _split_counts(matrices, lam: float):
-    """:func:`_split_rule` on each matrix A of a ``(k, n, n)`` stack, from one ``eigvals`` call per CPU-sized chunk.
-
-    The vertex check reaches it only for vertices whose residual leaves the split open.
-    """
-    return _split_rule(mc._on_cores(np.linalg.eigvals, matrices).real + lam)
-
-
 def eigen_split_test(sys: LtiSystem, lam: float, p: int) -> SplitVerdict:
     """Spectral test: does ``A + lam I`` have exactly p strictly unstable eigenvalues?
 
     Returns "inconclusive" (distinct from "fail") when any shifted eigenvalue
-    sits within ``SPLIT_TOL`` of the imaginary axis. A rate that is not finite
+    sits within ``SPLIT_TOL`` of the imaginary axis, on the spectrum of A's unsorted real Schur form
+    that :func:`construct_certificate` splits. A rate that is not finite
     and nonnegative, or a p outside [0, n], is a ``ValueError``.
     """
     A = state_matrix(sys)
     _check_claim(lam, p, A.shape[0])
-    margin, unstable, conclusive = (v.item() for v in _split_counts(A[None], lam))
+    margin, unstable, conclusive = (v.item() for v in _split_rule(mc._real_schur(A)[2].real + lam))
     status = ("pass" if unstable == p else "fail") if conclusive else "inconclusive"
     return SplitVerdict(status, margin, unstable, p)
 
@@ -421,8 +416,8 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     Schur block, symmetrized. Both M are anti-Hurwitz, so both block storages are positive definite,
     and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``. It must pass the family verdict, and it
     carries a strictly positive margin. Refused: a Lur'e model (``state_matrix``), a claim that breaks
-    :func:`_check_claim`, and a claim that :func:`_split_rule` refuses on the diagonal of T (a
-    ``ValueError``: inconclusive, or a p off the split), which holds the real parts of its spectrum.
+    :func:`_check_claim`, and a claim that :func:`_split_rule` refuses on the unsorted Schur form's
+    spectrum (a ``ValueError``: inconclusive, or a p off the split), as :func:`eigen_split_test` does.
     """
     return _construct_certificate(sys, lam, p)[0]
 
@@ -436,8 +431,8 @@ def _construct_certificate(sys: LtiSystem, lam: float, p: int) -> tuple[Dominanc
     A = state_matrix(sys)
     n = A.shape[0]
     _check_claim(lam, p, n)
-    Q, T, _ = mc.schur_split(A, lam)
-    _, unstable, conclusive = _split_rule(np.diagonal(T) + lam)
+    Q, T, spectrum = mc.schur_split(A, lam)
+    _, unstable, conclusive = _split_rule(spectrum.real + lam)
     if not conclusive:
         raise ValueError(f"an eigenvalue of A + {lam:.6g} I lies within {SPLIT_TOL:.1e} of the imaginary axis")
     if unstable != p:

@@ -1,9 +1,9 @@
 """Dense real matrix kernel used by every verifier in the package.
 
 Symmetric eigendecompositions (eigenvalues alone where no vector is read),
-ordered real Schur splits ``(Q, T, k)`` (LAPACK ``trsen`` on one real Schur
-form; :func:`pdom.lti.construct_certificate` applies the split rule to the
-diagonal of T, then decouples and solves on its blocks),
+unsorted real Schur forms (LAPACK ``gees``) with the spectrum read off T, on
+which :mod:`pdom.lti` decides every split, ordered splits ``(Q, T, spectrum)``
+(LAPACK ``trsen`` on one such form, whose blocks the construction solves on),
 Lyapunov/Sylvester solves (LAPACK ``trsyl`` on a real Schur form) and the
 matrix exponential, all with explicit residual checks against the fixed
 tolerances of :mod:`pdom.policy`. Matrices are plain ``numpy.ndarray`` values in double
@@ -231,14 +231,15 @@ def inertia_of(S) -> Inertia:
 def _real_schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unsorted real Schur form ``mat = Z T Z^T`` as ``(T, Z, spectrum)``, the spectrum read off T.
 
+    One LAPACK ``gees`` with the workspace it asks for: the T and Z bits of ``scipy.linalg.schur``.
     LAPACK's 2x2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(-b c)``; its 1x1 blocks have c = 0.
     """
-    import scipy.linalg as sla
+    from scipy.linalg.lapack import dgees
 
-    try:
-        T, Z = sla.schur(mat, output="real")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"Schur decomposition failed: {exc}") from exc
+    lwork = int(dgees(lambda re, im: None, mat, lwork=-1)[-2][0])  # gees takes a selector even when it does not sort
+    T, _, _, _, Z, _, info = dgees(lambda re, im: None, mat, lwork=lwork)
+    if info != 0:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"Schur decomposition failed (gees info {info})")
     pair = np.sqrt(np.abs(np.diagonal(T, -1) * np.diagonal(T, 1)))
     imag = np.zeros(T.shape[0])
     imag[:-1] += pair
@@ -259,16 +260,15 @@ def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str = "N", isgn: 
     return X / scale
 
 
-def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
+def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Ordered real Schur form ``A = Q T Q^T`` splitting the spectrum of ``A + shift*I`` at the axis.
 
-    Returns ``(Q, T, k)``: eigenvalues of ``A + shift*I`` with positive real
-    part lead the diagonal of T, and k is their count. One unsorted real Schur form
-    (:func:`_real_schur`) gives the spectrum and, reordered by LAPACK
-    ``trsen``, the split. It only orders: whether the split is hyperbolic is
-    the caller's rule, read off the diagonal of T (the real parts of the
-    spectrum). A shift that is not finite is a ``ValueError``, and a basis
-    that lost orthogonality or fails to reconstruct A is a :class:`NumericalError`.
+    Returns ``(Q, T, spectrum)``: eigenvalues of ``A + shift*I`` with positive real
+    part lead the diagonal of T. One unsorted real Schur form (:func:`_real_schur`)
+    gives the spectrum, returned as read off it, and, reordered by LAPACK ``trsen``,
+    the split. It only orders: whether the split is hyperbolic is the caller's rule,
+    applied to that spectrum, not to T's reordered diagonal. A shift that is not finite
+    is a ``ValueError``, and a basis that lost orthogonality or fails to reconstruct A is a :class:`NumericalError`.
     """
     if not np.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift}")
@@ -278,7 +278,7 @@ def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
     from scipy.linalg.lapack import dtrsen
 
     T, Q, spectrum = _real_schur(mat)
-    T, Q, _, _, sdim, _, _, info = dtrsen(spectrum.real + shift > 0, T, Q, job="N")
+    T, Q, _, _, _, _, _, info = dtrsen(spectrum.real + shift > 0, T, Q, job="N")
     if info != 0:
         raise NumericalError(f"Schur reordering failed (trsen info {info})")
     orth = np.linalg.norm(Q.T @ Q - np.eye(mat.shape[0]), "fro")
@@ -287,7 +287,7 @@ def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, int]:
     recon = np.linalg.norm(Q @ T @ Q.T - mat, "fro")
     if recon > RECON_TOL * max(1.0, np.linalg.norm(mat, "fro")) * SCHUR_FACTOR:
         raise NumericalError(f"Schur reconstruction residual too large ({recon:.3e})")
-    return Q, T, int(sdim)
+    return Q, T, spectrum
 
 
 def lyapunov_solve(M, Q) -> np.ndarray:

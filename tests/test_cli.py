@@ -503,27 +503,31 @@ class TestCertify:
         assert (split["unstable_count"], split["requested_p"]) == (1, 2)
         assert not out.exists()
 
-    def test_split_the_schur_form_refuses_is_inconclusive(self, tmp_path, monkeypatch, capsys):
-        # eigvals and the Schur form compute the spectrum apart: where eigvals clears the axis and T's diagonal
-        # does not, the claim is inconclusive (exit 1, a warning), never an input error
-        original = mc.schur_split
+    def test_the_one_schur_form_decides_the_split(self, tmp_path, monkeypatch, capsys):
+        # the split verdict and the construction read one spectrum, the unsorted Schur form's: with msd-c4's unstable
+        # eigenvalue at this rate moved to 5e-8 off the axis there, both find the claim inconclusive (exit 1, a warning)
+        msd_c4, original = registry.builtin_system("msd-c4"), mc._real_schur
 
-        def near_axis(A, shift):  # msd-c4's unstable eigenvalue at this rate moved to 5e-8 off the axis
-            Q, T, k = original(A, shift)
-            T = T.copy()
-            T[0, 0] = -shift + 5e-8
-            return Q, T, k
+        def near_axis(mat):
+            T, Z, spectrum = original(mat)
+            spectrum = spectrum.copy()
+            spectrum[spectrum.real.argmax()] = -1.2679 + 5e-8
+            return T, Z, spectrum
 
-        monkeypatch.setattr(mc, "schur_split", near_axis)
+        assert lti.eigen_split_test(msd_c4, 1.2679, 1).passed
+        lti.construct_certificate(msd_c4, 1.2679, 1)
+        monkeypatch.setattr(mc, "_real_schur", near_axis)
+        assert lti.eigen_split_test(msd_c4, 1.2679, 1).status == "inconclusive"
+        with pytest.raises(ValueError, match="lies within 1.0e-07 of the imaginary axis"):
+            lti.construct_certificate(msd_c4, 1.2679, 1)
         for verb in ("analyze", "certify"):
             report = tmp_path / f"{verb}.json"
             assert cli.main(["--report", str(report), verb, "msd-c4", "--lambda", "1.2679", "--p", "1"]) == 1
             assert capsys.readouterr().err == ""
             data = json.loads(report.read_text())
             assert "error" not in data and data["certificates"] == []
-            assert [v["status"] for v in data["verdicts"]] == ["pass"]
-            assert data["warnings"] == ["split inconclusive: an eigenvalue of A + 1.2679 I lies within 1.0e-07 of "
-                                        "the imaginary axis"]
+            assert [v["status"] for v in data["verdicts"]] == ["inconclusive"]
+            assert data["warnings"] == ["split inconclusive: an eigenvalue sits on the shifted axis"]
 
     @pytest.mark.parametrize(
         "system, rate",

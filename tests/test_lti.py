@@ -329,24 +329,28 @@ class TestConstructCertificate:
 
 class TestNearAxisBattery:
     """One eigenvalue at -lam + delta, delta in {0, +-5e-8, +-1e-7, +-2e-7}, in random coordinates V: the claims the
-    split rule decides by rounding. eigvals and the Schur form may disagree there; the construction follows its own
-    Schur form."""
+    split rule decides by rounding. The split verdict and the construction read one spectrum, the unsorted Schur
+    form's, so they decide each of them alike."""
 
     DELTAS = (0.0, 5e-8, -5e-8, 1e-7, -1e-7, 2e-7, -2e-7)
 
-    def test_refuses_exactly_what_the_rule_refuses_on_the_schur_form(self):
-        rng = np.random.default_rng(37)
-        seen = {"refused": 0, "certified": 0, "numerical": 0}
-        for i in range(700):
+    @classmethod
+    def _claims(cls, rng, count):
+        """``(A, lam, p)`` for ``count`` draws: p is the count of the other unstable eigenvalues, or one more."""
+        for i in range(count):
             n = int(rng.integers(2, 9))
             lam = float(rng.uniform(0.0, 2.0))
             others = rng.choice([-1.0, 1.0], n - 1) * rng.uniform(0.3, 3.0, n - 1)
             V = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
-            A = V @ np.diag([self.DELTAS[i % 7], *others]) @ np.linalg.inv(V) - lam * np.eye(n)
+            A = V @ np.diag([cls.DELTAS[i % 7], *others]) @ np.linalg.inv(V) - lam * np.eye(n)
             p = int(np.sum(others > 0) + rng.integers(0, 2))
-            if p > n:
-                continue
-            shifted = np.diagonal(mc.schur_split(A, lam)[1]) + lam  # the real parts of A + lam I's spectrum
+            if p <= n:
+                yield A, lam, p
+
+    def test_refuses_exactly_what_the_rule_refuses_on_the_schur_form(self):
+        seen = {"refused": 0, "certified": 0, "numerical": 0}
+        for A, lam, p in self._claims(np.random.default_rng(37), 700):
+            shifted = mc.schur_split(A, lam)[2].real + lam  # the real parts of A + lam I's spectrum
             refused = np.min(np.abs(shifted)) <= SPLIT_TOL or np.sum(shifted > SPLIT_TOL) != p
             try:
                 cert = construct_certificate(lti_model(A), lam, p)
@@ -361,6 +365,22 @@ class TestNearAxisBattery:
             assert not refused and check_dominance(lti_model(A), cert).passed
             seen["certified"] += 1
         assert min(seen.values()) >= 30, seen
+
+    def test_split_verdict_passes_exactly_what_the_construction_accepts(self):
+        # a claim the split verdict passes is never refused by the construction, and one it does not pass always is
+        seen = {"inconclusive": 0, "fail": 0, "pass": 0}
+        for A, lam, p in self._claims(np.random.default_rng(39), 3000):
+            split = eigen_split_test(lti_model(A), lam, p)
+            try:
+                construct_certificate(lti_model(A), lam, p)
+                accepted = True
+            except ValueError:
+                accepted = False
+            except NumericalError:  # accepted, then failed its own check
+                accepted = True
+            assert split.passed == accepted, (split, lam, p)
+            seen[split.status] += 1
+        assert min(seen.values()) >= 300, seen
 
 
 def _split_battery(rng):
@@ -409,16 +429,16 @@ class TestOneFactorization:
         assert min(seen.values()) >= 10, seen
 
     def test_one_schur_form_per_certificate(self, rng, monkeypatch):
-        import scipy.linalg
+        import scipy.linalg.lapack as lapack
 
         calls = []
-        schur = scipy.linalg.schur
-        monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: calls.append(1) or schur(*a, **k))
+        gees = lapack.dgees
+        monkeypatch.setattr(lapack, "dgees", lambda *a, **k: calls.append(k["lwork"]) or gees(*a, **k))
         monkeypatch.setattr(mc, "lyapunov_solve", lambda *a: pytest.fail("lyapunov_solve called"))
         for A, lam, p in _split_battery(rng):
             calls.clear()
             construct_certificate(lti_model(A), lam, p)
-            assert len(calls) == 1
+            assert len(calls) == 2 and calls[0] == -1  # one factorization, after its workspace query
 
 class TestComplexPairs:
     # oscillatory modes produce 2x2 Schur blocks; the split and the certificate

@@ -5,7 +5,6 @@ import pytest
 
 from pdom import matrixcore as mc
 from oracles import block_split
-from pdom.lti import _split_counts
 from pdom.policy import RECON_TOL
 from pdom.errors import DimensionError, NumericalError
 
@@ -117,11 +116,6 @@ class TestOnCores:
             assert np.array_equal(mc.sym_eigvals(S), whole)
             assert sorted(eigvalsh_shapes) == [(1365,) + S.shape[1:]] + [(1366,) + S.shape[1:]] * 2
             assert np.array_equal(mc._on_cores(np.linalg.eigvals, A), np.linalg.eigvals(A))
-            split = _split_counts(A, 0.3)
-            monkeypatch.setattr(mc, "_CPUS", 1)
-            unsplit = _split_counts(A, 0.3)
-            monkeypatch.setattr(mc, "_CPUS", 3)
-            assert all(np.array_equal(a, b) for a, b in zip(split, unsplit))
 
     def test_one_cpu_makes_one_call(self, monkeypatch, eigvalsh_shapes):
         monkeypatch.setattr(mc, "_CPUS", 1)
@@ -157,7 +151,7 @@ class TestOnCores:
         before = threading.active_count()
         for S, A in self._stacks():
             mc.sym_eigvals(S)
-            _split_counts(A, 0.0)
+            mc._on_cores(np.linalg.eigvals, A)
             assert threading.active_count() == before
 
 
@@ -252,27 +246,46 @@ class TestPositiveDefinite:
         assert mc.positive_definite(np.ones((2, 3, 1, 1))).all()
 
 
+def _leading(spectrum, shift):
+    """How many eigenvalues of ``A + shift I`` lie right of the axis: the leading block of the ordered form."""
+    return int(np.sum(spectrum.real + shift > 0))
+
+
+class TestRealSchur:
+    def test_bits_of_scipy_schur(self, rng):
+        # one gees call with the workspace it asks for: scipy.linalg.schur's T and Z, bit for bit
+        import scipy.linalg as sla
+
+        for i in range(200):
+            n = 1 + i % 40
+            A = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            T, Z, spectrum = mc._real_schur(A)
+            ref_T, ref_Z = sla.schur(A, output="real")
+            assert T.tobytes() == ref_T.tobytes() and Z.tobytes() == ref_Z.tobytes()
+            assert np.array_equal(spectrum.real, np.diagonal(T))
+
+
 class TestSchurSplit:
     def test_msd_shifted_split(self, msd_c4):
-        _, T, unstable = mc.schur_split(msd_c4.A, 1.2679)
-        assert unstable == 1
+        _, T, spectrum = mc.schur_split(msd_c4.A, 1.2679)
+        assert _leading(spectrum, 1.2679) == 1
         eigs = np.sort(np.linalg.eigvals(T).real)
         assert eigs == pytest.approx([-3.7321, -0.2679], abs=1e-4)
         # promoted block leads
         assert np.linalg.eigvals(T[:1, :1])[0].real > -1.2679
 
     def test_trivial_stable(self):
-        _, _, unstable = mc.schur_split(np.diag([-1.0, -2.0]), 0.0)
-        assert unstable == 0
+        _, _, spectrum = mc.schur_split(np.diag([-1.0, -2.0]), 0.0)
+        assert _leading(spectrum, 0.0) == 0
 
     def test_mixed_diagonal(self):
-        _, _, unstable = mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
-        assert unstable == 1
+        _, _, spectrum = mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
+        assert _leading(spectrum, 1.0) == 1
 
     def test_non_hyperbolic_is_only_ordered(self):
-        # whether the split is hyperbolic is construct_certificate's rule, read off T's diagonal
-        Q, T, unstable = mc.schur_split(np.diag([-1.0, -2.0]), 1.0)
-        assert unstable == 0 and sorted(np.diagonal(T)) == [-2.0, -1.0]
+        # whether the split is hyperbolic is construct_certificate's rule, applied to the returned spectrum
+        Q, T, spectrum = mc.schur_split(np.diag([-1.0, -2.0]), 1.0)
+        assert _leading(spectrum, 1.0) == 0 and sorted(np.diagonal(T)) == [-2.0, -1.0]
         assert np.allclose(Q @ T @ Q.T, np.diag([-1.0, -2.0]))
 
     @pytest.mark.parametrize("shift", [np.nan, np.inf])
@@ -291,7 +304,9 @@ class TestSchurSplit:
             shift = float(rng.uniform(-0.5, 0.5)) * np.abs(A).max()
             if np.min(np.abs(np.linalg.eigvals(A).real + shift)) <= 1e-6 * np.abs(A).max():
                 continue
-            Q, T, k = mc.schur_split(A, shift)
+            Q, T, spectrum = mc.schur_split(A, shift)
+            assert np.array_equal(spectrum, mc._real_schur(A)[2])  # the unsorted form's, as eigen_split_test reads it
+            k = _leading(spectrum, shift)
             sorted_T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re > -shift)
             assert k == sdim
             leading = np.sort_complex(np.linalg.eigvals(T[:k, :k]))
@@ -318,7 +333,7 @@ class TestSchurSplit:
             D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[re, im], [-im, re]]
         V = rng.standard_normal((8, 8)) + 3.0 * np.eye(8)
         A = V @ D @ np.linalg.inv(V)
-        _, _, k = mc.schur_split(A, 0.0)
+        k = _leading(mc.schur_split(A, 0.0)[2], 0.0)
         assert k == 4
         W, _, T1, T2 = block_split(A, 0.0, k)
         assert np.count_nonzero(np.diagonal(T1, -1)) == 2
@@ -337,7 +352,7 @@ class TestSchurSplit:
             if np.min(np.abs(shifted)) < 1e-3:
                 continue
             k_target = int(np.sum(shifted > 0))
-            _, _, k = mc.schur_split(A, 0.0)
+            k = _leading(mc.schur_split(A, 0.0)[2], 0.0)
             assert k == k_target
             W, _, T1, T2 = block_split(A, 0.0, k)
             core = np.zeros((n, n))
