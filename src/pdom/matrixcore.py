@@ -14,6 +14,7 @@ since importing it would otherwise be most of the package's import time.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
@@ -228,23 +229,26 @@ def inertia_of(S) -> Inertia:
     return Inertia.of_spectrum(sym_eigvals(S))
 
 
+@functools.cache
+def _gees_workspace(n: int) -> int:
+    """The workspace LAPACK ``gees`` asks for at order n, the query ``scipy.linalg.schur`` makes; n alone sets it."""
+    from scipy.linalg.lapack import dgees
+
+    return int(dgees(lambda re, im: None, np.zeros((n, n)), lwork=-1)[-2][0])  # a selector even when unsorted
+
+
 def _real_schur(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Unsorted real Schur form ``mat = Z T Z^T`` as ``(T, Z, spectrum)``, the spectrum read off T.
 
     One LAPACK ``gees`` with the workspace it asks for: the T and Z bits of ``scipy.linalg.schur``.
-    LAPACK's 2x2 blocks ``[[a, b], [c, a]]`` hold ``a +- i sqrt(-b c)``; its 1x1 blocks have c = 0.
+    The real parts are T's diagonal; a 2x2 block ``[[a, b], [c, a]]`` holds ``a +- i sqrt(|b| |c|)``.
     """
     from scipy.linalg.lapack import dgees
 
-    lwork = int(dgees(lambda re, im: None, mat, lwork=-1)[-2][0])  # gees takes a selector even when it does not sort
-    T, _, _, _, Z, _, info = dgees(lambda re, im: None, mat, lwork=lwork)
+    T, _, real, imag, Z, _, info = dgees(lambda re, im: None, mat, lwork=_gees_workspace(mat.shape[0]))
     if info != 0:  # pragma: no cover - LAPACK failure
         raise NumericalError(f"Schur decomposition failed (gees info {info})")
-    pair = np.sqrt(np.abs(np.diagonal(T, -1) * np.diagonal(T, 1)))
-    imag = np.zeros(T.shape[0])
-    imag[:-1] += pair
-    imag[1:] -= pair
-    return T, Z, np.diagonal(T) + 1j * imag
+    return T, Z, real + 1j * imag
 
 
 def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str = "N", isgn: int = 1) -> np.ndarray:

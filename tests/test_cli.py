@@ -82,6 +82,27 @@ class TestVerify:
         digest = hashlib.sha256((tmp_path / "overflow.json").read_bytes()).hexdigest()[:16]
         assert data["inputs"] == {"system": {"path": str(tmp_path / "overflow.json"), "sha256": digest}}
 
+    @pytest.mark.parametrize("verb", ["verify", "analyze", "interconnect"])
+    def test_overflow_in_a_check_is_a_numerical_failure(self, tmp_path, capsys, verb):
+        # 2 lam P overflows in the residual (and inf * 0 gives NaN), or B M C in the loop's state matrix: a numerical
+        # failure (exit 3) with its report, and no RuntimeWarning on the way
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps({"P": [[-1, 0], [0, 1]], "lambda": 1e308, "p": 1}))
+        part = {**registry.msd(8.0).to_dict(), "B": [[0], [1e200]], "C": [[0, 1e200]]}
+        storage = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "p": 1}
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps({"sys1": part, "sys2": part, "supply1": {"kind": "passivity"},
+                                    "supply2": {"kind": "passivity"}, "lambda": 1.2679, "cert1": storage,
+                                    "cert2": storage}))
+        argv = {"verify": ["verify", "msd-c4", str(cert)], "interconnect": ["interconnect", str(loop)],
+                "analyze": ["analyze", "msd-c4", "--lambda", "1e308", "--p", "2"]}[verb]
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["--report", str(report), *argv]) == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"]["class"] == "NumericalError"
+
     @pytest.mark.parametrize("epsilon, code", [(0.0, 1), (float("nan"), 2), (float("inf"), 2)])
     def test_non_finite_epsilon_is_input_error(self, tmp_path, epsilon, code):
         # lmax = 4 on diag(1, 2): fails at epsilon 0, and a non-finite epsilon is no claim at all

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from pdom.dissipativity import (
     supply_passivity,
     verify_dissipativity,
 )
-from pdom.errors import DimensionError, LmiInfeasibleError
+from pdom.errors import DimensionError, LmiInfeasibleError, NumericalError
 from pdom.lti import DominanceCertificate, LtiSystem, construct_certificate, residual
 
 RATE = registry.KNOWN_RATE
@@ -275,6 +277,13 @@ class TestMinGain:
     def test_zero_band_storage_rejected(self, msd_c8):
         with pytest.raises(ValueError, match="zero band"):
             min_gain(msd_c8, np.diag([-1.0, 1e-12]), RATE)
+
+    def test_overflowing_residual_is_a_numerical_failure(self, msd_c8):
+        # 2 lam P overflows: a NumericalError from the block's check, with no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite"):
+                min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, 1e308)
 
     @pytest.mark.parametrize("lam, lyapunov", [(np.nan, False), (np.inf, False), (None, False), (True, False), (-0.05, True)])
     def test_rate_held_to_the_claim_rule(self, msd_c8, lam, lyapunov):

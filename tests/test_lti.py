@@ -438,7 +438,7 @@ class TestOneFactorization:
         for A, lam, p in _split_battery(rng):
             calls.clear()
             construct_certificate(lti_model(A), lam, p)
-            assert len(calls) == 2 and calls[0] == -1  # one factorization, after its workspace query
+            assert sum(lwork != -1 for lwork in calls) == 1  # one factorization; a workspace query is none
 
 class TestComplexPairs:
     # oscillatory modes produce 2x2 Schur blocks; the split and the certificate
