@@ -22,7 +22,7 @@ one path: the ``eigen_split`` verdict, then the constructed certificate and its
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
 or a storage search proved that no storage exists), 2 input error (a model
 nested too deep for the interpreter's stack included), 3 numerical failure
-(a search that stalled or failed re-verification).
+(a stalled search, or a built or searched storage that failed its check).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixcore as mc
-from .errors import DimensionError, LmiInfeasibleError, UnsupportedConfigurationError
+from .errors import DimensionError, NumericalError, UnsupportedConfigurationError
 from .lti import (
     DifferentialVerdict,
     DominanceCertificate,
@@ -188,13 +188,14 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
         raise DimensionError("A and P must share dimensions")
     if mc.Inertia.of_spectrum(np.linalg.eigvalsh(P)).zero:
         raise ValueError("storage has eigenvalues inside the zero band")
-    M = _residual(A, P, lam) + sys.C.T @ sys.C
-    W = P @ sys.B + sys.C.T @ sys.D
-    mu, V = mc.sym_eigen(M)
-    if mu[-1] >= 0:
-        raise ValueError(f"A^T P + P A + 2 lam P + C^T C is not negative definite (lmax = {mu[-1]:.3e})")
-    Z = (V.T @ W) / np.sqrt(-mu)[:, None]  # Z^T Z = W^T (-M)^{-1} W
-    schur = mc.sym_eigvals(sys.D.T @ sys.D + Z.T @ Z)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite, and the eigensolves refuse it
+        M = _residual(A, P, lam) + sys.C.T @ sys.C
+        W = P @ sys.B + sys.C.T @ sys.D
+        mu, V = mc.sym_eigen(M)
+        if mu[-1] >= 0:
+            raise ValueError(f"A^T P + P A + 2 lam P + C^T C is not negative definite (lmax = {mu[-1]:.3e})")
+        Z = (V.T @ W) / np.sqrt(-mu)[:, None]  # Z^T Z = W^T (-M)^{-1} W
+        schur = mc.sym_eigvals(sys.D.T @ sys.D + Z.T @ Z)
     return float(np.sqrt(max(schur[-1], 0.0)))
 
 
@@ -203,9 +204,9 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
 
     The equality is enforced exactly by the feasibility engine's
     parameterization; the dominance residual is pushed strictly negative.
-    The returned certificate is re-verified before being handed back. A rate
-    that is not finite and nonnegative, or a p outside [0, n], is a
-    ``ValueError``.
+    The storage found is returned only if :func:`verify_dissipativity`
+    passes it, and is otherwise a ``NumericalError``. A rate that is not
+    finite and nonnegative, or a p outside [0, n], is a ``ValueError``.
     """
     return _find_passivity_storage(sys, lam, p)[0]
 
@@ -235,13 +236,5 @@ def _find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> tuple[Dissipa
     )
     verdict = verify_dissipativity(sys, cert)
     if not verdict.passed:
-        raise LmiInfeasibleError(
-            lmi.LmiReport(
-                iterations=0,
-                violation=verdict.worst_lmax,
-                equality_residual=float(np.linalg.norm(P @ sys.B - sys.C.T)),
-                inertia=verdict.inertia.as_tuple(),
-                message="engine output failed re-verification",
-            )
-        )
+        raise NumericalError(f"searched storage failed verification: {verdict.status}")
     return cert, verdict

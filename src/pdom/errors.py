@@ -25,7 +25,7 @@ class LmiInfeasibleError(PdomError):
     """Feasibility search returned no storage; carries the final report.
 
     It is a proof of infeasibility only when ``report.proves_infeasible``;
-    otherwise it reports a stall or a failed re-verification.
+    otherwise it reports a stall, or a search that ended with the wrong inertia.
     """
 
     def __init__(self, report):

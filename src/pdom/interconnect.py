@@ -96,8 +96,9 @@ def network_supply(supplies, M) -> SupplyRate:
     """
     Q, L, R = (_block_diagonal([getattr(s, name) for s in supplies]) for name in ("Q", "L", "R"))
     M = mc.as_matrix(M, shape=(R.shape[0], Q.shape[0]))
-    LM = L @ M
-    return SupplyRate(Q=Q + LM + LM.T + M.T @ R @ M, L=L + M.T @ R, R=R)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite, and SupplyRate refuses it
+        LM = L @ M
+        return SupplyRate(Q=Q + LM + LM.T + M.T @ R @ M, L=L + M.T @ R, R=R)
 
 
 def _loop_coupling(first, second) -> np.ndarray:

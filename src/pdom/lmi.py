@@ -214,7 +214,8 @@ def solve(problem: LmiProblem) -> np.ndarray:
         if not (np.isfinite(S0).all() and np.isfinite(gens).all()):
             raise NumericalError("an LMI block is not finite on the search's affine data")
         slacks.append((S0, gens))
-    radius = _RADIUS * max(1.0, float(np.linalg.norm(P_part)))
+    with np.errstate(over="ignore"):  # a P_part past about 1e154 gets an infinite radius, with no warning
+        radius = _RADIUS * max(1.0, float(np.linalg.norm(P_part)))
     block_dims = sum(S0.shape[0] for S0, _ in slacks)
 
     # start at c = 0 with unit slack on the worst block; the first centre's gap

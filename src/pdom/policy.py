@@ -14,7 +14,6 @@ FP_TOL_SCALE = 1e-6   # fixed-point tail displacement, times (1+|x|)
 CYCLE_TOL = 1e-2      # relative period jitter allowed for cycles
 STEP_TOL = 1e-9       # relative distance of t_end / dt from a whole step count
 SLOPE_SLACK = 1e-9    # how far a nonlinearity's slope range may pass its declared bounds
-SCHUR_FACTOR = 1e3    # a Schur form's orthogonality and reconstruction residual allowance, in units of RECON_TOL
 LYAP_SEP_TOL = 1e-12  # least |mu_i + conj(mu_j)| of a Lyapunov operator, times max(1, |mu|max)
 RATE_MATCH_TOL = 1e-12  # largest difference of the two open-loop rates a loop certificate takes as one
 SEARCH_MARGIN = 1e-6  # margin the storage search asks for, times max(1, ||A||_2)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import pathlib
@@ -454,6 +455,49 @@ class TestCertify:
         assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
         assert error["lmi"]["message"] == "barrier search ended without a storage" and error["lmi"]["gap_bound"] is None
 
+    @pytest.mark.parametrize("verb", ["analyze", "certify"])
+    @pytest.mark.parametrize("scale", [1e153, 1e300])
+    def test_huge_state_matrix_writes_its_report(self, tmp_path, capsys, verb, scale):
+        # the storage built for this A is about 1/scale in size, inside the zero band, which is absolute below 1:
+        # the kernel refuses it, a numerical failure with its report and no RuntimeWarning (a zero band relative
+        # to P would make it a pass). The split itself is not re-checked, so ||A||_F past 1.3e154 overflows nothing
+        path, report = tmp_path / "huge.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"A": [[scale, scale], [-scale, scale]], "B": [[1], [0]], "C": [[1, 0]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["--report", str(report), verb, str(path), "--lambda", "0", "--p", "2"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] == "NumericalError"
+        assert error["message"] == "constructed certificate failed verification: inertia_mismatch"
+
+    def test_overflowing_search_radius_is_a_numerical_failure(self, tmp_path, capsys):
+        # P B = C^T puts P_part near 1e160, and the search ball's radius, ten times its norm, is infinite: the search
+        # ends without a storage after one step (exit 3, report written), with no RuntimeWarning
+        path, report = tmp_path / "huge_c.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"A": [[0, 1], [-1, -8]], "B": [[0], [1]], "C": [[0, 1e160]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["--report", str(report), "certify", str(path), "--lambda", "1.2679", "--p", "1", "--passivity"]
+            assert cli.main(argv) == 3
+        error = json.loads(report.read_text())["error"]
+        assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
+        assert error["lmi"]["iterations"] == 1 and error["lmi"]["message"] == "barrier search ended without a storage"
+
+    def test_searched_storage_the_kernel_refuses_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        # the kernel's verdict is a found storage's only proof: a refusal is a NumericalError, as a constructed
+        # storage's is, and the report carries no search report, since the search itself succeeded
+        verify = dissipativity.verify_dissipativity
+        monkeypatch.setattr(dissipativity, "verify_dissipativity",
+                            lambda sys, cert: verify(sys, dataclasses.replace(cert, p=cert.p + 1)))
+        report = tmp_path / "r.json"
+        argv = ["--report", str(report), "certify", "msd-c8", "--lambda", "1.2679", "--p", "1", "--passivity"]
+        assert cli.main(argv) == 3
+        assert "searched storage failed verification: inertia_mismatch" in capsys.readouterr().err
+        error = json.loads(report.read_text())["error"]
+        assert (error["class"], error["exit_code"]) == ("NumericalError", 3)
+        assert "lmi" not in error
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -753,6 +797,30 @@ class TestInterconnect:
         storage = find_passivity_storage(registry.msd(8.0), registry.KNOWN_RATE, 1).P
         assert cert["p"] == 2
         assert np.array_equal(np.asarray(cert["P"]), np.block([[storage, np.zeros((2, 2))], [np.zeros((2, 2)), storage]]))
+
+    @pytest.mark.parametrize("case", ["searched storage", "coupled supply"])
+    def test_overflow_writes_its_report(self, tmp_path, capsys, case):
+        # a second part with C = [[0, 1e200]] and no certificates: its storage search gets an infinite ball radius
+        # and ends without a storage. Supplies of 1e308 on Q1 and R2: the network's Q overflows and SupplyRate
+        # refuses it. Both are numerical failures with their report, and no RuntimeWarning
+        path = self._loop_file(tmp_path)
+        data = json.loads(pathlib.Path(path).read_text())
+        if case == "searched storage":
+            del data["cert1"], data["cert2"]
+            data["sys2"]["C"] = [[0, 1e200]]
+            error_class = "LmiInfeasibleError"
+        else:
+            data["supply1"] = {"Q": [[1e308]], "L": [[0]], "R": [[0]]}
+            data["supply2"] = {"Q": [[0]], "L": [[0]], "R": [[1e308]]}
+            data["cert1"] = data["cert2"] = {"P": [[-1, 0], [0, 1]], "p": 1}
+            error_class = "NumericalError"
+        pathlib.Path(path).write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["--report", str(report), "interconnect", path]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        assert json.loads(report.read_text())["error"]["class"] == error_class
 
     def test_storage_is_searched_only_for_the_passivity_supply(self, tmp_path, capsys):
         # Q = 0 but not the passivity supply: a passivity storage would certify a different claim

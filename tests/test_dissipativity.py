@@ -285,6 +285,23 @@ class TestMinGain:
             with pytest.raises(NumericalError, match="non-finite"):
                 min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, 1e308)
 
+    @pytest.mark.parametrize(
+        "A, B, C, P, lam",
+        [
+            ([[0, 1], [-1, -8]], [[0], [1e200]], [[0, 1e200]], np.diag([-1.0, 1.0]), 1.2679),
+            ([[-5e-301, 0], [0, -1]], [[1e10], [0]], [[0, 0]], np.eye(2), 0.0),
+        ],
+        ids=["C^T C and P B", "Z^T Z"],
+    )
+    def test_overflowing_gain_terms_are_a_numerical_failure(self, A, B, C, P, lam):
+        # C^T C and P B overflow, or Z^T Z does where M has an eigenvalue near 0: the eigensolves refuse the
+        # non-finite matrix, with no RuntimeWarning on the way
+        sys = LtiSystem(A=np.array(A, dtype=float), B=np.array(B, dtype=float), C=np.array(C, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="non-finite"):
+                min_gain(sys, P, lam)
+
     @pytest.mark.parametrize("lam, lyapunov", [(np.nan, False), (np.inf, False), (None, False), (True, False), (-0.05, True)])
     def test_rate_held_to_the_claim_rule(self, msd_c8, lam, lyapunov):
         # before the claim check: NumericalError, TypeError, True read as rate 1, and gamma = 1.118 at rate -0.05

@@ -311,6 +311,27 @@ class TestConstructCertificate:
         with pytest.raises(ValueError, match="finite"):
             construct_certificate(msd_c4, np.nan, 1)
 
+    @pytest.mark.parametrize("angle, proved", [(0.1, True), (1.0, False)])
+    def test_the_family_verdict_is_the_only_proof(self, msd_c4, monkeypatch, angle, proved):
+        # trsen's basis turned by a rotation in its first two columns: Q T Q^T is no longer A. The storage built
+        # on it is proved or refused on A itself, with no second check of the basis
+        import scipy.linalg.lapack as lapack
+
+        dtrsen = lapack.dtrsen
+
+        def rotated(*args, **kwargs):
+            T, Q, *rest = dtrsen(*args, **kwargs)
+            G = np.eye(len(Q))
+            G[:2, :2] = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+            return (T, Q @ G, *rest)
+
+        monkeypatch.setattr(lapack, "dtrsen", rotated)
+        if proved:
+            assert check_dominance(msd_c4, construct_certificate(msd_c4, RATE, 1)).passed
+        else:
+            with pytest.raises(NumericalError):
+                construct_certificate(msd_c4, RATE, 1)
+
     def test_equivalence_with_split_test(self, rng):
         # certificate construction succeeds exactly when the split test passes
         for _ in range(50):
