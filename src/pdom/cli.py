@@ -191,7 +191,7 @@ def cmd_certify(args, report: RunReport) -> int:
     report.inputs = {"lambda": args.rate, "p": args.p, "passivity": args.passivity}
     system = _load_system(args.system, report.inputs)
     if args.passivity:
-        cert, verdict = _find_passivity_storage(system, args.rate, args.p)  # the verdict that re-verified it
+        cert, verdict = _find_passivity_storage(system, args.rate, args.p)  # the verdict that proved it
         report.certificates.append(cert.to_dict())
         report.verdicts.append({"check": "dissipativity", **verdict.to_dict()})
     else:

@@ -212,7 +212,7 @@ def find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> DissipativityC
 
 
 def _find_passivity_storage(sys: LtiSystem, lam: float, p: int) -> tuple[DissipativityCertificate, DifferentialVerdict]:
-    """:func:`find_passivity_storage`, with the passing verdict that re-verified the certificate."""
+    """:func:`find_passivity_storage`, with the passing verdict that proved the certificate."""
     from . import lmi  # deferred: keep module import costs flat
 
     A = state_matrix(sys)

@@ -28,7 +28,7 @@ minimum-norm solution) and N. The block values are checked once; a Newton
 step is then one eigensolve per block, the congruence and Gram matrix of its
 generators, and one LU factorization, which also serves a growth of mu.
 
-Success is verifier-gated: callers re-check every solution with the relevant
+Success is verifier-gated: callers check every solution with the relevant
 module verifier, so the engine can never leak an unverified certificate.
 """
 
