@@ -16,8 +16,9 @@ centre's gap m/mu is 1 % of the larger of that slack and the start's
 violation ``max_j lmax(F_j(P_part)) + epsilon``: a first centre as wide as
 the distance t has to fall is discarded once mu grows, and one scaled to the
 violation keeps a badly scaled start from a long damped phase. A singular
-Newton system, like a slack or a ball slack that loses positivity to
-rounding, ends the search, and the final check decides.
+Newton system or one that overflowed, like a slack or a ball slack that loses
+positivity to rounding, ends the search, and the final check decides; a
+particular solution that overflows is a ``NumericalError``.
 
 Blocks and equality maps take a ``(..., n, n)`` stack of P and return the
 stack of their values. The engine calls each block once on ``P_part`` and
@@ -179,8 +180,11 @@ def solve(problem: LmiProblem) -> np.ndarray:
         g = np.concatenate(rhs)
         U, sv, Vt = np.linalg.svd(G)
         rank = int(np.sum(sv > max(G.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
-        part = Vt[:rank].T @ ((U[:, :rank].T @ g) / sv[:rank])
-        eq_residual = float(np.linalg.norm(G @ part - g, np.inf))
+        with np.errstate(all="ignore"):  # an overflowed solution is refused below, with no warning
+            part = Vt[:rank].T @ ((U[:, :rank].T @ g) / sv[:rank])
+            eq_residual = float(np.linalg.norm(G @ part - g, np.inf))
+        if not (np.isfinite(part).all() and np.isfinite(eq_residual)):
+            raise NumericalError("the equalities' particular solution is not finite")
         if eq_residual > EQ_TOL * max(1.0, float(np.linalg.norm(g, np.inf))):
             raise LmiInfeasibleError(
                 LmiReport(
@@ -229,61 +233,65 @@ def solve(problem: LmiProblem) -> np.ndarray:
     # the step's large arrays, allocated once: a fresh one each step costs its page faults
     work = [(np.empty(gens.shape), np.empty(gens.shape)) for _, gens in slacks]
     hess = np.empty((d + 1, d + 1))
-    for iterations in range(1, _MAX_STEPS + 1):
-        c, t = x[:-1], x[-1]
-        spectra = [mc.sym_eigen(S0 + (x @ gens.reshape(d + 1, -1)).reshape(S0.shape)) for S0, gens in slacks]
-        lowest = min(s[0] for s, _ in spectra)
-        rho = radius * radius - c @ c
-        # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack, or the ball's
-        # slack rho, that is not positive has lost definiteness to rounding
-        if t - lowest < 0 or lowest <= 0 or rho <= 0:
-            break
-        grad = np.zeros(d + 1)
-        hess[...] = 0.0
-        for (s, U), (_, gens), (GL, D) in zip(spectra, slacks, work):
-            # congruence by S^{-1/2}, into D: gradient -tr, Hessian the Gram matrix
-            L = U / np.sqrt(s)
-            flat = np.matmul(L.T, np.matmul(gens, L, out=GL), out=D).reshape(d + 1, -1)
-            grad -= flat[:, :: s.size + 1].sum(axis=1)
-            hess += flat @ flat.T
-        grad[:-1] += 2.0 * c / rho
-        hess[:-1, :-1] += (4.0 / rho**2) * np.outer(c, c)
-        hess.flat[: d * (d + 1) : d + 2] += 2.0 / rho
-        grad[-1] += mu
-        # one factorization for the step at mu and for the change of step per unit of mu
-        rhs = np.zeros((d + 1, 2))
-        rhs[:, 0], rhs[-1, 1] = -grad, -1.0
-        try:
-            step, per_mu = np.linalg.solve(hess, rhs).T
-        except np.linalg.LinAlgError:
-            break  # a singular Hessian is a numerical stall, as a slack that loses definiteness is
-        decrement = float(np.sqrt(max(-grad @ step, 0.0)))
-        if decrement < _CENTRED:
-            if (block_dims + 1) / mu < LMI_TOL:
-                break  # the gap is inside the acceptance slack: _finalize decides
-            grad[-1] += (_MU_GROWTH - 1.0) * mu
-            step = step + (_MU_GROWTH - 1.0) * mu * per_mu
-            mu *= _MU_GROWTH
-            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
-        # along the step each slack moves as S^{1/2} (I + a D_j) S^{1/2}
-        sigma = np.concatenate([np.linalg.eigvalsh((step @ D.reshape(d + 1, -1)).reshape(D[0].shape)) for _, D in work])
-        dc = step[:-1]
-        if sigma.max() <= 1.0:
-            # Z_j = S_j^{-1/2} (I - D_j) S_j^{-1/2} / mu is dual feasible, and
-            # z_k = sum_j <Z_j, dF_j/dc_k> follows from the Newton equations
-            z = -(2.0 * (c + dc) + (4.0 / rho) * c * (c @ dc)) / (rho * mu)
-            bound = t - c @ z - (block_dims - sigma.sum()) / mu - radius * float(np.linalg.norm(z))
-            if bound > 0:
+    # one errstate for the whole loop, not one per step: a Newton system that overflows ends it below as a stall
+    with np.errstate(all="ignore"):
+        for iterations in range(1, _MAX_STEPS + 1):
+            c, t = x[:-1], x[-1]
+            spectra = [mc.sym_eigen(S0 + (x @ gens.reshape(d + 1, -1)).reshape(S0.shape)) for S0, gens in slacks]
+            lowest = min(s[0] for s, _ in spectra)
+            rho = radius * radius - c @ c
+            # t - lowest is max_j lmax(F_j(c)) + epsilon; a slack, or the ball's
+            # slack rho, that is not positive has lost definiteness to rounding
+            if t - lowest < 0 or lowest <= 0 or rho <= 0:
                 break
-        # backtrack on mu t - sum log det S_j - log(R^2 - |c|^2) along the step
-        a, c_dc, dc_dc, sigma_min = 1.0, c @ dc, dc @ dc, sigma.min()
-        for _ in range(60):
-            ball = 1.0 - (2.0 * a * c_dc + a * a * dc_dc) / rho
-            if ball > 0 and a * sigma_min > -1.0:
-                if mu * a * step[-1] - np.log1p(a * sigma).sum() - np.log(ball) <= -0.25 * a * decrement**2:
+            grad = np.zeros(d + 1)
+            hess[...] = 0.0
+            for (s, U), (_, gens), (GL, D) in zip(spectra, slacks, work):
+                # congruence by S^{-1/2}, into D: gradient -tr, Hessian the Gram matrix
+                L = U / np.sqrt(s)
+                flat = np.matmul(L.T, np.matmul(gens, L, out=GL), out=D).reshape(d + 1, -1)
+                grad -= flat[:, :: s.size + 1].sum(axis=1)
+                hess += flat @ flat.T
+            grad[:-1] += 2.0 * c / rho
+            hess[:-1, :-1] += (4.0 / rho**2) * np.outer(c, c)
+            hess.flat[: d * (d + 1) : d + 2] += 2.0 / rho
+            grad[-1] += mu
+            if not (np.isfinite(hess).all() and np.isfinite(grad).all()):
+                break  # an overflowed Newton system is a numerical stall, as a singular one is
+            # one factorization for the step at mu and for the change of step per unit of mu
+            rhs = np.zeros((d + 1, 2))
+            rhs[:, 0], rhs[-1, 1] = -grad, -1.0
+            try:
+                step, per_mu = np.linalg.solve(hess, rhs).T
+            except np.linalg.LinAlgError:
+                break  # a singular Hessian is a numerical stall, as a slack that loses definiteness is
+            decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+            if decrement < _CENTRED:
+                if (block_dims + 1) / mu < LMI_TOL:
+                    break  # the gap is inside the acceptance slack: _finalize decides
+                grad[-1] += (_MU_GROWTH - 1.0) * mu
+                step = step + (_MU_GROWTH - 1.0) * mu * per_mu
+                mu *= _MU_GROWTH
+                decrement = float(np.sqrt(max(-grad @ step, 0.0)))
+            # along the step each slack moves as S^{1/2} (I + a D_j) S^{1/2}
+            sigma = np.concatenate([np.linalg.eigvalsh((step @ D.reshape(d + 1, -1)).reshape(D[0].shape)) for _, D in work])
+            dc = step[:-1]
+            if sigma.max() <= 1.0:
+                # Z_j = S_j^{-1/2} (I - D_j) S_j^{-1/2} / mu is dual feasible, and
+                # z_k = sum_j <Z_j, dF_j/dc_k> follows from the Newton equations
+                z = -(2.0 * (c + dc) + (4.0 / rho) * c * (c @ dc)) / (rho * mu)
+                bound = t - c @ z - (block_dims - sigma.sum()) / mu - radius * float(np.linalg.norm(z))
+                if bound > 0:
                     break
-            a *= 0.5
-        x = x + a * step
+            # backtrack on mu t - sum log det S_j - log(R^2 - |c|^2) along the step
+            a, c_dc, dc_dc, sigma_min = 1.0, c @ dc, dc @ dc, sigma.min()
+            for _ in range(60):
+                ball = 1.0 - (2.0 * a * c_dc + a * a * dc_dc) / rho
+                if ball > 0 and a * sigma_min > -1.0:
+                    if mu * a * step[-1] - np.log1p(a * sigma).sum() - np.log(ball) <= -0.25 * a * decrement**2:
+                        break
+                a *= 0.5
+            x = x + a * step
 
     P = P_part + smat(N @ x[:-1], n)
     P = 0.5 * (P + P.T)

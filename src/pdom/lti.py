@@ -412,12 +412,13 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     eigenvalues of ``A + lam I`` in the leading p x p Schur block T1 and the stable ones in T2; for
     0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks (their spectra are disjoint),
     so ``A = W blockdiag(T1, T2) W^{-1}`` with ``W = Q [[I, Y], [0, I]]``. Xu and Xs solve
-    ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``: one ``trsyl`` each on its
-    Schur block, symmetrized. Both M are anti-Hurwitz, so both block storages are positive definite,
-    and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``. It must pass the family verdict, and it
-    carries a strictly positive margin. Refused: a Lur'e model (``state_matrix``), a claim that breaks
-    :func:`_check_claim`, and a claim that :func:`_split_rule` refuses on the unsorted Schur form's
-    spectrum (a ``ValueError``: inconclusive, or a p off the split), as :func:`eigen_split_test` does.
+    ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``: one
+    :func:`pdom.matrixcore.lyapunov_solve` each on its Schur block. Both M are anti-Hurwitz, so both
+    block storages are positive definite, and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``.
+    It must pass the family verdict, and it carries a strictly positive margin. Refused: a Lur'e model
+    (``state_matrix``), a claim that breaks :func:`_check_claim`, and a claim that :func:`_split_rule`
+    refuses on the unsorted Schur form's spectrum (a ``ValueError``: inconclusive, or a p off the split),
+    as :func:`eigen_split_test` does.
     """
     return _construct_certificate(sys, lam, p)[0]
 
@@ -446,13 +447,9 @@ def _construct_certificate(sys: LtiSystem, lam: float, p: int) -> tuple[Dominanc
     Winv = np.linalg.solve(W, np.eye(n))
     core = np.zeros((n, n))
     if p > 0:
-        M = T1 + lam * np.eye(p)
-        X = mc._trsyl(M, M, np.eye(p), trana="T")
-        core[:p, :p] = -(0.5 * (X + X.T))  # -Xu
+        core[:p, :p] = mc.lyapunov_solve(T1 + lam * np.eye(p), np.eye(p))  # -Xu
     if p < n:
-        M = T2 + lam * np.eye(n - p)
-        X = mc._trsyl(M, M, -np.eye(n - p), trana="T")
-        core[p:, p:] = 0.5 * (X + X.T)  # Xs
+        core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))  # Xs
     P = Winv.T @ core @ Winv
     P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2

@@ -4,11 +4,10 @@ Symmetric eigendecompositions (eigenvalues alone where no vector is read),
 unsorted real Schur forms (LAPACK ``gees``) with the spectrum read off T, on
 which :mod:`pdom.lti` decides every split, ordered splits ``(Q, T, spectrum)``
 (LAPACK ``trsen`` on one such form, whose blocks the construction solves on),
-Lyapunov/Sylvester solves (LAPACK ``trsyl`` on a real Schur form) and the
-matrix exponential. A LAPACK failure code is a :class:`NumericalError`, and
-of the factorizations only the Lyapunov solve checks its residual, against
-the fixed tolerances of :mod:`pdom.policy`; a split is not re-checked, as the
-storage built on it is checked on the model by :func:`pdom.lti._family_verdict`.
+Lyapunov/Sylvester solves (LAPACK ``trsyl`` on those blocks, no factorization
+of their own) and the matrix exponential. A LAPACK failure code is a
+:class:`NumericalError`; neither a split nor a solve is re-checked, as the
+storage built on them is checked on the model by :func:`pdom.lti._family_verdict`.
 Matrices are plain ``numpy.ndarray`` values in double precision; systems of
 interest are small (n up to a few tens), so everything is dense.
 ``scipy.linalg`` is imported inside the functions that call it, since
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalError
-from .policy import LYAP_SEP_TOL, RECON_TOL, SYM_TOL, ZTOL_REL
+from .policy import SYM_TOL, ZTOL_REL
 
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
@@ -40,7 +39,6 @@ __all__ = [
     "inertia_of",
     "positive_definite",
     "schur_split",
-    "lyapunov_solve",
     "expm",
 ]
 
@@ -293,30 +291,14 @@ def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def lyapunov_solve(M, Q) -> np.ndarray:
-    """Solve the continuous Lyapunov equation M^T X + X M = -Q.
+    """Solve the continuous Lyapunov equation ``M^T X + X M = -Q`` for an M in real Schur form, symmetrized.
 
-    Solved as ``T^T Y + Y T = -Z^T Q Z`` (one :func:`_trsyl`) on the real Schur form ``M = Z T Z^T``.
-    ``M`` and ``-M^T`` must share no eigenvalue (read off T), and X must meet its residual bound.
-    An M already in real Schur form needs no factorization: :func:`_trsyl` on it alone solves it.
+    One :func:`_trsyl` on M itself, with no factorization: M must be quasi-upper-triangular, as ``trsen``
+    leaves the blocks of :func:`schur_split`, and M and ``-M^T`` must share no eigenvalue. Neither is checked,
+    nor is X: a storage built on it is proved or refused by the family verdict on the model itself.
     """
-    mat = as_matrix(M)
-    rhs = as_symmetric(Q)
-    if mat.shape[0] != mat.shape[1] or mat.shape != rhs.shape:
-        raise DimensionError("lyapunov_solve needs square M and Q of equal size")
-    T, Z, spectrum = _real_schur(mat)
-    sums = spectrum[:, None] + np.conj(spectrum[None, :])
-    size = max(1.0, np.max(np.abs(spectrum)))
-    if np.min(np.abs(sums)) <= LYAP_SEP_TOL * size:
-        raise NumericalError("singular Lyapunov operator: M and -M^T share an eigenvalue")
-    X = Z @ _trsyl(T, T, -(Z.T @ rhs @ Z), trana="T") @ Z.T
-    X = 0.5 * (X + X.T)
-    residual = np.linalg.norm(mat.T @ X + X @ mat + rhs, "fro")
-    bound = RECON_TOL * (
-        np.linalg.norm(mat, "fro") * np.linalg.norm(X, "fro") + np.linalg.norm(rhs, "fro")
-    )
-    if residual > max(bound, RECON_TOL):
-        raise NumericalError(f"Lyapunov residual {residual:.3e} exceeds bound {bound:.3e}")
-    return X
+    X = _trsyl(M, M, -Q, trana="T")
+    return 0.5 * (X + X.T)
 
 
 # exp(x) overflows near 709; stay clearly below it

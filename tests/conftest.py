@@ -13,6 +13,14 @@ SINGULAR_HESSIAN_MODEL = {
     "C": [[-1975.0280458328346, 2799.7822223603175, -6092.660749219793]],
 }
 
+# models whose passivity search at (rate, p = 1) overflows: the particular solution's divide, the Newton
+# system's Gram matrix, and the ball term 4 / rho^2; each ends as a numerical failure, never as a proof
+OVERFLOWING_SEARCHES = {
+    "particular solution": ({"A": [[0, 1e300], [-1e300, -8e300]], "B": [[0], [1e-300]], "C": [[0, 1e160]]}, 1.2679),
+    "Gram matrix": ({"A": [[0, 1e-300], [-1e-300, -8e-300]], "B": [[0], [1]], "C": [[0, 1e-300]]}, 1e300),
+    "ball term": ({"A": [[0, 1e-300], [-1e-300, -8e-300]], "B": [[0], [1e160]], "C": [[0, 1e300]]}, 0.0),
+}
+
 
 @pytest.fixture
 def rng():

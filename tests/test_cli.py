@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SINGULAR_HESSIAN_MODEL
+from conftest import OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL
 from pdom import cli, dissipativity, lti, registry
 from pdom import matrixcore as mc
 
@@ -483,6 +483,21 @@ class TestCertify:
         error = json.loads(report.read_text())["error"]
         assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
         assert error["lmi"]["iterations"] == 1 and error["lmi"]["message"] == "barrier search ended without a storage"
+
+    @pytest.mark.parametrize("case", OVERFLOWING_SEARCHES)
+    def test_overflowing_search_writes_its_report(self, tmp_path, capsys, case):
+        # an overflow in the particular solution or in a Newton system: exit 3 with its report, never the
+        # "no storage" of a proof, and no RuntimeWarning on the way
+        model, rate = OVERFLOWING_SEARCHES[case]
+        path, report = tmp_path / "overflow.json", tmp_path / "r.json"
+        path.write_text(json.dumps(model))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["--report", str(report), "certify", str(path), "--lambda", str(rate), "--p", "1", "--passivity"]
+            assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        error = json.loads(report.read_text())["error"]
+        assert error["class"] in ("NumericalError", "LmiInfeasibleError") and error["exit_code"] == 3
 
     def test_searched_storage_the_kernel_refuses_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
         # the kernel's verdict is a found storage's only proof: a refusal is a NumericalError, as a constructed

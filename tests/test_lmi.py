@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import SINGULAR_HESSIAN_MODEL, lti_model, random_hyperbolic
+from conftest import OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL, lti_model, random_hyperbolic
 from pdom import LtiSystem, find_passivity_storage, lmi, registry, verify_dissipativity
 from pdom.differential import check_diff_dominance
 from pdom.errors import LmiInfeasibleError, NumericalError
@@ -182,6 +182,16 @@ class TestNumericalStall:
         assert report.message == "barrier search ended without a storage"
         assert report.gap_bound is None and not report.proves_infeasible
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", OVERFLOWING_SEARCHES)
+    def test_overflow_is_a_numerical_failure(self, case):
+        # a particular solution that overflows is a NumericalError; a Newton system that does ends the search as
+        # a stall, and the report proves nothing (a gap bound read off an overflowed Hessian would)
+        model, rate = OVERFLOWING_SEARCHES[case]
+        system = LtiSystem(**{key: np.array(value, dtype=float) for key, value in model.items()})
+        with pytest.raises((NumericalError, LmiInfeasibleError)) as excinfo:
+            find_passivity_storage(system, rate, 1)
+        assert not (isinstance(excinfo.value, LmiInfeasibleError) and excinfo.value.report.proves_infeasible)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_ball_without_interior_ends_the_search(self, monkeypatch, msd_c8):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import lti_model, random_hyperbolic, spiral_system
-from oracles import block_split
+from oracles import _trsyl, block_split
 from pdom import registry
 from pdom import lti
 from pdom import matrixcore as mc
@@ -425,20 +425,24 @@ def _split_battery(rng):
 
 
 def _reference_storage(A, lam, p):
-    """The storage as built before the construction solved on the split's blocks: a general Lyapunov solve each."""
+    """The storage from the split's blocks, each block storage one ``trsyl`` of its own, symmetrized."""
     _, Winv, T1, T2 = block_split(A, lam, p)
     n = A.shape[0]
     core = np.zeros((n, n))
     if p > 0:
-        core[:p, :p] = -mc.lyapunov_solve(T1 + lam * np.eye(p), -np.eye(p))
+        M = T1 + lam * np.eye(p)
+        X = _trsyl(M, M, np.eye(p), trana="T")
+        core[:p, :p] = -(0.5 * (X + X.T))  # -Xu
     if p < n:
-        core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))
+        M = T2 + lam * np.eye(n - p)
+        X = _trsyl(M, M, -np.eye(n - p), trana="T")
+        core[p:, p:] = 0.5 * (X + X.T)  # Xs
     P = Winv.T @ core @ Winv
     return 0.5 * (P + P.T)
 
 
 class TestOneFactorization:
-    def test_storage_is_bitwise_the_general_solve(self, rng):
+    def test_storage_is_bitwise_the_block_solves(self, rng):
         seen = {"p=0": 0, "p=n": 0, "pairs on both sides": 0}
         for A, lam, p in _split_battery(rng):
             _, _, T1, T2 = block_split(A, lam, p)
@@ -455,11 +459,15 @@ class TestOneFactorization:
         calls = []
         gees = lapack.dgees
         monkeypatch.setattr(lapack, "dgees", lambda *a, **k: calls.append(k["lwork"]) or gees(*a, **k))
-        monkeypatch.setattr(mc, "lyapunov_solve", lambda *a: pytest.fail("lyapunov_solve called"))
+        solves = []
+        lyapunov = mc.lyapunov_solve
+        monkeypatch.setattr(mc, "lyapunov_solve", lambda M, Q: solves.append(len(M)) or lyapunov(M, Q))
         for A, lam, p in _split_battery(rng):
             calls.clear()
+            solves.clear()
             construct_certificate(lti_model(A), lam, p)
             assert sum(lwork != -1 for lwork in calls) == 1  # one factorization; a workspace query is none
+            assert solves == [size for size in (p, len(A) - p) if size]  # one Lyapunov solve per non-empty block
 
 class TestComplexPairs:
     # oscillatory modes produce 2x2 Schur blocks; the split and the certificate
