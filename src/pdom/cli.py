@@ -71,7 +71,7 @@ class RunReport:
     error: dict | None = None
     wall_time_s: float = 0.0
 
-    def to_dict(self, include_volatile: bool = True) -> dict:
+    def to_dict(self) -> dict:
         data = {
             "command": self.command,
             "inputs": self.inputs,
@@ -82,13 +82,8 @@ class RunReport:
         }
         if self.error is not None:
             data["error"] = self.error
-        if include_volatile:
-            data["wall_time_s"] = self.wall_time_s
+        data["wall_time_s"] = self.wall_time_s
         return data
-
-    def canonical_json(self) -> str:
-        """Deterministic serialization: volatile fields (wall time) excluded."""
-        return json.dumps(self.to_dict(include_volatile=False), sort_keys=True, indent=2)
 
 
 def _load_json(path: str, inputs: dict, key: str) -> dict:
@@ -156,7 +151,7 @@ def _dominance(system, rate: float, p: int, report: RunReport) -> DominanceCerti
         report.warnings.append("split inconclusive: an eigenvalue sits on the shifted axis")
     if not split.passed:
         return None
-    cert, verdict = _construct_certificate(system, rate, p)  # the verdict it checked its storage by
+    cert, verdict = _construct_certificate(system, rate, split)  # reorders the split's Schur form; P's verdict
     report.certificates.append(cert.to_dict())
     report.verdicts.append({"check": "dominance", **verdict.to_dict()})
     return cert

@@ -25,7 +25,7 @@ from .dissipativity import DissipativityCertificate, SupplyRate, verify_dissipat
 from .errors import CouplingError, DimensionError, UnsupportedConfigurationError
 from .lti import DominanceCertificate, _family_verdict
 from .model import Channel, LureSystem, as_model
-from .policy import LMI_TOL, RATE_MATCH_TOL
+from .policy import LMI_TOL
 
 __all__ = [
     "CouplingVerdict",
@@ -142,7 +142,7 @@ def closed_loop_certificate(
     blockdiag(P1, P2) then claims p1 + p2, and the loop's vertex family (one
     vertex when no subsystem has channels) must pass the dominance LMI.
     """
-    if abs(c1.rate - c2.rate) > RATE_MATCH_TOL:
+    if c1.rate != c2.rate:
         raise ValueError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
     coupling = coupling_condition(c1.supply, c2.supply)
     if not coupling.passed:

@@ -50,7 +50,6 @@ __all__ = [
     "LmiProblem",
     "LmiReport",
     "solve",
-    "svec",
     "smat",
 ]
 
@@ -62,26 +61,22 @@ _MAX_STEPS = 500  # guard against numerical stalls; the gap stop comes first
 
 
 @lru_cache(maxsize=None)
-def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only svec index: the upper triangle's rows and columns, their weights (1 or sqrt 2), each entry's place."""
+def _svec_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only svec index: the upper triangle's weights (1 or sqrt 2), row by row, and each entry's place."""
     rows, cols = np.triu_indices(n)
     position = np.empty((n, n), dtype=np.intp)
     position[rows, cols] = position[cols, rows] = np.arange(rows.size)
-    index = rows, cols, np.where(rows == cols, 1.0, _SQRT2), position
+    index = np.where(rows == cols, 1.0, _SQRT2), position
     for array in index:
         array.setflags(write=False)
     return index
 
 
-def svec(S: np.ndarray) -> np.ndarray:
-    """Orthonormal half-vectorization: Frobenius inner product becomes a dot product."""
-    rows, cols, weight, _ = _svec_index(S.shape[0])
-    return S[rows, cols] * weight
-
-
 def smat(v: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`svec`; a stack of vectors (last axis) gives a stack of matrices."""
-    _, _, weight, position = _svec_index(n)
+    """The symmetric matrix of an orthonormal half-vectorization (the upper triangle row by row, off-diagonal
+    entries times sqrt 2, so the Frobenius inner product is a dot product); a stack of vectors (last axis)
+    gives a stack of matrices."""
+    weight, position = _svec_index(n)
     return (np.asarray(v, dtype=float) / weight)[..., position]
 
 

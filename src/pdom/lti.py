@@ -5,8 +5,8 @@ with inertia (p, 0, n-p) makes ``A^T P + P A + 2 lam P`` negative definite;
 a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
-:func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test
-and constructs certificates from an ordered Schur split, both on one unsorted Schur form's spectrum.
+:func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test,
+whose verdict keeps the one unsorted Schur form of A it read, and constructs certificates by reordering it.
 ``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -176,13 +176,16 @@ class SplitVerdict:
     margin: float
     unstable_count: int
     requested_p: int
+    # A's unsorted real Schur form (T, Z) the spectrum was read off, which the construction reorders; not reported
+    schur: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
 
     @property
     def passed(self) -> bool:
         return self.status == "pass"
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {"status": self.status, "margin": self.margin, "unstable_count": self.unstable_count,
+                "requested_p": self.requested_p}
 
 
 def residual(A, P, lam: float) -> np.ndarray:
@@ -394,21 +397,23 @@ def eigen_split_test(sys: LtiSystem, lam: float, p: int) -> SplitVerdict:
     """Spectral test: does ``A + lam I`` have exactly p strictly unstable eigenvalues?
 
     Returns "inconclusive" (distinct from "fail") when any shifted eigenvalue
-    sits within ``SPLIT_TOL`` of the imaginary axis, on the spectrum of A's unsorted real Schur form
-    that :func:`construct_certificate` splits. A rate that is not finite
+    sits within ``SPLIT_TOL`` of the imaginary axis, on the spectrum of A's unsorted real Schur form,
+    which the verdict carries for :func:`construct_certificate` to split. A rate that is not finite
     and nonnegative, or a p outside [0, n], is a ``ValueError``.
     """
     A = state_matrix(sys)
     _check_claim(lam, p, A.shape[0])
-    margin, unstable, conclusive = (v.item() for v in _split_rule(mc._real_schur(A)[2].real + lam))
+    T, Z, spectrum = mc._real_schur(A)
+    margin, unstable, conclusive = (v.item() for v in _split_rule(spectrum.real + lam))
     status = ("pass" if unstable == p else "fail") if conclusive else "inconclusive"
-    return SplitVerdict(status, margin, unstable, p)
+    return SplitVerdict(status, margin, unstable, p, schur=(T, Z))
 
 
 def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertificate:
     """Build a dominance certificate from A's one factorization for the claim (lam, p).
 
-    The ordered split ``A = Q T Q^T`` (:func:`pdom.matrixcore.schur_split`) puts the unstable
+    :func:`eigen_split_test` factors A and decides the claim; :func:`pdom.matrixcore.schur_split` reorders
+    its Schur form to ``A = Q T Q^T``, which puts the unstable
     eigenvalues of ``A + lam I`` in the leading p x p Schur block T1 and the stable ones in T2; for
     0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks (their spectra are disjoint),
     so ``A = W blockdiag(T1, T2) W^{-1}`` with ``W = Q [[I, Y], [0, I]]``. Xu and Xs solve
@@ -416,42 +421,44 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     :func:`pdom.matrixcore.lyapunov_solve` each on its Schur block. Both M are anti-Hurwitz, so both
     block storages are positive definite, and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``.
     It must pass the family verdict, and it carries a strictly positive margin. Refused: a Lur'e model
-    (``state_matrix``), a claim that breaks :func:`_check_claim`, and a claim that :func:`_split_rule`
-    refuses on the unsorted Schur form's spectrum (a ``ValueError``: inconclusive, or a p off the split),
-    as :func:`eigen_split_test` does.
+    (``state_matrix``), a claim that breaks :func:`_check_claim`, and a claim that the split verdict does
+    not pass (a ``ValueError``: inconclusive, or a p off the split). An overflow in the construction leaves
+    a non-finite W (refused here) or storage (refused by the family verdict), a :class:`NumericalError`.
     """
-    return _construct_certificate(sys, lam, p)[0]
+    return _construct_certificate(sys, lam, eigen_split_test(sys, lam, p))[0]
 
 
-def _construct_certificate(sys: LtiSystem, lam: float, p: int) -> tuple[DominanceCertificate, DifferentialVerdict]:
-    """:func:`construct_certificate`, with the family verdict it checked the storage by.
+def _construct_certificate(sys: LtiSystem, lam: float, split: SplitVerdict) -> tuple[DominanceCertificate,
+                                                                                     DifferentialVerdict]:
+    """:func:`construct_certificate` on the claim's split verdict, with the family verdict it checked the storage by.
 
     The verdict is taken at margin 0; with the one vertex passing it equals the verdict at the
     certificate's margin ``epsilon = -lmax/2``, so a caller that reports it solves no second one.
     """
-    A = state_matrix(sys)
-    n = A.shape[0]
-    _check_claim(lam, p, n)
-    Q, T, spectrum = mc.schur_split(A, lam)
-    _, unstable, conclusive = _split_rule(spectrum.real + lam)
-    if not conclusive:
+    p = split.requested_p
+    if split.status == "inconclusive":
         raise ValueError(f"an eigenvalue of A + {lam:.6g} I lies within {SPLIT_TOL:.1e} of the imaginary axis")
-    if unstable != p:
-        raise ValueError(f"A + {lam:.6g} I has {unstable} unstable eigenvalues, expected {p}")
+    if not split.passed:
+        raise ValueError(f"A + {lam:.6g} I has {split.unstable_count} unstable eigenvalues, expected {p}")
+    Q, T = mc.schur_split(*split.schur, lam)
+    n = len(T)
     T1, T2 = T[:p, :p], T[p:, p:]
-    W = Q
-    if 0 < p < n:
-        V = np.eye(n)
-        V[:p, p:] = mc._trsyl(T1, T2, -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
-        W = Q @ V
-    Winv = np.linalg.solve(W, np.eye(n))
-    core = np.zeros((n, n))
-    if p > 0:
-        core[:p, :p] = mc.lyapunov_solve(T1 + lam * np.eye(p), np.eye(p))  # -Xu
-    if p < n:
-        core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))  # Xs
-    P = Winv.T @ core @ Winv
-    P = 0.5 * (P + P.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite: W or the storage is refused
+        W = Q
+        if 0 < p < n:
+            V = np.eye(n)
+            V[:p, p:] = mc._trsyl(T1, T2, -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
+            W = Q @ V
+        if not np.isfinite(W).all():
+            raise NumericalError("the block decoupling of the Schur form overflowed")
+        Winv = np.linalg.solve(W, np.eye(n))
+        core = np.zeros((n, n))
+        if p > 0:
+            core[:p, :p] = mc.lyapunov_solve(T1 + lam * np.eye(p), np.eye(p))  # -Xu
+        if p < n:
+            core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))  # Xs
+        P = Winv.T @ core @ Winv
+        P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
     verdict = _family_verdict(sys, P, lam, p, 0.0)
     epsilon = -verdict.worst_lmax / 2.0

@@ -2,10 +2,10 @@
 
 Symmetric eigendecompositions (eigenvalues alone where no vector is read),
 unsorted real Schur forms (LAPACK ``gees``) with the spectrum read off T, on
-which :mod:`pdom.lti` decides every split, ordered splits ``(Q, T, spectrum)``
-(LAPACK ``trsen`` on one such form, whose blocks the construction solves on),
-Lyapunov/Sylvester solves (LAPACK ``trsyl`` on those blocks, no factorization
-of their own) and the matrix exponential. A LAPACK failure code is a
+which :mod:`pdom.lti` decides every split, ordered splits ``(Q, T)`` (LAPACK
+``trsen`` reordering the form a split was decided on), Lyapunov/Sylvester
+solves (LAPACK ``trsyl`` on the ordered blocks; neither step factors anything
+itself) and the matrix exponential. A LAPACK failure code is a
 :class:`NumericalError`; neither a split nor a solve is re-checked, as the
 storage built on them is checked on the model by :func:`pdom.lti._family_verdict`.
 Matrices are plain ``numpy.ndarray`` values in double precision; systems of
@@ -38,7 +38,6 @@ __all__ = [
     "sym_eigvals",
     "inertia_of",
     "positive_definite",
-    "schur_split",
     "expm",
 ]
 
@@ -265,29 +264,21 @@ def _trsyl(A: np.ndarray, B: np.ndarray, C: np.ndarray, trana: str = "N", isgn: 
     return X / scale
 
 
-def schur_split(A, shift: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ordered real Schur form ``A = Q T Q^T`` splitting the spectrum of ``A + shift*I`` at the axis.
+def schur_split(T: np.ndarray, Z: np.ndarray, shift: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reorder a real Schur form ``A = Z T Z^T`` (:func:`_real_schur`) at the axis of ``A + shift*I``.
 
-    Returns ``(Q, T, spectrum)``: eigenvalues of ``A + shift*I`` with positive real
-    part lead the diagonal of T. One unsorted real Schur form (:func:`_real_schur`)
-    gives the spectrum, returned as read off it, and, reordered by LAPACK ``trsen``,
-    the split. It only orders: whether the split is hyperbolic is the caller's rule,
-    applied to that spectrum, not to T's reordered diagonal. A shift that is not finite
-    is a ``ValueError``, and a failed ``gees`` or ``trsen`` a :class:`NumericalError`. Q and T are
-    not re-checked: a storage built on them is proved or refused by the family verdict on A itself.
+    Returns ``(Q, T)`` with ``A = Q T Q^T``: eigenvalues of ``A + shift*I`` with positive real part lead the
+    diagonal of T. One LAPACK ``trsen`` on copies of T and Z, selecting by T's diagonal, the real parts of the
+    spectrum read off the form. It only orders: whether the split is hyperbolic is the caller's rule, applied
+    to that spectrum, not to T's reordered diagonal. A failed ``trsen`` is a :class:`NumericalError`. Q and T
+    are not re-checked: a storage built on them is proved or refused by the family verdict on A itself.
     """
-    if not np.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
-    mat = as_matrix(A)
-    if mat.shape[0] != mat.shape[1]:
-        raise DimensionError("schur_split requires a square matrix")
     from scipy.linalg.lapack import dtrsen
 
-    T, Q, spectrum = _real_schur(mat)
-    T, Q, _, _, _, _, _, info = dtrsen(spectrum.real + shift > 0, T, Q, job="N")
+    T, Q, _, _, _, _, _, info = dtrsen(np.diagonal(T) + shift > 0, T, Z, job="N")
     if info != 0:
         raise NumericalError(f"Schur reordering failed (trsen info {info})")
-    return Q, T, spectrum
+    return Q, T
 
 
 def lyapunov_solve(M, Q) -> np.ndarray:

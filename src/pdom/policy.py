@@ -14,7 +14,6 @@ FP_TOL_SCALE = 1e-6   # fixed-point tail displacement, times (1+|x|)
 CYCLE_TOL = 1e-2      # relative period jitter allowed for cycles
 STEP_TOL = 1e-9       # relative distance of t_end / dt from a whole step count
 SLOPE_SLACK = 1e-9    # how far a nonlinearity's slope range may pass its declared bounds
-RATE_MATCH_TOL = 1e-12  # largest difference of the two open-loop rates a loop certificate takes as one
 SEARCH_MARGIN = 1e-6  # margin the storage search asks for, times max(1, ||A||_2)
 PTP_DRIFT_TOL = 5 * CYCLE_TOL  # relative change of a cycle's peak-to-peak pattern over two periods
 PTP_FLOOR = 1e-12     # least peak-to-peak span a cycle's drift is taken relative to

@@ -94,7 +94,8 @@ def integrate_batch(
     above it rounds above 1e9.
 
     ``input_policy`` is None or a constant input of ``sys.m`` finite entries, recorded on every sample; the
-    field adds its ``B u``. Any other width is a ``DimensionError``, a non-finite entry a ``ValueError``.
+    field adds its ``B u``. Any other width is a ``DimensionError``; a non-finite entry, or a ``B u`` that
+    overflows, is a ``ValueError``.
 
     A batch that :func:`_takes_row_step` accepts runs row by row through the
     model's generated float step (0.25-0.75 us per row-step and CPU for the built-in models, n <= 4); any other
@@ -136,7 +137,12 @@ def integrate_batch(
     if X0.ndim not in (1, 2) or X0.shape[-1] != sys.n:
         raise DimensionError(f"initial states of shape {X0.shape} fit neither ({sys.n},) nor (batch, {sys.n})")
     X0 = np.atleast_2d(X0)
-    bias = None if u is None else u @ sys.B.T
+    bias = None
+    if u is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            bias = u @ sys.B.T
+        if not np.isfinite(bias).all():
+            raise ValueError(f"constant input's B u must be finite, got {bias.tolist()}")
     runs = (_rk4_rows if _takes_row_step(sys, len(X0)) else _rk4_batch)(sys, X0, steps, dt, record_every, bias)
     inputs = None if u is None else np.broadcast_to(u, (steps // record_every + 1, sys.m))  # a read-only view
     return [Trajectory(0.0, dt * record_every, states, None if inputs is None else inputs[: len(states)], cut)

@@ -20,6 +20,11 @@ OVERFLOWING_SEARCHES = {
     "Gram matrix": ({"A": [[0, 1e-300], [-1e-300, -8e-300]], "B": [[0], [1]], "C": [[0, 1e-300]]}, 1e300),
     "ball term": ({"A": [[0, 1e-300], [-1e-300, -8e-300]], "B": [[0], [1e160]], "C": [[0, 1e300]]}, 0.0),
 }
+# finite models whose dominance construction at rate 0, p = 1 overflows: in the block decoupling, or in the storage
+OVERFLOWING_CONSTRUCTIONS = {
+    "decoupling": {"A": [[2e-7, 1e302], [0, -2e-7]], "B": [[0], [1]], "C": [[0, 1]]},
+    "storage": {"A": [[1, 1e308], [0, -1]], "B": [[0], [1]], "C": [[0, 1]]},
+}
 
 
 @pytest.fixture

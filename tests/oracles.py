@@ -39,11 +39,13 @@ def _trsyl(A, B, C, **options) -> np.ndarray:
 def block_split(A, lam: float, p: int):
     """``(W, W^{-1}, T1, T2)`` with ``A = W blockdiag(T1, T2) W^{-1}``, as the certificate construction splits A.
 
-    The ordered Schur form ``A = Q T Q^T`` of :func:`pdom.matrixcore.schur_split` leads with the
-    eigenvalues of ``A + lam I`` right of the axis, which must number p (a ``ValueError`` if not); for
-    0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks, and ``W = Q [[I, Y], [0, I]]``.
+    A's unsorted real Schur form (:func:`pdom.matrixcore._real_schur`), reordered by
+    :func:`pdom.matrixcore.schur_split` to ``A = Q T Q^T``, leads with the eigenvalues of ``A + lam I``
+    right of the axis, which must number p (a ``ValueError`` if not); for 0 < p < n one ``trsyl``,
+    ``T1 Y - Y T2 = -T12``, decouples the blocks, and ``W = Q [[I, Y], [0, I]]``.
     """
-    Q, T, spectrum = mc.schur_split(A, lam)
+    T, Z, spectrum = mc._real_schur(np.asarray(A, dtype=float))
+    Q, T = mc.schur_split(T, Z, lam)
     k = int(np.sum(spectrum.real + lam > 0))
     if k != p:
         raise ValueError(f"A + {lam:.6g} I has {k} unstable eigenvalues, expected {p}")

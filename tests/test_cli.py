@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL
+from conftest import OVERFLOWING_CONSTRUCTIONS, OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL
 from pdom import cli, dissipativity, lti, registry
 from pdom import matrixcore as mc
 
@@ -201,7 +201,9 @@ class TestVerify:
             report = cli.RunReport(command="verify")
             args = cli.build_parser().parse_args(["verify", "nl-msd", str(cert_path)])
             assert args.func(args, report) == cli.EXIT_CRITERION_FAILED
-            canonical.append(report.canonical_json())
+            data = report.to_dict()
+            data.pop("wall_time_s")
+            canonical.append(json.dumps(data, sort_keys=True))
         assert canonical[0] == canonical[1]
         verdict = json.loads(canonical[0])["verdicts"][0]
         assert verdict["witness_corner"] == [-3.0]
@@ -470,6 +472,32 @@ class TestCertify:
         error = json.loads(report.read_text())["error"]
         assert error["class"] == "NumericalError"
         assert error["message"] == "constructed certificate failed verification: inertia_mismatch"
+
+    @pytest.mark.parametrize("verb", ["analyze", "certify"])
+    @pytest.mark.parametrize("case", OVERFLOWING_CONSTRUCTIONS)
+    def test_overflowing_construction_writes_its_report(self, tmp_path, capsys, verb, case):
+        # the split passes and the construction overflows: exit 3 with its report, and no RuntimeWarning
+        path, report = tmp_path / "overflow.json", tmp_path / "r.json"
+        path.write_text(json.dumps(OVERFLOWING_CONSTRUCTIONS[case]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert cli.main(["--report", str(report), verb, str(path), "--lambda", "0", "--p", "1"]) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        data = json.loads(report.read_text())
+        assert data["error"]["class"] == "NumericalError" and data["certificates"] == []
+        assert [v["status"] for v in data["verdicts"]] == ["pass"]
+
+    @pytest.mark.parametrize("verb", ["analyze", "certify"])
+    def test_one_schur_factorization_per_claim(self, verb, monkeypatch):
+        # the construction reorders the split verdict's Schur form: one gees per claim, a workspace query none
+        import scipy.linalg.lapack as lapack
+
+        calls, gees = [], lapack.dgees
+        monkeypatch.setattr(lapack, "dgees", lambda *a, **k: calls.append(k["lwork"]) or gees(*a, **k))
+        for system, rate, p in (("msd-c4", "1.2679", "1"), ("msd-c8", "1.2679", "1"), ("msd-c4", "0", "0")):
+            calls.clear()
+            assert cli.main([verb, system, "--lambda", rate, "--p", p]) == 0
+            assert sum(lwork != -1 for lwork in calls) == 1
 
     def test_overflowing_search_radius_is_a_numerical_failure(self, tmp_path, capsys):
         # P B = C^T puts P_part near 1e160, and the search ball's radius, ten times its norm, is infinite: the search
@@ -926,6 +954,18 @@ class TestSimulate:
             argv += ["--dt", "0.01"]
         assert cli.main(argv) == 2
         assert "finite" in capsys.readouterr().err
+        assert json.loads(report.read_text())["error"]["exit_code"] == 2
+
+    def test_overflowing_input_term_is_input_error(self, tmp_path, capsys):
+        # a finite input whose B u overflows: exit 2 with its report, and no RuntimeWarning
+        path, report = tmp_path / "m.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"A": [[0, 1], [-1, -8]], "B": [[0], [10]], "C": [[0, 1]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["--report", str(report), "simulate", str(path), "--x0", "1,1", "--t", "1", "--dt", "0.1",
+                    "--input", "1e308"]
+            assert cli.main(argv) == 2
+        assert "B u must be finite" in capsys.readouterr().err
         assert json.loads(report.read_text())["error"]["exit_code"] == 2
 
 

@@ -255,6 +255,16 @@ class TestClosedLoopCertificate:
         with pytest.raises(ValueError, match="rates differ"):
             closed_loop_certificate(msd_c8, c1, msd_c8, c2)
 
+    def test_rates_one_ulp_apart_rejected(self, msd_c8):
+        # the loop takes one exact rate, the paper's uniform-rate premise: no slack around it
+        c1, c2 = (
+            DissipativityCertificate(P=registry.PASSIVITY_STORAGE_C8, rate=rate, epsilon=0.0, p=1,
+                                     supply=supply_passivity(1))
+            for rate in (RATE, np.nextafter(RATE, np.inf))
+        )
+        with pytest.raises(ValueError, match="rates differ"):
+            closed_loop_certificate(msd_c8, c1, msd_c8, c2)
+
     def test_coupling_failure_rejected(self, msd_c8):
         c = DissipativityCertificate(
             P=registry.PASSIVITY_STORAGE_C8, rate=RATE, epsilon=0.0, p=1, supply=supply_gain(2.0, 1, 1)

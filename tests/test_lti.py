@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import lti_model, random_hyperbolic, spiral_system
+from conftest import OVERFLOWING_CONSTRUCTIONS, lti_model, random_hyperbolic, spiral_system
 from oracles import _trsyl, block_split
 from pdom import registry
 from pdom import lti
@@ -189,6 +191,15 @@ class TestEigenSplit:
         verdict = eigen_split_test(lti_model(np.diag([-1.0, -2.0])), 1.0, 1)
         assert verdict.status == "inconclusive"
 
+    def test_schur_form_is_carried_outside_the_report(self, msd_c4):
+        # the form the spectrum was read off rides along for the construction; ==, repr and to_dict ignore it
+        verdict = eigen_split_test(msd_c4, RATE, 1)
+        T, Z, _ = mc._real_schur(msd_c4.A)
+        assert verdict.schur[0].tobytes() == T.tobytes() and verdict.schur[1].tobytes() == Z.tobytes()
+        bare = lti.SplitVerdict(verdict.status, verdict.margin, verdict.unstable_count, verdict.requested_p)
+        assert verdict == bare and repr(verdict) == repr(bare)
+        assert verdict.to_dict() == {"status": "pass", "margin": verdict.margin, "unstable_count": 1, "requested_p": 1}
+
     def test_zero_dominance_iff_hurwitz(self, rng):
         for _ in range(50):
             n = int(rng.integers(2, 7))
@@ -311,6 +322,16 @@ class TestConstructCertificate:
         with pytest.raises(ValueError, match="finite"):
             construct_certificate(msd_c4, np.nan, 1)
 
+    @pytest.mark.parametrize("model", OVERFLOWING_CONSTRUCTIONS.values(), ids=OVERFLOWING_CONSTRUCTIONS.keys())
+    def test_overflowing_construction_is_numerical(self, model):
+        # a finite model whose block decoupling or storage overflows: a NumericalError, and no RuntimeWarning
+        sys = LtiSystem.from_dict(model)
+        assert eigen_split_test(sys, 0.0, 1).passed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError):
+                construct_certificate(sys, 0.0, 1)
+
     @pytest.mark.parametrize("angle, proved", [(0.1, True), (1.0, False)])
     def test_the_family_verdict_is_the_only_proof(self, msd_c4, monkeypatch, angle, proved):
         # trsen's basis turned by a rotation in its first two columns: Q T Q^T is no longer A. The storage built
@@ -371,7 +392,7 @@ class TestNearAxisBattery:
     def test_refuses_exactly_what_the_rule_refuses_on_the_schur_form(self):
         seen = {"refused": 0, "certified": 0, "numerical": 0}
         for A, lam, p in self._claims(np.random.default_rng(37), 700):
-            shifted = mc.schur_split(A, lam)[2].real + lam  # the real parts of A + lam I's spectrum
+            shifted = mc._real_schur(A)[2].real + lam  # the real parts of A + lam I's spectrum
             refused = np.min(np.abs(shifted)) <= SPLIT_TOL or np.sum(shifted > SPLIT_TOL) != p
             try:
                 cert = construct_certificate(lti_model(A), lam, p)

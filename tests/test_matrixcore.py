@@ -265,9 +265,15 @@ class TestRealSchur:
             assert np.array_equal(spectrum.real, np.diagonal(T))
 
 
+def _split(A, shift):
+    """``(Q, T, spectrum)``: A's one unsorted Schur form reordered at the shift, with the spectrum read off it."""
+    T, Z, spectrum = mc._real_schur(np.asarray(A, dtype=float))
+    return (*mc.schur_split(T, Z, shift), spectrum)
+
+
 class TestSchurSplit:
     def test_msd_shifted_split(self, msd_c4):
-        _, T, spectrum = mc.schur_split(msd_c4.A, 1.2679)
+        _, T, spectrum = _split(msd_c4.A, 1.2679)
         assert _leading(spectrum, 1.2679) == 1
         eigs = np.sort(np.linalg.eigvals(T).real)
         assert eigs == pytest.approx([-3.7321, -0.2679], abs=1e-4)
@@ -275,23 +281,30 @@ class TestSchurSplit:
         assert np.linalg.eigvals(T[:1, :1])[0].real > -1.2679
 
     def test_trivial_stable(self):
-        _, _, spectrum = mc.schur_split(np.diag([-1.0, -2.0]), 0.0)
+        _, _, spectrum = _split(np.diag([-1.0, -2.0]), 0.0)
         assert _leading(spectrum, 0.0) == 0
 
     def test_mixed_diagonal(self):
-        _, _, spectrum = mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
+        _, _, spectrum = _split(np.diag([3.0, -5.0, -5.0]), 1.0)
         assert _leading(spectrum, 1.0) == 1
 
     def test_non_hyperbolic_is_only_ordered(self):
         # whether the split is hyperbolic is construct_certificate's rule, applied to the returned spectrum
-        Q, T, spectrum = mc.schur_split(np.diag([-1.0, -2.0]), 1.0)
+        Q, T, spectrum = _split(np.diag([-1.0, -2.0]), 1.0)
         assert _leading(spectrum, 1.0) == 0 and sorted(np.diagonal(T)) == [-2.0, -1.0]
         assert np.allclose(Q @ T @ Q.T, np.diag([-1.0, -2.0]))
 
-    @pytest.mark.parametrize("shift", [np.nan, np.inf])
-    def test_non_finite_shift_rejected(self, shift):
-        with pytest.raises(ValueError, match="finite"):
-            mc.schur_split(np.diag([1.0, -2.0]), shift)
+    def test_reorders_copies_and_factors_nothing(self, monkeypatch):
+        # the form it is given (a split verdict's) is left as it was, and no gees runs
+        import scipy.linalg.lapack as lapack
+
+        A = np.array([[-1.0, 1.0, 0.0], [0.0, 2.0, 0.5], [0.0, 0.0, -3.0]])  # gees keeps its diagonal's order
+        T, Z, _ = mc._real_schur(A)
+        before = T.tobytes(), Z.tobytes()
+        monkeypatch.setattr(lapack, "dgees", None)
+        Q, ordered = mc.schur_split(T, Z, 0.0)
+        assert (T.tobytes(), Z.tobytes()) == before and np.diagonal(T).tolist() == [-1.0, 2.0, -3.0]
+        assert ordered[0, 0] == pytest.approx(2.0) and np.allclose(Q @ ordered @ Q.T, A)
 
     def test_matches_sorted_scipy_schur(self, rng):
         # the sorted LAPACK Schur form, on matrices with complex pairs on both sides of the axis
@@ -304,8 +317,7 @@ class TestSchurSplit:
             shift = float(rng.uniform(-0.5, 0.5)) * np.abs(A).max()
             if np.min(np.abs(np.linalg.eigvals(A).real + shift)) <= 1e-6 * np.abs(A).max():
                 continue
-            Q, T, spectrum = mc.schur_split(A, shift)
-            assert np.array_equal(spectrum, mc._real_schur(A)[2])  # the unsorted form's, as eigen_split_test reads it
+            Q, T, spectrum = _split(A, shift)
             k = _leading(spectrum, shift)
             sorted_T, Z, sdim = sla.schur(A, output="real", sort=lambda re, im: re > -shift)
             assert k == sdim
@@ -324,7 +336,7 @@ class TestSchurSplit:
         original = lapack.dtrsen
         monkeypatch.setattr(lapack, "dtrsen", lambda *a, **kw: (*original(*a, **kw)[:7], 1))
         with pytest.raises(NumericalError, match="reordering"):
-            mc.schur_split(np.diag([3.0, -5.0, -5.0]), 1.0)
+            _split(np.diag([3.0, -5.0, -5.0]), 1.0)
 
     def test_split_decouples_with_pairs_in_both_blocks(self, rng):
         # unstable spirals 1 +- 2i, 0.5 +- i and stable spirals -1 +- 3i, -2 +- 0.5i
@@ -333,7 +345,7 @@ class TestSchurSplit:
             D[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[re, im], [-im, re]]
         V = rng.standard_normal((8, 8)) + 3.0 * np.eye(8)
         A = V @ D @ np.linalg.inv(V)
-        k = _leading(mc.schur_split(A, 0.0)[2], 0.0)
+        k = _leading(_split(A, 0.0)[2], 0.0)
         assert k == 4
         W, _, T1, T2 = block_split(A, 0.0, k)
         assert np.count_nonzero(np.diagonal(T1, -1)) == 2
@@ -352,7 +364,7 @@ class TestSchurSplit:
             if np.min(np.abs(shifted)) < 1e-3:
                 continue
             k_target = int(np.sum(shifted > 0))
-            k = _leading(mc.schur_split(A, 0.0)[2], 0.0)
+            k = _leading(_split(A, 0.0)[2], 0.0)
             assert k == k_target
             W, _, T1, T2 = block_split(A, 0.0, k)
             core = np.zeros((n, n))

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -231,6 +232,14 @@ class TestIntegrate:
         # a NaN input used to return a one-sample truncated run, and an infinite one to warn in the field's product
         with pytest.raises(ValueError, match="constant input must be finite"):
             integrate(msd_c4, [1.0, 1.0], t_end=0.1, dt=1e-2, input_policy=[value])
+
+    def test_overflowing_input_term_rejected(self):
+        # a finite input whose B u overflows: a ValueError, as a non-finite input is, and no RuntimeWarning
+        sys = LureSystem(A=[[0.0, 1.0], [-1.0, -8.0]], B=[[0.0], [10.0]], C=[[0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="B u must be finite"):
+                integrate(sys, [1.0, 1.0], t_end=1.0, dt=0.1, input_policy=[1e308])
 
     def test_single_start_and_empty_batch_run(self):
         loop = registry.nonlinear_loop()
