@@ -17,7 +17,7 @@ takes ``--seed``.
 ``analyze`` and ``certify`` (without ``--passivity``) decide a dominance claim on
 one path: the ``eigen_split`` verdict, then the constructed certificate and its
 ``dominance`` check. A claim off the split, or an inconclusive one, is a failed
-``eigen_split`` verdict, not an error.
+``eigen_split`` verdict, not an error; so is a failed premise of an ``interconnect`` loop.
 
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
 or a storage search proved that no storage exists), 2 input error (a model
@@ -42,12 +42,11 @@ from .dissipativity import (
     DissipativityCertificate,
     SupplyRate,
     _find_passivity_storage,
-    find_passivity_storage,
     supply_passivity,
     verify_dissipativity,
 )
-from .errors import CouplingError, LmiInfeasibleError, NumericalError, PdomError
-from .interconnect import closed_loop_certificate, coupling_condition
+from .errors import LmiInfeasibleError, NumericalError, PdomError
+from .interconnect import _loop_verdict, coupling_condition
 from .lti import DominanceCertificate, _check_claim, _construct_certificate, check_dominance, eigen_split_test
 from .model import LureSystem, _json_object
 from .sim import classify_asymptotics, integrate, write_trajectory_csv
@@ -201,14 +200,14 @@ def cmd_certify(args, report: RunReport) -> int:
 
 
 def cmd_interconnect(args, report: RunReport) -> int:
-    """Coupling test, then the closed-loop certificate, of one loop file.
+    """The loop theorem's verdicts on one loop file, each solved once: coupling, both parts', then the closed loop.
 
     The file holds ``sys1``, ``sys2``, ``supply1``, ``supply2`` and the loop's
     rate ``lambda``, held to the claim rule before any verdict. ``certN``, when
     present, is subsystem N's storage and p: the loop's rate is its default
     rate and the loop's supply always wins. Without ``certN``, a passivity
     storage is searched for a channel-free subsystem whose supply is the
-    passivity supply; any other subsystem without one is an input error.
+    passivity supply; any other subsystem without one is an input error. A failed premise is a failed verdict.
     """
     data = _json_object(_load_json(args.loop, report.inputs, "loop"), "a loop")
     systems = [LureSystem.from_dict(data["sys1"]), LureSystem.from_dict(data["sys2"])]
@@ -220,25 +219,28 @@ def cmd_interconnect(args, report: RunReport) -> int:
     if not coupling.passed:
         return EXIT_CRITERION_FAILED
 
-    certs = []
+    parts = []  # each part's certificate, with the verdict that proved it when it was searched
     for i, (system, supply) in enumerate(zip(systems, supplies), 1):
         key = f"cert{i}"
         if key in data:
             entry = {"lambda": rate, **_json_object(data[key], key), "supply": supply.to_dict()}
-            certs.append(DissipativityCertificate.from_dict(entry))
+            parts.append((DissipativityCertificate.from_dict(entry), None))
         elif not system.channels and supply == supply_passivity(system.r):
-            split = eigen_split_test(system, rate, 0)
-            certs.append(find_passivity_storage(system, rate, split.unstable_count))
+            parts.append(_find_passivity_storage(system, rate, eigen_split_test(system, rate, 0).unstable_count))
         else:
-            raise PdomError(
-                f"loop file must provide {key} (a storage) for this subsystem"
-            )
-    cert = closed_loop_certificate(systems[0], certs[0], systems[1], certs[1])
-    report.certificates.append(cert.to_dict())
-    report.verdicts.append(
-        {"check": "closed_loop", "passed": True, "p": cert.p, "lambda": cert.rate}
-    )
-    return EXIT_OK
+            raise PdomError(f"loop file must provide {key} (a storage) for this subsystem")
+    (c1, _), (c2, _) = parts
+    if c1.rate != c2.rate:
+        raise ValueError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
+    for i, (system, (cert, verdict)) in enumerate(zip(systems, parts), 1):
+        verdict = verify_dissipativity(system, cert) if verdict is None else verdict
+        report.verdicts.append({"check": f"dissipativity{i}", **verdict.to_dict()})
+    if all(verdict["passed"] for verdict in report.verdicts):  # every premise holds: the closed loop decides
+        verdict, cert = _loop_verdict(systems[0], c1, systems[1], c2)
+        report.verdicts.append({"check": "closed_loop", **verdict.to_dict()})
+        if cert is not None:
+            report.certificates.append(cert.to_dict())
+    return EXIT_OK if report.certificates else EXIT_CRITERION_FAILED
 
 
 def cmd_simulate(args, report: RunReport) -> int:
@@ -371,7 +373,6 @@ _REPORTED = (PdomError, ValueError, KeyError, OSError, RecursionError)
 # exception classes in the order they are matched, with exit code and stderr label
 _FAILURES = (
     ((NumericalError, LmiInfeasibleError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
-    (CouplingError, EXIT_CRITERION_FAILED, "interconnection failed"),
     (_REPORTED, EXIT_INPUT_ERROR, "input error"),
 )
 

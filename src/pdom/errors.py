@@ -18,7 +18,7 @@ class UnsupportedConfigurationError(PdomError):
 
 
 class CouplingError(PdomError):
-    """The interconnection coupling condition does not hold."""
+    """A loop fails ``closed_loop_certificate``: its coupling condition, an open-loop certificate or the closed loop."""
 
 
 class LmiInfeasibleError(PdomError):

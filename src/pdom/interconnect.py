@@ -135,13 +135,7 @@ def closed_loop_certificate(
     sys2: LureSystem,
     c2: DissipativityCertificate,
 ) -> DominanceCertificate:
-    """Block-diagonal dominance certificate for the loop, verified before return.
-
-    Requires a uniform rate, a passing coupling condition and both open-loop
-    certificates verified with their claimed p; the storage
-    blockdiag(P1, P2) then claims p1 + p2, and the loop's vertex family (one
-    vertex when no subsystem has channels) must pass the dominance LMI.
-    """
+    """The loop's certificate; raises ``ValueError`` if rates differ, then ``CouplingError`` if a check fails."""
     if c1.rate != c2.rate:
         raise ValueError(f"rates differ: {c1.rate} vs {c2.rate} (uniform rate required)")
     coupling = coupling_condition(c1.supply, c2.supply)
@@ -150,10 +144,15 @@ def closed_loop_certificate(
     for sys, cert in ((sys1, c1), (sys2, c2)):
         if not verify_dissipativity(sys, cert).passed:
             raise CouplingError("an open-loop certificate failed verification")
+    verdict, cert = _loop_verdict(sys1, c1, sys2, c2)
+    if cert is None:
+        raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")
+    return cert
 
+
+def _loop_verdict(sys1, c1, sys2, c2):
+    """blockdiag(P1, P2) claiming p1 + p2 at c1's rate on the loop's vertex family: the verdict, and its certificate."""
     P = _block_diagonal((c1.P, c2.P))  # each block passed as_symmetric in its certificate, and p1 + p2 <= n1 + n2
     verdict = _family_verdict(network((sys1, sys2), _loop_coupling(sys1, sys2)), P, c1.rate, c1.p + c2.p, 0.0)
-    if not verdict.passed:
-        raise CouplingError(f"closed-loop dominance check failed: {verdict.status}")
     epsilon = max(0.0, -verdict.worst_lmax) / 2.0
-    return DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=verdict.p)
+    return verdict, DominanceCertificate(P=P, rate=c1.rate, epsilon=epsilon, p=verdict.p) if verdict.passed else None

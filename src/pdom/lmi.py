@@ -15,10 +15,10 @@ The start has unit slack on the worst block, and mu starts where the first
 centre's gap m/mu is 1 % of the larger of that slack and the start's
 violation ``max_j lmax(F_j(P_part)) + epsilon``: a first centre as wide as
 the distance t has to fall is discarded once mu grows, and one scaled to the
-violation keeps a badly scaled start from a long damped phase. A singular
-Newton system or one that overflowed, like a slack or a ball slack that loses
-positivity to rounding, ends the search, and the final check decides; a
-particular solution that overflows is a ``NumericalError``.
+violation keeps a badly scaled start from a long damped phase. A Newton system
+that is singular or overflowed, a step-length eigensolve that fails, and a slack
+or ball slack that loses positivity to rounding each end the search, and the final
+check decides; a particular solution that overflows is a ``NumericalError``.
 
 Blocks and equality maps take a ``(..., n, n)`` stack of P and return the
 stack of their values. The engine calls each block once on ``P_part`` and
@@ -268,8 +268,11 @@ def solve(problem: LmiProblem) -> np.ndarray:
                 step = step + (_MU_GROWTH - 1.0) * mu * per_mu
                 mu *= _MU_GROWTH
                 decrement = float(np.sqrt(max(-grad @ step, 0.0)))
-            # along the step each slack moves as S^{1/2} (I + a D_j) S^{1/2}
-            sigma = np.concatenate([np.linalg.eigvalsh((step @ D.reshape(d + 1, -1)).reshape(D[0].shape)) for _, D in work])
+            try:  # along the step each slack moves as S^{1/2} (I + a D_j) S^{1/2}
+                sigma = np.concatenate([np.linalg.eigvalsh((step @ D.reshape(d + 1, -1)).reshape(D[0].shape))
+                                        for _, D in work])
+            except np.linalg.LinAlgError:
+                break  # an eigensolve that does not converge is a numerical stall, as a singular Hessian is
             dc = step[:-1]
             if sigma.max() <= 1.0:
                 # Z_j = S_j^{-1/2} (I - D_j) S_j^{-1/2} / mu is dual feasible, and

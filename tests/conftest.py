@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,23 @@ OVERFLOWING_CONSTRUCTIONS = {
 @pytest.fixture
 def rng():
     return np.random.default_rng(42)
+
+
+@pytest.fixture
+def failing_step_eigensolve(monkeypatch):
+    """Make the storage search's first step-length eigensolve (``np.linalg.eigvalsh`` called from ``pdom.lmi``) raise
+    ``LinAlgError``, as a LAPACK non-convergence does; other callers, matrixcore's included, are left alone. The list
+    of raised calls is returned."""
+    raised, eigvalsh = [], np.linalg.eigvalsh
+
+    def spy(*args, **kwargs):
+        if not raised and sys._getframe(1).f_globals["__name__"] == "pdom.lmi":
+            raised.append(args[0].shape)
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return raised
 
 
 @pytest.fixture(scope="session")

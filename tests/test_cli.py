@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import OVERFLOWING_CONSTRUCTIONS, OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL
-from pdom import cli, dissipativity, lti, registry
+from pdom import cli, dissipativity, interconnect, lti, registry
 from pdom import matrixcore as mc
 
 
@@ -457,6 +457,18 @@ class TestCertify:
         assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
         assert error["lmi"]["message"] == "barrier search ended without a storage" and error["lmi"]["gap_bound"] is None
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_step_length_eigensolve_is_a_numerical_failure(self, tmp_path, capsys, failing_step_eigensolve):
+        # a LAPACK failure in the search's step length is a stalled search (exit 3, its report under error.lmi),
+        # not an input error, although numpy's LinAlgError is a ValueError
+        report = tmp_path / "r.json"
+        argv = ["--report", str(report), "certify", "msd-c8", "--lambda", "1.2679", "--p", "1", "--passivity"]
+        assert cli.main(argv) == 3
+        assert failing_step_eigensolve and capsys.readouterr().err.startswith("numerical failure: ")
+        error = json.loads(report.read_text())["error"]
+        assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
+        assert error["lmi"]["message"] == "barrier search ended without a storage" and error["lmi"]["gap_bound"] is None
+
     @pytest.mark.parametrize("verb", ["analyze", "certify"])
     @pytest.mark.parametrize("scale", [1e153, 1e300])
     def test_huge_state_matrix_writes_its_report(self, tmp_path, capsys, verb, scale):
@@ -691,7 +703,8 @@ class TestInterconnect:
         assert cli.main(["interconnect", self._loop_file(tmp_path, gamma2=2.0)]) == 1
 
     def test_failed_open_loop_certificate_is_a_failed_check(self, tmp_path, capsys):
-        # diag(-1, 1) certifies no passivity of msd-c8 at rate 0, and `pdom verify` on it exits 1 too
+        # diag(-1, 1) certifies no passivity of msd-c8 at rate 0, and `pdom verify` on it exits 1 too: both parts'
+        # verdicts are reported with their witnesses, and the closed loop is not checked
         path = self._loop_file(tmp_path)
         data = json.loads(pathlib.Path(path).read_text())
         data["lambda"] = 0
@@ -699,10 +712,53 @@ class TestInterconnect:
         pathlib.Path(path).write_text(json.dumps(data))
         report = tmp_path / "r.json"
         assert cli.main(["--report", str(report), "interconnect", path]) == 1
-        assert "interconnection failed: an open-loop certificate failed verification" in capsys.readouterr().err
-        assert json.loads(report.read_text())["error"] == {
-            "class": "CouplingError", "message": "an open-loop certificate failed verification", "exit_code": 1,
-        }
+        assert capsys.readouterr().err == ""
+        out = json.loads(report.read_text())
+        assert "error" not in out and out["certificates"] == []
+        assert [v["check"] for v in out["verdicts"]] == ["coupling", "dissipativity1", "dissipativity2"]
+        for verdict in out["verdicts"][1:]:
+            assert not verdict["passed"] and verdict["status"] == "residual_violation"
+            assert verdict["witness"] is not None and verdict["witness_corner"] == []
+
+    def test_failed_closed_loop_is_a_failed_check(self, tmp_path, capsys, monkeypatch):
+        # every premise passes, and a spy makes the loop's family verdict fail (a margin of 100 no residual meets):
+        # exit 1 with the failing closed_loop verdict and its witness reported, no certificate and no error
+        family = interconnect._family_verdict
+        monkeypatch.setattr(interconnect, "_family_verdict", lambda sys, P, lam, p, eps: family(sys, P, lam, p, 100.0))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", self._loop_file(tmp_path)]) == 1
+        assert "closed_loop: residual_violation" in capsys.readouterr().out
+        out = json.loads(report.read_text())
+        assert "error" not in out and out["certificates"] == []
+        assert [v["check"] for v in out["verdicts"]] == ["coupling", "dissipativity1", "dissipativity2", "closed_loop"]
+        assert [v["passed"] for v in out["verdicts"]] == [True, True, True, False]
+        assert out["verdicts"][-1]["witness"] is not None
+
+    @pytest.mark.parametrize("searched", [False, True], ids=["certificates given", "storages searched"])
+    def test_each_loop_verdict_is_solved_once(self, tmp_path, monkeypatch, searched):
+        # one coupling test and three family verdicts (both parts', a searched storage's being the one that proved
+        # it, then the closed loop's), each reported once
+        calls = []
+        for module in (lti, dissipativity, interconnect):
+            monkeypatch.setattr(module, "_family_verdict",
+                                lambda *a, f=module._family_verdict, **k: calls.append("family") or f(*a, **k))
+        for module in (cli, interconnect):
+            monkeypatch.setattr(module, "coupling_condition",
+                                lambda *a, f=module.coupling_condition: calls.append("coupling") or f(*a))
+        path = self._loop_file(tmp_path)
+        if searched:
+            data = json.loads(pathlib.Path(path).read_text())
+            del data["cert1"], data["cert2"]
+            pathlib.Path(path).write_text(json.dumps(data))
+        report = tmp_path / "r.json"
+        assert cli.main(["--report", str(report), "interconnect", path]) == 0
+        assert (calls.count("coupling"), calls.count("family")) == (1, 3)
+        out = json.loads(report.read_text())
+        assert [v["check"] for v in out["verdicts"]] == ["coupling", "dissipativity1", "dissipativity2", "closed_loop"]
+        assert all(v["passed"] for v in out["verdicts"])
+        closed = out["verdicts"][-1]
+        assert (closed["p"], closed["rate"], closed["status"]) == (2, registry.KNOWN_RATE, "pass")
+        assert closed["p"] == out["certificates"][0]["p"]
 
     def test_mismatched_rates_are_an_input_error(self, tmp_path, capsys):
         # cert1 carries a rate of its own, 0.5 against the loop's: a loop certificate needs one rate
@@ -824,7 +880,7 @@ class TestInterconnect:
         path.write_text(json.dumps(data))
         assert cli.main(["--report", str(report), "interconnect", str(path)]) == 0
         out = json.loads(report.read_text())
-        for rate in (out["verdicts"][-1]["lambda"], out["certificates"][0]["lambda"]):
+        for rate in (out["verdicts"][-1]["rate"], out["certificates"][0]["lambda"]):
             assert rate == 0.0 and type(rate) is float
 
     def test_passive_loop_searches_its_storages(self, tmp_path):

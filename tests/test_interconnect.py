@@ -272,6 +272,19 @@ class TestClosedLoopCertificate:
         with pytest.raises(CouplingError):
             closed_loop_certificate(msd_c8, c, msd_c8, c)
 
+    def test_exceptions_keep_their_order(self, msd_c8):
+        # differing rates are refused before the coupling test, and a failing coupling test before the open loops
+        def cert(rate, P=registry.PASSIVITY_STORAGE_C8):
+            return DissipativityCertificate(P=P, rate=rate, epsilon=0.0, p=1, supply=supply_gain(2.0, 1, 1))
+
+        assert not coupling_condition(cert(RATE).supply, cert(RATE).supply).passed
+        with pytest.raises(ValueError, match="rates differ"):
+            closed_loop_certificate(msd_c8, cert(RATE), msd_c8, cert(0.5))
+        bad = cert(0.0, P=np.diag([-1.0, 1.0]))
+        assert not verify_dissipativity(msd_c8, bad).passed
+        with pytest.raises(CouplingError, match="coupling condition fails"):
+            closed_loop_certificate(msd_c8, bad, msd_c8, bad)
+
     def test_lure_pair_vertex_certificate(self):
         sys = registry.nonlinear_msd("mixed", "cubic")
         cert = DissipativityCertificate(

@@ -181,6 +181,17 @@ class TestNumericalStall:
         assert report.gap_bound is None and not report.proves_infeasible
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failed_step_length_eigensolve_ends_the_search(self, failing_step_eigensolve, msd_c8):
+        # a LinAlgError in the step length's eigensolve ends the search as a stall, before the first step is taken:
+        # _finalize reports the start, which proves nothing
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            find_passivity_storage(msd_c8, RATE, 1)
+        report = excinfo.value.report
+        assert len(failing_step_eigensolve) == 1
+        assert (report.iterations, report.message) == (1, "barrier search ended without a storage")
+        assert report.gap_bound is None and not report.proves_infeasible
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("case", OVERFLOWING_SEARCHES)
     def test_overflow_is_a_numerical_failure(self, case):
         # a particular solution that overflows is a NumericalError; a Newton system that does ends the search as
