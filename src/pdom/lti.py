@@ -6,7 +6,7 @@ a Lur'e model needs it at every vertex of its slope family, and a linear one
 is the family of the one vertex A. Every verifier returns the family verdict
 built here, on the residual stack alone or with the supply terms of
 :func:`dissipation_blocks` around it. This module also runs the equivalent eigenvalue-splitting test,
-whose verdict keeps the one unsorted Schur form of A it read, and constructs certificates by reordering it.
+whose verdict keeps the one unsorted Schur form of A it read, and forms each certificate on it, reordered.
 ``LtiSystem`` is the channel-free use of the one model, :class:`LureSystem`.
 """
 
@@ -413,17 +413,17 @@ def construct_certificate(sys: LtiSystem, lam: float, p: int) -> DominanceCertif
     """Build a dominance certificate from A's one factorization for the claim (lam, p).
 
     :func:`eigen_split_test` factors A and decides the claim; :func:`pdom.matrixcore.schur_split` reorders
-    its Schur form to ``A = Q T Q^T``, which puts the unstable
-    eigenvalues of ``A + lam I`` in the leading p x p Schur block T1 and the stable ones in T2; for
-    0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``, decouples the blocks (their spectra are disjoint),
-    so ``A = W blockdiag(T1, T2) W^{-1}`` with ``W = Q [[I, Y], [0, I]]``. Xu and Xs solve
-    ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``: one
-    :func:`pdom.matrixcore.lyapunov_solve` each on its Schur block. Both M are anti-Hurwitz, so both
-    block storages are positive definite, and the storage is ``W^{-T} blockdiag(-Xu, Xs) W^{-1}``.
+    its Schur form to ``A = Q T Q^T``, which puts the unstable eigenvalues of ``A + lam I`` in the leading
+    p x p Schur block T1 and the stable ones in T2; for 0 < p < n one ``trsyl``, ``T1 Y - Y T2 = -T12``,
+    decouples the blocks (their spectra are disjoint): ``T = V blockdiag(T1, T2) V^{-1}`` with
+    ``V = [[I, Y], [0, I]]``, whose inverse ``[[I, -Y], [0, I]]`` is exact. Xu and Xs solve
+    ``M^T X + X M = I`` for ``M = T1 + lam I`` and ``M = -(T2 + lam I)``: one :func:`pdom.matrixcore.lyapunov_solve`
+    each on its Schur block. Both M are anti-Hurwitz, so both block storages are positive definite, and the
+    storage, formed on the Schur basis with nothing inverted, is ``Q V^{-T} blockdiag(-Xu, Xs) V^{-1} Q^T``.
     It must pass the family verdict, and it carries a strictly positive margin. Refused: a Lur'e model
     (``state_matrix``), a claim that breaks :func:`_check_claim`, and a claim that the split verdict does
-    not pass (a ``ValueError``: inconclusive, or a p off the split). An overflow in the construction leaves
-    a non-finite W (refused here) or storage (refused by the family verdict), a :class:`NumericalError`.
+    not pass (a ``ValueError``: inconclusive, or a p off the split). An overflow leaves a non-finite
+    ``V^{-1}`` (refused here) or storage (refused by the family verdict), a :class:`NumericalError`.
     """
     return _construct_certificate(sys, lam, eigen_split_test(sys, lam, p))[0]
 
@@ -443,21 +443,18 @@ def _construct_certificate(sys: LtiSystem, lam: float, split: SplitVerdict) -> t
     Q, T = mc.schur_split(*split.schur, lam)
     n = len(T)
     T1, T2 = T[:p, :p], T[p:, p:]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite: W or the storage is refused
-        W = Q
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite: V^-1 or the storage is refused
+        Vinv = np.eye(n)  # [[I, -Y], [0, I]]
         if 0 < p < n:
-            V = np.eye(n)
-            V[:p, p:] = mc._trsyl(T1, T2, -T[:p, p:], isgn=-1)  # T1 Y - Y T2 = -T12
-            W = Q @ V
-        if not np.isfinite(W).all():
+            Vinv[:p, p:] = mc._trsyl(T1, T2, T[:p, p:], isgn=-1)  # -Y: T1 Y - Y T2 = -T12, negated
+        if not np.isfinite(Vinv).all():
             raise NumericalError("the block decoupling of the Schur form overflowed")
-        Winv = np.linalg.solve(W, np.eye(n))
         core = np.zeros((n, n))
         if p > 0:
             core[:p, :p] = mc.lyapunov_solve(T1 + lam * np.eye(p), np.eye(p))  # -Xu
         if p < n:
             core[p:, p:] = mc.lyapunov_solve(T2 + lam * np.eye(n - p), np.eye(n - p))  # Xs
-        P = Winv.T @ core @ Winv
+        P = Q @ (Vinv.T @ core @ Vinv) @ Q.T
         P = 0.5 * (P + P.T)
     # one residual eigensolve: its verdict at margin 0 implies the one at epsilon = -lmax/2
     verdict = _family_verdict(sys, P, lam, p, 0.0)

@@ -446,9 +446,17 @@ def _split_battery(rng):
 
 
 def _reference_storage(A, lam, p):
-    """The storage from the split's blocks, each block storage one ``trsyl`` of its own, symmetrized."""
-    _, Winv, T1, T2 = block_split(A, lam, p)
+    """The closed-form storage ``Q V^{-T} blockdiag(-Xu, Xs) V^{-1} Q^T`` on the split's Schur basis, symmetrized.
+
+    ``V^{-1} = [[I, -Y], [0, I]]`` with ``T1 Y - Y T2 = -T12``, and each block storage one ``trsyl`` of its own.
+    """
+    T, Z, _ = mc._real_schur(np.asarray(A, dtype=float))
+    Q, T = mc.schur_split(T, Z, lam)
     n = A.shape[0]
+    T1, T2 = T[:p, :p], T[p:, p:]
+    Vinv = np.eye(n)
+    if 0 < p < n:
+        Vinv[:p, p:] = -_trsyl(T1, T2, -T[:p, p:], isgn=-1)
     core = np.zeros((n, n))
     if p > 0:
         M = T1 + lam * np.eye(p)
@@ -458,7 +466,7 @@ def _reference_storage(A, lam, p):
         M = T2 + lam * np.eye(n - p)
         X = _trsyl(M, M, -np.eye(n - p), trana="T")
         core[p:, p:] = 0.5 * (X + X.T)  # Xs
-    P = Winv.T @ core @ Winv
+    P = Q @ (Vinv.T @ core @ Vinv) @ Q.T
     return 0.5 * (P + P.T)
 
 
@@ -489,6 +497,19 @@ class TestOneFactorization:
             construct_certificate(lti_model(A), lam, p)
             assert sum(lwork != -1 for lwork in calls) == 1  # one factorization; a workspace query is none
             assert solves == [size for size in (p, len(A) - p) if size]  # one Lyapunov solve per non-empty block
+
+    def test_nothing_is_inverted(self, rng, monkeypatch):
+        # the decoupling's inverse is written down, not solved for: no LU solve and no inverse per claim
+        claims = list(_split_battery(rng))  # the battery inverts its mixing matrices itself
+        calls = []
+        for name in ("solve", "inv"):
+            original = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda *a, original=original, name=name, **k:
+                                calls.append(name) or original(*a, **k))
+        for A, lam, p in claims:
+            construct_certificate(lti_model(A), lam, p)
+        assert calls == []
+
 
 class TestComplexPairs:
     # oscillatory modes produce 2x2 Schur blocks; the split and the certificate
