@@ -43,7 +43,7 @@ class QuadraticCone:
         n = self.P.shape[0]
         if not 0 < self.p < n:
             raise DimensionError("a quadratic cone needs 0 < p < n")
-        eigenvalues, eigenvectors = mc.sym_eigen(self.P)  # P as checked, exactly symmetric: passed on as it is
+        eigenvalues, eigenvectors = np.linalg.eigh(self.P)  # P as checked: no second check
         inertia = mc.Inertia.of_spectrum(eigenvalues)
         if not inertia.matches(self.p):
             raise DimensionError(

@@ -183,10 +183,10 @@ def min_gain(sys: LtiSystem, P, lam: float) -> float:
     """
     A = state_matrix(sys)
     _check_claim(lam, 0, sys.n)
-    P = mc.as_symmetric(P)  # exactly symmetric now: inertia_of's scan passes it on, and M is formed from it
+    P = mc.as_symmetric(P)  # P's one check: its spectrum and M are taken from it as checked
     if P.shape != A.shape:
         raise DimensionError("A and P must share dimensions")
-    if mc.inertia_of(P).zero:
+    if mc.Inertia.of_spectrum(np.linalg.eigvalsh(P)).zero:
         raise ValueError("storage has eigenvalues inside the zero band")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow stays non-finite, and the eigensolves refuse it
         M = _residual(A, P, lam) + sys.C.T @ sys.C

@@ -445,10 +445,25 @@ def _split_battery(rng):
         yield A, 0.0, int(np.sum(np.linalg.eigvals(A).real > 0))
 
 
+def _block_core(T1, T2, lam):
+    """``blockdiag(-Xu, Xs)``, each block storage one ``trsyl`` of its own, symmetrized."""
+    p, m = len(T1), len(T2)
+    core = np.zeros((p + m, p + m))
+    if p > 0:
+        M = T1 + lam * np.eye(p)
+        X = _trsyl(M, M, np.eye(p), trana="T")
+        core[:p, :p] = -(0.5 * (X + X.T))  # -Xu
+    if m > 0:
+        M = T2 + lam * np.eye(m)
+        X = _trsyl(M, M, -np.eye(m), trana="T")
+        core[p:, p:] = 0.5 * (X + X.T)  # Xs
+    return core
+
+
 def _reference_storage(A, lam, p):
     """The closed-form storage ``Q V^{-T} blockdiag(-Xu, Xs) V^{-1} Q^T`` on the split's Schur basis, symmetrized.
 
-    ``V^{-1} = [[I, -Y], [0, I]]`` with ``T1 Y - Y T2 = -T12``, and each block storage one ``trsyl`` of its own.
+    ``V^{-1} = [[I, -Y], [0, I]]`` with ``T1 Y - Y T2 = -T12``, in the construction's operation order.
     """
     T, Z, _ = mc._real_schur(np.asarray(A, dtype=float))
     Q, T = mc.schur_split(T, Z, lam)
@@ -457,16 +472,7 @@ def _reference_storage(A, lam, p):
     Vinv = np.eye(n)
     if 0 < p < n:
         Vinv[:p, p:] = -_trsyl(T1, T2, -T[:p, p:], isgn=-1)
-    core = np.zeros((n, n))
-    if p > 0:
-        M = T1 + lam * np.eye(p)
-        X = _trsyl(M, M, np.eye(p), trana="T")
-        core[:p, :p] = -(0.5 * (X + X.T))  # -Xu
-    if p < n:
-        M = T2 + lam * np.eye(n - p)
-        X = _trsyl(M, M, -np.eye(n - p), trana="T")
-        core[p:, p:] = 0.5 * (X + X.T)  # Xs
-    P = Q @ (Vinv.T @ core @ Vinv) @ Q.T
+    P = Q @ (Vinv.T @ _block_core(T1, T2, lam) @ Vinv) @ Q.T
     return 0.5 * (P + P.T)
 
 
@@ -474,12 +480,15 @@ class TestOneFactorization:
     def test_storage_is_bitwise_the_block_solves(self, rng):
         seen = {"p=0": 0, "p=n": 0, "pairs on both sides": 0}
         for A, lam, p in _split_battery(rng):
-            _, _, T1, T2 = block_split(A, lam, p)
+            _, Winv, T1, T2 = block_split(A, lam, p)
             seen["p=0"] += p == 0
             seen["p=n"] += p == A.shape[0]
             seen["pairs on both sides"] += bool(np.diagonal(T1, -1).any() and np.diagonal(T2, -1).any())
             cert = construct_certificate(lti_model(A), lam, p)
             assert cert.P.tobytes() == _reference_storage(A, lam, p).tobytes()
+            # the closed form against the oracle's LU-solved W^{-1}, which shares no formula with it
+            P = Winv.T @ _block_core(T1, T2, lam) @ Winv
+            np.testing.assert_allclose(cert.P, 0.5 * (P + P.T), rtol=0, atol=1e-12 * np.abs(P).max())
         assert min(seen.values()) >= 10, seen
 
     def test_one_schur_form_per_certificate(self, rng, monkeypatch):

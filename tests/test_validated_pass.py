@@ -149,8 +149,7 @@ def symmetry_checks(monkeypatch):
 
 class TestEachInputCheckedOnce:
     """A check validates an input matrix at most once (a certificate's P when the certificate is built),
-    and its one block stack once. ``min_gain`` and ``QuadraticCone`` take P's spectrum through matrixcore,
-    whose scan finds the checked P exactly symmetric and hands it on as it is, a second check counted here."""
+    and its one block stack once."""
 
     @pytest.mark.parametrize("channels", [False, True])
     def test_checks(self, symmetry_checks, channels):
@@ -177,14 +176,14 @@ class TestEachInputCheckedOnce:
         assert symmetry_checks == {"as_symmetric": 1, "checks": 2}
 
     def test_min_gain(self, symmetry_checks, msd_c8):
-        # P where it enters, and its inertia in inertia_of; then M in sym_eigen and the Schur complement in sym_eigvals
+        # P once, where it enters; then M in sym_eigen and the Schur complement in sym_eigvals
         min_gain(msd_c8, registry.PASSIVITY_STORAGE_C8, registry.KNOWN_RATE)
-        assert symmetry_checks == {"as_symmetric": 1, "checks": 4}
+        assert symmetry_checks == {"as_symmetric": 1, "checks": 3}
 
     def test_quadratic_cone(self, symmetry_checks):
-        # P where it enters, and the eigendecomposition kept for the boundary samples in sym_eigen
+        # P once, where it enters; the eigendecomposition kept for the boundary samples is taken from it as checked
         QuadraticCone(P=registry.KNOWN_STORAGE[4], p=1)
-        assert symmetry_checks == {"as_symmetric": 1, "checks": 2}
+        assert symmetry_checks == {"as_symmetric": 1, "checks": 1}
 
     def test_closed_loop(self, symmetry_checks, msd_c8):
         # the loop supply's Q and R, its coupling form, each open-loop block stack, the loop's [P, R] stack,
