@@ -9,7 +9,7 @@ family, built from :func:`derivative`, the left derivative of a nonlinearity.
 :func:`block_split` factors A with the LAPACK calls that
 :func:`pdom.lti.construct_certificate` makes, so the measure reads the same
 split bit for bit; its ``W^{-1}`` is an LU solve, a reference independent of
-the construction, which inverts nothing. :func:`supply_value`
+the construction, which inverts nothing, for the measure and for the storage test. :func:`supply_value`
 and :func:`failing_corners` compute, for the tests, a supply's value at one
 point and a verdict's failing corners.
 """
