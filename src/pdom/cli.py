@@ -22,7 +22,8 @@ one path: the ``eigen_split`` verdict, then the constructed certificate and its
 Exit codes: 0 all checks passed, 1 a criterion failed (or was inconclusive,
 or a storage search proved that no storage exists), 2 input error (a model
 nested too deep for the interpreter's stack included), 3 numerical failure
-(a stalled search, or a built or searched storage that failed its check).
+(a stalled search, a built or searched storage that failed its check, or a
+LAPACK failure wherever it arises).
 """
 
 from __future__ import annotations
@@ -370,9 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
 # cannot be read or written; RecursionError: pdom recurses only over its inputs' nesting, so one nests too deep
 _REPORTED = (PdomError, ValueError, KeyError, OSError, RecursionError)
 
-# exception classes in the order they are matched, with exit code and stderr label
+# exception classes in the order they are matched (numpy's LinAlgError is a ValueError), with exit code and stderr label
 _FAILURES = (
-    ((NumericalError, LmiInfeasibleError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
+    ((NumericalError, LmiInfeasibleError, np.linalg.LinAlgError), EXIT_NUMERICAL_FAILURE, "numerical failure"),
     (_REPORTED, EXIT_INPUT_ERROR, "input error"),
 )
 

@@ -293,23 +293,6 @@ def _vertex_splits(matrices, lam: float, p: int, inertia: mc.Inertia, negative: 
     return split_ok
 
 
-def _definite_residuals(R: np.ndarray, floor: float) -> tuple[np.ndarray, np.ndarray]:
-    """Which residuals of the ``(N, n, n)`` stack R are definite with margin: ``(R + delta I < 0, R - delta I > 0)``.
-
-    ``delta = floor + RECON_TOL ||R||_F`` per matrix, at least ``floor + RECON_TOL ||R||_2``; each
-    mask is read off the pivots of ``-R - delta I`` or ``R - delta I``
-    (:func:`pdom.matrixcore.positive_definite`), formed in turn in one buffer.
-    """
-    delta = (floor + RECON_TOL * mc.frobenius(R))[:, None]
-    shifted = -R
-    diagonal = shifted.reshape(len(R), -1)[:, :: R.shape[-1] + 1]
-    diagonal -= delta
-    negative = mc.positive_definite(shifted)
-    np.copyto(shifted, R)
-    diagonal -= delta
-    return negative, mc.positive_definite(shifted)
-
-
 def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float, supply=None) -> DifferentialVerdict:
     """The one verdict path: the storage P, claiming p, on every vertex of the model ``sys``.
 
@@ -325,10 +308,11 @@ def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float
     A vertex passes when P has the claimed inertia (p, 0, n - p) and ``lmax(block) <= -epsilon +
     LMI_TOL`` (``<= LMI_TOL`` for a dissipation block). R's definiteness margins come from the
     block spectra when R is the block stack, or else off the pivots of ``-R - delta I`` and
-    ``R - delta I`` (:func:`_definite_residuals`, ``delta`` taking ``||R||_F >= ||R||_2``). The
-    verdict's columns are read-only. A residual failure keeps a copy of the block with the largest
-    ``lmax``, whose eigenvector the verdict solves only when its ``witness`` is read. An omitted p
-    is read from P's inertia; a storage with an eigenvalue in the zero band is then a ValueError.
+    ``R - delta I`` (:func:`pdom.matrixcore.positive_definite` with shift ``delta``, taking
+    ``||R||_F >= ||R||_2``). The verdict's columns are read-only. A residual failure keeps a copy
+    of the block with the largest ``lmax``, whose eigenvector the verdict solves only when its
+    ``witness`` is read. An omitted p is read from P's inertia; a storage with an eigenvalue in the
+    zero band is then a ValueError.
     """
     channels = bool(as_model(sys).channels)
     if P.shape != (sys.n, sys.n) or supply is not None and (supply.r, supply.m) != (sys.r, sys.m):
@@ -362,7 +346,9 @@ def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float
             delta = floor + RECON_TOL * np.maximum(abs(lmin), abs(lmax))
             negative, positive = lmax < -delta, lmin > delta
         else:
-            negative, positive = _definite_residuals(R, floor)
+            delta = floor + RECON_TOL * mc.frobenius(R)
+            # R's mask first: -R then reuses the pages of the copy it freed, where the other order faults in fresh ones
+            positive, negative = mc.positive_definite(R, delta), mc.positive_definite(-R, delta)
         split_ok = _vertex_splits(matrices, lam, p, inertia, negative, positive)
         split_ok.setflags(write=False)
         corners.setflags(write=False)  # a channel-free model's _NO_CORNER is read-only already

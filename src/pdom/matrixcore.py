@@ -113,24 +113,24 @@ def frobenius(mat: np.ndarray) -> np.ndarray:
     return size
 
 
-def positive_definite(S) -> np.ndarray:
-    """One flag per matrix of a finite symmetric ``(..., n, n)`` stack: is it positive definite?
+def positive_definite(S, shift) -> np.ndarray:
+    """One flag per matrix of a finite symmetric ``(..., n, n)`` stack: is ``S - shift I`` positive definite?
 
-    A matrix is positive definite when every pivot of its unpivoted Cholesky
-    factorization is positive. Each matrix is factored scaled by its largest
-    |entry|, the whole stack in n steps with each entry held as one row over
-    the stack, and the answer is a flag, never an exception
-    (``np.linalg.cholesky`` raises on the first failure). Scaled so, the
-    diagonal of each Schur complement stays at most 1, so a positive definite
-    matrix has ``c_i^2 < d`` for every entry c_i of each pivot column, d being
-    the pivot. A column that breaks this makes a 2 x 2 principal minor
-    non-positive: the matrix is declared not definite at that step, and its
-    later multipliers are zero, so nothing overflows. A 0 x 0 matrix is
-    positive definite.
+    ``shift`` is a scalar or one value per matrix (shape ``S.shape[:-2]``), subtracted from the
+    diagonal of the routine's own copy. A matrix is positive definite when every pivot of its
+    unpivoted Cholesky factorization is positive. Each shifted matrix is factored scaled by its
+    largest |entry|, the whole stack in n steps with each entry held as one row over the stack,
+    and the answer is a flag, never an exception (``np.linalg.cholesky`` raises on the first
+    failure). Scaled so, the diagonal of each Schur complement stays at most 1, so a positive
+    definite matrix has ``c_i^2 < d`` for every entry c_i of each pivot column, d being the pivot.
+    A column that breaks this makes a 2 x 2 principal minor non-positive: the matrix is declared
+    not definite at that step, and its later multipliers are zero, so nothing overflows. A 0 x 0
+    matrix is positive definite.
     """
     mat = np.asarray(S, dtype=float)
     n = mat.shape[-1]
     M = mat.transpose(mat.ndim - 2, mat.ndim - 1, *range(mat.ndim - 2)).copy()
+    M.reshape(n * n, *mat.shape[:-2])[:: n + 1] -= shift  # the diagonal, a view of the copy
     peak = np.maximum(M.max(axis=(0, 1), initial=0.0), -M.min(axis=(0, 1), initial=0.0))
     M /= np.where(peak > 0.0, peak, 1.0)
     ok = np.ones(mat.shape[:-2], dtype=bool)

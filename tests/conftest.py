@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pdom import LtiSystem, registry
+from pdom import matrixcore as mc
 
 
 # a well-posed model whose Newton Hessian is singular on the search's second step (rate 5e4, p = 0)
@@ -35,20 +36,31 @@ def rng():
 
 
 @pytest.fixture
-def failing_step_eigensolve(monkeypatch):
-    """Make the storage search's first step-length eigensolve (``np.linalg.eigvalsh`` called from ``pdom.lmi``) raise
-    ``LinAlgError``, as a LAPACK non-convergence does; other callers, matrixcore's included, are left alone. The list
-    of raised calls is returned."""
-    raised, eigvalsh = [], np.linalg.eigvalsh
+def failing_linalg(monkeypatch):
+    """``fail(name, module)`` makes the first ``np.linalg.<name>`` call made from ``module`` raise ``LinAlgError``, as a
+    LAPACK non-convergence does; a routine the module hands to ``matrixcore._on_cores`` counts as called from it, and
+    every other caller, matrixcore's included, is left alone. ``fail`` returns the list of raised calls."""
+    def fail(name, module):
+        raised, original = [], getattr(np.linalg, name)
 
-    def spy(*args, **kwargs):
-        if not raised and sys._getframe(1).f_globals["__name__"] == "pdom.lmi":
-            raised.append(args[0].shape)
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-        return eigvalsh(*args, **kwargs)
+        def spy(*args, **kwargs):
+            frame = sys._getframe(1)
+            if frame.f_code is mc._on_cores.__code__:
+                frame = frame.f_back
+            if not raised and frame.f_globals["__name__"] == module:
+                raised.append(np.shape(args[0]))
+                raise np.linalg.LinAlgError(f"{name} did not converge")
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
-    return raised
+        monkeypatch.setattr(np.linalg, name, spy)
+        return raised
+    return fail
+
+
+@pytest.fixture
+def failing_step_eigensolve(failing_linalg):
+    """The storage search's first step-length eigensolve (``np.linalg.eigvalsh`` called from ``pdom.lmi``) raises."""
+    return failing_linalg("eigvalsh", "pdom.lmi")
 
 
 @pytest.fixture(scope="session")

@@ -59,6 +59,33 @@ class TestAnalyze:
         assert cli.main(["analyze", "msd-c4", "--lambda", "0.26794919243112281", "--p", "1"]) == 1
 
 
+# a passivity certificate, and a zero-band storage that sends every vertex of its Lur'e model to eigvals
+_PASSIVITY_CERT = {"P": registry.PASSIVITY_STORAGE_C8.tolist(), "lambda": 1.2679, "p": 1, "supply": {"kind": "passivity"}}
+_ZERO_BAND_CERT = {"P": [[-1e-12, 0.0], [0.0, 1e-12]], "lambda": 0.5, "p": 1}
+
+
+class TestLapackFailure:
+    """A LAPACK failure that the library lets through, numpy's LinAlgError (a ValueError), is a numerical failure."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name, module, argv, cert", [
+        ("eigvalsh", "pdom.lti", ["verify", "msd-c8"], _PASSIVITY_CERT),
+        ("eigvals", "pdom.lti", ["verify", "nl-msd"], _ZERO_BAND_CERT),
+        ("eigh", "pdom.cones", ["reproduce", "1"], None),
+        ("norm", "pdom.dissipativity", ["certify", "msd-c8", "--lambda", "1.2679", "--p", "1", "--passivity"], None),
+    ], ids=["storage spectrum", "vertex spectra", "cone", "search margin"])
+    def test_exits_3_with_its_report(self, tmp_path, capsys, failing_linalg, name, module, argv, cert):
+        report, path = tmp_path / "r.json", tmp_path / "cert.json"
+        if cert is not None:
+            path.write_text(json.dumps(cert))
+            argv = argv + [str(path)]
+        raised = failing_linalg(name, module)
+        assert cli.main(["--report", str(report)] + argv) == 3
+        assert raised and capsys.readouterr().err.startswith("numerical failure: ")
+        error = json.loads(report.read_text())["error"]
+        assert (error["class"], error["exit_code"]) == ("LinAlgError", 3)
+
+
 class TestVerify:
     def test_dominance_certificate(self, msd4_file, cert4_file):
         assert cli.main(["verify", msd4_file, cert4_file]) == 0

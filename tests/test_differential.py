@@ -38,7 +38,7 @@ from pdom.lti import (
     residual,
 )
 from pdom.matrixcore import inertia_of
-from pdom.policy import LMI_TOL, MAX_VERTICES
+from pdom.policy import LMI_TOL, MAX_VERTICES, RECON_TOL, SPLIT_TOL
 
 
 def _claim(sys, P, lam, p, epsilon=0.0, supply=None):
@@ -683,6 +683,30 @@ class TestSplitFromResidual:
         verdict = _claim(sys, 1e-12 * P, lam, p)
         assert calls == [(256, 4, 4)]
         assert all(v.split_ok for v in verdict.vertices)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_dissipation_masks_are_the_explicitly_shifted_pivots(self, k):
+        # split_ok equals, bit for bit, the split read off masks of -R - delta I and R - delta I formed here and
+        # factored unshifted; a valid, a flipped and a zero-band storage, under a gain and a passivity supply
+        sys, lam, P, p = _planted_lure(np.random.default_rng(100 + k), 4, k, gain=1.0)
+        matrices, _ = vertex_family(sys)
+        decided = 0
+        for supply in (supply_gain(2.0, 1, 1), supply_passivity(1)):
+            for S, claim in ((P, p), (-P, 4 - p), (1e-12 * P, p)):
+                verdict = _claim(sys, S, lam, claim, supply=supply)
+                storage = np.linalg.eigvalsh(S)
+                R = residual(matrices, S, lam)
+                delta = 2.0 * SPLIT_TOL * abs(storage).max() + RECON_TOL * mc.frobenius(R)
+                masks = []
+                for shifted in (-R, R.copy()):
+                    shifted[:, range(4), range(4)] -= delta[:, None]
+                    masks.append(mc.positive_definite(shifted, 0.0))
+                assert np.array_equal(masks, [mc.positive_definite(-R, delta), mc.positive_definite(R, delta)])
+                inertia = mc.Inertia.of_spectrum(storage)
+                want = lti._vertex_splits(matrices, lam, claim, inertia, *masks)
+                assert verdict.split_ok.dtype == want.dtype and verdict.split_ok.tobytes() == want.tobytes()
+                decided += int((masks[0] | masks[1]).sum())
+        assert decided > 0
 
 
 class TestSplitAcrossCpus:

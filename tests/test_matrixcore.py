@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import threading
 
 import numpy as np
@@ -211,7 +213,7 @@ class TestPositiveDefinite:
             clear = np.abs(lam).min(axis=-1) > 1e-9 * np.abs(lam).max(axis=-1)
             assert clear.all()
             with np.errstate(all="raise"):
-                flags = mc.positive_definite(S)
+                flags = mc.positive_definite(S, 0.0)
             assert flags.dtype == bool and flags.shape == (len(S),)
             assert np.array_equal(flags, lam[:, 0] > 0)
             assert 0 < flags.sum() < len(S)
@@ -227,7 +229,7 @@ class TestPositiveDefinite:
         definite[5] = np.diag(np.r_[np.ones(n - 1), 0.0])
         for scale in self.SCALES:
             with np.errstate(all="raise"):
-                flags = mc.positive_definite(scale * definite)
+                flags = mc.positive_definite(scale * definite, 0.0)
             assert not flags.any()
             assert (np.linalg.eigvalsh(scale * definite)[:, 0] <= 1e-12 * scale * np.abs(definite).max()).all()
 
@@ -236,14 +238,40 @@ class TestPositiveDefinite:
         S = np.array([[[1.0, 0.0, 0.0], [0.0, 1e-320, 0.5], [0.0, 0.5, 1.0]],
                       [[1.0, 0.0, 0.0], [0.0, 1e-300, 1e-160], [0.0, 1e-160, 1.0]]])
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            flags = mc.positive_definite(S)
+            flags = mc.positive_definite(S, 0.0)
         assert flags.tolist() == [False, True]
 
     def test_shapes(self):
-        assert mc.positive_definite(np.eye(3)).shape == ()
-        assert bool(mc.positive_definite(np.eye(3))) and not mc.positive_definite(-np.eye(3))
-        assert mc.positive_definite(np.zeros((2, 5, 0, 0))).tolist() == [[True] * 5] * 2
-        assert mc.positive_definite(np.ones((2, 3, 1, 1))).all()
+        assert mc.positive_definite(np.eye(3), 0.0).shape == ()
+        assert bool(mc.positive_definite(np.eye(3), 0.0)) and not mc.positive_definite(-np.eye(3), 0.0)
+        assert mc.positive_definite(np.zeros((2, 5, 0, 0)), 0.0).tolist() == [[True] * 5] * 2
+        assert mc.positive_definite(np.ones((2, 3, 1, 1)), 0.0).all()
+
+    @pytest.mark.parametrize("per_matrix", [False, True], ids=["scalar shift", "per-matrix shift"])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_shift_is_taken_off_the_diagonal(self, rng, n, per_matrix):
+        # each smallest eigenvalue sits 1e-3 (of a spectrum spread over about 2) above or below its matrix's shift
+        count = 40
+        shift = rng.uniform(-1.0, 1.0, count) if per_matrix else np.full(count, rng.uniform(-1.0, 1.0))
+        above = np.arange(count) % 2 == 0
+        gaps = np.c_[np.zeros(count), rng.uniform(0.01, 2.0, (count, n - 1))]
+        w = (shift + np.where(above, 1e-3, -1e-3))[:, None] + gaps
+        V = np.linalg.qr(rng.standard_normal((count, n, n)))[0]
+        S = (V * w[:, None, :]) @ V.swapaxes(-1, -2)
+        S = 0.5 * (S + S.swapaxes(-1, -2))
+        for scale in (1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300):
+            scaled_shift = scale * shift if per_matrix else scale * shift[0]
+            assert np.array_equal(np.linalg.eigvalsh(scale * S)[:, 0] > scaled_shift, above)
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                flags = mc.positive_definite(scale * S, scaled_shift)
+            assert flags.dtype == bool and np.array_equal(flags, above)
+
+    def test_shift_on_empty_and_scalar_stacks(self):
+        assert mc.positive_definite(np.zeros((3, 0, 0)), np.array([-1.0, 0.0, 1.0])).tolist() == [True] * 3
+        S = np.array([1.0, 2.0, 3.0])[:, None, None]
+        assert mc.positive_definite(S, 2.0).tolist() == [False, False, True]
+        assert mc.positive_definite(S, np.array([0.5, 2.5, 2.0])).tolist() == [True, False, True]
+        assert mc.positive_definite(1e300 * S, 2e300).tolist() == [False, False, True]
 
 
 def _leading(spectrum, shift):
@@ -476,3 +504,78 @@ class TestExpm:
     def test_range_error(self):
         with pytest.raises(NumericalError):
             mc.expm(np.diag([1.0]), 1e6)
+
+
+def _lapack_sites(source: str) -> list[str]:
+    """The LAPACK routines a module reaches outside matrixcore: each ``np.linalg.<name>`` it names (called, or handed
+    on as an argument) and each import from ``numpy.linalg`` or ``scipy.linalg``. ``LinAlgError`` is no routine, and
+    a sum norm (no ``ord``, ``'fro'``, 1, ``inf``, or an ``axis``) factors nothing; any other norm reads ``norm-<ord>``."""
+    tree = ast.parse(source)
+
+    def linalg_name(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg":
+            if isinstance(node.value.value, ast.Name) and node.value.value.id in ("np", "numpy"):
+                return node.attr
+        return None
+
+    norms = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and linalg_name(node.func) == "norm":
+            keywords = {keyword.arg: keyword.value for keyword in node.keywords}
+            order = node.args[1] if len(node.args) > 1 else keywords.get("ord")
+            summed = order is None or len(node.args) > 2 or "axis" in keywords or ast.unparse(order) in (
+                "'fro'", "1", "np.inf", "numpy.inf")
+            norms[id(node.func)] = None if summed else f"norm-{ast.unparse(order)}"
+    sites = []
+    for node in ast.walk(tree):
+        name = linalg_name(node)
+        if name == "norm":
+            name = norms.get(id(node), "norm")
+        if name not in (None, "LinAlgError"):
+            sites.append(name)
+        if isinstance(node, ast.Import):
+            sites += [alias.name for alias in node.names if alias.name.startswith(("numpy.linalg", "scipy.linalg"))]
+        if isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith(("numpy.linalg", "scipy.linalg")):
+                sites += [f"{node.module}.{alias.name}" for alias in node.names]
+            elif node.module in ("numpy", "scipy"):
+                sites += [f"{node.module}.linalg" for alias in node.names if alias.name == "linalg"]
+    return sorted(sites)
+
+
+class TestLapackOutsideMatrixcore:
+    """A ratchet: the LAPACK calls still made outside matrixcore (ROADMAP item 25) may shrink, never grow."""
+
+    # each remaining site; a site routed through matrixcore leaves this table, and a new one fails the test
+    REMAINING = {
+        "cones": ["eigh"],
+        "dissipativity": ["eigvalsh", "norm-2"],
+        "lmi": ["eigvalsh", "solve", "svd"],
+        "lti": ["eigvals", "eigvalsh"],
+    }
+
+    def test_no_new_site(self):
+        found = {}
+        for path in sorted(pathlib.Path(mc.__file__).parent.glob("*.py")):
+            if path.name != "matrixcore.py" and (sites := _lapack_sites(path.read_text(encoding="utf-8"))):
+                found[path.stem] = sites
+        assert found == self.REMAINING
+
+    def test_every_kind_of_site_is_seen(self):
+        source = """
+import numpy as np
+import scipy.linalg
+from scipy.linalg import lu
+from scipy import linalg
+from numpy.linalg import qr
+try:
+    w = np.linalg.eigvalsh(S)
+except np.linalg.LinAlgError:
+    pass
+mc._on_cores(np.linalg.eigvals, A)
+np.linalg.norm(A), np.linalg.norm(A, 'fro'), np.linalg.norm(A, 1), np.linalg.norm(A, np.inf), np.linalg.norm(X, axis=1)
+np.linalg.norm(A, 2), np.linalg.norm(A, ord=-2)
+"""
+        assert _lapack_sites(source) == sorted([
+            "scipy.linalg", "scipy.linalg.lu", "scipy.linalg", "numpy.linalg.qr", "eigvalsh", "eigvals", "norm-2",
+            "norm--2"])

@@ -51,7 +51,8 @@ def _reference(sys, P, lam, p, epsilon, supply=None):
             delta = floor + RECON_TOL * np.maximum(abs(lmin), abs(lmax))
             negative, positive = lmax < -delta, lmin > delta
         else:
-            negative, positive = lti._definite_residuals(R, floor)
+            delta = floor + RECON_TOL * mc.frobenius(R)
+            negative, positive = mc.positive_definite(-R, delta), mc.positive_definite(R, delta)
         split_ok = lti._vertex_splits(matrices, lam, p, inertia, negative, positive)
     return inertia.as_tuple(), lmax, passed, split_ok, witness
 
