@@ -25,9 +25,10 @@ stack of their values. The engine calls each block once on ``P_part`` and
 once on the stack of all null-space directions ``P_part + smat(N^T)``, and
 each equality map once on the stacked basis of symmetric matrices, so the
 number of calls does not grow with n. One SVD gives ``P_part`` (lstsq's
-minimum-norm solution) and N. The block values are checked once; a Newton
-step is then one eigensolve per block, the congruence and Gram matrix of its
-generators, and one LU factorization, which also serves a growth of mu.
+minimum-norm solution) and N, N = I when there is no equality; an empty
+null space runs the same Newton loop on t alone. Block values are checked
+once; a Newton step is one eigensolve per block, the congruence and Gram
+matrix of its generators, and one LU factorization, also serving a growth of mu.
 
 Success is verifier-gated: callers check every solution with the relevant
 module verifier, so the engine can never leak an unverified certificate.
@@ -163,42 +164,30 @@ def solve(problem: LmiProblem) -> np.ndarray:
     n = problem.dim
     dsym = n * (n + 1) // 2
 
-    # eliminate equality constraints: P = P_part + smat(N c)
-    if problem.equalities:
-        basis = smat(np.eye(dsym), n)
-        rows = []
-        rhs = []
-        for eq in problem.equalities:
-            rhs.append(np.asarray(eq.rhs, dtype=float).ravel())
-            rows.append(np.asarray(eq.map(basis), dtype=float).reshape(dsym, -1).T)
-        G = np.vstack(rows)
-        g = np.concatenate(rhs)
-        U, sv, Vt = np.linalg.svd(G)
-        rank = int(np.sum(sv > max(G.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
-        with np.errstate(all="ignore"):  # an overflowed solution is refused below, with no warning
-            part = Vt[:rank].T @ ((U[:, :rank].T @ g) / sv[:rank])
-            eq_residual = float(np.linalg.norm(G @ part - g, np.inf))
-        if not (np.isfinite(part).all() and np.isfinite(eq_residual)):
-            raise NumericalError("the equalities' particular solution is not finite")
-        if eq_residual > EQ_TOL * max(1.0, float(np.linalg.norm(g, np.inf))):
-            raise LmiInfeasibleError(
-                LmiReport(
-                    iterations=0,
-                    violation=np.inf,
-                    equality_residual=eq_residual,
-                    message="equality constraints are unsatisfiable",
-                )
+    # eliminate equality constraints: P = P_part + smat(N c); with none, G has no rows and the SVD gives N = I
+    basis = smat(np.eye(dsym), n)
+    G = np.vstack([np.zeros((0, dsym))] + [np.asarray(eq.map(basis), dtype=float).reshape(dsym, -1).T
+                                            for eq in problem.equalities])
+    g = np.concatenate([np.zeros(0)] + [np.asarray(eq.rhs, dtype=float).ravel() for eq in problem.equalities])
+    U, sv, Vt = np.linalg.svd(G)
+    rank = int(np.sum(sv > max(G.shape) * np.finfo(float).eps * (sv[0] if sv.size else 1.0)))
+    with np.errstate(all="ignore"):  # an overflowed solution is refused below, with no warning
+        part = Vt[:rank].T @ ((U[:, :rank].T @ g) / sv[:rank])
+        eq_residual = float(np.linalg.norm(G @ part - g, np.inf))
+    if not (np.isfinite(part).all() and np.isfinite(eq_residual)):
+        raise NumericalError("the equalities' particular solution is not finite")
+    if eq_residual > EQ_TOL * max(1.0, float(np.linalg.norm(g, np.inf))):
+        raise LmiInfeasibleError(
+            LmiReport(
+                iterations=0,
+                violation=np.inf,
+                equality_residual=eq_residual,
+                message="equality constraints are unsatisfiable",
             )
-        N = Vt[rank:].T  # dsym x d
-        P_part = smat(part, n)
-    else:
-        N = np.eye(dsym)
-        P_part = np.zeros((n, n))
-
+        )
+    N = Vt[rank:].T  # dsym x d; d = 0 leaves the Newton loop t alone
+    P_part = smat(part, n)
     d = N.shape[1]
-    if d == 0 and problem.equalities:
-        # fully determined by equalities; only the block check remains
-        return _finalize(problem, P_part, 0)
 
     # S_j(x) = (t - epsilon) I - F_j(c) is affine in x = (c, t): for each block
     # its value at x = 0 and its d + 1 generators, the last one for t
@@ -296,7 +285,7 @@ def solve(problem: LmiProblem) -> np.ndarray:
     return _finalize(problem, P, iterations, bound)
 
 
-def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float | None = None) -> np.ndarray:
+def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float | None) -> np.ndarray:
     """P, if it meets every block, equality and the inertia target; otherwise the one failure report."""
     worst = -np.inf
     for blk in problem.blocks:

@@ -441,22 +441,24 @@ class TestCertify:
         assert "finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "system, rate, lmi_check",
+        "system, rate, p, lmi_check",
         [
-            ({"A": [[0, 1], [-1, -4]], "B": [[0], [0]], "C": [[1, 0]]}, "0.5",
+            ({"A": [[0, 1], [-1, -4]], "B": [[0], [0]], "C": [[1, 0]]}, "0.5", "1",
              lambda lmi: lmi["violation"] is None and "unsatisfiable" in lmi["message"]),
-            ("msd-c4", "0", lambda lmi: lmi["gap_bound"] > 0),
+            ("msd-c4", "0", "1", lambda lmi: lmi["gap_bound"] > 0),
+            ({"A": [[-1]], "B": [[-2]], "C": [[1]]}, "0", "0", lambda lmi: lmi["gap_bound"] > 0),
         ],
-        ids=["no-equality-solution", "positive-gap-bound"],
+        ids=["no-equality-solution", "positive-gap-bound", "fully-determined"],
     )
-    def test_proven_miss_is_a_failed_check(self, tmp_path, capsys, system, rate, lmi_check):
-        # B = 0 leaves P B = C^T without a solution; msd-c4 has no unstable eigenvalue at rate 0
+    def test_proven_miss_is_a_failed_check(self, tmp_path, capsys, system, rate, p, lmi_check):
+        # B = 0 leaves P B = C^T without a solution; msd-c4 has no unstable eigenvalue at rate 0; B = -2 leaves
+        # only P = -1/2, on which A^T P + P A = 1 is positive
         if isinstance(system, dict):
-            path = tmp_path / "b0.json"
+            path = tmp_path / "model.json"
             path.write_text(json.dumps(system))
             system = str(path)
         report = tmp_path / "r.json"
-        argv = ["--report", str(report), "certify", system, "--lambda", rate, "--p", "1", "--passivity"]
+        argv = ["--report", str(report), "certify", system, "--lambda", rate, "--p", p, "--passivity"]
         assert cli.main(argv) == 1
         assert capsys.readouterr().err.startswith("no storage: ")
         error = json.loads(report.read_text())["error"]

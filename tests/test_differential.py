@@ -786,6 +786,11 @@ class TestDiffDominance:
         with pytest.raises(ValueError, match="finite"):
             _claim(sys, registry.DIFF_STORAGE_VELOCITY, lam, 1, epsilon)
 
+    def test_zero_band_storage_refused(self):
+        # p is read from P's inertia: an eigenvalue of P inside the zero band leaves the claim ill-posed
+        with pytest.raises(ValueError, match="zero band"):
+            check_diff_dominance(registry.builtin_system("nl-msd"), np.diag([-1.0, 1e-10]), 1.0)
+
     def test_negative_margin_refused(self):
         # this storage fails at the slope -0.5 vertex (worst lmax 0.30); a margin of -1 would excuse it
         sys = registry.nonlinear_msd("velocity", "monotone")
@@ -815,6 +820,11 @@ class TestDiffDissipativity:
         sys = registry.nonlinear_msd("mixed", "cubic")
         with pytest.raises(ValueError, match="finite"):
             _claim(sys, registry.DIFF_STORAGE_MIXED, lam, 1, epsilon, supply_passivity(1))
+
+    def test_zero_band_storage_refused(self):
+        sys = registry.builtin_system("nl-msd")
+        with pytest.raises(ValueError, match="zero band"):
+            check_diff_dissipativity(sys, np.diag([-1.0, 1e-10]), 1.0, supply_passivity(1))
 
     def test_interior_slope_margin(self):
         # slope s = 1 sits inside the feasible window (roots of s^2 + 5 s - 10)

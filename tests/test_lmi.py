@@ -147,6 +147,47 @@ class TestSolve:
             assert np.linalg.eigvalsh(residual(A, P, 1.0))[-1] <= -1e-4 + 1e-6
 
 
+def _determined(A, B, C):
+    return LtiSystem(A=np.array(A, dtype=float), B=np.array(B, dtype=float), C=np.array(C, dtype=float))
+
+
+class TestFullyDetermined:
+    """P B = C^T leaves exactly one P: the Newton loop runs on t alone, and a storage that fails is proved absent."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "system, p, storage",
+        [(([[-1.0]], [[2.0]], [[1.0]]), 0, [[0.5]]),
+         ((np.diag([1.0, -1.0]), np.eye(2), np.diag([-1.0, 2.0])), 1, np.diag([-1.0, 2.0]))],
+        ids=["one-state", "two-state"],
+    )
+    def test_the_one_storage_is_found(self, system, p, storage):
+        assert np.array_equal(find_passivity_storage(_determined(*system), 0.0, p).P, storage)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "system, p",
+        [(([[-1.0]], [[-2.0]], [[1.0]]), 0), ((np.diag([-1.0, -1.0]), np.eye(2), np.diag([-1.0, 2.0])), 1)],
+        ids=["one-state", "two-state"],
+    )
+    def test_a_failing_storage_is_proved_absent(self, system, p):
+        # P = C^T B^-1 leaves A^T P + P A positive on one direction: the dual bound proves it, not a stall
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            find_passivity_storage(_determined(*system), 0.0, p)
+        report = excinfo.value.report
+        assert report.message == "no storage in the search ball meets the margin"
+        assert report.gap_bound > 0 and report.proves_infeasible
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_wrong_inertia_proves_nothing(self):
+        # P = -1/2 meets the block, but its inertia is not the claimed one; the report says so and proves nothing
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            find_passivity_storage(_determined([[1.0]], [[2.0]], [[-1.0]]), 0.0, 0)
+        report = excinfo.value.report
+        assert report.message == "blocks satisfied but inertia (1, 0, 0) != target (0, 0, 1)"
+        assert report.gap_bound is None and not report.proves_infeasible
+
+
 def _planted_passivity(rng, n, p, m=2, lam=0.5, margin=0.1):
     """A, B, C with a storage of inertia (p, 0, n - p), P B = C^T and residual -2 margin I."""
     Q, _ = np.linalg.qr(rng.standard_normal((n, n)))

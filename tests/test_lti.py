@@ -322,6 +322,15 @@ class TestConstructCertificate:
         with pytest.raises(ValueError, match="finite"):
             construct_certificate(msd_c4, np.nan, 1)
 
+    def test_a_storage_its_verdict_refuses_is_not_returned(self):
+        # the exact storage diag(-2.5e5, 5e-4) has its smaller eigenvalue inside ZTOL_REL ||P||: the verdict reads
+        # it as zero, and the construction refuses the storage rather than return it
+        A = np.diag([2e-6, -1e3])
+        with pytest.raises(NumericalError, match="failed verification: inertia_mismatch"):
+            construct_certificate(lti_model(A), 0.0, 1)
+        exact = DominanceCertificate(P=np.diag([-2.5e5, 5e-4]), rate=0.0, epsilon=0.0, p=1)
+        assert check_dominance(lti_model(A), exact).status == "inertia_mismatch"
+
     @pytest.mark.parametrize("model", OVERFLOWING_CONSTRUCTIONS.values(), ids=OVERFLOWING_CONSTRUCTIONS.keys())
     def test_overflowing_construction_is_numerical(self, model):
         # a finite model whose block decoupling or storage overflows: a NumericalError, and no RuntimeWarning

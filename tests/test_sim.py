@@ -593,6 +593,16 @@ class TestClassify:
         traj = integrate(lti_model(A), [1.0, 0.0], t_end=12.0, dt=1e-2)
         assert classify_asymptotics(traj).kind == "undecided"
 
+    def test_quasi_periodic_motion_undecided(self):
+        # two incommensurate frequencies: the crossing periods jitter and the peak-to-peak pattern drifts,
+        # each past its cycle tolerance
+        t = 0.01 * np.arange(40001)
+        states = np.column_stack([np.sin(t) + 0.6 * np.sin(np.sqrt(2.0) * t), np.cos(t)])
+        verdict = classify_asymptotics(Trajectory(0.0, 0.01, states))
+        assert verdict.kind == "undecided"
+        assert verdict.diagnostics["jitter"] == pytest.approx(0.30, abs=0.01)
+        assert verdict.diagnostics["ptp_drift"] == pytest.approx(0.115, abs=0.01)
+
 
 class TestModalDecay:
     def test_transient_start_keeps_dominant_zero(self, msd_c4):
