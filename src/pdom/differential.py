@@ -2,7 +2,7 @@
 
 The model (:class:`LureSystem`, its channels and nonlinearities) and
 :func:`vertex_family`, which returns a model's corner matrices as one
-``(2^k, n, n)`` array together with their corners, live in :mod:`pdom.model`
+``(2^k, n, n)`` array, live in :mod:`pdom.model`
 and are re-exported here. Every state Jacobian
 ``A + sum_i g_i sigma_i'(h_i^T x) h_i^T`` lies in the convex hull of the
 finite family obtained by pinning each slope to its bounds, so a uniform

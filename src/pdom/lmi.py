@@ -26,9 +26,11 @@ once on the stack of all null-space directions ``P_part + smat(N^T)``, and
 each equality map once on the stacked basis of symmetric matrices, so the
 number of calls does not grow with n. One SVD gives ``P_part`` (lstsq's
 minimum-norm solution) and N, N = I when there is no equality; an empty
-null space runs the same Newton loop on t alone. Block values are checked
-once; a Newton step is one eigensolve per block, the congruence and Gram
-matrix of its generators, and one LU factorization, also serving a growth of mu.
+null space runs the same Newton loop on t alone, and as ``P_part`` is then
+the one candidate, its failure proves that no storage exists. Block values
+are checked once; a Newton step is one eigensolve per block, the congruence
+and Gram matrix of its generators, and one LU factorization, also serving a
+growth of mu.
 
 Success is verifier-gated: callers check every solution with the relevant
 module verifier, so the engine can never leak an unverified certificate.
@@ -118,9 +120,11 @@ class LmiReport:
     """Outcome of a search that returned no storage; ``iterations`` counts Newton steps.
 
     ``gap_bound`` is a lower bound on ``max_j lmax(F_j) + epsilon`` over the
-    search ball. The report proves infeasibility (:attr:`proves_infeasible`)
-    only when that bound is positive, or when the equalities have no solution,
-    so that no iterate was evaluated and ``violation`` is infinite.
+    search ball, and ``free`` the dimension d of the equalities' solution set
+    (None when they have no solution). The report proves infeasibility
+    (:attr:`proves_infeasible`) only when that bound is positive, when the
+    equalities have no solution, so that no iterate was evaluated and
+    ``violation`` is infinite, or when they leave one P (d = 0), which failed.
     """
 
     iterations: int
@@ -129,10 +133,11 @@ class LmiReport:
     inertia: tuple[int, int, int] | None = None
     message: str = ""
     gap_bound: float | None = None
+    free: int | None = None
 
     @property
     def proves_infeasible(self) -> bool:
-        return self.violation == np.inf or (self.gap_bound is not None and self.gap_bound > 0)
+        return self.violation == np.inf or self.free == 0 or (self.gap_bound is not None and self.gap_bound > 0)
 
     def to_dict(self) -> dict:
         return {
@@ -142,6 +147,7 @@ class LmiReport:
             "equality_residual": self.equality_residual,
             "inertia": self.inertia,
             "gap_bound": self.gap_bound,
+            "free": self.free,
             "message": self.message,
         }
 
@@ -212,6 +218,9 @@ def solve(problem: LmiProblem) -> np.ndarray:
     violation = -min(float(mc.sym_eigen(S0)[0][0]) for S0, _ in slacks)
     x = np.zeros(d + 1)
     x[-1] = 1.0 + violation
+    # a violation past about 2^53 absorbs the unit slack: the start has none, and the first step ends the search
+    stall = ("barrier search ended without a storage" if x[-1] - violation > 0
+             else f"the start's unit slack rounded away against its violation {violation:.3e}")
     mu = _MU_GROWTH * (block_dims + 1) / max(1.0, violation)
     bound = None
     # the step's large arrays, allocated once: a fresh one each step costs its page faults
@@ -282,11 +291,13 @@ def solve(problem: LmiProblem) -> np.ndarray:
 
     P = P_part + smat(N @ x[:-1], n)
     P = 0.5 * (P + P.T)
-    return _finalize(problem, P, iterations, bound)
+    return _finalize(problem, P, iterations, bound, d, stall)
 
 
-def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float | None) -> np.ndarray:
-    """P, if it meets every block, equality and the inertia target; otherwise the one failure report."""
+def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float | None, free: int,
+              stall: str) -> np.ndarray:
+    """P, if it meets every block, equality and the inertia target; otherwise the one failure report, with ``stall``
+    its message when no positive gap bound was found."""
     worst = -np.inf
     for blk in problem.blocks:
         R = np.asarray(blk(P), dtype=float)
@@ -295,14 +306,13 @@ def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float 
     inertia = mc.inertia_of(P).as_tuple()
     target = None if problem.inertia_target is None else tuple(problem.inertia_target)
     if not (worst <= LMI_TOL and actual_eq <= EQ_TOL):  # NaN included
-        message = ("no storage in the search ball meets the margin" if bound is not None and bound > 0
-                   else "barrier search ended without a storage")
+        message = "no storage in the search ball meets the margin" if bound is not None and bound > 0 else stall
     elif target is not None and inertia != target:
         message, bound = f"blocks satisfied but inertia {inertia} != target {target}", None
     else:
         return P
     raise LmiInfeasibleError(LmiReport(iterations=iterations, violation=worst, equality_residual=actual_eq,
-                                       inertia=inertia, message=message, gap_bound=bound))
+                                       inertia=inertia, message=message, gap_bound=bound, free=free))
 
 
 def _equality_residual(problem: LmiProblem, P: np.ndarray) -> float:

@@ -86,12 +86,13 @@ class DifferentialVerdict:
     """The verdict of every verifier: a storage checked on each vertex of a model's family.
 
     The per-vertex outcomes are kept as columns, one row per vertex in family
-    order: ``corners`` (the ``(2^k, k)`` slopes; one empty row for a
-    channel-free model), ``vertex_passed``, ``lmax`` (each block's top
-    eigenvalue) and ``split_ok`` (None without channels), read-only arrays
-    of their own. ``vertices``, one :class:`VertexVerdict` record per row, is
-    built from them when first read, and ``==`` compares the claim
-    (``passed``, ``p``, ``rate``, ``inertia``) and the columns.
+    order: ``vertex_passed``, ``lmax`` (each block's top eigenvalue) and
+    ``split_ok`` (None without channels), read-only arrays of their own. The
+    corners, in that order, are ``itertools.product(*bounds)`` over each
+    channel's ``(alpha, beta)`` as floats (:func:`pdom.model.vertex_family`).
+    ``vertices``, one :class:`VertexVerdict` record per row, is built when
+    first read, and ``==`` compares the claim (``passed``, ``p``, ``rate``,
+    ``inertia``), the bounds and the columns.
     ``status`` is "pass", or the status every failing vertex shares. On a
     residual failure the verdict keeps the block of the failing vertex with
     the largest ``lmax`` (``witness_corner``), outside ``==``; ``witness``,
@@ -102,7 +103,7 @@ class DifferentialVerdict:
     p: int
     rate: float
     inertia: mc.Inertia  # the storage's, shared by every vertex
-    corners: np.ndarray
+    bounds: tuple[tuple[float, float], ...]
     vertex_passed: np.ndarray
     lmax: np.ndarray
     split_ok: np.ndarray | None
@@ -130,36 +131,36 @@ class DifferentialVerdict:
 
         With the claimed inertia every failing vertex tops every passing one, so it is the first argmax of ``lmax``.
         """
-        return None if self.witness_block is None else tuple(self.corners[self.lmax.argmax()].tolist())
+        # vertex i takes channel c's beta when bit k - 1 - c of i is set: i's k binary digits, in channel order
+        return None if self.witness_block is None else tuple(
+            bound[int(bit)] for bit, bound in zip(f"{self.lmax.argmax():0{len(self.bounds)}b}", self.bounds))
 
-    def _rows(self, corners):
-        """Each vertex's (corner, passed, status, lmax, split_ok) as plain Python values, the corners given."""
+    def _rows(self):
+        """Each vertex's (corner, passed, status, lmax, split_ok) as plain Python values, in family order."""
         status = self.status
         splits = [None] * len(self.lmax) if self.split_ok is None else self.split_ok.tolist()
+        corners = itertools.product(*self.bounds)  # one float object per bound (-0.0 stays -0.0); () without channels
         for corner, ok, top, split in zip(corners, self.vertex_passed.tolist(), self.lmax.tolist(), splits):
             yield corner, ok, "pass" if ok else status, top, split
 
     @functools.cached_property
     def vertices(self) -> tuple[VertexVerdict, ...]:
-        # the family is in product order over each channel's (alpha, beta), the first and last corners: the
-        # records share one float object per bound (-0.0 stays -0.0), and a channel-free model gets its one ()
-        bounds = zip(self.corners[0].tolist(), self.corners[-1].tolist())
-        return tuple(VertexVerdict(*row) for row in self._rows(itertools.product(*bounds)))
+        return tuple(VertexVerdict(*row) for row in self._rows())
 
     def __eq__(self, other):
-        # the claim and the four columns (a None split_ok equals only None); the summaries derive from them
+        # the claim, the bounds and the three columns (a None split_ok equals only None); the summaries derive from them
         return (type(other) is type(self)
                 and (self.passed, self.p, self.rate, self.inertia) == (other.passed, other.p, other.rate, other.inertia)
                 and all(np.array_equal(getattr(self, column), getattr(other, column))
-                        for column in ("corners", "vertex_passed", "lmax", "split_ok")))
+                        for column in ("bounds", "vertex_passed", "lmax", "split_ok")))
 
     __hash__ = None
 
     def to_dict(self) -> dict:
         vertices = [
-            {"corner": corner, "passed": ok, "status": status, "lmax": top,
+            {"corner": list(corner), "passed": ok, "status": status, "lmax": top,
              "witness_eigenvalue": top if status == "residual_violation" else None, "split_ok": split}
-            for corner, ok, status, top, split in self._rows(self.corners.tolist())
+            for corner, ok, status, top, split in self._rows()
         ]
         witness, corner = self.witness, self.witness_corner
         return {"passed": self.passed, "status": self.status, "p": self.p, "rate": self.rate,
@@ -246,8 +247,6 @@ def _dissipation_blocks(R, sys, P: np.ndarray, supply, epsilon: float) -> np.nda
 
 
 _FLOAT_MAX = float(np.finfo(float).max)
-_NO_CORNER = np.empty((1, 0))  # the corners of a channel-free model's one vertex
-_NO_CORNER.flags.writeable = False
 
 
 def _check_claim(lam: float, p: int, n: int, epsilon: float = 0.0) -> None:
@@ -283,12 +282,12 @@ def _vertex_splits(matrices, lam: float, p: int, inertia: mc.Inertia, negative: 
     (R < 0) or positive ones (R > 0). Both terms scale with P, so P and any
     positive multiple of it get the same answer. Every other vertex, and
     every vertex when P has an eigenvalue in the zero band, goes to
-    :func:`_split_rule`, its spectra from one ``eigvals`` call per CPU-sized chunk.
+    :func:`_split_rule`, its spectra from :func:`pdom.matrixcore.eigvals`.
     """
     split_ok = (negative & (inertia.negative == p)) | (positive & (inertia.positive == p))
     undecided = ~(negative | positive) | (inertia.zero > 0)
     if undecided.any():
-        _, unstable, conclusive = _split_rule(mc._on_cores(np.linalg.eigvals, matrices[undecided]).real + lam)
+        _, unstable, conclusive = _split_rule(mc.eigvals(matrices[undecided]).real + lam)
         split_ok[undecided] = conclusive & (unstable == p)
     return split_ok
 
@@ -317,7 +316,7 @@ def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float
     channels = bool(as_model(sys).channels)
     if P.shape != (sys.n, sys.n) or supply is not None and (supply.r, supply.m) != (sys.r, sys.m):
         raise DimensionError("storage or supply dimensions do not match the system")
-    matrices, corners = vertex_family(sys) if channels else (sys.A[None], _NO_CORNER)
+    matrices = vertex_family(sys) if channels else sys.A[None]
     if supply is None:
         stack = np.concatenate((P[None], _residual(matrices, P, lam)))
         spectra = mc.sym_eigvals(stack)
@@ -338,8 +337,9 @@ def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float
     # with the claimed inertia every failing vertex tops every passing one: the witness is the first argmax
     witness_block = stack[lmax.argmax()].copy() if inertia_ok and not all_passed else None
     del stack  # a dissipation stack is read no further, and its memory serves the split masks
-    split_ok = None
+    split_ok, bounds = None, ()
     if channels:
+        bounds = tuple((float(ch.alpha), float(ch.beta)) for ch in sys.channels)
         floor = 2.0 * SPLIT_TOL * abs(storage).max()
         if supply is None:
             lmin = eigenvalues[:, 0]
@@ -351,10 +351,9 @@ def _family_verdict(sys: LtiSystem, P, lam: float, p: int | None, epsilon: float
             positive, negative = mc.positive_definite(R, delta), mc.positive_definite(-R, delta)
         split_ok = _vertex_splits(matrices, lam, p, inertia, negative, positive)
         split_ok.setflags(write=False)
-        corners.setflags(write=False)  # a channel-free model's _NO_CORNER is read-only already
     passed.setflags(write=False)
     lmax.setflags(write=False)
-    return DifferentialVerdict(passed=all_passed, p=p, rate=lam, inertia=inertia, corners=corners, vertex_passed=passed,
+    return DifferentialVerdict(passed=all_passed, p=p, rate=lam, inertia=inertia, bounds=bounds, vertex_passed=passed,
                                lmax=lmax, split_ok=split_ok, witness_block=witness_block)
 
 

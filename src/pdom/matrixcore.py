@@ -1,11 +1,11 @@
 """Dense real matrix kernel used by every verifier in the package.
 
 Symmetric eigendecompositions (eigenvalues alone where no vector is read),
-unsorted real Schur forms (LAPACK ``gees``) with the spectrum read off T, on
-which :mod:`pdom.lti` decides every split, ordered splits ``(Q, T)`` (LAPACK
-``trsen`` reordering the form a split was decided on), Lyapunov/Sylvester
-solves (LAPACK ``trsyl`` on the ordered blocks; neither step factors anything
-itself) and the matrix exponential. A LAPACK failure code is a
+general spectra of a stack, unsorted real Schur forms (LAPACK ``gees``) with
+the spectrum read off T, on which :mod:`pdom.lti` decides every split,
+ordered splits ``(Q, T)`` (LAPACK ``trsen`` reordering the form a split was
+decided on), Lyapunov/Sylvester solves (LAPACK ``trsyl`` on the ordered
+blocks; neither step factors anything itself) and the matrix exponential. A LAPACK failure code is a
 :class:`NumericalError`; neither a split nor a solve is re-checked, as the
 storage built on them is checked on the model by :func:`pdom.lti._family_verdict`.
 Matrices are plain ``numpy.ndarray`` values in double precision; systems of
@@ -36,6 +36,7 @@ __all__ = [
     "frobenius",
     "sym_eigen",
     "sym_eigvals",
+    "eigvals",
     "inertia_of",
     "positive_definite",
     "expm",
@@ -220,6 +221,15 @@ def sym_eigvals(S) -> np.ndarray:
         return np.linalg.eigvalsh(mat) if mat.ndim < 3 or len(mat) < 512 else _on_cores(np.linalg.eigvalsh, mat)
     except np.linalg.LinAlgError as exc:  # a LAPACK failure, in any chunk
         raise NumericalError(f"symmetric eigensolve did not converge: {exc}") from exc
+
+
+def eigvals(stack: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each matrix of a finite ``(k, n, n)`` stack, in one ``eigvals`` call per CPU-sized chunk
+    (:func:`_on_cores`); a LAPACK failure, in any chunk, is a :class:`NumericalError`."""
+    try:
+        return _on_cores(np.linalg.eigvals, stack)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"eigensolve did not converge: {exc}") from exc
 
 
 def inertia_of(S) -> Inertia:

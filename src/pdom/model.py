@@ -377,18 +377,18 @@ def hull_points(sys: LureSystem, slopes) -> np.ndarray:
     return J
 
 
-def vertex_family(sys: LureSystem) -> tuple[np.ndarray, np.ndarray]:
-    """All sign-corner substitutions of the channel slopes into the Jacobian, as (matrices, corners).
+def vertex_family(sys: LureSystem) -> np.ndarray:
+    """All sign-corner substitutions of the channel slopes into the Jacobian, as one ``(2^k, n, n)`` stack.
 
-    The convex hull of the ``(2^k, n, n)`` matrices contains every state
-    Jacobian; the ``i``-th matrix has the slopes ``corners[i]``, a row of the
-    ``(2^k, k)`` corners, in ``itertools.product`` order over the channels.
-    The family is built by doubling, one channel at a time: each matrix so
-    far is followed by its two extensions, ``J + alpha g h^T`` and
-    ``J + beta g h^T``. Every corner gets its channel terms added in channel
-    order, so each matrix is bitwise the :func:`hull_points` result for its
-    corner. A family of more than ``MAX_VERTICES`` corners is refused before
-    any corner is built.
+    The convex hull of the matrices contains every state Jacobian. Matrix ``i``
+    takes channel ``c``'s beta when bit ``k - 1 - c`` of ``i`` is set, and its
+    alpha otherwise: the corners run in ``itertools.product`` order over each
+    channel's ``(alpha, beta)``, the first channel varying slowest. The family
+    is built by doubling, one channel at a time: each matrix so far is followed
+    by its two extensions, ``J + alpha g h^T`` and ``J + beta g h^T``. Every
+    corner gets its channel terms added in channel order, so each matrix is
+    bitwise the :func:`hull_points` result for its corner. A family of more
+    than ``MAX_VERTICES`` corners is refused before any corner is built.
     """
     k = len(as_model(sys).channels)
     if 2**k > MAX_VERTICES:
@@ -404,7 +404,4 @@ def vertex_family(sys: LureSystem) -> tuple[np.ndarray, np.ndarray]:
         np.add(J, float(ch.alpha) * step, out=doubled[:, 0])
         np.add(J, float(ch.beta) * step, out=doubled[:, 1])
         J = doubled.reshape(-1, n, n)
-    # bit k - 1 - i of a vertex's index picks channel i's bound: the first channel varies slowest
-    upper = ((np.arange(2**k)[:, None] >> np.arange(k - 1, -1, -1)) & 1).astype(bool)
-    corners = np.where(upper, [float(ch.beta) for ch in sys.channels], [float(ch.alpha) for ch in sys.channels])
-    return J, corners
+    return J

@@ -16,6 +16,11 @@ SINGULAR_HESSIAN_MODEL = {
     "C": [[-1975.0280458328346, 2799.7822223603175, -6092.660749219793]],
 }
 
+# two passive one-state parts that each pass with P = 1, p = 0 at rate 0 within LMI_TOL (worst lmax 8.09e-7), under
+# a coupling lmax of 0, whose loop fails (lmax 1.5e-6): premises that pass within the tolerance need not compose
+TOLERANCE_LOOP = ({"A": [[2.5e-7]], "B": [[1 + 5e-7]], "C": [[1.0]]},
+                  {"A": [[2.5e-7]], "B": [[-1 + 5e-7]], "C": [[-1.0]]})
+
 # models whose passivity search at (rate, p = 1) overflows: the particular solution's divide, the Newton
 # system's Gram matrix, and the ball term 4 / rho^2; each ends as a numerical failure, never as a proof
 OVERFLOWING_SEARCHES = {

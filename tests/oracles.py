@@ -16,6 +16,7 @@ point and a verdict's failing corners.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,7 +69,8 @@ def supply_value(supply, y, u) -> float:
 
 def failing_corners(verdict) -> tuple[tuple[float, ...], ...]:
     """The corners of a verdict's failing vertices, in family order."""
-    return tuple(map(tuple, verdict.corners[~verdict.vertex_passed].tolist()))
+    corners = itertools.product(*verdict.bounds)
+    return tuple(corner for corner, passed in zip(corners, verdict.vertex_passed.tolist()) if not passed)
 
 
 def _quadratic_forms(X: np.ndarray, P: np.ndarray) -> np.ndarray:

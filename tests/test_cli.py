@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import OVERFLOWING_CONSTRUCTIONS, OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL
+from conftest import OVERFLOWING_CONSTRUCTIONS, OVERFLOWING_SEARCHES, SINGULAR_HESSIAN_MODEL, TOLERANCE_LOOP
 from pdom import cli, dissipativity, interconnect, lti, registry
 from pdom import matrixcore as mc
 
@@ -65,16 +65,18 @@ _ZERO_BAND_CERT = {"P": [[-1e-12, 0.0], [0.0, 1e-12]], "lambda": 0.5, "p": 1}
 
 
 class TestLapackFailure:
-    """A LAPACK failure that the library lets through, numpy's LinAlgError (a ValueError), is a numerical failure."""
+    """A LAPACK failure is a numerical failure: matrixcore's as a NumericalError, and one that the library lets
+    through as numpy's LinAlgError (a ValueError)."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("name, module, argv, cert", [
-        ("eigvalsh", "pdom.lti", ["verify", "msd-c8"], _PASSIVITY_CERT),
-        ("eigvals", "pdom.lti", ["verify", "nl-msd"], _ZERO_BAND_CERT),
-        ("eigh", "pdom.cones", ["reproduce", "1"], None),
-        ("norm", "pdom.dissipativity", ["certify", "msd-c8", "--lambda", "1.2679", "--p", "1", "--passivity"], None),
+    @pytest.mark.parametrize("name, module, argv, cert, raised_as", [
+        ("eigvalsh", "pdom.lti", ["verify", "msd-c8"], _PASSIVITY_CERT, "LinAlgError"),
+        ("eigvals", "pdom.matrixcore", ["verify", "nl-msd"], _ZERO_BAND_CERT, "NumericalError"),
+        ("eigh", "pdom.cones", ["reproduce", "1"], None, "LinAlgError"),
+        ("norm", "pdom.dissipativity", ["certify", "msd-c8", "--lambda", "1.2679", "--p", "1", "--passivity"], None,
+         "LinAlgError"),
     ], ids=["storage spectrum", "vertex spectra", "cone", "search margin"])
-    def test_exits_3_with_its_report(self, tmp_path, capsys, failing_linalg, name, module, argv, cert):
+    def test_exits_3_with_its_report(self, tmp_path, capsys, failing_linalg, name, module, argv, cert, raised_as):
         report, path = tmp_path / "r.json", tmp_path / "cert.json"
         if cert is not None:
             path.write_text(json.dumps(cert))
@@ -83,7 +85,7 @@ class TestLapackFailure:
         assert cli.main(["--report", str(report)] + argv) == 3
         assert raised and capsys.readouterr().err.startswith("numerical failure: ")
         error = json.loads(report.read_text())["error"]
-        assert (error["class"], error["exit_code"]) == ("LinAlgError", 3)
+        assert (error["class"], error["exit_code"]) == (raised_as, 3)
 
 
 class TestVerify:
@@ -447,12 +449,15 @@ class TestCertify:
              lambda lmi: lmi["violation"] is None and "unsatisfiable" in lmi["message"]),
             ("msd-c4", "0", "1", lambda lmi: lmi["gap_bound"] > 0),
             ({"A": [[-1]], "B": [[-2]], "C": [[1]]}, "0", "0", lambda lmi: lmi["gap_bound"] > 0),
+            ({"A": [[1]], "B": [[2]], "C": [[-1]]}, "0", "0",
+             lambda lmi: lmi["gap_bound"] is None and lmi["free"] == 0 and "inertia (1, 0, 0)" in lmi["message"]),
         ],
-        ids=["no-equality-solution", "positive-gap-bound", "fully-determined"],
+        ids=["no-equality-solution", "positive-gap-bound", "fully-determined", "fully-determined-inertia"],
     )
     def test_proven_miss_is_a_failed_check(self, tmp_path, capsys, system, rate, p, lmi_check):
         # B = 0 leaves P B = C^T without a solution; msd-c4 has no unstable eigenvalue at rate 0; B = -2 leaves
-        # only P = -1/2, on which A^T P + P A = 1 is positive
+        # only P = -1/2, on which A^T P + P A = 1 is positive; B = 2, C = -1 leave only P = -1/2, which meets the
+        # block but has the wrong inertia
         if isinstance(system, dict):
             path = tmp_path / "model.json"
             path.write_text(json.dumps(system))
@@ -541,8 +546,9 @@ class TestCertify:
             assert sum(lwork != -1 for lwork in calls) == 1
 
     def test_overflowing_search_radius_is_a_numerical_failure(self, tmp_path, capsys):
-        # P B = C^T puts P_part near 1e160, and the search ball's radius, ten times its norm, is infinite: the search
-        # ends without a storage after one step (exit 3, report written), with no RuntimeWarning
+        # P B = C^T puts P_part near 1e160, and the search ball's radius, ten times its norm, is infinite; the start's
+        # violation, near 1e159, absorbs its unit slack, so the search ends without a storage after one step and says
+        # why (exit 3, report written), with no RuntimeWarning
         path, report = tmp_path / "huge_c.json", tmp_path / "r.json"
         path.write_text(json.dumps({"A": [[0, 1], [-1, -8]], "B": [[0], [1]], "C": [[0, 1e160]]}))
         with warnings.catch_warnings():
@@ -551,7 +557,8 @@ class TestCertify:
             assert cli.main(argv) == 3
         error = json.loads(report.read_text())["error"]
         assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
-        assert error["lmi"]["iterations"] == 1 and error["lmi"]["message"] == "barrier search ended without a storage"
+        assert error["lmi"]["iterations"] == 1
+        assert error["lmi"]["message"].startswith("the start's unit slack rounded away against its violation 7.")
 
     @pytest.mark.parametrize("case", OVERFLOWING_SEARCHES)
     def test_overflowing_search_writes_its_report(self, tmp_path, capsys, case):
@@ -730,6 +737,20 @@ class TestInterconnect:
     def test_coupling_failure(self, tmp_path):
         # gain 2 against passivity: the pure-output block goes positive
         assert cli.main(["interconnect", self._loop_file(tmp_path, gamma2=2.0)]) == 1
+
+    def test_loop_of_premises_passing_within_the_tolerance_can_fail(self, tmp_path):
+        # both parts pass with P = 1 within the tolerance, and the loop does not: a failed closed_loop verdict, no error
+        first, second = TOLERANCE_LOOP
+        cert = {"P": [[1.0]], "p": 0}
+        path, report = tmp_path / "loop.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"sys1": first, "sys2": second, "supply1": {"kind": "passivity"},
+                                    "supply2": {"kind": "passivity"}, "lambda": 0, "cert1": cert, "cert2": cert}))
+        assert cli.main(["--report", str(report), "interconnect", str(path)]) == 1
+        out = json.loads(report.read_text())
+        assert "error" not in out and out["certificates"] == []
+        assert [(v["check"], v["passed"]) for v in out["verdicts"]] == [
+            ("coupling", True), ("dissipativity1", True), ("dissipativity2", True), ("closed_loop", False)]
+        assert out["verdicts"][-1]["status"] == "residual_violation"
 
     def test_failed_open_loop_certificate_is_a_failed_check(self, tmp_path, capsys):
         # diag(-1, 1) certifies no passivity of msd-c8 at rate 0, and `pdom verify` on it exits 1 too: both parts'
@@ -1117,8 +1138,9 @@ class TestRunReport:
             if error == "LmiInfeasibleError":
                 # the search report travels as fields, not only inside the message
                 lmi = data["error"]["lmi"]
-                assert sorted(lmi) == ["equality_residual", "gap_bound", "inertia", "iterations", "message",
+                assert sorted(lmi) == ["equality_residual", "free", "gap_bound", "inertia", "iterations", "message",
                                        "violation"]
+                assert lmi["free"] == 1  # P B = C^T leaves one of P's three entries free
                 assert lmi["inertia"] == [1, 0, 1] and lmi["iterations"] > 0
                 assert lmi["violation"] < 0 and lmi["equality_residual"] <= 1e-9
                 assert lmi["gap_bound"] is None and "target (0, 0, 2)" in lmi["message"]

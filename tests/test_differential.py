@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,9 +248,7 @@ class TestJacobian:
     def test_hull_membership(self, rng):
         # every sampled Jacobian has its slope inside the declared interval
         sys = registry.nonlinear_msd("velocity", "cubic")
-        _, corners = vertex_family(sys)
-        lo = min(c[0] for c in corners)
-        hi = max(c[0] for c in corners)
+        lo, hi = sorted((sys.channels[0].alpha, sys.channels[0].beta))
         for _ in range(1000):
             x = rng.uniform(-6.0, 6.0, size=2)
             J = jacobian(sys, x)
@@ -261,15 +260,22 @@ class TestJacobian:
 
 class TestVertexFamily:
     def test_cubic_corners(self):
-        matrices, corners = vertex_family(registry.nonlinear_msd("velocity", "cubic"))
-        assert sorted(c[0] for c in corners) == [-3.0, 1.0]
-        mats = sorted(matrices, key=lambda M: M[1, 0])
-        assert np.allclose(mats[0], [[0.0, 1.0], [-3.0, -8.0]])
-        assert np.allclose(mats[1], [[0.0, 1.0], [1.0, -8.0]])
+        # matrix 0 takes the channel's alpha, matrix 1 its beta
+        matrices = vertex_family(registry.nonlinear_msd("velocity", "cubic"))
+        assert np.allclose(matrices, [[[0.0, 1.0], [-3.0, -8.0]], [[0.0, 1.0], [1.0, -8.0]]])
 
     def test_monotone_corners(self):
-        _, corners = vertex_family(registry.nonlinear_msd("velocity", "monotone"))
-        assert sorted(c[0] for c in corners) == [-2.0, -0.5]
+        sys = registry.nonlinear_msd("velocity", "monotone")
+        assert check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0).bounds == ((-2.0, -0.5),)
+
+    def test_unbounded_slope_is_refused(self):
+        # a channel may declare an infinite bound, but its family has no corner there
+        sys = registry.builtin_system("nl-msd")
+        ch = sys.channels[0]
+        unbounded = LureSystem(A=sys.A, B=sys.B, C=sys.C, channels=(
+            Channel(g=ch.g, h=ch.h, sigma=cubic_saturated(), alpha=-np.inf, beta=1.0),))
+        with pytest.raises(ValueError, match="vertex relaxation needs finite slope bounds"):
+            check_diff_dominance(unbounded, registry.DIFF_STORAGE_VELOCITY, 1.0)
 
     def test_two_channel_count(self):
         ch = registry.nonlinear_msd("velocity", "cubic").channels[0]
@@ -279,12 +285,12 @@ class TestVertexFamily:
             B=np.zeros((2, 1)),
             C=np.zeros((1, 2)),
         )
-        assert len(vertex_family(sys)[0]) == 4
+        assert len(vertex_family(sys)) == 4
 
     def test_family_size_limit(self):
         ch = registry.nonlinear_msd("velocity", "cubic").channels[0]
         many = lambda k: LureSystem(A=np.zeros((2, 2)), B=np.zeros((2, 1)), C=np.zeros((1, 2)), channels=(ch,) * k)
-        assert MAX_VERTICES == 2**16 and len(vertex_family(many(16))[0]) == MAX_VERTICES
+        assert MAX_VERTICES == 2**16 and len(vertex_family(many(16))) == MAX_VERTICES
         with pytest.raises(UnsupportedConfigurationError, match="2\\^17 vertices"):
             vertex_family(many(17))
         P = registry.DIFF_STORAGE_VELOCITY
@@ -293,12 +299,11 @@ class TestVertexFamily:
 
 
 class TestResultEquality:
-    """Families are equal stacks of equal corners; verdicts compare by value, and == never raises on their array fields."""
+    """Families are equal stacks; verdicts compare by value, and == never raises on their array fields."""
 
     def test_equal_values_compare_equal(self):
         sys = registry.nonlinear_msd("velocity", "monotone")
-        (first_matrices, first_corners), (second_matrices, second_corners) = vertex_family(sys), vertex_family(sys)
-        assert first_matrices.tobytes() == second_matrices.tobytes() and np.array_equal(first_corners, second_corners)
+        assert vertex_family(sys).tobytes() == vertex_family(sys).tobytes()
         first = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         second = check_diff_dominance(sys, registry.MONOTONE_STORAGE, 0.0)
         # the failing vertex is the witness, whose vector stays out of ==
@@ -311,8 +316,10 @@ class TestResultEquality:
     def test_different_values_compare_unequal(self):
         monotone = registry.nonlinear_msd("velocity", "monotone")
         cubic = registry.nonlinear_msd("velocity", "cubic")
-        assert not np.array_equal(vertex_family(monotone)[1], vertex_family(cubic)[1])
+        assert not np.array_equal(vertex_family(monotone), vertex_family(cubic))
         at_zero = check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.0)
+        # the same columns on other slope bounds are another verdict
+        assert at_zero != dataclasses.replace(at_zero, bounds=((-2.0, 0.5),))
         assert at_zero != check_diff_dominance(monotone, registry.MONOTONE_STORAGE, 0.5)
         assert at_zero.vertices[0] != at_zero.vertices[1]
         assert at_zero != at_zero.to_dict()
@@ -379,10 +386,12 @@ class TestStackedFamily:
         for k in range(13):
             channels = (mixed.channels + (fixed,) + mixed.channels)[:k]
             sys = LureSystem(A=mixed.A, B=mixed.B, C=mixed.C, channels=channels)
-            matrices, corners = vertex_family(sys)
-            assert matrices.shape == (2**k, sys.n, sys.n) and corners.shape == (2**k, k)
+            matrices = vertex_family(sys)
+            assert matrices.shape == (2**k, sys.n, sys.n)
             product = list(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
-            assert corners.tolist() == [list(corner) for corner in product]
+            # matrix i takes channel c's beta when bit k - 1 - c of i is set
+            assert product == [tuple(ch.beta if i >> (k - 1 - c) & 1 else ch.alpha for c, ch in enumerate(sys.channels))
+                               for i in range(2**k)]
             assert matrices.tobytes() == hull_points(sys, product).tobytes()
             for i in range(0, 2**k, max(1, 2**k // 64)):
                 assert matrices[i].tobytes() == _hull_point_by_channel(sys, product[i]).tobytes()
@@ -400,7 +409,8 @@ class TestStackedFamily:
         P = M + M.T
         p = inertia_of(P).negative
         lam = 0.5
-        matrices, corners = vertex_family(sys)
+        matrices = vertex_family(sys)
+        corners = list(itertools.product(*((ch.alpha, ch.beta) for ch in sys.channels)))
         verdict = check_diff_dominance(sys, P, lam)
         failing = [i for i, v in enumerate(verdict.vertices) if v.status == "residual_violation"]
         assert len(failing) > len(matrices) // 2
@@ -409,7 +419,7 @@ class TestStackedFamily:
             got, single = verdict.vertices[i], check_dominance(lti_model(matrices[i]), cert).vertices[0]
             assert got.lmax.hex() == single.lmax.hex()
         top = max(failing, key=lambda i: verdict.vertices[i].lmax)
-        assert verdict.witness_corner == tuple(corners[top])
+        assert verdict.witness_corner == corners[top]
         single = check_dominance(lti_model(matrices[top]), cert)
         assert verdict.witness.tobytes() == single.witness.tobytes()
         # the vector the stacked eigh would give that vertex
@@ -425,7 +435,7 @@ class TestStackedFamily:
             assert v.status == single.vertices[0].status
             if v.status == "residual_violation":
                 assert v.lmax.hex() == single.vertices[0].lmax.hex()
-        top = corners.tolist().index(list(verdict.witness_corner))
+        top = corners.index(verdict.witness_corner)
         assert verdict.vertices[top].lmax == verdict.worst_lmax
         assert verdict.witness.tobytes() == singles[top].witness.tobytes()
 
@@ -442,7 +452,7 @@ class TestStackedFamily:
         sys = registry.builtin_system(name)
         p = inertia_of(P).negative
         verdict = check_diff_dominance(sys, P, lam)
-        for J, v in zip(vertex_family(sys)[0], verdict.vertices):
+        for J, v in zip(vertex_family(sys), verdict.vertices):
             assert v.split_ok is eigen_split_test(lti_model(J), lam, p).passed
 
     def test_vertex_on_the_shifted_axis_is_not_split_ok(self):
@@ -451,7 +461,7 @@ class TestStackedFamily:
         channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0)
         sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
         verdict = check_diff_dominance(sys, np.eye(2), 0.0)
-        matrices, _ = vertex_family(sys)
+        matrices = vertex_family(sys)
         splits = [eigen_split_test(lti_model(J), 0.0, 0) for J in matrices]
         assert [s.status for s in splits] == ["pass", "inconclusive"]
         assert [v.split_ok for v in verdict.vertices] == [True, False]
@@ -538,6 +548,23 @@ class TestVerdictColumns:
         # one float object per distinct slope of a channel
         assert corners[0][0] is corners[1][0] and corners[2][1] is corners[0][1]
 
+    def test_a_k16_verdict_keeps_its_columns_alone(self, rng):
+        # 2^16 vertices of n = 6 states: the three columns, about 0.6 MB; the corners are read off the channel
+        # bounds, where a (2^16, 16) corners array would add 8.4 MB
+        n = 6
+        channels = tuple(Channel(g=rng.standard_normal(n), h=rng.standard_normal(n), sigma=cubic_saturated(),
+                                 alpha=-3.0, beta=1.0) for _ in range(16))
+        sys = LureSystem(A=rng.standard_normal((n, n)) - 3.0 * np.eye(n), B=np.zeros((n, 1)), C=np.zeros((1, n)),
+                         channels=channels)
+        _claim(sys, np.eye(n), 0.5, 0)  # warm: caches and imports stay out of the count
+        tracemalloc.start()
+        try:
+            verdict = _claim(sys, np.eye(n), 0.5, 0)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(verdict.lmax) == 2**16 and kept < 1_000_000
+
     @pytest.mark.parametrize("with_supply", [False, True])
     def test_columns_are_read_only_and_own_their_memory(self, with_supply):
         sys = registry.builtin_system("nl-loop")
@@ -546,14 +573,14 @@ class TestVerdictColumns:
             verdict = check_diff_dissipativity(sys, P, 1.0, supply_gain(2.0, sys.r, sys.m))
         else:
             verdict = check_diff_dominance(sys, P, 1.0)
-        for column in (verdict.corners, verdict.vertex_passed, verdict.lmax, verdict.split_ok):
+        for column in (verdict.vertex_passed, verdict.lmax, verdict.split_ok):
             assert not column.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 column[0] = column[0]
         # the top eigenvalues are a column of their own, not a view into the whole block spectra
         assert verdict.lmax.base is None and verdict.lmax.flags.c_contiguous
         lone = _claim(lti_model(np.diag([-1.0, -2.0])), np.eye(2), 0.0, 0)
-        assert not (lone.corners.flags.writeable or lone.vertex_passed.flags.writeable or lone.lmax.flags.writeable)
+        assert lone.bounds == () and not (lone.vertex_passed.flags.writeable or lone.lmax.flags.writeable)
 
 
 class TestHullPoints:
@@ -606,7 +633,7 @@ class TestSplitFromResidual:
         for n in range(2, 9):
             for k in range(1, 7):
                 sys, lam, P, p = _planted_lure(rng, n, k, gain=float(rng.choice([1.0, 1e3])))
-                matrices, _ = vertex_family(sys)
+                matrices = vertex_family(sys)
                 V, _ = np.linalg.qr(rng.standard_normal((n, n)))
                 signs = rng.choice([-1.0, 1.0], n)
                 signs[:2] = (-1.0, 1.0)
@@ -635,7 +662,7 @@ class TestSplitFromResidual:
         sigma = tabulated([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0 - 5e-8])
         channel = Channel(g=np.array([1.0, 0.0]), h=np.array([1.0, 0.0]), sigma=sigma, alpha=-1.0, beta=1.0 - 5e-8)
         sys = LureSystem(A=np.diag([-1.0, -3.0]), channels=(channel,), B=np.zeros((2, 1)), C=np.zeros((1, 2)))
-        matrices, _ = vertex_family(sys)
+        matrices = vertex_family(sys)
         assert [eigen_split_test(lti_model(J), 0.0, 0).status for J in matrices] == ["pass", "inconclusive"]
         for scale in self.SCALES:
             verdict = _claim(sys, scale * np.eye(2), 0.0, 0)
@@ -657,7 +684,7 @@ class TestSplitFromResidual:
         assert valid.passed and all(v.split_ok for v in valid.vertices)
         assert not flipped.passed and flipped.p == 4 - p
         monkeypatch.undo()
-        matrices, _ = vertex_family(sys)
+        matrices = vertex_family(sys)
         assert [v.split_ok for v in flipped.vertices] == [
             eigen_split_test(lti_model(J), lam, 4 - p).passed for J in matrices
         ]
@@ -673,7 +700,7 @@ class TestSplitFromResidual:
         verdicts = [check_diff_dissipativity(sys, S, lam, supply) for S in (P, -P)]
         monkeypatch.undo()
         assert shapes == [(4, 4), (2**k, 5, 5)] * 2
-        matrices, _ = vertex_family(sys)
+        matrices = vertex_family(sys)
         for verdict in verdicts:
             assert verdict.split_ok.tolist() == [eigen_split_test(lti_model(J), lam, verdict.p).passed for J in matrices]
 
@@ -689,7 +716,7 @@ class TestSplitFromResidual:
         # split_ok equals, bit for bit, the split read off masks of -R - delta I and R - delta I formed here and
         # factored unshifted; a valid, a flipped and a zero-band storage, under a gain and a passivity supply
         sys, lam, P, p = _planted_lure(np.random.default_rng(100 + k), 4, k, gain=1.0)
-        matrices, _ = vertex_family(sys)
+        matrices = vertex_family(sys)
         decided = 0
         for supply in (supply_gain(2.0, 1, 1), supply_passivity(1)):
             for S, claim in ((P, p), (-P, 4 - p), (1e-12 * P, p)):
@@ -946,7 +973,7 @@ class TestOneKernel:
     def test_each_vertex_is_the_single_matrix_check(self, name, P, lam):
         sys = registry.builtin_system(name)
         p = inertia_of(P).negative
-        matrices, _ = vertex_family(sys)
+        matrices = vertex_family(sys)
         verdict = check_diff_dominance(sys, P, lam)
         for J, v in zip(matrices, verdict.vertices):
             single = check_dominance(lti_model(J), DominanceCertificate(P=P, rate=lam, epsilon=0.0, p=p))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lti_model, random_hyperbolic
+from conftest import TOLERANCE_LOOP, lti_model, random_hyperbolic
 from oracles import supply_value
 from pdom import registry
 from pdom.differential import check_diff_dominance
@@ -284,6 +284,17 @@ class TestClosedLoopCertificate:
         assert not verify_dissipativity(msd_c8, bad).passed
         with pytest.raises(CouplingError, match="coupling condition fails"):
             closed_loop_certificate(msd_c8, bad, msd_c8, bad)
+
+    def test_failing_closed_loop_is_refused(self):
+        # every premise passes, yet the loop's storage does not: the closed-loop check, not a premise, refuses it
+        first, second = (LtiSystem(**{key: np.array(value) for key, value in part.items()}) for part in TOLERANCE_LOOP)
+        cert = DissipativityCertificate(P=np.eye(1), rate=0.0, epsilon=0.0, p=0, supply=supply_passivity(1))
+        assert coupling_condition(cert.supply, cert.supply).lmax == 0.0
+        for sys in (first, second):
+            verdict = verify_dissipativity(sys, cert)
+            assert verdict.passed and verdict.worst_lmax == pytest.approx(8.09e-7, rel=1e-3)
+        with pytest.raises(CouplingError, match="closed-loop dominance check failed: residual_violation"):
+            closed_loop_certificate(first, cert, second, cert)
 
     def test_lure_pair_vertex_certificate(self):
         sys = registry.nonlinear_msd("mixed", "cubic")

@@ -12,6 +12,7 @@ from pdom.differential import check_diff_dominance
 from pdom.errors import LmiInfeasibleError, NumericalError
 from pdom.lti import DominanceCertificate, check_dominance, construct_certificate, residual
 from pdom.model import vertex_family
+from pdom.policy import LMI_TOL
 
 RATE = registry.KNOWN_RATE
 
@@ -179,13 +180,14 @@ class TestFullyDetermined:
         assert report.gap_bound > 0 and report.proves_infeasible
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_wrong_inertia_proves_nothing(self):
-        # P = -1/2 meets the block, but its inertia is not the claimed one; the report says so and proves nothing
+    def test_wrong_inertia_is_proved_absent(self):
+        # P = -1/2 meets the block, but its inertia is not the claimed one; it is the one storage P B = C^T leaves,
+        # so the report proves that none exists
         with pytest.raises(LmiInfeasibleError) as excinfo:
             find_passivity_storage(_determined([[1.0]], [[2.0]], [[-1.0]]), 0.0, 0)
         report = excinfo.value.report
         assert report.message == "blocks satisfied but inertia (1, 0, 0) != target (0, 0, 1)"
-        assert report.gap_bound is None and not report.proves_infeasible
+        assert report.gap_bound is None and report.free == 0 and report.proves_infeasible
 
 
 def _planted_passivity(rng, n, p, m=2, lam=0.5, margin=0.1):
@@ -254,10 +256,26 @@ class TestNumericalStall:
         assert (report.iterations, report.message) == (1, "barrier search ended without a storage")
 
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_start_whose_unit_slack_rounded_away_says_so(self):
+        # the block P + 1e16 starts at violation 1e16, past 2^53: 1 + 1e16 rounds to 1e16, the start has no slack
+        # and the first step ends the search; at 1e15 the unit slack survives and the gap bound proves infeasibility
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            lmi.solve(lmi.LmiProblem(dim=1, blocks=[lambda P: P + 1e16], epsilon=1e-6))
+        report = excinfo.value.report
+        assert report.iterations == 1 and report.gap_bound is None and not report.proves_infeasible
+        assert report.message == "the start's unit slack rounded away against its violation 1.000e+16"
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            lmi.solve(lmi.LmiProblem(dim=1, blocks=[lambda P: P + 1e15], epsilon=1e-6))
+        report = excinfo.value.report
+        assert report.message == "no storage in the search ball meets the margin"
+        assert report.gap_bound == pytest.approx(1e15) and report.proves_infeasible
+
+
 def _vertex_search(name, p, rate):
     """One block per vertex of the built-in Lur'e model, residual(J, P, rate), inertia (p, 0, n - p), margin 1e-6."""
     system = registry.builtin_system(name)
-    matrices, _ = vertex_family(system)
+    matrices = vertex_family(system)
     problem = lmi.LmiProblem(
         dim=system.n,
         blocks=[lambda P, J=J: residual(J, P, rate) for J in matrices],
@@ -338,6 +356,25 @@ class TestSearchSteps:
                         assert int(np.sum(np.linalg.eigvalsh(P) < 0)) == p
         # the margin leaves room for BLAS rounding across numpy builds
         assert solves[0] <= 0.85 * self.PARENT_SOLVES, solves[0]
+
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_gap_inside_the_acceptance_slack_stops_the_search(self, monkeypatch):
+        # one block diag(P - 1 - eps, 1 - P - eps): the optimum of max lmax + eps is |P - 1| = 0, so no positive gap
+        # bound ever ends the search; it stops once the central path's gap is inside LMI_TOL, after 17 steps and
+        # 18 slack solves (29 steps without that stop)
+        solves = []
+        sym_eigen = lmi.mc.sym_eigen
+        monkeypatch.setattr(lmi.mc, "sym_eigen", lambda S: solves.append(1) or sym_eigen(S))
+        epsilon = 1e-3
+
+        def block(P):
+            F = np.zeros(P.shape[:-2] + (2, 2))
+            F[..., 0, 0], F[..., 1, 1] = P[..., 0, 0] - 1.0 - epsilon, 1.0 - P[..., 0, 0] - epsilon
+            return F
+
+        P = lmi.solve(lmi.LmiProblem(dim=1, blocks=[block], epsilon=epsilon))
+        assert P[0, 0] == pytest.approx(1.0, abs=LMI_TOL) and len(solves) <= 22, len(solves)
 
 
 class TestStackedEvaluation:
@@ -422,9 +459,9 @@ class TestProblemValidation:
 
     def test_report_fields(self):
         report = lmi.LmiReport(iterations=4, violation=0.5, equality_residual=0.0, inertia=(1, 0, 1),
-                               message="m", gap_bound=0.25)
+                               message="m", gap_bound=0.25, free=2)
         assert report.to_dict() == {"iterations": 4, "violation": 0.5, "equality_residual": 0.0,
-                                    "inertia": (1, 0, 1), "gap_bound": 0.25, "message": "m"}
+                                    "inertia": (1, 0, 1), "gap_bound": 0.25, "free": 2, "message": "m"}
 
     def test_unsatisfiable_equality_report_is_strict_json(self):
         # P B = C^T has no solution with B = 0 and C != 0: no iterate, violation inf
@@ -441,10 +478,13 @@ class TestProblemValidation:
         assert excinfo.value.report.proves_infeasible
 
     @pytest.mark.parametrize(
-        "violation, gap_bound, proves",
-        [(np.inf, None, True), (1e-3, 2e-4, True), (1e-3, -2e-4, False), (1e-3, None, False), (-1.0, None, False)],
-        ids=["no-equality-solution", "positive-bound", "negative-bound", "stall", "inertia-mismatch"],
+        "violation, gap_bound, proves, free",
+        [(np.inf, None, True, None), (1e-3, 2e-4, True, 1), (1e-3, -2e-4, False, 1), (1e-3, None, False, 1),
+         (-1.0, None, False, 1), (-1.0, None, True, 0), (1e-3, None, True, 0)],
+        ids=["no-equality-solution", "positive-bound", "negative-bound", "stall", "inertia-mismatch",
+             "fully-determined-inertia-mismatch", "fully-determined-stall"],
     )
-    def test_proof_of_infeasibility(self, violation, gap_bound, proves):
-        report = lmi.LmiReport(iterations=3, violation=violation, equality_residual=0.0, gap_bound=gap_bound)
+    def test_proof_of_infeasibility(self, violation, gap_bound, proves, free):
+        report = lmi.LmiReport(iterations=3, violation=violation, equality_residual=0.0, gap_bound=gap_bound,
+                               free=free)
         assert report.proves_infeasible is proves

@@ -117,7 +117,7 @@ class TestOnCores:
             eigvalsh_shapes.clear()
             assert np.array_equal(mc.sym_eigvals(S), whole)
             assert sorted(eigvalsh_shapes) == [(1365,) + S.shape[1:]] + [(1366,) + S.shape[1:]] * 2
-            assert np.array_equal(mc._on_cores(np.linalg.eigvals, A), np.linalg.eigvals(A))
+            assert np.array_equal(mc.eigvals(A), np.linalg.eigvals(A))
 
     def test_one_cpu_makes_one_call(self, monkeypatch, eigvalsh_shapes):
         monkeypatch.setattr(mc, "_CPUS", 1)
@@ -148,12 +148,27 @@ class TestOnCores:
             mc.sym_eigvals(S)
         assert len(calls) == 3 and threading.active_count() == before
 
+    def test_general_eigensolve_failure_is_a_numerical_failure(self, monkeypatch):
+        # the vertex spectra's LinAlgError, from a chunk on a pool thread, leaves matrixcore as a NumericalError
+        monkeypatch.setattr(mc, "_CPUS", 3)
+        A = next(self._stacks())[1]
+        original = np.linalg.eigvals
+
+        def failing(a):
+            if np.shares_memory(a, A[-1]):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", failing)
+        with pytest.raises(NumericalError, match="did not converge"):
+            mc.eigvals(A)
+
     def test_no_thread_outlives_the_call(self, monkeypatch):
         monkeypatch.setattr(mc, "_CPUS", 4)
         before = threading.active_count()
         for S, A in self._stacks():
             mc.sym_eigvals(S)
-            mc._on_cores(np.linalg.eigvals, A)
+            mc.eigvals(A)
             assert threading.active_count() == before
 
 
@@ -551,7 +566,7 @@ class TestLapackOutsideMatrixcore:
         "cones": ["eigh"],
         "dissipativity": ["eigvalsh", "norm-2"],
         "lmi": ["eigvalsh", "solve", "svd"],
-        "lti": ["eigvals", "eigvalsh"],
+        "lti": ["eigvalsh"],
     }
 
     def test_no_new_site(self):

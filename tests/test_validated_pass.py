@@ -36,7 +36,7 @@ def _reference(sys, P, lam, p, epsilon, supply=None):
     storage = mc.sym_eigvals(P)
     inertia = mc.Inertia.of_spectrum(storage)
     p = inertia.negative if p is None else p
-    matrices, corners = vertex_family(sys) if sys.channels else (sys.A[None], np.empty((1, 0)))
+    matrices = vertex_family(sys) if sys.channels else sys.A[None]
     R = residual(matrices, P, lam)
     stack = R if supply is None else dissipation_blocks(R, sys, P, supply, epsilon)
     eigenvalues = mc.sym_eigvals(stack)
