@@ -26,8 +26,10 @@ once on the stack of all null-space directions ``P_part + smat(N^T)``, and
 each equality map once on the stacked basis of symmetric matrices, so the
 number of calls does not grow with n. One SVD gives ``P_part`` (lstsq's
 minimum-norm solution) and N, N = I when there is no equality; an empty
-null space runs the same Newton loop on t alone, and as ``P_part`` is then
-the one candidate, its failure proves that no storage exists. Block values
+null space runs the same Newton loop on t alone. Every P the equalities
+then accept within ``EQ_TOL`` lies within a radius of ``P_part`` that the
+smallest singular value sets, and a failure proves that no storage exists
+only when it holds over that whole ball (:func:`_fails_within`). Block values
 are checked once; a Newton step is one eigensolve per block, the congruence
 and Gram matrix of its generators, and one LU factorization, also serving a
 growth of mu.
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import matrixcore as mc
 from .errors import LmiInfeasibleError, NumericalError
-from .policy import EQ_TOL, LMI_TOL
+from .policy import EQ_TOL, LMI_TOL, ZTOL_REL
 
 __all__ = [
     "LinearEquality",
@@ -121,10 +123,13 @@ class LmiReport:
 
     ``gap_bound`` is a lower bound on ``max_j lmax(F_j) + epsilon`` over the
     search ball, and ``free`` the dimension d of the equalities' solution set
-    (None when they have no solution). The report proves infeasibility
-    (:attr:`proves_infeasible`) only when that bound is positive, when the
+    (None when they have no solution). ``pinned`` is true when d = 0 and every
+    P the equalities accept within ``EQ_TOL`` fails, as the one they leave
+    does; with d = 0 the search's bound speaks of that one P alone, so it is
+    kept only when ``pinned``. The report proves infeasibility
+    (:attr:`proves_infeasible`) only when the bound is positive, when the
     equalities have no solution, so that no iterate was evaluated and
-    ``violation`` is infinite, or when they leave one P (d = 0), which failed.
+    ``violation`` is infinite, or when it is ``pinned``.
     """
 
     iterations: int
@@ -134,10 +139,11 @@ class LmiReport:
     message: str = ""
     gap_bound: float | None = None
     free: int | None = None
+    pinned: bool = False
 
     @property
     def proves_infeasible(self) -> bool:
-        return self.violation == np.inf or self.free == 0 or (self.gap_bound is not None and self.gap_bound > 0)
+        return self.violation == np.inf or self.pinned or (self.gap_bound is not None and self.gap_bound > 0)
 
     def to_dict(self) -> dict:
         return {
@@ -148,6 +154,7 @@ class LmiReport:
             "inertia": self.inertia,
             "gap_bound": self.gap_bound,
             "free": self.free,
+            "pinned": self.pinned,
             "message": self.message,
         }
 
@@ -194,6 +201,10 @@ def solve(problem: LmiProblem) -> np.ndarray:
     N = Vt[rank:].T  # dsym x d; d = 0 leaves the Newton loop t alone
     P_part = smat(part, n)
     d = N.shape[1]
+    # with d = 0, |G (p - part)|_2 <= sqrt(rows) (EQ_TOL + eq_residual) for every P the equalities accept: it lies
+    # within `pin` of P_part in Frobenius norm (infinite, with no warning, past the float range)
+    with np.errstate(over="ignore"):
+        pin = float(np.sqrt(g.size) * (EQ_TOL + eq_residual) / sv[-1]) if d == 0 else None
 
     # S_j(x) = (t - epsilon) I - F_j(c) is affine in x = (c, t): for each block
     # its value at x = 0 and its d + 1 generators, the last one for t
@@ -291,28 +302,55 @@ def solve(problem: LmiProblem) -> np.ndarray:
 
     P = P_part + smat(N @ x[:-1], n)
     P = 0.5 * (P + P.T)
-    return _finalize(problem, P, iterations, bound, d, stall)
+    return _finalize(problem, P, iterations, bound, d, stall, pin)
 
 
 def _finalize(problem: LmiProblem, P: np.ndarray, iterations: int, bound: float | None, free: int,
-              stall: str) -> np.ndarray:
+              stall: str, pin: float | None) -> np.ndarray:
     """P, if it meets every block, equality and the inertia target; otherwise the one failure report, with ``stall``
-    its message when no positive gap bound was found."""
-    worst = -np.inf
-    for blk in problem.blocks:
-        R = np.asarray(blk(P), dtype=float)
-        worst = max(worst, float(mc.sym_eigvals(R)[-1]) + problem.epsilon)
+    its message when nothing proves the failure. ``pin`` (d = 0 only) holds every P the equalities accept."""
+    tops = [float(mc.sym_eigvals(np.asarray(blk(P), dtype=float))[-1]) + problem.epsilon for blk in problem.blocks]
+    worst = max(tops)
     actual_eq = _equality_residual(problem, P)
     inertia = mc.inertia_of(P).as_tuple()
     target = None if problem.inertia_target is None else tuple(problem.inertia_target)
-    if not (worst <= LMI_TOL and actual_eq <= EQ_TOL):  # NaN included
-        message = "no storage in the search ball meets the margin" if bound is not None and bound > 0 else stall
-    elif target is not None and inertia != target:
-        message, bound = f"blocks satisfied but inertia {inertia} != target {target}", None
-    else:
+    meets = worst <= LMI_TOL and actual_eq <= EQ_TOL  # NaN fails
+    wrong_inertia = target is not None and inertia != target
+    if meets and not wrong_inertia:
         return P
+    pinned = pin is not None and _fails_within(problem, P, tops, pin, wrong_inertia)
+    if pin is not None and not pinned:
+        bound = None  # it bounds P alone, and a P the equalities accept nearby may pass
+    if not meets:
+        message = ("no storage in the search ball meets the margin" if bound is not None and bound > 0
+                   else "every P the equalities accept fails, as the one they leave does" if pinned else stall)
+    else:
+        message, bound = f"blocks satisfied but inertia {inertia} != target {target}", None
     raise LmiInfeasibleError(LmiReport(iterations=iterations, violation=worst, equality_residual=actual_eq,
-                                       inertia=inertia, message=message, gap_bound=bound, free=free))
+                                       inertia=inertia, message=message, gap_bound=bound, free=free, pinned=pinned))
+
+
+def _fails_within(problem: LmiProblem, P: np.ndarray, tops: list[float], pin: float, wrong_inertia: bool) -> bool:
+    """Whether every symmetric P' within ``pin`` of P (Frobenius norm) fails: some block by more than LMI_TOL, or,
+    when P's inertia misses the target, the inertia.
+
+    ``tops`` are P's ``lmax(F_j) + epsilon``. Block j is affine, so over the ball it moves by at most the Frobenius
+    norm of its changes along ``pin`` times the orthonormal svec basis. Each eigenvalue of P moves by at most ``pin``
+    and the inertia's zero band by ``ZTOL_REL pin``, so none farther than ``pin (1 + ZTOL_REL)`` from the band's edge
+    changes class.
+    """
+    n = problem.dim
+    with np.errstate(all="ignore"):  # an overflowed reach or margin fails the comparisons, with no warning
+        steps = P + pin * smat(np.eye(n * (n + 1) // 2), n)
+        reach = [np.linalg.norm(np.asarray(blk(steps), dtype=float) - np.asarray(blk(P), dtype=float))
+                 for blk in problem.blocks]
+        if max(top - r for top, r in zip(tops, reach)) > LMI_TOL:
+            return True
+    if not wrong_inertia:
+        return False
+    spectrum = mc.sym_eigvals(P)
+    ztol = ZTOL_REL * max(1.0, float(np.abs(spectrum).max()))  # Inertia.of_spectrum's zero band
+    return float(np.abs(np.abs(spectrum) - ztol).min()) > pin * (1.0 + ZTOL_REL)
 
 
 def _equality_residual(problem: LmiProblem, P: np.ndarray) -> float:

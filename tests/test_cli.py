@@ -450,7 +450,8 @@ class TestCertify:
             ("msd-c4", "0", "1", lambda lmi: lmi["gap_bound"] > 0),
             ({"A": [[-1]], "B": [[-2]], "C": [[1]]}, "0", "0", lambda lmi: lmi["gap_bound"] > 0),
             ({"A": [[1]], "B": [[2]], "C": [[-1]]}, "0", "0",
-             lambda lmi: lmi["gap_bound"] is None and lmi["free"] == 0 and "inertia (1, 0, 0)" in lmi["message"]),
+             lambda lmi: lmi["gap_bound"] is None and lmi["free"] == 0 and lmi["pinned"]
+             and "inertia (1, 0, 0)" in lmi["message"]),
         ],
         ids=["no-equality-solution", "positive-gap-bound", "fully-determined", "fully-determined-inertia"],
     )
@@ -559,6 +560,17 @@ class TestCertify:
         assert (error["class"], error["exit_code"]) == ("LmiInfeasibleError", 3)
         assert error["lmi"]["iterations"] == 1
         assert error["lmi"]["message"].startswith("the start's unit slack rounded away against its violation 7.")
+
+    def test_fully_determined_storage_missing_its_equality_by_rounding_is_a_numerical_failure(self, tmp_path, capsys):
+        # P B = C^T leaves P = 2^30 fl(1/49), a storage up to its rounding: P B - C^T = -1.2e-7 misses EQ_TOL, so the
+        # search fails (exit 3), but not as a proof that no storage exists (exit 1)
+        path, report = tmp_path / "m49.json", tmp_path / "r.json"
+        path.write_text(json.dumps({"A": [[-1]], "B": [[49]], "C": [[2**30]]}))
+        argv = ["--report", str(report), "certify", str(path), "--lambda", "0", "--p", "0", "--passivity"]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err.startswith("numerical failure: ")
+        lmi = json.loads(report.read_text())["error"]["lmi"]
+        assert lmi["free"] == 0 and lmi["pinned"] is False and lmi["equality_residual"] > 1e-10
 
     @pytest.mark.parametrize("case", OVERFLOWING_SEARCHES)
     def test_overflowing_search_writes_its_report(self, tmp_path, capsys, case):
@@ -1139,8 +1151,8 @@ class TestRunReport:
                 # the search report travels as fields, not only inside the message
                 lmi = data["error"]["lmi"]
                 assert sorted(lmi) == ["equality_residual", "free", "gap_bound", "inertia", "iterations", "message",
-                                       "violation"]
-                assert lmi["free"] == 1  # P B = C^T leaves one of P's three entries free
+                                       "pinned", "violation"]
+                assert lmi["free"] == 1 and lmi["pinned"] is False  # P B = C^T leaves one of P's three entries free
                 assert lmi["inertia"] == [1, 0, 1] and lmi["iterations"] > 0
                 assert lmi["violation"] < 0 and lmi["equality_residual"] <= 1e-9
                 assert lmi["gap_bound"] is None and "target (0, 0, 2)" in lmi["message"]

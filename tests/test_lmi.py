@@ -12,7 +12,7 @@ from pdom.differential import check_diff_dominance
 from pdom.errors import LmiInfeasibleError, NumericalError
 from pdom.lti import DominanceCertificate, check_dominance, construct_certificate, residual
 from pdom.model import vertex_family
-from pdom.policy import LMI_TOL
+from pdom.policy import EQ_TOL, LMI_TOL
 
 RATE = registry.KNOWN_RATE
 
@@ -153,7 +153,8 @@ def _determined(A, B, C):
 
 
 class TestFullyDetermined:
-    """P B = C^T leaves exactly one P: the Newton loop runs on t alone, and a storage that fails is proved absent."""
+    """P B = C^T leaves exactly one P: the Newton loop runs on t alone, and a storage that fails is proved absent when
+    every P the equalities accept within EQ_TOL fails too."""
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -187,7 +188,52 @@ class TestFullyDetermined:
             find_passivity_storage(_determined([[1.0]], [[2.0]], [[-1.0]]), 0.0, 0)
         report = excinfo.value.report
         assert report.message == "blocks satisfied but inertia (1, 0, 0) != target (0, 0, 1)"
-        assert report.gap_bound is None and report.free == 0 and report.proves_infeasible
+        assert report.gap_bound is None and report.free == 0 and report.pinned and report.proves_infeasible
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_equality_missed_by_rounding_proves_nothing(self):
+        # P = 2^30 fl(1/49) meets the block and the inertia, but P B - C^T = 2^30 (fl(1/49) 49 - 1) = -1.2e-7 misses
+        # EQ_TOL; a P nearby may meet it, so the failure is a stall, not a proof
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            find_passivity_storage(_determined([[-1.0]], [[49.0]], [[2.0**30]]), 0.0, 0)
+        report = excinfo.value.report
+        assert report.violation < 0 and report.inertia == (0, 0, 1) and report.equality_residual > EQ_TOL
+        assert report.message == "barrier search ended without a storage"
+        assert report.free == 0 and not report.pinned and not report.proves_infeasible
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_loose_equality_proves_nothing(self):
+        # 1e-12 P = 0 leaves P = 0, which fails 1 - P <= -epsilon; yet every P up to 100 meets the equality within
+        # EQ_TOL, and P = 2 meets the block: neither the one P's failure nor the bound on it proves anything.
+        # Likewise for a wrong inertia that a P within the equality's tolerance does not share
+        problem = lmi.LmiProblem(dim=1, blocks=[lambda P: 1.0 - P], epsilon=1e-6,
+                                 equalities=[lmi.LinearEquality(lambda P: 1e-12 * P, np.zeros((1, 1)))])
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            lmi.solve(problem)
+        report = excinfo.value.report
+        assert report.free == 0 and report.gap_bound is None and not report.proves_infeasible
+        assert report.message == "barrier search ended without a storage"
+        assert lmi._finalize(problem, np.array([[2.0]]), 1, None, 0, "", 100.0)[0, 0] == 2.0
+        # 1e-12 P = -1e-15 leaves P = -1e-3, of the wrong inertia; P = 1 meets the equality within EQ_TOL and the target
+        problem = lmi.LmiProblem(dim=1, blocks=[lambda P: 0.0 * P - 1.0], inertia_target=(0, 0, 1), epsilon=1e-6,
+                                 equalities=[lmi.LinearEquality(lambda P: 1e-12 * P, np.full((1, 1), -1e-15))])
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            lmi.solve(problem)
+        report = excinfo.value.report
+        assert report.inertia == (1, 0, 0) and report.free == 0 and not report.proves_infeasible
+        assert lmi._finalize(problem, np.array([[1.0]]), 1, None, 0, "", 100.0)[0, 0] == 1.0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_failure_over_every_accepted_p_names_the_proof(self):
+        # P = 0 is the one P; the block P + 1e16 absorbs the start's unit slack, so no bound is found, yet every P
+        # within EQ_TOL of 0 fails it: the report proves infeasibility and says why, not that the search stalled
+        problem = lmi.LmiProblem(dim=1, blocks=[lambda P: P + 1e16], epsilon=1e-6,
+                                 equalities=[lmi.LinearEquality(lambda P: P, np.zeros((1, 1)))])
+        with pytest.raises(LmiInfeasibleError) as excinfo:
+            lmi.solve(problem)
+        report = excinfo.value.report
+        assert report.gap_bound is None and report.pinned and report.proves_infeasible
+        assert report.message == "every P the equalities accept fails, as the one they leave does"
 
 
 def _planted_passivity(rng, n, p, m=2, lam=0.5, margin=0.1):
@@ -461,7 +507,8 @@ class TestProblemValidation:
         report = lmi.LmiReport(iterations=4, violation=0.5, equality_residual=0.0, inertia=(1, 0, 1),
                                message="m", gap_bound=0.25, free=2)
         assert report.to_dict() == {"iterations": 4, "violation": 0.5, "equality_residual": 0.0,
-                                    "inertia": (1, 0, 1), "gap_bound": 0.25, "free": 2, "message": "m"}
+                                    "inertia": (1, 0, 1), "gap_bound": 0.25, "free": 2, "pinned": False,
+                                    "message": "m"}
 
     def test_unsatisfiable_equality_report_is_strict_json(self):
         # P B = C^T has no solution with B = 0 and C != 0: no iterate, violation inf
@@ -478,13 +525,14 @@ class TestProblemValidation:
         assert excinfo.value.report.proves_infeasible
 
     @pytest.mark.parametrize(
-        "violation, gap_bound, proves, free",
-        [(np.inf, None, True, None), (1e-3, 2e-4, True, 1), (1e-3, -2e-4, False, 1), (1e-3, None, False, 1),
-         (-1.0, None, False, 1), (-1.0, None, True, 0), (1e-3, None, True, 0)],
+        "violation, gap_bound, proves, free, pinned",
+        [(np.inf, None, True, None, False), (1e-3, 2e-4, True, 1, False), (1e-3, -2e-4, False, 1, False),
+         (1e-3, None, False, 1, False), (-1.0, None, False, 1, False), (-1.0, None, True, 0, True),
+         (1e-3, None, True, 0, True), (1e-3, None, False, 0, False)],
         ids=["no-equality-solution", "positive-bound", "negative-bound", "stall", "inertia-mismatch",
-             "fully-determined-inertia-mismatch", "fully-determined-stall"],
+             "fully-determined-inertia-mismatch", "fully-determined-failure", "fully-determined-stall"],
     )
-    def test_proof_of_infeasibility(self, violation, gap_bound, proves, free):
+    def test_proof_of_infeasibility(self, violation, gap_bound, proves, free, pinned):
         report = lmi.LmiReport(iterations=3, violation=violation, equality_residual=0.0, gap_bound=gap_bound,
-                               free=free)
+                               free=free, pinned=pinned)
         assert report.proves_infeasible is proves
